@@ -8,7 +8,6 @@ from .words import (  # noqa: E402,F401
     Presentation,
     Word,
     direct_product,
-    free_reduce,
     parse_character,
     parse_presentation,
     render_character,
@@ -22,11 +21,8 @@ from .polyalg import (  # noqa: F401
     NotInSpan,
     PolyMatrix,
     SnfResult,
-    hermite_normal_form,
-    kernel_basis,
     rank_over_fraction_field,
     smith_normal_form,
-    solve_in_span,
 )
 from .quotients import (  # noqa: F401
     FiniteGroup,

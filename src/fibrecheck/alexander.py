@@ -2,9 +2,17 @@
 
 The presentation gives a partial free resolution; acting on row vectors from
 the right, b1 stacks the blocks phi(x_i) - I and b2 holds the evaluated Fox
-derivatives, with b2 @ b1 = 0.  Degree-1 vanishing is decided on the rank
-route; the Smith-normal-form route recomputes the order independently and
-the two must agree, otherwise the run is aborted as internally inconsistent.
+derivatives, with b2 @ b1 = 0.  Vanishing is decided on the rank route
+(Bareiss ranks of b1 and b2 over F(t)).  The Smith-normal-form route
+computes the orders independently: ord H0 from SNF(b1), and ord H1 from
+SNF(b2) alone, because over the PID F[t^{+-1}] the sequence
+0 -> H1 -> C1/rowspace(b2) -> im(b1) -> 0 splits (im(b1) lies in a free
+module, so it is free) and C1/rowspace(b2) = H1 + im(b1).  So H1 is torsion
+exactly when rank SNF(b2) = rows(b1) - rank SNF(b1), and its order is then
+the product of the nonzero invariant factors of b2, the classical
+Fox-matrix order (Wada 1994, Kirk-Livingston 1999).  Neither route reads the
+other's result; if their vanishing verdicts disagree, the run is aborted as
+internally inconsistent.
 """
 
 from __future__ import annotations
@@ -16,11 +24,10 @@ from .polyalg import (
     CoefficientField,
     LaurentPoly,
     PolyMatrix,
+    SnfResult,
     clear_denominators,
-    kernel_basis,
     rank_over_fraction_field,
     smith_normal_form,
-    solve_in_span,
 )
 from .quotients import FiniteQuotient, restrict_to_image
 from .words import Character, Presentation, render_character
@@ -54,23 +61,30 @@ class TwistedChain:
     b2: PolyMatrix
 
     def __post_init__(self):
-        object.__setattr__(self, "_rank_cache", {})
+        object.__setattr__(self, "_cache", {})
 
     @property
     def block_size(self) -> int:
         return self.representation.dim
 
     def rank_b1(self) -> int:
-        cache = self._rank_cache
+        cache = self._cache
         if "b1" not in cache:
             cache["b1"] = rank_over_fraction_field(self.b1)
         return cache["b1"]
 
     def rank_b2(self) -> int:
-        cache = self._rank_cache
+        cache = self._cache
         if "b2" not in cache:
             cache["b2"] = rank_over_fraction_field(self.b2)
         return cache["b2"]
+
+    def snf_b1(self) -> SnfResult:
+        """SNF of b1, shared by the degree-0 order and the degree-1 rank target."""
+        cache = self._cache
+        if "snf_b1" not in cache:
+            cache["snf_b1"] = smith_normal_form(clear_denominators(self.b1))
+        return cache["snf_b1"]
 
 
 @dataclass(frozen=True)
@@ -129,31 +143,29 @@ def h1_vanishing(c: TwistedChain) -> tuple[bool, int]:
     return rank_h1 > 0, rank_h1
 
 
-def _h1_factors(c: TwistedChain):
-    """SNF of the H1 relation matrix in kernel coordinates, plus the kernel rank."""
-    kernel = kernel_basis(clear_denominators(c.b1.transpose()))
-    coords = solve_in_span(kernel, clear_denominators(c.b2).transpose())
-    return smith_normal_form(clear_denominators(coords)), kernel.cols
-
-
-def _factor_product(field, snf, full_rank: int) -> LaurentPoly:
-    if snf.rank < full_rank:
+def _factor_product(field, snf: SnfResult, full_rank: int) -> LaurentPoly:
+    """Product of the nonzero invariant factors, or zero unless snf has full_rank."""
+    if snf.rank != full_rank:
         return LaurentPoly.zero(field)
     order = LaurentPoly.one(field)
-    for d in snf.invariant_factors:
+    for d in snf.invariant_factors[:snf.rank]:
         order = order * d
     return order.canonical()
+
+
+def _h1_order(c: TwistedChain) -> tuple[LaurentPoly, SnfResult]:
+    snf = smith_normal_form(clear_denominators(c.b2))
+    return _factor_product(c.b1.field, snf, c.b1.rows - c.snf_b1().rank), snf
 
 
 def h1_order(c: TwistedChain) -> LaurentPoly:
     """Normalized order of H1 through the Smith-normal-form route.
 
-    The left kernel of b1 is freely spanned by the columns of K; the rows of
-    b2 rewritten in K-coordinates present H1, and the order is the product
-    of the invariant factors (zero when the presentation has free rank).
+    C1/rowspace(b2) is H1 plus the free module im(b1), so the order is the
+    product of the nonzero invariant factors of b2 when their number is
+    rows(b1) - rank SNF(b1), and zero (H1 has free rank) otherwise.
     """
-    snf, kernel_rank = _h1_factors(c)
-    return _factor_product(c.b1.field, snf, kernel_rank)
+    return _h1_order(c)[0]
 
 
 def h0_report(c: TwistedChain, order_ceiling: int = DEFAULT_ORDER_CEILING) -> AlexanderReport:
@@ -165,7 +177,7 @@ def h0_report(c: TwistedChain, order_ceiling: int = DEFAULT_ORDER_CEILING) -> Al
     skip = c.b1.rows > order_ceiling
     order = None
     if not skip:
-        snf = smith_normal_form(clear_denominators(c.b1))
+        snf = c.snf_b1()
         order = _factor_product(c.b1.field, snf, n)
         if vanishing != order.is_zero:
             raise InternalCheckError(
@@ -195,8 +207,7 @@ def _h1_report(c: TwistedChain, order_ceiling: int) -> AlexanderReport:
     skip = c.b1.rows > order_ceiling
     order = None
     if not skip:
-        snf, kernel_rank = _h1_factors(c)
-        order = _factor_product(c.b1.field, snf, kernel_rank)
+        order, snf = _h1_order(c)
         if vanishing != order.is_zero:
             raise InternalCheckError(
                 "degree-1 cross-check failed: rank route and SNF route disagree\n"

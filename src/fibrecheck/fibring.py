@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import __version__
 from .alexander import DEFAULT_ORDER_CEILING, AlexanderReport, full_report
@@ -87,19 +87,38 @@ def _quotient_stream(p: Presentation, cfg: ScanConfig):
 
 
 def _scan_job(args) -> list[AlexanderReport]:
+    """Degree-0 and degree-1 reports for the character, then for its negation.
+
+    Only the character itself is computed; the minus direction is derived by
+    t -> t^-1.  That substitution is a ring automorphism of F[t^{+-1}] and
+    maps the chain of the character onto the chain of its negation entry by
+    entry, so ranks, vanishing and skips agree and each order is the
+    canonical reciprocal of the plus order.
+    """
     presentation, character, quotient, coeff_field, ceiling = args
-    out = []
-    for chi in (character, character.negate()):
-        out.extend(full_report(presentation, chi, quotient, coeff_field, ceiling))
-    return out
+    plus = full_report(presentation, character, quotient, coeff_field, ceiling)
+    minus = character.negate()
+    return plus + [
+        replace(r, character=minus,
+                order=None if r.order is None else r.order.reciprocal().canonical())
+        for r in plus
+    ]
+
+
+def _witness_index(chunk: list[AlexanderReport]) -> int | None:
+    """Position of the first vanishing degree-1 report of a job, if any."""
+    return next((i for i, r in enumerate(chunk) if r.degree == 1 and r.vanishing), None)
 
 
 def scan(cfg: ScanConfig, jobs: int = 1) -> FibringVerdict:
-    """Run the quotient sweep; the minus character is scanned alongside.
+    """Run the quotient sweep in both character directions.
 
-    With jobs > 1 the (quotient, field) jobs fan out to a process pool; all
-    jobs complete and the witness is the first vanishing degree-1 report in
-    enumeration order, so the verdict is identical to a serial run.
+    Each (quotient, field) job computes the character and derives the minus
+    direction by t -> t^-1 (see `_scan_job`), which is exact because the
+    substitution is a ring automorphism mapping one chain onto the other.
+    With jobs > 1 the jobs fan out to a process pool; all jobs complete and
+    the witness is the first vanishing degree-1 report in enumeration order,
+    so the verdict is identical to a serial run.
     """
     if not cfg.fields:
         raise ValueError("at least one coefficient field is required")
@@ -121,17 +140,16 @@ def scan(cfg: ScanConfig, jobs: int = 1) -> FibringVerdict:
         events = list(_quotient_stream(cfg.presentation, cfg))
         kept = [q for kind, q, _ in events if kind == "kept"]
         job_list = [job_for(q, f) for q in kept for f in cfg.fields]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for chunk in pool.map(_scan_job, job_list, chunksize=4):
-                flat.extend(chunk)
-        per_quotient = len(cfg.fields) * 4
         witness_quotient = None
-        for idx, r in enumerate(flat):
-            if r.degree == 1 and r.vanishing:
-                witness = r
-                flat = flat[: idx + 1]
-                witness_quotient = idx // per_quotient
-                break
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            for job_idx, chunk in enumerate(pool.map(_scan_job, job_list, chunksize=4)):
+                idx = _witness_index(chunk)
+                if idx is not None:
+                    witness = chunk[idx]
+                    flat.extend(chunk[: idx + 1])
+                    witness_quotient = job_idx // len(cfg.fields)
+                    break
+                flat.extend(chunk)
         seen = -1
         for kind, q, rep in events:
             if kind == "kept":
@@ -149,16 +167,13 @@ def scan(cfg: ScanConfig, jobs: int = 1) -> FibringVerdict:
                 continue
             quotients.append(q)
             for f in cfg.fields:
-                chunk_start = len(flat)
-                flat.extend(_scan_job(job_for(q, f)))
-                for idx in range(chunk_start, len(flat)):
-                    r = flat[idx]
-                    if r.degree == 1 and r.vanishing:
-                        witness = r
-                        flat = flat[: idx + 1]
-                        break
-                if witness is not None:
+                chunk = _scan_job(job_for(q, f))
+                idx = _witness_index(chunk)
+                if idx is not None:
+                    witness = chunk[idx]
+                    flat.extend(chunk[: idx + 1])
                     break
+                flat.extend(chunk)
             if witness is not None:
                 break
 

@@ -1,10 +1,10 @@
 """Exact Laurent-polynomial linear algebra over Q or a prime field F_p.
 
 Coefficients are Python Fractions (rationals) or ints reduced mod p, so all
-arithmetic is exact.  Matrices over F[t] are brought to column Hermite form
-and Smith normal form by Euclidean elimination on polynomial degrees; rank
-over the rational-function field F(t) uses fraction-free Bareiss elimination
-with minimal-degree pivoting.  Units of F[t^{+-1}] are c*t^k, so the
+arithmetic is exact.  Matrices over F[t] are brought to Smith normal form by
+Euclidean elimination on polynomial degrees; rank over the rational-function
+field F(t) uses fraction-free Bareiss elimination with minimal-degree
+pivoting.  Units of F[t^{+-1}] are c*t^k, so the
 canonical representative of a nonzero polynomial class is monic with nonzero
 constant term.
 """
@@ -22,9 +22,6 @@ __all__ = [
     "SnfResult",
     "NotInSpan",
     "rank_over_fraction_field",
-    "hermite_normal_form",
-    "kernel_basis",
-    "solve_in_span",
     "smith_normal_form",
     "clear_denominators",
     "poly_gcd",
@@ -32,7 +29,7 @@ __all__ = [
 
 
 class NotInSpan(ArithmeticError):
-    """Exact division failed while solving inside a module span."""
+    """An exact division in F[t^{+-1}] was not exact."""
 
 
 def _is_prime(p: int) -> bool:
@@ -522,108 +519,6 @@ def rank_over_fraction_field(m: PolyMatrix) -> int:
         prev = a[r][c]
         r += 1
     return r
-
-
-def hermite_normal_form(m: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
-    """Column echelon form over F[t]: returns (H, U) with m @ U = H.
-
-    U is a product of column swaps, constant scalings, and additions of
-    F[t]-multiples of one column to another, so it is invertible over F[t]
-    and preserves the column span.  Pivots are made monic; each pivot's
-    first nonzero row strictly increases and zero columns come last.
-    """
-    _require_poly_entries(m, "hermite_normal_form")
-    h = m.copy()
-    u = PolyMatrix.identity(m.field, m.cols)
-
-    def add_col(dst: int, src: int, q: LaurentPoly):
-        for mat in (h, u):
-            for i in range(mat.rows):
-                mat.entries[i][dst] = mat.entries[i][dst] - q * mat.entries[i][src]
-
-    def swap_col(j1: int, j2: int):
-        for mat in (h, u):
-            for i in range(mat.rows):
-                mat.entries[i][j1], mat.entries[i][j2] = mat.entries[i][j2], mat.entries[i][j1]
-
-    def scale_col(j: int, c):
-        for mat in (h, u):
-            for i in range(mat.rows):
-                mat.entries[i][j] = mat.entries[i][j].scale(c)
-
-    c = 0
-    for r in range(m.rows):
-        if c >= m.cols:
-            break
-        live = [j for j in range(c, m.cols) if not h.entries[r][j].is_zero]
-        if not live:
-            continue
-        while len(live) > 1:
-            jmin = min(live, key=lambda j: h.entries[r][j].high)
-            for j in live:
-                if j == jmin:
-                    continue
-                q, _ = h.entries[r][j].divmod_poly(h.entries[r][jmin])
-                add_col(j, jmin, q)
-            live = [j for j in range(c, m.cols) if not h.entries[r][j].is_zero]
-        if live[0] != c:
-            swap_col(live[0], c)
-        scale_col(c, m.field.inv(h.entries[r][c].coeffs[h.entries[r][c].high]))
-        c += 1
-    return h, u
-
-
-def kernel_basis(m: PolyMatrix) -> PolyMatrix:
-    """Free-module basis of {v : m @ v = 0}; one column per basis vector."""
-    _require_poly_entries(m, "kernel_basis")
-    h, u = hermite_normal_form(m)
-    zero_cols = [j for j in range(h.cols) if all(h.entries[i][j].is_zero for i in range(h.rows))]
-    out = PolyMatrix.zeros(m.field, m.cols, len(zero_cols))
-    for k, j in enumerate(zero_cols):
-        for i in range(m.cols):
-            out.entries[i][k] = u.entries[i][j]
-    return out
-
-
-def solve_in_span(basis: PolyMatrix, target: PolyMatrix) -> PolyMatrix:
-    """Solve basis @ X = target exactly over F[t^{+-1}].
-
-    Raises NotInSpan when a target column is outside the span of the basis
-    columns; for chain complexes that signals a broken boundary condition.
-    """
-    if basis.rows != target.rows:
-        raise ValueError("basis and target row counts differ")
-    # Joint row scaling keeps solutions intact and puts entries in F[t].
-    joint = clear_denominators(PolyMatrix.hstack([basis, target])) if basis.cols or target.cols \
-        else PolyMatrix.zeros(basis.field, basis.rows, 0)
-    b = PolyMatrix(basis.field, [row[:basis.cols] for row in joint.entries], basis.rows, basis.cols)
-    t = PolyMatrix(basis.field, [row[basis.cols:] for row in joint.entries], basis.rows, target.cols)
-    h, u = hermite_normal_form(b)
-    pivots = []  # (row, col) per nonzero column of h
-    for j in range(h.cols):
-        rows_nonzero = [i for i in range(h.rows) if not h.entries[i][j].is_zero]
-        if rows_nonzero:
-            pivots.append((rows_nonzero[0], j))
-    x = PolyMatrix.zeros(basis.field, basis.cols, target.cols)
-    for col in range(target.cols):
-        residual = t.column(col)
-        y = [LaurentPoly.zero(basis.field) for _ in range(h.cols)]
-        for r, j in pivots:
-            if residual[r].is_zero:
-                continue
-            q = residual[r].exact_div(h.entries[r][j])
-            y[j] = q
-            for i in range(basis.rows):
-                residual[i] = residual[i] - q * h.entries[i][j]
-        if any(not e.is_zero for e in residual):
-            raise NotInSpan(f"target column {col} is not in the span of the basis")
-        for i in range(basis.cols):
-            acc = LaurentPoly.zero(basis.field)
-            for j in range(h.cols):
-                if not y[j].is_zero and not u.entries[i][j].is_zero:
-                    acc = acc + u.entries[i][j] * y[j]
-            x.entries[i][col] = acc
-    return x
 
 
 @dataclass(frozen=True)

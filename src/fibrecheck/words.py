@@ -22,7 +22,6 @@ __all__ = [
     "Word",
     "Presentation",
     "Character",
-    "free_reduce",
     "parse_presentation",
     "render_presentation",
     "parse_character",
@@ -92,11 +91,6 @@ class Word:
         return max((abs(x) for x in self.letters), default=0)
 
 
-def free_reduce(w: Word) -> Word:
-    """Cancel adjacent inverse pairs until none remain."""
-    return Word.of(w.letters)
-
-
 @dataclass(frozen=True)
 class Presentation:
     """Finite presentation: named generators plus freely reduced relators."""
@@ -113,7 +107,7 @@ class Presentation:
             if not _NAME_RE.fullmatch(name):
                 raise ParseError(f"bad generator name {name!r}")
         # Relators are stored freely reduced; empty ones are dropped.
-        reduced = tuple(r for r in (free_reduce(w) for w in self.relators) if not r.is_identity)
+        reduced = tuple(r for r in (Word.of(w.letters) for w in self.relators) if not r.is_identity)
         object.__setattr__(self, "relators", reduced)
         g = self.generator_count
         for r in self.relators:

@@ -343,3 +343,31 @@ def test_random_commutator_battery():
             assert twisted.order == untwisted.order
             checked += 1
     assert checked >= 30
+
+
+def test_minus_fold_and_b2_order_match_full_computation():
+    # Two identities the scan relies on, on every kernel class up to order 4:
+    # the minus-direction reports that `_scan_job` derives by t -> t^-1 equal
+    # a full computation for the negated character, and ord H1 from SNF(b2)
+    # equals the kernel-route order of the test oracle.
+    from fibrecheck.fibring import ScanConfig, _quotient_stream, _scan_job
+    from kernel_oracle import kernel_route_h1_order
+
+    cases = [load_fixture(name) for name in
+             ("bs:1:2", "trefoil", "klein", "f2xz", "zn:2", "surface:1")]
+    trefoil, chi = load_fixture("trefoil")
+    for recipe in ([(Word(), 0, 1), (Word(), 0, 1)], [(Word((1,)), 0, 1)]):
+        cases.append((tietze_variant(trefoil, "redundant-relator", recipe=recipe), chi))
+    checked = 0
+    for p, chi in cases:
+        cfg = ScanConfig(presentation=p, character=chi, max_quotient_order=4)
+        kept = [q for kind, q, _ in _quotient_stream(p, cfg) if kind == "kept"]
+        for q in kept:
+            for field in (Q, F2, F3):
+                derived = _scan_job((p, chi, q, field, cfg.order_ceiling))[2:]
+                computed = full_report(p, chi.negate(), q, field)
+                assert derived == computed, (q.label(), field.name)
+                chain = _chain(p, chi, restrict_to_image(p, q), field)
+                assert h1_order(chain) == kernel_route_h1_order(chain), (q.label(), field.name)
+                checked += 1
+    assert checked == 300

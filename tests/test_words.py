@@ -7,7 +7,6 @@ from fibrecheck.words import (
     Presentation,
     Word,
     direct_product,
-    free_reduce,
     parse_character,
     parse_presentation,
     render_presentation,
@@ -66,23 +65,23 @@ def test_parse_errors():
 
 
 def test_free_reduce():
-    assert free_reduce(Word((1, -1))).letters == ()
-    assert free_reduce(Word((1, 2, -2, -1))).letters == ()
-    assert free_reduce(Word((1, 2, -1))).letters == (1, 2, -1)
+    assert Word.of((1, -1)).letters == ()
+    assert Word.of((1, 2, -2, -1)).letters == ()
+    assert Word.of((1, 2, -1)).letters == (1, 2, -1)
 
 
 def test_free_reduce_is_retraction():
     rng = random.Random(7)
     for _ in range(200):
         letters = [rng.choice([1, -1, 2, -2, 3, -3]) for _ in range(rng.randrange(12))]
-        w = free_reduce(Word(tuple(letters)))
-        assert free_reduce(w) == w
+        w = Word.of(letters)
+        assert Word.of(w.letters) == w
         assert len(w) <= len(letters)
         # Inserting a cancelling pair anywhere does not change the reduction.
         pos = rng.randrange(len(letters) + 1)
         x = rng.choice([1, -1, 2, -2, 3, -3])
         padded = letters[:pos] + [x, -x] + letters[pos:]
-        assert free_reduce(Word(tuple(padded))) == w
+        assert Word.of(padded) == w
 
 
 def test_validate_character_bs12():
