@@ -21,13 +21,13 @@ from .polyalg import (  # noqa: F401
     NotInSpan,
     PolyMatrix,
     SnfResult,
+    rank_lower_bound,
     rank_over_fraction_field,
     smith_normal_form,
 )
 from .quotients import (  # noqa: F401
     FiniteGroup,
     FiniteQuotient,
-    QuotientCatalog,
     build_catalog,
     cyclic_group,
     enumerate_homs,

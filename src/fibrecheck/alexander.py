@@ -2,8 +2,15 @@
 
 The presentation gives a partial free resolution; acting on row vectors from
 the right, b1 stacks the blocks phi(x_i) - I and b2 holds the evaluated Fox
-derivatives, with b2 @ b1 = 0.  Vanishing is decided on the rank route
-(Bareiss ranks of b1 and b2 over F(t)).  The Smith-normal-form route
+derivatives, with b2 @ b1 = 0.  Vanishing is decided on the rank route, the
+ranks of b1 and b2 over F(t).  Each rank is first bounded from below by
+`rank_lower_bound`, the rank after mapping t to a point of a finite field:
+minors map to minors, so the bound never exceeds the true rank.  Where the
+bound meets an upper bound known beforehand, min(rows, cols) for b1 and
+rows(b1) - rank b1 for b2 (the rows of b2 lie in the left kernel of b1), it
+is the rank.  Otherwise exact Bareiss elimination decides, so Bareiss runs
+for every rank deficit, where vanishing must be certified exactly, and when
+the point is a root of every maximal minor.  The Smith-normal-form route
 computes the orders independently: ord H0 from SNF(b1), and ord H1 from
 SNF(b2) alone, because over the PID F[t^{+-1}] the sequence
 0 -> H1 -> C1/rowspace(b2) -> im(b1) -> 0 splits (im(b1) lies in a free
@@ -26,6 +33,7 @@ from .polyalg import (
     PolyMatrix,
     SnfResult,
     clear_denominators,
+    rank_lower_bound,
     rank_over_fraction_field,
     smith_normal_form,
 )
@@ -51,6 +59,16 @@ class InternalCheckError(RuntimeError):
     """A mandatory internal cross-check failed; results are untrustworthy."""
 
 
+def _certified_rank(m: PolyMatrix, upper: int) -> int:
+    """Rank over F(t), given an upper bound on it.
+
+    The finite-field rank is a lower bound, so where it reaches `upper` it
+    is the rank; only a shortfall runs exact Bareiss elimination.
+    """
+    lower = rank_lower_bound(m)
+    return lower if lower == upper else rank_over_fraction_field(m)
+
+
 @dataclass(frozen=True)
 class TwistedChain:
     """Boundary data: b1 is (g*|Q|) x |Q|, b2 is (s*|Q|) x (g*|Q|)."""
@@ -68,15 +86,19 @@ class TwistedChain:
         return self.representation.dim
 
     def rank_b1(self) -> int:
+        """Rank of b1 over F(t): the finite-field bound if it reaches min(rows, cols), else Bareiss."""
         cache = self._cache
         if "b1" not in cache:
-            cache["b1"] = rank_over_fraction_field(self.b1)
+            cache["b1"] = _certified_rank(self.b1, min(self.b1.rows, self.b1.cols))
         return cache["b1"]
 
     def rank_b2(self) -> int:
+        """Rank of b2 over F(t): the finite-field bound if it reaches its upper
+        bound rows(b1) - rank b1 (b2 @ b1 = 0), else Bareiss."""
         cache = self._cache
         if "b2" not in cache:
-            cache["b2"] = rank_over_fraction_field(self.b2)
+            upper = min(self.b2.rows, self.b1.rows - self.rank_b1())
+            cache["b2"] = _certified_rank(self.b2, upper)
         return cache["b2"]
 
     def snf_b1(self) -> SnfResult:

@@ -42,6 +42,11 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
+# Largest n accepted in s<n>: S_n has n! elements and its table is checked
+# for associativity in time cubic in n!; S6 would take 216 times as long as
+# S5, which takes 0.2 s.
+MAX_SYMMETRIC_DEGREE = 5
+
 
 def _load_presentation(args) -> tuple[Presentation, Character | None]:
     if args.fixture and args.pres:
@@ -89,7 +94,10 @@ def _parse_target(text: str):
     if low.startswith("z") and low[1:].isdigit():
         return cyclic_group(int(low[1:]))
     if low.startswith("s") and low[1:].isdigit():
-        return symmetric_group(int(low[1:]))
+        n = int(low[1:])
+        if n > MAX_SYMMETRIC_DEGREE:
+            raise ValueError(f"s{n} is too large: at most s{MAX_SYMMETRIC_DEGREE} is supported")
+        return symmetric_group(n)
     if low.startswith("file:"):
         path = Path(name[len("file:"):])
         return load_table_group(path.read_text(), path.stem)

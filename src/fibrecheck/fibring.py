@@ -69,8 +69,7 @@ def _quotient_stream(p: Presentation, cfg: ScanConfig):
     kept: list[FiniteQuotient] = [trivial_quotient(p)]
     kept_sizes = [1]
     yield "kept", kept[0], None
-    catalog = build_catalog(cfg.max_quotient_order, list(cfg.extra_groups))
-    for group in catalog.groups:
+    for group in build_catalog(cfg.max_quotient_order, list(cfg.extra_groups)):
         for hom in enumerate_homs(p, group, surjective_only=False):
             size = len(image_closure(group, hom.gen_images))
             merged = None

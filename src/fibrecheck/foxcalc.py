@@ -146,24 +146,6 @@ class Representation:
         self._word_cache[w.letters] = out
         return out
 
-    def transposed(self) -> "Representation":
-        """The partner convention built on the left regular action.
-
-        Generator i maps to t^{phi(x_i)} * transpose(P(alpha(x_i)^-1)); this
-        is again a homomorphism, and cross-testing against it checks that
-        vanishing and normalized orders do not depend on the side convention.
-        """
-        def shift_all(m: PolyMatrix, k: int) -> PolyMatrix:
-            return PolyMatrix(self.field, [[e.shifted(k) for e in row] for row in m.entries],
-                              m.rows, m.cols)
-
-        mats = [shift_all(m.transpose(), 2 * v)
-                for m, v in zip(self.inverses, self.character.values)]
-        invs = [shift_all(m.transpose(), -2 * v)
-                for m, v in zip(self.matrices, self.character.values)]
-        return Representation(self.presentation, self.character, self.quotient,
-                              self.field, mats, invs)
-
 
 def build_representation(p: Presentation, chi: Character, q: FiniteQuotient,
                          field: CoefficientField) -> Representation:

@@ -2,17 +2,24 @@
 
 Coefficients are Python Fractions (rationals) or ints reduced mod p, so all
 arithmetic is exact.  Matrices over F[t] are brought to Smith normal form by
-Euclidean elimination on polynomial degrees; rank over the rational-function
-field F(t) uses fraction-free Bareiss elimination with minimal-degree
-pivoting.  Units of F[t^{+-1}] are c*t^k, so the
+Euclidean elimination on polynomial degrees.  Rank over the rational-function
+field F(t) has two routes.  `rank_lower_bound` maps t to a fixed point of a
+finite field and eliminates there; every minor maps to the image of that
+minor, so the result never exceeds the rank over F(t), and it proves the rank
+whenever it meets a known upper bound.  `rank_over_fraction_field` is exact
+fraction-free Bareiss elimination with minimal-degree pivoting, the fallback
+when the bound falls short.  Units of F[t^{+-1}] are c*t^k, so the
 canonical representative of a nonzero polynomial class is monic with nonzero
 constant term.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 from typing import Sequence
 
 __all__ = [
@@ -21,6 +28,8 @@ __all__ = [
     "PolyMatrix",
     "SnfResult",
     "NotInSpan",
+    "EVALUATION_POINT",
+    "rank_lower_bound",
     "rank_over_fraction_field",
     "smith_normal_form",
     "clear_denominators",
@@ -519,6 +528,164 @@ def rank_over_fraction_field(m: PolyMatrix) -> int:
         prev = a[r][c]
         r += 1
     return r
+
+
+# Image of t over Q (modulo 2^61 - 1) and over F_p when p^2 > 2^13 (modulo p).
+EVALUATION_POINT = 1_000_000_007
+_MERSENNE_61 = (1 << 61) - 1
+_GF_ORDER_LIMIT = 1 << 13
+
+
+def rank_lower_bound(m: PolyMatrix) -> int:
+    """Rank of m after mapping t to a fixed point of a finite field.
+
+    A nonzero minor of the image is the image of the same minor of m, so
+    the result never exceeds the rank over F(t); it falls short only when
+    the point is a root of every nonzero maximal minor.  Over Q, t maps to
+    EVALUATION_POINT modulo the prime 2^61 - 1, and the bound is 0 when that
+    prime divides a denominator.  Over F_p, t maps to a generator of
+    GF(p^k), the largest such field of order at most 2^13, while k >= 2;
+    once p^2 > 2^13, t maps to EVALUATION_POINT modulo p.
+    """
+    p = m.field.p
+    if p is not None and p * p <= _GF_ORDER_LIMIT:
+        return _rank_in_extension(m, p)
+    modulus = _MERSENNE_61 if p is None else p
+    point = EVALUATION_POINT % modulus or 1  # every nonzero point gives a bound
+    powers: dict[int, int] = {}
+    a = []
+    for row in m.entries:
+        image = []
+        for entry in row:
+            value = 0
+            for e, c in entry.coeffs.items():
+                if c.denominator != 1:  # a Fraction over Q
+                    if c.denominator % modulus == 0:
+                        return 0
+                    c = c.numerator * pow(c.denominator, -1, modulus)
+                x = powers.get(e)
+                if x is None:
+                    x = powers[e] = pow(point, e, modulus)
+                value += c.numerator * x
+            image.append(value % modulus)
+        a.append(image)
+    rank = 0
+    for c in range(m.cols):
+        pivot = next((i for i in range(rank, m.rows) if a[i][c]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        top = a[rank]
+        inv = pow(top[c], -1, modulus)
+        for i in range(rank + 1, m.rows):
+            if a[i][c]:
+                f = a[i][c] * inv % modulus
+                a[i] = [(x - f * y) % modulus for x, y in zip(a[i], top)]
+        rank += 1
+    return rank
+
+
+@lru_cache(maxsize=None)
+def _zech_field(p: int) -> tuple[int, int, array, array]:
+    """GF(p^k), with k >= 2 the largest such that p^k <= 2^13, by Zech logarithms.
+
+    Returns (n, neg_one, zech, prime_log).  The nonzero elements are the
+    powers alpha^i, 0 <= i < n = p^k - 1, of a root alpha of the first
+    primitive polynomial x^k + ... + c0 in a fixed search order; zech[i] is
+    the exponent of 1 + alpha^i, or -1 when that sum is zero; neg_one is the
+    exponent of -1; prime_log[c] is the exponent of c in F_p (index 0
+    unused).  Only candidates whose norm (-1)^k c0 is a primitive root mod p
+    are tried, since the norm of a generator generates F_p^*.
+    """
+    k = 2
+    while p ** (k + 1) <= _GF_ORDER_LIMIT:
+        k += 1
+    q, top = p ** k, p ** (k - 1)
+    n = q - 1
+    order_factors = [r for r in range(2, p) if (p - 1) % r == 0 and _is_prime(r)]
+    roots = [g for g in range(1, p) if all(pow(g, (p - 1) // r, p) != 1 for r in order_factors)]
+
+    def add(a: int, b: int) -> int:  # digitwise in base p: vectors over F_p
+        if p == 2:
+            return a ^ b
+        out, place = 0, 1
+        while a or b:
+            a, x = divmod(a, p)
+            b, y = divmod(b, p)
+            out += (x + y) % p * place
+            place *= p
+        return out
+
+    for middle in product(range(p), repeat=k - 1):
+        for g in roots:
+            low = [(-1) ** k * g % p, *middle]  # coefficients of x^0 .. x^(k-1)
+            # x^k = -low, times each possible leading digit d
+            reduce_by = [sum((-d * c) % p * p ** i for i, c in enumerate(low)) for d in range(p)]
+            exp = array("i", [0]) * n
+            v = 1
+            for i in range(n):
+                if v == 1 and i:
+                    break
+                exp[i] = v
+                d, rest = divmod(v, top)
+                v = add(rest * p, reduce_by[d]) if d else rest * p
+            else:
+                if v != 1:
+                    continue
+                log = array("i", [0]) * q
+                for i, v in enumerate(exp):
+                    log[v] = i
+                zech = array("i", [0]) * n
+                for i, v in enumerate(exp):
+                    w = v - v % p + (v + 1) % p
+                    zech[i] = log[w] if w else -1
+                return n, log[p - 1], zech, log[:p]
+    raise AssertionError(f"no primitive polynomial of degree {k} over F{p}")
+
+
+def _rank_in_extension(m: PolyMatrix, p: int) -> int:
+    """Rank of m at t -> alpha in GF(p^k), eliminating on Zech exponents (-1 is zero)."""
+    n, neg_one, zech, prime_log = _zech_field(p)
+    a = []
+    for row in m.entries:
+        image = []
+        for entry in row:
+            acc = -1
+            for e, c in entry.coeffs.items():
+                x = (prime_log[c] + e) % n
+                if acc < 0:
+                    acc = x
+                else:
+                    z = zech[(x - acc) % n]
+                    acc = -1 if z < 0 else (acc + z) % n
+            image.append(acc)
+        a.append(image)
+    rank = 0
+    for c in range(m.cols):
+        pivot = next((i for i in range(rank, m.rows) if a[i][c] >= 0), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        top = a[rank]
+        shift = neg_one - top[c]  # row_i -= (a_ic / a_rc) * row_r
+        for i in range(rank + 1, m.rows):
+            row = a[i]
+            if row[c] < 0:
+                continue
+            f = row[c] + shift
+            for j in range(c + 1, m.cols):
+                y = top[j]
+                if y < 0:
+                    continue
+                s = (f + y) % n
+                x = row[j]
+                if x < 0:
+                    row[j] = s
+                else:
+                    z = zech[(s - x) % n]
+                    row[j] = -1 if z < 0 else (x + z) % n
+        rank += 1
+    return rank
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,13 @@ groups uniformly at desk scale.  The table file format is::
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .words import Presentation, Word
 
 __all__ = [
     "FiniteGroup",
     "FiniteQuotient",
-    "QuotientCatalog",
     "trivial_group",
     "cyclic_group",
     "symmetric_group",
@@ -90,13 +89,6 @@ class FiniteQuotient:
             "order": self.group.order,
             "gen_images": list(self.gen_images),
         }
-
-
-@dataclass(frozen=True)
-class QuotientCatalog:
-    """Targets ordered by (order, name), without duplicate (name, order) pairs."""
-
-    groups: tuple[FiniteGroup, ...] = field(default=())
 
 
 def trivial_group() -> FiniteGroup:
@@ -249,8 +241,11 @@ def restrict_to_image(p: Presentation, q: FiniteQuotient) -> FiniteQuotient:
     return FiniteQuotient(sub, tuple(index[e] for e in q.gen_images), True)
 
 
-def build_catalog(max_order: int, extra: list[FiniteGroup] | None = None) -> QuotientCatalog:
-    """Cyclic targets Z/2..Z/max, symmetric targets with n! <= max, extras."""
+def build_catalog(max_order: int, extra: list[FiniteGroup] | None = None) -> tuple[FiniteGroup, ...]:
+    """Cyclic targets Z/2..Z/max, symmetric targets with n! <= max, extras.
+
+    Targets come ordered by (order, name), without duplicate (name, order) pairs.
+    """
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
     groups: list[FiniteGroup] = []
@@ -272,4 +267,4 @@ def build_catalog(max_order: int, extra: list[FiniteGroup] | None = None) -> Quo
         if (g.name, g.order) not in seen:
             seen.add((g.name, g.order))
             unique.append(g)
-    return QuotientCatalog(tuple(unique))
+    return tuple(unique)

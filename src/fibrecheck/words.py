@@ -6,7 +6,8 @@ Text format (one presentation per file):
     rels: t a t^-1 a^-2 ; x y x^-1 y^-1
 
 A word is a whitespace-separated list of letters ``name``, ``name^-1`` or
-``name^k`` (powers expand eagerly); relators are separated by ``;`` and a
+``name^k`` (powers expand eagerly, after the letters of all relators are
+counted against `MAX_WORD_LENGTH`); relators are separated by ``;`` and a
 blank ``rels:`` line is allowed.  Characters are written ``a=0, t=1``
 (unlisted generators default to 0), optionally prefixed with ``char:``.
 """
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 __all__ = [
+    "MAX_WORD_LENGTH",
     "ParseError",
     "Word",
     "Presentation",
@@ -30,6 +32,10 @@ __all__ = [
     "direct_product",
     "tietze_variant",
 ]
+
+# Cap on the letters of all relators of one presentation, with every power
+# a^k counted as |k| letters before it is expanded.
+MAX_WORD_LENGTH = 1000
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -146,9 +152,11 @@ class Character:
 # parsing / rendering
 
 
-def _parse_word(text: str, names: Sequence[str], line_no: int, col0: int) -> Word:
+def _parse_word(text: str, names: Sequence[str], line_no: int, col0: int,
+                budget: int) -> tuple[Word, int]:
+    """The word, and what is left of the letter budget after it."""
     index = {n: i + 1 for i, n in enumerate(names)}
-    letters: list[int] = []
+    runs: list[tuple[int, int]] = []
     pos = 0
     for token in text.split():
         col = col0 + text.index(token, pos) + 1
@@ -165,9 +173,12 @@ def _parse_word(text: str, names: Sequence[str], line_no: int, col0: int) -> Wor
             name, k = token, 1
         if name not in index:
             raise ParseError(f"unknown generator name {name!r}", line_no, col)
+        if abs(k) > budget:
+            raise ParseError(f"relators exceed {MAX_WORD_LENGTH} letters in total", line_no, col)
+        budget -= abs(k)
         i = index[name]
-        letters.extend([i if k > 0 else -i] * abs(k))
-    return Word.of(letters)
+        runs.append((i if k > 0 else -i, abs(k)))
+    return Word.of(x for x, k in runs for _ in range(k)), budget
 
 
 def parse_presentation(text: str) -> Presentation:
@@ -184,9 +195,11 @@ def parse_presentation(text: str) -> Presentation:
     col0 = len(lines[1]) - len(rel_text)
     relators = []
     offset = 0
+    budget = MAX_WORD_LENGTH
     for chunk in rel_text.split(";"):
         if chunk.strip():
-            relators.append(_parse_word(chunk, names, 2, col0 + offset))
+            word, budget = _parse_word(chunk, names, 2, col0 + offset, budget)
+            relators.append(word)
         offset += len(chunk) + 1
     return Presentation(names, tuple(relators))
 

@@ -8,7 +8,7 @@ from fibrecheck.alexander import (
     h1_vanishing,
 )
 from fibrecheck.fixtures import load_fixture
-from fibrecheck.foxcalc import build_representation
+from fibrecheck.foxcalc import Representation, build_representation
 from fibrecheck.polyalg import CoefficientField, LaurentPoly, PolyMatrix
 from fibrecheck.quotients import (
     cyclic_group,
@@ -30,6 +30,24 @@ F5 = CoefficientField.prime(5)
 
 def poly(field, coeffs):
     return LaurentPoly.from_int_coeffs(field, coeffs)
+
+
+def _transposed(rep: Representation) -> Representation:
+    """The partner convention built on the left regular action.
+
+    Generator i maps to t^{phi(x_i)} * transpose(P(alpha(x_i)^-1)); this is
+    again a homomorphism, and cross-testing against it checks that vanishing
+    and normalized orders do not depend on the side convention.
+    """
+    def shift_all(m: PolyMatrix, k: int) -> PolyMatrix:
+        return PolyMatrix(rep.field, [[e.shifted(k) for e in row] for row in m.entries],
+                          m.rows, m.cols)
+
+    mats = [shift_all(m.transpose(), 2 * v)
+            for m, v in zip(rep.inverses, rep.character.values)]
+    invs = [shift_all(m.transpose(), -2 * v)
+            for m, v in zip(rep.matrices, rep.character.values)]
+    return Representation(rep.presentation, rep.character, rep.quotient, rep.field, mats, invs)
 
 
 def _chain(p, chi, q, field=Q):
@@ -167,7 +185,7 @@ def test_fibred_certificates_nonvanishing_to_order_8():
     for name in ("zn:1", "trefoil", "f2xz", "klein"):
         p, chi = load_fixture(name)
         quotients = [trivial_quotient(p)]
-        for group in build_catalog(8).groups:
+        for group in build_catalog(8):
             quotients.extend(enumerate_homs(p, group))
         kept = []
         for q in quotients:
@@ -268,7 +286,7 @@ def test_transpose_convention_cross_check():
         p, chi = load_fixture(name)
         rep = build_representation(p, chi, q, Q)
         c1 = build_chain(p, rep)
-        c2 = build_chain(p, rep.transposed())
+        c2 = build_chain(p, _transposed(rep))
         assert h1_vanishing(c1) == h1_vanishing(c2)
         assert h1_order(c1) == h1_order(c2)
 

@@ -121,6 +121,24 @@ def test_exit_code_input_errors(tmp_path):
     assert code == 2
 
 
+def test_input_caps_exit_2_before_building(tmp_path, monkeypatch):
+    from fibrecheck import cli
+    from fibrecheck.words import MAX_WORD_LENGTH
+
+    def no_build(n):
+        raise AssertionError(f"S{n} was built")
+
+    monkeypatch.setattr(cli, "symmetric_group", no_build)
+    n = cli.MAX_SYMMETRIC_DEGREE + 1
+    assert run_cli(["homs", "--fixture", "f:2", "--target", f"s{n}"])[0] == 2
+    assert run_cli(["alex", "--fixture", "f:2", "--char", "a=1",
+                    "--quotient", f"s{n}:0,0"])[0] == 2
+    pres = tmp_path / "long.pres"
+    pres.write_text(f"gens: a\nrels: a^{MAX_WORD_LENGTH + 1}\n")
+    code, _ = run_cli(["alex", "--pres", str(pres), "--char", "a=1", "--quotient", "trivial"])
+    assert code == 2
+
+
 def test_usage_error_exit_code():
     assert main(["unknown-subcommand"], out=io.StringIO()) == 2
 

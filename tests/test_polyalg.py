@@ -3,14 +3,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fibrecheck import alexander
+from fibrecheck.alexander import TwistedChain
 from fibrecheck.polyalg import (
+    EVALUATION_POINT,
     CoefficientField,
     LaurentPoly,
     NotInSpan,
     PolyMatrix,
     clear_denominators,
     poly_gcd,
+    rank_lower_bound,
     rank_over_fraction_field,
     smith_normal_form,
 )
@@ -18,6 +23,8 @@ from fibrecheck.polyalg import (
 Q = CoefficientField.rationals()
 F3 = CoefficientField.prime(3)
 F5 = CoefficientField.prime(5)
+F2 = CoefficientField.prime(2)
+F101 = CoefficientField.prime(101)  # p^2 > 2^13: t maps into F_p itself
 
 
 def P(field, coeffs):
@@ -99,6 +106,47 @@ def test_rank_examples():
     m = PolyMatrix.from_int_rows(Q, [[{1: 1}, 1], [{2: 1}, {1: 1}]])
     assert rank_over_fraction_field(m) == 1
     assert rank_over_fraction_field(PolyMatrix.identity(Q, 2)) == 2
+
+
+@st.composite
+def _factored_matrices(draw, field):
+    """(L @ R, r) with L k x r and R r x n of integer Laurent entries, so rank <= r."""
+    k, r, n = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    coeffs = st.dictionaries(st.integers(-2, 2), st.integers(-3, 3), max_size=3)
+
+    def factor(rows, cols):
+        return PolyMatrix(field, [[LaurentPoly.from_int_coeffs(field, draw(coeffs))
+                                   for _ in range(cols)] for _ in range(rows)])
+
+    return factor(k, r) @ factor(r, n), r
+
+
+@pytest.mark.parametrize("field", [Q, F2, F3, F101], ids=lambda f: f.name)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_certified_rank_equals_bareiss(field, data):
+    m, r = data.draw(_factored_matrices(field))
+    exact = rank_over_fraction_field(m)
+    assert rank_lower_bound(m) <= exact
+    assert alexander._certified_rank(m, min(r, m.rows, m.cols)) == exact
+
+
+def test_rank_lower_bound_falls_back_at_a_root(monkeypatch):
+    # t - a vanishes at the point t -> a, so the bound is 0 and only Bareiss
+    # finds the rank 1 of the 1 x 1 matrix.
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return rank_over_fraction_field(m)
+
+    monkeypatch.setattr(alexander, "rank_over_fraction_field", counted)
+    for field in (Q, F101):
+        b1 = PolyMatrix(field, [[P(field, {1: 1, 0: -EVALUATION_POINT})]])
+        assert rank_lower_bound(b1) == 0
+        chain = TwistedChain(None, None, b1, PolyMatrix.zeros(field, 0, 1))
+        assert chain.rank_b1() == 1 and chain.rank_b2() == 0
+    assert [m.rows for m in calls] == [1, 1]
 
 
 def test_snf_examples():

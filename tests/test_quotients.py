@@ -108,17 +108,17 @@ def test_regular_representation():
 
 def test_build_catalog():
     cat = build_catalog(6)
-    assert [g.name for g in cat.groups] == ["Z/2", "Z/3", "Z/4", "Z/5", "S3", "Z/6"]
-    assert build_catalog(1).groups == ()
-    names24 = [g.name for g in build_catalog(24).groups]
+    assert [g.name for g in cat] == ["Z/2", "Z/3", "Z/4", "Z/5", "S3", "Z/6"]
+    assert build_catalog(1) == ()
+    names24 = [g.name for g in build_catalog(24)]
     assert "S4" in names24
 
 
 def test_build_catalog_extras_dedup():
     extra = load_table_group("order: 2\n0 1\n1 0", "C2")
     cat = build_catalog(3, [extra, extra])
-    assert [g.name for g in cat.groups] == ["C2", "Z/2", "Z/3"]
-    orders = [g.order for g in cat.groups]
+    assert [g.name for g in cat] == ["C2", "Z/2", "Z/3"]
+    orders = [g.order for g in cat]
     assert orders == sorted(orders)
 
 

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from fibrecheck import words
 from fibrecheck.words import (
+    MAX_WORD_LENGTH,
     ParseError,
     Presentation,
     Word,
@@ -62,6 +64,27 @@ def test_parse_errors():
     except ParseError as exc:
         err = exc
     assert err is not None and err.line == 2 and err.column is not None
+
+
+def test_word_length_cap_refuses_before_expanding(monkeypatch):
+    at_cap = parse_presentation(f"gens: a b\nrels: a^{MAX_WORD_LENGTH - 1} ; b")
+    assert sum(len(r) for r in at_cap.relators) == MAX_WORD_LENGTH
+
+    expanded = []
+    of = words.Word.of
+
+    def counting_of(letters):
+        expanded.extend(letters)
+        assert len(expanded) <= MAX_WORD_LENGTH, "letters over the cap were expanded"
+        return of(())
+
+    monkeypatch.setattr(words.Word, "of", counting_of)
+    for text in (f"gens: a\nrels: a^{MAX_WORD_LENGTH + 1}",
+                 f"gens: a\nrels: a^-{MAX_WORD_LENGTH + 1}",
+                 f"gens: a b\nrels: a^{MAX_WORD_LENGTH} ; b"):
+        expanded.clear()
+        with pytest.raises(ParseError, match="letters in total"):
+            parse_presentation(text)
 
 
 def test_free_reduce():
