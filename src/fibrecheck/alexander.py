@@ -11,8 +11,10 @@ rows(b1) - rank b1 for b2 (the rows of b2 lie in the left kernel of b1), it
 is the rank.  Otherwise exact Bareiss elimination decides, so Bareiss runs
 for every rank deficit, where vanishing must be certified exactly, and when
 the point is a root of every maximal minor.  The Smith-normal-form route
-computes the orders independently: ord H0 from SNF(b1), and ord H1 from
-SNF(b2) alone, because over the PID F[t^{+-1}] the sequence
+computes the orders independently, with Smith forms taken over the Laurent
+ring F[t^{+-1}] itself, where the monomial entries that fill b1 and b2 are
+units: ord H0 from SNF(b1), and ord H1 from SNF(b2) alone, because over the
+PID F[t^{+-1}] the sequence
 0 -> H1 -> C1/rowspace(b2) -> im(b1) -> 0 splits (im(b1) lies in a free
 module, so it is free) and C1/rowspace(b2) = H1 + im(b1).  So H1 is torsion
 exactly when rank SNF(b2) = rows(b1) - rank SNF(b1), and its order is then
@@ -32,13 +34,12 @@ from .polyalg import (
     LaurentPoly,
     PolyMatrix,
     SnfResult,
-    clear_denominators,
     rank_lower_bound,
     rank_over_fraction_field,
     smith_normal_form,
 )
 from .quotients import FiniteQuotient, restrict_to_image
-from .words import Character, Presentation, render_character
+from .words import Character, Presentation, render_character, render_presentation
 
 __all__ = [
     "InternalCheckError",
@@ -105,7 +106,7 @@ class TwistedChain:
         """SNF of b1, shared by the degree-0 order and the degree-1 rank target."""
         cache = self._cache
         if "snf_b1" not in cache:
-            cache["snf_b1"] = smith_normal_form(clear_denominators(self.b1))
+            cache["snf_b1"] = smith_normal_form(self.b1)
         return cache["snf_b1"]
 
 
@@ -176,7 +177,7 @@ def _factor_product(field, snf: SnfResult, full_rank: int) -> LaurentPoly:
 
 
 def _h1_order(c: TwistedChain) -> tuple[LaurentPoly, SnfResult]:
-    snf = smith_normal_form(clear_denominators(c.b2))
+    snf = smith_normal_form(c.b2)
     return _factor_product(c.b1.field, snf, c.b1.rows - c.snf_b1().rank), snf
 
 
@@ -211,16 +212,21 @@ def h0_report(c: TwistedChain, order_ceiling: int = DEFAULT_ORDER_CEILING) -> Al
 
 
 def _diagnostic(c: TwistedChain, rank: int, order: LaurentPoly | None, snf=None) -> str:
+    """What reproduces a failed cross-check, with the sizes involved; no matrix entries."""
+    p, rep = c.presentation, c.representation
+    q = rep.quotient
     lines = [
-        f"quotient: {c.representation.quotient.label()}",
+        f"presentation: {render_presentation(p).replace(chr(10), ' | ')}",
+        f"character: {render_character(p, rep.character)}",
+        f"quotient: {q.group.name} (order {q.group.order}), images {list(q.gen_images)}",
         f"field: {c.b1.field.name}",
+        f"b1: {c.b1.rows}x{c.b1.cols}, b2: {c.b2.rows}x{c.b2.cols}",
         f"rank over Frac: {rank}",
         f"order: {'<skipped>' if order is None else order.render()}",
     ]
     if snf is not None:
         lines.append("invariant factors: ["
                      + ", ".join(d.render() for d in snf.invariant_factors) + "]")
-    lines += [f"b1 = {c.b1!r}", f"b2 = {c.b2!r}"]
     return "\n".join(lines)
 
 

@@ -18,6 +18,7 @@ from .alexander import DEFAULT_ORDER_CEILING, AlexanderReport, full_report
 from .foxcalc import CONVENTION
 from .polyalg import CoefficientField
 from .quotients import (
+    MAX_GROUP_ORDER,
     FiniteGroup,
     FiniteQuotient,
     build_catalog,
@@ -123,6 +124,9 @@ def scan(cfg: ScanConfig, jobs: int = 1) -> FibringVerdict:
         raise ValueError("at least one coefficient field is required")
     if cfg.max_quotient_order < 1:
         raise ValueError("max quotient order must be at least 1")
+    if cfg.max_quotient_order > MAX_GROUP_ORDER:
+        raise ValueError(f"max quotient order {cfg.max_quotient_order} is too large: "
+                         f"at most {MAX_GROUP_ORDER} is supported")
     if cfg.character.is_zero:
         raise ValueError("non-trivial character required")
 

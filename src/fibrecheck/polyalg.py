@@ -1,8 +1,10 @@
 """Exact Laurent-polynomial linear algebra over Q or a prime field F_p.
 
 Coefficients are Python Fractions (rationals) or ints reduced mod p, so all
-arithmetic is exact.  Matrices over F[t] are brought to Smith normal form by
-Euclidean elimination on polynomial degrees.  Rank over the rational-function
+arithmetic is exact.  Matrices are brought to Smith normal form over the
+Laurent ring F[t^{+-1}] itself, a Euclidean domain whose units are the
+monomials c*t^k and whose norm is the span (highest minus lowest exponent),
+so monomial entries are unit pivots.  Rank over the rational-function
 field F(t) has two routes.  `rank_lower_bound` maps t to a fixed point of a
 finite field and eliminates there; every minor maps to the image of that
 minor, so the result never exceeds the rank over F(t), and it proves the rank
@@ -32,8 +34,6 @@ __all__ = [
     "rank_lower_bound",
     "rank_over_fraction_field",
     "smith_normal_form",
-    "clear_denominators",
-    "poly_gcd",
 ]
 
 
@@ -301,18 +301,27 @@ class LaurentPoly:
                     rem[ee] = c
         return LaurentPoly._raw(f, quo), LaurentPoly._raw(f, rem)
 
+    def divmod_laurent(self, b: "LaurentPoly") -> tuple["LaurentPoly", "LaurentPoly"]:
+        """Division with remainder in F[t^{+-1}]: self = q*b + r, span r < span b.
+
+        Both operands are shifted to lowest exponent 0 and divided in F[t];
+        a monomial b (a unit) leaves no remainder.
+        """
+        if self.is_zero:
+            return self, self
+        la, lb = self.low, b.low
+        q, r = self.shifted(-la).divmod_poly(b.shifted(-lb))
+        return q.shifted(la - lb), r.shifted(la)
+
     def exact_div(self, b: "LaurentPoly") -> "LaurentPoly":
         """Exact quotient in F[t^{+-1}]; raises NotInSpan if inexact."""
         self._check(b)
         if b.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero:
-            return LaurentPoly.zero(self.field)
-        la, lb = self.low, b.low
-        q, r = self.shifted(-la).divmod_poly(b.shifted(-lb))
+        q, r = self.divmod_laurent(b)
         if not r.is_zero:
             raise NotInSpan(f"{b.render()} does not divide {self.render()}")
-        return q.shifted(la - lb)
+        return q
 
     # -- rendering ----------------------------------------------------------
 
@@ -334,13 +343,6 @@ class LaurentPoly:
                 else:
                     parts.append(f"{c}*{tpow}")
         return " + ".join(parts)
-
-
-def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Monic gcd in F[t] (inputs must have low >= 0)."""
-    while not b.is_zero:
-        a, b = b, a.divmod_poly(b)[1]
-    return a.monic()
 
 
 class PolyMatrix:
@@ -474,28 +476,6 @@ class PolyMatrix:
         return [self.entries[i][j] for i in range(self.rows)]
 
 
-def clear_denominators(m: PolyMatrix) -> PolyMatrix:
-    """Scale each row by a t-power so all entries lie in F[t].
-
-    Row scaling by units of F[t^{+-1}] changes neither rank, kernels, nor
-    the unit class of invariant factors; the stripped t-powers are dropped.
-    """
-    out = m.copy()
-    for i in range(out.rows):
-        lows = [e.low for e in out.entries[i] if not e.is_zero]
-        if lows and min(lows) < 0:
-            shift = -min(lows)
-            out.entries[i] = [e.shifted(shift) for e in out.entries[i]]
-    return out
-
-
-def _require_poly_entries(m: PolyMatrix, where: str):
-    for row in m.entries:
-        for e in row:
-            if not e.is_zero and e.low < 0:
-                raise ValueError(f"{where} needs entries in F[t]; clear denominators first")
-
-
 def rank_over_fraction_field(m: PolyMatrix) -> int:
     """Rank over F(t) by fraction-free Bareiss elimination.
 
@@ -585,6 +565,18 @@ def rank_lower_bound(m: PolyMatrix) -> int:
     return rank
 
 
+def _prime_factors(m: int) -> list[int]:
+    """The distinct primes dividing m, ascending."""
+    out, d = [], 2
+    while d * d <= m:
+        if m % d == 0:
+            out.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    return out + [m] if m > 1 else out
+
+
 @lru_cache(maxsize=None)
 def _zech_field(p: int) -> tuple[int, int, array, array]:
     """GF(p^k), with k >= 2 the largest such that p^k <= 2^13, by Zech logarithms.
@@ -595,15 +587,43 @@ def _zech_field(p: int) -> tuple[int, int, array, array]:
     the exponent of 1 + alpha^i, or -1 when that sum is zero; neg_one is the
     exponent of -1; prime_log[c] is the exponent of c in F_p (index 0
     unused).  Only candidates whose norm (-1)^k c0 is a primitive root mod p
-    are tried, since the norm of a generator generates F_p^*.
+    are tried, since the norm of a generator generates F_p^*.  A candidate f
+    is primitive exactly when x has order n modulo f: x^n = 1 and
+    x^(n/r) != 1 for each prime r dividing n, tested by square-and-multiply
+    before the powers of x are walked to build the tables.
     """
     k = 2
     while p ** (k + 1) <= _GF_ORDER_LIMIT:
         k += 1
     q, top = p ** k, p ** (k - 1)
     n = q - 1
-    order_factors = [r for r in range(2, p) if (p - 1) % r == 0 and _is_prime(r)]
+    order_factors = _prime_factors(p - 1)
     roots = [g for g in range(1, p) if all(pow(g, (p - 1) // r, p) != 1 for r in order_factors)]
+    one = [1] + [0] * (k - 1)
+    proper = [n // r for r in _prime_factors(n)]  # maximal proper divisors of n
+
+    def mul(a: list[int], b: list[int], low: list[int]) -> list[int]:
+        """a * b modulo x^k + low(x); coefficients of x^0 .. x^(k-1)."""
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+        for d in range(2 * k - 2, k - 1, -1):  # x^d = -x^(d-k) * low(x)
+            c = prod[d] % p
+            if c:
+                for i, y in enumerate(low):
+                    prod[d - k + i] -= c * y
+        return [c % p for c in prod[:k]]
+
+    def x_power(e: int, low: list[int]) -> list[int]:  # by square-and-multiply
+        result, base = one, [0, 1] + [0] * (k - 2)
+        while e:
+            if e & 1:
+                result = mul(result, base, low)
+            base = mul(base, base, low)
+            e >>= 1
+        return result
 
     def add(a: int, b: int) -> int:  # digitwise in base p: vectors over F_p
         if p == 2:
@@ -619,27 +639,24 @@ def _zech_field(p: int) -> tuple[int, int, array, array]:
     for middle in product(range(p), repeat=k - 1):
         for g in roots:
             low = [(-1) ** k * g % p, *middle]  # coefficients of x^0 .. x^(k-1)
+            if x_power(n, low) != one or any(x_power(e, low) == one for e in proper):
+                continue
             # x^k = -low, times each possible leading digit d
             reduce_by = [sum((-d * c) % p * p ** i for i, c in enumerate(low)) for d in range(p)]
             exp = array("i", [0]) * n
             v = 1
             for i in range(n):
-                if v == 1 and i:
-                    break
                 exp[i] = v
                 d, rest = divmod(v, top)
                 v = add(rest * p, reduce_by[d]) if d else rest * p
-            else:
-                if v != 1:
-                    continue
-                log = array("i", [0]) * q
-                for i, v in enumerate(exp):
-                    log[v] = i
-                zech = array("i", [0]) * n
-                for i, v in enumerate(exp):
-                    w = v - v % p + (v + 1) % p
-                    zech[i] = log[w] if w else -1
-                return n, log[p - 1], zech, log[:p]
+            log = array("i", [0]) * q
+            for i, v in enumerate(exp):
+                log[v] = i
+            zech = array("i", [0]) * n
+            for i, v in enumerate(exp):
+                w = v - v % p + (v + 1) % p
+                zech[i] = log[w] if w else -1
+            return n, log[p - 1], zech, log[:p]
     raise AssertionError(f"no primitive polynomial of degree {k} over F{p}")
 
 
@@ -690,7 +707,7 @@ def _rank_in_extension(m: PolyMatrix, p: int) -> int:
 
 @dataclass(frozen=True)
 class SnfResult:
-    """Invariant factors d1 | d2 | ... (monic in F[t], or zero) and the rank."""
+    """Invariant factors d1 | d2 | ... (canonical in F[t^{+-1}], or zero) and the rank."""
 
     invariant_factors: tuple[LaurentPoly, ...]
 
@@ -700,8 +717,18 @@ class SnfResult:
 
 
 def smith_normal_form(m: PolyMatrix) -> SnfResult:
-    """Smith normal form over the Euclidean domain F[t]."""
-    _require_poly_entries(m, "smith_normal_form")
+    """Smith normal form over the Euclidean domain F[t^{+-1}], normed by span.
+
+    The pivot is an entry of least span, the first in row-major order on
+    ties.  A monomial pivot c*t^k is a unit: multiples of its inverse clear
+    its column exactly, which leaves nothing in its row to clear and nothing
+    for it to fail to divide, and its factor is 1.  Any other pivot clears
+    its row and column by `divmod_laurent`, whose remainders have smaller
+    span and restart the pivot search; once the cross is clear, an entry of
+    the remaining block that the pivot does not divide is added into the
+    pivot row and elimination repeats, so the factors form a divisibility
+    chain.
+    """
     field = m.field
     a = [list(row) for row in m.entries]
     rows, cols = m.rows, m.cols
@@ -709,11 +736,18 @@ def smith_normal_form(m: PolyMatrix) -> SnfResult:
     factors: list[LaurentPoly] = []
 
     def find_pivot(k: int):
-        best = None
+        best, best_span = None, 0
         for i in range(k, rows):
+            row = a[i]
             for j in range(k, cols):
-                if not a[i][j].is_zero and (best is None or a[i][j].high < a[best[0]][best[1]].high):
-                    best = (i, j)
+                c = row[j].coeffs
+                if not c:
+                    continue
+                if len(c) == 1:
+                    return i, j
+                span = max(c) - min(c)
+                if best is None or span < best_span:
+                    best, best_span = (i, j), span
         return best
 
     for k in range(n):
@@ -723,24 +757,40 @@ def smith_normal_form(m: PolyMatrix) -> SnfResult:
         while True:
             i0, j0 = pos
             a[k], a[i0] = a[i0], a[k]
-            for row in a:
-                row[k], row[j0] = row[j0], row[k]
+            if j0 != k:
+                for row in a:
+                    row[k], row[j0] = row[j0], row[k]
+            pivot = a[k][k]
+            top = [(j, a[k][j]) for j in range(k + 1, cols) if a[k][j].coeffs]
+            if len(pivot.coeffs) == 1:
+                # Row k and column k are never read again, so they are left as they are.
+                ((e, c),) = pivot.coeffs.items()
+                inverse = LaurentPoly._raw(field, {-e: field.inv(c)})
+                for i in range(k + 1, rows):
+                    row = a[i]
+                    if row[k].coeffs:
+                        q = row[k] * inverse
+                        for j, y in top:
+                            row[j] = row[j] - q * y
+                break
             dirty = False
             for i in range(k + 1, rows):
-                if a[i][k].is_zero:
+                row = a[i]
+                if not row[k].coeffs:
                     continue
-                q, r = a[i][k].divmod_poly(a[k][k])
-                for j in range(k, cols):
-                    a[i][j] = a[i][j] - q * a[k][j]
-                if not r.is_zero:
+                q, r = row[k].divmod_laurent(pivot)
+                row[k] = r
+                for j, y in top:
+                    row[j] = row[j] - q * y
+                if r.coeffs:
                     dirty = True
-            for j in range(k + 1, cols):
-                if a[k][j].is_zero:
-                    continue
-                q, r = a[k][j].divmod_poly(a[k][k])
-                for i in range(k, rows):
-                    a[i][j] = a[i][j] - q * a[i][k]
-                if not r.is_zero:
+            left = [(i, a[i][k]) for i in range(k + 1, rows) if a[i][k].coeffs]
+            for j, y in top:
+                q, r = y.divmod_laurent(pivot)
+                a[k][j] = r
+                for i, x in left:
+                    a[i][j] = a[i][j] - q * x
+                if r.coeffs:
                     dirty = True
             if dirty:
                 pos = find_pivot(k)
@@ -749,7 +799,7 @@ def smith_normal_form(m: PolyMatrix) -> SnfResult:
             offender = None
             for i in range(k + 1, rows):
                 for j in range(k + 1, cols):
-                    if not a[i][j].is_zero and not a[i][j].divmod_poly(a[k][k])[1].is_zero:
+                    if not a[i][j].is_zero and not a[i][j].divmod_laurent(pivot)[1].is_zero:
                         offender = i
                         break
                 if offender is not None:
@@ -759,8 +809,7 @@ def smith_normal_form(m: PolyMatrix) -> SnfResult:
             for j in range(k, cols):
                 a[k][j] = a[k][j] + a[offender][j]
             pos = (k, k)
-        inv_lead = field.inv(a[k][k].coeffs[a[k][k].high])
-        factors.append(a[k][k].scale(inv_lead))
+        factors.append(pivot.canonical())
 
     factors.extend(LaurentPoly.zero(field) for _ in range(n - len(factors)))
     return SnfResult(tuple(factors))

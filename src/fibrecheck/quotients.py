@@ -6,6 +6,9 @@ groups uniformly at desk scale.  The table file format is::
 
     order: n
     <n rows of n whitespace-separated element ids>   # row g, column h -> g*h
+
+Every table is checked for associativity in time cubic in its order, so
+orders above `MAX_GROUP_ORDER` are refused before a table is built.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 from .words import Presentation, Word
 
 __all__ = [
+    "MAX_GROUP_ORDER",
     "FiniteGroup",
     "FiniteQuotient",
     "trivial_group",
@@ -31,6 +35,17 @@ __all__ = [
     "build_catalog",
     "restrict_to_image",
 ]
+
+# Largest target order: that of S5.  The associativity check of Z/200 already
+# takes about a second (Python 3.11, 2 vCPUs), and the time grows with the
+# cube of the order.
+MAX_GROUP_ORDER = 120
+
+
+def _check_group_order(n: int, what: str) -> None:
+    """Refuse an order above MAX_GROUP_ORDER before anything of that size is built."""
+    if n > MAX_GROUP_ORDER:
+        raise ValueError(f"{what} {n} is too large: at most {MAX_GROUP_ORDER} is supported")
 
 
 @dataclass(frozen=True)
@@ -98,6 +113,7 @@ def trivial_group() -> FiniteGroup:
 def cyclic_group(m: int) -> FiniteGroup:
     if m < 1:
         raise ValueError("cyclic group order must be positive")
+    _check_group_order(m, "cyclic group order")
     table = tuple(tuple((g + h) % m for h in range(m)) for g in range(m))
     return FiniteGroup(m, table, f"Z/{m}")
 
@@ -121,6 +137,7 @@ def load_table_group(text: str, name: str) -> FiniteGroup:
         n = int(lines[0].split(":", 1)[1])
     except ValueError:
         raise ValueError("bad order line in table group file")
+    _check_group_order(n, "table group order")
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} table rows, found {len(lines) - 1}")
     table = []

@@ -4,20 +4,36 @@
 the older, independent route as a reference: a free basis K of the left
 kernel of b1 from a column Hermite form of b1^T, the rows of b2 rewritten in
 K-coordinates by `solve_in_span`, and the invariant factors of that
-coordinate matrix.  The tests compare the two routes.
+coordinate matrix.  The tests compare the two routes.  The Hermite form
+works over F[t], so its inputs first pass `clear_denominators`.
 """
 
 from __future__ import annotations
 
 from fibrecheck.alexander import TwistedChain
-from fibrecheck.polyalg import (
-    LaurentPoly,
-    NotInSpan,
-    PolyMatrix,
-    _require_poly_entries,
-    clear_denominators,
-    smith_normal_form,
-)
+from fibrecheck.polyalg import LaurentPoly, NotInSpan, PolyMatrix, smith_normal_form
+
+
+def clear_denominators(m: PolyMatrix) -> PolyMatrix:
+    """Scale each row by a t-power so all entries lie in F[t].
+
+    Row scaling by units of F[t^{+-1}] changes neither rank, kernels, nor
+    the unit class of invariant factors; the stripped t-powers are dropped.
+    """
+    out = m.copy()
+    for i in range(out.rows):
+        lows = [e.low for e in out.entries[i] if not e.is_zero]
+        if lows and min(lows) < 0:
+            shift = -min(lows)
+            out.entries[i] = [e.shifted(shift) for e in out.entries[i]]
+    return out
+
+
+def _require_poly_entries(m: PolyMatrix, where: str):
+    for row in m.entries:
+        for e in row:
+            if not e.is_zero and e.low < 0:
+                raise ValueError(f"{where} needs entries in F[t]; clear denominators first")
 
 
 def hermite_normal_form(m: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
@@ -132,7 +148,7 @@ def kernel_route_h1_order(c: TwistedChain) -> LaurentPoly:
     field = c.b1.field
     kernel = kernel_basis(clear_denominators(c.b1.transpose()))
     coords = solve_in_span(kernel, clear_denominators(c.b2).transpose())
-    snf = smith_normal_form(clear_denominators(coords))
+    snf = smith_normal_form(coords)
     if snf.rank < kernel.cols:
         return LaurentPoly.zero(field)
     order = LaurentPoly.one(field)

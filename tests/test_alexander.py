@@ -1,6 +1,10 @@
 import random
 
+import pytest
+
 from fibrecheck.alexander import (
+    InternalCheckError,
+    TwistedChain,
     build_chain,
     full_report,
     h0_report,
@@ -20,7 +24,14 @@ from fibrecheck.quotients import (
     trivial_quotient,
 )
 from fibrecheck.reidschreier import rewrite_subgroup
-from fibrecheck.words import Presentation, Word, parse_presentation, validate_character, tietze_variant
+from fibrecheck.words import (
+    Presentation,
+    Word,
+    parse_presentation,
+    render_presentation,
+    tietze_variant,
+    validate_character,
+)
 
 Q = CoefficientField.rationals()
 F2 = CoefficientField.prime(2)
@@ -296,6 +307,23 @@ def test_order_ceiling_skips_snf():
     deg0, deg1 = full_report(p, chi, trivial_quotient(p), Q, order_ceiling=1)
     assert deg1.order_skipped and deg1.order is None
     assert not deg1.vanishing  # rank route still decides
+
+
+def test_cross_check_failure_names_its_inputs(monkeypatch):
+    # A wrong rank on either route makes the two routes disagree.
+    p, chi = load_fixture("trefoil")
+    q = make_quotient(p, symmetric_group(3), (2, 1))
+    for method, degree in (("rank_b1", 0), ("rank_b2", 1)):
+        with monkeypatch.context() as m:
+            m.setattr(TwistedChain, method, lambda chain: 0)
+            with pytest.raises(InternalCheckError) as err:
+                full_report(p, chi, q, Q)
+        msg = str(err.value)
+        assert f"degree-{degree} cross-check failed" in msg
+        assert render_presentation(p).replace("\n", " | ") in msg
+        assert "quotient: S3 (order 6), images [2, 1]" in msg
+        assert "b1: 12x6, b2: 6x12" in msg
+        assert "PolyMatrix(" not in msg
 
 
 def test_bs13_order_is_t_minus_3_and_a_unit_mod_3():

@@ -139,6 +139,26 @@ def test_input_caps_exit_2_before_building(tmp_path, monkeypatch):
     assert code == 2
 
 
+def test_group_order_cap_exit_2_before_building(tmp_path, monkeypatch, capsys):
+    from fibrecheck import fibring, quotients
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a group table was built")
+
+    monkeypatch.setattr(quotients, "FiniteGroup", no_build)
+    monkeypatch.setattr(fibring, "build_catalog", no_build)
+    n = quotients.MAX_GROUP_ORDER + 1
+    table = tmp_path / "big.txt"
+    table.write_text(f"order: {n}\n")  # refused at the order line, before any row is read
+    for argv in (["homs", "--fixture", "f:2", "--target", f"z{n}"],
+                 ["alex", "--fixture", "f:2", "--char", "a=1", "--quotient", f"z{n}:0,0"],
+                 ["homs", "--fixture", "f:2", "--target", f"file:{table}"],
+                 ["scan", "--fixture", "trefoil", "--extra-group", str(table)],
+                 ["scan", "--fixture", "trefoil", "--max-quotient-order", str(n)]):
+        assert run_cli(argv)[0] == 2, argv
+        assert f"{n} is too large: at most {quotients.MAX_GROUP_ORDER}" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code():
     assert main(["unknown-subcommand"], out=io.StringIO()) == 2
 

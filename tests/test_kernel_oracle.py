@@ -5,8 +5,8 @@ import random
 import pytest
 
 from fibrecheck.polyalg import CoefficientField, NotInSpan, PolyMatrix, rank_over_fraction_field
-from kernel_oracle import hermite_normal_form, kernel_basis, solve_in_span
-from test_polyalg import _rand_matrix
+from kernel_oracle import clear_denominators, hermite_normal_form, kernel_basis, solve_in_span
+from test_polyalg import P, _rand_matrix
 
 Q = CoefficientField.rationals()
 F5 = CoefficientField.prime(5)
@@ -76,3 +76,12 @@ def test_hnf_preserves_column_span():
         # every original column solves inside the HNF columns
         x = solve_in_span(h, m)
         assert h @ x == m
+
+
+def test_clear_denominators():
+    m = PolyMatrix.from_int_rows(Q, [[{-2: 1}, {1: 3}], [1, 0]])
+    c = clear_denominators(m)
+    assert c.entries[0][0] == P(Q, {0: 1})
+    assert c.entries[0][1] == P(Q, {3: 3})
+    assert c.entries[1][0] == P(Q, {0: 1})
+    assert rank_over_fraction_field(c) == rank_over_fraction_field(m)

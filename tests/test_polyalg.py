@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -13,8 +14,7 @@ from fibrecheck.polyalg import (
     LaurentPoly,
     NotInSpan,
     PolyMatrix,
-    clear_denominators,
-    poly_gcd,
+    _zech_field,
     rank_lower_bound,
     rank_over_fraction_field,
     smith_normal_form,
@@ -29,6 +29,13 @@ F101 = CoefficientField.prime(101)  # p^2 > 2^13: t maps into F_p itself
 
 def P(field, coeffs):
     return LaurentPoly.from_int_coeffs(field, coeffs)
+
+
+def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """Monic gcd in F[t] (inputs must have low >= 0)."""
+    while not b.is_zero:
+        a, b = b, a.divmod_poly(b)[1]
+    return a.monic()
 
 
 def test_field_construction():
@@ -156,9 +163,20 @@ def test_snf_examples():
     snf = smith_normal_form(m)
     assert [d.render() for d in snf.invariant_factors] == ["-1 + t", "2 + -3*t + t^2"]
 
+    # t^2 is a unit of F[t^{+-1}]
     m = PolyMatrix.from_int_rows(Q, [[{1: 1}, 1], [0, {1: 1}]])
     snf = smith_normal_form(m)
-    assert [d.render() for d in snf.invariant_factors] == ["1", "t^2"]
+    assert [d.render() for d in snf.invariant_factors] == ["1", "1"]
+
+    # over F[t] the factors would be t and t^3 (t - 1): the t-powers drop out, t - 1 stays
+    m = PolyMatrix.from_int_rows(Q, [[{2: 1, 1: -1}, 0], [0, {3: 1}]])
+    snf = smith_normal_form(m)
+    assert [d.render() for d in snf.invariant_factors] == ["1", "-1 + t"]
+
+    # negative exponents are valid input; t^-1 (t - 2) is t - 2 up to a unit
+    m = PolyMatrix.from_int_rows(Q, [[{0: 1, -1: -2}, 0], [{-3: 1}, {-1: 1, -2: -2}]])
+    snf = smith_normal_form(m)
+    assert [d.render() for d in snf.invariant_factors] == ["1", "4 + -4*t + t^2"]
 
     snf = smith_normal_form(PolyMatrix.zeros(Q, 2, 2))
     assert snf.rank == 0
@@ -213,40 +231,56 @@ def _minor_det(m: PolyMatrix, rows, cols):
     return total
 
 
+def _assert_factors_match_minor_gcds(m: PolyMatrix, factors):
+    """d1 * ... * dk is the gcd of the k x k minors, both up to units."""
+    field = m.field
+    for k in range(1, min(m.rows, m.cols) + 1):
+        gcd = LaurentPoly.zero(field)
+        for rows in itertools.combinations(range(m.rows), k):
+            for cols in itertools.combinations(range(m.cols), k):
+                d = _minor_det(m, rows, cols)
+                if not d.is_zero:
+                    gcd = d.canonical() if gcd.is_zero else poly_gcd(gcd, d.canonical())
+        prod = LaurentPoly.one(field)
+        for d in factors[:k]:
+            prod = prod * d
+        assert prod.canonical() == gcd.canonical()
+
+
 def test_snf_factor_products_match_minor_gcds():
     rng = random.Random(7)
     for _ in range(12):
         m = _rand_matrix(rng, F5, 3, 3, max_deg=2)
-        factors = smith_normal_form(m).invariant_factors
-        for k in range(1, 4):
-            minors = [
-                _minor_det(m, rows, cols)
-                for rows in itertools.combinations(range(3), k)
-                for cols in itertools.combinations(range(3), k)
-            ]
-            nonzero = [d for d in minors if not d.is_zero]
-            if not nonzero:
-                gcd = LaurentPoly.zero(F5)
-            else:
-                gcd = nonzero[0]
-                for d in nonzero[1:]:
-                    gcd = poly_gcd(gcd, d)
-            prod = LaurentPoly.one(F5)
-            for d in factors[:k]:
-                prod = prod * d
-            if gcd.is_zero:
-                assert prod.is_zero
-            else:
-                assert prod.monic() == gcd.monic()
+        _assert_factors_match_minor_gcds(m, smith_normal_form(m).invariant_factors)
 
 
-def test_clear_denominators():
-    m = PolyMatrix.from_int_rows(Q, [[{-2: 1}, {1: 3}], [1, 0]])
-    c = clear_denominators(m)
-    assert c.entries[0][0] == P(Q, {0: 1})
-    assert c.entries[0][1] == P(Q, {3: 3})
-    assert c.entries[1][0] == P(Q, {0: 1})
-    assert rank_over_fraction_field(c) == rank_over_fraction_field(m)
+@st.composite
+def _laurent_matrices(draw, field):
+    """At most 3 x 3 with exponents down to -3: zero and longer entries, and
+    in about half the matrices monomial (unit) entries as well."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    coeff = st.sampled_from([1, -1, 2, 3])
+    longer = st.dictionaries(st.integers(-3, 2), coeff, min_size=2, max_size=3)
+    kinds = [st.just({}), longer]
+    if draw(st.booleans()):
+        kinds.append(st.dictionaries(st.integers(-3, 3), coeff, min_size=1, max_size=1))
+    entry = st.one_of(kinds)
+    return PolyMatrix(field, [[LaurentPoly.from_int_coeffs(field, draw(entry)) for _ in range(cols)]
+                              for _ in range(rows)])
+
+
+@pytest.mark.parametrize("field", [Q, F2, F3], ids=lambda f: f.name)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_laurent_snf_is_a_smith_form(field, data):
+    m = data.draw(_laurent_matrices(field))
+    snf = smith_normal_form(m)
+    factors = snf.invariant_factors
+    assert snf.rank == rank_over_fraction_field(m)
+    assert all(d == d.canonical() for d in factors)
+    for d1, d2 in zip(factors, factors[1:]):
+        assert d2.is_zero or (not d1.is_zero and d2.divmod_poly(d1)[1].is_zero)
+    _assert_factors_match_minor_gcds(m, factors)
 
 
 def test_canonical_representative():
@@ -256,3 +290,20 @@ def test_canonical_representative():
     assert c.low == 0
     assert c.coeffs[c.high] == Fraction(1)
     assert LaurentPoly.zero(Q).canonical().is_zero
+
+
+# SHA-256 of repr((n, neg_one, zech, prime_log)), the tables as lists: pins the
+# chosen primitive polynomial and every table entry.
+_ZECH_DIGESTS = {
+    2: "7d24d21703e1767adab7bf3023e02b61499699bac52cb4c446123ab0851fe16f",
+    3: "bf0ee2c6d130557a973e5f7a04d104e04215ad0f2fceb74a953b0a1fdf7dccfc",
+    5: "3455244321bd8706313b3d9be4ff216fbb617587979ed5366e9c9ce19702a96b",
+    7: "851cf30f28bd11480a1d01cd72b3b2ffe25602d0fd117cb9af5e19cc53bd6b93",
+}
+
+
+@pytest.mark.parametrize("p", sorted(_ZECH_DIGESTS))
+def test_zech_tables_are_pinned(p):
+    n, neg_one, zech, prime_log = _zech_field.__wrapped__(p)  # built afresh, not cached
+    text = repr((n, neg_one, zech.tolist(), prime_log.tolist()))
+    assert hashlib.sha256(text.encode()).hexdigest() == _ZECH_DIGESTS[p]
