@@ -32,10 +32,10 @@ from .quotients import (  # noqa: F401
     cyclic_group,
     enumerate_homs,
     image_closure,
+    kernel_key,
     load_table_group,
     make_quotient,
     regular_representation,
-    same_kernel,
     symmetric_group,
     trivial_group,
     trivial_quotient,

@@ -1,7 +1,7 @@
 """Twisted chain maps from Fox data; vanishing and normalized orders.
 
 The presentation gives a partial free resolution; acting on row vectors from
-the right, b1 stacks the blocks phi(x_i) - I and b2 holds the evaluated Fox
+the right, b1 stacks the evaluated x_i - 1 and b2 holds the evaluated Fox
 derivatives, with b2 @ b1 = 0.  Vanishing is decided on the rank route, the
 ranks of b1 and b2 over F(t).  Each rank is first bounded from below by
 `rank_lower_bound`, the rank after mapping t to a point of a finite field:
@@ -28,7 +28,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .foxcalc import CONVENTION, Representation, build_representation, evaluate, fox_derivative
+from .foxcalc import (
+    CONVENTION,
+    GroupRingElement,
+    Representation,
+    build_representation,
+    evaluate,
+    fox_derivative,
+)
 from .polyalg import (
     CoefficientField,
     LaurentPoly,
@@ -39,7 +46,7 @@ from .polyalg import (
     smith_normal_form,
 )
 from .quotients import FiniteQuotient, restrict_to_image
-from .words import Character, Presentation, render_character, render_presentation
+from .words import Character, Presentation, Word, render_character, render_presentation
 
 __all__ = [
     "InternalCheckError",
@@ -142,9 +149,9 @@ def build_chain(p: Presentation, rep: Representation) -> TwistedChain:
     """Assemble both boundary matrices and verify the chain condition."""
     field = rep.field
     n = rep.dim
-    ident = PolyMatrix.identity(field, n)
-    blocks = [rep.generator_matrix(i) - ident for i in range(1, p.generator_count + 1)]
-    b1 = PolyMatrix.vstack(blocks)
+    one = GroupRingElement.of_word(Word())
+    b1 = PolyMatrix.vstack([evaluate(rep, GroupRingElement.of_word(p.generator(i)) - one)
+                            for i in range(1, p.generator_count + 1)])
     if p.relators:
         rows = []
         for r in p.relators:

@@ -42,9 +42,9 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
-# Largest n accepted in s<n>: S_n has n! elements and its table is checked
-# for associativity in time cubic in n!; S6 would take 216 times as long as
-# S5, which takes 0.2 s.
+# Largest n accepted in s<n>: S_n has n! elements and a table of (n!)^2
+# entries, built before any other check; S6 is already past
+# quotients.MAX_GROUP_ORDER.
 MAX_SYMMETRIC_DEGREE = 5
 
 

@@ -23,8 +23,7 @@ from .quotients import (
     FiniteQuotient,
     build_catalog,
     enumerate_homs,
-    image_closure,
-    same_kernel,
+    kernel_key,
     trivial_quotient,
 )
 from .words import Character, Presentation, direct_product, render_character, render_presentation
@@ -62,28 +61,18 @@ class FibringVerdict:
 
 
 def _quotient_stream(p: Presentation, cfg: ScanConfig):
-    """Yield ("kept", q) / ("skipped", q, representative) events in scan order.
+    """Yield ("kept", q, None) / ("skipped", q, representative) events in scan order.
 
-    The trivial quotient always comes first; later homomorphisms whose kernel
-    matches an earlier kept quotient are merged into it.
+    The trivial quotient always comes first; a later homomorphism whose
+    `kernel_key` matches that of an earlier kept quotient is merged into it.
     """
-    kept: list[FiniteQuotient] = [trivial_quotient(p)]
-    kept_sizes = [1]
-    yield "kept", kept[0], None
+    trivial = trivial_quotient(p)
+    kept = {kernel_key(trivial): trivial}
+    yield "kept", trivial, None
     for group in build_catalog(cfg.max_quotient_order, list(cfg.extra_groups)):
         for hom in enumerate_homs(p, group, surjective_only=False):
-            size = len(image_closure(group, hom.gen_images))
-            merged = None
-            for rep, rep_size in zip(kept, kept_sizes):
-                if rep_size == size and same_kernel(p, hom, rep):
-                    merged = rep
-                    break
-            if merged is None:
-                kept.append(hom)
-                kept_sizes.append(size)
-                yield "kept", hom, None
-            else:
-                yield "skipped", hom, merged
+            rep = kept.setdefault(kernel_key(hom), hom)
+            yield ("kept", hom, None) if rep is hom else ("skipped", hom, rep)
 
 
 def _scan_job(args) -> list[AlexanderReport]:

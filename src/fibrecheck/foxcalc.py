@@ -1,17 +1,21 @@
-"""Fox free differential calculus and its matrix evaluation.
+"""Fox free differential calculus and its monomial evaluation.
 
-Words act through g |-> t^{phi(g)} * P(alpha(g)), where P is the right
-regular permutation representation of the finite quotient; the convention
-throughout is row vectors acted on from the right ("row-right"), and every
-report records that string.
+Words act through g |-> t^{chi(g)} * P(alpha(g)), where P is the right
+regular permutation representation of the finite quotient.  The image of a
+word w is therefore a monomial matrix, with t^{chi(w)} at the entries
+(q, q*alpha(w)) for every element q, and `evaluate` reads alpha(w) off the
+group table: no matrix is multiplied.  The convention throughout is row
+vectors acted on from the right ("row-right"), and every report records that
+string.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .polyalg import CoefficientField, LaurentPoly, PolyMatrix
-from .quotients import FiniteQuotient, regular_representation
+from .quotients import FiniteQuotient
 from .words import Character, Presentation, Word
 
 __all__ = [
@@ -114,76 +118,49 @@ def fundamental_identity_check(p: Presentation, r: int) -> bool:
     return total == GroupRingElement.of_word(rel) - one
 
 
+@dataclass(frozen=True)
 class Representation:
-    """Per-generator matrices t^{phi(x_i)} P(alpha(x_i)) over a field."""
+    """The action w |-> t^{chi(w)} P(alpha(w)) of a presentation over a field."""
 
-    def __init__(self, presentation: Presentation, character: Character,
-                 quotient: FiniteQuotient, field: CoefficientField,
-                 matrices: list[PolyMatrix], inverses: list[PolyMatrix]):
-        self.presentation = presentation
-        self.character = character
-        self.quotient = quotient
-        self.field = field
-        self.matrices = matrices
-        self.inverses = inverses
-        self._word_cache: dict[tuple[int, ...], PolyMatrix] = {}
+    presentation: Presentation
+    character: Character
+    quotient: FiniteQuotient
+    field: CoefficientField
 
     @property
     def dim(self) -> int:
         return self.quotient.group.order
 
-    def generator_matrix(self, i: int) -> PolyMatrix:
-        return self.matrices[i - 1]
-
-    def phi(self, w: Word) -> PolyMatrix:
-        """Image of a word: the product of generator matrix images."""
-        cached = self._word_cache.get(w.letters)
-        if cached is not None:
-            return cached
-        out = PolyMatrix.identity(self.field, self.dim)
-        for x in w.letters:
-            out = out @ (self.matrices[x - 1] if x > 0 else self.inverses[-x - 1])
-        self._word_cache[w.letters] = out
-        return out
-
 
 def build_representation(p: Presentation, chi: Character, q: FiniteQuotient,
                          field: CoefficientField) -> Representation:
-    """Build generator matrices and verify every relator maps to the identity."""
+    """The representation of p through chi and q; every relator must map to the identity."""
     if len(chi.values) != p.generator_count:
         raise ValueError("character length does not match presentation")
     if len(q.gen_images) != p.generator_count:
         raise ValueError("quotient images do not match presentation")
-    group = q.group
-    n = group.order
-    matrices, inverses = [], []
-    for i in range(p.generator_count):
-        e = q.gen_images[i]
-        perm = regular_representation(group, e)
-        perm_inv = regular_representation(group, group.inverse(e))
-        fwd = PolyMatrix.zeros(field, n, n)
-        bwd = PolyMatrix.zeros(field, n, n)
-        k = chi.values[i]
-        for row in range(n):
-            fwd.entries[row][perm[row]] = LaurentPoly.term(field, 1, k)
-            bwd.entries[row][perm_inv[row]] = LaurentPoly.term(field, 1, -k)
-        matrices.append(fwd)
-        inverses.append(bwd)
-    rep = Representation(p, chi, q, field, matrices, inverses)
-    ident = PolyMatrix.identity(field, n)
     for j, r in enumerate(p.relators):
-        if rep.phi(r) != ident:
+        if q.group.word_image(r, q.gen_images) != 0 or chi.of_word(r) != 0:
             raise ValueError(f"relator not killed: relator {j + 1} does not map to the identity")
-    return rep
+    return Representation(p, chi, q, field)
 
 
 def evaluate(rep: Representation, e: GroupRingElement) -> PolyMatrix:
-    """Linear extension of the word action to group-ring elements."""
-    out = PolyMatrix.zeros(rep.field, rep.dim, rep.dim)
+    """Linear extension of the word action to group-ring elements.
+
+    The terms c*w are gathered by their image g = alpha(w) into one Laurent
+    polynomial f_g = sum c*t^{chi(w)}, and the image of e is sum_g f_g P(g):
+    f_g sits at (q, q*g) for every q, and distinct g fill distinct entries.
+    """
+    group, images, chi = rep.quotient.group, rep.quotient.gen_images, rep.character
+    by_image: dict[int, dict[int, int]] = {}
     for w, c in e.terms.items():
-        fc = rep.field.of_int(c)
-        img = rep.phi(w)
-        scaled = PolyMatrix(rep.field, [[x.scale(fc) for x in row] for row in img.entries],
-                            img.rows, img.cols)
-        out = out + scaled
+        shifts = by_image.setdefault(group.word_image(w, images), {})
+        k = chi.of_word(w)
+        shifts[k] = shifts.get(k, 0) + c
+    out = PolyMatrix.zeros(rep.field, rep.dim, rep.dim)
+    for g, shifts in by_image.items():
+        f = LaurentPoly.from_int_coeffs(rep.field, shifts)
+        for q in range(rep.dim):
+            out.entries[q][group.mul(q, g)] = f
     return out

@@ -7,8 +7,9 @@ groups uniformly at desk scale.  The table file format is::
     order: n
     <n rows of n whitespace-separated element ids>   # row g, column h -> g*h
 
-Every table is checked for associativity in time cubic in its order, so
-orders above `MAX_GROUP_ORDER` are refused before a table is built.
+Every table is checked for associativity by Light's test, and orders above
+`MAX_GROUP_ORDER` are refused before a table is built.  Homomorphisms are
+merged by `kernel_key`, a canonical label of the kernel.
 """
 
 from __future__ import annotations
@@ -30,15 +31,15 @@ __all__ = [
     "make_quotient",
     "enumerate_homs",
     "image_closure",
-    "same_kernel",
+    "kernel_key",
     "regular_representation",
     "build_catalog",
     "restrict_to_image",
 ]
 
-# Largest target order: that of S5.  The associativity check of Z/200 already
-# takes about a second (Python 3.11, 2 vCPUs), and the time grows with the
-# cube of the order.
+# Largest target order: that of S5.  A table holds order^2 entries, all built
+# and checked before any use (z100000 would ask for 10^10), and the scan's
+# chains have blocks of the order's size.
 MAX_GROUP_ORDER = 120
 
 
@@ -46,6 +47,43 @@ def _check_group_order(n: int, what: str) -> None:
     """Refuse an order above MAX_GROUP_ORDER before anything of that size is built."""
     if n > MAX_GROUP_ORDER:
         raise ValueError(f"{what} {n} is too large: at most {MAX_GROUP_ORDER} is supported")
+
+
+def _orbit(table: tuple[tuple[int, ...], ...], generators) -> list[int]:
+    """What right multiplication by the generators reaches from 0, breadth-first
+    in generator order; in a finite group, the subgroup they generate."""
+    elements = [0]
+    seen = {0}
+    for e in elements:  # grows while it is walked
+        row = table[e]
+        for s in generators:
+            if row[s] not in seen:
+                seen.add(row[s])
+                elements.append(row[s])
+    return elements
+
+
+def _is_associative(table: tuple[tuple[int, ...], ...]) -> bool:
+    """Light's test on a table whose id 0 is a two-sided identity.
+
+    The elements a with (x*a)*y = x*(a*y) for all x and y are closed under
+    products and include 0, so it suffices to check a set whose products
+    reach every element.  It is chosen greedily: each element that the
+    earlier ones do not reach from 0 joins it.  In a group each one at least
+    doubles the subgroup reached, so order n needs at most log2(n) of them,
+    and each costs n^2 lookups.
+    """
+    generators: list[int] = []
+    reached = {0}
+    for a in range(1, len(table)):
+        if a in reached:
+            continue
+        generators.append(a)
+        # Row x*a lists (x*a)*y over y; row x permuted by row a lists x*(a*y).
+        if any(table[row[a]] != tuple(row[z] for z in table[a]) for row in table):
+            return False
+        reached = set(_orbit(table, generators))
+    return True
 
 
 @dataclass(frozen=True)
@@ -70,11 +108,8 @@ class FiniteGroup:
         for g in range(n):
             if 0 not in self.table[g]:
                 raise ValueError(f"element {g} has no inverse")
-        for g in range(n):
-            for h in range(n):
-                for k in range(n):
-                    if self.table[self.table[g][h]][k] != self.table[g][self.table[h][k]]:
-                        raise ValueError("table is not associative")
+        if not _is_associative(self.table):
+            raise ValueError("table is not associative")
         object.__setattr__(self, "_inverses", tuple(row.index(0) for row in self.table))
 
     def mul(self, g: int, h: int) -> int:
@@ -155,6 +190,9 @@ def make_quotient(p: Presentation, group: FiniteGroup, images: tuple[int, ...]) 
     """Validate relators and surjectivity for explicit generator images."""
     if len(images) != p.generator_count:
         raise ValueError("one image per generator required")
+    for e in images:
+        if not 0 <= e < group.order:
+            raise ValueError(f"element id {e} out of range")
     for j, r in enumerate(p.relators):
         if group.word_image(r, images) != 0:
             raise ValueError(f"relator {j + 1} is not killed by the given images")
@@ -164,17 +202,7 @@ def make_quotient(p: Presentation, group: FiniteGroup, images: tuple[int, ...]) 
 
 def image_closure(g: FiniteGroup, seeds) -> set[int]:
     """Smallest multiplicatively closed subset containing the seeds and 0."""
-    closure = {0}
-    frontier = [0]
-    seeds = set(seeds)
-    while frontier:
-        e = frontier.pop()
-        for s in seeds:
-            for nxt in (g.mul(e, s), g.mul(e, g.inverse(s))):
-                if nxt not in closure:
-                    closure.add(nxt)
-                    frontier.append(nxt)
-    return closure
+    return set(_orbit(g.table, list(seeds)))
 
 
 def enumerate_homs(p: Presentation, target: FiniteGroup,
@@ -210,31 +238,19 @@ def enumerate_homs(p: Presentation, target: FiniteGroup,
     return out
 
 
-def same_kernel(p: Presentation, q1: FiniteQuotient, q2: FiniteQuotient) -> bool:
-    """Kernel equality via the closure of paired generator images in Q1 x Q2.
+def kernel_key(q: FiniteQuotient) -> tuple[tuple[int, ...], ...]:
+    """Canonical label of ker(alpha): two keys are equal exactly when the kernels are.
 
-    Both kernels agree exactly when the paired closure is no larger than
-    either image, so the search aborts as soon as it grows past that size.
+    The image is labelled breadth-first from the identity, in generator
+    order, and the key is the tuple of the generator permutations on those
+    labels.  It describes the image as a pointed transitive set of the free
+    group up to isomorphism, and such a set determines the stabiliser of its
+    point, which is the kernel; conversely the kernel determines the set, its
+    cosets.
     """
-    g1, g2 = q1.group, q2.group
-    size1 = len(image_closure(g1, q1.gen_images))
-    size2 = len(image_closure(g2, q2.gen_images))
-    if size1 != size2:
-        return False
-    pairs = {(0, 0)}
-    frontier = [(0, 0)]
-    seeds = list(zip(q1.gen_images, q2.gen_images))
-    while frontier:
-        a, b = frontier.pop()
-        for s1, s2 in seeds:
-            for nxt in ((g1.mul(a, s1), g2.mul(b, s2)),
-                        (g1.mul(a, g1.inverse(s1)), g2.mul(b, g2.inverse(s2)))):
-                if nxt not in pairs:
-                    pairs.add(nxt)
-                    if len(pairs) > size1:
-                        return False
-                    frontier.append(nxt)
-    return len(pairs) == size1
+    elements = _orbit(q.group.table, q.gen_images)
+    label = {e: i for i, e in enumerate(elements)}
+    return tuple(tuple(label[q.group.mul(e, s)] for e in elements) for s in q.gen_images)
 
 
 def regular_representation(g: FiniteGroup, e: int) -> list[int]:

@@ -20,12 +20,12 @@ from fibrecheck.quotients import (
     enumerate_homs,
     image_closure,
     restrict_to_image,
-    same_kernel,
     symmetric_group,
     trivial_quotient,
 )
 from fibrecheck.reidschreier import rewrite_subgroup
 from fibrecheck.words import Word, tietze_variant, validate_character
+from quotient_oracle import same_kernel
 
 Q = CoefficientField.rationals()
 F2 = CoefficientField.prime(2)

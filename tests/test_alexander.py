@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fibrecheck.alexander import (
     InternalCheckError,
@@ -19,12 +20,12 @@ from fibrecheck.quotients import (
     enumerate_homs,
     make_quotient,
     restrict_to_image,
-    same_kernel,
     symmetric_group,
     trivial_quotient,
 )
 from fibrecheck.reidschreier import rewrite_subgroup
 from fibrecheck.words import (
+    Character,
     Presentation,
     Word,
     parse_presentation,
@@ -32,6 +33,8 @@ from fibrecheck.words import (
     tietze_variant,
     validate_character,
 )
+from dense_oracle import DenseRepresentation, dense_chain
+from quotient_oracle import same_kernel
 
 Q = CoefficientField.rationals()
 F2 = CoefficientField.prime(2)
@@ -43,22 +46,24 @@ def poly(field, coeffs):
     return LaurentPoly.from_int_coeffs(field, coeffs)
 
 
-def _transposed(rep: Representation) -> Representation:
+def _transposed(rep: Representation) -> DenseRepresentation:
     """The partner convention built on the left regular action.
 
     Generator i maps to t^{phi(x_i)} * transpose(P(alpha(x_i)^-1)); this is
     again a homomorphism, and cross-testing against it checks that vanishing
     and normalized orders do not depend on the side convention.
     """
+    dense = DenseRepresentation.of(rep)
+
     def shift_all(m: PolyMatrix, k: int) -> PolyMatrix:
         return PolyMatrix(rep.field, [[e.shifted(k) for e in row] for row in m.entries],
                           m.rows, m.cols)
 
     mats = [shift_all(m.transpose(), 2 * v)
-            for m, v in zip(rep.inverses, rep.character.values)]
+            for m, v in zip(dense.inverses, rep.character.values)]
     invs = [shift_all(m.transpose(), -2 * v)
-            for m, v in zip(rep.matrices, rep.character.values)]
-    return Representation(rep.presentation, rep.character, rep.quotient, rep.field, mats, invs)
+            for m, v in zip(dense.matrices, rep.character.values)]
+    return DenseRepresentation(rep.field, rep.dim, mats, invs)
 
 
 def _chain(p, chi, q, field=Q):
@@ -297,7 +302,8 @@ def test_transpose_convention_cross_check():
         p, chi = load_fixture(name)
         rep = build_representation(p, chi, q, Q)
         c1 = build_chain(p, rep)
-        c2 = build_chain(p, _transposed(rep))
+        c2 = dense_chain(p, _transposed(rep), rep)
+        assert (c2.b2 @ c2.b1).is_zero
         assert h1_vanishing(c1) == h1_vanishing(c2)
         assert h1_order(c1) == h1_order(c2)
 
@@ -417,3 +423,41 @@ def test_minus_fold_and_b2_order_match_full_computation():
                 assert h1_order(chain) == kernel_route_h1_order(chain), (q.label(), field.name)
                 checked += 1
     assert checked == 300
+
+
+_PROPERTY_TARGETS = [cyclic_group(m) for m in range(2, 7)] + [symmetric_group(3)]
+
+
+@st.composite
+def _presentations_with_quotient(draw):
+    """2-3 generators, 1-2 short relators, each balanced to character sum 0
+    by a power of a generator of character value +-1, and a homomorphism into
+    Z/2..Z/6 or S3, onto it where one exists."""
+    g = draw(st.integers(2, 3))
+    values = draw(st.lists(st.integers(-2, 2), min_size=g, max_size=g))
+    j = draw(st.integers(1, g))
+    values[j - 1] = draw(st.sampled_from([-1, 1]))
+    letters = st.sampled_from([x for i in range(1, g + 1) for x in (i, -i)])
+    relators = []
+    for _ in range(draw(st.integers(1, 2))):
+        w = Word.of(draw(st.lists(letters, min_size=2, max_size=5)))
+        k = -Character(tuple(values)).of_word(w) * values[j - 1]  # x_j^k balances w
+        relators.append(Word.of(w.letters + (j if k > 0 else -j,) * abs(k)))
+    p = Presentation(("a", "b", "c")[:g], tuple(relators))
+    chi = validate_character(p, values)
+    homs = enumerate_homs(p, draw(st.sampled_from(_PROPERTY_TARGETS)))
+    return p, chi, draw(st.sampled_from([h for h in homs if h.surjective] or homs))
+
+
+@pytest.mark.parametrize("field", [Q, F2], ids=lambda f: f.name)
+@settings(max_examples=30)
+@given(data=st.data())
+def test_monomial_chain_matches_dense_oracle(field, data):
+    # build_chain reads each word's image off the group table; the oracle
+    # multiplies dense generator matrices letter by letter.
+    p, chi, q = data.draw(_presentations_with_quotient())
+    rep = build_representation(p, chi, q, field)
+    chain = build_chain(p, rep)
+    dense = dense_chain(p, DenseRepresentation.of(rep), rep)
+    assert chain.b1 == dense.b1
+    assert chain.b2 == dense.b2

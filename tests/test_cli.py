@@ -104,7 +104,7 @@ def test_extra_group_table(tmp_path):
     assert "c2" in out
 
 
-def test_exit_code_input_errors(tmp_path):
+def test_exit_code_input_errors(tmp_path, capsys):
     code, _ = run_cli(["alex", "--fixture", "nope", "--quotient", "trivial"])
     assert code == 2
     code, _ = run_cli(["scan", "--fixture", "bs:1:2", "--char", "a=1, t=0"])
@@ -113,6 +113,9 @@ def test_exit_code_input_errors(tmp_path):
     assert code == 2  # zero character
     code, _ = run_cli(["alex", "--fixture", "bs:1:2", "--quotient", "z3:1,1"])
     assert code == 2  # relator not killed
+    for images in ("z3:-1", "z3:3"):
+        code, _ = run_cli(["alex", "--fixture", "zn:1", "--quotient", images])
+        assert code == 2 and "out of range" in capsys.readouterr().err  # not in Z/3
     pres = tmp_path / "broken.pres"
     pres.write_text("gens: a\nrels: b\n")
     code, _ = run_cli(["alex", "--pres", str(pres), "--char", "a=1", "--quotient", "trivial"])

@@ -129,7 +129,7 @@ def _factored_matrices(draw, field):
 
 
 @pytest.mark.parametrize("field", [Q, F2, F3, F101], ids=lambda f: f.name)
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@settings(max_examples=25)
 @given(data=st.data())
 def test_certified_rank_equals_bareiss(field, data):
     m, r = data.draw(_factored_matrices(field))
@@ -270,7 +270,7 @@ def _laurent_matrices(draw, field):
 
 
 @pytest.mark.parametrize("field", [Q, F2, F3], ids=lambda f: f.name)
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(data=st.data())
 def test_laurent_snf_is_a_smith_form(field, data):
     m = data.draw(_laurent_matrices(field))

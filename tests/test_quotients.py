@@ -2,22 +2,26 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fibrecheck.fixtures import load_fixture
 from fibrecheck.quotients import (
+    FiniteGroup,
     build_catalog,
     cyclic_group,
     enumerate_homs,
     image_closure,
+    kernel_key,
     load_table_group,
     make_quotient,
     regular_representation,
     restrict_to_image,
-    same_kernel,
     symmetric_group,
     trivial_group,
     trivial_quotient,
 )
 from fibrecheck.words import parse_presentation
+from quotient_oracle import is_associative_brute, same_kernel
 
 F2 = parse_presentation("gens: a b\nrels:")
 BS12 = parse_presentation("gens: a t\nrels: t a t^-1 a^-2")
@@ -29,8 +33,53 @@ def test_group_validation():
         load_table_group("order: 2\n0 1\n1 1", "bad")  # 1 has no inverse
     with pytest.raises(ValueError):
         load_table_group("order: 2\n1 0\n0 1", "bad")  # 0 not the identity
+    with pytest.raises(ValueError, match="not associative"):
+        # identity 0 and right inverses, but (1*1)*2 = 2 and 1*(1*2) = 1
+        load_table_group("order: 3\n0 1 2\n1 0 0\n2 0 0", "bad")
     g = load_table_group("order: 2\n0 1\n1 0", "C2")
     assert g.order == 2 and g.inverse(1) == 1
+
+
+_KLEIN = FiniteGroup(4, tuple(tuple(g ^ h for h in range(4)) for g in range(4)), "V4")
+
+
+@st.composite
+def _tables(draw):
+    """Tables of order <= 4 with identity 0: a group relabelled, some
+    entries overwritten or not, or all other entries random."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        rest = draw(st.lists(st.integers(0, n - 1), min_size=(n - 1) ** 2, max_size=(n - 1) ** 2))
+        return tuple(tuple(g if h == 0 else h if g == 0 else rest[(g - 1) * (n - 1) + h - 1]
+                           for h in range(n)) for g in range(n))
+    base = draw(st.sampled_from([g for g in (cyclic_group(n), _KLEIN) if g.order == n]))
+    relabel = [0] + draw(st.permutations(range(1, n)))
+    table = [[0] * n for _ in range(n)]
+    for g in range(n):
+        for h in range(n):
+            table[relabel[g]][relabel[h]] = relabel[base.table[g][h]]
+    if n > 1:
+        for _ in range(draw(st.integers(0, 2))):
+            g, h = draw(st.integers(1, n - 1)), draw(st.integers(1, n - 1))
+            table[g][h] = draw(st.integers(0, n - 1))
+    return tuple(map(tuple, table))
+
+
+
+@settings(max_examples=300)
+@given(table=_tables())
+def test_associativity_check_matches_triple_loop(table):
+    # Light's test rejects exactly the tables the triple loop rejects.
+    n = len(table)
+    if not all(0 in row for row in table):
+        expected = "has no inverse"
+    elif not is_associative_brute(table):
+        expected = "not associative"
+    else:
+        assert FiniteGroup(n, table, "t").order == n
+        return
+    with pytest.raises(ValueError, match=expected):
+        FiniteGroup(n, table, "t")
 
 
 def test_enumerate_homs_counts():
@@ -96,6 +145,23 @@ def test_same_kernel_is_equivalence():
     for q1, q2, q3 in itertools.combinations(sample, 3):
         if same_kernel(F2, q1, q2) and same_kernel(F2, q2, q3):
             assert same_kernel(F2, q1, q3)
+
+
+def test_kernel_key_matches_same_kernel():
+    # Every fixture, catalog to order 12: equal keys exactly when same_kernel.
+    catalog = build_catalog(12)
+    for name in ("bs:1:2", "trefoil", "klein", "zn:2", "f:2", "f2xz", "surface:1"):
+        p, _ = load_fixture(name)
+        buckets: dict = {}
+        for q in [trivial_quotient(p)] + [h for g in catalog for h in enumerate_homs(p, g)]:
+            buckets.setdefault(kernel_key(q), []).append(q)
+        representatives: dict[int, list] = {}
+        for key, members in buckets.items():
+            assert all(same_kernel(p, members[0], q) for q in members[1:]), (name, key)
+            representatives.setdefault(len(key[0]), []).append(members[0])
+        for same_order in representatives.values():
+            for q1, q2 in itertools.combinations(same_order, 2):
+                assert not same_kernel(p, q1, q2), (name, q1, q2)
 
 
 def test_regular_representation():
