@@ -21,9 +21,9 @@ from .polyalg import (  # noqa: F401
     NotInSpan,
     PolyMatrix,
     SnfResult,
+    diagonal_form,
     rank_lower_bound,
     rank_over_fraction_field,
-    smith_normal_form,
 )
 from .quotients import (  # noqa: F401
     FiniteGroup,

@@ -10,23 +10,25 @@ bound meets an upper bound known beforehand, min(rows, cols) for b1 and
 rows(b1) - rank b1 for b2 (the rows of b2 lie in the left kernel of b1), it
 is the rank.  Otherwise exact Bareiss elimination decides, so Bareiss runs
 for every rank deficit, where vanishing must be certified exactly, and when
-the point is a root of every maximal minor.  The Smith-normal-form route
-computes the orders independently, with Smith forms taken over the Laurent
-ring F[t^{+-1}] itself, where the monomial entries that fill b1 and b2 are
-units: ord H0 from SNF(b1), and ord H1 from SNF(b2) alone, because over the
-PID F[t^{+-1}] the sequence
-0 -> H1 -> C1/rowspace(b2) -> im(b1) -> 0 splits (im(b1) lies in a free
-module, so it is free) and C1/rowspace(b2) = H1 + im(b1).  So H1 is torsion
-exactly when rank SNF(b2) = rows(b1) - rank SNF(b1), and its order is then
-the product of the nonzero invariant factors of b2, the classical
-Fox-matrix order (Wada 1994, Kirk-Livingston 1999).  Neither route reads the
-other's result; if their vanishing verdicts disagree, the run is aborted as
-internally inconsistent.
+the point is a root of every maximal minor.  The order route computes the
+orders independently.  H0 is in closed form: each orbit of the image of
+alpha on Q contributes F[t^{+-1}]/(t^d - 1), where dZ = chi(ker alpha) is
+read off one breadth-first walk.  ord H1 comes from one diagonal form of b2
+over the PID F[t^{+-1}], where the monomial entries of b2 are units.  The
+sequence 0 -> H1 -> C1/rowspace(b2) -> im(b1) -> 0 splits (im(b1) lies in a
+free module, so it is free), so H1 is torsion exactly when the diagonal has
+rows(b1) - rank b1 nonzero entries, with rank b1 = |Q| - rank H0 from the
+closed form, and its order is then their product, the classical Fox-matrix
+order (Wada 1994, Kirk-Livingston 1999).  Neither route reads the other's
+result; if they disagree, the run is aborted as internally inconsistent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from math import gcd
+from operator import mul
 
 from .foxcalc import (
     CONVENTION,
@@ -41,9 +43,9 @@ from .polyalg import (
     LaurentPoly,
     PolyMatrix,
     SnfResult,
+    diagonal_form,
     rank_lower_bound,
     rank_over_fraction_field,
-    smith_normal_form,
 )
 from .quotients import FiniteQuotient, restrict_to_image
 from .words import Character, Presentation, Word, render_character, render_presentation
@@ -52,16 +54,12 @@ __all__ = [
     "InternalCheckError",
     "TwistedChain",
     "AlexanderReport",
-    "DEFAULT_ORDER_CEILING",
     "build_chain",
     "h1_vanishing",
     "h1_order",
     "h0_report",
     "full_report",
 ]
-
-DEFAULT_ORDER_CEILING = 96
-
 
 class InternalCheckError(RuntimeError):
     """A mandatory internal cross-check failed; results are untrustworthy."""
@@ -109,13 +107,6 @@ class TwistedChain:
             cache["b2"] = _certified_rank(self.b2, upper)
         return cache["b2"]
 
-    def snf_b1(self) -> SnfResult:
-        """SNF of b1, shared by the degree-0 order and the degree-1 rank target."""
-        cache = self._cache
-        if "snf_b1" not in cache:
-            cache["snf_b1"] = smith_normal_form(self.b1)
-        return cache["snf_b1"]
-
 
 @dataclass(frozen=True)
 class AlexanderReport:
@@ -124,19 +115,20 @@ class AlexanderReport:
     degree: int
     vanishing: bool
     rank_over_frac: int
-    order: LaurentPoly | None  # None when the order route was skipped
-    order_skipped: bool
+    order: LaurentPoly
     field: CoefficientField
     quotient: FiniteQuotient
     character: Character
     convention: str = CONVENTION
+
+    order_skipped = property(lambda self: False)  # schema-1 key; every report has its order
 
     def as_dict(self, p: Presentation) -> dict:
         return {
             "degree": self.degree,
             "vanishing": self.vanishing,
             "rank": self.rank_over_frac,
-            "order": None if self.order is None else self.order.render(),
+            "order": self.order.render(),
             "order_skipped": self.order_skipped,
             "field": self.field.name,
             "quotient": self.quotient.label(),
@@ -173,90 +165,99 @@ def h1_vanishing(c: TwistedChain) -> tuple[bool, int]:
     return rank_h1 > 0, rank_h1
 
 
-def _factor_product(field, snf: SnfResult, full_rank: int) -> LaurentPoly:
-    """Product of the nonzero invariant factors, or zero unless snf has full_rank."""
-    if snf.rank != full_rank:
-        return LaurentPoly.zero(field)
-    order = LaurentPoly.one(field)
-    for d in snf.invariant_factors[:snf.rank]:
-        order = order * d
-    return order.canonical()
+def _h0_closed_form(c: TwistedChain) -> tuple[int, int, LaurentPoly]:
+    """(d, rank H0, ord H0), where dZ = chi(ker alpha).
+
+    A breadth-first walk over the image of alpha gives each element g the
+    character value h(g) of its tree path.  Each edge g -> g*alpha(x_i) off
+    the tree closes a Schreier generator of the kernel, of character value
+    h(g) + chi_i - h(g*alpha(x_i)), and d is their gcd.  Each of the
+    |Q : im alpha| orbits contributes F[t^{+-1}]/(t^d - 1) to H0.
+    """
+    rep = c.representation
+    group, images, values = rep.quotient.group, rep.quotient.gen_images, rep.character.values
+    field = c.b1.field
+    height, walk, d = {0: 0}, [0], 0
+    for g in walk:
+        for x, k in zip(images, values):
+            h, y = height[g] + k, group.mul(g, x)
+            if y in height:
+                d = gcd(d, h - height[y])
+            else:
+                height[y] = h
+                walk.append(y)
+    copies = rep.dim // len(walk)
+    if d == 0:
+        return 0, copies, LaurentPoly.zero(field)
+    cyclic = LaurentPoly.from_int_coeffs(field, {d: 1, 0: -1})  # monic, t^0 term: canonical
+    return d, 0, reduce(mul, [cyclic] * copies)
 
 
 def _h1_order(c: TwistedChain) -> tuple[LaurentPoly, SnfResult]:
-    snf = smith_normal_form(c.b2)
-    return _factor_product(c.b1.field, snf, c.b1.rows - c.snf_b1().rank), snf
+    form = diagonal_form(c.b2)
+    rank_b1 = c.block_size - _h0_closed_form(c)[1]
+    if form.rank != c.b1.rows - rank_b1:
+        return LaurentPoly.zero(c.b1.field), form
+    return reduce(mul, form.diagonal[:form.rank], LaurentPoly.one(c.b1.field)).canonical(), form
 
 
 def h1_order(c: TwistedChain) -> LaurentPoly:
-    """Normalized order of H1 through the Smith-normal-form route.
+    """Normalized order of H1 through the order route.
 
     C1/rowspace(b2) is H1 plus the free module im(b1), so the order is the
-    product of the nonzero invariant factors of b2 when their number is
-    rows(b1) - rank SNF(b1), and zero (H1 has free rank) otherwise.
+    product of the nonzero diagonal entries of b2 when there are
+    rows(b1) - rank b1 of them, and zero (H1 has free rank) otherwise; here
+    rank b1 = |Q| - rank H0 comes from the closed form, not the rank route.
     """
     return _h1_order(c)[0]
 
 
-def h0_report(c: TwistedChain, order_ceiling: int = DEFAULT_ORDER_CEILING) -> AlexanderReport:
-    """Cokernel of b1: torsion iff b1 has full column rank."""
-    n = c.block_size
-    rank_b1 = c.rank_b1()
-    vanishing = rank_b1 < n
-    rank_h0 = n - rank_b1
-    skip = c.b1.rows > order_ceiling
-    order = None
-    if not skip:
-        snf = c.snf_b1()
-        order = _factor_product(c.b1.field, snf, n)
-        if vanishing != order.is_zero:
-            raise InternalCheckError(
-                "degree-0 cross-check failed: rank route and SNF route disagree\n"
-                + _diagnostic(c, rank_h0, order, snf)
-            )
-    return AlexanderReport(0, vanishing, rank_h0, order, skip, c.b1.field,
+def h0_report(c: TwistedChain) -> AlexanderReport:
+    """Cokernel of b1: vanishing by the rank route, order by the closed form."""
+    rank_h0 = c.block_size - c.rank_b1()
+    d, closed_rank, order = _h0_closed_form(c)
+    if rank_h0 != closed_rank:
+        raise InternalCheckError(
+            "degree-0 cross-check failed: rank route and closed form disagree\n"
+            + _diagnostic(c, rank_h0, order, f"d: {d} (closed-form rank {closed_rank})")
+        )
+    return AlexanderReport(0, rank_h0 > 0, rank_h0, order, c.b1.field,
                            c.representation.quotient, c.representation.character)
 
 
-def _diagnostic(c: TwistedChain, rank: int, order: LaurentPoly | None, snf=None) -> str:
+def _diagnostic(c: TwistedChain, rank: int, order: LaurentPoly, detail: str) -> str:
     """What reproduces a failed cross-check, with the sizes involved; no matrix entries."""
     p, rep = c.presentation, c.representation
     q = rep.quotient
-    lines = [
+    return "\n".join([
         f"presentation: {render_presentation(p).replace(chr(10), ' | ')}",
         f"character: {render_character(p, rep.character)}",
         f"quotient: {q.group.name} (order {q.group.order}), images {list(q.gen_images)}",
         f"field: {c.b1.field.name}",
         f"b1: {c.b1.rows}x{c.b1.cols}, b2: {c.b2.rows}x{c.b2.cols}",
         f"rank over Frac: {rank}",
-        f"order: {'<skipped>' if order is None else order.render()}",
-    ]
-    if snf is not None:
-        lines.append("invariant factors: ["
-                     + ", ".join(d.render() for d in snf.invariant_factors) + "]")
-    return "\n".join(lines)
+        f"order: {order.render()}",
+        detail,
+    ])
 
 
-def _h1_report(c: TwistedChain, order_ceiling: int) -> AlexanderReport:
+def _h1_report(c: TwistedChain) -> AlexanderReport:
     vanishing, rank_h1 = h1_vanishing(c)
-    skip = c.b1.rows > order_ceiling
-    order = None
-    if not skip:
-        order, snf = _h1_order(c)
-        if vanishing != order.is_zero:
-            raise InternalCheckError(
-                "degree-1 cross-check failed: rank route and SNF route disagree\n"
-                + _diagnostic(c, rank_h1, order, snf)
-            )
-    return AlexanderReport(1, vanishing, rank_h1, order, skip, c.b1.field,
+    order, form = _h1_order(c)
+    if vanishing != order.is_zero:
+        raise InternalCheckError(
+            "degree-1 cross-check failed: rank route and order route disagree\n"
+            + _diagnostic(c, rank_h1, order, "diagonal of b2: ["
+                          + ", ".join(d.render() for d in form.diagonal) + "]")
+        )
+    return AlexanderReport(1, vanishing, rank_h1, order, c.b1.field,
                            c.representation.quotient, c.representation.character)
 
 
 def full_report(p: Presentation, chi: Character, q: FiniteQuotient,
-                field: CoefficientField,
-                order_ceiling: int = DEFAULT_ORDER_CEILING) -> list[AlexanderReport]:
+                field: CoefficientField) -> list[AlexanderReport]:
     """Degree-0 and degree-1 reports with the dual-route cross-check."""
     q = restrict_to_image(p, q)
     rep = build_representation(p, chi, q, field)
     chain = build_chain(p, rep)
-    return [h0_report(chain, order_ceiling), _h1_report(chain, order_ceiling)]
+    return [h0_report(chain), _h1_report(chain)]

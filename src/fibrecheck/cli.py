@@ -123,10 +123,9 @@ def _parse_quotient(p: Presentation, text: str) -> FiniteQuotient:
 
 def _print_reports(p: Presentation, reports, out) -> None:
     for r in reports:
-        order = "order skipped" if r.order_skipped else f"order: {r.order.render()}"
         out.write(
             f"degree {r.degree}: {'VANISHING' if r.vanishing else 'nonvanishing'}, "
-            f"rank {r.rank_over_frac}, {order}\n"
+            f"rank {r.rank_over_frac}, order: {r.order.render()}\n"
         )
 
 
@@ -206,8 +205,8 @@ def _cmd_untwist_check(args, out) -> int:
             ],
         },
         "orders": {
-            "twisted_degree1": None if t_ord is None else t_ord.render(),
-            "untwisted_degree1": None if u_ord is None else u_ord.render(),
+            "twisted_degree1": t_ord.render(),
+            "untwisted_degree1": u_ord.render(),
             "equal": t_ord == u_ord,
         },
         "reports": {

@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from . import __version__
-from .alexander import DEFAULT_ORDER_CEILING, AlexanderReport, full_report
+from .alexander import AlexanderReport, full_report
 from .foxcalc import CONVENTION
 from .polyalg import CoefficientField
 from .quotients import (
@@ -44,7 +44,6 @@ class ScanConfig:
     extra_groups: tuple[FiniteGroup, ...] = ()
     asserted_lerf: bool = False
     asserted_detection: bool = False  # nonvanishing is asserted to detect semi-fibring
-    order_ceiling: int = DEFAULT_ORDER_CEILING
 
 
 @dataclass(frozen=True)
@@ -81,16 +80,14 @@ def _scan_job(args) -> list[AlexanderReport]:
     Only the character itself is computed; the minus direction is derived by
     t -> t^-1.  That substitution is a ring automorphism of F[t^{+-1}] and
     maps the chain of the character onto the chain of its negation entry by
-    entry, so ranks, vanishing and skips agree and each order is the
-    canonical reciprocal of the plus order.
+    entry, so ranks and vanishing agree and each order is the canonical
+    reciprocal of the plus order.
     """
-    presentation, character, quotient, coeff_field, ceiling = args
-    plus = full_report(presentation, character, quotient, coeff_field, ceiling)
+    presentation, character, quotient, coeff_field = args
+    plus = full_report(presentation, character, quotient, coeff_field)
     minus = character.negate()
     return plus + [
-        replace(r, character=minus,
-                order=None if r.order is None else r.order.reciprocal().canonical())
-        for r in plus
+        replace(r, character=minus, order=r.order.reciprocal().canonical()) for r in plus
     ]
 
 
@@ -120,7 +117,7 @@ def scan(cfg: ScanConfig, jobs: int = 1) -> FibringVerdict:
         raise ValueError("non-trivial character required")
 
     def job_for(q, f):
-        return (cfg.presentation, cfg.character, q, f, cfg.order_ceiling)
+        return (cfg.presentation, cfg.character, q, f)
 
     quotients: list[FiniteQuotient] = []
     skipped: list[tuple[FiniteQuotient, FiniteQuotient]] = []
@@ -301,11 +298,11 @@ def emit_report(v: FibringVerdict, format: str = "text") -> str:
     vanish_count = sum(1 for r in v.reports if r.vanishing)
     lines.append(f"reports: {len(v.reports)} computed, {vanish_count} vanishing")
     for r in v.reports:
-        order = "order skipped" if r.order_skipped else f"order {r.order.render()}"
         lines.append(
             f"  [{r.quotient.group.name} ord {r.quotient.group.order} | {r.field.name} | "
             f"{render_character(p, r.character)}] deg {r.degree}: "
-            f"{'VANISHING' if r.vanishing else 'nonvanishing'}, rank {r.rank_over_frac}, {order}"
+            f"{'VANISHING' if r.vanishing else 'nonvanishing'}, rank {r.rank_over_frac}, "
+            f"order {r.order.render()}"
         )
     lines.append(f"tested quotients: {len(v.tested_quotients)}; skipped (same kernel): {len(v.skipped_quotients)}")
     for q, rep in v.skipped_quotients:

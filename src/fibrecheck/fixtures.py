@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
-from .words import Character, Presentation, Word, parse_presentation, validate_character
+from .words import (MAX_WORD_LENGTH, Character, Presentation, Word, parse_presentation,
+                    validate_character)
 
 __all__ = ["FIXTURE_NAMES", "load_fixture"]
 
 FIXTURE_NAMES = ("bs", "trefoil", "klein", "zn", "f", "f2xz", "surface")
+
+
+def _check_length(letters: int) -> None:
+    """The cap of a parsed presentation, applied before any relator is built."""
+    if letters > MAX_WORD_LENGTH:
+        raise ValueError(f"relators exceed {MAX_WORD_LENGTH} letters in total ({letters})")
 
 
 def _bs(m: int, n: int) -> tuple[Presentation, Character]:
@@ -28,6 +35,7 @@ def _zn(n: int) -> tuple[Presentation, Character]:
     """Free abelian group of rank n."""
     if n < 1:
         raise ValueError("zn needs rank >= 1")
+    _check_length(2 * n * (n - 1))  # n(n-1)/2 commutators of 4 letters
     names = tuple(f"x{i}" for i in range(1, n + 1))
     relators = tuple(
         Word((i, j, -i, -j)) for i in range(1, n + 1) for j in range(i + 1, n + 1)
@@ -53,6 +61,7 @@ def _surface(genus: int) -> tuple[Presentation, Character]:
     """Genus-g closed surface group, relator the product of commutators."""
     if genus < 1:
         raise ValueError("surface needs genus >= 1")
+    _check_length(4 * genus)
     names = []
     for i in range(1, genus + 1):
         names.extend([f"a{i}", f"b{i}"])

@@ -1,10 +1,12 @@
 """Exact Laurent-polynomial linear algebra over Q or a prime field F_p.
 
 Coefficients are Python Fractions (rationals) or ints reduced mod p, so all
-arithmetic is exact.  Matrices are brought to Smith normal form over the
+arithmetic is exact.  Matrices are brought to a diagonal form over the
 Laurent ring F[t^{+-1}] itself, a Euclidean domain whose units are the
 monomials c*t^k and whose norm is the span (highest minus lowest exponent),
-so monomial entries are unit pivots.  Rank over the rational-function
+so monomial entries are unit pivots.  The diagonal need not be a
+divisibility chain: an order needs only the product of its nonzero entries,
+the gcd of the r x r minors for r the rank.  Rank over the rational-function
 field F(t) has two routes.  `rank_lower_bound` maps t to a fixed point of a
 finite field and eliminates there; every minor maps to the image of that
 minor, so the result never exceeds the rank over F(t), and it proves the rank
@@ -33,7 +35,7 @@ __all__ = [
     "EVALUATION_POINT",
     "rank_lower_bound",
     "rank_over_fraction_field",
-    "smith_normal_form",
+    "diagonal_form",
 ]
 
 
@@ -101,9 +103,6 @@ class CoefficientField:
         if a == 0:
             raise ZeroDivisionError("field inverse of zero")
         return 1 / Fraction(a) if self.p is None else pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def __eq__(self, other):
         return isinstance(other, CoefficientField) and self.p == other.p
@@ -707,33 +706,35 @@ def _rank_in_extension(m: PolyMatrix, p: int) -> int:
 
 @dataclass(frozen=True)
 class SnfResult:
-    """Invariant factors d1 | d2 | ... (canonical in F[t^{+-1}], or zero) and the rank."""
+    """The diagonal of a diagonal form over F[t^{+-1}]: canonical entries, or zero.
 
-    invariant_factors: tuple[LaurentPoly, ...]
+    The entries need not divide one another, but the product of the nonzero
+    ones is the gcd of the r x r minors up to a unit, r the rank: unimodular
+    operations keep that gcd, and a diagonal matrix has one such minor.
+    """
+
+    diagonal: tuple[LaurentPoly, ...]
 
     @property
     def rank(self) -> int:
-        return sum(1 for d in self.invariant_factors if not d.is_zero)
+        return sum(1 for d in self.diagonal if not d.is_zero)
 
 
-def smith_normal_form(m: PolyMatrix) -> SnfResult:
-    """Smith normal form over the Euclidean domain F[t^{+-1}], normed by span.
+def diagonal_form(m: PolyMatrix) -> SnfResult:
+    """A diagonal form of m over the Euclidean domain F[t^{+-1}], normed by span.
 
     The pivot is an entry of least span, the first in row-major order on
     ties.  A monomial pivot c*t^k is a unit: multiples of its inverse clear
-    its column exactly, which leaves nothing in its row to clear and nothing
-    for it to fail to divide, and its factor is 1.  Any other pivot clears
-    its row and column by `divmod_laurent`, whose remainders have smaller
-    span and restart the pivot search; once the cross is clear, an entry of
-    the remaining block that the pivot does not divide is added into the
-    pivot row and elimination repeats, so the factors form a divisibility
-    chain.
+    its column exactly, which leaves nothing in its row to clear, and its
+    entry is 1.  Any other pivot clears its row and column by
+    `divmod_laurent`, whose remainders have smaller span and restart the
+    pivot search until the cross is clear.
     """
     field = m.field
     a = [list(row) for row in m.entries]
     rows, cols = m.rows, m.cols
     n = min(rows, cols)
-    factors: list[LaurentPoly] = []
+    diagonal: list[LaurentPoly] = []
 
     def find_pivot(k: int):
         best, best_span = None, 0
@@ -792,24 +793,10 @@ def smith_normal_form(m: PolyMatrix) -> SnfResult:
                     a[i][j] = a[i][j] - q * x
                 if r.coeffs:
                     dirty = True
-            if dirty:
-                pos = find_pivot(k)
-                continue
-            # Cross is clear; enforce divisibility into the remaining block.
-            offender = None
-            for i in range(k + 1, rows):
-                for j in range(k + 1, cols):
-                    if not a[i][j].is_zero and not a[i][j].divmod_laurent(pivot)[1].is_zero:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
+            if not dirty:
                 break
-            for j in range(k, cols):
-                a[k][j] = a[k][j] + a[offender][j]
-            pos = (k, k)
-        factors.append(pivot.canonical())
+            pos = find_pivot(k)
+        diagonal.append(pivot.canonical())
 
-    factors.extend(LaurentPoly.zero(field) for _ in range(n - len(factors)))
-    return SnfResult(tuple(factors))
+    diagonal.extend(LaurentPoly.zero(field) for _ in range(n - len(diagonal)))
+    return SnfResult(tuple(diagonal))

@@ -1,6 +1,6 @@
 """Test-only oracle: the kernel route to the degree-1 order.
 
-`fibrecheck` takes ord H1 from one Smith normal form of b2.  This module keeps
+`fibrecheck` takes ord H1 from one diagonal form of b2.  This module keeps
 the older, independent route as a reference: a free basis K of the left
 kernel of b1 from a column Hermite form of b1^T, the rows of b2 rewritten in
 K-coordinates by `solve_in_span`, and the invariant factors of that
@@ -11,7 +11,8 @@ works over F[t], so its inputs first pass `clear_denominators`.
 from __future__ import annotations
 
 from fibrecheck.alexander import TwistedChain
-from fibrecheck.polyalg import LaurentPoly, NotInSpan, PolyMatrix, smith_normal_form
+from fibrecheck.polyalg import LaurentPoly, NotInSpan, PolyMatrix
+from smith_oracle import order_of, smith_normal_form
 
 
 def clear_denominators(m: PolyMatrix) -> PolyMatrix:
@@ -148,10 +149,4 @@ def kernel_route_h1_order(c: TwistedChain) -> LaurentPoly:
     field = c.b1.field
     kernel = kernel_basis(clear_denominators(c.b1.transpose()))
     coords = solve_in_span(kernel, clear_denominators(c.b2).transpose())
-    snf = smith_normal_form(coords)
-    if snf.rank < kernel.cols:
-        return LaurentPoly.zero(field)
-    order = LaurentPoly.one(field)
-    for d in snf.invariant_factors[:snf.rank]:
-        order = order * d
-    return order.canonical()
+    return order_of(field, smith_normal_form(coords), kernel.cols)

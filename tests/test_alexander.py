@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from fibrecheck.alexander import (
     InternalCheckError,
     TwistedChain,
+    _h0_closed_form,
     build_chain,
     full_report,
     h0_report,
@@ -35,6 +36,7 @@ from fibrecheck.words import (
 )
 from dense_oracle import DenseRepresentation, dense_chain
 from quotient_oracle import same_kernel
+from smith_oracle import order_of, smith_normal_form
 
 Q = CoefficientField.rationals()
 F2 = CoefficientField.prime(2)
@@ -308,28 +310,29 @@ def test_transpose_convention_cross_check():
         assert h1_order(c1) == h1_order(c2)
 
 
-def test_order_ceiling_skips_snf():
-    p, chi = load_fixture("bs:1:2")
-    deg0, deg1 = full_report(p, chi, trivial_quotient(p), Q, order_ceiling=1)
-    assert deg1.order_skipped and deg1.order is None
-    assert not deg1.vanishing  # rank route still decides
-
-
 def test_cross_check_failure_names_its_inputs(monkeypatch):
-    # A wrong rank on either route makes the two routes disagree.
-    p, chi = load_fixture("trefoil")
-    q = make_quotient(p, symmetric_group(3), (2, 1))
-    for method, degree in (("rank_b1", 0), ("rank_b2", 1)):
-        with monkeypatch.context() as m:
-            m.setattr(TwistedChain, method, lambda chain: 0)
-            with pytest.raises(InternalCheckError) as err:
-                full_report(p, chi, q, Q)
-        msg = str(err.value)
-        assert f"degree-{degree} cross-check failed" in msg
-        assert render_presentation(p).replace("\n", " | ") in msg
-        assert "quotient: S3 (order 6), images [2, 1]" in msg
-        assert "b1: 12x6, b2: 6x12" in msg
-        assert "PolyMatrix(" not in msg
+    # A wrong rank on either route makes the two routes disagree, also on the
+    # 99 x 33 b1 of f2xz at Z/33, where both checks must still run.
+    trefoil, trefoil_chi = load_fixture("trefoil")
+    f2xz, f2xz_chi = load_fixture("f2xz")
+    cases = [
+        (trefoil, trefoil_chi, make_quotient(trefoil, symmetric_group(3), (2, 1)),
+         "quotient: S3 (order 6), images [2, 1]", "b1: 12x6, b2: 6x12", "d: 2 (closed-form rank 0)"),
+        (f2xz, f2xz_chi, make_quotient(f2xz, cyclic_group(33), (1, 0, 0)),
+         "quotient: Z/33 (order 33), images [1, 0, 0]", "b1: 99x33, b2: 66x99", "d: 1 (closed-form rank 0)"),
+    ]
+    for p, chi, q, quotient_line, shapes, d_line in cases:
+        for method, degree, detail in (("rank_b1", 0, d_line),
+                                       ("rank_b2", 1, "diagonal of b2: [1, ")):
+            with monkeypatch.context() as m:
+                m.setattr(TwistedChain, method, lambda chain: 0)
+                with pytest.raises(InternalCheckError) as err:
+                    full_report(p, chi, q, Q)
+            msg = str(err.value)
+            assert f"degree-{degree} cross-check failed" in msg
+            assert render_presentation(p).replace("\n", " | ") in msg
+            assert quotient_line in msg and shapes in msg and detail in msg
+            assert "PolyMatrix(" not in msg
 
 
 def test_bs13_order_is_t_minus_3_and_a_unit_mod_3():
@@ -416,7 +419,7 @@ def test_minus_fold_and_b2_order_match_full_computation():
         kept = [q for kind, q, _ in _quotient_stream(p, cfg) if kind == "kept"]
         for q in kept:
             for field in (Q, F2, F3):
-                derived = _scan_job((p, chi, q, field, cfg.order_ceiling))[2:]
+                derived = _scan_job((p, chi, q, field))[2:]
                 computed = full_report(p, chi.negate(), q, field)
                 assert derived == computed, (q.label(), field.name)
                 chain = _chain(p, chi, restrict_to_image(p, q), field)
@@ -461,3 +464,25 @@ def test_monomial_chain_matches_dense_oracle(field, data):
     dense = dense_chain(p, DenseRepresentation.of(rep), rep)
     assert chain.b1 == dense.b1
     assert chain.b2 == dense.b2
+
+
+@pytest.mark.parametrize("field", [Q, F2, F3], ids=lambda f: f.name)
+@settings(max_examples=30)
+@given(data=st.data())
+def test_closed_form_h0_and_diagonal_h1_match_smith_oracle(field, data):
+    # H0 from the walk over the image and H1 from the diagonal form of b2 agree
+    # with the Smith forms of b1 and b2; the order route reads no rank.
+    p, chi, q = data.draw(_presentations_with_quotient())
+    chain = build_chain(p, build_representation(p, chi, q, field))
+    n = chain.block_size
+    snf_b1 = smith_normal_form(chain.b1)
+    with pytest.MonkeyPatch.context() as m:
+        for method in ("rank_b1", "rank_b2"):
+            m.setattr(TwistedChain, method, lambda c: pytest.fail("the order route read a rank"))
+        d, rank_h0, order_h0 = _h0_closed_form(chain)
+        order_h1 = h1_order(chain)
+    assert rank_h0 == n - snf_b1.rank
+    assert order_h0 == order_of(field, snf_b1, n)
+    assert (rank_h0 == 0) == (d != 0)
+    assert chain.rank_b1() == n - rank_h0
+    assert order_h1 == order_of(field, smith_normal_form(chain.b2), chain.b1.rows - snf_b1.rank)

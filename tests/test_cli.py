@@ -36,6 +36,15 @@ def test_alex_prints_hand_computed_order():
     assert "degree 1: nonvanishing, rank 0, order: -2 + t" in out
 
 
+def test_alex_reports_orders_above_the_old_ceiling():
+    # b1 is 99 x 33 here: above the 96 rows at which the orders used to be skipped.
+    code, out = run_cli(["alex", "--fixture", "f2xz", "--quotient", "z33:1,0,0", "--field", "q"])
+    assert code == 0
+    assert "skipped" not in out
+    assert "degree 0: nonvanishing, rank 0, order: -1 + t\n" in out
+    assert "degree 1: nonvanishing, rank 0, order: 1 + -34*t + 561*t^2 + " in out
+
+
 def test_scan_obstructed_text():
     code, out = run_cli(["scan", "--fixture", "f2xz", "--char", "a=1"])
     assert code == 0
@@ -140,6 +149,23 @@ def test_input_caps_exit_2_before_building(tmp_path, monkeypatch):
     pres.write_text(f"gens: a\nrels: a^{MAX_WORD_LENGTH + 1}\n")
     code, _ = run_cli(["alex", "--pres", str(pres), "--char", "a=1", "--quotient", "trivial"])
     assert code == 2
+
+
+def test_fixture_length_cap_exit_2_before_building(monkeypatch, capsys):
+    from fibrecheck import fixtures
+    from fibrecheck.words import MAX_WORD_LENGTH
+
+    for name, letters in (("zn:22", 924), ("surface:250", 1000)):  # largest under the cap
+        p, _ = fixtures.load_fixture(name)
+        assert sum(len(r) for r in p.relators) == letters <= MAX_WORD_LENGTH
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a relator was built")
+
+    monkeypatch.setattr(fixtures, "Word", no_build)
+    for name, letters in (("zn:23", 1012), ("surface:251", 1004)):  # smallest over it
+        assert run_cli(["alex", "--fixture", name, "--quotient", "trivial"])[0] == 2
+        assert f"exceed {MAX_WORD_LENGTH} letters in total ({letters})" in capsys.readouterr().err
 
 
 def test_group_order_cap_exit_2_before_building(tmp_path, monkeypatch, capsys):

@@ -185,6 +185,7 @@ def test_emit_report_schema():
     for r in doc["reports"]:
         assert set(r) == {"degree", "vanishing", "rank", "order", "order_skipped",
                           "field", "quotient", "character", "convention"}
+        assert r["order_skipped"] is False
     text = emit_report(v, "text")
     assert "verdict: NO OBSTRUCTION up to order 3" in text
     with pytest.raises(ValueError):

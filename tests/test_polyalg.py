@@ -15,9 +15,9 @@ from fibrecheck.polyalg import (
     NotInSpan,
     PolyMatrix,
     _zech_field,
+    diagonal_form,
     rank_lower_bound,
     rank_over_fraction_field,
-    smith_normal_form,
 )
 
 Q = CoefficientField.rationals()
@@ -160,27 +160,32 @@ def test_snf_examples():
     tm1 = {1: 1, 0: -1}
     prod = {2: 1, 1: -3, 0: 2}  # (t-1)(t-2)
     m = PolyMatrix.from_int_rows(Q, [[tm1, 0], [0, prod]])
-    snf = smith_normal_form(m)
-    assert [d.render() for d in snf.invariant_factors] == ["-1 + t", "2 + -3*t + t^2"]
+    form = diagonal_form(m)
+    assert [d.render() for d in form.diagonal] == ["-1 + t", "2 + -3*t + t^2"]
+
+    # Already diagonal, so left as it is: no divisibility chain (the Smith form
+    # would be 1, t^2 - 1), but the same product.
+    m = PolyMatrix.from_int_rows(Q, [[tm1, 0], [0, {1: 1, 0: 1}]])
+    assert [d.render() for d in diagonal_form(m).diagonal] == ["-1 + t", "1 + t"]
 
     # t^2 is a unit of F[t^{+-1}]
     m = PolyMatrix.from_int_rows(Q, [[{1: 1}, 1], [0, {1: 1}]])
-    snf = smith_normal_form(m)
-    assert [d.render() for d in snf.invariant_factors] == ["1", "1"]
+    form = diagonal_form(m)
+    assert [d.render() for d in form.diagonal] == ["1", "1"]
 
-    # over F[t] the factors would be t and t^3 (t - 1): the t-powers drop out, t - 1 stays
+    # over F[t] the entries would be t and t^3 (t - 1): the t-powers drop out, t - 1 stays
     m = PolyMatrix.from_int_rows(Q, [[{2: 1, 1: -1}, 0], [0, {3: 1}]])
-    snf = smith_normal_form(m)
-    assert [d.render() for d in snf.invariant_factors] == ["1", "-1 + t"]
+    form = diagonal_form(m)
+    assert [d.render() for d in form.diagonal] == ["1", "-1 + t"]
 
     # negative exponents are valid input; t^-1 (t - 2) is t - 2 up to a unit
     m = PolyMatrix.from_int_rows(Q, [[{0: 1, -1: -2}, 0], [{-3: 1}, {-1: 1, -2: -2}]])
-    snf = smith_normal_form(m)
-    assert [d.render() for d in snf.invariant_factors] == ["1", "4 + -4*t + t^2"]
+    form = diagonal_form(m)
+    assert [d.render() for d in form.diagonal] == ["1", "4 + -4*t + t^2"]
 
-    snf = smith_normal_form(PolyMatrix.zeros(Q, 2, 2))
-    assert snf.rank == 0
-    assert all(d.is_zero for d in snf.invariant_factors)
+    form = diagonal_form(PolyMatrix.zeros(Q, 2, 2))
+    assert form.rank == 0
+    assert all(d.is_zero for d in form.diagonal)
 
 
 def _rand_matrix(rng, field, rows, cols, max_deg=3):
@@ -199,19 +204,7 @@ def test_rank_equals_nonzero_invariant_factors():
     rng = random.Random(3)
     for _ in range(40):
         m = _rand_matrix(rng, F5, rng.randrange(1, 4), rng.randrange(1, 4))
-        assert rank_over_fraction_field(m) == smith_normal_form(m).rank
-
-
-def test_snf_divisibility_chain():
-    rng = random.Random(6)
-    for _ in range(30):
-        m = _rand_matrix(rng, F5, rng.randrange(1, 4), rng.randrange(1, 4))
-        factors = smith_normal_form(m).invariant_factors
-        for d1, d2 in zip(factors, factors[1:]):
-            if d1.is_zero:
-                assert d2.is_zero
-            elif not d2.is_zero:
-                assert d2.divmod_poly(d1)[1].is_zero
+        assert rank_over_fraction_field(m) == diagonal_form(m).rank
 
 
 def _minor_det(m: PolyMatrix, rows, cols):
@@ -231,10 +224,10 @@ def _minor_det(m: PolyMatrix, rows, cols):
     return total
 
 
-def _assert_factors_match_minor_gcds(m: PolyMatrix, factors):
-    """d1 * ... * dk is the gcd of the k x k minors, both up to units."""
+def _assert_factors_match_minor_gcds(m: PolyMatrix, factors, ks):
+    """d1 * ... * dk is the gcd of the k x k minors, both up to units, for each k in ks."""
     field = m.field
-    for k in range(1, min(m.rows, m.cols) + 1):
+    for k in ks:
         gcd = LaurentPoly.zero(field)
         for rows in itertools.combinations(range(m.rows), k):
             for cols in itertools.combinations(range(m.cols), k):
@@ -247,11 +240,20 @@ def _assert_factors_match_minor_gcds(m: PolyMatrix, factors):
         assert prod.canonical() == gcd.canonical()
 
 
+def _assert_is_a_diagonal_form(m: PolyMatrix):
+    """The rank is the Bareiss rank, the nonzero entries come first and are
+    canonical, and their product is the gcd of the r x r minors (r the rank)."""
+    form = diagonal_form(m)
+    r = form.rank
+    assert r == rank_over_fraction_field(m)
+    assert all(not d.is_zero and d == d.canonical() for d in form.diagonal[:r])
+    _assert_factors_match_minor_gcds(m, form.diagonal, [r] if r else [])
+
+
 def test_snf_factor_products_match_minor_gcds():
     rng = random.Random(7)
     for _ in range(12):
-        m = _rand_matrix(rng, F5, 3, 3, max_deg=2)
-        _assert_factors_match_minor_gcds(m, smith_normal_form(m).invariant_factors)
+        _assert_is_a_diagonal_form(_rand_matrix(rng, F5, 3, 3, max_deg=2))
 
 
 @st.composite
@@ -273,14 +275,9 @@ def _laurent_matrices(draw, field):
 @settings(max_examples=40)
 @given(data=st.data())
 def test_laurent_snf_is_a_smith_form(field, data):
-    m = data.draw(_laurent_matrices(field))
-    snf = smith_normal_form(m)
-    factors = snf.invariant_factors
-    assert snf.rank == rank_over_fraction_field(m)
-    assert all(d == d.canonical() for d in factors)
-    for d1, d2 in zip(factors, factors[1:]):
-        assert d2.is_zero or (not d1.is_zero and d2.divmod_poly(d1)[1].is_zero)
-    _assert_factors_match_minor_gcds(m, factors)
+    # A diagonal form, not a Smith form: the divisibility chain and the gcds of
+    # the k x k minors for every k are checked on the oracle in test_smith_oracle.
+    _assert_is_a_diagonal_form(data.draw(_laurent_matrices(field)))
 
 
 def test_canonical_representative():
