@@ -45,8 +45,8 @@ from .foxcalc import (  # noqa: F401
     GroupRingElement,
     Representation,
     build_representation,
-    evaluate,
     fox_derivative,
+    fox_images,
     fundamental_identity_check,
 )
 from .reidschreier import CosetAction, SubgroupPresentation, coset_action, rewrite_subgroup  # noqa: F401

@@ -1,8 +1,10 @@
 """Twisted chain maps from Fox data; vanishing and normalized orders.
 
 The presentation gives a partial free resolution; acting on row vectors from
-the right, b1 stacks the evaluated x_i - 1 and b2 holds the evaluated Fox
-derivatives, with b2 @ b1 = 0.  Vanishing is decided on the rank route, the
+the right, b1 stacks the images of x_i - 1 and b2 holds the images of the
+Fox derivatives, both filled straight from the group table.  b2 @ b1 = 0 is
+checked before filling, as Fox's fundamental formula in the group ring of
+Q x Z, term by term over Z.  Vanishing is decided on the rank route, the
 ranks of b1 and b2 over F(t).  Each rank is first bounded from below by
 `rank_lower_bound`, the rank after mapping t to a point of a finite field:
 minors map to minors, so the bound never exceeds the true rank.  Where the
@@ -30,14 +32,7 @@ from functools import reduce
 from math import gcd
 from operator import mul
 
-from .foxcalc import (
-    CONVENTION,
-    GroupRingElement,
-    Representation,
-    build_representation,
-    evaluate,
-    fox_derivative,
-)
+from .foxcalc import CONVENTION, Representation, build_representation, fox_images
 from .polyalg import (
     CoefficientField,
     LaurentPoly,
@@ -48,7 +43,7 @@ from .polyalg import (
     rank_over_fraction_field,
 )
 from .quotients import FiniteQuotient, restrict_to_image
-from .words import Character, Presentation, Word, render_character, render_presentation
+from .words import Character, Presentation, render_character, render_presentation
 
 __all__ = [
     "InternalCheckError",
@@ -137,25 +132,59 @@ class AlexanderReport:
         }
 
 
+def _fundamental_formula_holds(rep: Representation,
+                               blocks: list[dict[int, dict[int, int]]]) -> bool:
+    """Fox's sum_i (dr/dx_i)(x_i - 1) = r - 1, mapped into Z[Q x Z].
+
+    r maps to the identity, so the images f_{i,g} of dr/dx_i must satisfy
+    sum_i sum_g f_{i,g} * (t^{chi_i} [g*alpha(x_i)] - [g]) = 0.  P is
+    faithful on Z[Q], so this is b2 @ b1 = 0 on the relator's rows, decided
+    exactly over Z in time linear in the terms.
+    """
+    table = rep.quotient.group.table
+    total: dict[tuple[int, int], int] = {}
+    for block, a, s in zip(blocks, rep.quotient.gen_images, rep.character.values):
+        for g, shifts in block.items():
+            h = table[g][a]
+            for k, c in shifts.items():
+                total[h, k + s] = total.get((h, k + s), 0) + c
+                total[g, k] = total.get((g, k), 0) - c
+    return not any(total.values())
+
+
 def build_chain(p: Presentation, rep: Representation) -> TwistedChain:
-    """Assemble both boundary matrices and verify the chain condition."""
-    field = rep.field
-    n = rep.dim
-    one = GroupRingElement.of_word(Word())
-    b1 = PolyMatrix.vstack([evaluate(rep, GroupRingElement.of_word(p.generator(i)) - one)
-                            for i in range(1, p.generator_count + 1)])
-    if p.relators:
-        rows = []
-        for r in p.relators:
-            rows.append(PolyMatrix.hstack([
-                evaluate(rep, fox_derivative(r, i)) for i in range(1, p.generator_count + 1)
-            ]))
-        b2 = PolyMatrix.vstack(rows)
-    else:
-        b2 = PolyMatrix.zeros(field, 0, p.generator_count * n)
-    if not (b2 @ b1).is_zero:
+    """Assemble both boundary matrices from the group table, after checking the chain condition.
+
+    Block (j, i) of b2 is sum_g f_{i,g} P(g), with f_{i,g} from one
+    `fox_images` walk along relator j: f_{i,g} at (q, q*g) for every q.
+    Block i of b1 is t^{chi_i} P(alpha(x_i)) - I.  Every relator's images
+    must satisfy the fundamental formula in Z[Q x Z], which is b2 @ b1 = 0
+    over every coefficient field; no matrix is multiplied.
+    """
+    field, n = rep.field, rep.dim
+    table = rep.quotient.group.table
+    relator_blocks = [fox_images(rep, r) for r in p.relators]
+    if not all(_fundamental_formula_holds(rep, blocks) for blocks in relator_blocks):
         raise InternalCheckError("chain condition b2 @ b1 = 0 violated")
-    return TwistedChain(p, rep, b1, b2)
+    zero, one = LaurentPoly.zero(field), LaurentPoly.one(field)
+    b1 = [[zero] * n for _ in range(p.generator_count * n)]
+    for i, (a, s) in enumerate(zip(rep.quotient.gen_images, rep.character.values)):
+        shift = LaurentPoly.term(field, 1, s)
+        diagonal = -one if a else shift - one  # zero when alpha(x_i) = 1 and chi_i = 0
+        for q in range(n):
+            b1[i * n + q][q] = diagonal
+            if a:
+                b1[i * n + q][table[q][a]] = shift
+    b2 = [[zero] * (p.generator_count * n) for _ in range(len(p.relators) * n)]
+    for j, blocks in enumerate(relator_blocks):
+        for i, block in enumerate(blocks):
+            for g, shifts in block.items():
+                f = LaurentPoly.from_int_coeffs(field, shifts)
+                if not f.is_zero:
+                    for q in range(n):
+                        b2[j * n + q][i * n + table[q][g]] = f
+    return TwistedChain(p, rep, PolyMatrix(field, b1, p.generator_count * n, n),
+                        PolyMatrix(field, b2, len(p.relators) * n, p.generator_count * n))
 
 
 def h1_vanishing(c: TwistedChain) -> tuple[bool, int]:

@@ -1,12 +1,14 @@
-"""Fox free differential calculus and its monomial evaluation.
+"""Fox free differential calculus and its image in the group ring of Q x Z.
 
 Words act through g |-> t^{chi(g)} * P(alpha(g)), where P is the right
 regular permutation representation of the finite quotient.  The image of a
 word w is therefore a monomial matrix, with t^{chi(w)} at the entries
-(q, q*alpha(w)) for every element q, and `evaluate` reads alpha(w) off the
-group table: no matrix is multiplied.  The convention throughout is row
-vectors acted on from the right ("row-right"), and every report records that
-string.
+(q, q*alpha(w)) for every element q, and the image of a Fox derivative is
+sum_g f_g * P(g), one Laurent polynomial f_g per image g.  `fox_images`
+reads every f_g of one relator in a single walk along it, carrying the
+prefix's (alpha, chi) through the group table: no word is formed and no
+matrix is multiplied.  The convention throughout is row vectors acted on
+from the right ("row-right"), and every report records that string.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .polyalg import CoefficientField, LaurentPoly, PolyMatrix
+from .polyalg import CoefficientField
 from .quotients import FiniteQuotient
 from .words import Character, Presentation, Word
 
@@ -24,7 +26,7 @@ __all__ = [
     "fox_derivative",
     "fundamental_identity_check",
     "build_representation",
-    "evaluate",
+    "fox_images",
     "CONVENTION",
 ]
 
@@ -145,22 +147,25 @@ def build_representation(p: Presentation, chi: Character, q: FiniteQuotient,
     return Representation(p, chi, q, field)
 
 
-def evaluate(rep: Representation, e: GroupRingElement) -> PolyMatrix:
-    """Linear extension of the word action to group-ring elements.
+def fox_images(rep: Representation, r: Word) -> list[dict[int, dict[int, int]]]:
+    """The images of dr/dx_1, ..., dr/dx_g in Z[Q x Z], in one walk along r.
 
-    The terms c*w are gathered by their image g = alpha(w) into one Laurent
-    polynomial f_g = sum c*t^{chi(w)}, and the image of e is sum_g f_g P(g):
-    f_g sits at (q, q*g) for every q, and distinct g fill distinct entries.
+    Block i maps an image g to the integer coefficients {k: c} of
+    f_{i,g} = sum c*t^k.  With u the prefix before a letter, x_i adds
+    t^{chi(u)} at alpha(u), and x_i^-1 adds -t^{chi(u) - chi_i} at
+    alpha(u)*alpha(x_i)^-1, the image of the prefix u*x_i^-1.
     """
-    group, images, chi = rep.quotient.group, rep.quotient.gen_images, rep.character
-    by_image: dict[int, dict[int, int]] = {}
-    for w, c in e.terms.items():
-        shifts = by_image.setdefault(group.word_image(w, images), {})
-        k = chi.of_word(w)
-        shifts[k] = shifts.get(k, 0) + c
-    out = PolyMatrix.zeros(rep.field, rep.dim, rep.dim)
-    for g, shifts in by_image.items():
-        f = LaurentPoly.from_int_coeffs(rep.field, shifts)
-        for q in range(rep.dim):
-            out.entries[q][group.mul(q, g)] = f
-    return out
+    group, images, values = rep.quotient.group, rep.quotient.gen_images, rep.character.values
+    table = group.table
+    blocks: list[dict[int, dict[int, int]]] = [{} for _ in images]
+    g = k = 0  # alpha and chi of the prefix
+    for x in r.letters:
+        if x > 0:
+            cell = blocks[x - 1].setdefault(g, {})
+            cell[k] = cell.get(k, 0) + 1
+            g, k = table[g][images[x - 1]], k + values[x - 1]
+        else:
+            g, k = table[g][group.inverse(images[-x - 1])], k - values[-x - 1]
+            cell = blocks[-x - 1].setdefault(g, {})
+            cell[k] = cell.get(k, 0) - 1
+    return blocks

@@ -590,72 +590,68 @@ def _zech_field(p: int) -> tuple[int, int, array, array]:
     is primitive exactly when x has order n modulo f: x^n = 1 and
     x^(n/r) != 1 for each prime r dividing n, tested by square-and-multiply
     before the powers of x are walked to build the tables.
+
+    A residue mod f is one integer holding the coefficient of x^i in the
+    bits [width*i, width*(i+1)), with a guard bit above each digit: adding
+    2^guard - p to a sum of two digits sets it exactly when the sum is >= p,
+    and p is taken off those fields.  To square, the digits are first spread
+    into fields wide enough for the coefficient sums, so that one integer
+    product gives them all with no carry between fields.
     """
     k = 2
     while p ** (k + 1) <= _GF_ORDER_LIMIT:
         k += 1
-    q, top = p ** k, p ** (k - 1)
-    n = q - 1
+    n = p ** k - 1
     order_factors = _prime_factors(p - 1)
     roots = [g for g in range(1, p) if all(pow(g, (p - 1) // r, p) != 1 for r in order_factors)]
-    one = [1] + [0] * (k - 1)
     proper = [n // r for r in _prime_factors(n)]  # maximal proper divisors of n
+    guard = (p - 1).bit_length()
+    width, wide = guard + 1, (k * (p - 1) ** 2).bit_length()  # wide: room for a square's sums
+    ones = sum(1 << (width * i) for i in range(k))  # 1 in every field
+    bias = ((1 << guard) - p) * ones
+    top, digit = width * (k - 1), (1 << width) - 1
 
-    def mul(a: list[int], b: list[int], low: list[int]) -> list[int]:
-        """a * b modulo x^k + low(x); coefficients of x^0 .. x^(k-1)."""
-        prod = [0] * (2 * k - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] += x * y
-        for d in range(2 * k - 2, k - 1, -1):  # x^d = -x^(d-k) * low(x)
-            c = prod[d] % p
-            if c:
-                for i, y in enumerate(low):
-                    prod[d - k + i] -= c * y
-        return [c % p for c in prod[:k]]
+    def add(a: int, b: int) -> int:  # digitwise mod p: vectors over F_p
+        s = a + b
+        return s - (((s + bias) >> guard) & ones) * p
 
-    def x_power(e: int, low: list[int]) -> list[int]:  # by square-and-multiply
-        result, base = one, [0, 1] + [0] * (k - 2)
-        while e:
-            if e & 1:
-                result = mul(result, base, low)
-            base = mul(base, base, low)
-            e >>= 1
-        return result
+    def horner(v: int, c: int, reduce_by: list[int]) -> int:  # v*x + c, c a digit
+        d = v >> top
+        v = ((v - (d << top)) << width) + c
+        if d:  # add(v, reduce_by[d]), inlined: this is the walk's step
+            v += reduce_by[d]
+            v -= (((v + bias) >> guard) & ones) * p
+        return v
 
-    def add(a: int, b: int) -> int:  # digitwise in base p: vectors over F_p
-        if p == 2:
-            return a ^ b
-        out, place = 0, 1
-        while a or b:
-            a, x = divmod(a, p)
-            b, y = divmod(b, p)
-            out += (x + y) % p * place
-            place *= p
+    def square(a: int, reduce_by: list[int]) -> int:
+        a = sum((a >> (width * i) & digit) << (wide * i) for i in range(k))
+        sq, out = a * a, 0
+        for i in range(wide * (2 * k - 2), -1, -wide):  # x^(2k-2) .. x^0
+            out = horner(out, (sq >> i & (1 << wide) - 1) % p, reduce_by)
         return out
+
+    def x_power(e: int, reduce_by: list[int]) -> int:  # by square-and-multiply, from the top bit
+        result = 1
+        for bit in bin(e)[2:]:
+            result = square(result, reduce_by)
+            if bit == "1":
+                result = horner(result, 0, reduce_by)
+        return result
 
     for middle in product(range(p), repeat=k - 1):
         for g in roots:
             low = [(-1) ** k * g % p, *middle]  # coefficients of x^0 .. x^(k-1)
-            if x_power(n, low) != one or any(x_power(e, low) == one for e in proper):
+            reduce_by = [0, sum((-c) % p << (width * i) for i, c in enumerate(low))]  # x^k = -low
+            for _ in range(p - 2):  # d * x^k for each leading digit d of v in v*x
+                reduce_by.append(add(reduce_by[-1], reduce_by[1]))
+            if x_power(n, reduce_by) != 1 or any(x_power(e, reduce_by) == 1 for e in proper):
                 continue
-            # x^k = -low, times each possible leading digit d
-            reduce_by = [sum((-d * c) % p * p ** i for i, c in enumerate(low)) for d in range(p)]
-            exp = array("i", [0]) * n
-            v = 1
-            for i in range(n):
-                exp[i] = v
-                d, rest = divmod(v, top)
-                v = add(rest * p, reduce_by[d]) if d else rest * p
-            log = array("i", [0]) * q
-            for i, v in enumerate(exp):
-                log[v] = i
-            zech = array("i", [0]) * n
-            for i, v in enumerate(exp):
-                w = v - v % p + (v + 1) % p
-                zech[i] = log[w] if w else -1
-            return n, log[p - 1], zech, log[:p]
+            exp = [1] * n
+            for i in range(1, n):
+                exp[i] = horner(exp[i - 1], 0, reduce_by)
+            log = {v: i for i, v in enumerate(exp)}
+            zech = array("i", [log.get(v + 1 if v & digit < p - 1 else v + 1 - p, -1) for v in exp])
+            return n, log[p - 1], zech, array("i", [0] + [log[c] for c in range(1, p)])
     raise AssertionError(f"no primitive polynomial of degree {k} over F{p}")
 
 

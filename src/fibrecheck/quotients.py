@@ -210,9 +210,15 @@ def enumerate_homs(p: Presentation, target: FiniteGroup,
     """All homomorphisms into the target, lexicographic in image tuples.
 
     Backtracking assigns generator images one at a time and evaluates a
-    relator as soon as all of its letters are assigned.
+    relator as soon as all of its letters are assigned.  At each search node
+    the relators whose last generator is the new one are resolved once into
+    indices of `ids`: each run of assigned letters, inverses included,
+    becomes one element id, and each letter of the new generator points at
+    slot 0 (x) or 1 (x^-1), which hold the candidate image and its inverse.
+    A candidate then costs one table read per run and per new letter.
     """
     g = p.generator_count
+    table, inverse = target.table, target._inverses
     by_last_gen: dict[int, list[Word]] = {}
     for r in p.relators:
         by_last_gen.setdefault(r.max_index(), []).append(r)
@@ -227,12 +233,34 @@ def enumerate_homs(p: Presentation, target: FiniteGroup,
             if not surjective_only or surjective:
                 out.append(FiniteQuotient(target, imgs, surjective))
             return
+        ids, checks = [0, 0], []
+        for r in by_last_gen.get(k + 1, ()):
+            steps, run = [], 0  # run: the element id of the assigned letters since the last new one
+            for x in r.letters:
+                if abs(x) == k + 1:
+                    if run:
+                        steps.append(len(ids))
+                        ids.append(run)
+                        run = 0
+                    steps.append(0 if x > 0 else 1)
+                else:
+                    run = table[run][images[x - 1] if x > 0 else inverse[images[-x - 1]]]
+            if run:
+                steps.append(len(ids))
+                ids.append(run)
+            checks.append(steps)
         for e in range(target.order):
-            images.append(e)
-            if all(target.word_image(r, tuple(images) + (0,) * (g - k - 1)) == 0
-                   for r in by_last_gen.get(k + 1, ())):
+            ids[0], ids[1] = e, inverse[e]
+            for steps in checks:
+                v = 0
+                for y in steps:
+                    v = table[v][ids[y]]
+                if v:
+                    break
+            else:
+                images.append(e)
                 descend()
-            images.pop()
+                images.pop()
 
     descend()
     return out

@@ -1,12 +1,14 @@
-"""Test-only oracle: words evaluated by dense matrix products.
+"""Test-only oracles: words evaluated as matrices, one at a time.
 
-`fibrecheck.foxcalc.evaluate` reads the image of a word off the group table
-as one monomial matrix.  This module keeps the older route as a reference:
-one dense n x n matrix per generator and per inverse, a word's image the
-product of its letters' matrices, and a group-ring element's image the sum
-of its scaled word images.  The tests compare the two routes entry for
-entry, and `DenseRepresentation` also takes generator matrices of another
-convention, such as the transposed one.
+`fibrecheck.alexander.build_chain` fills b1 and b2 from one walk per
+relator (`fibrecheck.foxcalc.fox_images`).  This module keeps two older
+routes as references.  `evaluate` maps each word of a group-ring element to
+the monomial matrix t^{chi(w)} P(alpha(w)), with alpha(w) read off the
+group table.  `DenseRepresentation` multiplies one dense n x n matrix per
+generator and per inverse, letter by letter, and a group-ring element's
+image is the sum of its scaled word images.  The tests compare the routes
+entry for entry, and `DenseRepresentation` also takes generator matrices of
+another convention, such as the transposed one.
 """
 
 from __future__ import annotations
@@ -16,6 +18,27 @@ from fibrecheck.foxcalc import GroupRingElement, Representation, fox_derivative
 from fibrecheck.polyalg import CoefficientField, LaurentPoly, PolyMatrix
 from fibrecheck.quotients import regular_representation
 from fibrecheck.words import Presentation, Word
+
+
+def evaluate(rep: Representation, e: GroupRingElement) -> PolyMatrix:
+    """Linear extension of the word action to group-ring elements.
+
+    The terms c*w are gathered by their image g = alpha(w) into one Laurent
+    polynomial f_g = sum c*t^{chi(w)}, and the image of e is sum_g f_g P(g):
+    f_g sits at (q, q*g) for every q, and distinct g fill distinct entries.
+    """
+    group, images, chi = rep.quotient.group, rep.quotient.gen_images, rep.character
+    by_image: dict[int, dict[int, int]] = {}
+    for w, c in e.terms.items():
+        shifts = by_image.setdefault(group.word_image(w, images), {})
+        k = chi.of_word(w)
+        shifts[k] = shifts.get(k, 0) + c
+    out = PolyMatrix.zeros(rep.field, rep.dim, rep.dim)
+    for g, shifts in by_image.items():
+        f = LaurentPoly.from_int_coeffs(rep.field, shifts)
+        for q in range(rep.dim):
+            out.entries[q][group.mul(q, g)] = f
+    return out
 
 
 class DenseRepresentation:
@@ -75,8 +98,9 @@ class DenseRepresentation:
 def dense_chain(p: Presentation, dense: DenseRepresentation, rep: Representation) -> TwistedChain:
     """b1 and b2 assembled from the dense images, labelled with `rep`.
 
-    b1 stacks the blocks phi(x_i) - I and b2 the evaluated Fox derivatives,
-    as `fibrecheck.alexander.build_chain` does from the monomial images.
+    b1 stacks the blocks phi(x_i) - I and b2 the evaluated Fox derivatives;
+    `fibrecheck.alexander.build_chain` fills the same matrices from the
+    group table.
     """
     ident = PolyMatrix.identity(dense.field, dense.dim)
     b1 = PolyMatrix.vstack([dense.generator_matrix(i) - ident

@@ -96,6 +96,45 @@ def test_build_chain_f2xz():
     assert (c.b2 @ c.b1).is_zero
 
 
+def _perturbed_fox_images(monkeypatch, perturb):
+    """Make build_chain see its first relator's Fox images changed by `perturb`."""
+    import fibrecheck.alexander as alexander
+
+    original = alexander.fox_images
+
+    def fox_images(rep, r):
+        blocks = original(rep, r)
+        if r == rep.presentation.relators[0]:
+            perturb(blocks)
+        return blocks
+
+    monkeypatch.setattr(alexander, "fox_images", fox_images)
+
+
+def _bump_coefficient(blocks):
+    shifts = next(iter(blocks[0].values()))
+    k = next(iter(shifts))
+    shifts[k] += 1
+
+
+def _move_image(blocks):
+    g = next(iter(blocks[0]))
+    h = next(h for h in range(6) if h not in blocks[0])  # an element of S3 with no term yet
+    blocks[0][h] = blocks[0].pop(g)
+
+
+@pytest.mark.parametrize("perturb", [_bump_coefficient, _move_image], ids=["coefficient", "image"])
+def test_chain_check_rejects_wrong_fox_images(perturb, monkeypatch):
+    # The fundamental formula in Z[Q x Z] catches one wrong term in one block.
+    p, chi = load_fixture("trefoil")
+    q = make_quotient(p, symmetric_group(3), (2, 1))
+    rep = build_representation(p, chi, q, Q)
+    build_chain(p, rep)
+    _perturbed_fox_images(monkeypatch, perturb)
+    with pytest.raises(InternalCheckError, match="chain condition"):
+        build_chain(p, rep)
+
+
 def test_h1_vanishing_examples():
     p, chi = load_fixture("bs:1:2")
     vanish, rank = h1_vanishing(_chain(p, chi, trivial_quotient(p)))
@@ -452,12 +491,12 @@ def _presentations_with_quotient(draw):
     return p, chi, draw(st.sampled_from([h for h in homs if h.surjective] or homs))
 
 
-@pytest.mark.parametrize("field", [Q, F2], ids=lambda f: f.name)
+@pytest.mark.parametrize("field", [Q, F2, F3], ids=lambda f: f.name)
 @settings(max_examples=30)
 @given(data=st.data())
 def test_monomial_chain_matches_dense_oracle(field, data):
-    # build_chain reads each word's image off the group table; the oracle
-    # multiplies dense generator matrices letter by letter.
+    # build_chain fills b2 from one walk per relator; the oracle multiplies
+    # dense generator matrices letter by letter for every Fox term.
     p, chi, q = data.draw(_presentations_with_quotient())
     rep = build_representation(p, chi, q, field)
     chain = build_chain(p, rep)

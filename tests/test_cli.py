@@ -30,6 +30,19 @@ def test_documented_examples_match_golden(golden_name):
     assert out == (GOLDEN / golden_name).read_text()
 
 
+@pytest.mark.parametrize("argv", [
+    ["scan", "--fixture", "trefoil", "--max-quotient-order", "6"],
+    ["untwist-check", "--fixture", "f2xz", "--quotient", "z6:1,1,0"],
+], ids=["scan", "untwist-check"])
+def test_production_multiplies_no_matrices(argv, monkeypatch):
+    # Chains are filled from the group table and checked in the group ring.
+    from fibrecheck.polyalg import PolyMatrix
+
+    monkeypatch.setattr(PolyMatrix, "__matmul__", lambda a, b: pytest.fail("a matrix product ran"))
+    code, _ = run_cli(argv)
+    assert code == 0
+
+
 def test_alex_prints_hand_computed_order():
     code, out = run_cli(["alex", "--fixture", "bs:1:2", "--quotient", "trivial"])
     assert code == 0

@@ -5,13 +5,14 @@ import pytest
 from fibrecheck.foxcalc import (
     GroupRingElement,
     build_representation,
-    evaluate,
     fox_derivative,
+    fox_images,
     fundamental_identity_check,
 )
 from fibrecheck.polyalg import CoefficientField, PolyMatrix
 from fibrecheck.quotients import cyclic_group, make_quotient, trivial_quotient
 from fibrecheck.words import Word, parse_presentation, validate_character
+from dense_oracle import evaluate
 
 Q = CoefficientField.rationals()
 
@@ -63,6 +64,32 @@ def test_fundamental_identity():
         p = parse_presentation("gens: a b\nrels:")
         fake = type(p)(p.generator_names, (w,))
         assert fundamental_identity_check(fake, 0)
+
+
+def _nonzero(blocks):
+    return [{g: {k: c for k, c in shifts.items() if c} for g, shifts in block.items()
+             if any(shifts.values())} for block in blocks]
+
+
+def test_fox_images_gather_the_fox_derivatives():
+    # One walk along w gives each dw/dx_i mapped into Z[Q x Z]: the words of
+    # fox_derivative gathered by (alpha(w), chi(w)).
+    from fibrecheck.quotients import symmetric_group
+
+    chi = validate_character(TREFOIL, [1, 1])
+    q = make_quotient(TREFOIL, symmetric_group(3), (2, 1))
+    rep = build_representation(TREFOIL, chi, q, Q)
+    rng = random.Random(15)
+    for _ in range(50):
+        w = _random_word(rng, max_len=10)
+        expected = []
+        for i in (1, 2):
+            block: dict[int, dict[int, int]] = {}
+            for u, c in fox_derivative(w, i).terms.items():
+                shifts = block.setdefault(q.group.word_image(u, q.gen_images), {})
+                shifts[chi.of_word(u)] = shifts.get(chi.of_word(u), 0) + c
+            expected.append(block)
+        assert _nonzero(fox_images(rep, w)) == _nonzero(expected)
 
 
 def _image(rep, w: Word) -> PolyMatrix:
