@@ -102,6 +102,13 @@ class TwistedChain:
             cache["b2"] = _certified_rank(self.b2, upper)
         return cache["b2"]
 
+    def h0_closed_form(self) -> tuple[int, int, LaurentPoly]:
+        """(d, rank H0, ord H0) by `_h0_closed_form`, walked once per chain."""
+        cache = self._cache
+        if "h0" not in cache:
+            cache["h0"] = _h0_closed_form(self)
+        return cache["h0"]
+
 
 @dataclass(frozen=True)
 class AlexanderReport:
@@ -224,10 +231,11 @@ def _h0_closed_form(c: TwistedChain) -> tuple[int, int, LaurentPoly]:
 
 def _h1_order(c: TwistedChain) -> tuple[LaurentPoly, SnfResult]:
     form = diagonal_form(c.b2)
-    rank_b1 = c.block_size - _h0_closed_form(c)[1]
+    rank_b1 = c.block_size - c.h0_closed_form()[1]
     if form.rank != c.b1.rows - rank_b1:
         return LaurentPoly.zero(c.b1.field), form
-    return reduce(mul, form.diagonal[:form.rank], LaurentPoly.one(c.b1.field)).canonical(), form
+    # Canonical entries have a canonical product: F[t] is a domain.
+    return reduce(mul, form.diagonal[:form.rank], LaurentPoly.one(c.b1.field)), form
 
 
 def h1_order(c: TwistedChain) -> LaurentPoly:
@@ -244,7 +252,7 @@ def h1_order(c: TwistedChain) -> LaurentPoly:
 def h0_report(c: TwistedChain) -> AlexanderReport:
     """Cokernel of b1: vanishing by the rank route, order by the closed form."""
     rank_h0 = c.block_size - c.rank_b1()
-    d, closed_rank, order = _h0_closed_form(c)
+    d, closed_rank, order = c.h0_closed_form()
     if rank_h0 != closed_rank:
         raise InternalCheckError(
             "degree-0 cross-check failed: rank route and closed form disagree\n"

@@ -1,8 +1,9 @@
 """Exact Laurent-polynomial linear algebra over Q or a prime field F_p.
 
-Coefficients are Python Fractions (rationals) or ints reduced mod p, so all
-arithmetic is exact.  Matrices are brought to a diagonal form over the
-Laurent ring F[t^{+-1}] itself, a Euclidean domain whose units are the
+Coefficients over Q are Python ints, and Fractions only where a non-unit
+has been inverted; over F_p they are ints reduced mod p.  All arithmetic is
+exact.  Matrices are brought to a diagonal form over the Laurent ring
+F[t^{+-1}] itself, a Euclidean domain whose units are the
 monomials c*t^k and whose norm is the span (highest minus lowest exponent),
 so monomial entries are unit pivots.  The diagonal need not be a
 divisibility chain: an order needs only the product of its nonzero entries,
@@ -55,9 +56,18 @@ def _is_prime(p: int) -> bool:
 
 
 class CoefficientField:
-    """The rationals, or the field with p elements (p prime)."""
+    """The rationals, or the field with p elements (p prime).
+
+    Over Q an integral value is an int: `of_int`, `zero` and `one` give
+    ints, and ints stay ints under add, sub, mul and the inverse of +-1.  A
+    Fraction is built only to invert a non-unit, and is an int again when its
+    denominator is 1.  Arithmetic among Fractions may still give an integral
+    Fraction; it compares, hashes and prints as the int it equals.
+    """
 
     __slots__ = ("p",)
+    zero = 0
+    one = 1
 
     def __init__(self, p: int | None = None):
         if p is not None and not _is_prime(p):
@@ -77,15 +87,7 @@ class CoefficientField:
         return "Q" if self.p is None else f"F{self.p}"
 
     def of_int(self, n: int):
-        return Fraction(n) if self.p is None else n % self.p
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.p is None else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.p is None else 1
+        return n if self.p is None else n % self.p
 
     def add(self, a, b):
         return a + b if self.p is None else (a + b) % self.p
@@ -102,7 +104,12 @@ class CoefficientField:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("field inverse of zero")
-        return 1 / Fraction(a) if self.p is None else pow(a, self.p - 2, self.p)
+        if self.p is not None:
+            return pow(a, self.p - 2, self.p)
+        if a == 1 or a == -1:
+            return a
+        r = Fraction(a.denominator, a.numerator)
+        return r.numerator if r.denominator == 1 else r
 
     def __eq__(self, other):
         return isinstance(other, CoefficientField) and self.p == other.p
@@ -722,14 +729,16 @@ def diagonal_form(m: PolyMatrix) -> SnfResult:
     The pivot is an entry of least span, the first in row-major order on
     ties.  A monomial pivot c*t^k is a unit: multiples of its inverse clear
     its column exactly, which leaves nothing in its row to clear, and its
-    entry is 1.  Any other pivot clears its row and column by
-    `divmod_laurent`, whose remainders have smaller span and restart the
-    pivot search until the cross is clear.
+    entry is the shared 1, with no normalising.  Any other pivot clears its
+    row and column by `divmod_laurent`, whose remainders have smaller span
+    and restart the pivot search until the cross is clear; its entry is its
+    canonical form.
     """
     field = m.field
     a = [list(row) for row in m.entries]
     rows, cols = m.rows, m.cols
     n = min(rows, cols)
+    one = LaurentPoly.one(field)
     diagonal: list[LaurentPoly] = []
 
     def find_pivot(k: int):
@@ -769,6 +778,7 @@ def diagonal_form(m: PolyMatrix) -> SnfResult:
                         q = row[k] * inverse
                         for j, y in top:
                             row[j] = row[j] - q * y
+                diagonal.append(one)
                 break
             dirty = False
             for i in range(k + 1, rows):
@@ -790,9 +800,9 @@ def diagonal_form(m: PolyMatrix) -> SnfResult:
                 if r.coeffs:
                     dirty = True
             if not dirty:
+                diagonal.append(pivot.canonical())
                 break
             pos = find_pivot(k)
-        diagonal.append(pivot.canonical())
 
     diagonal.extend(LaurentPoly.zero(field) for _ in range(n - len(diagonal)))
     return SnfResult(tuple(diagonal))

@@ -15,7 +15,7 @@ from fibrecheck.alexander import (
 )
 from fibrecheck.fixtures import load_fixture
 from fibrecheck.foxcalc import Representation, build_representation
-from fibrecheck.polyalg import CoefficientField, LaurentPoly, PolyMatrix
+from fibrecheck.polyalg import CoefficientField, LaurentPoly, PolyMatrix, diagonal_form
 from fibrecheck.quotients import (
     cyclic_group,
     enumerate_homs,
@@ -203,6 +203,44 @@ def test_full_report_f2xz():
     chi_a = validate_character(p, [1, 0, 0])
     deg0, deg1 = full_report(p, chi_a, trivial_quotient(p), Q)
     assert deg1.vanishing and deg1.rank_over_frac == 1 and deg1.order.is_zero
+
+
+def test_h0_closed_form_walks_once_per_report(monkeypatch):
+    # h0_report and the order route both read the closed form; the chain
+    # keeps it, so the walk over the image runs once per full_report.
+    from fibrecheck import alexander
+
+    walk, calls = alexander._h0_closed_form, []
+    monkeypatch.setattr(alexander, "_h0_closed_form", lambda c: calls.append(c) or walk(c))
+    p, chi = load_fixture("f2xz")
+    quotients = [trivial_quotient(p)] + [h for h in enumerate_homs(p, symmetric_group(3))
+                                         if h.surjective][:2]
+    for q in quotients:
+        for field in (Q, F2, F3):
+            calls.clear()
+            full_report(p, chi, q, field)
+            assert len(calls) == 1, (q.label(), field.name)
+
+
+def test_rational_f2xz_chains_hold_int_coefficients():
+    # Over Q the Fox data is integral and every pivot of these chains is a
+    # unit or monic, so b1, b2 and the diagonal of b2 hold ints only; a
+    # Fraction(n) coefficient, equal to n but built at a cost, fails here.
+    from fibrecheck.fibring import ScanConfig, _quotient_stream
+
+    p, chi = load_fixture("f2xz")
+    cfg = ScanConfig(presentation=p, character=chi, max_quotient_order=4)
+    kept = [q for kind, q, _ in _quotient_stream(p, cfg) if kind == "kept"]
+    checked = 0
+    for q in kept:
+        for c in (chi, chi.negate()):
+            chain = _chain(p, c, restrict_to_image(p, q))
+            polys = [e for m in (chain.b1, chain.b2) for row in m.entries for e in row]
+            polys += diagonal_form(chain.b2).diagonal
+            for e in polys:
+                assert all(type(x) is int for x in e.coeffs.values()), (q.label(), e)
+            checked += 1
+    assert checked == 2 * len(kept) > 2
 
 
 def test_rank_and_snf_routes_agree_everywhere():
@@ -525,3 +563,4 @@ def test_closed_form_h0_and_diagonal_h1_match_smith_oracle(field, data):
     assert (rank_h0 == 0) == (d != 0)
     assert chain.rank_b1() == n - rank_h0
     assert order_h1 == order_of(field, smith_normal_form(chain.b2), chain.b1.rows - snf_b1.rank)
+    assert order_h1 == order_h1.canonical()

@@ -2,6 +2,8 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -287,6 +289,38 @@ def test_canonical_representative():
     assert c.low == 0
     assert c.coeffs[c.high] == Fraction(1)
     assert LaurentPoly.zero(Q).canonical().is_zero
+
+
+def test_rational_inverse_keeps_integral_values_int():
+    assert type(Q.of_int(3)) is int and type(Q.zero) is int and type(Q.one) is int
+    for unit in (1, -1):
+        assert Q.inv(unit) == unit and type(Q.inv(unit)) is int
+    assert Q.inv(2) == Fraction(1, 2) and type(Q.inv(2)) is Fraction
+    assert Q.inv(Fraction(1, 2)) == 2 and type(Q.inv(Fraction(1, 2))) is int
+    assert Q.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+
+
+def test_int_and_fraction_coefficients_are_interchangeable():
+    as_int, as_fraction = LaurentPoly(Q, {0: 2}), LaurentPoly(Q, {0: Fraction(2)})
+    assert as_int == as_fraction and hash(as_int) == hash(as_fraction)
+    assert as_int.render() == as_fraction.render() == "2"
+    assert LaurentPoly(Q, {1: Fraction(1, 2)}).render() == "1/2*t"
+
+
+def test_non_unit_leading_pivot_over_q_matches_smith_oracle():
+    # No entry is a monomial and the least-span pivot 2t - 1 has leading
+    # coefficient 2, so the int entries meet Fraction quotients during
+    # elimination and the order is monic only with a Fraction constant term.
+    from smith_oracle import order_of, smith_normal_form
+
+    m = PolyMatrix.from_int_rows(Q, [[{0: -1, 1: 2}, {0: 3, 1: 1}],
+                                     [{0: 1, 1: 1}, {0: 2, 2: 1}]])
+    form = diagonal_form(m)
+    order = reduce(mul, form.diagonal, LaurentPoly.one(Q))
+    assert order == order_of(Q, smith_normal_form(m), 2)
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]  # 2t^3 - 2t^2 - 5
+    assert order == det.canonical() == LaurentPoly(Q, {0: Fraction(-5, 2), 2: -1, 3: 1})
+    assert order.render() == "-5/2 + -t^2 + t^3"
 
 
 # SHA-256 of repr((n, neg_one, zech, prime_log)), the tables as lists: pins the
