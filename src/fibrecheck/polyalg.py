@@ -13,7 +13,11 @@ finite field and eliminates there; every minor maps to the image of that
 minor, so the result never exceeds the rank over F(t), and it proves the rank
 whenever it meets a known upper bound.  `rank_over_fraction_field` is exact
 fraction-free Bareiss elimination with minimal-degree pivoting, the fallback
-when the bound falls short.  Units of F[t^{+-1}] are c*t^k, so the
+when the bound falls short.  The diagonal form and the finite-field rank
+eliminate sparse rows, one dict per row from column to nonzero value, with a
+list per column of the rows that hold it: the matrices of a twisted chain are
+mostly zero, and neither a pivot search nor a row operation visits a zero
+entry.  Units of F[t^{+-1}] are c*t^k, so the
 canonical representative of a nonzero polynomial class is monic with nonzero
 constant term.
 """
@@ -34,6 +38,7 @@ __all__ = [
     "SnfResult",
     "NotInSpan",
     "EVALUATION_POINT",
+    "MAX_FIELD_PRIME",
     "rank_lower_bound",
     "rank_over_fraction_field",
     "diagonal_form",
@@ -42,6 +47,11 @@ __all__ = [
 
 class NotInSpan(ArithmeticError):
     """An exact division in F[t^{+-1}] was not exact."""
+
+
+# Largest characteristic accepted, itself prime.  `_is_prime` tries divisors
+# up to sqrt(p): about 46000 at the cap, but 10^15 for a 30-digit prime.
+MAX_FIELD_PRIME = (1 << 31) - 1
 
 
 def _is_prime(p: int) -> bool:
@@ -70,6 +80,8 @@ class CoefficientField:
     one = 1
 
     def __init__(self, p: int | None = None):
+        if p is not None and p > MAX_FIELD_PRIME:
+            raise ValueError(f"F{p} is too large: at most F{MAX_FIELD_PRIME} is supported")
         if p is not None and not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
@@ -310,20 +322,17 @@ class LaurentPoly:
     def divmod_laurent(self, b: "LaurentPoly") -> tuple["LaurentPoly", "LaurentPoly"]:
         """Division with remainder in F[t^{+-1}]: self = q*b + r, span r < span b.
 
-        Both operands are shifted to lowest exponent 0 and divided in F[t];
-        a monomial b (a unit) leaves no remainder.
+        A monomial b (a unit) leaves no remainder; see `_divide`.
         """
-        if self.is_zero:
-            return self, self
-        la, lb = self.low, b.low
-        q, r = self.shifted(-la).divmod_poly(b.shifted(-lb))
-        return q.shifted(la - lb), r.shifted(la)
+        self._check(b)
+        if b.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        r = dict(self.coeffs)
+        q = _divide(r, b.coeffs, self.field)
+        return LaurentPoly._raw(self.field, q), LaurentPoly._raw(self.field, r)
 
     def exact_div(self, b: "LaurentPoly") -> "LaurentPoly":
         """Exact quotient in F[t^{+-1}]; raises NotInSpan if inexact."""
-        self._check(b)
-        if b.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
         q, r = self.divmod_laurent(b)
         if not r.is_zero:
             raise NotInSpan(f"{b.render()} does not divide {self.render()}")
@@ -349,6 +358,48 @@ class LaurentPoly:
                 else:
                     parts.append(f"{c}*{tpow}")
         return " + ".join(parts)
+
+
+def _divide(r: dict[int, object], b: dict[int, object], f: CoefficientField) -> dict[int, object]:
+    """Reduce r modulo b in F[t^{+-1}] in place and return the quotient.
+
+    Each step cancels the top term of r by a shifted multiple of b, which
+    adds no term outside the current span of r, until span r < span b.  A
+    nonzero multiple of b has span at least span b, so a b that divides r
+    leaves r empty.  Both are raw {exponent: coefficient} dicts over f, and
+    b is nonzero.
+    """
+    p = f.p
+    hb = max(b)
+    sb = hb - min(b)
+    lead_inv = f.inv(b[hb])
+    quotient: dict[int, object] = {}
+    while r:
+        e = max(r)
+        if e - min(r) < sb:
+            break
+        c = r[e] * lead_inv
+        if p is not None:
+            c %= p
+        s = e - hb
+        quotient[s] = c
+        _sub_mul(r, {s: c}, b, p)
+    return quotient
+
+
+def _sub_mul(r: dict[int, object], q: dict[int, object], y: dict[int, object], p: int | None) -> None:
+    """r -= q * y in place on raw coefficient dicts, dropping zero coefficients."""
+    get = r.get
+    for eq, cq in q.items():
+        for ey, cy in y.items():
+            k = eq + ey
+            v = get(k, 0) - cq * cy
+            if p is not None:
+                v %= p
+            if v:
+                r[k] = v
+            else:
+                r.pop(k, None)
 
 
 class PolyMatrix:
@@ -532,6 +583,11 @@ def rank_lower_bound(m: PolyMatrix) -> int:
     prime divides a denominator.  Over F_p, t maps to a generator of
     GF(p^k), the largest such field of order at most 2^13, while k >= 2;
     once p^2 > 2^13, t maps to EVALUATION_POINT modulo p.
+
+    The image is eliminated as sparse rows, column -> nonzero value.  Rows
+    are taken in order; each that is still nonzero pivots on its last entry
+    and clears that column from the rows listed as holding it, touching only
+    the pivot row's nonzeros.  Over GF(p^k) a value is a Zech exponent.
     """
     p = m.field.p
     if p is not None and p * p <= _GF_ORDER_LIMIT:
@@ -539,12 +595,15 @@ def rank_lower_bound(m: PolyMatrix) -> int:
     modulus = _MERSENNE_61 if p is None else p
     point = EVALUATION_POINT % modulus or 1  # every nonzero point gives a bound
     powers: dict[int, int] = {}
-    a = []
-    for row in m.entries:
-        image = []
-        for entry in row:
+    rows, holders = [], [[] for _ in range(m.cols)]
+    for entries in m.entries:
+        row = {}
+        for j, entry in enumerate(entries):
+            coeffs = entry.coeffs
+            if not coeffs:
+                continue
             value = 0
-            for e, c in entry.coeffs.items():
+            for e, c in coeffs.items():
                 if c.denominator != 1:  # a Fraction over Q
                     if c.denominator % modulus == 0:
                         return 0
@@ -553,20 +612,35 @@ def rank_lower_bound(m: PolyMatrix) -> int:
                 if x is None:
                     x = powers[e] = pow(point, e, modulus)
                 value += c.numerator * x
-            image.append(value % modulus)
-        a.append(image)
+            value %= modulus
+            if value:
+                row[j] = value
+                holders[j].append(row)
+        if row:
+            rows.append(row)
     rank = 0
-    for c in range(m.cols):
-        pivot = next((i for i in range(rank, m.rows) if a[i][c]), None)
-        if pivot is None:
+    for top in rows:
+        if not top:
             continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        top = a[rank]
-        inv = pow(top[c], -1, modulus)
-        for i in range(rank + 1, m.rows):
-            if a[i][c]:
-                f = a[i][c] * inv % modulus
-                a[i] = [(x - f * y) % modulus for x, y in zip(a[i], top)]
+        c, pivot = top.popitem()
+        factor = modulus - pow(pivot, -1, modulus)  # row_i -= (a_ic / a_tc) * top
+        scaled = [(j, y * factor % modulus) for j, y in top.items()]
+        top.clear()
+        for row in holders[c]:
+            x = row.pop(c, None)
+            if x is None:
+                continue
+            for j, y in scaled:
+                old = row.get(j)
+                if old is None:
+                    row[j] = x * y % modulus
+                    holders[j].append(row)
+                else:
+                    v = (old + x * y) % modulus
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
         rank += 1
     return rank
 
@@ -663,46 +737,52 @@ def _zech_field(p: int) -> tuple[int, int, array, array]:
 
 
 def _rank_in_extension(m: PolyMatrix, p: int) -> int:
-    """Rank of m at t -> alpha in GF(p^k), eliminating on Zech exponents (-1 is zero)."""
+    """Rank of m at t -> alpha in GF(p^k), eliminating sparse rows of Zech exponents."""
     n, neg_one, zech, prime_log = _zech_field(p)
-    a = []
-    for row in m.entries:
-        image = []
-        for entry in row:
+    rows, holders = [], [[] for _ in range(m.cols)]
+    for entries in m.entries:
+        row = {}
+        for j, entry in enumerate(entries):
+            coeffs = entry.coeffs
+            if not coeffs:
+                continue
             acc = -1
-            for e, c in entry.coeffs.items():
+            for e, c in coeffs.items():
                 x = (prime_log[c] + e) % n
                 if acc < 0:
                     acc = x
                 else:
                     z = zech[(x - acc) % n]
                     acc = -1 if z < 0 else (acc + z) % n
-            image.append(acc)
-        a.append(image)
+            if acc >= 0:
+                row[j] = acc
+                holders[j].append(row)
+        if row:
+            rows.append(row)
     rank = 0
-    for c in range(m.cols):
-        pivot = next((i for i in range(rank, m.rows) if a[i][c] >= 0), None)
-        if pivot is None:
+    for top in rows:
+        if not top:
             continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        top = a[rank]
-        shift = neg_one - top[c]  # row_i -= (a_ic / a_rc) * row_r
-        for i in range(rank + 1, m.rows):
-            row = a[i]
-            if row[c] < 0:
+        c, pivot = top.popitem()
+        shift = neg_one - pivot  # row_i -= (a_ic / a_tc) * top
+        scaled = [(j, y + shift) for j, y in top.items()]
+        top.clear()
+        for row in holders[c]:
+            x = row.pop(c, None)
+            if x is None:
                 continue
-            f = row[c] + shift
-            for j in range(c + 1, m.cols):
-                y = top[j]
-                if y < 0:
-                    continue
-                s = (f + y) % n
-                x = row[j]
-                if x < 0:
+            for j, y in scaled:
+                s = (x + y) % n
+                old = row.get(j)
+                if old is None:
                     row[j] = s
+                    holders[j].append(row)
                 else:
-                    z = zech[(s - x) % n]
-                    row[j] = -1 if z < 0 else (x + z) % n
+                    z = zech[(s - old) % n]
+                    if z < 0:
+                        del row[j]
+                    else:
+                        row[j] = (old + z) % n
         rank += 1
     return rank
 
@@ -726,83 +806,114 @@ class SnfResult:
 def diagonal_form(m: PolyMatrix) -> SnfResult:
     """A diagonal form of m over the Euclidean domain F[t^{+-1}], normed by span.
 
-    The pivot is an entry of least span, the first in row-major order on
-    ties.  A monomial pivot c*t^k is a unit: multiples of its inverse clear
+    Elimination runs on sparse rows: each row maps a column to the raw
+    {exponent: coefficient} dict of a nonzero entry, and a row that falls to
+    zero is dropped, so neither the pivot search nor a row operation visits
+    a zero entry; a list per column names the rows that may hold it.  The
+    pivot is a monomial in the shortest row that holds one, and failing that
+    an entry of least span, in the shortest row on ties; further ties go to
+    the first met, rows in order.  A short pivot row makes little fill-in,
+    which keeps the spans and, over Q, the coefficients of later entries
+    small.  A monomial pivot c*t^k is a unit: multiples of its inverse clear
     its column exactly, which leaves nothing in its row to clear, and its
     entry is the shared 1, with no normalising.  Any other pivot clears its
-    row and column by `divmod_laurent`, whose remainders have smaller span
-    and restart the pivot search until the cross is clear; its entry is its
-    canonical form.
+    row and column by division with remainder (`_divide`), whose remainders
+    have smaller span and restart the pivot search until the cross is clear;
+    its entry is its canonical form.
     """
     field = m.field
-    a = [list(row) for row in m.entries]
-    rows, cols = m.rows, m.cols
-    n = min(rows, cols)
+    p = field.p
+    rows, holders = [], [[] for _ in range(m.cols)]  # holders[j]: rows that had an entry at j
+    for entries in m.entries:
+        row = {}
+        for j, entry in enumerate(entries):
+            if entry.coeffs:
+                row[j] = dict(entry.coeffs)
+                holders[j].append(row)
+        if row:
+            rows.append(row)
     one = LaurentPoly.one(field)
     diagonal: list[LaurentPoly] = []
 
-    def find_pivot(k: int):
-        best, best_span = None, 0
-        for i in range(k, rows):
-            row = a[i]
-            for j in range(k, cols):
-                c = row[j].coeffs
-                if not c:
-                    continue
-                if len(c) == 1:
-                    return i, j
-                span = max(c) - min(c)
-                if best is None or span < best_span:
-                    best, best_span = (i, j), span
+    def find_pivot():
+        unit, unit_len = None, 0
+        for row in rows:
+            n = len(row)
+            if unit is not None and n >= unit_len:
+                continue
+            for j, v in row.items():
+                if len(v) == 1:
+                    unit, unit_len = (row, j), n
+                    break
+            if unit_len == 1:
+                break
+        if unit is not None:
+            return unit
+        best, best_span, best_n = None, 0, 0
+        for row in rows:
+            n = len(row)
+            if best_span == 1 and n >= best_n:  # no entry here can beat it
+                continue
+            for j, v in row.items():
+                span = max(v) - min(v)
+                if best is None or span < best_span or (span == best_span and n < best_n):
+                    best, best_span, best_n = (row, j), span, n
         return best
 
-    for k in range(n):
-        pos = find_pivot(k)
-        if pos is None:
-            break
-        while True:
-            i0, j0 = pos
-            a[k], a[i0] = a[i0], a[k]
-            if j0 != k:
-                for row in a:
-                    row[k], row[j0] = row[j0], row[k]
-            pivot = a[k][k]
-            top = [(j, a[k][j]) for j in range(k + 1, cols) if a[k][j].coeffs]
-            if len(pivot.coeffs) == 1:
-                # Row k and column k are never read again, so they are left as they are.
-                ((e, c),) = pivot.coeffs.items()
-                inverse = LaurentPoly._raw(field, {-e: field.inv(c)})
-                for i in range(k + 1, rows):
-                    row = a[i]
-                    if row[k].coeffs:
-                        q = row[k] * inverse
-                        for j, y in top:
-                            row[j] = row[j] - q * y
-                diagonal.append(one)
-                break
-            dirty = False
-            for i in range(k + 1, rows):
-                row = a[i]
-                if not row[k].coeffs:
-                    continue
-                q, r = row[k].divmod_laurent(pivot)
-                row[k] = r
-                for j, y in top:
-                    row[j] = row[j] - q * y
-                if r.coeffs:
-                    dirty = True
-            left = [(i, a[i][k]) for i in range(k + 1, rows) if a[i][k].coeffs]
-            for j, y in top:
-                q, r = y.divmod_laurent(pivot)
-                a[k][j] = r
-                for i, x in left:
-                    a[i][j] = a[i][j] - q * x
-                if r.coeffs:
-                    dirty = True
-            if not dirty:
-                diagonal.append(pivot.canonical())
-                break
-            pos = find_pivot(k)
+    def sub_mul(row, j, q, y):  # row[j] -= q * y
+        r = row.get(j)
+        if r is None:
+            r = row[j] = {}
+            holders[j].append(row)
+        _sub_mul(r, q, y, p)
+        if not r:
+            del row[j]
 
-    diagonal.extend(LaurentPoly.zero(field) for _ in range(n - len(diagonal)))
+    while rows:
+        top, j0 = find_pivot()
+        pivot = top.pop(j0)
+        if len(pivot) == 1:
+            # A unit: clear column j0 of the other rows; the pivot row leaves with its entry.
+            ((e, c),) = pivot.items()
+            factor = field.inv(c)
+            scaled = [(j, {ey - e: field.mul(cy, factor) for ey, cy in y.items()}) for j, y in top.items()]
+            top.clear()
+            for row in holders[j0]:
+                x = row.pop(j0, None)
+                if x is None:
+                    continue
+                for j, y in scaled:
+                    sub_mul(row, j, x, y)
+            diagonal.append(one)
+        else:
+            left = list({id(row): row for row in holders[j0] if row is not top and j0 in row}.values())
+            dirty = False
+            for row in left:
+                x = row[j0]
+                q = _divide(x, pivot, field)
+                if x:
+                    dirty = True
+                else:
+                    del row[j0]
+                if q:
+                    for j, y in top.items():
+                        sub_mul(row, j, q, y)
+            left = [row for row in left if j0 in row]
+            for j, y in list(top.items()):
+                q = _divide(y, pivot, field)
+                if y:
+                    dirty = True
+                else:
+                    del top[j]
+                if q:
+                    for row in left:
+                        sub_mul(row, j, q, row[j0])
+            top[j0] = pivot
+            holders[j0] = left + [top]
+            if not dirty:
+                top.clear()
+                diagonal.append(LaurentPoly._raw(field, pivot).canonical())
+        rows = [row for row in rows if row]
+
+    diagonal.extend(LaurentPoly.zero(field) for _ in range(min(m.rows, m.cols) - len(diagonal)))
     return SnfResult(tuple(diagonal))

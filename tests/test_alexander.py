@@ -205,6 +205,32 @@ def test_full_report_f2xz():
     assert deg1.vanishing and deg1.rank_over_frac == 1 and deg1.order.is_zero
 
 
+# SHA-256 of render() of the degree-0 and degree-1 orders on the first
+# surjection of f2xz onto S5 in `enumerate_homs` order.
+_S5_ORDER_DIGESTS = {
+    "F3": ("0aea3efd20a226f2dd7bbe19a4a78a051cf9133a785d95040dc1f249ebad40d0",
+           "e7e2c442e72d988cfb5315d85909c330d0e35d4c23463c90072afb72bc95d386"),
+    "Q": ("afc43b26f974335954f4047e4b2a15705ef99da88c93ab37587294e0e75f56bc",
+          "5ffcf5cebda3c5f87fa565e40d672a5a68b99442ada8cf2a10f7d612de4a035f"),
+}
+
+
+@pytest.mark.parametrize("field", [F3, Q], ids=lambda f: f.name)
+def test_full_report_on_an_s5_quotient_of_f2xz(field):
+    # b1 is 360 x 120 and b2 240 x 360: both routes and both cross-checks run
+    # on the largest blocks in the suite.  Enumerating the 6840 surjections
+    # takes a second, so the first one's images are given directly.
+    import hashlib
+
+    p, chi = load_fixture("f2xz")
+    q = make_quotient(p, symmetric_group(5), (1, 32, 0))
+    assert q.surjective
+    reports = full_report(p, chi, q, field)
+    assert [(r.degree, r.vanishing, r.rank_over_frac) for r in reports] == [(0, False, 0), (1, False, 0)]
+    digests = tuple(hashlib.sha256(r.order.render().encode()).hexdigest() for r in reports)
+    assert digests == _S5_ORDER_DIGESTS[field.name]
+
+
 def test_h0_closed_form_walks_once_per_report(monkeypatch):
     # h0_report and the order route both read the closed form; the chain
     # keeps it, so the walk over the image runs once per full_report.

@@ -201,6 +201,25 @@ def test_group_order_cap_exit_2_before_building(tmp_path, monkeypatch, capsys):
         assert f"{n} is too large: at most {quotients.MAX_GROUP_ORDER}" in capsys.readouterr().err
 
 
+def test_field_prime_cap_exit_2_before_primality_test(monkeypatch, capsys):
+    from fibrecheck import polyalg
+
+    cap = polyalg.MAX_FIELD_PRIME
+    assert polyalg.CoefficientField.prime(cap).p == cap  # the cap is itself prime
+
+    def no_test(p):
+        raise AssertionError(f"primality of {p} was tested")
+
+    monkeypatch.setattr(polyalg, "_is_prime", no_test)
+    for n in (cap + 1, 10 ** 29 + 7):  # the smallest value over the cap; a 30-digit one
+        for argv in (["alex", "--fixture", "bs:1:2", "--quotient", "trivial", "--field", f"f{n}"],
+                     ["untwist-check", "--fixture", "trefoil", "--quotient", "s3:2,1",
+                      "--field", f"f{n}"],
+                     ["scan", "--fixture", "trefoil", "--fields", f"q,f{n}"]):
+            assert run_cli(argv)[0] == 2, argv
+            assert f"F{n} is too large: at most F{cap}" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code():
     assert main(["unknown-subcommand"], out=io.StringIO()) == 2
 
