@@ -21,6 +21,7 @@ from .polyalg import (  # noqa: F401
     NotInSpan,
     PolyMatrix,
     SnfResult,
+    SparseMatrix,
     diagonal_form,
     rank_lower_bound,
     rank_over_fraction_field,
@@ -52,13 +53,16 @@ from .foxcalc import (  # noqa: F401
 from .reidschreier import CosetAction, SubgroupPresentation, coset_action, rewrite_subgroup  # noqa: F401
 from .alexander import (  # noqa: F401
     AlexanderReport,
+    IntegralChain,
     InternalCheckError,
     TwistedChain,
     build_chain,
+    chain_reports,
     full_report,
     h0_report,
     h1_order,
     h1_vanishing,
+    integral_chain,
 )
 from .fibring import (  # noqa: F401
     FibringVerdict,

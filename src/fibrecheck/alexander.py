@@ -2,27 +2,34 @@
 
 The presentation gives a partial free resolution; acting on row vectors from
 the right, b1 stacks the images of x_i - 1 and b2 holds the images of the
-Fox derivatives, both filled straight from the group table.  b2 @ b1 = 0 is
-checked before filling, as Fox's fundamental formula in the group ring of
-Q x Z, term by term over Z.  Vanishing is decided on the rank route, the
-ranks of b1 and b2 over F(t).  Each rank is first bounded from below by
-`rank_lower_bound`, the rank after mapping t to a point of a finite field:
-minors map to minors, so the bound never exceeds the true rank.  Where the
-bound meets an upper bound known beforehand, min(rows, cols) for b1 and
-rows(b1) - rank b1 for b2 (the rows of b2 lie in the left kernel of b1), it
-is the rank.  Otherwise exact Bareiss elimination decides, so Bareiss runs
-for every rank deficit, where vanishing must be certified exactly, and when
-the point is a root of every maximal minor.  The order route computes the
-orders independently.  H0 is in closed form: each orbit of the image of
-alpha on Q contributes F[t^{+-1}]/(t^d - 1), where dZ = chi(ker alpha) is
-read off one breadth-first walk.  ord H1 comes from one diagonal form of b2
-over the PID F[t^{+-1}], where the monomial entries of b2 are units.  The
-sequence 0 -> H1 -> C1/rowspace(b2) -> im(b1) -> 0 splits (im(b1) lies in a
-free module, so it is free), so H1 is torsion exactly when the diagonal has
-rows(b1) - rank b1 nonzero entries, with rank b1 = |Q| - rank H0 from the
-closed form, and its order is then their product, the classical Fox-matrix
-order (Wada 1994, Kirk-Livingston 1999).  Neither route reads the other's
-result; if they disagree, the run is aborted as internally inconsistent.
+Fox derivatives, both filled straight from the group table.  Everything up
+to the choice of coefficient field is done once per quotient, over Z, by
+`integral_chain`: the quotient is restricted to its image, the relators are
+checked, each relator's Fox images are read in one walk, b2 @ b1 = 0 is
+checked as Fox's fundamental formula in the group ring of Q x Z, term by
+term over Z, the closed form of H0 is walked, and b1 and b2 are kept as
+sparse integer rows.  `IntegralChain.over(field)` then reads the same rows
+over each field: the kernels of `polyalg` reduce every coefficient as they
+read it, and a dense matrix is built only for Bareiss.  Vanishing is decided
+on the rank route, the ranks of b1 and b2 over F(t).  Each rank is first
+bounded from below by `rank_lower_bound`, the rank after mapping t to a
+point of a finite field: minors map to minors, so the bound never exceeds
+the true rank.  Where the bound meets an upper bound known beforehand,
+min(rows, cols) for b1 and rows(b1) - rank b1 for b2 (the rows of b2 lie in
+the left kernel of b1), it is the rank.  Otherwise exact Bareiss elimination
+decides, so Bareiss runs for every rank deficit, where vanishing must be
+certified exactly, and when the point is a root of every maximal minor.  The
+order route computes the orders independently.  H0 is in closed form: each
+orbit of the image of alpha on Q contributes F[t^{+-1}]/(t^d - 1), where
+dZ = chi(ker alpha) is read off one breadth-first walk.  ord H1 comes from
+one diagonal form of b2 over the PID F[t^{+-1}], where the monomial entries
+of b2 are units.  The sequence 0 -> H1 -> C1/rowspace(b2) -> im(b1) -> 0
+splits (im(b1) lies in a free module, so it is free), so H1 is torsion
+exactly when the diagonal has rows(b1) - rank b1 nonzero entries, with
+rank b1 = |Q| - rank H0 from the closed form, and its order is then their
+product, the classical Fox-matrix order (Wada 1994, Kirk-Livingston 1999).
+Neither route reads the other's result; if they disagree, the run is aborted
+as internally inconsistent.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from .polyalg import (
     LaurentPoly,
     PolyMatrix,
     SnfResult,
+    SparseMatrix,
     diagonal_form,
     rank_lower_bound,
     rank_over_fraction_field,
@@ -47,9 +55,12 @@ from .words import Character, Presentation, render_character, render_presentatio
 
 __all__ = [
     "InternalCheckError",
+    "IntegralChain",
     "TwistedChain",
     "AlexanderReport",
+    "integral_chain",
     "build_chain",
+    "chain_reports",
     "h1_vanishing",
     "h1_order",
     "h0_report",
@@ -60,7 +71,7 @@ class InternalCheckError(RuntimeError):
     """A mandatory internal cross-check failed; results are untrustworthy."""
 
 
-def _certified_rank(m: PolyMatrix, upper: int) -> int:
+def _certified_rank(m: PolyMatrix | SparseMatrix, upper: int) -> int:
     """Rank over F(t), given an upper bound on it.
 
     The finite-field rank is a lower bound, so where it reaches `upper` it
@@ -72,12 +83,18 @@ def _certified_rank(m: PolyMatrix, upper: int) -> int:
 
 @dataclass(frozen=True)
 class TwistedChain:
-    """Boundary data: b1 is (g*|Q|) x |Q|, b2 is (s*|Q|) x (g*|Q|)."""
+    """Boundary data over one field: b1 is (g*|Q|) x |Q|, b2 is (s*|Q|) x (g*|Q|).
+
+    `walk` is (d, copies) of the closed form of H0 when the chain comes
+    from an `IntegralChain`, which walked it once for every field; a chain
+    assembled another way leaves it None, and the walk runs on demand.
+    """
 
     presentation: Presentation
     representation: Representation
-    b1: PolyMatrix
-    b2: PolyMatrix
+    b1: PolyMatrix | SparseMatrix
+    b2: PolyMatrix | SparseMatrix
+    walk: tuple[int, int] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "_cache", {})
@@ -159,39 +176,70 @@ def _fundamental_formula_holds(rep: Representation,
     return not any(total.values())
 
 
-def build_chain(p: Presentation, rep: Representation) -> TwistedChain:
-    """Assemble both boundary matrices from the group table, after checking the chain condition.
+class IntegralChain:
+    """The twisted chain of one quotient over Z[t^{+-1}], before any field.
+
+    b1 and b2 are the rows of `SparseMatrix`, column -> {exponent: int},
+    and walk is (d, copies) of the closed form of H0.  None of them depends
+    on the coefficient field; `over` reads them over one.  It is a plain
+    class: a frozen dataclass would take about a millisecond at import to
+    generate methods that nothing here uses.
+    """
+
+    __slots__ = ("presentation", "representation", "b1", "b2", "walk")
+
+    def __init__(self, presentation: Presentation, representation: Representation,
+                 b1: list[dict[int, dict[int, int]]], b2: list[dict[int, dict[int, int]]],
+                 walk: tuple[int, int]):
+        self.presentation = presentation
+        self.representation = representation
+        self.b1 = b1
+        self.b2 = b2
+        self.walk = walk
+
+    def over(self, field: CoefficientField) -> TwistedChain:
+        """The chain over `field`, sharing these rows: nothing is copied or reduced here."""
+        p, rep = self.presentation, self.representation
+        n, g = rep.dim, p.generator_count
+        return TwistedChain(p, Representation(p, rep.character, rep.quotient, field),
+                            SparseMatrix(field, self.b1, g * n, n),
+                            SparseMatrix(field, self.b2, len(p.relators) * n, g * n),
+                            self.walk)
+
+
+def _assemble(p: Presentation, rep: Representation) -> IntegralChain:
+    """Assemble both boundary matrices over Z from the group table, after checking the chain condition.
 
     Block (j, i) of b2 is sum_g f_{i,g} P(g), with f_{i,g} from one
     `fox_images` walk along relator j: f_{i,g} at (q, q*g) for every q.
     Block i of b1 is t^{chi_i} P(alpha(x_i)) - I.  Every relator's images
     must satisfy the fundamental formula in Z[Q x Z], which is b2 @ b1 = 0
-    over every coefficient field; no matrix is multiplied.
+    over every coefficient field; no matrix is multiplied.  Entries that
+    are the same polynomial share one dict, which nothing changes.
     """
-    field, n = rep.field, rep.dim
+    n = rep.dim
     table = rep.quotient.group.table
     relator_blocks = [fox_images(rep, r) for r in p.relators]
     if not all(_fundamental_formula_holds(rep, blocks) for blocks in relator_blocks):
         raise InternalCheckError("chain condition b2 @ b1 = 0 violated")
-    zero, one = LaurentPoly.zero(field), LaurentPoly.one(field)
-    b1 = [[zero] * n for _ in range(p.generator_count * n)]
-    for i, (a, s) in enumerate(zip(rep.quotient.gen_images, rep.character.values)):
-        shift = LaurentPoly.term(field, 1, s)
-        diagonal = -one if a else shift - one  # zero when alpha(x_i) = 1 and chi_i = 0
+    b1 = []
+    minus_one = {0: -1}
+    for a, s in zip(rep.quotient.gen_images, rep.character.values):
+        shift = {s: 1}
         for q in range(n):
-            b1[i * n + q][q] = diagonal
             if a:
-                b1[i * n + q][table[q][a]] = shift
-    b2 = [[zero] * (p.generator_count * n) for _ in range(len(p.relators) * n)]
-    for j, blocks in enumerate(relator_blocks):
-        for i, block in enumerate(blocks):
-            for g, shifts in block.items():
-                f = LaurentPoly.from_int_coeffs(field, shifts)
-                if not f.is_zero:
-                    for q in range(n):
-                        b2[j * n + q][i * n + table[q][g]] = f
-    return TwistedChain(p, rep, PolyMatrix(field, b1, p.generator_count * n, n),
-                        PolyMatrix(field, b2, len(p.relators) * n, p.generator_count * n))
+                qa = table[q][a]
+                b1.append({q: minus_one, qa: shift} if q < qa else {qa: shift, q: minus_one})
+            else:  # zero when chi_i = 0 too
+                b1.append({q: {s: 1, 0: -1}} if s else {})
+    b2 = []
+    for blocks in relator_blocks:
+        terms = [(i * n, g, f) for i, block in enumerate(blocks) for g, shifts in block.items()
+                 if (f := {k: c for k, c in shifts.items() if c})]
+        for q in range(n):
+            row_q = table[q]
+            b2.append(dict(sorted([(i0 + row_q[g], f) for i0, g, f in terms])))
+    return IntegralChain(p, rep, b1, b2, _h0_walk(rep))
 
 
 def h1_vanishing(c: TwistedChain) -> tuple[bool, int]:
@@ -201,28 +249,32 @@ def h1_vanishing(c: TwistedChain) -> tuple[bool, int]:
     return rank_h1 > 0, rank_h1
 
 
-def _h0_closed_form(c: TwistedChain) -> tuple[int, int, LaurentPoly]:
-    """(d, rank H0, ord H0), where dZ = chi(ker alpha).
+def _h0_walk(rep: Representation) -> tuple[int, int]:
+    """(d, copies), where dZ = chi(ker alpha) and copies = |Q : im alpha|.
 
     A breadth-first walk over the image of alpha gives each element g the
     character value h(g) of its tree path.  Each edge g -> g*alpha(x_i) off
     the tree closes a Schreier generator of the kernel, of character value
-    h(g) + chi_i - h(g*alpha(x_i)), and d is their gcd.  Each of the
-    |Q : im alpha| orbits contributes F[t^{+-1}]/(t^d - 1) to H0.
+    h(g) + chi_i - h(g*alpha(x_i)), and d is their gcd.
     """
-    rep = c.representation
-    group, images, values = rep.quotient.group, rep.quotient.gen_images, rep.character.values
-    field = c.b1.field
+    table, images, values = rep.quotient.group.table, rep.quotient.gen_images, rep.character.values
     height, walk, d = {0: 0}, [0], 0
     for g in walk:
         for x, k in zip(images, values):
-            h, y = height[g] + k, group.mul(g, x)
+            h, y = height[g] + k, table[g][x]
             if y in height:
                 d = gcd(d, h - height[y])
             else:
                 height[y] = h
                 walk.append(y)
-    copies = rep.dim // len(walk)
+    return d, rep.dim // len(walk)
+
+
+def _h0_closed_form(c: TwistedChain) -> tuple[int, int, LaurentPoly]:
+    """(d, rank H0, ord H0): each of the |Q : im alpha| orbits contributes
+    F[t^{+-1}]/(t^d - 1) to H0, with d from `_h0_walk`."""
+    d, copies = c.walk if c.walk is not None else _h0_walk(c.representation)
+    field = c.b1.field
     if d == 0:
         return 0, copies, LaurentPoly.zero(field)
     cyclic = LaurentPoly.from_int_coeffs(field, {d: 1, 0: -1})  # monic, t^0 term: canonical
@@ -234,8 +286,10 @@ def _h1_order(c: TwistedChain) -> tuple[LaurentPoly, SnfResult]:
     rank_b1 = c.block_size - c.h0_closed_form()[1]
     if form.rank != c.b1.rows - rank_b1:
         return LaurentPoly.zero(c.b1.field), form
-    # Canonical entries have a canonical product: F[t] is a domain.
-    return reduce(mul, form.diagonal[:form.rank], LaurentPoly.one(c.b1.field)), form
+    # Canonical entries have a canonical product: F[t] is a domain.  A
+    # canonical monomial is 1, so only the longer entries are multiplied.
+    factors = [e for e in form.diagonal if len(e.coeffs) > 1]
+    return (reduce(mul, factors) if factors else LaurentPoly.one(c.b1.field)), form
 
 
 def h1_order(c: TwistedChain) -> LaurentPoly:
@@ -291,10 +345,28 @@ def _h1_report(c: TwistedChain) -> AlexanderReport:
                            c.representation.quotient, c.representation.character)
 
 
+def build_chain(p: Presentation, rep: Representation) -> TwistedChain:
+    """The chain of `rep` over its field, with the quotient taken as given."""
+    return _assemble(p, rep).over(rep.field)
+
+
+def integral_chain(p: Presentation, chi: Character, q: FiniteQuotient) -> IntegralChain:
+    """Everything of the chain that no field changes, once per quotient.
+
+    The quotient is restricted to its image and every relator must map to
+    the identity; then `_assemble` assembles b1 and b2 over Z and
+    walks H0.
+    """
+    q = restrict_to_image(p, q)
+    return _assemble(p, build_representation(p, chi, q, None))
+
+
+def chain_reports(c: TwistedChain) -> list[AlexanderReport]:
+    """Degree-0 and degree-1 reports of one chain with the dual-route cross-check."""
+    return [h0_report(c), _h1_report(c)]
+
+
 def full_report(p: Presentation, chi: Character, q: FiniteQuotient,
                 field: CoefficientField) -> list[AlexanderReport]:
     """Degree-0 and degree-1 reports with the dual-route cross-check."""
-    q = restrict_to_image(p, q)
-    rep = build_representation(p, chi, q, field)
-    chain = build_chain(p, rep)
-    return [h0_report(chain), _h1_report(chain)]
+    return chain_reports(integral_chain(p, chi, q).over(field))

@@ -5,16 +5,21 @@ unconditional obstruction: the character is not FP1-semi-fibred and its
 kernel is not finitely generated.  Nonvanishing everywhere up to the bound
 is only as strong as the bound; the verdict says exactly that, optionally
 strengthened by user-asserted group properties that are not verifiable here.
+
+One job is one kept quotient: its chain is built once over Z
+(`alexander.integral_chain`) and read over each field in turn, and the job
+stops after the first field with a vanishing degree-1 report.  The serial
+loop and the process pool run the same jobs, in the same order.
 """
 
 from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import __version__
-from .alexander import AlexanderReport, full_report
+from .alexander import AlexanderReport, chain_reports, full_report, integral_chain
 from .foxcalc import CONVENTION
 from .polyalg import CoefficientField
 from .quotients import (
@@ -29,6 +34,10 @@ from .quotients import (
 from .words import Character, Presentation, direct_product, render_character, render_presentation
 
 __all__ = ["ScanConfig", "FibringVerdict", "scan", "product_vanishing_test", "emit_report"]
+
+# Most worker processes `scan` starts.  A pool starts all of its workers at
+# the first submit, so the count is checked before any pool is built.
+MAX_JOBS = 64
 
 
 def default_fields() -> tuple[CoefficientField, ...]:
@@ -75,20 +84,31 @@ def _quotient_stream(p: Presentation, cfg: ScanConfig):
 
 
 def _scan_job(args) -> list[AlexanderReport]:
-    """Degree-0 and degree-1 reports for the character, then for its negation.
+    """Reports of one quotient over each field in turn, up to the first
+    field with a vanishing degree-1 report.
 
-    Only the character itself is computed; the minus direction is derived by
-    t -> t^-1.  That substitution is a ring automorphism of F[t^{+-1}] and
-    maps the chain of the character onto the chain of its negation entry by
-    entry, so ranks and vanishing agree and each order is the canonical
-    reciprocal of the plus order.
+    Each field gives degree 0 and degree 1 for the character, then for its
+    negation.  Only the character itself is computed; the minus direction
+    is derived by t -> t^-1.  That substitution is a ring automorphism of
+    F[t^{+-1}] and maps the chain of the character onto the chain of its
+    negation entry by entry, so ranks and vanishing agree and each order is
+    the canonical reciprocal of the plus order.  ord H0 = (t^d - 1)^c is its
+    own canonical reciprocal, so degree 0 keeps it.
     """
-    presentation, character, quotient, coeff_field = args
-    plus = full_report(presentation, character, quotient, coeff_field)
+    presentation, character, quotient, fields = args
+    chain = integral_chain(presentation, character, quotient)
     minus = character.negate()
-    return plus + [
-        replace(r, character=minus, order=r.order.reciprocal().canonical()) for r in plus
-    ]
+    out: list[AlexanderReport] = []
+    for f in fields:
+        deg0, deg1 = chain_reports(chain.over(f))
+        out += [deg0, deg1,
+                AlexanderReport(0, deg0.vanishing, deg0.rank_over_frac, deg0.order, f,
+                                deg0.quotient, minus),
+                AlexanderReport(1, deg1.vanishing, deg1.rank_over_frac,
+                                deg1.order.reciprocal().canonical(), f, deg1.quotient, minus)]
+        if deg1.vanishing:
+            break
+    return out
 
 
 def _witness_index(chunk: list[AlexanderReport]) -> int | None:
@@ -99,13 +119,13 @@ def _witness_index(chunk: list[AlexanderReport]) -> int | None:
 def scan(cfg: ScanConfig, jobs: int = 1) -> FibringVerdict:
     """Run the quotient sweep in both character directions.
 
-    Each (quotient, field) job computes the character and derives the minus
-    direction by t -> t^-1 (see `_scan_job`), which is exact because the
-    substitution is a ring automorphism mapping one chain onto the other.
-    With jobs > 1 the jobs fan out to a process pool; all jobs complete and
-    the witness is the first vanishing degree-1 report in enumeration order,
-    so the verdict is identical to a serial run.
+    Each job is one kept quotient over every field (see `_scan_job`).
+    With jobs > 1 the jobs fan out to a process pool of that many workers,
+    at most MAX_JOBS; the witness is the first vanishing degree-1 report in
+    enumeration order, so the verdict is identical to a serial run.
     """
+    if not 1 <= jobs <= MAX_JOBS:
+        raise ValueError(f"--jobs {jobs} is out of range: use 1 to {MAX_JOBS}")
     if not cfg.fields:
         raise ValueError("at least one coefficient field is required")
     if cfg.max_quotient_order < 1:
@@ -116,8 +136,8 @@ def scan(cfg: ScanConfig, jobs: int = 1) -> FibringVerdict:
     if cfg.character.is_zero:
         raise ValueError("non-trivial character required")
 
-    def job_for(q, f):
-        return (cfg.presentation, cfg.character, q, f)
+    def job_for(q):
+        return (cfg.presentation, cfg.character, q, cfg.fields)
 
     quotients: list[FiniteQuotient] = []
     skipped: list[tuple[FiniteQuotient, FiniteQuotient]] = []
@@ -128,15 +148,14 @@ def scan(cfg: ScanConfig, jobs: int = 1) -> FibringVerdict:
         # Fan out every job, then truncate to what a serial run would report.
         events = list(_quotient_stream(cfg.presentation, cfg))
         kept = [q for kind, q, _ in events if kind == "kept"]
-        job_list = [job_for(q, f) for q in kept for f in cfg.fields]
         witness_quotient = None
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for job_idx, chunk in enumerate(pool.map(_scan_job, job_list, chunksize=4)):
+            for job_idx, chunk in enumerate(pool.map(_scan_job, map(job_for, kept), chunksize=2)):
                 idx = _witness_index(chunk)
                 if idx is not None:
                     witness = chunk[idx]
                     flat.extend(chunk[: idx + 1])
-                    witness_quotient = job_idx // len(cfg.fields)
+                    witness_quotient = job_idx
                     break
                 flat.extend(chunk)
         seen = -1
@@ -155,16 +174,13 @@ def scan(cfg: ScanConfig, jobs: int = 1) -> FibringVerdict:
                 skipped.append((q, rep))
                 continue
             quotients.append(q)
-            for f in cfg.fields:
-                chunk = _scan_job(job_for(q, f))
-                idx = _witness_index(chunk)
-                if idx is not None:
-                    witness = chunk[idx]
-                    flat.extend(chunk[: idx + 1])
-                    break
-                flat.extend(chunk)
-            if witness is not None:
+            chunk = _scan_job(job_for(q))
+            idx = _witness_index(chunk)
+            if idx is not None:
+                witness = chunk[idx]
+                flat.extend(chunk[: idx + 1])
                 break
+            flat.extend(chunk)
 
     warnings = []
     if cfg.max_quotient_order < 2 and not cfg.extra_groups:

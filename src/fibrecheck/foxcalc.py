@@ -122,12 +122,16 @@ def fundamental_identity_check(p: Presentation, r: int) -> bool:
 
 @dataclass(frozen=True)
 class Representation:
-    """The action w |-> t^{chi(w)} P(alpha(w)) of a presentation over a field."""
+    """The action w |-> t^{chi(w)} P(alpha(w)) of a presentation over a field.
+
+    Its matrices have integer entries, so `field` may be None: the
+    representation over Z, before a coefficient field is chosen.
+    """
 
     presentation: Presentation
     character: Character
     quotient: FiniteQuotient
-    field: CoefficientField
+    field: CoefficientField | None
 
     @property
     def dim(self) -> int:
@@ -135,7 +139,7 @@ class Representation:
 
 
 def build_representation(p: Presentation, chi: Character, q: FiniteQuotient,
-                         field: CoefficientField) -> Representation:
+                         field: CoefficientField | None) -> Representation:
     """The representation of p through chi and q; every relator must map to the identity."""
     if len(chi.values) != p.generator_count:
         raise ValueError("character length does not match presentation")

@@ -17,7 +17,10 @@ when the bound falls short.  The diagonal form and the finite-field rank
 eliminate sparse rows, one dict per row from column to nonzero value, with a
 list per column of the rows that hold it: the matrices of a twisted chain are
 mostly zero, and neither a pivot search nor a row operation visits a zero
-entry.  Units of F[t^{+-1}] are c*t^k, so the
+entry.  Both read a matrix through `sparse_rows()`, so they take a dense
+`PolyMatrix` or a `SparseMatrix`, whose integer rows are reduced into the
+field only as they are read: one set of rows over Z serves every field, and
+only Bareiss builds the dense matrix.  Units of F[t^{+-1}] are c*t^k, so the
 canonical representative of a nonzero polynomial class is monic with nonzero
 constant term.
 """
@@ -35,6 +38,7 @@ __all__ = [
     "CoefficientField",
     "LaurentPoly",
     "PolyMatrix",
+    "SparseMatrix",
     "SnfResult",
     "NotInSpan",
     "EVALUATION_POINT",
@@ -532,14 +536,56 @@ class PolyMatrix:
     def column(self, j: int) -> list[LaurentPoly]:
         return [self.entries[i][j] for i in range(self.rows)]
 
+    def sparse_rows(self) -> list[dict[int, dict[int, object]]]:
+        """Each row as {column: coefficient dict} of its nonzero entries."""
+        return [{j: e.coeffs for j, e in enumerate(row) if e.coeffs} for row in self.entries]
 
-def rank_over_fraction_field(m: PolyMatrix) -> int:
-    """Rank over F(t) by fraction-free Bareiss elimination.
+
+class SparseMatrix:
+    """A matrix over F[t^{+-1}] kept as sparse rows of integer coefficients.
+
+    `data[i]` maps the column of each nonzero entry of row i, in ascending
+    order, to its {exponent: coefficient} dict.  The coefficients are ints
+    (or values of `field`), read into `field` only by the kernels that take
+    them: `rank_lower_bound` and `diagonal_form` reduce each coefficient as
+    they read it and drop an entry that vanishes there, so several fields
+    can share one `data`, which nothing changes.  `to_dense` builds the
+    `PolyMatrix`, for Bareiss and for comparison.
+    """
+
+    __slots__ = ("field", "data", "rows", "cols")
+
+    def __init__(self, field: CoefficientField, data: list[dict[int, dict[int, int]]],
+                 rows: int, cols: int):
+        self.field = field
+        self.data = data
+        self.rows = rows
+        self.cols = cols
+
+    def sparse_rows(self) -> list[dict[int, dict[int, int]]]:
+        return self.data
+
+    def to_dense(self) -> PolyMatrix:
+        field = self.field
+        zero = LaurentPoly.zero(field)
+        entries = []
+        for row in self.data:
+            dense = [zero] * self.cols
+            for j, coeffs in row.items():
+                dense[j] = LaurentPoly.from_int_coeffs(field, coeffs)
+            entries.append(dense)
+        return PolyMatrix(field, entries, self.rows, self.cols)
+
+
+def rank_over_fraction_field(m: PolyMatrix | SparseMatrix) -> int:
+    """Rank over F(t) by fraction-free Bareiss elimination, on the dense matrix.
 
     Pivots are chosen with minimal degree spread to curb coefficient growth;
     the two-step division is exact by the Sylvester determinant identity, so
     entries stay Laurent polynomials throughout.
     """
+    if isinstance(m, SparseMatrix):
+        m = m.to_dense()
     a = [list(row) for row in m.entries]
     rows, cols = m.rows, m.cols
     prev = LaurentPoly.one(m.field)
@@ -573,7 +619,7 @@ _MERSENNE_61 = (1 << 61) - 1
 _GF_ORDER_LIMIT = 1 << 13
 
 
-def rank_lower_bound(m: PolyMatrix) -> int:
+def rank_lower_bound(m: PolyMatrix | SparseMatrix) -> int:
     """Rank of m after mapping t to a fixed point of a finite field.
 
     A nonzero minor of the image is the image of the same minor of m, so
@@ -584,10 +630,12 @@ def rank_lower_bound(m: PolyMatrix) -> int:
     GF(p^k), the largest such field of order at most 2^13, while k >= 2;
     once p^2 > 2^13, t maps to EVALUATION_POINT modulo p.
 
-    The image is eliminated as sparse rows, column -> nonzero value.  Rows
-    are taken in order; each that is still nonzero pivots on its last entry
-    and clears that column from the rows listed as holding it, touching only
-    the pivot row's nonzeros.  Over GF(p^k) a value is a Zech exponent.
+    The image is eliminated as sparse rows, column -> nonzero value, read
+    from `m.sparse_rows()`: each coefficient is reduced as it is read, and an
+    entry whose image is zero is left out.  Rows are taken in order; each
+    that is still nonzero pivots on its last entry and clears that column
+    from the rows listed as holding it, touching only the pivot row's
+    nonzeros.  Over GF(p^k) a value is a Zech exponent.
     """
     p = m.field.p
     if p is not None and p * p <= _GF_ORDER_LIMIT:
@@ -596,12 +644,9 @@ def rank_lower_bound(m: PolyMatrix) -> int:
     point = EVALUATION_POINT % modulus or 1  # every nonzero point gives a bound
     powers: dict[int, int] = {}
     rows, holders = [], [[] for _ in range(m.cols)]
-    for entries in m.entries:
+    for entries in m.sparse_rows():
         row = {}
-        for j, entry in enumerate(entries):
-            coeffs = entry.coeffs
-            if not coeffs:
-                continue
+        for j, coeffs in entries.items():
             value = 0
             for e, c in coeffs.items():
                 if c.denominator != 1:  # a Fraction over Q
@@ -667,17 +712,23 @@ def _zech_field(p: int) -> tuple[int, int, array, array]:
     the exponent of 1 + alpha^i, or -1 when that sum is zero; neg_one is the
     exponent of -1; prime_log[c] is the exponent of c in F_p (index 0
     unused).  Only candidates whose norm (-1)^k c0 is a primitive root mod p
-    are tried, since the norm of a generator generates F_p^*.  A candidate f
-    is primitive exactly when x has order n modulo f: x^n = 1 and
-    x^(n/r) != 1 for each prime r dividing n, tested by square-and-multiply
-    before the powers of x are walked to build the tables.
+    are tried, since the norm of a generator generates F_p^*, and a
+    candidate with a root 1 or -1 is passed over, since it is reducible (for
+    p <= 3 these are all the roots there are).  A candidate f is primitive
+    exactly when x has order n modulo f: x^n = 1 and x^(n/r) != 1 for each
+    prime r dividing n, tested by square-and-multiply before the powers of x
+    are walked to build the tables.
 
     A residue mod f is one integer holding the coefficient of x^i in the
     bits [width*i, width*(i+1)), with a guard bit above each digit: adding
     2^guard - p to a sum of two digits sets it exactly when the sum is >= p,
-    and p is taken off those fields.  To square, the digits are first spread
-    into fields wide enough for the coefficient sums, so that one integer
-    product gives them all with no carry between fields.
+    and p is taken off those fields.  Multiplying by x shifts every digit up
+    one field, and the digit d that leaves the top is put back as d*x^k,
+    read from `reduce_by`.  To square, the digits are first spread into
+    fields wide enough for the coefficient sums, so that one integer product
+    gives them all with no carry between fields.  The walk over the powers
+    takes one step per element, so it writes the step out instead of calling
+    `horner`.
     """
     k = 2
     while p ** (k + 1) <= _GF_ORDER_LIMIT:
@@ -691,6 +742,7 @@ def _zech_field(p: int) -> tuple[int, int, array, array]:
     ones = sum(1 << (width * i) for i in range(k))  # 1 in every field
     bias = ((1 << guard) - p) * ones
     top, digit = width * (k - 1), (1 << width) - 1
+    below, spread = (1 << top) - 1, (1 << wide) - 1  # below: every field but the top one
 
     def add(a: int, b: int) -> int:  # digitwise mod p: vectors over F_p
         s = a + b
@@ -698,17 +750,14 @@ def _zech_field(p: int) -> tuple[int, int, array, array]:
 
     def horner(v: int, c: int, reduce_by: list[int]) -> int:  # v*x + c, c a digit
         d = v >> top
-        v = ((v - (d << top)) << width) + c
-        if d:  # add(v, reduce_by[d]), inlined: this is the walk's step
-            v += reduce_by[d]
-            v -= (((v + bias) >> guard) & ones) * p
-        return v
+        v = ((v & below) << width) + c
+        return add(v, reduce_by[d]) if d else v
 
     def square(a: int, reduce_by: list[int]) -> int:
         a = sum((a >> (width * i) & digit) << (wide * i) for i in range(k))
         sq, out = a * a, 0
         for i in range(wide * (2 * k - 2), -1, -wide):  # x^(2k-2) .. x^0
-            out = horner(out, (sq >> i & (1 << wide) - 1) % p, reduce_by)
+            out = horner(out, (sq >> i & spread) % p, reduce_by)
         return out
 
     def x_power(e: int, reduce_by: list[int]) -> int:  # by square-and-multiply, from the top bit
@@ -722,32 +771,40 @@ def _zech_field(p: int) -> tuple[int, int, array, array]:
     for middle in product(range(p), repeat=k - 1):
         for g in roots:
             low = [(-1) ** k * g % p, *middle]  # coefficients of x^0 .. x^(k-1)
+            if (1 + sum(low)) % p == 0 or ((-1) ** k + sum(low[0::2]) - sum(low[1::2])) % p == 0:
+                continue  # f(1) = 0 or f(-1) = 0
             reduce_by = [0, sum((-c) % p << (width * i) for i, c in enumerate(low))]  # x^k = -low
             for _ in range(p - 2):  # d * x^k for each leading digit d of v in v*x
                 reduce_by.append(add(reduce_by[-1], reduce_by[1]))
             if x_power(n, reduce_by) != 1 or any(x_power(e, reduce_by) == 1 for e in proper):
                 continue
             exp = [1] * n
-            for i in range(1, n):
-                exp[i] = horner(exp[i - 1], 0, reduce_by)
-            log = {v: i for i, v in enumerate(exp)}
+            v = 1
+            for i in range(1, n):  # v = horner(v, 0, reduce_by), written out
+                d = v >> top
+                v = (v & below) << width
+                if d:
+                    v += reduce_by[d]
+                    v -= (((v + bias) >> guard) & ones) * p
+                exp[i] = v
+            log = dict(zip(exp, range(n)))
             zech = array("i", [log.get(v + 1 if v & digit < p - 1 else v + 1 - p, -1) for v in exp])
             return n, log[p - 1], zech, array("i", [0] + [log[c] for c in range(1, p)])
     raise AssertionError(f"no primitive polynomial of degree {k} over F{p}")
 
 
-def _rank_in_extension(m: PolyMatrix, p: int) -> int:
+def _rank_in_extension(m: PolyMatrix | SparseMatrix, p: int) -> int:
     """Rank of m at t -> alpha in GF(p^k), eliminating sparse rows of Zech exponents."""
     n, neg_one, zech, prime_log = _zech_field(p)
     rows, holders = [], [[] for _ in range(m.cols)]
-    for entries in m.entries:
+    for entries in m.sparse_rows():
         row = {}
-        for j, entry in enumerate(entries):
-            coeffs = entry.coeffs
-            if not coeffs:
-                continue
+        for j, coeffs in entries.items():
             acc = -1
             for e, c in coeffs.items():
+                c %= p
+                if not c:
+                    continue
                 x = (prime_log[c] + e) % n
                 if acc < 0:
                     acc = x
@@ -803,13 +860,15 @@ class SnfResult:
         return sum(1 for d in self.diagonal if not d.is_zero)
 
 
-def diagonal_form(m: PolyMatrix) -> SnfResult:
+def diagonal_form(m: PolyMatrix | SparseMatrix) -> SnfResult:
     """A diagonal form of m over the Euclidean domain F[t^{+-1}], normed by span.
 
     Elimination runs on sparse rows: each row maps a column to the raw
-    {exponent: coefficient} dict of a nonzero entry, and a row that falls to
-    zero is dropped, so neither the pivot search nor a row operation visits
-    a zero entry; a list per column names the rows that may hold it.  The
+    {exponent: coefficient} dict of a nonzero entry, copied from
+    `m.sparse_rows()` with every coefficient reduced into the field and an
+    entry that vanishes there left out.  A row that falls to zero is
+    dropped, so neither the pivot search nor a row operation visits a zero
+    entry; a list per column names the rows that may hold it.  The
     pivot is a monomial in the shortest row that holds one, and failing that
     an entry of least span, in the shortest row on ties; further ties go to
     the first met, rows in order.  A short pivot row makes little fill-in,
@@ -824,11 +883,12 @@ def diagonal_form(m: PolyMatrix) -> SnfResult:
     field = m.field
     p = field.p
     rows, holders = [], [[] for _ in range(m.cols)]  # holders[j]: rows that had an entry at j
-    for entries in m.entries:
+    for entries in m.sparse_rows():
         row = {}
-        for j, entry in enumerate(entries):
-            if entry.coeffs:
-                row[j] = dict(entry.coeffs)
+        for j, coeffs in entries.items():
+            v = dict(coeffs) if p is None else {e: r for e, c in coeffs.items() if (r := c % p)}
+            if v:
+                row[j] = v
                 holders[j].append(row)
         if row:
             rows.append(row)

@@ -147,6 +147,6 @@ def kernel_route_h1_order(c: TwistedChain) -> LaurentPoly:
     of the invariant factors (zero when the presentation has free rank).
     """
     field = c.b1.field
-    kernel = kernel_basis(clear_denominators(c.b1.transpose()))
-    coords = solve_in_span(kernel, clear_denominators(c.b2).transpose())
+    kernel = kernel_basis(clear_denominators(c.b1.to_dense().transpose()))
+    coords = solve_in_span(kernel, clear_denominators(c.b2.to_dense()).transpose())
     return order_of(field, smith_normal_form(coords), kernel.cols)

@@ -240,3 +240,65 @@ def test_jobs_flag_same_output():
     _, out2 = run_cli(["scan", "--fixture", "trefoil", "--max-quotient-order", "4",
                        "--jobs", "2"])
     assert out1 == out2
+
+
+# `scan --pres` of <a, t | a^2> with a=0, t=1 over F3 then F2, to order 4: the
+# chain of the trivial quotient is built once, and only F2 sees b2 = (2, 0)
+# as zero, so the witness is at the second field of the first job.
+_LATER_FIELD_WITNESS = """\
+fibrecheck scan (schema 1, version 0.1.0, convention row-right)
+presentation: gens: a t | rels: a^2
+character: a=0, t=1 (minus direction scanned alongside)
+fields: F3, F2
+catalog bound: 4
+assertions: lerf=no, detection=no
+verdict: OBSTRUCTED
+witness: quotient trivial (order 1), field F2, degree 1, character a=0, t=1
+interpretation:
+  - A vanishing degree-1 twisted Alexander polynomial was found.
+  - Witness: quotient trivial (order 1) over F2, character a=0, t=1.
+  - Unconditionally, the character is not FP1-semi-fibred; kernel not finitely generated.
+reports: 6 computed, 1 vanishing
+  [trivial ord 1 | F3 | a=0, t=1] deg 0: nonvanishing, rank 0, order 2 + t
+  [trivial ord 1 | F3 | a=0, t=1] deg 1: nonvanishing, rank 0, order 1
+  [trivial ord 1 | F3 | a=0, t=-1] deg 0: nonvanishing, rank 0, order 2 + t
+  [trivial ord 1 | F3 | a=0, t=-1] deg 1: nonvanishing, rank 0, order 1
+  [trivial ord 1 | F2 | a=0, t=1] deg 0: nonvanishing, rank 0, order 1 + t
+  [trivial ord 1 | F2 | a=0, t=1] deg 1: VANISHING, rank 1, order 0
+tested quotients: 1; skipped (same kernel): 0
+"""
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_witness_at_a_later_field_stops_the_job(jobs, tmp_path):
+    pres = tmp_path / "a2.pres"
+    pres.write_text("gens: a t\nrels: a^2\nchar: a=0, t=1\n")
+    code, out = run_cli(["scan", "--pres", str(pres), "--fields", "f3,f2",
+                         "--max-quotient-order", "4", "--jobs", jobs])
+    assert code == 0
+    assert out == _LATER_FIELD_WITNESS
+
+
+def test_nonvanishing_scan_builds_no_dense_chain(monkeypatch):
+    # The fields read the chain's integer rows; no rank here falls short of its
+    # bound, so Bareiss never runs and no PolyMatrix is built.
+    from fibrecheck.polyalg import PolyMatrix
+
+    monkeypatch.setattr(PolyMatrix, "__init__", lambda *a, **k: pytest.fail("a PolyMatrix was built"))
+    code, out = run_cli(["scan", "--fixture", "trefoil", "--max-quotient-order", "6"])
+    assert code == 0
+    assert "NO OBSTRUCTION up to order 6" in out
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3", "65"])
+def test_jobs_out_of_range_is_an_input_error(jobs, monkeypatch, capsys):
+    # Checked before any pool is built: a pool starts all its workers at once.
+    from fibrecheck import fibring
+
+    assert fibring.MAX_JOBS == 64
+    monkeypatch.setattr(fibring, "ProcessPoolExecutor",
+                        lambda *a, **k: pytest.fail("a process pool was built"))
+    code, out = run_cli(["scan", "--fixture", "trefoil", "--max-quotient-order", "4",
+                         "--jobs", jobs])
+    assert code == 2 and out == ""
+    assert f"--jobs {jobs} is out of range: use 1 to 64" in capsys.readouterr().err

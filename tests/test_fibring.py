@@ -200,3 +200,15 @@ def test_emit_report_obstructed_json():
     assert doc["status"] == "obstructed"
     assert doc["witness"]["vanishing"] is True
     assert doc["witness"]["degree"] == 1
+
+
+def test_fox_images_run_once_per_relator_per_kept_quotient(monkeypatch):
+    # The chain over Z is built once per kept quotient and read by every field.
+    from fibrecheck import alexander
+
+    walk, calls = alexander.fox_images, []
+    monkeypatch.setattr(alexander, "fox_images", lambda rep, r: calls.append(r) or walk(rep, r))
+    p, chi = load_fixture("f2xz")
+    v = scan(ScanConfig(presentation=p, character=chi, max_quotient_order=4))
+    assert v.status == "no_obstruction_up_to" and len(v.config.fields) == 3
+    assert len(calls) == len(p.relators) * len(v.tested_quotients) == 2 * 49

@@ -16,6 +16,7 @@ from fibrecheck.polyalg import (
     LaurentPoly,
     NotInSpan,
     PolyMatrix,
+    SparseMatrix,
     _zech_field,
     diagonal_form,
     rank_lower_bound,
@@ -406,3 +407,44 @@ def test_zech_tables_are_pinned(p):
     n, neg_one, zech, prime_log = _zech_field.__wrapped__(p)  # built afresh, not cached
     text = repr((n, neg_one, zech.tolist(), prime_log.tolist()))
     assert hashlib.sha256(text.encode()).hexdigest() == _ZECH_DIGESTS[p]
+
+
+def test_sparse_integer_rows_are_reduced_into_each_field():
+    # The b2 of <a, t | a^2> at the trivial quotient is the 1 x 2 row (2, 0):
+    # rank 1 over Q and F3, but over F2 the entry 2 is 0.
+    for field, rank, diagonal in ((Q, 1, ["1"]), (F3, 1, ["1"]), (F2, 0, ["0"])):
+        m = SparseMatrix(field, [{0: {0: 2}}], 1, 2)
+        assert rank_lower_bound(m) == rank_over_fraction_field(m) == rank
+        assert [d.render() for d in diagonal_form(m).diagonal] == diagonal
+        assert m.to_dense() == PolyMatrix.from_int_rows(field, [[2, 0]])
+
+
+@st.composite
+def _integer_sparse_rows(draw):
+    """Up to 6 x 8 integer rows in ascending column order, with coefficients
+    that vanish modulo 2 or 3, and some entries that vanish entirely there."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 8))
+    entry = st.dictionaries(st.integers(-2, 2), st.sampled_from([1, -1, 2, 3, -4, 6]),
+                            min_size=1, max_size=3)
+    data = []
+    for _ in range(rows):
+        present = draw(st.sets(st.integers(0, cols - 1), max_size=cols)) if cols else set()
+        data.append({j: draw(entry) for j in sorted(present)})
+    return data, rows, cols
+
+
+@pytest.mark.parametrize("field", [Q, F2, F3, F101], ids=lambda f: f.name)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_sparse_rows_read_as_their_dense_matrix(field, data):
+    # The kernels read integer rows, reducing as they go, exactly as they read
+    # the dense matrix of the same entries over the field; the rows are shared
+    # between fields, so nothing may change them.
+    rows, n, m = data.draw(_integer_sparse_rows())
+    before = repr(rows)
+    sparse = SparseMatrix(field, rows, n, m)
+    dense = sparse.to_dense()
+    assert rank_lower_bound(sparse) == rank_lower_bound(dense)
+    assert diagonal_form(sparse) == diagonal_form(dense)
+    assert rank_over_fraction_field(sparse) == rank_over_fraction_field(dense)
+    assert repr(rows) == before
