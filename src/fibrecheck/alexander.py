@@ -18,16 +18,27 @@ the true rank.  Where the bound meets an upper bound known beforehand,
 min(rows, cols) for b1 and rows(b1) - rank b1 for b2 (the rows of b2 lie in
 the left kernel of b1), it is the rank.  Otherwise exact Bareiss elimination
 decides, so Bareiss runs for every rank deficit, where vanishing must be
-certified exactly, and when the point is a root of every maximal minor.  The
-order route computes the orders independently.  H0 is in closed form: each
-orbit of the image of alpha on Q contributes F[t^{+-1}]/(t^d - 1), where
-dZ = chi(ker alpha) is read off one breadth-first walk.  ord H1 comes from
-one diagonal form of b2 over the PID F[t^{+-1}], where the monomial entries
-of b2 are units.  The sequence 0 -> H1 -> C1/rowspace(b2) -> im(b1) -> 0
-splits (im(b1) lies in a free module, so it is free), so H1 is torsion
-exactly when the diagonal has rows(b1) - rank b1 nonzero entries, with
-rank b1 = |Q| - rank H0 from the closed form, and its order is then their
-product, the classical Fox-matrix order (Wada 1994, Kirk-Livingston 1999).
+certified exactly, and when the point is a root of every maximal minor.
+Over Q the ranks may come from a prime field instead: an r x r minor of the
+integral rows that is nonzero mod p is nonzero over Z, so rank over Q(t) >=
+rank over F_p(t), while the upper bounds are the same for every field once
+rank b1 is.  An `IntegralChain` keeps the largest rank of b1 and of b2 that
+a chain it built over some F_p proved, by the bound or by Bareiss, and its
+chain over Q takes such a rank without elimination where it reaches Q's
+upper bound.  A default scan runs F2 and F3 before Q, and every Q job reads
+both ranks so: chi != 0 gives b1 full column rank, and a shortfall of b2
+over F_p is a degree-1 vanishing, which stops the job before Q.  Where Q
+comes first or alone, it runs its own bound; between two primes nothing is
+inferred.  The order route computes the orders independently, over Q too.
+H0 is in closed form: each orbit of the image of alpha on Q contributes
+F[t^{+-1}]/(t^d - 1), where dZ = chi(ker alpha) is read off one
+breadth-first walk.  ord H1 comes from one diagonal form of b2 over the
+PID F[t^{+-1}], where the monomial entries of b2 are units.  The sequence
+0 -> H1 -> C1/rowspace(b2) -> im(b1) -> 0 splits (im(b1) lies in a free
+module, so it is free), so H1 is torsion exactly when the diagonal has
+rows(b1) - rank b1 nonzero entries, with rank b1 = |Q| - rank H0 from the
+closed form, and its order is then their product, the classical Fox-matrix
+order (Wada 1994, Kirk-Livingston 1999).
 Neither route reads the other's result; if they disagree, the run is aborted
 as internally inconsistent.
 """
@@ -71,14 +82,23 @@ class InternalCheckError(RuntimeError):
     """A mandatory internal cross-check failed; results are untrustworthy."""
 
 
-def _certified_rank(m: PolyMatrix | SparseMatrix, upper: int) -> int:
-    """Rank over F(t), given an upper bound on it.
+def _certified_rank(m: PolyMatrix | SparseMatrix, upper: int,
+                    proved: tuple[int, CoefficientField] | None = None) -> tuple[int, str]:
+    """Rank over F(t), given an upper bound on it, and the route that fixed it.
 
-    The finite-field rank is a lower bound, so where it reaches `upper` it
-    is the rank; only a shortfall runs exact Bareiss elimination.
+    `proved` is (rank, F_p) for a rank that F_p(t) proved for the same
+    integral rows, which the caller passes only over Q: there it is a lower
+    bound, since a minor that is nonzero mod p is nonzero over Z, so where it
+    reaches `upper` it is the rank and nothing is eliminated.  Otherwise the
+    finite-field rank is a lower bound, so where it reaches `upper` it is the
+    rank; only a shortfall runs exact Bareiss elimination.
     """
+    if proved is not None and proved[0] == upper:
+        return upper, f"inherited from the {proved[1].name} certificate"
     lower = rank_lower_bound(m)
-    return lower if lower == upper else rank_over_fraction_field(m)
+    if lower == upper:
+        return lower, "by this field's bound"
+    return rank_over_fraction_field(m), "by Bareiss"
 
 
 @dataclass(frozen=True)
@@ -88,6 +108,8 @@ class TwistedChain:
     `walk` is (d, copies) of the closed form of H0 when the chain comes
     from an `IntegralChain`, which walked it once for every field; a chain
     assembled another way leaves it None, and the walk runs on demand.
+    `proved` is then the `IntegralChain`'s record of the ranks that its
+    chains over prime fields proved (see `_certify`).
     """
 
     presentation: Presentation
@@ -95,6 +117,7 @@ class TwistedChain:
     b1: PolyMatrix | SparseMatrix
     b2: PolyMatrix | SparseMatrix
     walk: tuple[int, int] | None = None
+    proved: dict[str, tuple[int, CoefficientField]] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "_cache", {})
@@ -103,21 +126,39 @@ class TwistedChain:
     def block_size(self) -> int:
         return self.representation.dim
 
+    def _certify(self, key: str, upper: int) -> None:
+        """Cache (rank, route) of b1 or b2 by `_certified_rank`.
+
+        Over Q it reads the rank that a prime field proved, if any; over F_p
+        it records its own rank there for the fields that follow.
+        """
+        m, proved, cache = getattr(self, key), self.proved, self._cache
+        if proved is None:
+            cache[key] = _certified_rank(m, upper)
+        elif m.field.p is None:
+            cache[key] = _certified_rank(m, upper, proved.get(key))
+        else:
+            cache[key] = _certified_rank(m, upper)
+            rank = cache[key][0]
+            if rank > proved.get(key, (-1,))[0]:
+                proved[key] = rank, m.field
+
     def rank_b1(self) -> int:
         """Rank of b1 over F(t): the finite-field bound if it reaches min(rows, cols), else Bareiss."""
         cache = self._cache
         if "b1" not in cache:
-            cache["b1"] = _certified_rank(self.b1, min(self.b1.rows, self.b1.cols))
-        return cache["b1"]
+            self._certify("b1", min(self.b1.rows, self.b1.cols))
+        return cache["b1"][0]
 
     def rank_b2(self) -> int:
         """Rank of b2 over F(t): the finite-field bound if it reaches its upper
-        bound rows(b1) - rank b1 (b2 @ b1 = 0), else Bareiss."""
+        bound rows(b1) - rank b1 (b2 @ b1 = 0), else Bareiss.  Over Q, a rank
+        of b2 that a prime field proved is the rank where it reaches the same
+        bound, and nothing is eliminated."""
         cache = self._cache
         if "b2" not in cache:
-            upper = min(self.b2.rows, self.b1.rows - self.rank_b1())
-            cache["b2"] = _certified_rank(self.b2, upper)
-        return cache["b2"]
+            self._certify("b2", min(self.b2.rows, self.b1.rows - self.rank_b1()))
+        return cache["b2"][0]
 
     def h0_closed_form(self) -> tuple[int, int, LaurentPoly]:
         """(d, rank H0, ord H0) by `_h0_closed_form`, walked once per chain."""
@@ -181,12 +222,14 @@ class IntegralChain:
 
     b1 and b2 are the rows of `SparseMatrix`, column -> {exponent: int},
     and walk is (d, copies) of the closed form of H0.  None of them depends
-    on the coefficient field; `over` reads them over one.  It is a plain
+    on the coefficient field; `over` reads them over one.  `proved` maps
+    "b1" and "b2" to the largest rank that a chain read over some F_p
+    proved, with that field, for the chains read over Q.  It is a plain
     class: a frozen dataclass would take about a millisecond at import to
     generate methods that nothing here uses.
     """
 
-    __slots__ = ("presentation", "representation", "b1", "b2", "walk")
+    __slots__ = ("presentation", "representation", "b1", "b2", "walk", "proved")
 
     def __init__(self, presentation: Presentation, representation: Representation,
                  b1: list[dict[int, dict[int, int]]], b2: list[dict[int, dict[int, int]]],
@@ -196,15 +239,16 @@ class IntegralChain:
         self.b1 = b1
         self.b2 = b2
         self.walk = walk
+        self.proved: dict[str, tuple[int, CoefficientField]] = {}
 
     def over(self, field: CoefficientField) -> TwistedChain:
-        """The chain over `field`, sharing these rows: nothing is copied or reduced here."""
+        """The chain over `field`, sharing these rows and `proved`: nothing is copied or reduced here."""
         p, rep = self.presentation, self.representation
         n, g = rep.dim, p.generator_count
         return TwistedChain(p, Representation(p, rep.character, rep.quotient, field),
                             SparseMatrix(field, self.b1, g * n, n),
                             SparseMatrix(field, self.b2, len(p.relators) * n, g * n),
-                            self.walk)
+                            self.walk, self.proved)
 
 
 def _assemble(p: Presentation, rep: Representation) -> IntegralChain:
@@ -317,8 +361,9 @@ def h0_report(c: TwistedChain) -> AlexanderReport:
 
 
 def _diagnostic(c: TwistedChain, rank: int, order: LaurentPoly, detail: str) -> str:
-    """What reproduces a failed cross-check, with the sizes involved; no matrix entries."""
-    p, rep = c.presentation, c.representation
+    """What reproduces a failed cross-check, with the sizes involved, and the
+    route of each rank of b1 and b2 that was computed; no matrix entries."""
+    p, rep, cache = c.presentation, c.representation, c._cache
     q = rep.quotient
     return "\n".join([
         f"presentation: {render_presentation(p).replace(chr(10), ' | ')}",
@@ -326,6 +371,7 @@ def _diagnostic(c: TwistedChain, rank: int, order: LaurentPoly, detail: str) -> 
         f"quotient: {q.group.name} (order {q.group.order}), images {list(q.gen_images)}",
         f"field: {c.b1.field.name}",
         f"b1: {c.b1.rows}x{c.b1.cols}, b2: {c.b2.rows}x{c.b2.cols}",
+        *(f"rank of {key}: {cache[key][0]} {cache[key][1]}" for key in ("b1", "b2") if key in cache),
         f"rank over Frac: {rank}",
         f"order: {order.render()}",
         detail,

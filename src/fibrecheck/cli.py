@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -301,6 +302,12 @@ def main(argv=None, out=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args, out)
+    except BrokenPipeError:
+        # The reader closed stdout, as `| head` does: that ends the output, not
+        # the run.  Stdout then points at the null device, so that the
+        # interpreter's last flush at exit has somewhere to go.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

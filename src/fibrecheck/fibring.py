@@ -94,6 +94,13 @@ def _scan_job(args) -> list[AlexanderReport]:
     negation entry by entry, so ranks and vanishing agree and each order is
     the canonical reciprocal of the plus order.  ord H0 = (t^d - 1)^c is its
     own canonical reciprocal, so degree 0 keeps it.
+
+    The fields read one `integral_chain`.  Its rank over Q(t) is at least its
+    rank over F_p(t), so Q after a prime field takes the ranks that field
+    proved wherever they reach Q's upper bounds, and eliminates nothing for
+    them: chi != 0 gives b1 full column rank, and a rank of b2 below its
+    bound over F_p is a vanishing that ends the job before Q.  Q's order
+    route still runs in full; Q first in `fields` runs its own rank route.
     """
     presentation, character, quotient, fields = args
     chain = integral_chain(presentation, character, quotient)

@@ -3,19 +3,22 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fibrecheck import alexander
 from fibrecheck.alexander import (
     InternalCheckError,
     TwistedChain,
     _h0_closed_form,
     build_chain,
+    chain_reports,
     full_report,
     h0_report,
     h1_order,
     h1_vanishing,
+    integral_chain,
 )
 from fibrecheck.fixtures import load_fixture
 from fibrecheck.foxcalc import Representation, build_representation
-from fibrecheck.polyalg import CoefficientField, LaurentPoly, PolyMatrix, diagonal_form
+from fibrecheck.polyalg import CoefficientField, LaurentPoly, PolyMatrix, SnfResult, diagonal_form
 from fibrecheck.quotients import (
     cyclic_group,
     enumerate_homs,
@@ -417,7 +420,10 @@ def test_transpose_convention_cross_check():
 
 def test_cross_check_failure_names_its_inputs(monkeypatch):
     # A wrong rank on either route makes the two routes disagree, also on the
-    # 99 x 33 b1 of f2xz at Z/33, where both checks must still run.
+    # 99 x 33 b1 of f2xz at Z/33, where both checks must still run.  The
+    # message names the route of each rank that was computed; over Q after
+    # F2, both ranks are inherited from F2's certificate, so a wrong order
+    # route is what makes them disagree there.
     trefoil, trefoil_chi = load_fixture("trefoil")
     f2xz, f2xz_chi = load_fixture("f2xz")
     cases = [
@@ -438,6 +444,40 @@ def test_cross_check_failure_names_its_inputs(monkeypatch):
             assert render_presentation(p).replace("\n", " | ") in msg
             assert quotient_line in msg and shapes in msg and detail in msg
             assert "PolyMatrix(" not in msg
+            n = q.group.order
+            routes = [] if method == "rank_b1" else [f"rank of b1: {n} by this field's bound"]
+            assert [line for line in msg.splitlines() if line.startswith("rank of")] == routes
+
+        chain = integral_chain(p, chi, q)
+        chain_reports(chain.over(F2))
+        with monkeypatch.context() as m:
+            m.setattr(alexander, "diagonal_form", lambda b2: SnfResult(()))
+            with pytest.raises(InternalCheckError) as err:
+                chain_reports(chain.over(Q))
+        msg = str(err.value)
+        assert "degree-1 cross-check failed" in msg and "field: Q" in msg and shapes in msg
+        assert [line for line in msg.splitlines() if line.startswith("rank of")] == [
+            f"rank of b1: {n} inherited from the F2 certificate",
+            f"rank of b2: {(p.generator_count - 1) * n} inherited from the F2 certificate"]
+
+
+def test_q_decides_for_itself_where_a_prime_falls_short(monkeypatch):
+    # <a, t | a^2> at the trivial quotient: b2 is the 1 x 2 row (2, 0), of
+    # rank 0 over F2, short of its upper bound 1.  That certificate proves
+    # nothing over Q, which runs its own bound for b2 and finds rank 1; the
+    # rank 1 of b1 over F2 reaches its bound, so Q reads it.
+    p = parse_presentation("gens: a t\nrels: a^2\n")
+    chain = integral_chain(p, validate_character(p, [0, 1]), trivial_quotient(p))
+    over_f2 = chain.over(F2)
+    assert (over_f2.rank_b1(), over_f2.rank_b2()) == (1, 0)
+    assert chain.proved == {"b1": (1, F2), "b2": (0, F2)}
+    bound, calls = alexander.rank_lower_bound, []
+    monkeypatch.setattr(alexander, "rank_lower_bound", lambda m: calls.append(m.field) or bound(m))
+    over_q = chain.over(Q)
+    assert (over_q.rank_b1(), over_q.rank_b2()) == (1, 1)
+    assert calls == [Q]
+    assert [r.vanishing for r in chain_reports(over_q)] == [False, False]
+    assert chain.proved == {"b1": (1, F2), "b2": (0, F2)}  # Q records nothing
 
 
 def test_bs13_order_is_t_minus_3_and_a_unit_mod_3():

@@ -1,9 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fibrecheck
 from fibrecheck.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -218,6 +222,25 @@ def test_field_prime_cap_exit_2_before_primality_test(monkeypatch, capsys):
                      ["scan", "--fixture", "trefoil", "--fields", f"q,f{n}"]):
             assert run_cli(argv)[0] == 2, argv
             assert f"F{n} is too large: at most F{cap}" in capsys.readouterr().err
+
+
+def test_closed_stdout_ends_the_run_quietly(tmp_path, capsys):
+    # As in `homs --fixture f:3 --target z30 | head -1`: the reader closes the
+    # pipe after one line, the next write fails with EPIPE, and that ends the
+    # output with exit 0 and nothing on stderr.  Any other OSError still exits 2.
+    env = {**os.environ, "PYTHONPATH": str(Path(fibrecheck.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fibrecheck.cli", "homs", "--fixture", "f:3", "--target", "z30"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"target: Z/30 (order 30)\n"
+    proc.stdout.close()  # about 0.6 MB of output is still to come
+    assert proc.stderr.read() == b""
+    assert proc.wait(timeout=60) == 0
+    proc.stderr.close()
+
+    code, out = run_cli(["alex", "--pres", str(tmp_path / "missing.pres"), "--quotient", "trivial"])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("error: [Errno 2]")
 
 
 def test_usage_error_exit_code():

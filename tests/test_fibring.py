@@ -1,4 +1,7 @@
+import hashlib
+import io
 import json
+from collections import Counter
 
 import pytest
 
@@ -212,3 +215,30 @@ def test_fox_images_run_once_per_relator_per_kept_quotient(monkeypatch):
     v = scan(ScanConfig(presentation=p, character=chi, max_quotient_order=4))
     assert v.status == "no_obstruction_up_to" and len(v.config.fields) == 3
     assert len(calls) == len(p.relators) * len(v.tested_quotients) == 2 * 49
+
+
+# SHA-256 of the stdout of `scan --fixture f2xz --max-quotient-order 4`, with
+# the default fields (F2, F3, Q) and with Q first; the CI smoke pins both.
+_F2XZ_ORDER_4 = {
+    (): "4442d173e2d1b4b3c3bb5ec94e55ceb8a59ab5f4197a49ebe3b428abea84083d",
+    ("--fields", "q,f2,f3"): "e5064e7a2a90465d6ea46dfd8b6ec9f8f2437154a9a71f5edc90d3e01cd8dbc7",
+}
+
+
+@pytest.mark.parametrize("fields, q_bounds", [((), 0), (("--fields", "q,f2,f3"), 98)])
+def test_q_reads_the_rank_certificate_of_an_earlier_prime(fields, q_bounds, monkeypatch):
+    # Rank over Q(t) >= rank over F_p(t) for the same integral rows, so once F2
+    # has proved both ranks of a job at their upper bounds, Q eliminates
+    # nothing for them: 49 jobs, 2 ranks each.  Where Q comes first it runs
+    # its own bound on every job.  No rank falls short, so Bareiss never runs.
+    from fibrecheck import alexander
+    from fibrecheck.cli import main
+
+    bound, calls = alexander.rank_lower_bound, Counter()
+    monkeypatch.setattr(alexander, "rank_lower_bound",
+                        lambda m: calls.update([m.field.name]) or bound(m))
+    monkeypatch.setattr(alexander, "rank_over_fraction_field", lambda m: pytest.fail("Bareiss ran"))
+    out = io.StringIO()
+    assert main(["scan", "--fixture", "f2xz", "--max-quotient-order", "4", *fields], out) == 0
+    assert calls == Counter({"F2": 98, "F3": 98, "Q": q_bounds})
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == _F2XZ_ORDER_4[fields]

@@ -17,11 +17,13 @@ from fibrecheck.polyalg import (
     NotInSpan,
     PolyMatrix,
     SparseMatrix,
+    _PRIMITIVE_LOW,
     _zech_field,
     diagonal_form,
     rank_lower_bound,
     rank_over_fraction_field,
 )
+from zech_oracle import first_primitive_low
 
 Q = CoefficientField.rationals()
 F3 = CoefficientField.prime(3)
@@ -137,8 +139,11 @@ def _factored_matrices(draw, field):
 def test_certified_rank_equals_bareiss(field, data):
     m, r = data.draw(_factored_matrices(field))
     exact = rank_over_fraction_field(m)
-    assert rank_lower_bound(m) <= exact
-    assert alexander._certified_rank(m, min(r, m.rows, m.cols)) == exact
+    lower, upper = rank_lower_bound(m), min(r, m.rows, m.cols)
+    assert lower <= exact
+    rank, route = alexander._certified_rank(m, upper)
+    assert rank == exact
+    assert route == ("by this field's bound" if lower == upper else "by Bareiss")
 
 
 def test_rank_lower_bound_falls_back_at_a_root(monkeypatch):
@@ -409,6 +414,16 @@ def test_zech_tables_are_pinned(p):
     assert hashlib.sha256(text.encode()).hexdigest() == _ZECH_DIGESTS[p]
 
 
+def test_pinned_primitive_polynomials_match_the_search():
+    # Every prime with p^2 <= 2^13 has a pinned polynomial, and it is the
+    # first primitive one that the search in `zech_oracle` finds.
+    primes = [p for p in range(2, 91) if all(p % d for d in range(2, p))]
+    assert sorted(_PRIMITIVE_LOW) == primes and len(primes) == 24
+    for p in primes:
+        assert _PRIMITIVE_LOW[p] == first_primitive_low(p)
+    assert _PRIMITIVE_LOW[2] == (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1)  # x^13 + x^12 + x^10 + x^9 + 1
+
+
 def test_sparse_integer_rows_are_reduced_into_each_field():
     # The b2 of <a, t | a^2> at the trivial quotient is the 1 x 2 row (2, 0):
     # rank 1 over Q and F3, but over F2 the entry 2 is 0.
@@ -448,3 +463,15 @@ def test_sparse_rows_read_as_their_dense_matrix(field, data):
     assert diagonal_form(sparse) == diagonal_form(dense)
     assert rank_over_fraction_field(sparse) == rank_over_fraction_field(dense)
     assert repr(rows) == before
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_rank_over_q_is_at_least_the_rank_over_each_prime(data):
+    # A minor of the integer rows that is nonzero mod p is nonzero over Z, so
+    # a rank that F_p(t) proves is a lower bound over Q(t); the rows' entries
+    # 2, 3, -4 and 6 vanish mod 2 or 3, so the inequality can be strict.
+    rows, n, m = data.draw(_integer_sparse_rows())
+    exact = rank_over_fraction_field(SparseMatrix(Q, rows, n, m))
+    for field in (F2, F3):
+        assert rank_over_fraction_field(SparseMatrix(field, rows, n, m)) <= exact
