@@ -12,14 +12,12 @@ from .words import (  # noqa: E402,F401
     parse_presentation,
     render_character,
     render_presentation,
-    tietze_variant,
     validate_character,
 )
 from .polyalg import (  # noqa: F401
     CoefficientField,
     LaurentPoly,
     NotInSpan,
-    PolyMatrix,
     SnfResult,
     SparseMatrix,
     diagonal_form,
@@ -43,12 +41,9 @@ from .quotients import (  # noqa: F401
 )
 from .foxcalc import (  # noqa: F401
     CONVENTION,
-    GroupRingElement,
     Representation,
     build_representation,
-    fox_derivative,
     fox_images,
-    fundamental_identity_check,
 )
 from .reidschreier import CosetAction, SubgroupPresentation, coset_action, rewrite_subgroup  # noqa: F401
 from .alexander import (  # noqa: F401
@@ -56,11 +51,9 @@ from .alexander import (  # noqa: F401
     IntegralChain,
     InternalCheckError,
     TwistedChain,
-    build_chain,
     chain_reports,
     full_report,
     h0_report,
-    h1_order,
     h1_vanishing,
     integral_chain,
 )

@@ -8,13 +8,13 @@ to the choice of coefficient field is done once per quotient, over Z, by
 checked, each relator's Fox images are read in one walk, b2 @ b1 = 0 is
 checked as Fox's fundamental formula in the group ring of Q x Z, term by
 term over Z, the closed form of H0 is walked, and b1 and b2 are kept as
-sparse integer rows.  `IntegralChain.over(field)` then reads the same rows
-over each field: the kernels of `polyalg` reduce every coefficient as they
-read it, and a dense matrix is built only for Bareiss.  Vanishing is decided
-on the rank route, the ranks of b1 and b2 over F(t).  Each rank is first
-bounded from below by `rank_lower_bound`, the rank after mapping t to a
-point of a finite field: minors map to minors, so the bound never exceeds
-the true rank.  Where the bound meets an upper bound known beforehand,
+sparse integer rows.  `IntegralChain.over(field)` is the one way to make a
+`TwistedChain`: it reads the same rows over each field, and the kernels of
+`polyalg` reduce every coefficient as they read it, Bareiss included.
+Vanishing is decided on the rank route, the ranks of b1 and b2 over F(t).
+Each rank is first bounded from below by `rank_lower_bound`, the rank after
+mapping t to a point of a finite field: minors map to minors, so the bound
+never exceeds the true rank.  Where the bound meets an upper bound known beforehand,
 min(rows, cols) for b1 and rows(b1) - rank b1 for b2 (the rows of b2 lie in
 the left kernel of b1), it is the rank.  Otherwise exact Bareiss elimination
 decides, so Bareiss runs for every rank deficit, where vanishing must be
@@ -54,7 +54,6 @@ from .foxcalc import CONVENTION, Representation, build_representation, fox_image
 from .polyalg import (
     CoefficientField,
     LaurentPoly,
-    PolyMatrix,
     SnfResult,
     SparseMatrix,
     diagonal_form,
@@ -70,10 +69,8 @@ __all__ = [
     "TwistedChain",
     "AlexanderReport",
     "integral_chain",
-    "build_chain",
     "chain_reports",
     "h1_vanishing",
-    "h1_order",
     "h0_report",
     "full_report",
 ]
@@ -82,7 +79,7 @@ class InternalCheckError(RuntimeError):
     """A mandatory internal cross-check failed; results are untrustworthy."""
 
 
-def _certified_rank(m: PolyMatrix | SparseMatrix, upper: int,
+def _certified_rank(m: SparseMatrix, upper: int,
                     proved: tuple[int, CoefficientField] | None = None) -> tuple[int, str]:
     """Rank over F(t), given an upper bound on it, and the route that fixed it.
 
@@ -105,19 +102,17 @@ def _certified_rank(m: PolyMatrix | SparseMatrix, upper: int,
 class TwistedChain:
     """Boundary data over one field: b1 is (g*|Q|) x |Q|, b2 is (s*|Q|) x (g*|Q|).
 
-    `walk` is (d, copies) of the closed form of H0 when the chain comes
-    from an `IntegralChain`, which walked it once for every field; a chain
-    assembled another way leaves it None, and the walk runs on demand.
-    `proved` is then the `IntegralChain`'s record of the ranks that its
-    chains over prime fields proved (see `_certify`).
+    Made by `IntegralChain.over`: `walk` is the (d, copies) of the closed
+    form of H0 that the `IntegralChain` walked once for every field, and
+    `proved` is its record of the ranks that its chains over prime fields
+    proved (see `_certify`).
     """
 
-    presentation: Presentation
     representation: Representation
-    b1: PolyMatrix | SparseMatrix
-    b2: PolyMatrix | SparseMatrix
-    walk: tuple[int, int] | None = None
-    proved: dict[str, tuple[int, CoefficientField]] | None = None
+    b1: SparseMatrix
+    b2: SparseMatrix
+    walk: tuple[int, int]
+    proved: dict[str, tuple[int, CoefficientField]]
 
     def __post_init__(self):
         object.__setattr__(self, "_cache", {})
@@ -133,9 +128,7 @@ class TwistedChain:
         it records its own rank there for the fields that follow.
         """
         m, proved, cache = getattr(self, key), self.proved, self._cache
-        if proved is None:
-            cache[key] = _certified_rank(m, upper)
-        elif m.field.p is None:
+        if m.field.p is None:
             cache[key] = _certified_rank(m, upper, proved.get(key))
         else:
             cache[key] = _certified_rank(m, upper)
@@ -221,20 +214,19 @@ class IntegralChain:
     """The twisted chain of one quotient over Z[t^{+-1}], before any field.
 
     b1 and b2 are the rows of `SparseMatrix`, column -> {exponent: int},
-    and walk is (d, copies) of the closed form of H0.  None of them depends
-    on the coefficient field; `over` reads them over one.  `proved` maps
-    "b1" and "b2" to the largest rank that a chain read over some F_p
-    proved, with that field, for the chains read over Q.  It is a plain
-    class: a frozen dataclass would take about a millisecond at import to
-    generate methods that nothing here uses.
+    and walk is (d, copies) of the closed form of H0.  None of them, nor the
+    representation, depends on the coefficient field; `over` reads them over
+    one.  `proved` maps "b1" and "b2" to the largest rank that a chain read
+    over some F_p proved, with that field, for the chains read over Q.  It
+    is a plain class: a frozen dataclass would take about a millisecond at
+    import to generate methods that nothing here uses.
     """
 
-    __slots__ = ("presentation", "representation", "b1", "b2", "walk", "proved")
+    __slots__ = ("representation", "b1", "b2", "walk", "proved")
 
-    def __init__(self, presentation: Presentation, representation: Representation,
+    def __init__(self, representation: Representation,
                  b1: list[dict[int, dict[int, int]]], b2: list[dict[int, dict[int, int]]],
                  walk: tuple[int, int]):
-        self.presentation = presentation
         self.representation = representation
         self.b1 = b1
         self.b2 = b2
@@ -242,16 +234,20 @@ class IntegralChain:
         self.proved: dict[str, tuple[int, CoefficientField]] = {}
 
     def over(self, field: CoefficientField) -> TwistedChain:
-        """The chain over `field`, sharing these rows and `proved`: nothing is copied or reduced here."""
-        p, rep = self.presentation, self.representation
-        n, g = rep.dim, p.generator_count
-        return TwistedChain(p, Representation(p, rep.character, rep.quotient, field),
-                            SparseMatrix(field, self.b1, g * n, n),
+        """The chain over `field`, the one way to make a `TwistedChain`.
+
+        It shares the representation, these rows, the walk and `proved`:
+        nothing is copied or reduced here, and the field is that of b1 and b2.
+        """
+        rep = self.representation
+        p, n = rep.presentation, rep.dim
+        g = p.generator_count
+        return TwistedChain(rep, SparseMatrix(field, self.b1, g * n, n),
                             SparseMatrix(field, self.b2, len(p.relators) * n, g * n),
                             self.walk, self.proved)
 
 
-def _assemble(p: Presentation, rep: Representation) -> IntegralChain:
+def _assemble(rep: Representation) -> IntegralChain:
     """Assemble both boundary matrices over Z from the group table, after checking the chain condition.
 
     Block (j, i) of b2 is sum_g f_{i,g} P(g), with f_{i,g} from one
@@ -263,7 +259,7 @@ def _assemble(p: Presentation, rep: Representation) -> IntegralChain:
     """
     n = rep.dim
     table = rep.quotient.group.table
-    relator_blocks = [fox_images(rep, r) for r in p.relators]
+    relator_blocks = [fox_images(rep, r) for r in rep.presentation.relators]
     if not all(_fundamental_formula_holds(rep, blocks) for blocks in relator_blocks):
         raise InternalCheckError("chain condition b2 @ b1 = 0 violated")
     b1 = []
@@ -283,7 +279,7 @@ def _assemble(p: Presentation, rep: Representation) -> IntegralChain:
         for q in range(n):
             row_q = table[q]
             b2.append(dict(sorted([(i0 + row_q[g], f) for i0, g, f in terms])))
-    return IntegralChain(p, rep, b1, b2, _h0_walk(rep))
+    return IntegralChain(rep, b1, b2, _h0_walk(rep))
 
 
 def h1_vanishing(c: TwistedChain) -> tuple[bool, int]:
@@ -317,7 +313,7 @@ def _h0_walk(rep: Representation) -> tuple[int, int]:
 def _h0_closed_form(c: TwistedChain) -> tuple[int, int, LaurentPoly]:
     """(d, rank H0, ord H0): each of the |Q : im alpha| orbits contributes
     F[t^{+-1}]/(t^d - 1) to H0, with d from `_h0_walk`."""
-    d, copies = c.walk if c.walk is not None else _h0_walk(c.representation)
+    d, copies = c.walk
     field = c.b1.field
     if d == 0:
         return 0, copies, LaurentPoly.zero(field)
@@ -326,6 +322,13 @@ def _h0_closed_form(c: TwistedChain) -> tuple[int, int, LaurentPoly]:
 
 
 def _h1_order(c: TwistedChain) -> tuple[LaurentPoly, SnfResult]:
+    """Normalized order of H1 through the order route, and the diagonal form of b2.
+
+    C1/rowspace(b2) is H1 plus the free module im(b1), so the order is the
+    product of the nonzero diagonal entries of b2 when there are
+    rows(b1) - rank b1 of them, and zero (H1 has free rank) otherwise; here
+    rank b1 = |Q| - rank H0 comes from the closed form, not the rank route.
+    """
     form = diagonal_form(c.b2)
     rank_b1 = c.block_size - c.h0_closed_form()[1]
     if form.rank != c.b1.rows - rank_b1:
@@ -334,17 +337,6 @@ def _h1_order(c: TwistedChain) -> tuple[LaurentPoly, SnfResult]:
     # canonical monomial is 1, so only the longer entries are multiplied.
     factors = [e for e in form.diagonal if len(e.coeffs) > 1]
     return (reduce(mul, factors) if factors else LaurentPoly.one(c.b1.field)), form
-
-
-def h1_order(c: TwistedChain) -> LaurentPoly:
-    """Normalized order of H1 through the order route.
-
-    C1/rowspace(b2) is H1 plus the free module im(b1), so the order is the
-    product of the nonzero diagonal entries of b2 when there are
-    rows(b1) - rank b1 of them, and zero (H1 has free rank) otherwise; here
-    rank b1 = |Q| - rank H0 comes from the closed form, not the rank route.
-    """
-    return _h1_order(c)[0]
 
 
 def h0_report(c: TwistedChain) -> AlexanderReport:
@@ -363,7 +355,8 @@ def h0_report(c: TwistedChain) -> AlexanderReport:
 def _diagnostic(c: TwistedChain, rank: int, order: LaurentPoly, detail: str) -> str:
     """What reproduces a failed cross-check, with the sizes involved, and the
     route of each rank of b1 and b2 that was computed; no matrix entries."""
-    p, rep, cache = c.presentation, c.representation, c._cache
+    rep, cache = c.representation, c._cache
+    p = rep.presentation
     q = rep.quotient
     return "\n".join([
         f"presentation: {render_presentation(p).replace(chr(10), ' | ')}",
@@ -391,11 +384,6 @@ def _h1_report(c: TwistedChain) -> AlexanderReport:
                            c.representation.quotient, c.representation.character)
 
 
-def build_chain(p: Presentation, rep: Representation) -> TwistedChain:
-    """The chain of `rep` over its field, with the quotient taken as given."""
-    return _assemble(p, rep).over(rep.field)
-
-
 def integral_chain(p: Presentation, chi: Character, q: FiniteQuotient) -> IntegralChain:
     """Everything of the chain that no field changes, once per quotient.
 
@@ -403,8 +391,7 @@ def integral_chain(p: Presentation, chi: Character, q: FiniteQuotient) -> Integr
     the identity; then `_assemble` assembles b1 and b2 over Z and
     walks H0.
     """
-    q = restrict_to_image(p, q)
-    return _assemble(p, build_representation(p, chi, q, None))
+    return _assemble(build_representation(p, chi, restrict_to_image(p, q)))
 
 
 def chain_reports(c: TwistedChain) -> list[AlexanderReport]:

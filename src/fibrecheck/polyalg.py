@@ -13,16 +13,17 @@ finite field and eliminates there; every minor maps to the image of that
 minor, so the result never exceeds the rank over F(t), and it proves the rank
 whenever it meets a known upper bound.  `rank_over_fraction_field` is exact
 fraction-free Bareiss elimination with minimal-degree pivoting, the fallback
-when the bound falls short.  The diagonal form and the finite-field rank
-eliminate sparse rows, one dict per row from column to nonzero value, with a
-list per column of the rows that hold it: the matrices of a twisted chain are
+when the bound falls short.  There is one matrix type, `SparseMatrix`: rows
+of integer coefficients over Z, one dict per row from column to nonzero
+entry, which every kernel reads through `sparse_rows()` and reduces into the
+field only as it reads.  So one set of rows serves every field.  The
+diagonal form and the finite-field rank eliminate sparse rows, with a list
+per column of the rows that hold it: the matrices of a twisted chain are
 mostly zero, and neither a pivot search nor a row operation visits a zero
-entry.  Both read a matrix through `sparse_rows()`, so they take a dense
-`PolyMatrix` or a `SparseMatrix`, whose integer rows are reduced into the
-field only as they are read: one set of rows over Z serves every field, and
-only Bareiss builds the dense matrix.  Units of F[t^{+-1}] are c*t^k, so the
-canonical representative of a nonzero polynomial class is monic with nonzero
-constant term.
+entry.  Bareiss reads the same rows into its own rows of Laurent
+polynomials.  Units of F[t^{+-1}] are c*t^k, so the canonical
+representative of a nonzero polynomial class is monic with nonzero constant
+term.
 """
 
 from __future__ import annotations
@@ -31,12 +32,10 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 __all__ = [
     "CoefficientField",
     "LaurentPoly",
-    "PolyMatrix",
     "SparseMatrix",
     "SnfResult",
     "NotInSpan",
@@ -297,31 +296,6 @@ class LaurentPoly:
             return self
         return self.shifted(-self.low).monic()
 
-    def divmod_poly(self, b: "LaurentPoly") -> tuple["LaurentPoly", "LaurentPoly"]:
-        """Division with remainder in F[t]; both operands must have low >= 0."""
-        self._check(b)
-        if b.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        if (not self.is_zero and self.low < 0) or b.low < 0:
-            raise ValueError("divmod_poly needs polynomials in F[t]")
-        f = self.field
-        rem = dict(self.coeffs)
-        quo: dict[int, object] = {}
-        db, lead = b.high, b.coeffs[b.high]
-        lead_inv = f.inv(lead)
-        while rem and max(rem) >= db:
-            e = max(rem)
-            q = f.mul(rem[e], lead_inv)
-            quo[e - db] = q
-            for eb, cb in b.coeffs.items():
-                ee = eb + e - db
-                c = f.sub(rem.get(ee, f.zero), f.mul(q, cb))
-                if c == 0:
-                    rem.pop(ee, None)
-                else:
-                    rem[ee] = c
-        return LaurentPoly._raw(f, quo), LaurentPoly._raw(f, rem)
-
     def divmod_laurent(self, b: "LaurentPoly") -> tuple["LaurentPoly", "LaurentPoly"]:
         """Division with remainder in F[t^{+-1}]: self = q*b + r, span r < span b.
 
@@ -370,23 +344,32 @@ def _divide(r: dict[int, object], b: dict[int, object], f: CoefficientField) -> 
     adds no term outside the current span of r, until span r < span b.  A
     nonzero multiple of b has span at least span b, so a b that divides r
     leaves r empty.  Both are raw {exponent: coefficient} dicts over f, and
-    b is nonzero.
+    b is nonzero.  The top term cancels exactly, so the next top is found by
+    walking down from it; the bottom exponent never decreases, so it is
+    walked up only when its term cancels.  A division thus walks the span
+    of r at most twice, however many steps it takes.
     """
     p = f.p
     hb = max(b)
     sb = hb - min(b)
     lead_inv = f.inv(b[hb])
     quotient: dict[int, object] = {}
-    while r:
-        e = max(r)
-        if e - min(r) < sb:
-            break
-        c = r[e] * lead_inv
+    if not r:
+        return quotient
+    top, low = max(r), min(r)
+    while top - low >= sb:
+        c = r[top] * lead_inv
         if p is not None:
             c %= p
-        s = e - hb
+        s = top - hb
         quotient[s] = c
         _sub_mul(r, {s: c}, b, p)
+        if not r:
+            break
+        while top not in r:
+            top -= 1
+        while low not in r:
+            low += 1
     return quotient
 
 
@@ -405,151 +388,16 @@ def _sub_mul(r: dict[int, object], q: dict[int, object], y: dict[int, object], p
                 r.pop(k, None)
 
 
-class PolyMatrix:
-    """Dense matrix of LaurentPoly entries; zero-dimensional shapes allowed."""
-
-    __slots__ = ("field", "rows", "cols", "entries")
-
-    def __init__(self, field: CoefficientField, entries: Sequence[Sequence[LaurentPoly]],
-                 rows: int | None = None, cols: int | None = None):
-        self.field = field
-        self.entries = [list(row) for row in entries]
-        self.rows = len(self.entries) if rows is None else rows
-        self.cols = (len(self.entries[0]) if self.entries else 0) if cols is None else cols
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("ragged matrix")
-
-    @classmethod
-    def zeros(cls, field: CoefficientField, rows: int, cols: int) -> "PolyMatrix":
-        z = LaurentPoly.zero(field)
-        return cls(field, [[z] * cols for _ in range(rows)], rows, cols)
-
-    @classmethod
-    def identity(cls, field: CoefficientField, n: int) -> "PolyMatrix":
-        m = cls.zeros(field, n, n)
-        for i in range(n):
-            m.entries[i][i] = LaurentPoly.one(field)
-        return m
-
-    @classmethod
-    def from_int_rows(cls, field: CoefficientField, rows: Sequence[Sequence[dict[int, int] | int]]) -> "PolyMatrix":
-        """Test helper: entries are ints (constants) or {exp: int} maps."""
-        out = []
-        for row in rows:
-            out.append([
-                LaurentPoly.term(field, e) if isinstance(e, int)
-                else LaurentPoly.from_int_coeffs(field, e)
-                for e in row
-            ])
-        return cls(field, out)
-
-    def __getitem__(self, ij: tuple[int, int]) -> LaurentPoly:
-        return self.entries[ij[0]][ij[1]]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyMatrix)
-            and (self.rows, self.cols) == (other.rows, other.cols)
-            and self.entries == other.entries
-        )
-
-    def __repr__(self):
-        body = "; ".join(", ".join(e.render() for e in row) for row in self.entries)
-        return f"PolyMatrix({self.rows}x{self.cols}: [{body}])"
-
-    @property
-    def is_zero(self) -> bool:
-        return all(e.is_zero for row in self.entries for e in row)
-
-    def copy(self) -> "PolyMatrix":
-        return PolyMatrix(self.field, [list(row) for row in self.entries], self.rows, self.cols)
-
-    def transpose(self) -> "PolyMatrix":
-        out = PolyMatrix.zeros(self.field, self.cols, self.rows)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out.entries[j][i] = self.entries[i][j]
-        return out
-
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return PolyMatrix(self.field, [
-            [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)
-        ], self.rows, self.cols)
-
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return PolyMatrix(self.field, [
-            [a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)
-        ], self.rows, self.cols)
-
-    def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        f = self.field
-        zero = f.zero
-        out_entries = []
-        for i in range(self.rows):
-            acc: list[dict[int, object]] = [{} for _ in range(other.cols)]
-            row = self.entries[i]
-            for k in range(self.cols):
-                a = row[k].coeffs
-                if not a:
-                    continue
-                other_row = other.entries[k]
-                for j in range(other.cols):
-                    b = other_row[j].coeffs
-                    if not b:
-                        continue
-                    cell = acc[j]
-                    for e1, c1 in a.items():
-                        for e2, c2 in b.items():
-                            e = e1 + e2
-                            s = f.add(cell.get(e, zero), f.mul(c1, c2))
-                            if s == 0:
-                                cell.pop(e, None)
-                            else:
-                                cell[e] = s
-            out_entries.append([LaurentPoly._raw(f, cell) for cell in acc])
-        return PolyMatrix(f, out_entries, self.rows, other.cols)
-
-    @classmethod
-    def vstack(cls, blocks: Sequence["PolyMatrix"]) -> "PolyMatrix":
-        if not blocks:
-            raise ValueError("vstack of nothing")
-        field, cols = blocks[0].field, blocks[0].cols
-        entries = [row for b in blocks for row in b.entries]
-        return cls(field, entries, sum(b.rows for b in blocks), cols)
-
-    @classmethod
-    def hstack(cls, blocks: Sequence["PolyMatrix"]) -> "PolyMatrix":
-        if not blocks:
-            raise ValueError("hstack of nothing")
-        field, rows = blocks[0].field, blocks[0].rows
-        entries = [[e for b in blocks for e in b.entries[i]] for i in range(rows)]
-        return cls(field, entries, rows, sum(b.cols for b in blocks))
-
-    def column(self, j: int) -> list[LaurentPoly]:
-        return [self.entries[i][j] for i in range(self.rows)]
-
-    def sparse_rows(self) -> list[dict[int, dict[int, object]]]:
-        """Each row as {column: coefficient dict} of its nonzero entries."""
-        return [{j: e.coeffs for j, e in enumerate(row) if e.coeffs} for row in self.entries]
-
-
 class SparseMatrix:
     """A matrix over F[t^{+-1}] kept as sparse rows of integer coefficients.
 
     `data[i]` maps the column of each nonzero entry of row i, in ascending
     order, to its {exponent: coefficient} dict.  The coefficients are ints
     (or values of `field`), read into `field` only by the kernels that take
-    them: `rank_lower_bound` and `diagonal_form` reduce each coefficient as
-    they read it and drop an entry that vanishes there, so several fields
-    can share one `data`, which nothing changes.  `to_dense` builds the
-    `PolyMatrix`, for Bareiss and for comparison.
+    them: each reduces a coefficient as it reads it and drops an entry that
+    vanishes there, so several fields can share one `data`, which nothing
+    changes.  The kernels read only `field`, `rows`, `cols` and
+    `sparse_rows()`.
     """
 
     __slots__ = ("field", "data", "rows", "cols")
@@ -564,30 +412,26 @@ class SparseMatrix:
     def sparse_rows(self) -> list[dict[int, dict[int, int]]]:
         return self.data
 
-    def to_dense(self) -> PolyMatrix:
-        field = self.field
-        zero = LaurentPoly.zero(field)
-        entries = []
-        for row in self.data:
-            dense = [zero] * self.cols
-            for j, coeffs in row.items():
-                dense[j] = LaurentPoly.from_int_coeffs(field, coeffs)
-            entries.append(dense)
-        return PolyMatrix(field, entries, self.rows, self.cols)
 
+def rank_over_fraction_field(m: SparseMatrix) -> int:
+    """Rank over F(t) by fraction-free Bareiss elimination.
 
-def rank_over_fraction_field(m: PolyMatrix | SparseMatrix) -> int:
-    """Rank over F(t) by fraction-free Bareiss elimination, on the dense matrix.
-
-    Pivots are chosen with minimal degree spread to curb coefficient growth;
-    the two-step division is exact by the Sylvester determinant identity, so
-    entries stay Laurent polynomials throughout.
+    The rows of `m.sparse_rows()` are read into rows of LaurentPoly over
+    `m.field`, zero entries included.  Pivots are chosen with minimal degree
+    spread to curb coefficient growth; the two-step division is exact by the
+    Sylvester determinant identity, so entries stay Laurent polynomials
+    throughout.
     """
-    if isinstance(m, SparseMatrix):
-        m = m.to_dense()
-    a = [list(row) for row in m.entries]
+    field = m.field
     rows, cols = m.rows, m.cols
-    prev = LaurentPoly.one(m.field)
+    zero = LaurentPoly.zero(field)
+    a = []
+    for entries in m.sparse_rows():
+        row = [zero] * cols
+        for j, coeffs in entries.items():
+            row[j] = LaurentPoly.from_int_coeffs(field, coeffs)
+        a.append(row)
+    prev = LaurentPoly.one(field)
     r = 0
     for c in range(cols):
         if r >= rows:
@@ -606,7 +450,7 @@ def rank_over_fraction_field(m: PolyMatrix | SparseMatrix) -> int:
                 continue
             for j in range(c + 1, cols):
                 a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]).exact_div(prev)
-            a[i][c] = LaurentPoly.zero(m.field)
+            a[i][c] = zero
         prev = a[r][c]
         r += 1
     return r
@@ -618,7 +462,7 @@ _MERSENNE_61 = (1 << 61) - 1
 _GF_ORDER_LIMIT = 1 << 13
 
 
-def rank_lower_bound(m: PolyMatrix | SparseMatrix) -> int:
+def rank_lower_bound(m: SparseMatrix) -> int:
     """Rank of m after mapping t to a fixed point of a finite field.
 
     A nonzero minor of the image is the image of the same minor of m, so
@@ -770,7 +614,7 @@ def _zech_field(p: int) -> tuple[int, int, array, array]:
     return n, log[p - 1], zech, array("i", [0] + [log[c] for c in range(1, p)])
 
 
-def _rank_in_extension(m: PolyMatrix | SparseMatrix, p: int) -> int:
+def _rank_in_extension(m: SparseMatrix, p: int) -> int:
     """Rank of m at t -> alpha in GF(p^k), eliminating sparse rows of Zech exponents."""
     n, neg_one, zech, prime_log = _zech_field(p)
     rows, holders = [], [[] for _ in range(m.cols)]
@@ -837,7 +681,7 @@ class SnfResult:
         return sum(1 for d in self.diagonal if not d.is_zero)
 
 
-def diagonal_form(m: PolyMatrix | SparseMatrix) -> SnfResult:
+def diagonal_form(m: SparseMatrix) -> SnfResult:
     """A diagonal form of m over the Euclidean domain F[t^{+-1}], normed by span.
 
     Elimination runs on sparse rows: each row maps a column to the raw

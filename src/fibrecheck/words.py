@@ -30,7 +30,6 @@ __all__ = [
     "render_character",
     "validate_character",
     "direct_product",
-    "tietze_variant",
 ]
 
 # Cap on the letters of all relators of one presentation, with every power
@@ -76,15 +75,6 @@ class Word:
 
     def inverse(self) -> "Word":
         return Word(tuple(-x for x in reversed(self.letters)))
-
-    def __pow__(self, n: int) -> "Word":
-        if n < 0:
-            return self.inverse() ** (-n)
-        return Word.of(self.letters * n)
-
-    def conjugated_by(self, w: "Word") -> "Word":
-        """w * self * w^-1."""
-        return w * self * w.inverse()
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -291,40 +281,3 @@ def direct_product(pa: Presentation, pb: Presentation) -> Presentation:
         for j in range(ga + 1, ga + pb.generator_count + 1):
             relators.append(Word((i, j, -i, -j)))
     return Presentation(tuple(names), tuple(relators))
-
-
-def tietze_variant(p: Presentation, move: str, **kwargs) -> Presentation:
-    """Presentation of the same group after one Tietze move.
-
-    move="redundant-relator": kwargs ``recipe`` is a nonempty list of
-    (conjugator Word, relator index, exponent) triples; the product of
-    conjugated relator powers is appended as a new relator.
-
-    move="new-generator": kwargs ``name`` and ``defining`` (a Word in the
-    old generators); appends generator ``name`` with relator
-    new_gen * defining^-1.
-    """
-    if move == "redundant-relator":
-        recipe = kwargs.get("recipe")
-        if not recipe:
-            raise ValueError("redundant-relator needs a nonempty recipe")
-        w = Word()
-        for item in recipe:
-            try:
-                conj, idx, exp = item
-            except (TypeError, ValueError):
-                raise ValueError(f"malformed recipe entry {item!r}")
-            if not isinstance(conj, Word) or not 0 <= idx < len(p.relators):
-                raise ValueError(f"malformed recipe entry {item!r}")
-            w = w * (p.relators[idx] ** exp).conjugated_by(conj)
-        if w.is_identity:
-            raise ValueError("recipe reduces to the empty relator")
-        return Presentation(p.generator_names, p.relators + (w,))
-    if move == "new-generator":
-        name, defining = kwargs.get("name"), kwargs.get("defining")
-        if not name or not isinstance(defining, Word):
-            raise ValueError("new-generator needs a name and a defining Word")
-        new_index = p.generator_count + 1
-        rel = Word((new_index,)) * defining.inverse()
-        return Presentation(p.generator_names + (name,), p.relators + (rel,))
-    raise ValueError(f"unknown Tietze move {move!r}")

@@ -5,14 +5,43 @@ the older, independent route as a reference: a free basis K of the left
 kernel of b1 from a column Hermite form of b1^T, the rows of b2 rewritten in
 K-coordinates by `solve_in_span`, and the invariant factors of that
 coordinate matrix.  The tests compare the two routes.  The Hermite form
-works over F[t], so its inputs first pass `clear_denominators`.
+works over F[t], so its inputs first pass `clear_denominators`, and it
+divides with remainder in F[t] by `divmod_poly`.
 """
 
 from __future__ import annotations
 
 from fibrecheck.alexander import TwistedChain
-from fibrecheck.polyalg import LaurentPoly, NotInSpan, PolyMatrix
+from fibrecheck.polyalg import LaurentPoly, NotInSpan
+from dense_oracle import PolyMatrix, to_dense
 from smith_oracle import order_of, smith_normal_form
+
+
+def divmod_poly(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """Division with remainder in F[t]; both operands must have low >= 0."""
+    if a.field != b.field:
+        raise ValueError(f"field mismatch: {a.field.name} vs {b.field.name}")
+    if b.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    if (not a.is_zero and a.low < 0) or b.low < 0:
+        raise ValueError("divmod_poly needs polynomials in F[t]")
+    f = a.field
+    rem = dict(a.coeffs)
+    quo: dict[int, object] = {}
+    db, lead = b.high, b.coeffs[b.high]
+    lead_inv = f.inv(lead)
+    while rem and max(rem) >= db:
+        e = max(rem)
+        q = f.mul(rem[e], lead_inv)
+        quo[e - db] = q
+        for eb, cb in b.coeffs.items():
+            ee = eb + e - db
+            c = f.sub(rem.get(ee, f.zero), f.mul(q, cb))
+            if c == 0:
+                rem.pop(ee, None)
+            else:
+                rem[ee] = c
+    return LaurentPoly(f, quo), LaurentPoly(f, rem)
 
 
 def clear_denominators(m: PolyMatrix) -> PolyMatrix:
@@ -76,7 +105,7 @@ def hermite_normal_form(m: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
             for j in live:
                 if j == jmin:
                     continue
-                q, _ = h.entries[r][j].divmod_poly(h.entries[r][jmin])
+                q, _ = divmod_poly(h.entries[r][j], h.entries[r][jmin])
                 add_col(j, jmin, q)
             live = [j for j in range(c, m.cols) if not h.entries[r][j].is_zero]
         if live[0] != c:
@@ -147,6 +176,6 @@ def kernel_route_h1_order(c: TwistedChain) -> LaurentPoly:
     of the invariant factors (zero when the presentation has free rank).
     """
     field = c.b1.field
-    kernel = kernel_basis(clear_denominators(c.b1.to_dense().transpose()))
-    coords = solve_in_span(kernel, clear_denominators(c.b2.to_dense()).transpose())
+    kernel = kernel_basis(clear_denominators(to_dense(c.b1).transpose()))
+    coords = solve_in_span(kernel, clear_denominators(to_dense(c.b2)).transpose())
     return order_of(field, smith_normal_form(coords), kernel.cols)

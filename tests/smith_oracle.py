@@ -10,7 +10,8 @@ production form against it.
 
 from __future__ import annotations
 
-from fibrecheck.polyalg import LaurentPoly, PolyMatrix, SnfResult
+from fibrecheck.polyalg import LaurentPoly, SnfResult
+from dense_oracle import PolyMatrix
 
 
 def smith_normal_form(m: PolyMatrix) -> SnfResult:

@@ -10,7 +10,7 @@ import io
 import itertools
 import time
 
-from fibrecheck.alexander import InternalCheckError, build_chain, full_report, h1_order, h1_vanishing
+from fibrecheck.alexander import InternalCheckError, full_report, h1_vanishing
 from fibrecheck.fibring import ScanConfig, product_vanishing_test, scan
 from fibrecheck.fixtures import load_fixture
 from fibrecheck.foxcalc import build_representation
@@ -24,7 +24,9 @@ from fibrecheck.quotients import (
     trivial_quotient,
 )
 from fibrecheck.reidschreier import rewrite_subgroup
-from fibrecheck.words import Word, tietze_variant, validate_character
+from fibrecheck.words import Word, validate_character
+from dense_oracle import chain_over, h1_order
+from free_group_oracle import tietze_variant
 from quotient_oracle import same_kernel
 
 Q = CoefficientField.rationals()
@@ -164,8 +166,8 @@ def test_criterion_7_route_agreement():
         p, chi = load_fixture(name)
         for q in _kernel_classes(p, 4):
             for field in (Q, F2, F3):
-                chain = build_chain(p, build_representation(
-                    p, chi, restrict_to_image(p, q), field))
+                chain = chain_over(build_representation(
+                    p, chi, restrict_to_image(p, q)), field)
                 vanish, _ = h1_vanishing(chain)
                 assert vanish == h1_order(chain).is_zero, (name, q.label(), field.name)
                 instances += 1

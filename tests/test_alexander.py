@@ -8,17 +8,15 @@ from fibrecheck.alexander import (
     InternalCheckError,
     TwistedChain,
     _h0_closed_form,
-    build_chain,
     chain_reports,
     full_report,
     h0_report,
-    h1_order,
     h1_vanishing,
     integral_chain,
 )
 from fibrecheck.fixtures import load_fixture
 from fibrecheck.foxcalc import Representation, build_representation
-from fibrecheck.polyalg import CoefficientField, LaurentPoly, PolyMatrix, SnfResult, diagonal_form
+from fibrecheck.polyalg import CoefficientField, LaurentPoly, SnfResult, diagonal_form
 from fibrecheck.quotients import (
     cyclic_group,
     enumerate_homs,
@@ -34,10 +32,10 @@ from fibrecheck.words import (
     Word,
     parse_presentation,
     render_presentation,
-    tietze_variant,
     validate_character,
 )
-from dense_oracle import DenseRepresentation, dense_chain
+from dense_oracle import DenseRepresentation, PolyMatrix, chain_over, dense_chain, h1_order, to_dense
+from free_group_oracle import tietze_variant
 from quotient_oracle import same_kernel
 from smith_oracle import order_of, smith_normal_form
 
@@ -51,35 +49,34 @@ def poly(field, coeffs):
     return LaurentPoly.from_int_coeffs(field, coeffs)
 
 
-def _transposed(rep: Representation) -> DenseRepresentation:
+def _transposed(rep: Representation, field) -> DenseRepresentation:
     """The partner convention built on the left regular action.
 
     Generator i maps to t^{phi(x_i)} * transpose(P(alpha(x_i)^-1)); this is
     again a homomorphism, and cross-testing against it checks that vanishing
     and normalized orders do not depend on the side convention.
     """
-    dense = DenseRepresentation.of(rep)
+    dense = DenseRepresentation.of(rep, field)
 
     def shift_all(m: PolyMatrix, k: int) -> PolyMatrix:
-        return PolyMatrix(rep.field, [[e.shifted(k) for e in row] for row in m.entries],
+        return PolyMatrix(field, [[e.shifted(k) for e in row] for row in m.entries],
                           m.rows, m.cols)
 
     mats = [shift_all(m.transpose(), 2 * v)
             for m, v in zip(dense.inverses, rep.character.values)]
     invs = [shift_all(m.transpose(), -2 * v)
             for m, v in zip(dense.matrices, rep.character.values)]
-    return DenseRepresentation(rep.field, rep.dim, mats, invs)
+    return DenseRepresentation(field, rep.dim, mats, invs)
 
 
 def _chain(p, chi, q, field=Q):
-    rep = build_representation(p, chi, q, field)
-    return build_chain(p, rep)
+    return chain_over(build_representation(p, chi, q), field)
 
 
 def test_build_chain_z():
     z, chi = load_fixture("zn:1")
     c = _chain(z, chi, trivial_quotient(z))
-    assert c.b1.to_dense() == PolyMatrix.from_int_rows(Q, [[{1: 1, 0: -1}]])
+    assert to_dense(c.b1) == PolyMatrix.from_int_rows(Q, [[{1: 1, 0: -1}]])
     assert c.b2.rows == 0 and c.b2.cols == 1
 
 
@@ -87,7 +84,7 @@ def test_build_chain_bs12():
     p, chi = load_fixture("bs:1:2")
     c = _chain(p, chi, trivial_quotient(p))
     # phi(a) - 1 = 0, phi(t) - 1 = t - 1; Fox rows (t - 2, 0)
-    b1, b2 = c.b1.to_dense(), c.b2.to_dense()
+    b1, b2 = to_dense(c.b1), to_dense(c.b2)
     assert b1 == PolyMatrix.from_int_rows(Q, [[0], [{1: 1, 0: -1}]])
     assert b2 == PolyMatrix.from_int_rows(Q, [[{1: 1, 0: -2}, 0]])
     assert (b2 @ b1).is_zero
@@ -96,13 +93,13 @@ def test_build_chain_bs12():
 def test_build_chain_f2xz():
     p, chi = load_fixture("f2xz")
     c = _chain(p, chi, trivial_quotient(p))
-    b1 = c.b1.to_dense()
+    b1 = to_dense(c.b1)
     assert b1 == PolyMatrix.from_int_rows(Q, [[0], [0], [{1: 1, 0: -1}]])
-    assert (c.b2.to_dense() @ b1).is_zero
+    assert (to_dense(c.b2) @ b1).is_zero
 
 
 def _perturbed_fox_images(monkeypatch, perturb):
-    """Make build_chain see its first relator's Fox images changed by `perturb`."""
+    """Make chain assembly see its first relator's Fox images changed by `perturb`."""
     import fibrecheck.alexander as alexander
 
     original = alexander.fox_images
@@ -133,11 +130,11 @@ def test_chain_check_rejects_wrong_fox_images(perturb, monkeypatch):
     # The fundamental formula in Z[Q x Z] catches one wrong term in one block.
     p, chi = load_fixture("trefoil")
     q = make_quotient(p, symmetric_group(3), (2, 1))
-    rep = build_representation(p, chi, q, Q)
-    build_chain(p, rep)
+    rep = build_representation(p, chi, q)
+    chain_over(rep, Q)
     _perturbed_fox_images(monkeypatch, perturb)
     with pytest.raises(InternalCheckError, match="chain condition"):
-        build_chain(p, rep)
+        chain_over(rep, Q)
 
 
 def test_h1_vanishing_examples():
@@ -266,7 +263,7 @@ def test_rational_f2xz_chains_hold_int_coefficients():
     for q in kept:
         for c in (chi, chi.negate()):
             chain = _chain(p, c, restrict_to_image(p, q))
-            polys = [e for m in (chain.b1, chain.b2) for row in m.to_dense().entries for e in row]
+            polys = [e for m in (chain.b1, chain.b2) for row in to_dense(m).entries for e in row]
             polys += diagonal_form(chain.b2).diagonal
             for e in polys:
                 assert all(type(x) is int for x in e.coeffs.values()), (q.label(), e)
@@ -410,9 +407,9 @@ def test_transpose_convention_cross_check():
     ]
     for name, q in cases:
         p, chi = load_fixture(name)
-        rep = build_representation(p, chi, q, Q)
-        c1 = build_chain(p, rep)
-        c2 = dense_chain(p, _transposed(rep), rep)
+        rep = build_representation(p, chi, q)
+        c1 = chain_over(rep, Q)
+        c2 = dense_chain(_transposed(rep, Q), rep)
         assert (c2.b2 @ c2.b1).is_zero
         assert h1_vanishing(c1) == h1_vanishing(c2)
         assert h1_order(c1) == h1_order(c2)
@@ -601,14 +598,14 @@ def _presentations_with_quotient(draw):
 @settings(max_examples=30)
 @given(data=st.data())
 def test_monomial_chain_matches_dense_oracle(field, data):
-    # build_chain fills b2 from one walk per relator; the oracle multiplies
+    # The chain fills b2 from one walk per relator; the oracle multiplies
     # dense generator matrices letter by letter for every Fox term.
     p, chi, q = data.draw(_presentations_with_quotient())
-    rep = build_representation(p, chi, q, field)
-    chain = build_chain(p, rep)
-    dense = dense_chain(p, DenseRepresentation.of(rep), rep)
-    assert chain.b1.to_dense() == dense.b1
-    assert chain.b2.to_dense() == dense.b2
+    rep = build_representation(p, chi, q)
+    chain = chain_over(rep, field)
+    dense = dense_chain(DenseRepresentation.of(rep, field), rep)
+    assert to_dense(chain.b1) == dense.b1
+    assert to_dense(chain.b2) == dense.b2
 
 
 @pytest.mark.parametrize("field", [Q, F2, F3], ids=lambda f: f.name)
@@ -618,9 +615,9 @@ def test_closed_form_h0_and_diagonal_h1_match_smith_oracle(field, data):
     # H0 from the walk over the image and H1 from the diagonal form of b2 agree
     # with the Smith forms of b1 and b2; the order route reads no rank.
     p, chi, q = data.draw(_presentations_with_quotient())
-    chain = build_chain(p, build_representation(p, chi, q, field))
+    chain = chain_over(build_representation(p, chi, q), field)
     n = chain.block_size
-    snf_b1 = smith_normal_form(chain.b1.to_dense())
+    snf_b1 = smith_normal_form(to_dense(chain.b1))
     with pytest.MonkeyPatch.context() as m:
         for method in ("rank_b1", "rank_b2"):
             m.setattr(TwistedChain, method, lambda c: pytest.fail("the order route read a rank"))
@@ -630,5 +627,44 @@ def test_closed_form_h0_and_diagonal_h1_match_smith_oracle(field, data):
     assert order_h0 == order_of(field, snf_b1, n)
     assert (rank_h0 == 0) == (d != 0)
     assert chain.rank_b1() == n - rank_h0
-    assert order_h1 == order_of(field, smith_normal_form(chain.b2.to_dense()), chain.b1.rows - snf_b1.rank)
+    assert order_h1 == order_of(field, smith_normal_form(to_dense(chain.b2)), chain.b1.rows - snf_b1.rank)
     assert order_h1 == order_h1.canonical()
+
+
+@pytest.mark.parametrize("field", [Q, F2, F3], ids=lambda f: f.name)
+@settings(max_examples=30)
+@given(data=st.data())
+def test_minus_reports_match_the_negated_character_on_random_presentations(field, data):
+    # `_scan_job` derives the reports of -chi from those of chi by t -> t^-1;
+    # they must equal a full computation for -chi.
+    from fibrecheck.fibring import _scan_job
+
+    p, chi, q = data.draw(_presentations_with_quotient())
+    assert _scan_job((p, chi, q, (field,)))[2:] == full_report(p, chi.negate(), q, field)
+
+
+@pytest.mark.parametrize("field", [Q, F2, F3], ids=lambda f: f.name)
+@settings(max_examples=30)
+@given(data=st.data())
+def test_tietze_moves_keep_verdicts_and_orders_on_random_presentations(field, data):
+    # A redundant relator (a conjugate of a relator power) and a new generator
+    # with its defining relator present the same group, with the same
+    # character and quotient map: every vanishing verdict and canonical order
+    # must stay the same.
+    p, chi, q = data.draw(_presentations_with_quotient())
+    letters = st.sampled_from([x for i in range(1, p.generator_count + 1) for x in (i, -i)])
+    words = st.lists(letters, max_size=4).map(Word.of)
+    base = [(r.vanishing, r.order) for r in full_report(p, chi, q, field)]
+
+    defining = Word.of(data.draw(st.lists(letters, min_size=1, max_size=4)))
+    extended = tietze_variant(p, "new-generator", name="d", defining=defining)
+    chi_ext = validate_character(extended, list(chi.values) + [chi.of_word(defining)])
+    q_ext = make_quotient(extended, q.group,
+                          tuple(q.gen_images) + (q.group.word_image(defining, q.gen_images),))
+    variants = [(extended, chi_ext, q_ext)]
+    if p.relators:  # a drawn relator may reduce to the empty word
+        recipe = [(data.draw(words), data.draw(st.integers(0, len(p.relators) - 1)),
+                   data.draw(st.sampled_from([-2, -1, 1, 2])))]
+        variants.append((tietze_variant(p, "redundant-relator", recipe=recipe), chi, q))
+    for vp, vchi, vq in variants:
+        assert [(r.vanishing, r.order) for r in full_report(vp, vchi, vq, field)] == base

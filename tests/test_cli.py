@@ -34,17 +34,35 @@ def test_documented_examples_match_golden(golden_name):
     assert out == (GOLDEN / golden_name).read_text()
 
 
-@pytest.mark.parametrize("argv", [
-    ["scan", "--fixture", "trefoil", "--max-quotient-order", "6"],
-    ["untwist-check", "--fixture", "f2xz", "--quotient", "z6:1,1,0"],
-], ids=["scan", "untwist-check"])
-def test_production_multiplies_no_matrices(argv, monkeypatch):
-    # Chains are filled from the group table and checked in the group ring.
-    from fibrecheck.polyalg import PolyMatrix
+@pytest.mark.parametrize("argv, vanishing", [
+    (["scan", "--fixture", "trefoil", "--max-quotient-order", "6"], False),
+    (["untwist-check", "--fixture", "f2xz", "--quotient", "z6:1,1,0"], False),
+    (["alex", "--fixture", "f2xz", "--char", "a=1", "--quotient", "z3:1,0,0", "--field", "q"], True),
+], ids=["scan", "untwist-check", "alex-vanishing"])
+def test_production_multiplies_no_matrices(argv, vanishing, monkeypatch):
+    # Chains are filled from the group table and checked in the group ring:
+    # no module of the package defines a matrix product or binds the dense
+    # matrix of the tests, and Bareiss, which every vanishing verdict runs,
+    # reads the chain's sparse integer rows.
+    import importlib
+    import pkgutil
 
-    monkeypatch.setattr(PolyMatrix, "__matmul__", lambda a, b: pytest.fail("a matrix product ran"))
+    from fibrecheck import alexander
+    from fibrecheck.polyalg import SparseMatrix
+
+    names = [m.name for m in pkgutil.iter_modules(fibrecheck.__path__) if m.name != "__main__"]
+    for module in [fibrecheck] + [importlib.import_module(f"fibrecheck.{n}") for n in names]:
+        assert "PolyMatrix" not in vars(module), module.__name__
+        for obj in vars(module).values():
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
+                assert "__matmul__" not in vars(obj), (module.__name__, obj.__name__)
+    bareiss, seen = alexander.rank_over_fraction_field, []
+    monkeypatch.setattr(alexander, "rank_over_fraction_field",
+                        lambda m: seen.append(type(m)) or bareiss(m))
     code, _ = run_cli(argv)
     assert code == 0
+    assert all(kind is SparseMatrix for kind in seen)
+    assert bool(seen) == vanishing
 
 
 def test_alex_prints_hand_computed_order():
@@ -304,10 +322,10 @@ def test_witness_at_a_later_field_stops_the_job(jobs, tmp_path):
 
 def test_nonvanishing_scan_builds_no_dense_chain(monkeypatch):
     # The fields read the chain's integer rows; no rank here falls short of its
-    # bound, so Bareiss never runs and no PolyMatrix is built.
-    from fibrecheck.polyalg import PolyMatrix
+    # bound, so Bareiss, the one kernel that reads them into dense rows, never runs.
+    from fibrecheck import alexander
 
-    monkeypatch.setattr(PolyMatrix, "__init__", lambda *a, **k: pytest.fail("a PolyMatrix was built"))
+    monkeypatch.setattr(alexander, "rank_over_fraction_field", lambda m: pytest.fail("Bareiss ran"))
     code, out = run_cli(["scan", "--fixture", "trefoil", "--max-quotient-order", "6"])
     assert code == 0
     assert "NO OBSTRUCTION up to order 6" in out

@@ -104,16 +104,17 @@ def test_scan_parallel_matches_serial():
 def test_scan_obstructed_witness_reproducible():
     # Soundness: re-running the witness triple independently reproduces
     # the vanishing verdict through both code paths.
-    from fibrecheck.alexander import build_chain, h1_order, h1_vanishing
+    from fibrecheck.alexander import h1_vanishing
     from fibrecheck.foxcalc import build_representation
     from fibrecheck.quotients import restrict_to_image
+    from dense_oracle import chain_over, h1_order
 
     p, _ = load_fixture("f2xz")
     chi = validate_character(p, [1, 0, 0])
     v = scan(ScanConfig(presentation=p, character=chi, max_quotient_order=4))
     w = v.witness
-    chain = build_chain(p, build_representation(
-        p, w.character, restrict_to_image(p, w.quotient), w.field))
+    chain = chain_over(build_representation(
+        p, w.character, restrict_to_image(p, w.quotient)), w.field)
     vanish, _ = h1_vanishing(chain)
     assert vanish
     assert h1_order(chain).is_zero

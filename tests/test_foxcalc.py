@@ -2,17 +2,12 @@ import random
 
 import pytest
 
-from fibrecheck.foxcalc import (
-    GroupRingElement,
-    build_representation,
-    fox_derivative,
-    fox_images,
-    fundamental_identity_check,
-)
-from fibrecheck.polyalg import CoefficientField, PolyMatrix
+from fibrecheck.foxcalc import build_representation, fox_images
+from fibrecheck.polyalg import CoefficientField
 from fibrecheck.quotients import cyclic_group, make_quotient, trivial_quotient
 from fibrecheck.words import Word, parse_presentation, validate_character
-from dense_oracle import evaluate
+from dense_oracle import PolyMatrix, evaluate
+from free_group_oracle import GroupRingElement, fox_derivative, fundamental_identity_check
 
 Q = CoefficientField.rationals()
 
@@ -78,7 +73,7 @@ def test_fox_images_gather_the_fox_derivatives():
 
     chi = validate_character(TREFOIL, [1, 1])
     q = make_quotient(TREFOIL, symmetric_group(3), (2, 1))
-    rep = build_representation(TREFOIL, chi, q, Q)
+    rep = build_representation(TREFOIL, chi, q)
     rng = random.Random(15)
     for _ in range(50):
         w = _random_word(rng, max_len=10)
@@ -94,13 +89,13 @@ def test_fox_images_gather_the_fox_derivatives():
 
 def _image(rep, w: Word) -> PolyMatrix:
     """The image of a single word under evaluate."""
-    return evaluate(rep, GroupRingElement.of_word(w))
+    return evaluate(rep, GroupRingElement.of_word(w), Q)
 
 
 def test_representation_trivial_quotient():
     z = parse_presentation("gens: t\nrels:")
     chi = validate_character(z, [1])
-    rep = build_representation(z, chi, trivial_quotient(z), Q)
+    rep = build_representation(z, chi, trivial_quotient(z))
     assert _image(rep, Word((1,))) == PolyMatrix.from_int_rows(Q, [[{1: 1}]])
 
 
@@ -108,7 +103,7 @@ def test_representation_regular_z2():
     p = parse_presentation("gens: a\nrels:")
     chi = validate_character(p, [0])
     q = make_quotient(p, cyclic_group(2), (1,))
-    rep = build_representation(p, chi, q, Q)
+    rep = build_representation(p, chi, q)
     assert _image(rep, Word((1,))) == PolyMatrix.from_int_rows(Q, [[0, 1], [1, 0]])
 
 
@@ -116,7 +111,7 @@ def test_representation_bs_z3():
     # Only a -> 0 kills the relator mod 3, so phi(a) = I and phi(t) = t * shift.
     chi = validate_character(BS12, [0, 1])
     q = make_quotient(BS12, cyclic_group(3), (0, 1))
-    rep = build_representation(BS12, chi, q, Q)
+    rep = build_representation(BS12, chi, q)
     assert _image(rep, Word((1,))) == PolyMatrix.identity(Q, 3)
     shift = PolyMatrix.from_int_rows(Q, [[0, {1: 1}, 0], [0, 0, {1: 1}], [{1: 1}, 0, 0]])
     assert _image(rep, Word((2,))) == shift
@@ -128,18 +123,18 @@ def test_representation_rejects_bad_quotient():
     chi = validate_character(BS12, [0, 1])
     bad = FiniteQuotient(cyclic_group(3), (1, 1), True)  # a -> 1 does not kill the relator
     with pytest.raises(ValueError, match="relator not killed"):
-        build_representation(BS12, chi, bad, Q)
+        build_representation(BS12, chi, bad)
 
 
 def test_evaluate_bs_hand_values():
     chi = validate_character(BS12, [0, 1])
-    rep = build_representation(BS12, chi, trivial_quotient(BS12), Q)
+    rep = build_representation(BS12, chi, trivial_quotient(BS12))
     r = BS12.relators[0]
-    da = evaluate(rep, fox_derivative(r, 1))
-    dt = evaluate(rep, fox_derivative(r, 2))
+    da = evaluate(rep, fox_derivative(r, 1), Q)
+    dt = evaluate(rep, fox_derivative(r, 2), Q)
     assert da == PolyMatrix.from_int_rows(Q, [[{1: 1, 0: -2}]])  # t - 2
     assert dt == PolyMatrix.from_int_rows(Q, [[0]])
-    assert evaluate(rep, GroupRingElement.zero()).is_zero
+    assert evaluate(rep, GroupRingElement.zero(), Q).is_zero
 
 
 def test_phi_is_homomorphism():
@@ -147,7 +142,7 @@ def test_phi_is_homomorphism():
     from fibrecheck.quotients import symmetric_group
 
     q = make_quotient(TREFOIL, symmetric_group(3), (2, 1))
-    rep = build_representation(TREFOIL, chi, q, Q)
+    rep = build_representation(TREFOIL, chi, q)
     rng = random.Random(13)
     ident = PolyMatrix.identity(Q, rep.dim)
     for _ in range(25):
@@ -161,7 +156,7 @@ def test_phi_monomial_shape():
     from fibrecheck.quotients import symmetric_group
 
     q = make_quotient(TREFOIL, symmetric_group(3), (2, 1))
-    rep = build_representation(TREFOIL, chi, q, Q)
+    rep = build_representation(TREFOIL, chi, q)
     for i in (1, 2):
         m = _image(rep, Word((i,)))
         for row in m.entries:
@@ -178,23 +173,23 @@ def test_fundamental_identity_after_evaluation():
     from fibrecheck.quotients import symmetric_group
 
     q = make_quotient(TREFOIL, symmetric_group(3), (2, 1))
-    rep = build_representation(TREFOIL, chi, q, Q)
+    rep = build_representation(TREFOIL, chi, q)
     ident = PolyMatrix.identity(Q, rep.dim)
     for r in TREFOIL.relators:
         total = PolyMatrix.zeros(Q, rep.dim, rep.dim)
         for i in (1, 2):
-            total = total + evaluate(rep, fox_derivative(r, i)) @ (_image(rep, Word((i,))) - ident)
+            total = total + evaluate(rep, fox_derivative(r, i), Q) @ (_image(rep, Word((i,))) - ident)
         assert total.is_zero
 
 
 def test_evaluation_product_rule():
     chi = validate_character(BS12, [0, 1])
     q = make_quotient(BS12, cyclic_group(3), (0, 1))
-    rep = build_representation(BS12, chi, q, Q)
+    rep = build_representation(BS12, chi, q)
     rng = random.Random(14)
     for _ in range(30):
         u, v = _random_word(rng, max_len=5), _random_word(rng, max_len=5)
         for i in (1, 2):
-            lhs = evaluate(rep, fox_derivative(u * v, i))
-            rhs = evaluate(rep, fox_derivative(u, i)) + _image(rep, u) @ evaluate(rep, fox_derivative(v, i))
+            lhs = evaluate(rep, fox_derivative(u * v, i), Q)
+            rhs = evaluate(rep, fox_derivative(u, i), Q) + _image(rep, u) @ evaluate(rep, fox_derivative(v, i), Q)
             assert lhs == rhs

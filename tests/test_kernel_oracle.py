@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from fibrecheck.polyalg import CoefficientField, NotInSpan, PolyMatrix, rank_over_fraction_field
+from fibrecheck.polyalg import CoefficientField, NotInSpan, rank_over_fraction_field
+from dense_oracle import PolyMatrix
 from kernel_oracle import clear_denominators, hermite_normal_form, kernel_basis, solve_in_span
 from test_polyalg import P, _rand_matrix
 

@@ -15,7 +15,6 @@ from fibrecheck.polyalg import (
     CoefficientField,
     LaurentPoly,
     NotInSpan,
-    PolyMatrix,
     SparseMatrix,
     _PRIMITIVE_LOW,
     _zech_field,
@@ -23,6 +22,8 @@ from fibrecheck.polyalg import (
     rank_lower_bound,
     rank_over_fraction_field,
 )
+from dense_oracle import PolyMatrix, to_dense
+from kernel_oracle import divmod_poly
 from zech_oracle import first_primitive_low
 
 Q = CoefficientField.rationals()
@@ -39,7 +40,7 @@ def P(field, coeffs):
 def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Monic gcd in F[t] (inputs must have low >= 0)."""
     while not b.is_zero:
-        a, b = b, a.divmod_poly(b)[1]
+        a, b = b, divmod_poly(a, b)[1]
     return a.monic()
 
 
@@ -159,7 +160,7 @@ def test_rank_lower_bound_falls_back_at_a_root(monkeypatch):
     for field in (Q, F101):
         b1 = PolyMatrix(field, [[P(field, {1: 1, 0: -EVALUATION_POINT})]])
         assert rank_lower_bound(b1) == 0
-        chain = TwistedChain(None, None, b1, PolyMatrix.zeros(field, 0, 1))
+        chain = TwistedChain(None, b1, PolyMatrix.zeros(field, 0, 1), (0, 1), {})
         assert chain.rank_b1() == 1 and chain.rank_b2() == 0
     assert [m.rows for m in calls] == [1, 1]
 
@@ -356,6 +357,32 @@ def test_divmod_laurent_is_a_division_with_remainder(field):
         assert (q * b).divmod_laurent(b) == (q, LaurentPoly.zero(field))
 
 
+@pytest.mark.parametrize("field", [Q, F3], ids=lambda f: f.name)
+def test_division_tracks_the_top_and_bottom_exponents(field, monkeypatch):
+    # t^2000 - 1 = (t - 1)(1 + t + ... + t^1999) takes 2000 steps, each
+    # cancelling the top term.  The division keeps the top and bottom
+    # exponents as it goes: O(1) calls to min and max, where taking both
+    # afresh at every step makes about 2000 of each and costs span^2.
+    from fibrecheck import polyalg
+
+    calls = {"min": 0, "max": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    a, b = P(field, {2000: 1, 0: -1}), P(field, {1: 1, 0: -1})
+    monkeypatch.setattr(polyalg, "min", counted("min", min), raising=False)
+    monkeypatch.setattr(polyalg, "max", counted("max", max), raising=False)
+    q, r = a.divmod_laurent(b)
+    monkeypatch.undo()
+    assert r.is_zero
+    assert q == P(field, {k: 1 for k in range(2000)})
+    assert calls["min"] <= 2 and calls["max"] <= 2, calls
+
+
 def test_canonical_representative():
     p = P(Q, {3: 2, 1: -4})  # -4t + 2t^3 = 2t(t^2 - 2)
     c = p.canonical()
@@ -431,7 +458,7 @@ def test_sparse_integer_rows_are_reduced_into_each_field():
         m = SparseMatrix(field, [{0: {0: 2}}], 1, 2)
         assert rank_lower_bound(m) == rank_over_fraction_field(m) == rank
         assert [d.render() for d in diagonal_form(m).diagonal] == diagonal
-        assert m.to_dense() == PolyMatrix.from_int_rows(field, [[2, 0]])
+        assert to_dense(m) == PolyMatrix.from_int_rows(field, [[2, 0]])
 
 
 @st.composite
@@ -458,7 +485,7 @@ def test_sparse_rows_read_as_their_dense_matrix(field, data):
     rows, n, m = data.draw(_integer_sparse_rows())
     before = repr(rows)
     sparse = SparseMatrix(field, rows, n, m)
-    dense = sparse.to_dense()
+    dense = to_dense(sparse)
     assert rank_lower_bound(sparse) == rank_lower_bound(dense)
     assert diagonal_form(sparse) == diagonal_form(dense)
     assert rank_over_fraction_field(sparse) == rank_over_fraction_field(dense)
