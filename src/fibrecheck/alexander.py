@@ -38,7 +38,12 @@ PID F[t^{+-1}], where the monomial entries of b2 are units.  The sequence
 module, so it is free), so H1 is torsion exactly when the diagonal has
 rows(b1) - rank b1 nonzero entries, with rank b1 = |Q| - rank H0 from the
 closed form, and its order is then their product, the classical Fox-matrix
-order (Wada 1994, Kirk-Livingston 1999).
+order (Wada 1994, Kirk-Livingston 1999).  That diagonal form is taken once
+per quotient, over Z[t^{+-1}]: the elimination pivots only on entries with
+top coefficient +-1, so every step is an elementary operation over Z and
+b2 ~ D (+) R there, with D diagonal.  Each field reads D mod p, where no entry
+of D vanishes, and finishes the residual R, the rows left where a remainder
+with another top coefficient stopped the elimination; it is usually empty.
 Neither route reads the other's result; if they disagree, the run is aborted
 as internally inconsistent.
 """
@@ -53,10 +58,11 @@ from operator import mul
 from .foxcalc import CONVENTION, Representation, build_representation, fox_images
 from .polyalg import (
     CoefficientField,
+    IntegralDiagonal,
     LaurentPoly,
     SnfResult,
     SparseMatrix,
-    diagonal_form,
+    integral_diagonal_form,
     rank_lower_bound,
     rank_over_fraction_field,
 )
@@ -102,24 +108,27 @@ def _certified_rank(m: SparseMatrix, upper: int,
 class TwistedChain:
     """Boundary data over one field: b1 is (g*|Q|) x |Q|, b2 is (s*|Q|) x (g*|Q|).
 
-    Made by `IntegralChain.over`: `walk` is the (d, copies) of the closed
-    form of H0 that the `IntegralChain` walked once for every field, and
-    `proved` is its record of the ranks that its chains over prime fields
-    proved (see `_certify`).
+    Made by `IntegralChain.over`, from the `integral` chain that it keeps:
+    the representation, the walk of the closed form of H0, the record of the
+    ranks that chains over prime fields proved (see `_certify`) and the
+    diagonal form of b2 over Z[t^{+-1}] are all read from there, once for
+    every field.
     """
 
-    representation: Representation
+    integral: IntegralChain
     b1: SparseMatrix
     b2: SparseMatrix
-    walk: tuple[int, int]
-    proved: dict[str, tuple[int, CoefficientField]]
 
     def __post_init__(self):
         object.__setattr__(self, "_cache", {})
 
     @property
+    def representation(self) -> Representation:
+        return self.integral.representation
+
+    @property
     def block_size(self) -> int:
-        return self.representation.dim
+        return self.integral.representation.dim
 
     def _certify(self, key: str, upper: int) -> None:
         """Cache (rank, route) of b1 or b2 by `_certified_rank`.
@@ -127,7 +136,7 @@ class TwistedChain:
         Over Q it reads the rank that a prime field proved, if any; over F_p
         it records its own rank there for the fields that follow.
         """
-        m, proved, cache = getattr(self, key), self.proved, self._cache
+        m, proved, cache = getattr(self, key), self.integral.proved, self._cache
         if m.field.p is None:
             cache[key] = _certified_rank(m, upper, proved.get(key))
         else:
@@ -217,12 +226,15 @@ class IntegralChain:
     and walk is (d, copies) of the closed form of H0.  None of them, nor the
     representation, depends on the coefficient field; `over` reads them over
     one.  `proved` maps "b1" and "b2" to the largest rank that a chain read
-    over some F_p proved, with that field, for the chains read over Q.  It
-    is a plain class: a frozen dataclass would take about a millisecond at
+    over some F_p proved, with that field, for the chains read over Q.
+    `b2_form` eliminates b2 over Z[t^{+-1}] on first use, to b2 ~ D (+) R
+    there (see `polyalg.integral_diagonal_form`), and keeps it: each field
+    reduces D and finishes the residual R, usually empty, by itself.  It is
+    a plain class: a frozen dataclass would take about a millisecond at
     import to generate methods that nothing here uses.
     """
 
-    __slots__ = ("representation", "b1", "b2", "walk", "proved")
+    __slots__ = ("representation", "b1", "b2", "walk", "proved", "_b2_form")
 
     def __init__(self, representation: Representation,
                  b1: list[dict[int, dict[int, int]]], b2: list[dict[int, dict[int, int]]],
@@ -232,19 +244,26 @@ class IntegralChain:
         self.b2 = b2
         self.walk = walk
         self.proved: dict[str, tuple[int, CoefficientField]] = {}
+        self._b2_form: IntegralDiagonal | None = None
 
     def over(self, field: CoefficientField) -> TwistedChain:
         """The chain over `field`, the one way to make a `TwistedChain`.
 
-        It shares the representation, these rows, the walk and `proved`:
-        nothing is copied or reduced here, and the field is that of b1 and b2.
+        It keeps this chain and shares its rows: nothing is copied or reduced
+        here, and the field is that of b1 and b2.
         """
-        rep = self.representation
-        p, n = rep.presentation, rep.dim
+        p, n = self.representation.presentation, self.representation.dim
         g = p.generator_count
-        return TwistedChain(rep, SparseMatrix(field, self.b1, g * n, n),
-                            SparseMatrix(field, self.b2, len(p.relators) * n, g * n),
-                            self.walk, self.proved)
+        return TwistedChain(self, SparseMatrix(field, self.b1, g * n, n),
+                            SparseMatrix(field, self.b2, len(p.relators) * n, g * n))
+
+    def b2_form(self) -> IntegralDiagonal:
+        """b2 ~ D (+) R over Z[t^{+-1}] by `integral_diagonal_form`, taken once for every field."""
+        if self._b2_form is None:
+            p, n = self.representation.presentation, self.representation.dim
+            self._b2_form = integral_diagonal_form(self.b2, len(p.relators) * n,
+                                                   p.generator_count * n)
+        return self._b2_form
 
 
 def _assemble(rep: Representation) -> IntegralChain:
@@ -313,7 +332,7 @@ def _h0_walk(rep: Representation) -> tuple[int, int]:
 def _h0_closed_form(c: TwistedChain) -> tuple[int, int, LaurentPoly]:
     """(d, rank H0, ord H0): each of the |Q : im alpha| orbits contributes
     F[t^{+-1}]/(t^d - 1) to H0, with d from `_h0_walk`."""
-    d, copies = c.walk
+    d, copies = c.integral.walk
     field = c.b1.field
     if d == 0:
         return 0, copies, LaurentPoly.zero(field)
@@ -328,8 +347,12 @@ def _h1_order(c: TwistedChain) -> tuple[LaurentPoly, SnfResult]:
     product of the nonzero diagonal entries of b2 when there are
     rows(b1) - rank b1 of them, and zero (H1 has free rank) otherwise; here
     rank b1 = |Q| - rank H0 comes from the closed form, not the rank route.
+    The diagonal form is b2 ~ D (+) R over Z[t^{+-1}], which the integral
+    chain took once, read over this field: D's entries reduced mod p, whose
+    top coefficients +-1 keep them nonzero, and R, left where a remainder
+    had another top coefficient, finished by `diagonal_form` here.
     """
-    form = diagonal_form(c.b2)
+    form = c.integral.b2_form().over(c.b1.field)
     rank_b1 = c.block_size - c.h0_closed_form()[1]
     if form.rank != c.b1.rows - rank_b1:
         return LaurentPoly.zero(c.b1.field), form
@@ -375,10 +398,15 @@ def _h1_report(c: TwistedChain) -> AlexanderReport:
     vanishing, rank_h1 = h1_vanishing(c)
     order, form = _h1_order(c)
     if vanishing != order.is_zero:
+        phase = c.integral.b2_form()
+        from_z = len(phase.diagonal)
+        residual = (f"residual {len(phase.residual)}x{phase.cols - from_z} finished over {c.b1.field.name}"
+                    if phase.residual else "no residual")
         raise InternalCheckError(
             "degree-1 cross-check failed: rank route and order route disagree\n"
             + _diagnostic(c, rank_h1, order, "diagonal of b2: ["
-                          + ", ".join(d.render() for d in form.diagonal) + "]")
+                          + ", ".join(d.render() for d in form.diagonal)
+                          + f"] ({from_z} entries from Z, {residual})")
         )
     return AlexanderReport(1, vanishing, rank_h1, order, c.b1.field,
                            c.representation.quotient, c.representation.character)

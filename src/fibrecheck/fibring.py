@@ -99,8 +99,12 @@ def _scan_job(args) -> list[AlexanderReport]:
     rank over F_p(t), so Q after a prime field takes the ranks that field
     proved wherever they reach Q's upper bounds, and eliminates nothing for
     them: chi != 0 gives b1 full column rank, and a rank of b2 below its
-    bound over F_p is a vanishing that ends the job before Q.  Q's order
-    route still runs in full; Q first in `fields` runs its own rank route.
+    bound over F_p is a vanishing that ends the job before Q.  Q first in
+    `fields` runs its own rank route.  The order route of the first field
+    eliminates b2 over Z[t^{+-1}] to b2 ~ D (+) R, pivoting only on entries
+    with top coefficient +-1, and every field reads that: D reduced mod p,
+    and R, usually empty, finished by the field's own diagonal form.  The
+    order route reads no rank, so both routes still check every verdict.
     """
     presentation, character, quotient, fields = args
     chain = integral_chain(presentation, character, quotient)

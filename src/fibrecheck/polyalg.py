@@ -20,7 +20,10 @@ field only as it reads.  So one set of rows serves every field.  The
 diagonal form and the finite-field rank eliminate sparse rows, with a list
 per column of the rows that hold it: the matrices of a twisted chain are
 mostly zero, and neither a pivot search nor a row operation visits a zero
-entry.  Bareiss reads the same rows into its own rows of Laurent
+entry.  `integral_diagonal_form` runs the same elimination once over
+Z[t^{+-1}], pivoting only on entries with top coefficient +-1, so that each
+field reads its diagonal D mod p and finishes only the rows R it left.
+Bareiss reads the same rows into its own rows of Laurent
 polynomials.  Units of F[t^{+-1}] are c*t^k, so the canonical
 representative of a nonzero polynomial class is monic with nonzero constant
 term.
@@ -44,6 +47,8 @@ __all__ = [
     "rank_lower_bound",
     "rank_over_fraction_field",
     "diagonal_form",
+    "IntegralDiagonal",
+    "integral_diagonal_form",
 ]
 
 
@@ -684,27 +689,104 @@ class SnfResult:
 def diagonal_form(m: SparseMatrix) -> SnfResult:
     """A diagonal form of m over the Euclidean domain F[t^{+-1}], normed by span.
 
-    Elimination runs on sparse rows: each row maps a column to the raw
-    {exponent: coefficient} dict of a nonzero entry, copied from
-    `m.sparse_rows()` with every coefficient reduced into the field and an
-    entry that vanishes there left out.  A row that falls to zero is
-    dropped, so neither the pivot search nor a row operation visits a zero
-    entry; a list per column names the rows that may hold it.  The
-    pivot is a monomial in the shortest row that holds one, and failing that
-    an entry of least span, in the shortest row on ties; further ties go to
-    the first met, rows in order.  A short pivot row makes little fill-in,
-    which keeps the spans and, over Q, the coefficients of later entries
-    small.  A monomial pivot c*t^k is a unit: multiples of its inverse clear
-    its column exactly, which leaves nothing in its row to clear, and its
-    entry is the shared 1, with no normalising.  Any other pivot clears its
-    row and column by division with remainder (`_divide`), whose remainders
-    have smaller span and restart the pivot search until the cross is clear;
-    its entry is its canonical form.
+    The rows of `m.sparse_rows()` are copied with every coefficient reduced
+    into the field, and an entry that vanishes there left out, and then
+    eliminated by `_eliminate`, which consumes them all.  A unit pivot's
+    entry is the shared 1, with no normalising; any other pivot's entry is
+    its canonical form.  A twisted chain's b2 reaches this only as the
+    residual R of `integral_diagonal_form`, which runs the same loop once
+    over Z[t^{+-1}] for every field and stops where a remainder's top
+    coefficient is not +-1: b2 ~ D (+) R, so a diagonal form of b2 over a
+    field is D's entries mod p followed by this form of R.
     """
     field = m.field
-    p = field.p
-    rows, holders = [], [[] for _ in range(m.cols)]  # holders[j]: rows that had an entry at j
-    for entries in m.sparse_rows():
+    pivots, _ = _eliminate(*_read_rows(m.sparse_rows(), m.cols, field.p), field)
+    one = LaurentPoly.one(field)
+    diagonal = [one if len(d) == 1 else LaurentPoly._raw(field, d).canonical() for d in pivots]
+    diagonal.extend(LaurentPoly.zero(field) for _ in range(min(m.rows, m.cols) - len(diagonal)))
+    return SnfResult(tuple(diagonal))
+
+
+class IntegralDiagonal:
+    """b ~ D (+) R over Z[t^{+-1}], from `integral_diagonal_form` of a rows x cols b.
+
+    That is, invertible row and column operations over Z[t^{+-1}] take b to
+    the block sum of a diagonal D, a matrix R and zeros.  `diagonal` holds
+    the entries of D in canonical form over Z, as raw {exponent: int} dicts
+    with lowest exponent 0 and top coefficient 1, so none vanishes modulo any
+    p and each is monic there; `residual` holds the rows of R, each in
+    ascending column order, usually none.  `over` reads both over one field.
+    It is a plain class, as `alexander.IntegralChain` is.
+    """
+
+    __slots__ = ("diagonal", "residual", "rows", "cols")
+
+    def __init__(self, diagonal: tuple[dict[int, int], ...],
+                 residual: list[dict[int, dict[int, int]]], rows: int, cols: int):
+        self.diagonal = diagonal
+        self.residual = residual
+        self.rows = rows
+        self.cols = cols
+
+    def over(self, field: CoefficientField) -> SnfResult:
+        """A diagonal form of b over `field`, as `diagonal_form` would give.
+
+        The map Z[t^{+-1}] -> F[t^{+-1}] takes the elementary operations that
+        gave D (+) R to elementary operations over F, so b is equivalent over F
+        to D mod p (+) R mod p: the canonical form of each entry of D, then the
+        nonzero entries of `diagonal_form` of R over `field`, then zeros.  An
+        entry of D is canonical over Q as it is, and over F_p once reduced and,
+        where its constant term vanished, shifted down; its top 1 stays.
+        """
+        p, one = field.p, LaurentPoly.one(field)
+        entries = []
+        for d in self.diagonal:
+            if p is not None:
+                d = {e: r for e, c in d.items() if (r := c % p)}
+                if 0 not in d:
+                    low = min(d)
+                    d = {e - low: c for e, c in d.items()}
+            entries.append(one if len(d) == 1 else LaurentPoly._raw(field, d))
+        if self.residual:
+            rest = diagonal_form(SparseMatrix(field, self.residual, len(self.residual), self.cols))
+            entries += [d for d in rest.diagonal if not d.is_zero]
+        entries.extend(LaurentPoly.zero(field) for _ in range(min(self.rows, self.cols) - len(entries)))
+        return SnfResult(tuple(entries))
+
+
+def integral_diagonal_form(data: list[dict[int, dict[int, int]]], rows: int, cols: int) -> IntegralDiagonal:
+    """Eliminate integer rows over Z[t^{+-1}] once, for every field at once.
+
+    `data` is read as in `SparseMatrix`, with each coefficient kept as the
+    integer it is, and `_eliminate` runs on a copy of it with one more rule:
+    a pivot has top coefficient +-1.  A monomial pivot is then +-t^k, a unit
+    of Z[t^{+-1}], and any other pivot divides with integral quotients, so
+    every step is an elementary operation over Z[t^{+-1}] and the result is
+    b ~ D (+) R there.  Remainders whose top coefficient is not +-1 cannot be
+    divided by over Z, so the phase stops after a round that leaves one in
+    the pivot's row or column, and when no entry can pivot; the rows left
+    are R, on which each field's `diagonal_form` finishes.  Until it stops,
+    each round without such a remainder picks a pivot of strictly smaller
+    span than the last or takes out a row, so the phase ends.
+    """
+    pivots, rest = _eliminate(*_read_rows(data, cols, None), CoefficientField.rationals(),
+                              integral=True)
+    diagonal = []
+    for d in pivots:  # times t^-low and the top coefficient, a unit of Z[t^{+-1}]
+        low, sign = min(d), d[max(d)]
+        diagonal.append({e - low: c * sign for e, c in d.items()})
+    return IntegralDiagonal(tuple(diagonal), [dict(sorted(row.items())) for row in rest], rows, cols)
+
+
+def _read_rows(data: list[dict[int, dict[int, int]]], cols: int,
+               p: int | None) -> tuple[list[dict], list[list[dict]]]:
+    """Copies of the nonzero rows of `data` to eliminate, and the rows holding each column.
+
+    Each coefficient is reduced mod p as it is read, or kept when p is None,
+    and an entry that vanishes is left out; `data` is not changed.
+    """
+    rows, holders = [], [[] for _ in range(cols)]  # holders[j]: rows that had an entry at j
+    for entries in data:
         row = {}
         for j, coeffs in entries.items():
             v = dict(coeffs) if p is None else {e: r for e, c in coeffs.items() if (r := c % p)}
@@ -713,8 +795,35 @@ def diagonal_form(m: SparseMatrix) -> SnfResult:
                 holders[j].append(row)
         if row:
             rows.append(row)
-    one = LaurentPoly.one(field)
-    diagonal: list[LaurentPoly] = []
+    return rows, holders
+
+
+def _eliminate(rows: list[dict], holders: list[list[dict]], field: CoefficientField,
+               integral: bool = False) -> tuple[list[dict], list[dict]]:
+    """Diagonalise sparse rows over F[t^{+-1}] in place; (pivots, rows left).
+
+    Each row maps a column to the raw {exponent: coefficient} dict of a
+    nonzero entry, and holders[j] lists the rows that may hold column j, so
+    neither the pivot search nor a row operation visits a zero entry; a row
+    that falls to zero is dropped.  The pivot is a monomial in the shortest
+    row that holds one, and failing that an entry of least span, in the
+    shortest row on ties; further ties go to the first met, rows in order.
+    A short pivot row makes little fill-in, which keeps the spans and, over
+    Q, the coefficients of later entries small.  A monomial pivot c*t^k is
+    a unit: multiples of its inverse clear its column exactly, which leaves
+    nothing in its row to clear.  Any other pivot clears its row and column
+    by division with remainder (`_divide`), whose remainders have smaller
+    span and restart the pivot search until the cross is clear.  Each
+    pivot whose cross is clear is a diagonal entry, as its raw dict.
+
+    Over a field every row is consumed and no row is left.  With `integral`
+    (see `integral_diagonal_form`) only an entry with top coefficient +-1
+    may pivot, and the loop stops when none is left or after a round that
+    leaves a remainder whose top coefficient is not +-1; the rows left are
+    returned.
+    """
+    p = field.p
+    pivots: list[dict] = []
 
     def find_pivot():
         unit, unit_len = None, 0
@@ -723,7 +832,7 @@ def diagonal_form(m: SparseMatrix) -> SnfResult:
             if unit is not None and n >= unit_len:
                 continue
             for j, v in row.items():
-                if len(v) == 1:
+                if len(v) == 1 and (not integral or v[max(v)] in (1, -1)):
                     unit, unit_len = (row, j), n
                     break
             if unit_len == 1:
@@ -736,7 +845,10 @@ def diagonal_form(m: SparseMatrix) -> SnfResult:
             if best_span == 1 and n >= best_n:  # no entry here can beat it
                 continue
             for j, v in row.items():
-                span = max(v) - min(v)
+                high = max(v)
+                if integral and v[high] not in (1, -1):
+                    continue
+                span = high - min(v)
                 if best is None or span < best_span or (span == best_span and n < best_n):
                     best, best_span, best_n = (row, j), span, n
         return best
@@ -751,8 +863,12 @@ def diagonal_form(m: SparseMatrix) -> SnfResult:
             del row[j]
 
     while rows:
-        top, j0 = find_pivot()
+        found = find_pivot()
+        if found is None:  # only with `integral`: no entry can pivot
+            break
+        top, j0 = found
         pivot = top.pop(j0)
+        stop = False
         if len(pivot) == 1:
             # A unit: clear column j0 of the other rows; the pivot row leaves with its entry.
             ((e, c),) = pivot.items()
@@ -765,7 +881,7 @@ def diagonal_form(m: SparseMatrix) -> SnfResult:
                     continue
                 for j, y in scaled:
                     sub_mul(row, j, x, y)
-            diagonal.append(one)
+            pivots.append(pivot)
         else:
             left = list({id(row): row for row in holders[j0] if row is not top and j0 in row}.values())
             dirty = False
@@ -774,6 +890,8 @@ def diagonal_form(m: SparseMatrix) -> SnfResult:
                 q = _divide(x, pivot, field)
                 if x:
                     dirty = True
+                    if integral and x[max(x)] not in (1, -1):
+                        stop = True
                 else:
                     del row[j0]
                 if q:
@@ -784,6 +902,8 @@ def diagonal_form(m: SparseMatrix) -> SnfResult:
                 q = _divide(y, pivot, field)
                 if y:
                     dirty = True
+                    if integral and y[max(y)] not in (1, -1):
+                        stop = True
                 else:
                     del top[j]
                 if q:
@@ -793,8 +913,8 @@ def diagonal_form(m: SparseMatrix) -> SnfResult:
             holders[j0] = left + [top]
             if not dirty:
                 top.clear()
-                diagonal.append(LaurentPoly._raw(field, pivot).canonical())
+                pivots.append(pivot)
         rows = [row for row in rows if row]
-
-    diagonal.extend(LaurentPoly.zero(field) for _ in range(min(m.rows, m.cols) - len(diagonal)))
-    return SnfResult(tuple(diagonal))
+        if stop:
+            break
+    return pivots, rows

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from fibrecheck.alexander import TwistedChain, _assemble, _h0_walk, _h1_order
+from fibrecheck.alexander import IntegralChain, TwistedChain, _assemble, _h0_walk, _h1_order
 from fibrecheck.foxcalc import Representation
 from fibrecheck.polyalg import CoefficientField, LaurentPoly, SparseMatrix
 from fibrecheck.quotients import regular_representation
@@ -261,7 +261,8 @@ def dense_chain(dense: DenseRepresentation, rep: Representation) -> TwistedChain
 
     b1 stacks the blocks phi(x_i) - I and b2 the evaluated Fox derivatives;
     `chain_over` fills the same matrices from the group table.  The closed
-    form of H0 is walked on `rep`, and no rank is inherited.
+    form of H0 is walked on `rep`, no rank is inherited, and the order
+    route eliminates the integer rows of this b2 over Z[t^{+-1}].
     """
     p = rep.presentation
     ident = PolyMatrix.identity(dense.field, dense.dim)
@@ -275,4 +276,5 @@ def dense_chain(dense: DenseRepresentation, rep: Representation) -> TwistedChain
         ])
     else:
         b2 = PolyMatrix.zeros(dense.field, 0, p.generator_count * dense.dim)
-    return TwistedChain(rep, b1, b2, _h0_walk(rep), {})
+    integral = IntegralChain(rep, b1.sparse_rows(), b2.sparse_rows(), _h0_walk(rep))
+    return TwistedChain(integral, b1, b2)

@@ -16,7 +16,7 @@ from fibrecheck.alexander import (
 )
 from fibrecheck.fixtures import load_fixture
 from fibrecheck.foxcalc import Representation, build_representation
-from fibrecheck.polyalg import CoefficientField, LaurentPoly, SnfResult, diagonal_form
+from fibrecheck.polyalg import CoefficientField, IntegralDiagonal, LaurentPoly, SnfResult, diagonal_form
 from fibrecheck.quotients import (
     cyclic_group,
     enumerate_homs,
@@ -418,9 +418,11 @@ def test_transpose_convention_cross_check():
 def test_cross_check_failure_names_its_inputs(monkeypatch):
     # A wrong rank on either route makes the two routes disagree, also on the
     # 99 x 33 b1 of f2xz at Z/33, where both checks must still run.  The
-    # message names the route of each rank that was computed; over Q after
-    # F2, both ranks are inherited from F2's certificate, so a wrong order
-    # route is what makes them disagree there.
+    # message names the route of each rank that was computed, and how many
+    # diagonal entries of b2 came from Z; over Q after F2, both ranks are
+    # inherited from F2's certificate, so a wrong order route is what makes
+    # them disagree there: F2 has taken the integral diagonal form of b2, and
+    # Q's reading of it is made wrong.
     trefoil, trefoil_chi = load_fixture("trefoil")
     f2xz, f2xz_chi = load_fixture("f2xz")
     cases = [
@@ -442,13 +444,15 @@ def test_cross_check_failure_names_its_inputs(monkeypatch):
             assert quotient_line in msg and shapes in msg and detail in msg
             assert "PolyMatrix(" not in msg
             n = q.group.order
+            if degree == 1:
+                assert f"({(p.generator_count - 1) * n} entries from Z, no residual)" in msg
             routes = [] if method == "rank_b1" else [f"rank of b1: {n} by this field's bound"]
             assert [line for line in msg.splitlines() if line.startswith("rank of")] == routes
 
         chain = integral_chain(p, chi, q)
         chain_reports(chain.over(F2))
         with monkeypatch.context() as m:
-            m.setattr(alexander, "diagonal_form", lambda b2: SnfResult(()))
+            m.setattr(IntegralDiagonal, "over", lambda form, field: SnfResult(()))
             with pytest.raises(InternalCheckError) as err:
                 chain_reports(chain.over(Q))
         msg = str(err.value)
@@ -456,6 +460,14 @@ def test_cross_check_failure_names_its_inputs(monkeypatch):
         assert [line for line in msg.splitlines() if line.startswith("rank of")] == [
             f"rank of b1: {n} inherited from the F2 certificate",
             f"rank of b2: {(p.generator_count - 1) * n} inherited from the F2 certificate"]
+
+    # At Z/10 with images (2, 5, 7) the elimination over Z stops and leaves
+    # two rows of b2 (20 x 30) in 12 columns for each field to finish.
+    with monkeypatch.context() as m:
+        m.setattr(TwistedChain, "rank_b2", lambda chain: 0)
+        with pytest.raises(InternalCheckError) as err:
+            full_report(f2xz, f2xz_chi, make_quotient(f2xz, cyclic_group(10), (2, 5, 7)), Q)
+    assert "(18 entries from Z, residual 2x12 finished over Q)" in str(err.value)
 
 
 def test_q_decides_for_itself_where_a_prime_falls_short(monkeypatch):
@@ -629,6 +641,34 @@ def test_closed_form_h0_and_diagonal_h1_match_smith_oracle(field, data):
     assert chain.rank_b1() == n - rank_h0
     assert order_h1 == order_of(field, smith_normal_form(to_dense(chain.b2)), chain.b1.rows - snf_b1.rank)
     assert order_h1 == order_h1.canonical()
+
+
+def test_integral_phase_reads_as_each_fields_diagonal_form_on_random_chains():
+    # b2 eliminated once over Z[t^{+-1}] and read over Q, F2, F3 and F5 gives
+    # the rank and the canonical order of `diagonal_form` of b2 over that
+    # field, and leaves the shared rows as they were; the phase stops on some
+    # chains and not on others, and both must occur.  The per-example
+    # deadline (ms) is a time budget: a chain on which the elimination over
+    # Q runs away fails here instead of passing slowly.
+    residuals = []
+
+    @settings(max_examples=60, deadline=2000)
+    @given(data=st.data())
+    def check(data):
+        p, chi, q = data.draw(_presentations_with_quotient())
+        chain = integral_chain(p, chi, q)
+        before = repr(chain.b2)
+        phase = chain.b2_form()
+        for field in (Q, F2, F3, F5):
+            read, direct = phase.over(field), diagonal_form(chain.over(field).b2)
+            assert read.rank == direct.rank
+            assert all(d == d.canonical() for d in read.diagonal)
+            assert order_of(field, read, read.rank) == order_of(field, direct, direct.rank)
+        assert repr(chain.b2) == before
+        residuals.append(bool(phase.residual))
+
+    check()
+    assert set(residuals) == {False, True}
 
 
 @pytest.mark.parametrize("field", [Q, F2, F3], ids=lambda f: f.name)

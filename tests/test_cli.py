@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -259,6 +260,38 @@ def test_closed_stdout_ends_the_run_quietly(tmp_path, capsys):
     code, out = run_cli(["alex", "--pres", str(tmp_path / "missing.pres"), "--quotient", "trivial"])
     assert code == 2 and out == ""
     assert capsys.readouterr().err.startswith("error: [Errno 2]")
+
+
+# stdout digests of `alex --fixture f2xz --quotient z10:2,5,7 --field <f>`,
+# recorded before b2 was eliminated over Z[t^{+-1}].
+_Z10_DIGESTS = {
+    "q": "42195adb39879abd549164fc6ac71c8d7537584dfeabfc41bbd8a72161f4e277",
+    "f2": "4c66d66a143b168072f81c3ed20133e79460af1a97cf105c2323a56574104cc8",
+    "f3": "1e65d12e3bc00d4f375ad4033fbf21c3aa07f4353c35f3a1b944f00dc47514e1",
+}
+
+
+def test_integral_phase_stops_and_each_field_finishes_the_residual():
+    # At Z/10 with images (2, 5, 7), b2 is 20 x 30, and over Z the pivot t - 1
+    # leaves a remainder 2 that no pivot of top coefficient +-1 divides: the
+    # integral phase must stop there and leave a residual for each field to
+    # finish.  Each run is a child process with a timeout, so a phase that
+    # loops fails here instead of hanging the suite.
+    from fibrecheck.alexander import integral_chain
+    from fibrecheck.fixtures import load_fixture
+    from fibrecheck.quotients import cyclic_group, make_quotient
+
+    env = {**os.environ, "PYTHONPATH": str(Path(fibrecheck.__file__).parents[1])}
+    for field, digest in _Z10_DIGESTS.items():
+        proc = subprocess.run(
+            [sys.executable, "-m", "fibrecheck.cli", "alex", "--fixture", "f2xz",
+             "--quotient", "z10:2,5,7", "--field", field],
+            capture_output=True, env=env, timeout=60)
+        assert proc.returncode == 0 and proc.stderr == b"", field
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest, field
+    p, chi = load_fixture("f2xz")
+    phase = integral_chain(p, chi, make_quotient(p, cyclic_group(10), (2, 5, 7))).b2_form()
+    assert phase.residual and (phase.rows, phase.cols) == (20, 30)
 
 
 def test_usage_error_exit_code():

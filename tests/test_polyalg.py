@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fibrecheck import alexander
-from fibrecheck.alexander import TwistedChain
+from fibrecheck.alexander import IntegralChain, TwistedChain
 from fibrecheck.polyalg import (
     EVALUATION_POINT,
     CoefficientField,
@@ -19,11 +19,13 @@ from fibrecheck.polyalg import (
     _PRIMITIVE_LOW,
     _zech_field,
     diagonal_form,
+    integral_diagonal_form,
     rank_lower_bound,
     rank_over_fraction_field,
 )
 from dense_oracle import PolyMatrix, to_dense
 from kernel_oracle import divmod_poly
+from smith_oracle import order_of
 from zech_oracle import first_primitive_low
 
 Q = CoefficientField.rationals()
@@ -160,7 +162,7 @@ def test_rank_lower_bound_falls_back_at_a_root(monkeypatch):
     for field in (Q, F101):
         b1 = PolyMatrix(field, [[P(field, {1: 1, 0: -EVALUATION_POINT})]])
         assert rank_lower_bound(b1) == 0
-        chain = TwistedChain(None, b1, PolyMatrix.zeros(field, 0, 1), (0, 1), {})
+        chain = TwistedChain(IntegralChain(None, [], [], (0, 1)), b1, PolyMatrix.zeros(field, 0, 1))
         assert chain.rank_b1() == 1 and chain.rank_b2() == 0
     assert [m.rows for m in calls] == [1, 1]
 
@@ -490,6 +492,49 @@ def test_sparse_rows_read_as_their_dense_matrix(field, data):
     assert diagonal_form(sparse) == diagonal_form(dense)
     assert rank_over_fraction_field(sparse) == rank_over_fraction_field(dense)
     assert repr(rows) == before
+
+
+def test_integral_phase_stops_at_a_remainder_it_cannot_divide():
+    # The row [t - 1, 2]: over Z the pivot t - 1 leaves the remainder 2,
+    # whose top coefficient is not +-1, so the phase stops with the whole row
+    # as its residual, and each field finishes it.  2 is a unit over Q, F3
+    # and F5, so the order is 1 there; over F2 it is 0 and t - 1 is left.
+    rows = [{0: {1: 1, 0: -1}, 1: {0: 2}}]
+    phase = integral_diagonal_form(rows, 1, 2)
+    assert phase.diagonal == () and phase.residual == rows
+    for field, order in ((Q, "1"), (F2, "1 + t"), (F3, "1"), (F5, "1")):
+        form = phase.over(field)
+        assert [d.render() for d in form.diagonal] == [order]
+        assert form == diagonal_form(SparseMatrix(field, rows, 1, 2))
+    assert rows == [{0: {1: 1, 0: -1}, 1: {0: 2}}]
+
+
+def test_integral_phase_reads_as_the_diagonal_form_over_each_field():
+    # Rows eliminated once over Z[t^{+-1}] and read over Q, F2, F3 and F5
+    # give the rank and the canonical order of `diagonal_form` over that
+    # field.  The entries 2, 3, -4 and 6 make remainders that the phase
+    # cannot divide by, so it stops on some examples and not on others, and
+    # both must occur; the shared rows stay as they were.
+    residuals = []
+
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def check(data):
+        rows, n, m = data.draw(_integer_sparse_rows())
+        before = repr(rows)
+        phase = integral_diagonal_form(rows, n, m)
+        assert all(min(d) == 0 and d[max(d)] == 1 for d in phase.diagonal)
+        for field in (Q, F2, F3, F5):
+            read, direct = phase.over(field), diagonal_form(SparseMatrix(field, rows, n, m))
+            assert len(read.diagonal) == len(direct.diagonal) == min(n, m)
+            assert read.rank == direct.rank >= len(phase.diagonal)
+            assert all(d == d.canonical() for d in read.diagonal)
+            assert order_of(field, read, read.rank) == order_of(field, direct, direct.rank)
+        assert repr(rows) == before
+        residuals.append(bool(phase.residual))
+
+    check()
+    assert set(residuals) == {False, True}
 
 
 @settings(max_examples=40)
