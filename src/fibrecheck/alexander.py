@@ -12,23 +12,34 @@ sparse integer rows.  `IntegralChain.over(field)` is the one way to make a
 `TwistedChain`: it reads the same rows over each field, and the kernels of
 `polyalg` reduce every coefficient as they read it, Bareiss included.
 Vanishing is decided on the rank route, the ranks of b1 and b2 over F(t).
-Each rank is first bounded from below by `rank_lower_bound`, the rank after
-mapping t to a point of a finite field: minors map to minors, so the bound
-never exceeds the true rank.  Where the bound meets an upper bound known beforehand,
-min(rows, cols) for b1 and rows(b1) - rank b1 for b2 (the rows of b2 lie in
-the left kernel of b1), it is the rank.  Otherwise exact Bareiss elimination
-decides, so Bareiss runs for every rank deficit, where vanishing must be
-certified exactly, and when the point is a root of every maximal minor.
+Both come from the algebra where b1 has a block t^s P - I with s != 0, P
+the permutation matrix of right multiplication by alpha(x_k): any generator
+with chi_k = s != 0 gives one.  Its determinant is +-prod over the cycles c
+of P of (t^{s|c|} - 1), whose top and bottom coefficients are +-1, so it is
+nonzero over every field and rank b1 = |Q|; the block is read from b1's own
+rows, not from chi.  b2 @ b1 = 0 then gives the Wada-matrix identity
+B_k = -B_rest b1_rest b1_k^{-1} over F(t), where B_k is column block k of
+b2 and B_rest the rest of b2: rank b2 = rank B_rest, b2 less one column
+block (Wada 1994, Kirk-Livingston 1999).  B_rest is bounded from below by
+`rank_lower_bound`, the rank after mapping t to a point of a finite field:
+minors map to minors, so the bound never exceeds the true rank.  Where the
+bound meets min(rows, cols) of B_rest, which is rows(b1) - rank b1, it is
+the rank.  Otherwise exact Bareiss elimination decides, so Bareiss runs for
+every rank deficit, where vanishing must be certified exactly, and when the
+point is a root of every maximal minor.  Only an explicit zero character
+leaves b1 without such a block; then b1 is bounded the same way against
+min(rows, cols), and the whole of b2 against rows(b1) - rank b1 (its rows
+lie in the left kernel of b1).
 Over Q the ranks may come from a prime field instead: an r x r minor of the
 integral rows that is nonzero mod p is nonzero over Z, so rank over Q(t) >=
 rank over F_p(t), while the upper bounds are the same for every field once
-rank b1 is.  An `IntegralChain` keeps the largest rank of b1 and of b2 that
-a chain it built over some F_p proved, by the bound or by Bareiss, and its
-chain over Q takes such a rank without elimination where it reaches Q's
-upper bound.  A default scan runs F2 and F3 before Q, and every Q job reads
-both ranks so: chi != 0 gives b1 full column rank, and a shortfall of b2
-over F_p is a degree-1 vanishing, which stops the job before Q.  Where Q
-comes first or alone, it runs its own bound; between two primes nothing is
+rank b1 is.  An `IntegralChain` keeps the largest rank of b2, and of b1
+where it was eliminated, that a chain it built over some F_p proved, by the
+bound or by Bareiss, and its chain over Q takes such a rank without
+elimination where it reaches Q's upper bound.  A default scan runs F2 and
+F3 before Q, and every Q job reads rank b2 so, since a shortfall of b2 over
+F_p is a degree-1 vanishing, which stops the job before Q.  Where Q comes
+first or alone, it runs its own bound; between two primes nothing is
 inferred.  The order route computes the orders independently, over Q too.
 H0 is in closed form: each orbit of the image of alpha on Q contributes
 F[t^{+-1}]/(t^d - 1), where dZ = chi(ker alpha) is read off one
@@ -89,12 +100,15 @@ def _certified_rank(m: SparseMatrix, upper: int,
                     proved: tuple[int, CoefficientField] | None = None) -> tuple[int, str]:
     """Rank over F(t), given an upper bound on it, and the route that fixed it.
 
-    `proved` is (rank, F_p) for a rank that F_p(t) proved for the same
-    integral rows, which the caller passes only over Q: there it is a lower
-    bound, since a minor that is nonzero mod p is nonzero over Z, so where it
-    reaches `upper` it is the rank and nothing is eliminated.  Otherwise the
-    finite-field rank is a lower bound, so where it reaches `upper` it is the
-    rank; only a shortfall runs exact Bareiss elimination.
+    `m` is B_rest, b2 less the column block of b1's unit minor, whose rank
+    is that of b2 by the Wada-matrix identity and whose upper bound
+    min(rows, cols) is rows(b1) - rank b1; without that minor it is b1 or
+    the whole of b2.  `proved` is (rank, F_p) for a rank that F_p(t) proved
+    for the same integral rows, which the caller passes only over Q: there
+    it is a lower bound, since a minor that is nonzero mod p is nonzero over
+    Z, so where it reaches `upper` it is the rank and nothing is eliminated.
+    Otherwise the finite-field rank is a lower bound, so where it reaches
+    `upper` it is the rank; only a shortfall runs exact Bareiss elimination.
     """
     if proved is not None and proved[0] == upper:
         return upper, f"inherited from the {proved[1].name} certificate"
@@ -104,15 +118,54 @@ def _certified_rank(m: SparseMatrix, upper: int,
     return rank_over_fraction_field(m), "by Bareiss"
 
 
+def _unit_minor(b1: list[dict[int, dict[int, int]]], n: int) -> tuple[int, int] | None:
+    """(k, s) for the first block k of the rows of b1, n x n each, that reads
+    t^s P - I with s != 0, else None.
+
+    P must be a permutation matrix: each row q of the block is
+    {q: -1, pi(q): t^s}, or {q: t^s - 1} where pi(q) = q, with one shift s
+    and pi a bijection.  The determinant is then +-prod over the cycles c of
+    pi of (t^{s|c|} - 1), nonzero over every field, so rank b1 = n.  Only a
+    zero character has no such block.
+    """
+    for k in range(len(b1) // n):
+        shift, image = None, set()
+        for q, row in enumerate(b1[k * n:(k + 1) * n]):
+            if len(row) == 2:
+                (i, f), (j, g) = row.items()
+                if j == q:
+                    i, f, j, g = j, g, i, f
+                if i != q or len(f) != 1 or f.get(0) != -1 or len(g) != 1:
+                    break
+                ((s, c),) = g.items()
+            elif len(row) == 1 and len(f := row.get(q, ())) == 2 and f.get(0) == -1:
+                j = q
+                (s, c), other = f.items()
+                if not s:
+                    s, c = other
+            else:
+                break
+            if c != 1 or not s or shift not in (None, s) or j in image:
+                break
+            shift = s
+            image.add(j)
+        else:
+            return k, shift
+    return None
+
+
 @dataclass(frozen=True)
 class TwistedChain:
     """Boundary data over one field: b1 is (g*|Q|) x |Q|, b2 is (s*|Q|) x (g*|Q|).
 
     Made by `IntegralChain.over`, from the `integral` chain that it keeps:
-    the representation, the walk of the closed form of H0, the record of the
-    ranks that chains over prime fields proved (see `_certify`) and the
-    diagonal form of b2 over Z[t^{+-1}] are all read from there, once for
-    every field.
+    the representation, the walk of the closed form of H0, the unit minor
+    of b1, the record of the ranks that chains over prime fields proved (see
+    `_certify`), the rows of b2 less one column block and the diagonal form
+    of b2 over Z[t^{+-1}] are all read from there, once for every field.
+    Rank b1 is |Q| where b1 has a unit minor t^s P - I in block k, and rank
+    b2 is then the rank of B_rest, b2 less column block k: b2 @ b1 = 0
+    writes B_k = -B_rest b1_rest b1_k^{-1} over F(t) (the Wada matrix).
     """
 
     integral: IntegralChain
@@ -130,36 +183,51 @@ class TwistedChain:
     def block_size(self) -> int:
         return self.integral.representation.dim
 
-    def _certify(self, key: str, upper: int) -> None:
-        """Cache (rank, route) of b1 or b2 by `_certified_rank`.
+    def _certify(self, key: str, m: SparseMatrix, upper: int) -> tuple[int, str]:
+        """(rank, route) of `m`, whose rank is that of b1 or b2 as `key` names, by `_certified_rank`.
 
         Over Q it reads the rank that a prime field proved, if any; over F_p
         it records its own rank there for the fields that follow.
         """
-        m, proved, cache = getattr(self, key), self.integral.proved, self._cache
+        proved = self.integral.proved
         if m.field.p is None:
-            cache[key] = _certified_rank(m, upper, proved.get(key))
-        else:
-            cache[key] = _certified_rank(m, upper)
-            rank = cache[key][0]
-            if rank > proved.get(key, (-1,))[0]:
-                proved[key] = rank, m.field
+            return _certified_rank(m, upper, proved.get(key))
+        rank, route = _certified_rank(m, upper)
+        if rank > proved.get(key, (-1,))[0]:
+            proved[key] = rank, m.field
+        return rank, route
 
     def rank_b1(self) -> int:
-        """Rank of b1 over F(t): the finite-field bound if it reaches min(rows, cols), else Bareiss."""
+        """Rank of b1 over F(t): |Q| by a unit minor, else the finite-field
+        bound if it reaches min(rows, cols), else Bareiss."""
         cache = self._cache
         if "b1" not in cache:
-            self._certify("b1", min(self.b1.rows, self.b1.cols))
+            minor = self.integral.minor
+            if minor is None:
+                cache["b1"] = self._certify("b1", self.b1, min(self.b1.rows, self.b1.cols))
+            else:
+                cache["b1"] = self.b1.cols, "by the minor of block {}, t^{} P - I".format(*minor)
         return cache["b1"][0]
 
     def rank_b2(self) -> int:
-        """Rank of b2 over F(t): the finite-field bound if it reaches its upper
-        bound rows(b1) - rank b1 (b2 @ b1 = 0), else Bareiss.  Over Q, a rank
-        of b2 that a prime field proved is the rank where it reaches the same
+        """Rank of b2 over F(t), read on B_rest, b2 less the unit minor's
+        column block, against min(rows, cols); without a unit minor, on b2
+        against rows(b1) - rank b1 (b2 @ b1 = 0).  The finite-field bound
+        decides where it reaches that bound, else Bareiss.  Over Q, a rank
+        that a prime field proved is the rank where it reaches the same
         bound, and nothing is eliminated."""
         cache = self._cache
         if "b2" not in cache:
-            self._certify("b2", min(self.b2.rows, self.b1.rows - self.rank_b1()))
+            minor = self.integral.minor
+            if minor is None:
+                m, upper, read = self.b2, min(self.b2.rows, self.b1.rows - self.rank_b1()), "b2"
+            else:
+                k = minor[0]
+                m = SparseMatrix(self.b2.field, self.integral.b2_less(),
+                                 self.b2.rows, self.b2.cols - self.b1.cols)
+                upper, read = min(m.rows, m.cols), f"b2 less column block {k}"
+            rank, route = self._certify("b2", m, upper)
+            cache["b2"] = rank, f"{route}, read on {read} ({m.rows}x{m.cols})"
         return cache["b2"][0]
 
     def h0_closed_form(self) -> tuple[int, int, LaurentPoly]:
@@ -223,27 +291,34 @@ class IntegralChain:
     """The twisted chain of one quotient over Z[t^{+-1}], before any field.
 
     b1 and b2 are the rows of `SparseMatrix`, column -> {exponent: int},
-    and walk is (d, copies) of the closed form of H0.  None of them, nor the
+    and walk is (d, copies) of the closed form of H0.  `minor` is (k, s) of
+    the block t^s P - I of b1 that `_unit_minor` reads from its rows, or
+    None, as for a chain built by hand.  None of them, nor the
     representation, depends on the coefficient field; `over` reads them over
-    one.  `proved` maps "b1" and "b2" to the largest rank that a chain read
-    over some F_p proved, with that field, for the chains read over Q.
-    `b2_form` eliminates b2 over Z[t^{+-1}] on first use, to b2 ~ D (+) R
-    there (see `polyalg.integral_diagonal_form`), and keeps it: each field
-    reduces D and finishes the residual R, usually empty, by itself.  It is
-    a plain class: a frozen dataclass would take about a millisecond at
-    import to generate methods that nothing here uses.
+    one.  `proved` maps "b2", and "b1" where b1 has no unit minor, to the
+    largest rank that a chain read over some F_p proved, with that field,
+    for the chains read over Q.
+    `b2_less` makes the rows of b2 less the minor's column block on first
+    use, and `b2_form` eliminates b2 over Z[t^{+-1}] on first use, to
+    b2 ~ D (+) R there (see `polyalg.integral_diagonal_form`); both are kept
+    for every field, and each field reduces D and finishes the residual R,
+    usually empty, by itself.  It is a plain class: a frozen dataclass would
+    take about a millisecond at import to generate methods that nothing here
+    uses.
     """
 
-    __slots__ = ("representation", "b1", "b2", "walk", "proved", "_b2_form")
+    __slots__ = ("representation", "b1", "b2", "walk", "minor", "proved", "_b2_less", "_b2_form")
 
     def __init__(self, representation: Representation,
                  b1: list[dict[int, dict[int, int]]], b2: list[dict[int, dict[int, int]]],
-                 walk: tuple[int, int]):
+                 walk: tuple[int, int], minor: tuple[int, int] | None = None):
         self.representation = representation
         self.b1 = b1
         self.b2 = b2
         self.walk = walk
+        self.minor = minor
         self.proved: dict[str, tuple[int, CoefficientField]] = {}
+        self._b2_less: list[dict[int, dict[int, int]]] | None = None
         self._b2_form: IntegralDiagonal | None = None
 
     def over(self, field: CoefficientField) -> TwistedChain:
@@ -256,6 +331,17 @@ class IntegralChain:
         g = p.generator_count
         return TwistedChain(self, SparseMatrix(field, self.b1, g * n, n),
                             SparseMatrix(field, self.b2, len(p.relators) * n, g * n))
+
+    def b2_less(self) -> list[dict[int, dict[int, int]]]:
+        """The rows of b2 without column block k of the unit minor, the later
+        columns moved down one block, made once for every field; they share
+        b2's entry dicts."""
+        if self._b2_less is None:
+            n, k = self.representation.dim, self.minor[0]
+            lo, hi = k * n, (k + 1) * n
+            self._b2_less = [{j if j < lo else j - n: f for j, f in row.items() if not lo <= j < hi}
+                             for row in self.b2]
+        return self._b2_less
 
     def b2_form(self) -> IntegralDiagonal:
         """b2 ~ D (+) R over Z[t^{+-1}] by `integral_diagonal_form`, taken once for every field."""
@@ -274,7 +360,8 @@ def _assemble(rep: Representation) -> IntegralChain:
     Block i of b1 is t^{chi_i} P(alpha(x_i)) - I.  Every relator's images
     must satisfy the fundamental formula in Z[Q x Z], which is b2 @ b1 = 0
     over every coefficient field; no matrix is multiplied.  Entries that
-    are the same polynomial share one dict, which nothing changes.
+    are the same polynomial share one dict, which nothing changes.  The
+    unit minor of b1 is read from the rows made here, once for every field.
     """
     n = rep.dim
     table = rep.quotient.group.table
@@ -298,7 +385,7 @@ def _assemble(rep: Representation) -> IntegralChain:
         for q in range(n):
             row_q = table[q]
             b2.append(dict(sorted([(i0 + row_q[g], f) for i0, g, f in terms])))
-    return IntegralChain(rep, b1, b2, _h0_walk(rep))
+    return IntegralChain(rep, b1, b2, _h0_walk(rep), _unit_minor(b1, n))
 
 
 def h1_vanishing(c: TwistedChain) -> tuple[bool, int]:
@@ -377,7 +464,9 @@ def h0_report(c: TwistedChain) -> AlexanderReport:
 
 def _diagnostic(c: TwistedChain, rank: int, order: LaurentPoly, detail: str) -> str:
     """What reproduces a failed cross-check, with the sizes involved, and the
-    route of each rank of b1 and b2 that was computed; no matrix entries."""
+    route of each rank of b1 and b2 that was computed: the unit minor that
+    gave rank b1, and the matrix that rank b2 was read on, with its shape;
+    no matrix entries."""
     rep, cache = c.representation, c._cache
     p = rep.presentation
     q = rep.quotient

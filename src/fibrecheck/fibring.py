@@ -95,16 +95,20 @@ def _scan_job(args) -> list[AlexanderReport]:
     the canonical reciprocal of the plus order.  ord H0 = (t^d - 1)^c is its
     own canonical reciprocal, so degree 0 keeps it.
 
-    The fields read one `integral_chain`.  Its rank over Q(t) is at least its
-    rank over F_p(t), so Q after a prime field takes the ranks that field
-    proved wherever they reach Q's upper bounds, and eliminates nothing for
-    them: chi != 0 gives b1 full column rank, and a rank of b2 below its
-    bound over F_p is a vanishing that ends the job before Q.  Q first in
-    `fields` runs its own rank route.  The order route of the first field
-    eliminates b2 over Z[t^{+-1}] to b2 ~ D (+) R, pivoting only on entries
-    with top coefficient +-1, and every field reads that: D reduced mod p,
-    and R, usually empty, finished by the field's own diagonal form.  The
-    order route reads no rank, so both routes still check every verdict.
+    The fields read one `integral_chain`.  chi != 0 gives b1 a block
+    t^s P - I, a minor that is nonzero over every field, so rank b1 is |Q|
+    without elimination, and b2 @ b1 = 0 makes that column block of b2 a
+    combination of the others over F(t) (the Wada matrix), so rank b2 is
+    read on b2 less it, one bound per field.  That rank over Q(t) is at
+    least its rank over F_p(t), so Q after a prime field takes the rank that
+    field proved wherever it reaches Q's upper bound, and eliminates nothing
+    for it: a rank of b2 below its bound over F_p is a vanishing that ends
+    the job before Q.  Q first in `fields` runs its own bound.  The order
+    route of the first field eliminates the whole of b2 over Z[t^{+-1}] to
+    b2 ~ D (+) R, pivoting only on entries with top coefficient +-1, and
+    every field reads that: D reduced mod p, and R, usually empty, finished
+    by the field's own diagonal form.  The order route reads no rank, so
+    both routes still check every verdict.
     """
     presentation, character, quotient, fields = args
     chain = integral_chain(presentation, character, quotient)

@@ -16,7 +16,14 @@ from fibrecheck.alexander import (
 )
 from fibrecheck.fixtures import load_fixture
 from fibrecheck.foxcalc import Representation, build_representation
-from fibrecheck.polyalg import CoefficientField, IntegralDiagonal, LaurentPoly, SnfResult, diagonal_form
+from fibrecheck.polyalg import (
+    CoefficientField,
+    IntegralDiagonal,
+    LaurentPoly,
+    SnfResult,
+    diagonal_form,
+    rank_over_fraction_field,
+)
 from fibrecheck.quotients import (
     cyclic_group,
     enumerate_homs,
@@ -418,20 +425,24 @@ def test_transpose_convention_cross_check():
 def test_cross_check_failure_names_its_inputs(monkeypatch):
     # A wrong rank on either route makes the two routes disagree, also on the
     # 99 x 33 b1 of f2xz at Z/33, where both checks must still run.  The
-    # message names the route of each rank that was computed, and how many
-    # diagonal entries of b2 came from Z; over Q after F2, both ranks are
-    # inherited from F2's certificate, so a wrong order route is what makes
-    # them disagree there: F2 has taken the integral diagonal form of b2, and
-    # Q's reading of it is made wrong.
+    # message names the route of each rank that was computed, with the unit
+    # minor of b1 and the shape of b2 less that minor's column block, which
+    # is what the rank of b2 reads, and how many diagonal entries of b2 came
+    # from Z; over Q after F2, the rank of b2 is inherited from F2's
+    # certificate, so a wrong order route is what makes them disagree there:
+    # F2 has taken the integral diagonal form of b2, and Q's reading of it is
+    # made wrong.
     trefoil, trefoil_chi = load_fixture("trefoil")
     f2xz, f2xz_chi = load_fixture("f2xz")
     cases = [
         (trefoil, trefoil_chi, make_quotient(trefoil, symmetric_group(3), (2, 1)),
-         "quotient: S3 (order 6), images [2, 1]", "b1: 12x6, b2: 6x12", "d: 2 (closed-form rank 0)"),
+         "quotient: S3 (order 6), images [2, 1]", "b1: 12x6, b2: 6x12", "d: 2 (closed-form rank 0)",
+         "by the minor of block 0, t^1 P - I", "b2 less column block 0 (6x6)"),
         (f2xz, f2xz_chi, make_quotient(f2xz, cyclic_group(33), (1, 0, 0)),
-         "quotient: Z/33 (order 33), images [1, 0, 0]", "b1: 99x33, b2: 66x99", "d: 1 (closed-form rank 0)"),
+         "quotient: Z/33 (order 33), images [1, 0, 0]", "b1: 99x33, b2: 66x99", "d: 1 (closed-form rank 0)",
+         "by the minor of block 2, t^1 P - I", "b2 less column block 2 (66x66)"),
     ]
-    for p, chi, q, quotient_line, shapes, d_line in cases:
+    for p, chi, q, quotient_line, shapes, d_line, minor, rest in cases:
         for method, degree, detail in (("rank_b1", 0, d_line),
                                        ("rank_b2", 1, "diagonal of b2: [1, ")):
             with monkeypatch.context() as m:
@@ -446,7 +457,7 @@ def test_cross_check_failure_names_its_inputs(monkeypatch):
             n = q.group.order
             if degree == 1:
                 assert f"({(p.generator_count - 1) * n} entries from Z, no residual)" in msg
-            routes = [] if method == "rank_b1" else [f"rank of b1: {n} by this field's bound"]
+            routes = [] if method == "rank_b1" else [f"rank of b1: {n} {minor}"]
             assert [line for line in msg.splitlines() if line.startswith("rank of")] == routes
 
         chain = integral_chain(p, chi, q)
@@ -458,8 +469,8 @@ def test_cross_check_failure_names_its_inputs(monkeypatch):
         msg = str(err.value)
         assert "degree-1 cross-check failed" in msg and "field: Q" in msg and shapes in msg
         assert [line for line in msg.splitlines() if line.startswith("rank of")] == [
-            f"rank of b1: {n} inherited from the F2 certificate",
-            f"rank of b2: {(p.generator_count - 1) * n} inherited from the F2 certificate"]
+            f"rank of b1: {n} {minor}",
+            f"rank of b2: {(p.generator_count - 1) * n} inherited from the F2 certificate, read on {rest}"]
 
     # At Z/10 with images (2, 5, 7) the elimination over Z stops and leaves
     # two rows of b2 (20 x 30) in 12 columns for each field to finish.
@@ -471,22 +482,51 @@ def test_cross_check_failure_names_its_inputs(monkeypatch):
 
 
 def test_q_decides_for_itself_where_a_prime_falls_short(monkeypatch):
-    # <a, t | a^2> at the trivial quotient: b2 is the 1 x 2 row (2, 0), of
+    # <a, t | a^2> at the trivial quotient: b2 is the 1 x 2 row (2, 0), and
+    # b1's block of t is t - 1, a unit minor, so rank b1 is 1 over every field
+    # and rank b2 is read on b2 less column block 1, the 1 x 1 matrix (2): of
     # rank 0 over F2, short of its upper bound 1.  That certificate proves
-    # nothing over Q, which runs its own bound for b2 and finds rank 1; the
-    # rank 1 of b1 over F2 reaches its bound, so Q reads it.
+    # nothing over Q, which runs its own bound for b2, once, and finds rank 1;
+    # b1 is never bounded, so neither field records a rank of it.
     p = parse_presentation("gens: a t\nrels: a^2\n")
     chain = integral_chain(p, validate_character(p, [0, 1]), trivial_quotient(p))
     over_f2 = chain.over(F2)
     assert (over_f2.rank_b1(), over_f2.rank_b2()) == (1, 0)
-    assert chain.proved == {"b1": (1, F2), "b2": (0, F2)}
+    assert chain.proved == {"b2": (0, F2)}
     bound, calls = alexander.rank_lower_bound, []
-    monkeypatch.setattr(alexander, "rank_lower_bound", lambda m: calls.append(m.field) or bound(m))
+    monkeypatch.setattr(alexander, "rank_lower_bound",
+                        lambda m: calls.append((m.field, m.rows, m.cols)) or bound(m))
     over_q = chain.over(Q)
     assert (over_q.rank_b1(), over_q.rank_b2()) == (1, 1)
-    assert calls == [Q]
+    assert calls == [(Q, 1, 1)]
+    assert over_q._cache["b1"][1] == "by the minor of block 1, t^1 P - I"
     assert [r.vanishing for r in chain_reports(over_q)] == [False, False]
-    assert chain.proved == {"b1": (1, F2), "b2": (0, F2)}  # Q records nothing
+    assert chain.proved == {"b2": (0, F2)}  # Q records nothing
+
+
+@pytest.mark.parametrize("values, minor", [((0, 0, -2), (2, -2)), ((1, 0, 1), (0, 1))],
+                         ids=["trivial-image", "two-blocks"])
+def test_unit_minor_of_b1_and_rank_of_b2_less_its_column_block(values, minor):
+    # f2xz at Z/4 with images (1, 0, 0).  With chi = (0, 0, -2) the only
+    # nonzero value sits on z, whose image is trivial, so its block of b1 is
+    # (t^-2 - 1) I; with chi = (1, 0, 1) the blocks of a and z both qualify,
+    # and the first is taken.  The rows of b2 less that column block are made
+    # once and share b2's entry dicts; both ranks are Bareiss's ranks of the
+    # full b1 and b2 over every field.
+    p, _ = load_fixture("f2xz")
+    chain = integral_chain(p, validate_character(p, list(values)),
+                           make_quotient(p, cyclic_group(4), (1, 0, 0)))
+    assert chain.minor == minor
+    k, s = minor
+    rest = chain.b2_less()
+    assert rest is chain.b2_less() and len(rest) == 8
+    entries = {id(f) for row in chain.b2 for f in row.values()}
+    assert all(j < 8 and id(f) in entries for row in rest for j, f in row.items())
+    for field in (F2, F3, F5, Q):
+        c = chain.over(field)
+        assert (c.rank_b1(), c.rank_b2()) == (rank_over_fraction_field(c.b1), rank_over_fraction_field(c.b2))
+        assert c._cache["b1"][1] == f"by the minor of block {k}, t^{s} P - I"
+        assert c._cache["b2"][1].endswith(f", read on b2 less column block {k} (8x8)")
 
 
 def test_bs13_order_is_t_minus_3_and_a_unit_mod_3():
@@ -708,3 +748,22 @@ def test_tietze_moves_keep_verdicts_and_orders_on_random_presentations(field, da
         variants.append((tietze_variant(p, "redundant-relator", recipe=recipe), chi, q))
     for vp, vchi, vq in variants:
         assert [(r.vanishing, r.order) for r in full_report(vp, vchi, vq, field)] == base
+
+
+@pytest.mark.parametrize("zero", [False, True], ids=["chi", "zero-chi"])
+@settings(max_examples=30)
+@given(data=st.data())
+def test_certified_ranks_are_those_of_the_full_matrices(zero, data):
+    # With chi != 0, rank b1 comes from a unit minor and rank b2 is read on b2
+    # less one column block; with chi = 0 there is no such minor, and both are
+    # read on the full matrices.  Either way, over F2, F3, F5 and then Q, which
+    # may inherit a prime's certificate, they are Bareiss's ranks of the full
+    # b1 and b2.
+    p, chi, q = data.draw(_presentations_with_quotient())
+    if zero:
+        chi = validate_character(p, [0] * p.generator_count)
+    chain = integral_chain(p, chi, q)
+    for field in (F2, F3, F5, Q):
+        c = chain.over(field)
+        assert (c.rank_b1(), c.rank_b2()) == (rank_over_fraction_field(c.b1), rank_over_fraction_field(c.b2))
+        assert c._cache["b1"][1].startswith("by the minor of block ") != zero

@@ -226,20 +226,28 @@ _F2XZ_ORDER_4 = {
 }
 
 
-@pytest.mark.parametrize("fields, q_bounds", [((), 0), (("--fields", "q,f2,f3"), 98)])
+@pytest.mark.parametrize("fields, q_bounds", [((), 0), (("--fields", "q,f2,f3"), 49)])
 def test_q_reads_the_rank_certificate_of_an_earlier_prime(fields, q_bounds, monkeypatch):
-    # Rank over Q(t) >= rank over F_p(t) for the same integral rows, so once F2
-    # has proved both ranks of a job at their upper bounds, Q eliminates
-    # nothing for them: 49 jobs, 2 ranks each.  Where Q comes first it runs
-    # its own bound on every job.  No rank falls short, so Bareiss never runs.
+    # Each job's b1 has the unit minor of z's block, t P - I, so its rank is
+    # |Q| over every field and no field bounds it; rank b2 is read on b2 less
+    # that column block, 2|Q| x 2|Q|, by one bound per job and field.  Rank
+    # over Q(t) >= rank over F_p(t) for the same integral rows, so once F2 has
+    # proved that rank at its upper bound, Q eliminates nothing for it: 49
+    # jobs.  Where Q comes first it runs its own bound on every job.  No rank
+    # falls short, so Bareiss never runs.
     from fibrecheck import alexander
     from fibrecheck.cli import main
 
     bound, calls = alexander.rank_lower_bound, Counter()
-    monkeypatch.setattr(alexander, "rank_lower_bound",
-                        lambda m: calls.update([m.field.name]) or bound(m))
+
+    def counted(m):
+        assert m.rows == m.cols
+        calls.update([m.field.name])
+        return bound(m)
+
+    monkeypatch.setattr(alexander, "rank_lower_bound", counted)
     monkeypatch.setattr(alexander, "rank_over_fraction_field", lambda m: pytest.fail("Bareiss ran"))
     out = io.StringIO()
     assert main(["scan", "--fixture", "f2xz", "--max-quotient-order", "4", *fields], out) == 0
-    assert calls == Counter({"F2": 98, "F3": 98, "Q": q_bounds})
+    assert calls == Counter({"F2": 49, "F3": 49, "Q": q_bounds})
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == _F2XZ_ORDER_4[fields]
