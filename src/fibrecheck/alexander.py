@@ -298,6 +298,9 @@ class IntegralChain:
     one.  `proved` maps "b2", and "b1" where b1 has no unit minor, to the
     largest rank that a chain read over some F_p proved, with that field,
     for the chains read over Q.
+    `source` is the quotient as it was given to `integral_chain`, before
+    its restriction to the image, which a reproducer names; None for a
+    chain built by hand, whose reproducer names its representation's.
     `b2_less` makes the rows of b2 less the minor's column block on first
     use, and `b2_form` eliminates b2 over Z[t^{+-1}] on first use, to
     b2 ~ D (+) R there (see `polyalg.integral_diagonal_form`); both are kept
@@ -307,16 +310,19 @@ class IntegralChain:
     uses.
     """
 
-    __slots__ = ("representation", "b1", "b2", "walk", "minor", "proved", "_b2_less", "_b2_form")
+    __slots__ = ("representation", "b1", "b2", "walk", "minor", "source", "proved",
+                 "_b2_less", "_b2_form")
 
     def __init__(self, representation: Representation,
                  b1: list[dict[int, dict[int, int]]], b2: list[dict[int, dict[int, int]]],
-                 walk: tuple[int, int], minor: tuple[int, int] | None = None):
+                 walk: tuple[int, int], minor: tuple[int, int] | None = None,
+                 source: FiniteQuotient | None = None):
         self.representation = representation
         self.b1 = b1
         self.b2 = b2
         self.walk = walk
         self.minor = minor
+        self.source = source
         self.proved: dict[str, tuple[int, CoefficientField]] = {}
         self._b2_less: list[dict[int, dict[int, int]]] | None = None
         self._b2_form: IntegralDiagonal | None = None
@@ -352,7 +358,7 @@ class IntegralChain:
         return self._b2_form
 
 
-def _assemble(rep: Representation) -> IntegralChain:
+def _assemble(rep: Representation, source: FiniteQuotient | None = None) -> IntegralChain:
     """Assemble both boundary matrices over Z from the group table, after checking the chain condition.
 
     Block (j, i) of b2 is sum_g f_{i,g} P(g), with f_{i,g} from one
@@ -385,7 +391,7 @@ def _assemble(rep: Representation) -> IntegralChain:
         for q in range(n):
             row_q = table[q]
             b2.append(dict(sorted([(i0 + row_q[g], f) for i0, g, f in terms])))
-    return IntegralChain(rep, b1, b2, _h0_walk(rep), _unit_minor(b1, n))
+    return IntegralChain(rep, b1, b2, _h0_walk(rep), _unit_minor(b1, n), source)
 
 
 def h1_vanishing(c: TwistedChain) -> tuple[bool, int]:
@@ -466,7 +472,9 @@ def _diagnostic(c: TwistedChain, rank: int, order: LaurentPoly, detail: str) -> 
     """What reproduces a failed cross-check, with the sizes involved, and the
     route of each rank of b1 and b2 that was computed: the unit minor that
     gave rank b1, and the matrix that rank b2 was read on, with its shape;
-    no matrix entries."""
+    no matrix entries.  It ends with an `alex` command line for the same
+    presentation, character, field and quotient, the quotient as the chain
+    was given it (`alex` restricts it to its image again)."""
     rep, cache = c.representation, c._cache
     p = rep.presentation
     q = rep.quotient
@@ -480,7 +488,33 @@ def _diagnostic(c: TwistedChain, rank: int, order: LaurentPoly, detail: str) -> 
         f"rank over Frac: {rank}",
         f"order: {order.render()}",
         detail,
+        "reproduce: " + _alex_command(p, rep.character, c.integral.source or q, c.b1.field),
     ])
+
+
+def _alex_command(p: Presentation, chi: Character, q: FiniteQuotient,
+                  field: CoefficientField) -> str:
+    """A `fibrecheck alex` line for bash that recomputes one report.
+
+    The presentation goes in through a process substitution, and every
+    argument is single-quoted.  A group loaded from a table file is named
+    by the file's stem, which stands in for its path.
+    """
+    def quoted(text: str) -> str:
+        return "'" + text.replace("'", "'\\''") + "'"
+
+    group = q.group
+    if group.order == 1:
+        target = "trivial"
+    else:
+        target = ("z" + group.name[2:] if group.name == f"Z/{group.order}"
+                  else group.name.lower() if group.perms is not None
+                  else f"file:{group.name}")
+        target += ":" + ",".join(map(str, q.gen_images))
+    lines = " ".join(map(quoted, render_presentation(p).split("\n")))
+    return (f"fibrecheck alex --pres <(printf '%s\\n' {lines}) "
+            f"--char {quoted(render_character(p, chi))} --quotient {quoted(target)} "
+            f"--field {field.name.lower()}")
 
 
 def _h1_report(c: TwistedChain) -> AlexanderReport:
@@ -506,9 +540,9 @@ def integral_chain(p: Presentation, chi: Character, q: FiniteQuotient) -> Integr
 
     The quotient is restricted to its image and every relator must map to
     the identity; then `_assemble` assembles b1 and b2 over Z and
-    walks H0.
+    walks H0.  The chain keeps q as given, for reproducers.
     """
-    return _assemble(build_representation(p, chi, restrict_to_image(p, q)))
+    return _assemble(build_representation(p, chi, restrict_to_image(p, q)), q)
 
 
 def chain_reports(c: TwistedChain) -> list[AlexanderReport]:

@@ -10,6 +10,21 @@ One job is one kept quotient: its chain is built once over Z
 (`alexander.integral_chain`) and read over each field in turn, and the job
 stops after the first field with a vanishing degree-1 report.  The serial
 loop and the process pool run the same jobs, in the same order.
+
+Only one kept quotient per orbit of the presentation's chi-fixing
+symmetries runs a job; the others take its reports.  A symmetry sigma
+(`words.generator_symmetries`) induces an automorphism of the group G with
+chi o sigma = chi.  The coefficient module F[t^{+-1}][Q] of q o sigma,
+twisted by chi, is that of q pulled back along sigma, so sigma induces
+isomorphisms H_k(G; M(q o sigma)) ~ H_k(G; M(q)) of F[t^{+-1}]-modules:
+ranks, vanishing and canonical orders agree in degrees 0 and 1, for chi
+and for -chi (the twisted polynomial is an invariant of the group, the
+character and the representation, not of the presentation: Wada 1994,
+Kirk-Livingston 1999).  The module depends only on the kernel, which
+`kernel_key` labels, so a kept quotient whose key lies in the orbit of a
+representative q has the reports of q, field by field, with its own label,
+and its job would stop after the same field.  The output is byte for byte
+that of computing every job; both routes check the representative.
 """
 
 from __future__ import annotations
@@ -29,9 +44,11 @@ from .quotients import (
     build_catalog,
     enumerate_homs,
     kernel_key,
+    restrict_to_image,
     trivial_quotient,
 )
-from .words import Character, Presentation, direct_product, render_character, render_presentation
+from .words import (Character, Presentation, direct_product, generator_symmetries,
+                    render_character, render_presentation)
 
 __all__ = ["ScanConfig", "FibringVerdict", "scan", "product_vanishing_test", "emit_report"]
 
@@ -69,18 +86,57 @@ class FibringVerdict:
 
 
 def _quotient_stream(p: Presentation, cfg: ScanConfig):
-    """Yield ("kept", q, None) / ("skipped", q, representative) events in scan order.
+    """Yield ("kept", q, r) / ("skipped", q, representative) events in scan order.
 
     The trivial quotient always comes first; a later homomorphism whose
     `kernel_key` matches that of an earlier kept quotient is merged into it.
+    r is None where the job of q runs, else the position, among the kept
+    quotients, of the orbit representative whose reports q takes.  After a
+    job has run, which is when the consumer asks for the next event, the
+    kernels of its orbit are registered (`_register_orbit`); the
+    symmetries are found then, once, so a scan that ends at the trivial
+    quotient never looks for them.
     """
-    trivial = trivial_quotient(p)
-    kept = {kernel_key(trivial): trivial}
-    yield "kept", trivial, None
-    for group in build_catalog(cfg.max_quotient_order, list(cfg.extra_groups)):
-        for hom in enumerate_homs(p, group, surjective_only=False):
-            rep = kept.setdefault(kernel_key(hom), hom)
-            yield ("kept", hom, None) if rep is hom else ("skipped", hom, rep)
+    def homs():
+        yield trivial_quotient(p)
+        for group in build_catalog(cfg.max_quotient_order, list(cfg.extra_groups)):
+            yield from enumerate_homs(p, group, surjective_only=False)
+
+    kept: dict = {}
+    orbit: dict = {}
+    symmetries = None
+    for hom in homs():
+        key = kernel_key(hom)
+        rep = kept.setdefault(key, hom)
+        if rep is not hom:
+            yield "skipped", hom, rep
+        elif key in orbit:
+            yield "kept", hom, orbit[key]
+        else:
+            yield "kept", hom, None
+            if symmetries is None:
+                symmetries = generator_symmetries(p, cfg.character)
+            _register_orbit(hom, key, symmetries, orbit, len(kept) - 1)
+
+
+def _register_orbit(q: FiniteQuotient, key, symmetries, orbit: dict, position: int) -> None:
+    """Map the `kernel_key` of every quotient q o sigma_1 o ... o sigma_k to `position`.
+
+    Each sigma is a signed generator map from `generator_symmetries`, so q o
+    sigma is the homomorphism with images q(sigma(x_i)), into the same group.
+    The closure is walked breadth-first from q, whose key the stream has
+    already made, and each member costs one key per symmetry.
+    """
+    orbit[key] = position
+    inverse = q.group.inverse
+    members = [q.gen_images]
+    for images in members:  # grows while it is walked
+        for sigma in symmetries:
+            moved = tuple(images[x - 1] if x > 0 else inverse(images[-x - 1]) for x in sigma)
+            k = kernel_key(FiniteQuotient(q.group, moved, q.surjective))
+            if k not in orbit:
+                orbit[k] = position
+                members.append(moved)
 
 
 def _scan_job(args) -> list[AlexanderReport]:
@@ -109,6 +165,12 @@ def _scan_job(args) -> list[AlexanderReport]:
     every field reads that: D reduced mod p, and R, usually empty, finished
     by the field's own diagonal form.  The order route reads no rank, so
     both routes still check every verdict.
+
+    `scan` runs this only for the representative of each orbit of the
+    chi-fixing symmetries; every other kept quotient of the orbit takes
+    these reports relabelled with its own `restrict_to_image` quotient.
+    That is exact, like the minus direction: its chain computes the
+    homology of isomorphic modules (see the module docstring).
     """
     presentation, character, quotient, fields = args
     chain = integral_chain(presentation, character, quotient)
@@ -134,10 +196,13 @@ def _witness_index(chunk: list[AlexanderReport]) -> int | None:
 def scan(cfg: ScanConfig, jobs: int = 1) -> FibringVerdict:
     """Run the quotient sweep in both character directions.
 
-    Each job is one kept quotient over every field (see `_scan_job`).
-    With jobs > 1 the jobs fan out to a process pool of that many workers,
-    at most MAX_JOBS; the witness is the first vanishing degree-1 report in
-    enumeration order, so the verdict is identical to a serial run.
+    Each job is one kept quotient over every field (see `_scan_job`), and
+    only orbit representatives run one; the others reuse their
+    representative's reports.
+    With jobs > 1 the representatives' jobs fan out to a process pool of
+    that many workers, at most MAX_JOBS; the witness is the first vanishing
+    degree-1 report in enumeration order, so the verdict is identical to a
+    serial run.
     """
     if not 1 <= jobs <= MAX_JOBS:
         raise ValueError(f"--jobs {jobs} is out of range: use 1 to {MAX_JOBS}")
@@ -154,48 +219,45 @@ def scan(cfg: ScanConfig, jobs: int = 1) -> FibringVerdict:
     def job_for(q):
         return (cfg.presentation, cfg.character, q, cfg.fields)
 
-    quotients: list[FiniteQuotient] = []
-    skipped: list[tuple[FiniteQuotient, FiniteQuotient]] = []
-    flat: list[AlexanderReport] = []
-    witness = None
-
-    if jobs > 1:
-        # Fan out every job, then truncate to what a serial run would report.
-        events = list(_quotient_stream(cfg.presentation, cfg))
-        kept = [q for kind, q, _ in events if kind == "kept"]
-        witness_quotient = None
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for job_idx, chunk in enumerate(pool.map(_scan_job, map(job_for, kept), chunksize=2)):
-                idx = _witness_index(chunk)
-                if idx is not None:
-                    witness = chunk[idx]
-                    flat.extend(chunk[: idx + 1])
-                    witness_quotient = job_idx
-                    break
-                flat.extend(chunk)
-        seen = -1
+    def run(events, compute) -> AlexanderReport | None:
+        """Consume the events up to the witness, which it returns; `compute`
+        gives the chunk of each orbit representative, in the order they come."""
+        chunks: list[list[AlexanderReport]] = []
         for kind, q, rep in events:
-            if kind == "kept":
-                seen += 1
-                quotients.append(q)
-                if seen == witness_quotient:
-                    break
-            else:
-                skipped.append((q, rep))
-    else:
-        # Lazy enumeration: an early witness stops the sweep immediately.
-        for kind, q, rep in _quotient_stream(cfg.presentation, cfg):
             if kind == "skipped":
                 skipped.append((q, rep))
                 continue
             quotients.append(q)
-            chunk = _scan_job(job_for(q))
+            if rep is None:
+                chunk = compute(q)
+            else:
+                label = restrict_to_image(cfg.presentation, q)
+                chunk = [AlexanderReport(r.degree, r.vanishing, r.rank_over_frac, r.order,
+                                         r.field, label, r.character) for r in chunks[rep]]
+            chunks.append(chunk)
             idx = _witness_index(chunk)
             if idx is not None:
-                witness = chunk[idx]
                 flat.extend(chunk[: idx + 1])
-                break
+                return chunk[idx]
             flat.extend(chunk)
+        return None
+
+    quotients: list[FiniteQuotient] = []
+    skipped: list[tuple[FiniteQuotient, FiniteQuotient]] = []
+    flat: list[AlexanderReport] = []
+
+    if jobs > 1:
+        # The pool runs every representative's job; the scan stops reading
+        # them at the witness, as a serial run does.
+        events = list(_quotient_stream(cfg.presentation, cfg))
+        reps = [job_for(q) for kind, q, rep in events if kind == "kept" and rep is None]
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = pool.map(_scan_job, reps, chunksize=2)
+            witness = run(events, lambda q: next(results))
+            results.close()  # cancels the jobs not yet started, as at a witness
+    else:
+        # Lazy enumeration: an early witness stops the sweep immediately.
+        witness = run(_quotient_stream(cfg.presentation, cfg), lambda q: _scan_job(job_for(q)))
 
     warnings = []
     if cfg.max_quotient_order < 2 and not cfg.extra_groups:

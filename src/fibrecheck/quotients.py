@@ -276,9 +276,10 @@ def kernel_key(q: FiniteQuotient) -> tuple[tuple[int, ...], ...]:
     point, which is the kernel; conversely the kernel determines the set, its
     cosets.
     """
-    elements = _orbit(q.group.table, q.gen_images)
+    table = q.group.table
+    elements = _orbit(table, q.gen_images)
     label = {e: i for i, e in enumerate(elements)}
-    return tuple(tuple(label[q.group.mul(e, s)] for e in elements) for s in q.gen_images)
+    return tuple(tuple([label[table[e][s]] for e in elements]) for s in q.gen_images)
 
 
 def regular_representation(g: FiniteGroup, e: int) -> list[int]:

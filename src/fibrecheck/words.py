@@ -30,6 +30,7 @@ __all__ = [
     "render_character",
     "validate_character",
     "direct_product",
+    "generator_symmetries",
 ]
 
 # Cap on the letters of all relators of one presentation, with every power
@@ -281,3 +282,65 @@ def direct_product(pa: Presentation, pb: Presentation) -> Presentation:
         for j in range(ga + 1, ga + pb.generator_count + 1):
             relators.append(Word((i, j, -i, -j)))
     return Presentation(tuple(names), tuple(relators))
+
+
+# ---------------------------------------------------------------------------
+# symmetries
+
+
+def _cyclic_reduction(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The freely reduced word without the letters that cancel around its end."""
+    i, j = 0, len(letters)
+    while j - i > 1 and letters[i] == -letters[j - 1]:
+        i, j = i + 1, j - 1
+    return letters[i:j]
+
+
+def generator_symmetries(p: Presentation, chi: Character) -> tuple[tuple[int, ...], ...]:
+    """Signed generator maps that induce automorphisms of the group and fix chi.
+
+    A map is a tuple of letters, entry k the image x_j^{+-1} of x_{k+1}.
+    The candidates are the single inversions x_i -> x_i^-1 and the signed
+    transpositions x_i -> x_j^{+-1}, x_j -> x_i^{+-1}, others fixed: about
+    2g^2 of them, never the g! 2^g signed permutations.  One is kept where
+    chi(sigma(x_k)) = chi(x_k) for every k and sigma maps the multiset of
+    relators onto itself up to cyclic conjugation and inversion.  Then
+    sigma is an automorphism of the free group that permutes the relators'
+    conjugacy classes up to inversion, so it maps their normal closure onto
+    itself and induces an automorphism of the presented group (a cellular
+    automorphism of the presentation complex) with chi o sigma = chi.
+
+    Cyclically reduced words are conjugate exactly when one is a rotation
+    of the other, and sigma, a bijection on letters, keeps a word
+    cyclically reduced, so the image of a relator is looked up among the
+    rotations of every relator and its inverse.  A relator that contains
+    none of the moved generators is fixed, so only those that contain one
+    are compared.
+    """
+    g = p.generator_count
+    values = chi.values
+    reduced = [_cyclic_reduction(r.letters) for r in p.relators]
+    class_of: dict[tuple[int, ...], int] = {}
+    for idx, w in enumerate(reduced):
+        for v in (w, tuple(-x for x in reversed(w))):
+            for k in range(len(v)):
+                class_of.setdefault(v[k:] + v[:k], idx)
+    containing: list[set[int]] = [set() for _ in range(g + 1)]
+    for idx, w in enumerate(reduced):
+        for x in w:
+            containing[abs(x)].add(idx)
+    candidates = [{i: -i} for i in range(1, g + 1)]
+    candidates += [{i: si * j, j: sj * i} for i in range(1, g + 1) for j in range(i + 1, g + 1)
+                   for si in (1, -1) for sj in (1, -1)]
+    found = []
+    for moved in candidates:
+        if any(values[abs(y) - 1] * (1 if y > 0 else -1) != values[x - 1] for x, y in moved.items()):
+            continue
+        touched = set().union(*(containing[x] for x in moved))
+        image = {**moved, **{-x: -y for x, y in moved.items()}}
+        before = sorted(class_of[reduced[idx]] for idx in touched)
+        after = sorted(class_of.get(tuple(image.get(x, x) for x in reduced[idx]), -1)
+                       for idx in touched)
+        if before == after:
+            found.append(tuple(moved.get(k, k) for k in range(1, g + 1)))
+    return tuple(found)

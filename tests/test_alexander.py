@@ -34,9 +34,9 @@ from fibrecheck.quotients import (
 )
 from fibrecheck.reidschreier import rewrite_subgroup
 from fibrecheck.words import (
-    Character,
     Presentation,
     Word,
+    generator_symmetries,
     parse_presentation,
     render_presentation,
     validate_character,
@@ -44,6 +44,7 @@ from fibrecheck.words import (
 from dense_oracle import DenseRepresentation, PolyMatrix, chain_over, dense_chain, h1_order, to_dense
 from free_group_oracle import tietze_variant
 from quotient_oracle import same_kernel
+from random_presentations import presentations_with_quotient, symmetric_presentations_with_quotient
 from smith_oracle import order_of, smith_normal_form
 
 Q = CoefficientField.rationals()
@@ -622,28 +623,21 @@ def test_minus_fold_and_b2_order_match_full_computation():
     assert checked == 300
 
 
-_PROPERTY_TARGETS = [cyclic_group(m) for m in range(2, 7)] + [symmetric_group(3)]
-
-
-@st.composite
-def _presentations_with_quotient(draw):
-    """2-3 generators, 1-2 short relators, each balanced to character sum 0
-    by a power of a generator of character value +-1, and a homomorphism into
-    Z/2..Z/6 or S3, onto it where one exists."""
-    g = draw(st.integers(2, 3))
-    values = draw(st.lists(st.integers(-2, 2), min_size=g, max_size=g))
-    j = draw(st.integers(1, g))
-    values[j - 1] = draw(st.sampled_from([-1, 1]))
-    letters = st.sampled_from([x for i in range(1, g + 1) for x in (i, -i)])
-    relators = []
-    for _ in range(draw(st.integers(1, 2))):
-        w = Word.of(draw(st.lists(letters, min_size=2, max_size=5)))
-        k = -Character(tuple(values)).of_word(w) * values[j - 1]  # x_j^k balances w
-        relators.append(Word.of(w.letters + (j if k > 0 else -j,) * abs(k)))
-    p = Presentation(("a", "b", "c")[:g], tuple(relators))
-    chi = validate_character(p, values)
-    homs = enumerate_homs(p, draw(st.sampled_from(_PROPERTY_TARGETS)))
-    return p, chi, draw(st.sampled_from([h for h in homs if h.surjective] or homs))
+@pytest.mark.parametrize("field", [Q, F2, F3], ids=lambda f: f.name)
+@settings(max_examples=30)
+@given(data=st.data())
+def test_reports_agree_across_an_orbit_of_a_symmetry(field, data):
+    # sigma induces an automorphism of the group that fixes chi, so q o sigma
+    # has the same ranks and canonical orders as q, for chi and for -chi:
+    # what a scan reuses for every quotient of an orbit, computed directly.
+    p, chi, q, sigma = data.draw(symmetric_presentations_with_quotient())
+    assert sigma in generator_symmetries(p, chi)
+    images = tuple(q.group.word_image(Word((x,)), q.gen_images) for x in sigma)
+    moved = make_quotient(p, q.group, images)  # checks that q o sigma kills every relator
+    assert moved.surjective == q.surjective
+    for c in (chi, chi.negate()):
+        assert ([(r.degree, r.vanishing, r.rank_over_frac, r.order) for r in full_report(p, c, moved, field)]
+                == [(r.degree, r.vanishing, r.rank_over_frac, r.order) for r in full_report(p, c, q, field)])
 
 
 @pytest.mark.parametrize("field", [Q, F2, F3], ids=lambda f: f.name)
@@ -652,7 +646,7 @@ def _presentations_with_quotient(draw):
 def test_monomial_chain_matches_dense_oracle(field, data):
     # The chain fills b2 from one walk per relator; the oracle multiplies
     # dense generator matrices letter by letter for every Fox term.
-    p, chi, q = data.draw(_presentations_with_quotient())
+    p, chi, q = data.draw(presentations_with_quotient())
     rep = build_representation(p, chi, q)
     chain = chain_over(rep, field)
     dense = dense_chain(DenseRepresentation.of(rep, field), rep)
@@ -666,7 +660,7 @@ def test_monomial_chain_matches_dense_oracle(field, data):
 def test_closed_form_h0_and_diagonal_h1_match_smith_oracle(field, data):
     # H0 from the walk over the image and H1 from the diagonal form of b2 agree
     # with the Smith forms of b1 and b2; the order route reads no rank.
-    p, chi, q = data.draw(_presentations_with_quotient())
+    p, chi, q = data.draw(presentations_with_quotient())
     chain = chain_over(build_representation(p, chi, q), field)
     n = chain.block_size
     snf_b1 = smith_normal_form(to_dense(chain.b1))
@@ -695,7 +689,7 @@ def test_integral_phase_reads_as_each_fields_diagonal_form_on_random_chains():
     @settings(max_examples=60, deadline=2000)
     @given(data=st.data())
     def check(data):
-        p, chi, q = data.draw(_presentations_with_quotient())
+        p, chi, q = data.draw(presentations_with_quotient())
         chain = integral_chain(p, chi, q)
         before = repr(chain.b2)
         phase = chain.b2_form()
@@ -719,7 +713,7 @@ def test_minus_reports_match_the_negated_character_on_random_presentations(field
     # they must equal a full computation for -chi.
     from fibrecheck.fibring import _scan_job
 
-    p, chi, q = data.draw(_presentations_with_quotient())
+    p, chi, q = data.draw(presentations_with_quotient())
     assert _scan_job((p, chi, q, (field,)))[2:] == full_report(p, chi.negate(), q, field)
 
 
@@ -731,7 +725,7 @@ def test_tietze_moves_keep_verdicts_and_orders_on_random_presentations(field, da
     # with its defining relator present the same group, with the same
     # character and quotient map: every vanishing verdict and canonical order
     # must stay the same.
-    p, chi, q = data.draw(_presentations_with_quotient())
+    p, chi, q = data.draw(presentations_with_quotient())
     letters = st.sampled_from([x for i in range(1, p.generator_count + 1) for x in (i, -i)])
     words = st.lists(letters, max_size=4).map(Word.of)
     base = [(r.vanishing, r.order) for r in full_report(p, chi, q, field)]
@@ -759,7 +753,7 @@ def test_certified_ranks_are_those_of_the_full_matrices(zero, data):
     # read on the full matrices.  Either way, over F2, F3, F5 and then Q, which
     # may inherit a prime's certificate, they are Bareiss's ranks of the full
     # b1 and b2.
-    p, chi, q = data.draw(_presentations_with_quotient())
+    p, chi, q = data.draw(presentations_with_quotient())
     if zero:
         chi = validate_character(p, [0] * p.generator_count)
     chain = integral_chain(p, chi, q)

@@ -4,14 +4,18 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fibrecheck.fibring import ScanConfig, emit_report, product_vanishing_test, scan
 from fibrecheck.fixtures import load_fixture
 from fibrecheck.polyalg import CoefficientField
 from fibrecheck.quotients import trivial_quotient
 from fibrecheck.words import validate_character
+from random_presentations import presentations_with_quotient, symmetric_presentations_with_quotient
 
 Q = CoefficientField.rationals()
+F2 = CoefficientField.prime(2)
+F3 = CoefficientField.prime(3)
 
 
 def test_scan_rejects_bad_config():
@@ -206,8 +210,10 @@ def test_emit_report_obstructed_json():
     assert doc["witness"]["degree"] == 1
 
 
-def test_fox_images_run_once_per_relator_per_kept_quotient(monkeypatch):
-    # The chain over Z is built once per kept quotient and read by every field.
+def test_fox_images_run_once_per_relator_per_orbit_representative(monkeypatch):
+    # The chain over Z is built once per orbit of kept quotients under the
+    # symmetries of f2xz (a <-> b and the inversions of a and b, all fixing
+    # chi = z) and read by every field: 23 orbits among 49 kept quotients.
     from fibrecheck import alexander
 
     walk, calls = alexander.fox_images, []
@@ -215,7 +221,8 @@ def test_fox_images_run_once_per_relator_per_kept_quotient(monkeypatch):
     p, chi = load_fixture("f2xz")
     v = scan(ScanConfig(presentation=p, character=chi, max_quotient_order=4))
     assert v.status == "no_obstruction_up_to" and len(v.config.fields) == 3
-    assert len(calls) == len(p.relators) * len(v.tested_quotients) == 2 * 49
+    assert len(v.tested_quotients) == 49
+    assert len(calls) == len(p.relators) * 23
 
 
 # SHA-256 of the stdout of `scan --fixture f2xz --max-quotient-order 4`, with
@@ -226,15 +233,16 @@ _F2XZ_ORDER_4 = {
 }
 
 
-@pytest.mark.parametrize("fields, q_bounds", [((), 0), (("--fields", "q,f2,f3"), 49)])
+@pytest.mark.parametrize("fields, q_bounds", [((), 0), (("--fields", "q,f2,f3"), 23)])
 def test_q_reads_the_rank_certificate_of_an_earlier_prime(fields, q_bounds, monkeypatch):
     # Each job's b1 has the unit minor of z's block, t P - I, so its rank is
     # |Q| over every field and no field bounds it; rank b2 is read on b2 less
     # that column block, 2|Q| x 2|Q|, by one bound per job and field.  Rank
     # over Q(t) >= rank over F_p(t) for the same integral rows, so once F2 has
-    # proved that rank at its upper bound, Q eliminates nothing for it: 49
-    # jobs.  Where Q comes first it runs its own bound on every job.  No rank
-    # falls short, so Bareiss never runs.
+    # proved that rank at its upper bound, Q eliminates nothing for it: 23
+    # jobs, one per orbit of the 49 kept quotients.  Where Q comes first it
+    # runs its own bound on every job.  No rank falls short, so Bareiss never
+    # runs.
     from fibrecheck import alexander
     from fibrecheck.cli import main
 
@@ -249,5 +257,143 @@ def test_q_reads_the_rank_certificate_of_an_earlier_prime(fields, q_bounds, monk
     monkeypatch.setattr(alexander, "rank_over_fraction_field", lambda m: pytest.fail("Bareiss ran"))
     out = io.StringIO()
     assert main(["scan", "--fixture", "f2xz", "--max-quotient-order", "4", *fields], out) == 0
-    assert calls == Counter({"F2": 49, "F3": 49, "Q": q_bounds})
+    assert calls == Counter({"F2": 23, "F3": 23, "Q": q_bounds})
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == _F2XZ_ORDER_4[fields]
+
+
+def _z2_times_z4():
+    """Z/2 x Z/4 as a table group, with (i, j) at id 4i + j."""
+    from fibrecheck.quotients import FiniteGroup
+
+    table = tuple(tuple(4 * ((a // 4 + b // 4) % 2) + (a + b) % 4 for b in range(8)) for a in range(8))
+    return FiniteGroup(8, table, "Z2xZ4")
+
+
+# Every fixture, at an order that keeps the scan short; with chi = a on f2xz
+# the scan ends at its witness, the trivial quotient.  The table group
+# Z/2 x Z/4 adds kept quotients onto a Klein four-group, which the catalog
+# lacks, so their reports carry restricted labels, in orbits of a <-> b.
+_FIXTURE_SCANS = [("bs:1:2", None, 8, False), ("trefoil", None, 8, False),
+                  ("klein", None, 8, False), ("zn:3", None, 5, False), ("zn:4", None, 4, False),
+                  ("f:2", None, 4, False), ("f2xz", None, 6, False), ("f2xz", [1, 0, 0], 4, False),
+                  ("f2xz", None, 4, True), ("surface:1", None, 6, False), ("surface:2", None, 2, False)]
+
+
+@pytest.mark.parametrize("name, values, order, extra", _FIXTURE_SCANS,
+                         ids=[f"{n}-{o}" + ("-a" if v else "") + ("+Z2xZ4" if e else "")
+                              for n, v, o, e in _FIXTURE_SCANS])
+def test_orbit_reuse_matches_computing_every_job(name, values, order, extra, monkeypatch):
+    # Reports reused across an orbit of the chi-fixing symmetries are those
+    # that computing every kept quotient's job gives, byte for byte.
+    from fibrecheck import fibring
+
+    p, chi = load_fixture(name)
+    if values is not None:
+        chi = validate_character(p, values)
+    cfg = ScanConfig(presentation=p, character=chi, max_quotient_order=order,
+                     extra_groups=(_z2_times_z4(),) if extra else ())
+    reused = emit_report(scan(cfg), "json")
+    if extra:
+        assert "Z2xZ4>im4" in reused
+    monkeypatch.setattr(fibring, "generator_symmetries", lambda p, chi: ())
+    assert reused == emit_report(scan(cfg), "json")
+
+
+@pytest.mark.parametrize("fixture, order, fields, kept, chains, symmetries", [
+    ("f2xz", 4, (F2, F3, Q), 49, 23, 6),
+    ("f2xz", 12, (F2, F3, Q), 1174, 293, 6),
+    ("zn:4", 6, (F2, F3, Q), 932, 117, 15),
+    ("trefoil", 24, (F3,), 27, 27, 1),
+], ids=["f2xz-4", "f2xz-12", "zn:4-6", "trefoil-24-f3"])
+def test_one_chain_per_orbit(fixture, order, fields, kept, chains, symmetries, monkeypatch):
+    # One chain is built per orbit of kept quotients.  Registering an orbit
+    # costs one kernel key per member and symmetry, so a kept quotient costs
+    # its own key from the stream and |S| more; each merged homomorphism
+    # costs its one key from the stream.  The trefoil's one symmetry,
+    # x <-> y, leaves each of its 27 kernels alone.
+    from fibrecheck import fibring
+
+    built, keys = [], []
+    chain, key = fibring.integral_chain, fibring.kernel_key
+    monkeypatch.setattr(fibring, "integral_chain", lambda p, chi, q: built.append(q) or chain(p, chi, q))
+    monkeypatch.setattr(fibring, "kernel_key", lambda q: keys.append(q) or key(q))
+    p, chi = load_fixture(fixture)
+    assert len(fibring.generator_symmetries(p, chi)) == symmetries
+    v = scan(ScanConfig(presentation=p, character=chi, max_quotient_order=order, fields=fields))
+    assert v.status == "no_obstruction_up_to"
+    assert (len(v.tested_quotients), len(built)) == (kept, chains)
+    assert len(keys) == len(v.tested_quotients) + len(v.skipped_quotients) + symmetries * kept
+
+
+def test_reproducer_names_the_quotient_that_was_computed(monkeypatch):
+    # A failed cross-check ends with an `alex` line for the quotient as given,
+    # s4:1,2,0, not its restriction S4>im6, which `alex` cannot parse; in a
+    # scan, where an orbit's other quotients reuse its reports, the line names
+    # the quotient whose chain was built.  The line runs in bash.
+    import os
+    import shlex
+    import shutil
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from fibrecheck import fibring
+    from fibrecheck.alexander import InternalCheckError, TwistedChain, full_report
+    from fibrecheck.cli import _parse_quotient
+    from fibrecheck.quotients import make_quotient, restrict_to_image, symmetric_group
+
+    def argument(message, flag):
+        line = message.splitlines()[-1]
+        assert line.startswith("reproduce: fibrecheck alex --pres <(printf ")
+        words = shlex.split(line.split(") ", 1)[1])
+        return words[words.index(flag) + 1]
+
+    p, chi = load_fixture("f2xz")
+    q = make_quotient(p, symmetric_group(4), (1, 2, 0))
+    with monkeypatch.context() as m:
+        m.setattr(TwistedChain, "rank_b2", lambda c: 0)
+        with pytest.raises(InternalCheckError) as err:
+            full_report(p, chi, q, CoefficientField.prime(2))
+    message = str(err.value)
+    assert "S4>im6" in message and argument(message, "--quotient") == "s4:1,2,0"
+    assert (argument(message, "--char"), argument(message, "--field")) == ("a=0, b=0, z=1", "f2")
+    assert _parse_quotient(p, argument(message, "--quotient")) == q
+    bash = shutil.which("bash")
+    if bash:
+        line = message.splitlines()[-1].removeprefix("reproduce: ")
+        line = line.replace("fibrecheck", f"{shlex.quote(sys.executable)} -m fibrecheck.cli", 1)
+        src = str(Path(fibring.__file__).parents[1])
+        run = subprocess.run([bash, "-c", line], capture_output=True, text=True, timeout=60,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == 0, run.stderr
+        assert "quotient: S4>im6 (order 6), images [1, 2, 0]" in run.stdout
+
+    built = []
+    chain, rank_b2 = fibring.integral_chain, TwistedChain.rank_b2
+    monkeypatch.setattr(fibring, "integral_chain", lambda p, chi, q: built.append(q) or chain(p, chi, q))
+    monkeypatch.setattr(TwistedChain, "rank_b2", lambda c: 0 if c.block_size == 4 else rank_b2(c))
+    with pytest.raises(InternalCheckError) as err:
+        scan(ScanConfig(presentation=p, character=chi, max_quotient_order=4))
+    assert _parse_quotient(p, argument(str(err.value), "--quotient")) == built[-1]
+    assert restrict_to_image(p, built[-1]).group.order == 4
+
+
+@settings(max_examples=4)
+@given(data=st.data())
+def test_serial_and_pool_scans_agree_on_random_presentations(data):
+    # The pool runs only the orbit representatives' jobs and the scan reuses
+    # their reports in stream order, as a serial run does: the same bytes,
+    # which are also those of computing every job.  Half the presentations
+    # are closed under a symmetry, so orbits occur.
+    from fibrecheck import fibring
+
+    if data.draw(st.booleans()):
+        p, chi, _, _ = data.draw(symmetric_presentations_with_quotient())
+    else:
+        p, chi, _ = data.draw(presentations_with_quotient())
+    cfg = ScanConfig(presentation=p, character=chi, max_quotient_order=4)
+    serial = emit_report(scan(cfg), "json")
+    assert serial == emit_report(scan(cfg, jobs=2), "json")
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fibring, "generator_symmetries", lambda p, chi: ())
+        assert serial == emit_report(scan(cfg), "json")

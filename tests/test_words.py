@@ -1,14 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fibrecheck import words
+from fibrecheck.fixtures import load_fixture
+from fibrecheck.quotients import make_quotient
 from fibrecheck.words import (
     MAX_WORD_LENGTH,
     ParseError,
     Presentation,
     Word,
     direct_product,
+    generator_symmetries,
     parse_character,
     parse_presentation,
     render_presentation,
@@ -16,6 +20,7 @@ from fibrecheck.words import (
     validate_character,
 )
 from free_group_oracle import conjugate, tietze_variant
+from random_presentations import presentations_with_quotient
 
 
 def test_parse_bs12():
@@ -198,3 +203,51 @@ def test_render_word_powers():
     p = Presentation(("a", "t"), ())
     assert render_word(p, Word((2, 1, -2, -1, -1))) == "t a t^-1 a^-2"
     assert render_word(p, Word(())) == "1"
+
+
+@pytest.mark.parametrize("fixture, found", [
+    ("f2xz", ((-1, 2, 3), (1, -2, 3), (2, 1, 3), (2, -1, 3), (-2, 1, 3), (-2, -1, 3))),
+    ("trefoil", ((2, 1),)),
+    ("bs:1:2", ((-1, 2),)),
+    ("surface:1", ((1, -2),)),
+    ("surface:2", ()),
+])
+def test_generator_symmetries_of_fixtures(fixture, found):
+    # f2xz: a <-> b and both inversions, with every sign, never z, which chi
+    # = z moves; trefoil: x <-> y, which maps the relator to its inverse;
+    # bs:1:2: a -> a^-1, since t a^-1 t^-1 = a^-2; surface:2: chi = a1 fixes
+    # candidates such as b1 -> b1^-1 and a2 <-> b2, but none maps
+    # [a1, b1][a2, b2] to a conjugate of itself or its inverse.
+    assert generator_symmetries(*load_fixture(fixture)) == found
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_found_symmetries_fix_chi_and_map_homomorphisms_to_homomorphisms(data):
+    # On random presentations, about a quarter of which have a candidate that
+    # fixes chi but maps a relator outside the relators' classes, every map
+    # found fixes chi and carries each relator into the normal closure: q o
+    # sigma kills every relator.
+    p, chi, q = data.draw(presentations_with_quotient())
+    for sigma in generator_symmetries(p, chi):
+        assert [chi.of_word(Word((x,))) for x in sigma] == list(chi.values)
+        make_quotient(p, q.group, tuple(q.group.word_image(Word((x,)), q.gen_images) for x in sigma))
+
+
+@pytest.mark.parametrize("fixture, found", [("f:26", 25 + 4 * 300), ("zn:22", 21 + 4 * 210)])
+def test_symmetries_of_large_fixtures_take_well_under_a_second(fixture, found, monkeypatch):
+    # About 2g^2 candidates, never the g! 2^g signed permutations: f:26 has no
+    # relators, and every candidate that fixes chi = a is kept; zn:22 has 231
+    # commutators, and each candidate compares the 41 that its two
+    # generators touch.  Finding them enumerates nothing.
+    from time import perf_counter
+
+    from fibrecheck import fibring, quotients
+
+    for module in (fibring, quotients):
+        monkeypatch.setattr(module, "enumerate_homs", lambda *a, **k: pytest.fail("a scan started"))
+    p, chi = load_fixture(fixture)
+    start = perf_counter()
+    symmetries = generator_symmetries(p, chi)
+    assert perf_counter() - start < 0.5
+    assert len(symmetries) == found
