@@ -7,7 +7,6 @@ from .words import (  # noqa: E402,F401
     ParseError,
     Presentation,
     Word,
-    direct_product,
     parse_character,
     parse_presentation,
     render_character,
@@ -61,7 +60,6 @@ from .fibring import (  # noqa: F401
     FibringVerdict,
     ScanConfig,
     emit_report,
-    product_vanishing_test,
     scan,
 )
 from .fixtures import load_fixture  # noqa: F401

@@ -34,7 +34,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import __version__
-from .alexander import AlexanderReport, chain_reports, full_report, integral_chain
+from .alexander import AlexanderReport, chain_reports, integral_chain
 from .foxcalc import CONVENTION
 from .polyalg import CoefficientField
 from .quotients import (
@@ -47,10 +47,10 @@ from .quotients import (
     restrict_to_image,
     trivial_quotient,
 )
-from .words import (Character, Presentation, direct_product, generator_symmetries,
+from .words import (Character, Presentation, generator_symmetries,
                     render_character, render_presentation)
 
-__all__ = ["ScanConfig", "FibringVerdict", "scan", "product_vanishing_test", "emit_report"]
+__all__ = ["ScanConfig", "FibringVerdict", "scan", "emit_report"]
 
 # Most worker processes `scan` starts.  A pool starts all of its workers at
 # the first submit, so the count is checked before any pool is built.
@@ -308,25 +308,6 @@ def scan(cfg: ScanConfig, jobs: int = 1) -> FibringVerdict:
         config=cfg,
         warnings=tuple(warnings),
     )
-
-
-def product_vanishing_test(p1: Presentation, chi1: Character, q1: FiniteQuotient,
-                           p2: Presentation,
-                           coefficient_field: CoefficientField | None = None) -> bool:
-    """Degree-1 vanishing of (p1 x p2, (chi1, 0)) at the quotient pulled back
-    through the projection onto the first factor."""
-    if chi1.is_zero:
-        raise ValueError("non-trivial character required on the first factor")
-    coefficient_field = coefficient_field or CoefficientField.rationals()
-    product = direct_product(p1, p2)
-    chi = Character(chi1.values + (0,) * p2.generator_count)
-    composite = FiniteQuotient(
-        q1.group,
-        q1.gen_images + (0,) * p2.generator_count,
-        q1.surjective,
-    )
-    reports = full_report(product, chi, composite, coefficient_field)
-    return reports[1].vanishing
 
 
 def verdict_to_dict(v: FibringVerdict) -> dict:

@@ -31,6 +31,8 @@ term.
 
 from __future__ import annotations
 
+import os
+import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -475,8 +477,9 @@ def rank_lower_bound(m: SparseMatrix) -> int:
     the point is a root of every nonzero maximal minor.  Over Q, t maps to
     EVALUATION_POINT modulo the prime 2^61 - 1, and the bound is 0 when that
     prime divides a denominator.  Over F_p, t maps to a generator of
-    GF(p^k), the largest such field of order at most 2^13, while k >= 2;
-    once p^2 > 2^13, t maps to EVALUATION_POINT modulo p.
+    GF(p^k), the largest such field of order at most 2^13, while k >= 2,
+    whose Zech tables `_zech_field` reads from the package data on first
+    use; once p^2 > 2^13, t maps to EVALUATION_POINT modulo p.
 
     The image is eliminated as sparse rows, column -> nonzero value, read
     from `m.sparse_rows()`: each coefficient is reduced as it is read, and an
@@ -539,7 +542,7 @@ def rank_lower_bound(m: SparseMatrix) -> int:
 
 
 # (c0, ..., c_{k-1}) of the primitive polynomial x^k + c_{k-1} x^(k-1) + ... + c0
-# that `_zech_field` builds GF(p^k) from, for each prime p with p^2 <= 2^13; k
+# that defines GF(p^k) for `_zech_field`, for each prime p with p^2 <= 2^13; k
 # is the largest with p^k <= 2^13.  Each is the first primitive polynomial in
 # a fixed search order, which the tests re-derive; F2's is
 # x^13 + x^12 + x^10 + x^9 + 1.
@@ -579,44 +582,35 @@ def _zech_field(p: int) -> tuple[int, int, array, array]:
     powers alpha^i, 0 <= i < n = p^k - 1, of a root alpha of the primitive
     polynomial pinned in `_PRIMITIVE_LOW`; zech[i] is the exponent of
     1 + alpha^i, or -1 when that sum is zero; neg_one is the exponent of -1;
-    prime_log[c] is the exponent of c in F_p (index 0 unused).  The powers of
-    x are walked once; they are n distinct residues exactly when x has order
-    n, that is, when the polynomial is primitive, which is checked.
+    prime_log[c] is the exponent of c in F_p (index 0 unused).
 
-    A residue mod f is one integer holding the coefficient of x^i in the
-    bits [width*i, width*(i+1)), with a guard bit above each digit: adding
-    2^guard - p to a sum of two digits sets it exactly when the sum is >= p,
-    and p is taken off those fields.  Multiplying by x shifts every digit up
-    one field, and the digit d that leaves the top is put back as d*x^k,
-    read from `reduce_by`.
+    The zech tables are package data, read on first use: `zech.bin` holds
+    them as little-endian int16, concatenated in ascending p, table p with
+    n entries, so every offset follows from `_PRIMITIVE_LOW`.  The builder
+    that made them, a walk over the powers of alpha, lives with the tests
+    (`tests/zech_oracle.py`), which rebuild every table and compare.  The
+    two constants follow from the algebra: -1 = alpha^(n/2) for odd p, since
+    alpha has even order n, and 1 = -1 for p = 2; the norm g = (-1)^k c0 of
+    alpha is alpha^(n/(p-1)), which generates F_p^*, so g^j = alpha^(j n/(p-1)).
     """
     low = _PRIMITIVE_LOW[p]
     k = len(low)
     n = p ** k - 1
-    guard = (p - 1).bit_length()
-    width = guard + 1
-    ones = sum(1 << (width * i) for i in range(k))  # 1 in every field
-    bias = ((1 << guard) - p) * ones
-    top, digit = width * (k - 1), (1 << width) - 1
-    below = (1 << top) - 1  # every field but the top one
-    reduce_by = [0, sum((-c) % p << (width * i) for i, c in enumerate(low))]  # x^k = -low
-    for _ in range(p - 2):  # d * x^k for each leading digit d of v in v*x
-        s = reduce_by[-1] + reduce_by[1]
-        reduce_by.append(s - (((s + bias) >> guard) & ones) * p)
-    exp = [1] * n
-    v = 1
-    for i in range(1, n):  # v = v*x
-        d = v >> top
-        v = (v & below) << width
-        if d:
-            v += reduce_by[d]
-            v -= (((v + bias) >> guard) & ones) * p
-        exp[i] = v
-    log = dict(zip(exp, range(n)))
-    if len(log) != n:
-        raise AssertionError(f"the polynomial pinned for F{p} is not primitive")
-    zech = array("i", [log.get(v + 1 if v & digit < p - 1 else v + 1 - p, -1) for v in exp])
-    return n, log[p - 1], zech, array("i", [0] + [log[c] for c in range(1, p)])
+    offset = sum(q ** len(c) - 1 for q, c in _PRIMITIVE_LOW.items() if q < p)
+    with open(os.path.join(os.path.dirname(__file__), "zech.bin"), "rb") as f:
+        f.seek(2 * offset)
+        data = f.read(2 * n)
+    if len(data) != 2 * n:
+        raise RuntimeError(f"zech.bin ends inside the table for F{p}")
+    zech = array("h", data)
+    if sys.byteorder == "big":
+        zech.byteswap()
+    prime_log = array("i", [0] * p)
+    g, c, step = (-1) ** k * low[0] % p, 1, n // (p - 1)
+    for j in range(p - 1):
+        prime_log[c] = j * step
+        c = c * g % p
+    return n, n // 2 if p > 2 else 0, zech, prime_log
 
 
 def _rank_in_extension(m: SparseMatrix, p: int) -> int:

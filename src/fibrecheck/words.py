@@ -29,7 +29,6 @@ __all__ = [
     "parse_character",
     "render_character",
     "validate_character",
-    "direct_product",
     "generator_symmetries",
 ]
 
@@ -254,34 +253,6 @@ def validate_character(p: Presentation, values: Sequence[int]) -> Character:
                 f"has weighted exponent sum {s}"
             )
     return chi
-
-
-# ---------------------------------------------------------------------------
-# constructions
-
-
-def _fresh_names(taken: list[str], wanted: Sequence[str]) -> list[str]:
-    out = []
-    for name in wanted:
-        candidate, k = name, 2
-        while candidate in taken or candidate in out:
-            candidate = f"{name}_{k}"
-            k += 1
-        out.append(candidate)
-    return out
-
-
-def direct_product(pa: Presentation, pb: Presentation) -> Presentation:
-    """Presentation of the direct product: both relator sets plus all commutators."""
-    ga = pa.generator_count
-    names = list(pa.generator_names) + _fresh_names(list(pa.generator_names), pb.generator_names)
-    relators = list(pa.relators)
-    for r in pb.relators:
-        relators.append(Word(tuple(x + ga if x > 0 else x - ga for x in r.letters)))
-    for i in range(1, ga + 1):
-        for j in range(ga + 1, ga + pb.generator_count + 1):
-            relators.append(Word((i, j, -i, -j)))
-    return Presentation(tuple(names), tuple(relators))
 
 
 # ---------------------------------------------------------------------------

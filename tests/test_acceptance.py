@@ -11,7 +11,7 @@ import itertools
 import time
 
 from fibrecheck.alexander import InternalCheckError, full_report, h1_vanishing
-from fibrecheck.fibring import ScanConfig, product_vanishing_test, scan
+from fibrecheck.fibring import ScanConfig, scan
 from fibrecheck.fixtures import load_fixture
 from fibrecheck.foxcalc import build_representation
 from fibrecheck.polyalg import CoefficientField, LaurentPoly
@@ -27,6 +27,7 @@ from fibrecheck.reidschreier import rewrite_subgroup
 from fibrecheck.words import Word, validate_character
 from dense_oracle import chain_over, h1_order
 from free_group_oracle import tietze_variant
+from product_oracle import product_vanishing_test
 from quotient_oracle import same_kernel
 
 Q = CoefficientField.rationals()

@@ -294,6 +294,27 @@ def test_integral_phase_stops_and_each_field_finishes_the_residual():
     assert phase.residual and (phase.rows, phase.cols) == (20, 30)
 
 
+def test_zech_tables_are_read_only_when_a_small_prime_field_runs():
+    # Importing the CLI and running over Q reads no Zech table, so neither
+    # the import nor a Q-only command pays for it; an alex over F2 reads one.
+    script = (
+        "import io\n"
+        "from fibrecheck.cli import main\n"
+        "from fibrecheck.polyalg import _zech_field\n"
+        "sizes = [_zech_field.cache_info().currsize]\n"
+        "main(['untwist-check', '--fixture', 'f2xz', '--quotient', 'z4:1,0,0'], out=io.StringIO())\n"
+        "sizes.append(_zech_field.cache_info().currsize)\n"
+        "main(['alex', '--fixture', 'f2xz', '--quotient', 'z4:1,0,0', '--field', 'f2'], out=io.StringIO())\n"
+        "sizes.append(_zech_field.cache_info().currsize)\n"
+        "print(sizes)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(fibrecheck.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert proc.stdout == "[0, 0, 1]\n"
+
+
 def test_usage_error_exit_code():
     assert main(["unknown-subcommand"], out=io.StringIO()) == 2
 

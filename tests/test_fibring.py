@@ -6,11 +6,12 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fibrecheck.fibring import ScanConfig, emit_report, product_vanishing_test, scan
+from fibrecheck.fibring import ScanConfig, emit_report, scan
 from fibrecheck.fixtures import load_fixture
 from fibrecheck.polyalg import CoefficientField
 from fibrecheck.quotients import trivial_quotient
 from fibrecheck.words import validate_character
+from product_oracle import product_vanishing_test
 from random_presentations import presentations_with_quotient, symmetric_presentations_with_quotient
 
 Q = CoefficientField.rationals()

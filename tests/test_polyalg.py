@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import os
 import random
 from fractions import Fraction
 from functools import reduce
@@ -8,7 +9,7 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fibrecheck import alexander
+from fibrecheck import alexander, polyalg
 from fibrecheck.alexander import IntegralChain, TwistedChain
 from fibrecheck.polyalg import (
     EVALUATION_POINT,
@@ -26,7 +27,7 @@ from fibrecheck.polyalg import (
 from dense_oracle import PolyMatrix, to_dense
 from kernel_oracle import divmod_poly
 from smith_oracle import order_of
-from zech_oracle import first_primitive_low
+from zech_oracle import build_field, first_primitive_low
 
 Q = CoefficientField.rationals()
 F3 = CoefficientField.prime(3)
@@ -365,8 +366,6 @@ def test_division_tracks_the_top_and_bottom_exponents(field, monkeypatch):
     # cancelling the top term.  The division keeps the top and bottom
     # exponents as it goes: O(1) calls to min and max, where taking both
     # afresh at every step makes about 2000 of each and costs span^2.
-    from fibrecheck import polyalg
-
     calls = {"min": 0, "max": 0}
 
     def counted(name, fn):
@@ -438,9 +437,23 @@ _ZECH_DIGESTS = {
 
 @pytest.mark.parametrize("p", sorted(_ZECH_DIGESTS))
 def test_zech_tables_are_pinned(p):
-    n, neg_one, zech, prime_log = _zech_field.__wrapped__(p)  # built afresh, not cached
+    n, neg_one, zech, prime_log = _zech_field.__wrapped__(p)  # read from zech.bin, not the cache
     text = repr((n, neg_one, zech.tolist(), prime_log.tolist()))
     assert hashlib.sha256(text.encode()).hexdigest() == _ZECH_DIGESTS[p]
+
+
+def test_shipped_zech_tables_match_the_builder():
+    # zech.bin holds exactly the 24 tables, sum of (p^k - 1) int16 entries
+    # and nothing after them, and each table and both derived constants are
+    # those that walking the powers of alpha gives.
+    path = os.path.join(os.path.dirname(polyalg.__file__), "zech.bin")
+    entries = sum(p ** len(low) - 1 for p, low in _PRIMITIVE_LOW.items())
+    assert entries == 90915 and os.path.getsize(path) == 2 * entries
+    for p in sorted(_PRIMITIVE_LOW):
+        n, neg_one, zech, prime_log = _zech_field.__wrapped__(p)
+        want = build_field(p)
+        assert (n, neg_one) == want[:2], p
+        assert zech == want[2] and prime_log == want[3], p
 
 
 def test_pinned_primitive_polynomials_match_the_search():

@@ -11,7 +11,6 @@ from fibrecheck.words import (
     ParseError,
     Presentation,
     Word,
-    direct_product,
     generator_symmetries,
     parse_character,
     parse_presentation,
@@ -20,6 +19,7 @@ from fibrecheck.words import (
     validate_character,
 )
 from free_group_oracle import conjugate, tietze_variant
+from product_oracle import direct_product
 from random_presentations import presentations_with_quotient
 
 

@@ -1,19 +1,26 @@
-"""Test-only oracle: the search that chose the Zech tables' polynomials.
+"""Test-only oracle: the search that chose the Zech tables' polynomials, and
+the builder that made the tables in `fibrecheck/zech.bin`.
 
-`polyalg._zech_field` builds GF(p^k) from the primitive polynomial pinned in
-`polyalg._PRIMITIVE_LOW`, with k >= 2 the largest such that p^k <= 2^13.
-Each pinned polynomial is the first primitive x^k + ... + c0 in a fixed
-search order, and this module keeps that search, so that the tests can
-re-derive every constant.  A residue mod f is packed as in `_zech_field`:
-one integer holding the coefficient of x^i in the bits
-[width*i, width*(i+1)), with a guard bit above each digit.
+`polyalg._zech_field` reads GF(p^k) from `zech.bin`, for the primitive
+polynomial pinned in `polyalg._PRIMITIVE_LOW`, with k >= 2 the largest such
+that p^k <= 2^13.  Each pinned polynomial is the first primitive
+x^k + ... + c0 in a fixed search order, and this module keeps that search
+and the walk over the field's powers, so that the tests can re-derive every
+constant and every table.  A residue mod f is one integer holding the
+coefficient of x^i in the bits [width*i, width*(i+1)), with a guard bit
+above each digit.
+
+    PYTHONPATH=src python tests/zech_oracle.py     # rewrite src/fibrecheck/zech.bin
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from itertools import product
+from pathlib import Path
 
-from fibrecheck.polyalg import _GF_ORDER_LIMIT
+from fibrecheck.polyalg import _GF_ORDER_LIMIT, _PRIMITIVE_LOW
 
 
 def _prime_factors(m: int) -> list[int]:
@@ -96,3 +103,59 @@ def first_primitive_low(p: int) -> tuple[int, ...]:
                 continue
             return tuple(low)
     raise AssertionError(f"no primitive polynomial of degree {k} over F{p}")
+
+
+def build_field(p: int) -> tuple[int, int, array, array]:
+    """GF(p^k) from the polynomial pinned in `_PRIMITIVE_LOW`, by walking its powers.
+
+    Returns (n, neg_one, zech, prime_log) as `_zech_field` does.  The
+    nonzero elements are the powers alpha^i, 0 <= i < n = p^k - 1, of a root
+    alpha of the pinned polynomial; zech[i] is the exponent of 1 + alpha^i,
+    or -1 when that sum is zero; neg_one is the exponent of -1; prime_log[c]
+    is the exponent of c in F_p (index 0 unused).  The powers of x are walked
+    once; they are n distinct residues exactly when x has order n, that is,
+    when the polynomial is primitive, which is checked.
+
+    Adding 2^guard - p to a sum of two digits sets the guard bit exactly
+    when the sum is >= p, and p is taken off those fields.  Multiplying by x
+    shifts every digit up one field, and the digit d that leaves the top is
+    put back as d*x^k, read from `reduce_by`.
+    """
+    low = _PRIMITIVE_LOW[p]
+    k = len(low)
+    n = p ** k - 1
+    guard = (p - 1).bit_length()
+    width = guard + 1
+    ones = sum(1 << (width * i) for i in range(k))  # 1 in every field
+    bias = ((1 << guard) - p) * ones
+    top, digit = width * (k - 1), (1 << width) - 1
+    below = (1 << top) - 1  # every field but the top one
+    reduce_by = [0, sum((-c) % p << (width * i) for i, c in enumerate(low))]  # x^k = -low
+    for _ in range(p - 2):  # d * x^k for each leading digit d of v in v*x
+        s = reduce_by[-1] + reduce_by[1]
+        reduce_by.append(s - (((s + bias) >> guard) & ones) * p)
+    exp = [1] * n
+    v = 1
+    for i in range(1, n):  # v = v*x
+        d = v >> top
+        v = (v & below) << width
+        if d:
+            v += reduce_by[d]
+            v -= (((v + bias) >> guard) & ones) * p
+        exp[i] = v
+    log = dict(zip(exp, range(n)))
+    if len(log) != n:
+        raise AssertionError(f"the polynomial pinned for F{p} is not primitive")
+    zech = array("h", [log.get(v + 1 if v & digit < p - 1 else v + 1 - p, -1) for v in exp])
+    return n, log[p - 1], zech, array("i", [0] + [log[c] for c in range(1, p)])
+
+
+if __name__ == "__main__":  # every zech table as little-endian int16, in ascending p
+    tables = array("h")
+    for p in sorted(_PRIMITIVE_LOW):
+        tables.extend(build_field(p)[2])
+    if sys.byteorder == "big":
+        tables.byteswap()
+    target = Path(__file__).resolve().parent.parent / "src" / "fibrecheck" / "zech.bin"
+    target.write_bytes(tables.tobytes())
+    print(f"wrote {len(tables) * 2} bytes to {target}")
