@@ -253,16 +253,19 @@ class AlexanderReport:
 
     order_skipped = property(lambda self: False)  # schema-1 key; every report has its order
 
-    def as_dict(self, p: Presentation) -> dict:
+    def as_dict(self, p: Presentation, order: str | None = None,
+                character: str | None = None) -> dict:
+        """The schema-1 record; a caller that has rendered the order or the
+        character already passes the text."""
         return {
             "degree": self.degree,
             "vanishing": self.vanishing,
             "rank": self.rank_over_frac,
-            "order": self.order.render(),
+            "order": self.order.render() if order is None else order,
             "order_skipped": self.order_skipped,
             "field": self.field.name,
             "quotient": self.quotient.label(),
-            "character": render_character(p, self.character),
+            "character": render_character(p, self.character) if character is None else character,
             "convention": self.convention,
         }
 

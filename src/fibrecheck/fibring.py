@@ -24,7 +24,10 @@ Kirk-Livingston 1999).  The module depends only on the kernel, which
 `kernel_key` labels, so a kept quotient whose key lies in the orbit of a
 representative q has the reports of q, field by field, with its own label,
 and its job would stop after the same field.  The output is byte for byte
-that of computing every job; both routes check the representative.
+that of computing every job; both routes check the representative.  The
+maps generate a finite group, whose orbits are the closures under any
+generating set of it, so orbits are registered with `words.generating_subset`
+of the maps, found once per scan.
 """
 
 from __future__ import annotations
@@ -42,12 +45,12 @@ from .quotients import (
     FiniteGroup,
     FiniteQuotient,
     build_catalog,
-    enumerate_homs,
     kernel_key,
+    keyed_homs,
     restrict_to_image,
     trivial_quotient,
 )
-from .words import (Character, Presentation, generator_symmetries,
+from .words import (Character, Presentation, generating_subset, generator_symmetries,
                     render_character, render_presentation)
 
 __all__ = ["ScanConfig", "FibringVerdict", "scan", "emit_report"]
@@ -90,23 +93,25 @@ def _quotient_stream(p: Presentation, cfg: ScanConfig):
 
     The trivial quotient always comes first; a later homomorphism whose
     `kernel_key` matches that of an earlier kept quotient is merged into it.
-    r is None where the job of q runs, else the position, among the kept
-    quotients, of the orbit representative whose reports q takes.  After a
-    job has run, which is when the consumer asks for the next event, the
-    kernels of its orbit are registered (`_register_orbit`); the
-    symmetries are found then, once, so a scan that ends at the trivial
-    quotient never looks for them.
+    The keys come with the homomorphisms (`keyed_homs`), from the walk that
+    decides surjectivity.  r is None where the job of q runs, else the
+    position, among the kept quotients, of the orbit representative whose
+    reports q takes.  After a job has run, which is when the consumer asks
+    for the next event, the kernels of its orbit are registered
+    (`_register_orbit`); the symmetries are found then, once, and reduced to
+    a generating set, so a scan that ends at the trivial quotient never
+    looks for them.
     """
     def homs():
-        yield trivial_quotient(p)
+        trivial = trivial_quotient(p)
+        yield trivial, kernel_key(trivial)
         for group in build_catalog(cfg.max_quotient_order, list(cfg.extra_groups)):
-            yield from enumerate_homs(p, group, surjective_only=False)
+            yield from keyed_homs(p, group)
 
     kept: dict = {}
     orbit: dict = {}
     symmetries = None
-    for hom in homs():
-        key = kernel_key(hom)
+    for hom, key in homs():
         rep = kept.setdefault(key, hom)
         if rep is not hom:
             yield "skipped", hom, rep
@@ -115,7 +120,7 @@ def _quotient_stream(p: Presentation, cfg: ScanConfig):
         else:
             yield "kept", hom, None
             if symmetries is None:
-                symmetries = generator_symmetries(p, cfg.character)
+                symmetries = generating_subset(generator_symmetries(p, cfg.character))
             _register_orbit(hom, key, symmetries, orbit, len(kept) - 1)
 
 
@@ -125,7 +130,8 @@ def _register_orbit(q: FiniteQuotient, key, symmetries, orbit: dict, position: i
     Each sigma is a signed generator map from `generator_symmetries`, so q o
     sigma is the homomorphism with images q(sigma(x_i)), into the same group.
     The closure is walked breadth-first from q, whose key the stream has
-    already made, and each member costs one key per symmetry.
+    already made, and each member costs one key per symmetry, which is why
+    the stream passes a generating set.
     """
     orbit[key] = position
     inverse = q.group.inverse
@@ -310,8 +316,40 @@ def scan(cfg: ScanConfig, jobs: int = 1) -> FibringVerdict:
     )
 
 
+def _renderers(p: Presentation):
+    """`LaurentPoly.render` and `render_character` on p, memoised for one report.
+
+    A kept quotient that reuses its orbit representative's reports shares
+    the representative's order objects, so an order is keyed by its object,
+    whose id stays unique while the verdict holds it.  The scan's reports
+    carry two characters, chi and -chi, in many equal objects, so a
+    character is keyed by value.
+    """
+    orders: dict[int, str] = {}
+    characters: dict[Character, str] = {}
+
+    def order(poly) -> str:
+        text = orders.get(id(poly))
+        if text is None:
+            text = orders[id(poly)] = poly.render()
+        return text
+
+    def character(chi: Character) -> str:
+        text = characters.get(chi)
+        if text is None:
+            text = characters[chi] = render_character(p, chi)
+        return text
+
+    return order, character
+
+
 def verdict_to_dict(v: FibringVerdict) -> dict:
     p = v.config.presentation
+    order, character = _renderers(p)
+
+    def report(r: AlexanderReport) -> dict:
+        return r.as_dict(p, order(r.order), character(r.character))
+
     return {
         "schema": 1,
         "tool": "fibrecheck",
@@ -328,10 +366,10 @@ def verdict_to_dict(v: FibringVerdict) -> dict:
             "generators": list(p.generator_names),
             "text": render_presentation(p),
         },
-        "character": render_character(p, v.config.character),
-        "witness": None if v.witness is None else v.witness.as_dict(p),
+        "character": character(v.config.character),
+        "witness": None if v.witness is None else report(v.witness),
         "interpretation": list(v.interpretation),
-        "reports": [r.as_dict(p) for r in v.reports],
+        "reports": [report(r) for r in v.reports],
         "tested_quotients": [q.label() for q in v.tested_quotients],
         "skipped_quotients": [
             {"quotient": q.label(), "merged_into": rep.label()}
@@ -348,10 +386,11 @@ def emit_report(v: FibringVerdict, format: str = "text") -> str:
     if format != "text":
         raise ValueError(f"unknown report format {format!r}")
     p = v.config.presentation
+    order, character = _renderers(p)
     lines = [
         f"fibrecheck scan (schema 1, version {__version__}, convention {CONVENTION})",
         f"presentation: {render_presentation(p).replace(chr(10), ' | ')}",
-        f"character: {render_character(p, v.config.character)} (minus direction scanned alongside)",
+        f"character: {character(v.config.character)} (minus direction scanned alongside)",
         f"fields: {', '.join(f.name for f in v.config.fields)}",
         f"catalog bound: {v.bound}",
         f"assertions: lerf={'yes' if v.config.asserted_lerf else 'no'}, "
@@ -364,7 +403,7 @@ def emit_report(v: FibringVerdict, format: str = "text") -> str:
         w = v.witness
         lines.append(
             f"witness: quotient {w.quotient.group.name} (order {w.quotient.group.order}), "
-            f"field {w.field.name}, degree 1, character {render_character(p, w.character)}"
+            f"field {w.field.name}, degree 1, character {character(w.character)}"
         )
     lines.append("interpretation:")
     for text in v.interpretation:
@@ -374,9 +413,9 @@ def emit_report(v: FibringVerdict, format: str = "text") -> str:
     for r in v.reports:
         lines.append(
             f"  [{r.quotient.group.name} ord {r.quotient.group.order} | {r.field.name} | "
-            f"{render_character(p, r.character)}] deg {r.degree}: "
+            f"{character(r.character)}] deg {r.degree}: "
             f"{'VANISHING' if r.vanishing else 'nonvanishing'}, rank {r.rank_over_frac}, "
-            f"order {r.order.render()}"
+            f"order {order(r.order)}"
         )
     lines.append(f"tested quotients: {len(v.tested_quotients)}; skipped (same kernel): {len(v.skipped_quotients)}")
     for q, rep in v.skipped_quotients:

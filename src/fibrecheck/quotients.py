@@ -9,7 +9,9 @@ groups uniformly at desk scale.  The table file format is::
 
 Every table is checked for associativity by Light's test, and orders above
 `MAX_GROUP_ORDER` are refused before a table is built.  Homomorphisms are
-merged by `kernel_key`, a canonical label of the kernel.
+merged by `kernel_key`, a canonical label of the kernel; `keyed_homs` gives
+each homomorphism with its key, from the one walk of its image that also
+decides surjectivity.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "trivial_quotient",
     "make_quotient",
     "enumerate_homs",
+    "keyed_homs",
     "image_closure",
     "kernel_key",
     "regular_representation",
@@ -49,18 +52,27 @@ def _check_group_order(n: int, what: str) -> None:
         raise ValueError(f"{what} {n} is too large: at most {MAX_GROUP_ORDER} is supported")
 
 
-def _orbit(table: tuple[tuple[int, ...], ...], generators) -> list[int]:
-    """What right multiplication by the generators reaches from 0, breadth-first
-    in generator order; in a finite group, the subgroup they generate."""
+def _labels(table: tuple[tuple[int, ...], ...], generators) -> dict[int, int]:
+    """What right multiplication by the generators reaches from 0, each element
+    with its position in the breadth-first walk, in generator order; in a
+    finite group, the subgroup they generate."""
+    label = {0: 0}
     elements = [0]
-    seen = {0}
     for e in elements:  # grows while it is walked
         row = table[e]
         for s in generators:
-            if row[s] not in seen:
-                seen.add(row[s])
+            if row[s] not in label:
+                label[row[s]] = len(elements)
                 elements.append(row[s])
-    return elements
+    return label
+
+
+def _kernel_key(table: tuple[tuple[int, ...], ...],
+                images: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """`kernel_key` of the homomorphism with these generator images: the
+    generator permutations on the image, labelled by `_labels`."""
+    label = _labels(table, images)
+    return tuple(tuple([label[table[e][s]] for e in label]) for s in images)
 
 
 def _is_associative(table: tuple[tuple[int, ...], ...]) -> bool:
@@ -80,9 +92,9 @@ def _is_associative(table: tuple[tuple[int, ...], ...]) -> bool:
             continue
         generators.append(a)
         # Row x*a lists (x*a)*y over y; row x permuted by row a lists x*(a*y).
-        if any(table[row[a]] != tuple(row[z] for z in table[a]) for row in table):
+        if any(table[row[a]] != tuple(map(row.__getitem__, table[a])) for row in table):
             return False
-        reached = set(_orbit(table, generators))
+        reached = _labels(table, generators)
     return True
 
 
@@ -96,21 +108,21 @@ class FiniteGroup:
     perms: tuple[tuple[int, ...], ...] | None = None  # set when built from permutations
 
     def __post_init__(self):
-        n = self.order
-        if n < 1 or len(self.table) != n or any(len(row) != n for row in self.table):
+        # Each check walks whole rows and columns in C: min, max, zip, `in`.
+        n, table = self.order, self.table
+        if n < 1 or len(table) != n or any(len(row) != n for row in table):
             raise ValueError("malformed multiplication table")
-        for row in self.table:
-            if any(not 0 <= e < n for e in row):
-                raise ValueError("table entry out of range")
-        for g in range(n):
-            if self.table[0][g] != g or self.table[g][0] != g:
-                raise ValueError("id 0 is not an identity element")
-        for g in range(n):
-            if 0 not in self.table[g]:
+        if min(map(min, table)) < 0 or max(map(max, table)) >= n:
+            raise ValueError("table entry out of range")
+        identity = tuple(range(n))
+        if table[0] != identity or next(zip(*table)) != identity:
+            raise ValueError("id 0 is not an identity element")
+        for g, row in enumerate(table):
+            if 0 not in row:
                 raise ValueError(f"element {g} has no inverse")
-        if not _is_associative(self.table):
+        if not _is_associative(table):
             raise ValueError("table is not associative")
-        object.__setattr__(self, "_inverses", tuple(row.index(0) for row in self.table))
+        object.__setattr__(self, "_inverses", tuple(row.index(0) for row in table))
 
     def mul(self, g: int, h: int) -> int:
         return self.table[g][h]
@@ -149,7 +161,8 @@ def cyclic_group(m: int) -> FiniteGroup:
     if m < 1:
         raise ValueError("cyclic group order must be positive")
     _check_group_order(m, "cyclic group order")
-    table = tuple(tuple((g + h) % m for h in range(m)) for g in range(m))
+    row = tuple(range(m))
+    table = tuple(row[g:] + row[:g] for g in range(m))  # row g: g + h mod m
     return FiniteGroup(m, table, f"Z/{m}")
 
 
@@ -158,9 +171,7 @@ def symmetric_group(n: int) -> FiniteGroup:
     perms = list(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     # Composition left-to-right: (g*h)(x) = h(g(x)).
-    table = tuple(
-        tuple(index[tuple(h[g[x]] for x in range(n))] for h in perms) for g in perms
-    )
+    table = tuple(tuple(index[tuple(map(h.__getitem__, g))] for h in perms) for g in perms)
     return FiniteGroup(len(perms), table, f"S{n}", perms=tuple(perms))
 
 
@@ -202,12 +213,20 @@ def make_quotient(p: Presentation, group: FiniteGroup, images: tuple[int, ...]) 
 
 def image_closure(g: FiniteGroup, seeds) -> set[int]:
     """Smallest multiplicatively closed subset containing the seeds and 0."""
-    return set(_orbit(g.table, list(seeds)))
+    return set(_labels(g.table, list(seeds)))
 
 
 def enumerate_homs(p: Presentation, target: FiniteGroup,
                    surjective_only: bool = False) -> list[FiniteQuotient]:
-    """All homomorphisms into the target, lexicographic in image tuples.
+    """All homomorphisms into the target, lexicographic in image tuples
+    (`keyed_homs` without the keys)."""
+    return [q for q, _ in keyed_homs(p, target) if q.surjective or not surjective_only]
+
+
+def keyed_homs(p: Presentation, target: FiniteGroup
+               ) -> list[tuple[FiniteQuotient, tuple[tuple[int, ...], ...]]]:
+    """Every homomorphism into the target with its `kernel_key`, lexicographic
+    in image tuples.
 
     Backtracking assigns generator images one at a time and evaluates a
     relator as soon as all of its letters are assigned.  At each search node
@@ -215,23 +234,24 @@ def enumerate_homs(p: Presentation, target: FiniteGroup,
     indices of `ids`: each run of assigned letters, inverses included,
     becomes one element id, and each letter of the new generator points at
     slot 0 (x) or 1 (x^-1), which hold the candidate image and its inverse.
-    A candidate then costs one table read per run and per new letter.
+    A candidate then costs one table read per run and per new letter.  A
+    homomorphism found walks its image once: the walk labels the key, and
+    its length, that of every permutation in the key, decides surjectivity.
     """
     g = p.generator_count
-    table, inverse = target.table, target._inverses
+    table, inverse, order = target.table, target._inverses, target.order
     by_last_gen: dict[int, list[Word]] = {}
     for r in p.relators:
         by_last_gen.setdefault(r.max_index(), []).append(r)
-    out: list[FiniteQuotient] = []
+    out: list[tuple[FiniteQuotient, tuple[tuple[int, ...], ...]]] = []
     images: list[int] = []
 
     def descend():
         k = len(images)
         if k == g:
             imgs = tuple(images)
-            surjective = len(image_closure(target, imgs)) == target.order
-            if not surjective_only or surjective:
-                out.append(FiniteQuotient(target, imgs, surjective))
+            key = _kernel_key(table, imgs)
+            out.append((FiniteQuotient(target, imgs, len(key[0]) == order), key))
             return
         ids, checks = [0, 0], []
         for r in by_last_gen.get(k + 1, ()):
@@ -249,7 +269,7 @@ def enumerate_homs(p: Presentation, target: FiniteGroup,
                 steps.append(len(ids))
                 ids.append(run)
             checks.append(steps)
-        for e in range(target.order):
+        for e in range(order):
             ids[0], ids[1] = e, inverse[e]
             for steps in checks:
                 v = 0
@@ -274,12 +294,9 @@ def kernel_key(q: FiniteQuotient) -> tuple[tuple[int, ...], ...]:
     labels.  It describes the image as a pointed transitive set of the free
     group up to isomorphism, and such a set determines the stabiliser of its
     point, which is the kernel; conversely the kernel determines the set, its
-    cosets.
+    cosets.  Each permutation in the key has the image's order as its length.
     """
-    table = q.group.table
-    elements = _orbit(table, q.gen_images)
-    label = {e: i for i, e in enumerate(elements)}
-    return tuple(tuple([label[table[e][s]] for e in elements]) for s in q.gen_images)
+    return _kernel_key(q.group.table, q.gen_images)
 
 
 def regular_representation(g: FiniteGroup, e: int) -> list[int]:
@@ -293,7 +310,7 @@ def restrict_to_image(p: Presentation, q: FiniteQuotient) -> FiniteQuotient:
     """Replace a non-surjective quotient by its image subgroup's table."""
     if q.surjective:
         return q
-    elements = sorted(image_closure(q.group, q.gen_images))
+    elements = sorted(_labels(q.group.table, q.gen_images))
     index = {e: i for i, e in enumerate(elements)}
     table = tuple(
         tuple(index[q.group.mul(a, b)] for b in elements) for a in elements

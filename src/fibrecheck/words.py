@@ -30,6 +30,8 @@ __all__ = [
     "render_character",
     "validate_character",
     "generator_symmetries",
+    "MAX_LISTED_SYMMETRIES",
+    "generating_subset",
 ]
 
 # Cap on the letters of all relators of one presentation, with every power
@@ -315,3 +317,72 @@ def generator_symmetries(p: Presentation, chi: Character) -> tuple[tuple[int, ..
         if before == after:
             found.append(tuple(moved.get(k, k) for k in range(1, g + 1)))
     return tuple(found)
+
+
+# Most elements of a group of signed generator maps that `generating_subset`
+# lists.  The 3840 signed permutations of five generators, which zn:6's maps
+# generate, fit.
+MAX_LISTED_SYMMETRIES = 5000
+
+
+def generating_subset(maps: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """A subsequence of signed generator maps that generates the group they generate.
+
+    A greedy pass keeps a map only where the group generated by the maps
+    kept before it lacks it.  A reverse pass then drops each kept map that
+    the other kept maps generate: those generate a subgroup of the whole
+    group G, so they generate G exactly when they reach more than |G|/2
+    elements.  Each pass lists the group it builds one right coset Hx at a
+    time (Dimino's algorithm), and only up to MAX_LISTED_SYMMETRIES
+    elements.  Once the greedy pass outgrows that, the maps it has not read
+    are kept unread and the reverse pass is skipped, so every dropped map is
+    generated by the maps kept.
+
+    A map is held as its images of 0, x_1..x_g, x_g^-1..x_1^-1, so that a
+    letter indexes its own image (a negative index reads the inverses from
+    the end) and a composite is one `map` over a tuple.
+    """
+    if not maps:
+        return ()
+    g = len(maps[0])
+    full = [(0, *m, *(-x for x in reversed(m))) for m in maps]
+    identity = (0, *range(1, g + 1), *range(-g, 0))
+
+    def extend(h: list, generators: list, limit: int) -> list | None:
+        """The group of the generators, listed from the list h of the group of
+        all but the last, or None past `limit` elements."""
+        elements, seen, reps = list(h), set(h), [identity]
+        for r in reps:  # grows while it is walked
+            for s in generators:
+                x = tuple(map(r.__getitem__, s))
+                if x not in seen:
+                    if len(elements) + len(h) > limit:
+                        return None
+                    coset = [tuple(map(y.__getitem__, x)) for y in h]
+                    seen.update(coset)
+                    elements += coset
+                    reps.append(x)
+        return elements
+
+    def greedy(indices, limit: int) -> tuple[list[int], list | None]:
+        """The maps that a greedy pass keeps and the group they generate,
+        listed; None where the listing outgrew `limit` and the pass stopped."""
+        used: list[int] = []
+        listed: list | None = [identity]
+        members = {identity}
+        for i in indices:
+            if full[i] not in members:
+                used.append(i)
+                listed = extend(listed, [full[j] for j in used], limit)
+                if listed is None:
+                    break
+                members = set(listed)
+        return used, listed
+
+    kept, listed = greedy(range(len(maps)), MAX_LISTED_SYMMETRIES)
+    if listed is None:
+        return tuple(maps[j] for j in kept) + tuple(maps[kept[-1] + 1:])
+    for i in reversed(kept[:]):
+        if greedy([j for j in kept if j != i], len(listed) // 2)[1] is None:
+            kept.remove(i)
+    return tuple(maps[j] for j in kept)

@@ -211,6 +211,37 @@ def test_emit_report_obstructed_json():
     assert doc["witness"]["degree"] == 1
 
 
+# SHA-256 of the JSON report of `scan --fixture f2xz --max-quotient-order 4
+# --json FILE`; the CI smoke pins it too.
+_F2XZ_ORDER_4_JSON = "826dd0460c1db206a12d880edf2d550122c2f9a7819d65f04683187ad71fd3ce"
+
+
+@pytest.mark.parametrize("format", ["text", "json"])
+def test_emit_report_renders_each_order_and_character_once(format, monkeypatch):
+    # A kept quotient that reuses its orbit representative's reports shares
+    # its order objects, and the reports carry two characters, chi and -chi.
+    # One report renders each order object and each character once, and its
+    # bytes are the pinned ones.
+    from fibrecheck import alexander, fibring
+    from fibrecheck.polyalg import LaurentPoly
+
+    p, chi = load_fixture("f2xz")
+    v = scan(ScanConfig(presentation=p, character=chi, max_quotient_order=4))
+    orders = Counter(id(r.order) for r in v.reports)
+    assert len(v.reports) == 588 and len(orders) == 207  # 12 reports and 9 orders per job
+    renders, characters = Counter(), Counter()
+    render, render_character = LaurentPoly.render, fibring.render_character
+    monkeypatch.setattr(LaurentPoly, "render", lambda f: renders.update([id(f)]) or render(f))
+    monkeypatch.setattr(fibring, "render_character",
+                        lambda p, c: characters.update([c]) or render_character(p, c))
+    monkeypatch.setattr(alexander, "render_character", lambda p, c: pytest.fail("not memoised"))
+    text = emit_report(v, format)
+    assert renders.keys() == orders.keys() and max(renders.values()) == 1
+    assert characters == Counter([chi, chi.negate()])
+    digest = _F2XZ_ORDER_4_JSON if format == "json" else _F2XZ_ORDER_4[()]
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_fox_images_run_once_per_relator_per_orbit_representative(monkeypatch):
     # The chain over Z is built once per orbit of kept quotients under the
     # symmetries of f2xz (a <-> b and the inversions of a and b, all fixing
@@ -300,30 +331,69 @@ def test_orbit_reuse_matches_computing_every_job(name, values, order, extra, mon
     assert reused == emit_report(scan(cfg), "json")
 
 
-@pytest.mark.parametrize("fixture, order, fields, kept, chains, symmetries", [
-    ("f2xz", 4, (F2, F3, Q), 49, 23, 6),
-    ("f2xz", 12, (F2, F3, Q), 1174, 293, 6),
-    ("zn:4", 6, (F2, F3, Q), 932, 117, 15),
-    ("trefoil", 24, (F3,), 27, 27, 1),
+@pytest.mark.parametrize("fixture, order, fields, kept, chains, symmetries, generators", [
+    ("f2xz", 4, (F2, F3, Q), 49, 23, 6, 2),
+    ("f2xz", 12, (F2, F3, Q), 1174, 293, 6, 2),
+    ("zn:4", 6, (F2, F3, Q), 932, 117, 15, 3),
+    ("trefoil", 24, (F3,), 27, 27, 1, 1),
 ], ids=["f2xz-4", "f2xz-12", "zn:4-6", "trefoil-24-f3"])
-def test_one_chain_per_orbit(fixture, order, fields, kept, chains, symmetries, monkeypatch):
-    # One chain is built per orbit of kept quotients.  Registering an orbit
-    # costs one kernel key per member and symmetry, so a kept quotient costs
-    # its own key from the stream and |S| more; each merged homomorphism
-    # costs its one key from the stream.  The trefoil's one symmetry,
-    # x <-> y, leaves each of its 27 kernels alone.
-    from fibrecheck import fibring
+def test_one_chain_per_orbit(fixture, order, fields, kept, chains, symmetries, generators,
+                             monkeypatch):
+    # One chain is built per orbit of kept quotients.  The stream walks each
+    # homomorphism's image once, for its kernel key and surjectivity alike.
+    # Registering an orbit costs one kernel key per member and generator of
+    # the symmetries, which reduce to a generating set: a -> a^-1 and a <-> b
+    # on f2xz, x2 -> x2^-1, (x2 x3) and (x2 x4) on zn:4.  So a kept quotient
+    # costs its own walk and |generators| keys, and a merged homomorphism its
+    # one walk; the trivial quotient's walk is the one other `kernel_key`.
+    # The trefoil's one symmetry, x <-> y, leaves each of its 27 kernels alone.
+    from fibrecheck import fibring, quotients
+    from fibrecheck.words import generating_subset
 
-    built, keys = [], []
-    chain, key = fibring.integral_chain, fibring.kernel_key
+    built, walks, keys = [], [], []
+    chain, walk, key = fibring.integral_chain, quotients._kernel_key, fibring.kernel_key
     monkeypatch.setattr(fibring, "integral_chain", lambda p, chi, q: built.append(q) or chain(p, chi, q))
+    monkeypatch.setattr(quotients, "_kernel_key", lambda t, images: walks.append(images) or walk(t, images))
     monkeypatch.setattr(fibring, "kernel_key", lambda q: keys.append(q) or key(q))
     p, chi = load_fixture(fixture)
-    assert len(fibring.generator_symmetries(p, chi)) == symmetries
+    found = fibring.generator_symmetries(p, chi)
+    assert (len(found), len(generating_subset(found))) == (symmetries, generators)
     v = scan(ScanConfig(presentation=p, character=chi, max_quotient_order=order, fields=fields))
     assert v.status == "no_obstruction_up_to"
     assert (len(v.tested_quotients), len(built)) == (kept, chains)
-    assert len(keys) == len(v.tested_quotients) + len(v.skipped_quotients) + symmetries * kept
+    assert len(walks) == len(v.tested_quotients) + len(v.skipped_quotients) + generators * kept
+    assert len(keys) == 1 + generators * kept
+
+
+def test_a_scan_walks_each_homomorphisms_image_once(monkeypatch):
+    # The stream takes each homomorphism's kernel key from the enumeration,
+    # whose one walk of the image also decides surjectivity; only the trivial
+    # quotient and orbit registration call `kernel_key`, and nothing calls
+    # `image_closure`, not even for the kept quotients onto a proper image
+    # that the table group Z/2 x Z/4 adds.  The catalog is built before the
+    # walks are counted, as Light's test walks subgroups of each table.
+    from fibrecheck import fibring, quotients
+
+    monkeypatch.setattr(quotients, "image_closure", lambda g, seeds: pytest.fail("image_closure ran"))
+    p, chi = load_fixture("f2xz")
+    v = scan(ScanConfig(presentation=p, character=chi, max_quotient_order=4,
+                        extra_groups=(_z2_times_z4(),)))
+    assert not all(q.surjective for q in v.tested_quotients)
+    catalog = quotients.build_catalog(4)
+    monkeypatch.setattr(fibring, "build_catalog", lambda order, extra: catalog)
+    walks, keys = Counter(), Counter()
+    labels, key = quotients._labels, fibring.kernel_key
+    monkeypatch.setattr(quotients, "_labels",
+                        lambda t, images: walks.update([(id(t), tuple(images))]) or labels(t, images))
+    monkeypatch.setattr(fibring, "kernel_key",
+                        lambda q: keys.update([(id(q.group.table), q.gen_images)]) or key(q))
+    v = scan(ScanConfig(presentation=p, character=chi, max_quotient_order=4))
+    homs = Counter((id(q.group.table), q.gen_images)
+                   for q in v.tested_quotients + tuple(q for q, _ in v.skipped_quotients))
+    trivial = (id(v.tested_quotients[0].group.table), (0, 0, 0))
+    assert len(homs) == 100 and max(homs.values()) == 1
+    assert sum(keys.values()) == 1 + 2 * len(v.tested_quotients)
+    assert walks == homs - Counter([trivial]) + keys
 
 
 def test_reproducer_names_the_quotient_that_was_computed(monkeypatch):
@@ -398,3 +468,23 @@ def test_serial_and_pool_scans_agree_on_random_presentations(data):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(fibring, "generator_symmetries", lambda p, chi: ())
         assert serial == emit_report(scan(cfg), "json")
+
+
+@settings(max_examples=20)
+@given(data=st.data())
+def test_a_generating_set_registers_the_orbits_of_all_maps(data):
+    # The group that the chi-fixing maps generate is finite, so its orbits
+    # are the closures under any generating set of it: registering with the
+    # reduced maps gives every kept quotient the representative position
+    # that registering with all of them gives.
+    from fibrecheck import fibring
+
+    if data.draw(st.booleans()):
+        p, chi, _, _ = data.draw(symmetric_presentations_with_quotient())
+    else:
+        p, chi, _ = data.draw(presentations_with_quotient())
+    cfg = ScanConfig(presentation=p, character=chi, max_quotient_order=6)
+    reduced = list(fibring._quotient_stream(p, cfg))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fibring, "generating_subset", lambda maps: maps)
+        assert reduced == list(fibring._quotient_stream(p, cfg))

@@ -12,6 +12,7 @@ from fibrecheck.quotients import (
     enumerate_homs,
     image_closure,
     kernel_key,
+    keyed_homs,
     load_table_group,
     make_quotient,
     regular_representation,
@@ -22,6 +23,7 @@ from fibrecheck.quotients import (
 )
 from fibrecheck.words import parse_presentation
 from quotient_oracle import is_associative_brute, same_kernel
+from random_presentations import PROPERTY_TARGETS, presentations_with_quotient
 
 F2 = parse_presentation("gens: a b\nrels:")
 BS12 = parse_presentation("gens: a t\nrels: t a t^-1 a^-2")
@@ -64,6 +66,22 @@ def _tables(draw):
             table[g][h] = draw(st.integers(0, n - 1))
     return tuple(map(tuple, table))
 
+
+
+@pytest.mark.parametrize("table, message", [
+    (((0, 1), (1,)), "malformed multiplication table"),
+    (((0, 1), (1, 2)), "table entry out of range"),
+    (((0, 1), (1, -1)), "table entry out of range"),
+    (((1, 0), (0, 1)), "id 0 is not an identity element"),
+    (((0, 1), (0, 1)), "id 0 is not an identity element"),
+    (((0, 1, 2), (1, 1, 2), (2, 2, 2)), "element 1 has no inverse"),
+    (((0, 1, 2), (1, 0, 0), (2, 0, 1)), "table is not associative"),
+], ids=["ragged", "too-large", "negative", "row-0", "column-0", "no-inverse", "not-associative"])
+def test_malformed_tables_are_refused(table, message):
+    # Each check of a table, in the order they run; a table can come from a
+    # --extra-group file.
+    with pytest.raises(ValueError, match=message):
+        FiniteGroup(len(table), table, "t")
 
 
 @settings(max_examples=300)
@@ -145,6 +163,21 @@ def test_same_kernel_is_equivalence():
     for q1, q2, q3 in itertools.combinations(sample, 3):
         if same_kernel(F2, q1, q2) and same_kernel(F2, q2, q3):
             assert same_kernel(F2, q1, q3)
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_keyed_homs_match_kernel_key_and_image_closure(data):
+    # The enumeration walks each image once; the key it labels is
+    # `kernel_key`'s, and the walk's length decides surjectivity as
+    # `image_closure` does, for every homomorphism, in lexicographic order.
+    p, _, _ = data.draw(presentations_with_quotient())
+    for target in PROPERTY_TARGETS:
+        homs = keyed_homs(p, target)
+        assert [q.gen_images for q, _ in homs] == sorted({q.gen_images for q, _ in homs})
+        for q, key in homs:
+            assert key == kernel_key(q)
+            assert q.surjective == (len(image_closure(target, q.gen_images)) == target.order)
 
 
 def test_kernel_key_matches_same_kernel():

@@ -1,6 +1,12 @@
-from fibrecheck.quotients import cyclic_group, make_quotient, symmetric_group, trivial_quotient
+from hypothesis import given, settings, strategies as st
+
+from fibrecheck.alexander import full_report
+from fibrecheck.polyalg import CoefficientField
+from fibrecheck.quotients import (FiniteGroup, cyclic_group, enumerate_homs, make_quotient,
+                                  symmetric_group, trivial_quotient)
 from fibrecheck.reidschreier import coset_action, rewrite_subgroup
 from fibrecheck.words import Word, parse_presentation, validate_character
+from random_presentations import presentations_with_quotient
 
 F2 = parse_presentation("gens: a b\nrels:")
 BS12 = parse_presentation("gens: a t\nrels: t a t^-1 a^-2")
@@ -140,3 +146,26 @@ def test_restricted_value_gcd_is_minimal_positive():
                     if v > 0 and (best is None or v < best):
                         best = v
         assert best == gcd
+
+
+# Every group of order 2 to 4: Z/2, Z/3, Z/4 and the Klein four-group.
+_SMALL_TARGETS = [cyclic_group(m) for m in (2, 3, 4)] + [
+    FiniteGroup(4, tuple(tuple(g ^ h for h in range(4)) for g in range(4)), "V4")]
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_twisted_order_is_the_untwisted_order_of_the_kernel_on_random_presentations(data):
+    # Shapiro's lemma, the `untwist-check` path: the degree-1 order twisted
+    # by a quotient q of order <= 4 is the untwisted degree-1 order of ker q,
+    # presented by Reidemeister-Schreier with the restricted character, over
+    # F3 and over Q.
+    p, chi, _ = data.draw(presentations_with_quotient())
+    target = data.draw(st.sampled_from(_SMALL_TARGETS))
+    q = data.draw(st.sampled_from(enumerate_homs(p, target)))
+    sub = rewrite_subgroup(p, q, chi)
+    for field in (CoefficientField.prime(3), CoefficientField.rationals()):
+        twisted = full_report(p, chi, q, field)[1]
+        untwisted = full_report(sub.presentation, sub.restricted_character,
+                                trivial_quotient(sub.presentation), field)[1]
+        assert (twisted.vanishing, twisted.order) == (untwisted.vanishing, untwisted.order)

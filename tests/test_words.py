@@ -11,6 +11,7 @@ from fibrecheck.words import (
     ParseError,
     Presentation,
     Word,
+    generating_subset,
     generator_symmetries,
     parse_character,
     parse_presentation,
@@ -245,9 +246,84 @@ def test_symmetries_of_large_fixtures_take_well_under_a_second(fixture, found, m
     from fibrecheck import fibring, quotients
 
     for module in (fibring, quotients):
-        monkeypatch.setattr(module, "enumerate_homs", lambda *a, **k: pytest.fail("a scan started"))
+        monkeypatch.setattr(module, "keyed_homs", lambda *a, **k: pytest.fail("a scan started"))
     p, chi = load_fixture(fixture)
     start = perf_counter()
     symmetries = generator_symmetries(p, chi)
     assert perf_counter() - start < 0.5
     assert len(symmetries) == found
+
+
+def _generated(maps, limit):
+    """The signed generator maps that the maps generate, by a breadth-first
+    walk of composites; None past `limit` of them."""
+    identity = tuple(range(1, len(maps[0]) + 1))
+    elements, seen = [identity], {identity}
+    for e in elements:
+        for s in maps:
+            x = tuple(e[y - 1] if y > 0 else -e[-y - 1] for y in s)
+            if x not in seen:
+                if len(elements) == limit:
+                    return None
+                seen.add(x)
+                elements.append(x)
+    return seen
+
+
+@pytest.mark.parametrize("fixture, found, kept", [
+    ("f2xz", 6, ((-1, 2, 3), (2, 1, 3))),
+    ("zn:4", 15, ((1, -2, 3, 4), (1, 3, 2, 4), (1, 4, 3, 2))),
+    ("trefoil", 1, ((2, 1),)),
+    ("f:4", 15, ((1, -2, 3, 4), (1, 3, 2, 4), (1, 4, 3, 2))),
+    ("surface:2", 0, ()),
+])
+def test_generating_subset_of_fixtures(fixture, found, kept):
+    # The greedy pass keeps the first inversion and transpositions that
+    # enlarge the group; the reverse pass drops the inversions that those
+    # generate by conjugation.  f2xz: 8 signed permutations of a, b; zn:4
+    # and f:4: 48 of x2, x3, x4 (b, c, d).
+    maps = generator_symmetries(*load_fixture(fixture))
+    assert len(maps) == found
+    assert generating_subset(maps) == kept
+    if maps:
+        assert _generated(kept, 100) == _generated(maps, 100)
+
+
+def test_generating_subset_of_zn6_keeps_five_of_45_maps():
+    # The 3840 signed permutations of x2..x6 are listed whole, below the cap.
+    maps = generator_symmetries(*load_fixture("zn:6"))
+    kept = generating_subset(maps)
+    assert (len(maps), len(kept)) == (45, 5)
+    assert len(_generated(kept, words.MAX_LISTED_SYMMETRIES)) == 3840
+
+
+def test_generating_subset_stops_listing_at_the_cap(monkeypatch):
+    # zn:22's 861 maps generate the 2^21 21! signed permutations of x2..x22.
+    # Read in the order found, the first 13 inversions already outgrow the
+    # cap, so nothing is dropped.  Read transpositions first, those of x2
+    # with x3..x6 generate the 3840 signed permutations of x2..x6, below the
+    # cap, and the 11 of them already generated are dropped; (x2 x7) outgrows
+    # the cap, and the rest is kept.  Every dropped map is generated by the
+    # maps kept before it.  Neither reduction starts a scan.
+    from time import perf_counter
+
+    from fibrecheck import fibring, quotients
+
+    for module in (fibring, quotients):
+        monkeypatch.setattr(module, "keyed_homs", lambda *a, **k: pytest.fail("a scan started"))
+    maps = generator_symmetries(*load_fixture("zn:22"))
+    assert len(maps) == 861
+    for order in (maps, maps[21:] + maps[:21]):
+        start = perf_counter()
+        kept = generating_subset(order)
+        assert perf_counter() - start < 5
+        position = {m: i for i, m in enumerate(order)}
+        assert [position[m] for m in kept] == sorted(position[m] for m in kept)
+        dropped = [m for m in order if m not in set(kept)]
+        if order is maps:
+            assert dropped == []
+            continue
+        assert len(dropped) == 11
+        last = position[dropped[-1]]
+        group = _generated([m for m in kept if position[m] < last], words.MAX_LISTED_SYMMETRIES)
+        assert group is not None and set(dropped) <= group
