@@ -1,4 +1,16 @@
-"""Exact twisted Alexander polynomials as algebraic fibring obstructions."""
+"""Exact twisted Alexander polynomials as algebraic fibring obstructions.
+
+Every record type of the package is a plain class with ``__slots__`` and an
+``__init__``, not a dataclass.  The commands run as many short processes,
+and there the import counts: `dataclasses` pulls in `inspect`, `ast` and
+`dis`, and generating the methods of each decorated class costs more again,
+together more than a small command's algebra.  A record defines
+``__eq__`` and ``__hash__``, over all of its fields, only where records are
+compared or used as keys (`Word`, `Presentation`, `Character`,
+`FiniteGroup`, `FiniteQuotient`, `SnfResult`, `AlexanderReport`).
+Modules that only one path needs, such as the process pool of
+``scan --jobs``, are imported on that path.
+"""
 
 __version__ = "0.1.0"
 

@@ -61,7 +61,6 @@ as internally inconsistent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from math import gcd
 from operator import mul
@@ -154,7 +153,6 @@ def _unit_minor(b1: list[dict[int, dict[int, int]]], n: int) -> tuple[int, int] 
     return None
 
 
-@dataclass(frozen=True)
 class TwistedChain:
     """Boundary data over one field: b1 is (g*|Q|) x |Q|, b2 is (s*|Q|) x (g*|Q|).
 
@@ -168,12 +166,13 @@ class TwistedChain:
     writes B_k = -B_rest b1_rest b1_k^{-1} over F(t) (the Wada matrix).
     """
 
-    integral: IntegralChain
-    b1: SparseMatrix
-    b2: SparseMatrix
+    __slots__ = ("integral", "b1", "b2", "_cache")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_cache", {})
+    def __init__(self, integral: IntegralChain, b1: SparseMatrix, b2: SparseMatrix):
+        self.integral = integral
+        self.b1 = b1
+        self.b2 = b2
+        self._cache: dict = {}
 
     @property
     def representation(self) -> Representation:
@@ -238,18 +237,34 @@ class TwistedChain:
         return cache["h0"]
 
 
-@dataclass(frozen=True)
 class AlexanderReport:
     """Vanishing verdict and normalized order for one degree."""
 
-    degree: int
-    vanishing: bool
-    rank_over_frac: int
-    order: LaurentPoly
-    field: CoefficientField
-    quotient: FiniteQuotient
-    character: Character
-    convention: str = CONVENTION
+    __slots__ = ("degree", "vanishing", "rank_over_frac", "order", "field", "quotient",
+                 "character", "convention")
+
+    def __init__(self, degree: int, vanishing: bool, rank_over_frac: int, order: LaurentPoly,
+                 field: CoefficientField, quotient: FiniteQuotient, character: Character,
+                 convention: str = CONVENTION):
+        self.degree = degree
+        self.vanishing = vanishing
+        self.rank_over_frac = rank_over_frac
+        self.order = order
+        self.field = field
+        self.quotient = quotient
+        self.character = character
+        self.convention = convention
+
+    def _fields(self) -> tuple:
+        return (self.degree, self.vanishing, self.rank_over_frac, self.order, self.field,
+                self.quotient, self.character, self.convention)
+
+    def __eq__(self, other):
+        return (self._fields() == other._fields() if other.__class__ is AlexanderReport
+                else NotImplemented)
+
+    def __hash__(self):
+        return hash(self._fields())
 
     order_skipped = property(lambda self: False)  # schema-1 key; every report has its order
 
@@ -308,9 +323,7 @@ class IntegralChain:
     use, and `b2_form` eliminates b2 over Z[t^{+-1}] on first use, to
     b2 ~ D (+) R there (see `polyalg.integral_diagonal_form`); both are kept
     for every field, and each field reduces D and finishes the residual R,
-    usually empty, by itself.  It is a plain class: a frozen dataclass would
-    take about a millisecond at import to generate methods that nothing here
-    uses.
+    usually empty, by itself.
     """
 
     __slots__ = ("representation", "b1", "b2", "walk", "minor", "source", "proved",

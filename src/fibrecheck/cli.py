@@ -2,15 +2,35 @@
 
 Subcommands: scan, alex, untwist-check, homs.  Exit codes: 0 for any
 completed verdict, 2 for input errors, 3 for internal cross-check failures.
+
+The command line is read against one table, `COMMANDS`: each command maps
+to its handler, a help line and its options, and each option to its kind,
+its default and its help text.  The kinds are
+
+- ``str``: one value, the last one given wins;
+- ``int``: the same, read by `int`;
+- ``flag``: no value; True where given, else False;
+- ``repeat``: one value each time it is given, collected in a list;
+- ``required``: one value, which must be given.
+
+A value follows its option as the next word or after ``=``
+(``--max-quotient-order 4``, ``--max-quotient-order=4``), and a long option
+may be shortened to any prefix that names it alone (``--max-q 4``).  A
+next word that starts with ``-`` is a value only where it reads as a
+negative number.  ``-h``/``--help`` at the top or after a command prints
+that level's options, ``--version`` the version, both with exit 0; every
+other mistake is one ``error:`` line on stderr and exit 2.  The table stands
+in for argparse, whose import and per-run parser building cost more than a
+small command's algebra.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
-from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__
 from .alexander import InternalCheckError, full_report
@@ -49,13 +69,28 @@ EXIT_INTERNAL = 3
 MAX_SYMMETRIC_DEGREE = 5
 
 
+def _read(path: str) -> str:
+    with open(path) as fh:
+        return fh.read()
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
+def _table_group(path: str):
+    """The table group in a file, named by the file's stem."""
+    return load_table_group(_read(path), os.path.splitext(os.path.basename(path))[0])
+
+
 def _load_presentation(args) -> tuple[Presentation, Character | None]:
     if args.fixture and args.pres:
         raise ValueError("give either --fixture or --pres, not both")
     if args.fixture:
         p, chi = load_fixture(args.fixture)
     elif args.pres:
-        text = Path(args.pres).read_text()
+        text = _read(args.pres)
         lines = text.splitlines()
         char_lines = [ln for ln in lines if ln.strip().startswith("char:")]
         p = parse_presentation("\n".join(ln for ln in lines if not ln.strip().startswith("char:")))
@@ -100,8 +135,7 @@ def _parse_target(text: str):
             raise ValueError(f"s{n} is too large: at most s{MAX_SYMMETRIC_DEGREE} is supported")
         return symmetric_group(n)
     if low.startswith("file:"):
-        path = Path(name[len("file:"):])
-        return load_table_group(path.read_text(), path.stem)
+        return _table_group(name[len("file:"):])
     raise ValueError(f"unknown target {text!r} (use trivial, z<m>, s<n>, or file:<path>)")
 
 
@@ -132,9 +166,7 @@ def _print_reports(p: Presentation, reports, out) -> None:
 
 def _cmd_scan(args, out) -> int:
     p, chi = _load_presentation_and_char(args)
-    extra = []
-    for path in args.extra_group or []:
-        extra.append(load_table_group(Path(path).read_text(), Path(path).stem))
+    extra = [_table_group(path) for path in args.extra_group]
     cfg = ScanConfig(
         presentation=p,
         character=chi,
@@ -146,7 +178,7 @@ def _cmd_scan(args, out) -> int:
     )
     verdict = scan(cfg, jobs=args.jobs)
     if args.json:
-        Path(args.json).write_text(emit_report(verdict, "json"))
+        _write(args.json, emit_report(verdict, "json"))
         out.write(f"wrote {args.json}\n")
     out.write(emit_report(verdict, "text"))
     return EXIT_OK
@@ -165,7 +197,7 @@ def _cmd_alex(args, out) -> int:
             "convention": CONVENTION,
             "reports": [r.as_dict(p) for r in reports],
         }
-        Path(args.json).write_text(json.dumps(doc, indent=2) + "\n")
+        _write(args.json, json.dumps(doc, indent=2) + "\n")
         out.write(f"wrote {args.json}\n")
     out.write(f"presentation: {render_presentation(p).replace(chr(10), ' | ')}\n")
     out.write(f"character: {render_character(p, chi)}\n")
@@ -217,7 +249,7 @@ def _cmd_untwist_check(args, out) -> int:
     }
     text = json.dumps(doc, indent=2) + "\n"
     if args.json:
-        Path(args.json).write_text(text)
+        _write(args.json, text)
         out.write(f"wrote {args.json}\n")
     else:
         out.write(text)
@@ -243,72 +275,196 @@ def _cmd_homs(args, out) -> int:
     return EXIT_OK
 
 
-def _add_common(sub):
-    sub.add_argument("--fixture", help="named example, e.g. bs:1:2, trefoil, f2xz")
-    sub.add_argument("--pres", help="presentation file (gens:/rels: lines, optional char: line)")
-    sub.add_argument("--char", help="character values, e.g. 'a=0, t=1'")
+def _cmd_show(text: str, out) -> int:
+    """Print a help or version text."""
+    out.write(text)
+    return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fibrecheck",
-        description="Twisted Alexander polynomial computations for finitely presented groups",
-    )
-    parser.add_argument("--version", action="version", version=f"fibrecheck {__version__}")
-    subs = parser.add_subparsers(dest="command", required=True)
+_COMMON = {
+    "--fixture": ("str", None, "named example, e.g. bs:1:2, trefoil, f2xz"),
+    "--pres": ("str", None, "presentation file (gens:/rels: lines, optional char: line)"),
+    "--char": ("str", None, "character values, e.g. 'a=0, t=1'"),
+}
 
-    s = subs.add_parser("scan", help="sweep finite quotients for vanishing polynomials")
-    _add_common(s)
-    s.add_argument("--max-quotient-order", type=int, default=12)
-    s.add_argument("--fields", default="f2,f3,q")
-    s.add_argument("--extra-group", action="append", help="table group file (repeatable)")
-    s.add_argument("--assert-lerf", action="store_true",
-                   help="assert the group is LERF (unverified user metadata)")
-    s.add_argument("--assert-detection", action="store_true",
-                   help="assert nonvanishing detects semi-fibring for this group")
-    s.add_argument("--jobs", type=int, default=1)
-    s.add_argument("--json", help="also write the JSON report to this file")
-    s.set_defaults(func=_cmd_scan)
+# command -> (handler, help, {option: (kind, default, help)}); see the module docstring.
+COMMANDS = {
+    "scan": (_cmd_scan, "sweep finite quotients for vanishing polynomials", {
+        **_COMMON,
+        "--max-quotient-order": ("int", 12, "largest order of a target group in the catalog"),
+        "--fields": ("str", "f2,f3,q", "coefficient fields in the order they run, each once"),
+        "--extra-group": ("repeat", None, "table group file (repeatable)"),
+        "--assert-lerf": ("flag", False, "assert the group is LERF (unverified user metadata)"),
+        "--assert-detection": ("flag", False,
+                               "assert nonvanishing detects semi-fibring for this group"),
+        "--jobs": ("int", 1, "worker processes for the quotients' jobs, 1 to 64"),
+        "--json": ("str", None, "also write the JSON report to this file"),
+    }),
+    "alex": (_cmd_alex, "single quotient report (degrees 0 and 1)", {
+        **_COMMON,
+        "--quotient": ("required", None,
+                       "trivial, z<m>:<images>, s<n>:<images>, file:<path>:<images>"),
+        "--field": ("str", "q", "coefficient field: q, f2, f3, f5, ..."),
+        "--json": ("str", None, "write the JSON report to this file"),
+    }),
+    "untwist-check": (_cmd_untwist_check, "compare twisted vs kernel-subgroup untwisted order", {
+        **_COMMON,
+        "--quotient": ("required", None, "the quotient whose kernel is rewritten, as for alex"),
+        "--field": ("str", "q", "coefficient field: q, f2, f3, f5, ..."),
+        "--json": ("str", None, "write the JSON report to this file"),
+    }),
+    "homs": (_cmd_homs, "enumerate homomorphisms to a finite target", {
+        **_COMMON,
+        "--target": ("required", None, "z<m>, s<n>, or file:<path>"),
+        "--epi-only": ("flag", False, "list only the surjective ones"),
+    }),
+}
 
-    s = subs.add_parser("alex", help="single quotient report (degrees 0 and 1)")
-    _add_common(s)
-    s.add_argument("--quotient", required=True, help="trivial, z<m>:<images>, s<n>:<images>, file:<path>:<images>")
-    s.add_argument("--field", default="q")
-    s.add_argument("--json", help="write the JSON report to this file")
-    s.set_defaults(func=_cmd_alex)
+_HELP = ("flag", False, "show this help and exit")
+_TOP = {"--help": _HELP, "--version": ("flag", False, "show the version and exit")}
 
-    s = subs.add_parser("untwist-check", help="compare twisted vs kernel-subgroup untwisted order")
-    _add_common(s)
-    s.add_argument("--quotient", required=True)
-    s.add_argument("--field", default="q")
-    s.add_argument("--json", help="write the JSON report to this file")
-    s.set_defaults(func=_cmd_untwist_check)
+# A word that starts with "-" and is still a value, as argparse reads one.
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
 
-    s = subs.add_parser("homs", help="enumerate homomorphisms to a finite target")
-    _add_common(s)
-    s.add_argument("--target", required=True, help="z<m>, s<n>, or file:<path>")
-    s.add_argument("--epi-only", action="store_true")
-    s.set_defaults(func=_cmd_homs)
-    return parser
+
+class UsageError(ValueError):
+    """A command line that the table does not accept."""
+
+
+def _option(word: str, options: dict) -> str:
+    """The option that `word`, up to any "=", names: itself or the one option
+    it is a prefix of; "-h" is "--help"."""
+    if word == "-h":
+        return "--help"
+    name = word.partition("=")[0]
+    if name in options:
+        return name
+    matches = [o for o in options if o.startswith(name)] if name.startswith("--") else []
+    if len(matches) == 1:
+        return matches[0]
+    if matches:
+        raise UsageError(f"ambiguous option {name} (could be {', '.join(matches)})")
+    raise UsageError(f"unknown option {name}")
+
+
+def _help(usage: str, about: str, sections: list[tuple[str, dict]]) -> str:
+    lines = [f"usage: {usage}", "", about]
+    for title, rows in sections:
+        width = max(map(len, rows)) + 2
+        lines += ["", f"{title}:"]
+        lines += [f"  {left.ljust(width)}{right}" for left, right in rows.items()]
+    return "\n".join(lines) + "\n"
+
+
+def _spelling(name: str, kind: str) -> str:
+    """An option as its help shows it: with a placeholder for its value."""
+    if kind == "flag":
+        return "-h, --help" if name == "--help" else name
+    return f"{name} {'N' if kind == 'int' else name[2:].upper().replace('-', '_')}"
+
+
+def _option_rows(options: dict) -> dict[str, str]:
+    rows = {}
+    for name, (kind, default, text) in options.items():
+        if kind == "required":
+            text += " (required)"
+        elif kind != "flag" and default is not None:
+            text += f" (default: {default})"
+        rows[_spelling(name, kind)] = text
+    return rows
+
+
+def _top_help() -> str:
+    return _help("fibrecheck [-h] [--version] COMMAND [options]",
+                 "Twisted Alexander polynomial computations for finitely presented groups",
+                 [("commands", {name: about for name, (_, about, _) in COMMANDS.items()}),
+                  ("options", _option_rows(_TOP))])
+
+
+def _command_help(command: str) -> str:
+    _, about, options = COMMANDS[command]
+    required = "".join(f" {_spelling(name, kind)}" for name, (kind, _, _) in options.items()
+                       if kind == "required")
+    return _help(f"fibrecheck {command}{required} [options]", about,
+                 [("options", _option_rows({"--help": _HELP, **options}))])
+
+
+def _is_value(word: str) -> bool:
+    """Whether the word after an option is its value rather than another option."""
+    return not word.startswith("-") or bool(_NEGATIVE_NUMBER.fullmatch(word)) or " " in word
+
+
+def parse_args(argv) -> tuple:
+    """(handler, args) for a command line, the handler called as handler(args, out).
+
+    `args` holds one attribute per option of the command, named without
+    the dashes and with "_" for "-", at its default where not given.  Help
+    and version come back as (_cmd_show, text).
+    """
+    words = list(argv)
+    if words and words[0].startswith("-"):
+        word = words[0]
+        if "=" in word:
+            raise UsageError(f"option {word.partition('=')[0]} takes no value")
+        if _option(word, _TOP) == "--help":
+            return _cmd_show, _top_help()
+        return _cmd_show, f"fibrecheck {__version__}\n"
+    if not words:
+        raise UsageError(f"a command is required: {', '.join(COMMANDS)}")
+    command, *words = words
+    if command not in COMMANDS:
+        raise UsageError(f"unknown command {command!r} (use {', '.join(COMMANDS)})")
+    handler, _, options = COMMANDS[command]
+    values = {name: [] if kind == "repeat" else default
+              for name, (kind, default, _) in options.items()}
+    words.reverse()  # popped from the end, in command-line order
+    while words:
+        word = words.pop()
+        if not word.startswith("-") or _NEGATIVE_NUMBER.fullmatch(word):
+            raise UsageError(f"unexpected argument {word!r}")
+        name = _option(word, {"--help": _HELP, **options})
+        if name == "--help":
+            return _cmd_show, _command_help(command)
+        kind = options[name][0]
+        has_value, value = "=" in word, word.partition("=")[2]
+        if kind == "flag":
+            if has_value:
+                raise UsageError(f"option {name} takes no value")
+            values[name] = True
+            continue
+        if not has_value:
+            if not words or not _is_value(words[-1]):
+                raise UsageError(f"option {name} needs a value")
+            value = words.pop()
+        if kind == "int":
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(f"option {name} needs an integer, not {value!r}") from None
+        if kind == "repeat":
+            values[name].append(value)
+        else:
+            values[name] = value
+    missing = [name for name, (kind, _, _) in options.items()
+               if kind == "required" and values[name] is None]
+    if missing:
+        raise UsageError(f"option {missing[0]} is required")
+    return handler, SimpleNamespace(**{name[2:].replace("-", "_"): value
+                                       for name, value in values.items()})
 
 
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors, matching our input-error code
-        return int(exc.code or 0)
-    try:
-        return args.func(args, out)
+        handler, args = parse_args(sys.argv[1:] if argv is None else argv)
+        return handler(args, out)
     except BrokenPipeError:
         # The reader closed stdout, as `| head` does: that ends the output, not
         # the run.  Stdout then points at the null device, so that the
         # interpreter's last flush at exit has somewhere to go.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except (ParseError, ValueError, OSError) as exc:
+    except (ParseError, ValueError, OSError) as exc:  # UsageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (InternalCheckError, NotInSpan) as exc:

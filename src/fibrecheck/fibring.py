@@ -33,8 +33,6 @@ of the maps, found once per scan.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 
 from . import __version__
 from .alexander import AlexanderReport, chain_reports, integral_chain
@@ -64,28 +62,46 @@ def default_fields() -> tuple[CoefficientField, ...]:
     return (CoefficientField.prime(2), CoefficientField.prime(3), CoefficientField.rationals())
 
 
-@dataclass(frozen=True)
 class ScanConfig:
-    presentation: Presentation
-    character: Character
-    max_quotient_order: int = 12
-    fields: tuple[CoefficientField, ...] = field(default_factory=default_fields)
-    extra_groups: tuple[FiniteGroup, ...] = ()
-    asserted_lerf: bool = False
-    asserted_detection: bool = False  # nonvanishing is asserted to detect semi-fibring
+    """What `scan` sweeps; the fields default to `default_fields()`."""
+
+    __slots__ = ("presentation", "character", "max_quotient_order", "fields", "extra_groups",
+                 "asserted_lerf", "asserted_detection")
+
+    def __init__(self, presentation: Presentation, character: Character,
+                 max_quotient_order: int = 12, fields: tuple[CoefficientField, ...] | None = None,
+                 extra_groups: tuple[FiniteGroup, ...] = (), asserted_lerf: bool = False,
+                 asserted_detection: bool = False):
+        self.presentation = presentation
+        self.character = character
+        self.max_quotient_order = max_quotient_order
+        self.fields = default_fields() if fields is None else fields
+        self.extra_groups = extra_groups
+        self.asserted_lerf = asserted_lerf
+        # nonvanishing is asserted to detect semi-fibring
+        self.asserted_detection = asserted_detection
 
 
-@dataclass(frozen=True)
 class FibringVerdict:
-    status: str  # "obstructed" | "no_obstruction_up_to"
-    bound: int
-    witness: AlexanderReport | None
-    interpretation: tuple[str, ...]
-    reports: tuple[AlexanderReport, ...]
-    tested_quotients: tuple[FiniteQuotient, ...]
-    skipped_quotients: tuple[tuple[FiniteQuotient, FiniteQuotient], ...]
-    config: ScanConfig
-    warnings: tuple[str, ...] = ()
+    """The outcome of one `scan`."""
+
+    __slots__ = ("status", "bound", "witness", "interpretation", "reports", "tested_quotients",
+                 "skipped_quotients", "config", "warnings")
+
+    def __init__(self, status: str, bound: int, witness: AlexanderReport | None,
+                 interpretation: tuple[str, ...], reports: tuple[AlexanderReport, ...],
+                 tested_quotients: tuple[FiniteQuotient, ...],
+                 skipped_quotients: tuple[tuple[FiniteQuotient, FiniteQuotient], ...],
+                 config: ScanConfig, warnings: tuple[str, ...] = ()):
+        self.status = status  # "obstructed" | "no_obstruction_up_to"
+        self.bound = bound
+        self.witness = witness
+        self.interpretation = interpretation
+        self.reports = reports
+        self.tested_quotients = tested_quotients
+        self.skipped_quotients = skipped_quotients
+        self.config = config
+        self.warnings = warnings
 
 
 def _quotient_stream(p: Presentation, cfg: ScanConfig):
@@ -214,6 +230,10 @@ def scan(cfg: ScanConfig, jobs: int = 1) -> FibringVerdict:
         raise ValueError(f"--jobs {jobs} is out of range: use 1 to {MAX_JOBS}")
     if not cfg.fields:
         raise ValueError("at least one coefficient field is required")
+    names = [f.name for f in cfg.fields]
+    repeated = next((name for i, name in enumerate(names) if name in names[:i]), None)
+    if repeated is not None:
+        raise ValueError(f"field {repeated} is given more than once")
     if cfg.max_quotient_order < 1:
         raise ValueError("max quotient order must be at least 1")
     if cfg.max_quotient_order > MAX_GROUP_ORDER:
@@ -257,6 +277,10 @@ def scan(cfg: ScanConfig, jobs: int = 1) -> FibringVerdict:
         # them at the witness, as a serial run does.
         events = list(_quotient_stream(cfg.presentation, cfg))
         reps = [job_for(q) for kind, q, rep in events if kind == "kept" and rep is None]
+        # Imported here: the pool's modules would add about 15-20 ms to every
+        # serial run's start-up.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = pool.map(_scan_job, reps, chunksize=2)
             witness = run(events, lambda q: next(results))

@@ -16,8 +16,6 @@ that string.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .quotients import FiniteQuotient
 from .words import Character, Presentation, Word
 
@@ -31,7 +29,6 @@ __all__ = [
 CONVENTION = "row-right"
 
 
-@dataclass(frozen=True)
 class Representation:
     """The action w |-> t^{chi(w)} P(alpha(w)) of a presentation over Z.
 
@@ -40,9 +37,13 @@ class Representation:
     through its boundary matrices.
     """
 
-    presentation: Presentation
-    character: Character
-    quotient: FiniteQuotient
+    __slots__ = ("presentation", "character", "quotient")
+
+    def __init__(self, presentation: Presentation, character: Character,
+                 quotient: FiniteQuotient):
+        self.presentation = presentation
+        self.character = character
+        self.quotient = quotient
 
     @property
     def dim(self) -> int:

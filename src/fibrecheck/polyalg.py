@@ -34,7 +34,6 @@ from __future__ import annotations
 import os
 import sys
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -664,7 +663,6 @@ def _rank_in_extension(m: SparseMatrix, p: int) -> int:
     return rank
 
 
-@dataclass(frozen=True)
 class SnfResult:
     """The diagonal of a diagonal form over F[t^{+-1}]: canonical entries, or zero.
 
@@ -673,7 +671,16 @@ class SnfResult:
     operations keep that gcd, and a diagonal matrix has one such minor.
     """
 
-    diagonal: tuple[LaurentPoly, ...]
+    __slots__ = ("diagonal",)
+
+    def __init__(self, diagonal: tuple[LaurentPoly, ...]):
+        self.diagonal = diagonal
+
+    def __eq__(self, other):
+        return self.diagonal == other.diagonal if other.__class__ is SnfResult else NotImplemented
+
+    def __hash__(self):
+        return hash((self.diagonal,))
 
     @property
     def rank(self) -> int:
@@ -710,7 +717,6 @@ class IntegralDiagonal:
     with lowest exponent 0 and top coefficient 1, so none vanishes modulo any
     p and each is monic there; `residual` holds the rows of R, each in
     ascending column order, usually none.  `over` reads both over one field.
-    It is a plain class, as `alexander.IntegralChain` is.
     """
 
     __slots__ = ("diagonal", "residual", "rows", "cols")

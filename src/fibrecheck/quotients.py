@@ -17,7 +17,6 @@ decides surjectivity.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .words import Presentation, Word
 
@@ -98,18 +97,15 @@ def _is_associative(table: tuple[tuple[int, ...], ...]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class FiniteGroup:
     """Finite group as a multiplication table with identity id 0."""
 
-    order: int
-    table: tuple[tuple[int, ...], ...]
-    name: str
-    perms: tuple[tuple[int, ...], ...] | None = None  # set when built from permutations
+    __slots__ = ("order", "table", "name", "perms", "_inverses")
 
-    def __post_init__(self):
+    def __init__(self, order: int, table: tuple[tuple[int, ...], ...], name: str,
+                 perms: tuple[tuple[int, ...], ...] | None = None):
         # Each check walks whole rows and columns in C: min, max, zip, `in`.
-        n, table = self.order, self.table
+        n = order
         if n < 1 or len(table) != n or any(len(row) != n for row in table):
             raise ValueError("malformed multiplication table")
         if min(map(min, table)) < 0 or max(map(max, table)) >= n:
@@ -122,7 +118,21 @@ class FiniteGroup:
                 raise ValueError(f"element {g} has no inverse")
         if not _is_associative(table):
             raise ValueError("table is not associative")
-        object.__setattr__(self, "_inverses", tuple(row.index(0) for row in table))
+        self.order = order
+        self.table = table
+        self.name = name
+        self.perms = perms  # set when built from permutations
+        self._inverses = tuple(row.index(0) for row in table)
+
+    def _fields(self) -> tuple:
+        return self.order, self.table, self.name, self.perms
+
+    def __eq__(self, other):
+        return (self._fields() == other._fields() if other.__class__ is FiniteGroup
+                else NotImplemented)
+
+    def __hash__(self):
+        return hash(self._fields())
 
     def mul(self, g: int, h: int) -> int:
         return self.table[g][h]
@@ -137,13 +147,25 @@ class FiniteGroup:
         return e
 
 
-@dataclass(frozen=True)
 class FiniteQuotient:
     """Generator images defining a homomorphism onto (a subgroup of) a group."""
 
-    group: FiniteGroup
-    gen_images: tuple[int, ...]
-    surjective: bool
+    __slots__ = ("group", "gen_images", "surjective")
+
+    def __init__(self, group: FiniteGroup, gen_images: tuple[int, ...], surjective: bool):
+        self.group = group
+        self.gen_images = gen_images
+        self.surjective = surjective
+
+    def _fields(self) -> tuple:
+        return self.group, self.gen_images, self.surjective
+
+    def __eq__(self, other):
+        return (self._fields() == other._fields() if other.__class__ is FiniteQuotient
+                else NotImplemented)
+
+    def __hash__(self):
+        return hash(self._fields())
 
     def label(self) -> dict:
         return {

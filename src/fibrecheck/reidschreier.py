@@ -9,21 +9,20 @@ deterministic; Schreier generators whose defining word reduces to nothing
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .quotients import FiniteQuotient, regular_representation, restrict_to_image
 from .words import Character, Presentation, Word, validate_character
 
 __all__ = ["CosetAction", "SubgroupPresentation", "coset_action", "rewrite_subgroup"]
 
 
-@dataclass(frozen=True)
 class CosetAction:
     """Right action of the generators on the cosets of the kernel."""
 
-    quotient: FiniteQuotient
-    action: tuple[tuple[int, ...], ...]  # one permutation per generator
-    base: int = 0
+    __slots__ = ("quotient", "action")
+
+    def __init__(self, quotient: FiniteQuotient, action: tuple[tuple[int, ...], ...]):
+        self.quotient = quotient
+        self.action = action  # one permutation per generator
 
     @property
     def degree(self) -> int:
@@ -37,17 +36,22 @@ class CosetAction:
         return perm.index(coset)
 
 
-@dataclass(frozen=True)
 class SubgroupPresentation:
     """Presentation of the kernel with bookkeeping back to the ambient group."""
 
-    presentation: Presentation
-    # (coset, generator) -> kept subgroup generator index (1-based), or None
-    # for a transversal-trivial Schreier generator.
-    schreier_generators: dict[tuple[int, int], int | None]
-    schreier_words: tuple[Word, ...]  # ambient word per kept generator
-    restricted_character: Character
-    index: int
+    __slots__ = ("presentation", "schreier_generators", "schreier_words",
+                 "restricted_character", "index")
+
+    def __init__(self, presentation: Presentation,
+                 schreier_generators: dict[tuple[int, int], int | None],
+                 schreier_words: tuple[Word, ...], restricted_character: Character, index: int):
+        self.presentation = presentation
+        # (coset, generator) -> kept subgroup generator index (1-based), or
+        # None for a transversal-trivial Schreier generator.
+        self.schreier_generators = schreier_generators
+        self.schreier_words = schreier_words  # ambient word per kept generator
+        self.restricted_character = restricted_character
+        self.index = index
 
 
 def coset_action(p: Presentation, q: FiniteQuotient) -> CosetAction:

@@ -15,8 +15,7 @@ blank ``rels:`` line is allowed.  Characters are written ``a=0, t=1``
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 __all__ = [
     "MAX_WORD_LENGTH",
@@ -62,11 +61,19 @@ def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class Word:
     """Freely reduced word; letter i > 0 is generator i, -i its inverse."""
 
-    letters: tuple[int, ...] = ()
+    __slots__ = ("letters",)
+
+    def __init__(self, letters: tuple[int, ...] = ()):
+        self.letters = letters
+
+    def __eq__(self, other):
+        return self.letters == other.letters if other.__class__ is Word else NotImplemented
+
+    def __hash__(self):
+        return hash((self.letters,))
 
     @classmethod
     def of(cls, letters: Iterable[int]) -> "Word":
@@ -89,28 +96,35 @@ class Word:
         return max((abs(x) for x in self.letters), default=0)
 
 
-@dataclass(frozen=True)
 class Presentation:
     """Finite presentation: named generators plus freely reduced relators."""
 
-    generator_names: tuple[str, ...]
-    relators: tuple[Word, ...]
+    __slots__ = ("generator_names", "relators")
 
-    def __post_init__(self):
-        if not self.generator_names:
+    def __init__(self, generator_names: tuple[str, ...], relators: tuple[Word, ...]):
+        if not generator_names:
             raise ParseError("zero generators")
-        if len(set(self.generator_names)) != len(self.generator_names):
+        if len(set(generator_names)) != len(generator_names):
             raise ParseError("duplicate generator names")
-        for name in self.generator_names:
+        for name in generator_names:
             if not _NAME_RE.fullmatch(name):
                 raise ParseError(f"bad generator name {name!r}")
         # Relators are stored freely reduced; empty ones are dropped.
-        reduced = tuple(r for r in (Word.of(w.letters) for w in self.relators) if not r.is_identity)
-        object.__setattr__(self, "relators", reduced)
-        g = self.generator_count
-        for r in self.relators:
+        reduced = tuple(r for r in (Word.of(w.letters) for w in relators) if not r.is_identity)
+        g = len(generator_names)
+        for r in reduced:
             if r.max_index() > g:
                 raise ParseError("relator uses generator index beyond generator count")
+        self.generator_names = generator_names
+        self.relators = reduced
+
+    def __eq__(self, other):
+        if other.__class__ is not Presentation:
+            return NotImplemented
+        return (self.generator_names, self.relators) == (other.generator_names, other.relators)
+
+    def __hash__(self):
+        return hash((self.generator_names, self.relators))
 
     @property
     def generator_count(self) -> int:
@@ -123,11 +137,19 @@ class Presentation:
         return Word((i,))
 
 
-@dataclass(frozen=True)
 class Character:
     """Values of a homomorphism to the integers on each generator."""
 
-    values: tuple[int, ...]
+    __slots__ = ("values",)
+
+    def __init__(self, values: tuple[int, ...]):
+        self.values = values
+
+    def __eq__(self, other):
+        return self.values == other.values if other.__class__ is Character else NotImplemented
+
+    def __hash__(self):
+        return hash((self.values,))
 
     def negate(self) -> "Character":
         return Character(tuple(-v for v in self.values))

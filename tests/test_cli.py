@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import fibrecheck
-from fibrecheck.cli import main
+from fibrecheck.cli import COMMANDS, main, parse_args
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -319,6 +319,50 @@ def test_usage_error_exit_code():
     assert main(["unknown-subcommand"], out=io.StringIO()) == 2
 
 
+def test_repeated_field_is_an_input_error(capsys):
+    for fields, name in (("f2,f2", "F2"), ("q,Q", "Q")):
+        code, out = run_cli(["scan", "--fixture", "trefoil", "--max-quotient-order", "2",
+                             "--fields", fields])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: field {name} is given more than once\n"
+
+
+# Modules that a serial run must not load: the record decorator and what it
+# pulls in, the argument parser and its translations, and the process pool.
+_NOT_LOADED = ("dataclasses", "inspect", "argparse", "gettext", "locale",
+               "concurrent.futures", "multiprocessing", "subprocess")
+
+
+def test_a_serial_run_imports_only_what_it_runs():
+    # A fresh interpreter lists the modules that importing the CLI adds over a
+    # bare `python -c pass`, and those that a serial scan and an untwist-check
+    # then add.  Neither list holds a module of _NOT_LOADED, and the runs add
+    # none at all: a module first imported inside a command costs every run of
+    # it, which is what set-up is there to pay.
+    script = (
+        "import sys\n"
+        "from fibrecheck.cli import main\n"
+        "imported = sorted(sys.modules)\n"
+        "import io, json\n"
+        "for argv in (['scan', '--fixture', 'f2xz', '--max-quotient-order', '4'],\n"
+        "             ['untwist-check', '--fixture', 'f2xz', '--quotient', 'z12:1,1,0']):\n"
+        "    assert main(argv, out=io.StringIO()) == 0\n"
+        "print(json.dumps([imported, sorted(set(sys.modules) - set(imported))]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(fibrecheck.__file__).parents[1])}
+    bare = subprocess.run([sys.executable, "-c", "import sys; print(*sys.modules)"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    imported, ran = json.loads(proc.stdout)
+    imported = sorted(set(imported) - set(bare.stdout.split()))
+    assert "fibrecheck.cli" in imported
+    for name in imported + ran:
+        assert not any(name == m or name.startswith(m + ".") for m in _NOT_LOADED), name
+    assert ran == []
+
+
 def test_every_fixture_parses_with_valid_default_character():
     from fibrecheck.fixtures import load_fixture
     from fibrecheck.words import parse_presentation, render_presentation, validate_character
@@ -388,12 +432,134 @@ def test_nonvanishing_scan_builds_no_dense_chain(monkeypatch):
 @pytest.mark.parametrize("jobs", ["0", "-3", "65"])
 def test_jobs_out_of_range_is_an_input_error(jobs, monkeypatch, capsys):
     # Checked before any pool is built: a pool starts all its workers at once.
+    # `scan` imports the pool from concurrent.futures only to build one.
+    import concurrent.futures
+
     from fibrecheck import fibring
 
     assert fibring.MAX_JOBS == 64
-    monkeypatch.setattr(fibring, "ProcessPoolExecutor",
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         lambda *a, **k: pytest.fail("a process pool was built"))
     code, out = run_cli(["scan", "--fixture", "trefoil", "--max-quotient-order", "4",
                          "--jobs", jobs])
     assert code == 2 and out == ""
     assert f"--jobs {jobs} is out of range: use 1 to 64" in capsys.readouterr().err
+
+
+# Every option of every command, as the argparse front end spelled them.
+_COMMON_OPTIONS = ["--fixture", "--pres", "--char"]
+_OPTIONS = {
+    "scan": _COMMON_OPTIONS + ["--max-quotient-order", "--fields", "--extra-group",
+                               "--assert-lerf", "--assert-detection", "--jobs", "--json"],
+    "alex": _COMMON_OPTIONS + ["--quotient", "--field", "--json"],
+    "untwist-check": _COMMON_OPTIONS + ["--quotient", "--field", "--json"],
+    "homs": _COMMON_OPTIONS + ["--target", "--epi-only"],
+}
+
+
+def _parsed(argv):
+    handler, args = parse_args(argv)
+    return handler, vars(args)
+
+
+def test_parser_defaults():
+    from fibrecheck import cli
+
+    assert _parsed(["scan", "--fixture", "f2xz"]) == (cli._cmd_scan, {
+        "fixture": "f2xz", "pres": None, "char": None, "max_quotient_order": 12,
+        "fields": "f2,f3,q", "extra_group": [], "assert_lerf": False,
+        "assert_detection": False, "jobs": 1, "json": None})
+    for command, handler in (("alex", cli._cmd_alex), ("untwist-check", cli._cmd_untwist_check)):
+        assert _parsed([command, "--pres", "g.pres", "--quotient", "trivial"]) == (handler, {
+            "fixture": None, "pres": "g.pres", "char": None, "quotient": "trivial",
+            "field": "q", "json": None})
+    assert _parsed(["homs", "--target", "s3"]) == (cli._cmd_homs, {
+        "fixture": None, "pres": None, "char": None, "target": "s3", "epi_only": False})
+    assert {name: list(options) for name, (_, _, options) in COMMANDS.items()} == _OPTIONS
+
+
+def test_parser_reads_every_argparse_spelling():
+    # A value as the next word or after "=", a long option by any prefix that
+    # names it alone, the last value of an option given twice, every value of
+    # a repeated --extra-group, flags, and negative numbers as values.
+    spellings = [
+        ["scan", "--fixture", "f2xz", "--max-quotient-order", "4", "--jobs", "2"],
+        ["scan", "--fixture=f2xz", "--max-quotient-order=4", "--jobs=2"],
+        ["scan", "--fix", "f2xz", "--max-q", "4", "--jo", "2"],
+        ["scan", "--jobs", "1", "--max-q=4", "--fixture", "trefoil", "--fixture=f2xz",
+         "--job", "2"],
+    ]
+    parsed = [_parsed(argv) for argv in spellings]
+    assert all(p == parsed[0] for p in parsed)
+    assert (parsed[0][1]["fixture"], parsed[0][1]["max_quotient_order"], parsed[0][1]["jobs"]) \
+        == ("f2xz", 4, 2)
+    _, args = _parsed(["scan", "--extra-group", "a.grp", "--extra-group=b.grp", "--extra", "c.grp",
+                       "--assert-lerf", "--assert-d", "--char", "a=1, b=-1", "--jobs", "-3"])
+    assert args["extra_group"] == ["a.grp", "b.grp", "c.grp"]
+    assert args["assert_lerf"] is args["assert_detection"] is True
+    assert (args["char"], args["jobs"]) == ("a=1, b=-1", -3)
+    assert _parsed(["homs", "--fixture", "f:2", "--tar", "s3", "--epi"])[1]["epi_only"] is True
+    assert _parsed(["alex", "--quot=z3:0,1", "--fie", "f2"])[1]["field"] == "f2"
+
+
+def test_abbreviated_options_print_the_same_scan():
+    full = run_cli(["scan", "--fixture", "trefoil", "--max-quotient-order", "4", "--fields", "f3"])
+    short = run_cli(["scan", "--fix=trefoil", "--max-q", "4", "--fie=f3"])
+    assert full == short and full[0] == 0
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--he"]]
+                         + [[command, flag] for command in _OPTIONS for flag in ("-h", "--help")],
+                         ids=" ".join)
+def test_help_lists_every_option_with_its_text(argv, capsys):
+    code, out = run_cli(argv)
+    assert code == 0 and capsys.readouterr() == ("", "")
+    assert out.startswith("usage: fibrecheck")
+    lines = out.splitlines()
+    if len(argv) == 1:
+        for command, (_, about, _) in COMMANDS.items():
+            assert any(line.split() == [command, *about.split()] for line in lines), command
+        assert any(line.split()[:1] == ["--version"] for line in lines)
+        return
+    _, about, options = COMMANDS[argv[0]]
+    assert about in lines
+    assert any(line.split()[:2] == ["-h,", "--help"] for line in lines)
+    for name in _OPTIONS[argv[0]]:
+        text = options[name][2]
+        assert any(line.split()[:1] == [name] and text in line for line in lines), name
+
+
+def test_version(capsys):
+    assert run_cli(["--version"]) == (0, f"fibrecheck {fibrecheck.__version__}\n")
+    assert fibrecheck.__version__ == "0.1.0"
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["bogus"],
+    ["--bogus"],
+    ["--version=1"],
+    ["scan", "--fixture", "trefoil", "--bogus"],
+    ["scan", "--fi", "trefoil"],  # --fixture or --fields
+    ["scan", "--fixture", "trefoil", "--assert-lerf=yes"],
+    ["scan", "--fixture", "trefoil", "stray"],
+    ["scan", "--fixture", "trefoil", "--jobs", "x"],
+    ["scan", "--fixture", "trefoil", "--jobs"],
+    ["scan", "--fixture", "--jobs", "2"],
+    ["alex", "--fixture", "bs:1:2"],
+    ["untwist-check", "--fixture", "trefoil"],
+    ["homs", "--fixture", "f:2"],
+], ids=lambda argv: " ".join(argv) or "no command")
+def test_usage_errors_exit_2_with_one_error_line(argv, capsys):
+    code, out = run_cli(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and out == "" and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
+def test_readme_shows_the_top_level_help():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    code, text = run_cli(["--help"])
+    assert code == 0
+    assert f"```sh\nfibrecheck --help\n```\n\n```\n{text}```\n" in readme

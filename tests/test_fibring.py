@@ -27,6 +27,10 @@ def test_scan_rejects_bad_config():
         scan(ScanConfig(presentation=p, character=chi, fields=()))
     with pytest.raises(ValueError):
         scan(ScanConfig(presentation=p, character=chi, max_quotient_order=0))
+    # A field given twice would run twice and print its reports twice.
+    for fields, name in (((F2, F3, F2), "F2"), ((Q, Q), "Q")):
+        with pytest.raises(ValueError, match=f"field {name} is given more than once"):
+            scan(ScanConfig(presentation=p, character=chi, fields=fields))
 
 
 def test_scan_bs12_no_obstruction():
