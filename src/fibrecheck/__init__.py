@@ -45,7 +45,6 @@ from .quotients import (  # noqa: F401
     kernel_key,
     load_table_group,
     make_quotient,
-    regular_representation,
     symmetric_group,
     trivial_group,
     trivial_quotient,

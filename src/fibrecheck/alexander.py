@@ -286,17 +286,20 @@ class AlexanderReport:
 
 
 def _fundamental_formula_holds(rep: Representation,
-                               blocks: list[dict[int, dict[int, int]]]) -> bool:
+                               blocks: dict[int, dict[int, dict[int, int]]]) -> bool:
     """Fox's sum_i (dr/dx_i)(x_i - 1) = r - 1, mapped into Z[Q x Z].
 
     r maps to the identity, so the images f_{i,g} of dr/dx_i must satisfy
     sum_i sum_g f_{i,g} * (t^{chi_i} [g*alpha(x_i)] - [g]) = 0.  P is
     faithful on Z[Q], so this is b2 @ b1 = 0 on the relator's rows, decided
-    exactly over Z in time linear in the terms.
+    exactly over Z in time linear in the terms; only the blocks of the
+    generators that r contains are read.
     """
     table = rep.quotient.group.table
+    images, values = rep.quotient.gen_images, rep.character.values
     total: dict[tuple[int, int], int] = {}
-    for block, a, s in zip(blocks, rep.quotient.gen_images, rep.character.values):
+    for i, block in blocks.items():
+        a, s = images[i], values[i]
         for g, shifts in block.items():
             h = table[g][a]
             for k, c in shifts.items():
@@ -378,7 +381,8 @@ def _assemble(rep: Representation, source: FiniteQuotient | None = None) -> Inte
     """Assemble both boundary matrices over Z from the group table, after checking the chain condition.
 
     Block (j, i) of b2 is sum_g f_{i,g} P(g), with f_{i,g} from one
-    `fox_images` walk along relator j: f_{i,g} at (q, q*g) for every q.
+    `fox_images` walk along relator j: f_{i,g} at (q, q*g) for every q, and
+    no block where relator j lacks x_i, so a row costs its relator's terms.
     Block i of b1 is t^{chi_i} P(alpha(x_i)) - I.  Every relator's images
     must satisfy the fundamental formula in Z[Q x Z], which is b2 @ b1 = 0
     over every coefficient field; no matrix is multiplied.  Entries that
@@ -402,7 +406,7 @@ def _assemble(rep: Representation, source: FiniteQuotient | None = None) -> Inte
                 b1.append({q: {s: 1, 0: -1}} if s else {})
     b2 = []
     for blocks in relator_blocks:
-        terms = [(i * n, g, f) for i, block in enumerate(blocks) for g, shifts in block.items()
+        terms = [(i * n, g, f) for i, block in blocks.items() for g, shifts in block.items()
                  if (f := {k: c for k, c in shifts.items() if c})]
         for q in range(n):
             row_q = table[q]

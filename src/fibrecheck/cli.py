@@ -26,7 +26,6 @@ small command's algebra.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import sys
@@ -34,7 +33,7 @@ from types import SimpleNamespace
 
 from . import __version__
 from .alexander import InternalCheckError, full_report
-from .fibring import ScanConfig, emit_report, scan
+from .fibring import ScanConfig, emit_report, json_text, scan
 from .fixtures import load_fixture
 from .foxcalc import CONVENTION
 from .polyalg import CoefficientField, NotInSpan
@@ -197,7 +196,7 @@ def _cmd_alex(args, out) -> int:
             "convention": CONVENTION,
             "reports": [r.as_dict(p) for r in reports],
         }
-        _write(args.json, json.dumps(doc, indent=2) + "\n")
+        _write(args.json, json_text(doc) + "\n")
         out.write(f"wrote {args.json}\n")
     out.write(f"presentation: {render_presentation(p).replace(chr(10), ' | ')}\n")
     out.write(f"character: {render_character(p, chi)}\n")
@@ -247,7 +246,7 @@ def _cmd_untwist_check(args, out) -> int:
             "untwisted": [r.as_dict(sub.presentation) for r in untwisted],
         },
     }
-    text = json.dumps(doc, indent=2) + "\n"
+    text = json_text(doc) + "\n"
     if args.json:
         _write(args.json, text)
         out.write(f"wrote {args.json}\n")

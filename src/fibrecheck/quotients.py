@@ -34,7 +34,6 @@ __all__ = [
     "keyed_homs",
     "image_closure",
     "kernel_key",
-    "regular_representation",
     "build_catalog",
     "restrict_to_image",
 ]
@@ -319,13 +318,6 @@ def kernel_key(q: FiniteQuotient) -> tuple[tuple[int, ...], ...]:
     cosets.  Each permutation in the key has the image's order as its length.
     """
     return _kernel_key(q.group.table, q.gen_images)
-
-
-def regular_representation(g: FiniteGroup, e: int) -> list[int]:
-    """Right-multiplication permutation q -> q*e as a lookup list."""
-    if not 0 <= e < g.order:
-        raise ValueError(f"element id {e} out of range")
-    return [g.mul(q, e) for q in range(g.order)]
 
 
 def restrict_to_image(p: Presentation, q: FiniteQuotient) -> FiniteQuotient:

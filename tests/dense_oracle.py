@@ -14,10 +14,10 @@ representation.  This module keeps two older routes as references.
 `evaluate` maps each word of a group-ring element to the monomial matrix
 t^{chi(w)} P(alpha(w)), with alpha(w) read off the group table.
 `DenseRepresentation` multiplies one dense n x n matrix per generator and
-per inverse, letter by letter, and a group-ring element's image is the sum
-of its scaled word images.  The tests compare the routes entry for entry,
-and `DenseRepresentation` also takes generator matrices of another
-convention, such as the transposed one.
+per inverse, from `regular_representation`, letter by letter, and a
+group-ring element's image is the sum of its scaled word images.  The tests
+compare the routes entry for entry, and `DenseRepresentation` also takes
+generator matrices of another convention, such as the transposed one.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Sequence
 from fibrecheck.alexander import IntegralChain, TwistedChain, _assemble, _h0_walk, _h1_order
 from fibrecheck.foxcalc import Representation
 from fibrecheck.polyalg import CoefficientField, LaurentPoly, SparseMatrix
-from fibrecheck.quotients import regular_representation
+from fibrecheck.quotients import FiniteGroup
 from fibrecheck.words import Word
 from free_group_oracle import GroupRingElement, fox_derivative
 
@@ -200,6 +200,15 @@ def evaluate(rep: Representation, e: GroupRingElement, field: CoefficientField) 
         for q in range(rep.dim):
             out.entries[q][group.mul(q, g)] = f
     return out
+
+
+def regular_representation(g: FiniteGroup, e: int) -> list[int]:
+    """Right-multiplication permutation q -> q*e as a lookup list, from
+    `FiniteGroup.mul` one element at a time (the program reads it as a
+    column of the table)."""
+    if not 0 <= e < g.order:
+        raise ValueError(f"element id {e} out of range")
+    return [g.mul(q, e) for q in range(g.order)]
 
 
 class DenseRepresentation:

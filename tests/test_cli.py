@@ -131,6 +131,42 @@ def test_untwist_check_json_fields():
     assert doc["ambient"]["quotient"]["gen_images"] == [0, 1]
 
 
+def test_untwist_check_of_a_relator_that_does_not_close_exits_3(monkeypatch, capsys):
+    # Reidemeister-Schreier checks that every rewritten relator returns to
+    # the coset it started from.  An action whose inverse letters fix every
+    # coset breaks that for the trefoil at S3: x y x, the relator's positive
+    # letters, is a transposition, not the identity.  The run exits 3 with
+    # the internal-check line, not a traceback.
+    from fibrecheck import reidschreier
+
+    real = reidschreier.coset_action
+
+    def broken(p, q):
+        action = real(p, q)
+        fixed = (tuple(range(action.degree)),) * len(action.action)
+        return reidschreier.CosetAction(action.quotient, action.action, fixed)
+
+    monkeypatch.setattr(reidschreier, "coset_action", broken)
+    code, out = run_cli(["untwist-check", "--fixture", "trefoil", "--quotient", "s3:2,1"])
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err.startswith(
+        "internal check failed: Reidemeister-Schreier: relator 1 read from coset ")
+
+
+def test_untwist_check_at_index_120_takes_well_under_two_seconds():
+    # The kernel of f2xz -> S5 has index 120: 241 generators and 240
+    # relators.  Its chain and rewriting cost one step per relator letter,
+    # about 0.1 s in all; a cost that grew with index^2 would show here.
+    import time
+
+    start = time.perf_counter()
+    code, out = run_cli(["untwist-check", "--fixture", "f2xz", "--quotient", "s5:1,32,0"])
+    elapsed = time.perf_counter() - start
+    assert code == 0 and json.loads(out)["orders"]["equal"] is True
+    assert json.loads(out)["kernel"]["index"] == 120
+    assert elapsed < 2.0, elapsed
+
+
 def test_quotient_spec_forms():
     code, out = run_cli(["alex", "--fixture", "bs:1:2", "--quotient", "z3:0,1"])
     assert code == 0

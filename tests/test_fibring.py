@@ -215,6 +215,33 @@ def test_emit_report_obstructed_json():
     assert doc["witness"]["degree"] == 1
 
 
+# Scalars of the documents that `json_text` writes, with strings that need
+# escaping (quotes, backslashes, control characters) or are not ASCII.
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                 | st.integers(min_value=-(2 ** 70), max_value=-1)
+                 | st.text() | st.sampled_from(["", "\"", "\\", "\n\t\x00", "é", "t^-1 ∂", "😀"]))
+
+
+@settings(max_examples=200)
+@given(doc=st.recursive(
+    _JSON_SCALARS,
+    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=3).map(tuple)
+                      | st.dictionaries(st.text(max_size=5), children, max_size=4)),
+    max_leaves=30))
+def test_json_text_is_json_dumps_with_indent_2(doc):
+    from fibrecheck.fibring import json_text
+
+    assert json_text(doc) == json.dumps(doc, indent=2)
+
+
+def test_json_text_refuses_what_it_does_not_write():
+    from fibrecheck.fibring import json_text
+
+    for doc in (1.5, {1: 2}, [set()]):
+        with pytest.raises(TypeError):
+            json_text(doc)
+
+
 # SHA-256 of the JSON report of `scan --fixture f2xz --max-quotient-order 4
 # --json FILE`; the CI smoke pins it too.
 _F2XZ_ORDER_4_JSON = "826dd0460c1db206a12d880edf2d550122c2f9a7819d65f04683187ad71fd3ce"

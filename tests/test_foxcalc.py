@@ -6,7 +6,7 @@ from fibrecheck.foxcalc import build_representation, fox_images
 from fibrecheck.polyalg import CoefficientField
 from fibrecheck.quotients import cyclic_group, make_quotient, trivial_quotient
 from fibrecheck.words import Word, parse_presentation, validate_character
-from dense_oracle import PolyMatrix, evaluate
+from dense_oracle import PolyMatrix, evaluate, regular_representation
 from free_group_oracle import GroupRingElement, fox_derivative, fundamental_identity_check
 
 Q = CoefficientField.rationals()
@@ -62,29 +62,61 @@ def test_fundamental_identity():
 
 
 def _nonzero(blocks):
-    return [{g: {k: c for k, c in shifts.items() if c} for g, shifts in block.items()
-             if any(shifts.values())} for block in blocks]
+    return {i: {g: {k: c for k, c in shifts.items() if c} for g, shifts in block.items()
+                if any(shifts.values())} for i, block in blocks.items()}
 
 
 def test_fox_images_gather_the_fox_derivatives():
     # One walk along w gives each dw/dx_i mapped into Z[Q x Z]: the words of
-    # fox_derivative gathered by (alpha(w), chi(w)).
+    # fox_derivative gathered by (alpha(w), chi(w)).  The blocks are keyed by
+    # the 0-based generator index, and a generator that w lacks has none.
     from fibrecheck.quotients import symmetric_group
 
     chi = validate_character(TREFOIL, [1, 1])
     q = make_quotient(TREFOIL, symmetric_group(3), (2, 1))
     rep = build_representation(TREFOIL, chi, q)
     rng = random.Random(15)
+    lacking = 0
     for _ in range(50):
         w = _random_word(rng, max_len=10)
-        expected = []
-        for i in (1, 2):
+        present = {abs(x) - 1 for x in w.letters}
+        expected = {}
+        for i in present:
             block: dict[int, dict[int, int]] = {}
-            for u, c in fox_derivative(w, i).terms.items():
+            for u, c in fox_derivative(w, i + 1).terms.items():
                 shifts = block.setdefault(q.group.word_image(u, q.gen_images), {})
                 shifts[chi.of_word(u)] = shifts.get(chi.of_word(u), 0) + c
-            expected.append(block)
-        assert _nonzero(fox_images(rep, w)) == _nonzero(expected)
+            expected[i] = block
+        got = fox_images(rep, w)
+        assert set(got) == present
+        assert _nonzero(got) == _nonzero(expected)
+        lacking += len(present) < 2
+    assert lacking  # some words lack a generator
+
+
+def test_fox_images_of_an_index_24_kernel_have_one_block_per_generator_present():
+    # The kernel of f2xz -> S4 (index 24) by Reidemeister-Schreier has 49
+    # generators and 48 relators of a few letters each; each relator's blocks
+    # are keyed by exactly the generators it contains.
+    from fibrecheck.fixtures import load_fixture
+    from fibrecheck.quotients import symmetric_group
+    from fibrecheck.reidschreier import rewrite_subgroup
+
+    p, chi = load_fixture("f2xz")
+    sub = rewrite_subgroup(p, make_quotient(p, symmetric_group(4), (1, 8, 0)), chi)
+    kernel = sub.presentation
+    assert (kernel.generator_count, len(kernel.relators)) == (49, 48)
+    rep = build_representation(kernel, sub.restricted_character, trivial_quotient(kernel))
+    for r in kernel.relators:
+        assert set(fox_images(rep, r)) == {abs(x) - 1 for x in r.letters}
+
+
+def test_regular_representation():
+    z3 = cyclic_group(3)
+    assert regular_representation(z3, 0) == [0, 1, 2]
+    assert regular_representation(z3, 1) == [1, 2, 0]
+    z2 = cyclic_group(2)
+    assert regular_representation(z2, 1) == [1, 0]
 
 
 def _image(rep, w: Word) -> PolyMatrix:

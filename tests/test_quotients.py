@@ -15,7 +15,6 @@ from fibrecheck.quotients import (
     keyed_homs,
     load_table_group,
     make_quotient,
-    regular_representation,
     restrict_to_image,
     symmetric_group,
     trivial_group,
@@ -195,14 +194,6 @@ def test_kernel_key_matches_same_kernel():
         for same_order in representatives.values():
             for q1, q2 in itertools.combinations(same_order, 2):
                 assert not same_kernel(p, q1, q2), (name, q1, q2)
-
-
-def test_regular_representation():
-    z3 = cyclic_group(3)
-    assert regular_representation(z3, 0) == [0, 1, 2]
-    assert regular_representation(z3, 1) == [1, 2, 0]
-    z2 = cyclic_group(2)
-    assert regular_representation(z2, 1) == [1, 0]
 
 
 def test_build_catalog():
