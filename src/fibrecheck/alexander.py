@@ -52,26 +52,26 @@ closed form, and its order is then their product, the classical Fox-matrix
 order (Wada 1994, Kirk-Livingston 1999).  That diagonal form is taken once
 per quotient, over Z[t^{+-1}]: the elimination pivots only on entries with
 top coefficient +-1, so every step is an elementary operation over Z and
-b2 ~ D (+) R there, with D diagonal.  Each field reads D mod p, where no entry
-of D vanishes, and finishes the residual R, the rows left where a remainder
-with another top coefficient stopped the elimination; it is usually empty.
+b2 ~ D (+) R there, with D diagonal.  The product of D's entries is taken
+once over Z too: reduction mod p is a ring map, so each field reduces that
+one product, which no reduction makes zero, and finishes the residual R, the
+rows left where a remainder with another top coefficient stopped the
+elimination; it is usually empty.
 Neither route reads the other's result; if they disagree, the run is aborted
 as internally inconsistent.
 """
 
 from __future__ import annotations
 
-from functools import reduce
 from math import gcd
-from operator import mul
 
 from .foxcalc import CONVENTION, Representation, build_representation, fox_images
 from .polyalg import (
     CoefficientField,
     IntegralDiagonal,
     LaurentPoly,
-    SnfResult,
     SparseMatrix,
+    int_power,
     integral_diagonal_form,
     rank_lower_bound,
     rank_over_fraction_field,
@@ -325,8 +325,8 @@ class IntegralChain:
     `b2_less` makes the rows of b2 less the minor's column block on first
     use, and `b2_form` eliminates b2 over Z[t^{+-1}] on first use, to
     b2 ~ D (+) R there (see `polyalg.integral_diagonal_form`); both are kept
-    for every field, and each field reduces D and finishes the residual R,
-    usually empty, by itself.
+    for every field, and so is the product of D's entries over Z, which
+    each field reduces before it finishes the residual R, usually empty.
     """
 
     __slots__ = ("representation", "b1", "b2", "walk", "minor", "source", "proved",
@@ -449,30 +449,23 @@ def _h0_closed_form(c: TwistedChain) -> tuple[int, int, LaurentPoly]:
     field = c.b1.field
     if d == 0:
         return 0, copies, LaurentPoly.zero(field)
-    cyclic = LaurentPoly.from_int_coeffs(field, {d: 1, 0: -1})  # monic, t^0 term: canonical
-    return d, 0, reduce(mul, [cyclic] * copies)
+    # monic, t^0 term: canonical over every field
+    return d, 0, LaurentPoly.from_int_coeffs(field, int_power({d: 1, 0: -1}, copies))
 
 
-def _h1_order(c: TwistedChain) -> tuple[LaurentPoly, SnfResult]:
-    """Normalized order of H1 through the order route, and the diagonal form of b2.
+def _h1_order(c: TwistedChain) -> LaurentPoly:
+    """Normalized order of H1 through the order route.
 
     C1/rowspace(b2) is H1 plus the free module im(b1), so the order is the
     product of the nonzero diagonal entries of b2 when there are
     rows(b1) - rank b1 of them, and zero (H1 has free rank) otherwise; here
     rank b1 = |Q| - rank H0 comes from the closed form, not the rank route.
-    The diagonal form is b2 ~ D (+) R over Z[t^{+-1}], which the integral
-    chain took once, read over this field: D's entries reduced mod p, whose
-    top coefficients +-1 keep them nonzero, and R, left where a remainder
-    had another top coefficient, finished by `diagonal_form` here.
+    The integral chain took b2 ~ D (+) R over Z[t^{+-1}] and the product of
+    D's entries once; `IntegralDiagonal.order` reduces that product into
+    this field and multiplies in R's entries, finished here.
     """
-    form = c.integral.b2_form().over(c.b1.field)
     rank_b1 = c.block_size - c.h0_closed_form()[1]
-    if form.rank != c.b1.rows - rank_b1:
-        return LaurentPoly.zero(c.b1.field), form
-    # Canonical entries have a canonical product: F[t] is a domain.  A
-    # canonical monomial is 1, so only the longer entries are multiplied.
-    factors = [e for e in form.diagonal if len(e.coeffs) > 1]
-    return (reduce(mul, factors) if factors else LaurentPoly.one(c.b1.field)), form
+    return c.integral.b2_form().order(c.b1.field, c.b1.rows - rank_b1)
 
 
 def h0_report(c: TwistedChain) -> AlexanderReport:
@@ -539,9 +532,10 @@ def _alex_command(p: Presentation, chi: Character, q: FiniteQuotient,
 
 def _h1_report(c: TwistedChain) -> AlexanderReport:
     vanishing, rank_h1 = h1_vanishing(c)
-    order, form = _h1_order(c)
+    order = _h1_order(c)
     if vanishing != order.is_zero:
         phase = c.integral.b2_form()
+        form = phase.over(c.b1.field)
         from_z = len(phase.diagonal)
         residual = (f"residual {len(phase.residual)}x{phase.cols - from_z} finished over {c.b1.field.name}"
                     if phase.residual else "no residual")

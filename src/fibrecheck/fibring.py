@@ -184,9 +184,10 @@ def _scan_job(args) -> list[AlexanderReport]:
     the job before Q.  Q first in `fields` runs its own bound.  The order
     route of the first field eliminates the whole of b2 over Z[t^{+-1}] to
     b2 ~ D (+) R, pivoting only on entries with top coefficient +-1, and
-    every field reads that: D reduced mod p, and R, usually empty, finished
-    by the field's own diagonal form.  The order route reads no rank, so
-    both routes still check every verdict.
+    multiplies D's entries once over Z; every field reduces that product mod
+    p and multiplies in R, usually empty, finished by the field's own
+    diagonal form.  The order route reads no rank, so both routes still
+    check every verdict.
 
     `scan` runs this only for the representative of each orbit of the
     chi-fixing symmetries; every other kept quotient of the orbit takes

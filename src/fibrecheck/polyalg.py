@@ -22,7 +22,8 @@ per column of the rows that hold it: the matrices of a twisted chain are
 mostly zero, and neither a pivot search nor a row operation visits a zero
 entry.  `integral_diagonal_form` runs the same elimination once over
 Z[t^{+-1}], pivoting only on entries with top coefficient +-1, so that each
-field reads its diagonal D mod p and finishes only the rows R it left.
+field reduces the product of its diagonal D mod p and finishes only the
+rows R it left.
 Bareiss reads the same rows into its own rows of Laurent
 polynomials.  Units of F[t^{+-1}] are c*t^k, so the canonical
 representative of a nonzero polynomial class is monic with nonzero constant
@@ -50,6 +51,7 @@ __all__ = [
     "diagonal_form",
     "IntegralDiagonal",
     "integral_diagonal_form",
+    "int_power",
 ]
 
 
@@ -716,10 +718,12 @@ class IntegralDiagonal:
     the entries of D in canonical form over Z, as raw {exponent: int} dicts
     with lowest exponent 0 and top coefficient 1, so none vanishes modulo any
     p and each is monic there; `residual` holds the rows of R, each in
-    ascending column order, usually none.  `over` reads both over one field.
+    ascending column order, usually none.  `order` reads the product of D's
+    entries, taken once over Z, over one field and finishes R there; `over`,
+    for diagnostics, reads the whole diagonal.
     """
 
-    __slots__ = ("diagonal", "residual", "rows", "cols")
+    __slots__ = ("diagonal", "residual", "rows", "cols", "_product")
 
     def __init__(self, diagonal: tuple[dict[int, int], ...],
                  residual: list[dict[int, dict[int, int]]], rows: int, cols: int):
@@ -727,6 +731,37 @@ class IntegralDiagonal:
         self.residual = residual
         self.rows = rows
         self.cols = cols
+        self._product: dict[int, int] | None = None
+
+    def product(self) -> dict[int, int]:
+        """The product of D's entries over Z, canonical like them, taken on
+        first use; equal entries are grouped and raised to their count by
+        `int_power`, so k copies of t - 1 cost O(log k) products."""
+        if self._product is None:
+            counts: dict[tuple, int] = {}
+            for d in self.diagonal:
+                if len(d) > 1:
+                    key = tuple(sorted(d.items()))
+                    counts[key] = counts.get(key, 0) + 1
+            out = {0: 1}
+            for key, k in counts.items():
+                out = _int_mul(out, int_power(dict(key), k))
+            self._product = out
+        return self._product
+
+    def order(self, field: CoefficientField, rank: int) -> LaurentPoly:
+        """The canonical product of b's nonzero diagonal entries over `field`
+        if b has rank `rank` there, else zero.  Reduction mod p is a ring
+        map, so D's part is `product` read over the field; R's entries, if
+        any, multiply in, and canonical entries have a canonical product."""
+        rest = self._finish(field)
+        if len(self.diagonal) + len(rest) != rank:
+            return LaurentPoly.zero(field)
+        order = LaurentPoly._raw(field, _canonical_over(self.product(), field.p))
+        for d in rest:
+            if len(d.coeffs) > 1:
+                order = order * d
+        return order
 
     def over(self, field: CoefficientField) -> SnfResult:
         """A diagonal form of b over `field`, as `diagonal_form` would give.
@@ -734,24 +769,51 @@ class IntegralDiagonal:
         The map Z[t^{+-1}] -> F[t^{+-1}] takes the elementary operations that
         gave D (+) R to elementary operations over F, so b is equivalent over F
         to D mod p (+) R mod p: the canonical form of each entry of D, then the
-        nonzero entries of `diagonal_form` of R over `field`, then zeros.  An
-        entry of D is canonical over Q as it is, and over F_p once reduced and,
-        where its constant term vanished, shifted down; its top 1 stays.
+        nonzero entries of `diagonal_form` of R over `field`, then zeros.
         """
-        p, one = field.p, LaurentPoly.one(field)
-        entries = []
-        for d in self.diagonal:
-            if p is not None:
-                d = {e: r for e, c in d.items() if (r := c % p)}
-                if 0 not in d:
-                    low = min(d)
-                    d = {e - low: c for e, c in d.items()}
-            entries.append(one if len(d) == 1 else LaurentPoly._raw(field, d))
-        if self.residual:
-            rest = diagonal_form(SparseMatrix(field, self.residual, len(self.residual), self.cols))
-            entries += [d for d in rest.diagonal if not d.is_zero]
+        entries = [LaurentPoly._raw(field, _canonical_over(d, field.p)) for d in self.diagonal]
+        entries += self._finish(field)
         entries.extend(LaurentPoly.zero(field) for _ in range(min(self.rows, self.cols) - len(entries)))
         return SnfResult(tuple(entries))
+
+    def _finish(self, field: CoefficientField) -> list[LaurentPoly]:
+        """The nonzero entries of `diagonal_form` of R over `field`."""
+        if not self.residual:
+            return []
+        rest = diagonal_form(SparseMatrix(field, self.residual, len(self.residual), self.cols))
+        return [d for d in rest.diagonal if not d.is_zero]
+
+
+def _canonical_over(d: dict[int, int], p: int | None) -> dict[int, int]:
+    """A canonical dict over Z read over Q, as it is, or over F_p, where its
+    top 1 stays and it is shifted down if its constant term vanished."""
+    if p is None:
+        return d
+    d = {e: r for e, c in d.items() if (r := c % p)}
+    low = min(d)
+    return {e - low: c for e, c in d.items()} if low else d
+
+
+def _int_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """a * b for raw {exponent: int} dicts over Z, zero coefficients dropped."""
+    out: dict[int, int] = {}
+    get = out.get
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            out[ea + eb] = get(ea + eb, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def int_power(a: dict[int, int], k: int) -> dict[int, int]:
+    """a^k for a raw {exponent: int} dict over Z and k >= 1, by repeated squaring."""
+    out = None
+    while k:
+        if k & 1:
+            out = a if out is None else _int_mul(out, a)
+        k >>= 1
+        if k:
+            a = _int_mul(a, a)
+    return out
 
 
 def integral_diagonal_form(data: list[dict[int, dict[int, int]]], rows: int, cols: int) -> IntegralDiagonal:

@@ -178,7 +178,7 @@ def chain_over(rep: Representation, field: CoefficientField) -> TwistedChain:
 
 def h1_order(c: TwistedChain) -> LaurentPoly:
     """ord H1 through the order route alone; no rank is read."""
-    return _h1_order(c)[0]
+    return _h1_order(c)
 
 
 def evaluate(rep: Representation, e: GroupRingElement, field: CoefficientField) -> PolyMatrix:

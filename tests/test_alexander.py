@@ -20,7 +20,6 @@ from fibrecheck.polyalg import (
     CoefficientField,
     IntegralDiagonal,
     LaurentPoly,
-    SnfResult,
     diagonal_form,
     rank_over_fraction_field,
 )
@@ -431,8 +430,9 @@ def test_cross_check_failure_names_its_inputs(monkeypatch):
     # is what the rank of b2 reads, and how many diagonal entries of b2 came
     # from Z; over Q after F2, the rank of b2 is inherited from F2's
     # certificate, so a wrong order route is what makes them disagree there:
-    # F2 has taken the integral diagonal form of b2, and Q's reading of it is
-    # made wrong.
+    # F2 has taken the integral diagonal form of b2 and its product, and Q's
+    # order from them is made zero.  The message still names the diagonal
+    # of b2, which only the failure builds over the field.
     trefoil, trefoil_chi = load_fixture("trefoil")
     f2xz, f2xz_chi = load_fixture("f2xz")
     cases = [
@@ -464,11 +464,13 @@ def test_cross_check_failure_names_its_inputs(monkeypatch):
         chain = integral_chain(p, chi, q)
         chain_reports(chain.over(F2))
         with monkeypatch.context() as m:
-            m.setattr(IntegralDiagonal, "over", lambda form, field: SnfResult(()))
+            m.setattr(IntegralDiagonal, "order", lambda form, field, rank: LaurentPoly.zero(field))
             with pytest.raises(InternalCheckError) as err:
                 chain_reports(chain.over(Q))
         msg = str(err.value)
         assert "degree-1 cross-check failed" in msg and "field: Q" in msg and shapes in msg
+        assert "order: 0" in msg and "diagonal of b2: [1, " in msg
+        assert f"({(p.generator_count - 1) * n} entries from Z, no residual)" in msg
         assert [line for line in msg.splitlines() if line.startswith("rank of")] == [
             f"rank of b1: {n} {minor}",
             f"rank of b2: {(p.generator_count - 1) * n} inherited from the F2 certificate, read on {rest}"]
@@ -677,32 +679,89 @@ def test_closed_form_h0_and_diagonal_h1_match_smith_oracle(field, data):
     assert order_h1 == order_h1.canonical()
 
 
+def _reads_as_each_fields_diagonal_form(chain) -> bool:
+    """Check b2 eliminated once over Z[t^{+-1}] against `diagonal_form` of b2
+    over Q, F2, F3 and F5, each taken by itself; whether a residual is left.
+
+    Read over a field, the phase gives the rank and the canonical order of
+    that field's diagonal form, and its order, the product of D's entries
+    over Z reduced into the field with R's entries multiplied in, is the
+    canonical product of the nonzero entries there, and zero at any other
+    rank.  The shared rows are left as they were.
+    """
+    before = repr(chain.b2)
+    phase = chain.b2_form()
+    for field in (Q, F2, F3, F5):
+        read, direct = phase.over(field), diagonal_form(chain.over(field).b2)
+        assert read.rank == direct.rank
+        assert all(d == d.canonical() for d in read.diagonal)
+        assert order_of(field, read, read.rank) == order_of(field, direct, direct.rank)
+        for rank in (direct.rank, direct.rank + 1):
+            assert phase.order(field, rank) == order_of(field, direct, rank)
+    assert repr(chain.b2) == before
+    return bool(phase.residual)
+
+
 def test_integral_phase_reads_as_each_fields_diagonal_form_on_random_chains():
-    # b2 eliminated once over Z[t^{+-1}] and read over Q, F2, F3 and F5 gives
-    # the rank and the canonical order of `diagonal_form` of b2 over that
-    # field, and leaves the shared rows as they were; the phase stops on some
-    # chains and not on others, and both must occur.  The per-example
-    # deadline (ms) is a time budget: a chain on which the elimination over
-    # Q runs away fails here instead of passing slowly.
+    # The phase stops on some chains and not on others, and both must occur.
+    # The per-example deadline (ms) is a time budget: a chain on which the
+    # elimination over Q runs away fails here instead of passing slowly.
     residuals = []
 
     @settings(max_examples=60, deadline=2000)
     @given(data=st.data())
     def check(data):
         p, chi, q = data.draw(presentations_with_quotient())
-        chain = integral_chain(p, chi, q)
-        before = repr(chain.b2)
-        phase = chain.b2_form()
-        for field in (Q, F2, F3, F5):
-            read, direct = phase.over(field), diagonal_form(chain.over(field).b2)
-            assert read.rank == direct.rank
-            assert all(d == d.canonical() for d in read.diagonal)
-            assert order_of(field, read, read.rank) == order_of(field, direct, direct.rank)
-        assert repr(chain.b2) == before
-        residuals.append(bool(phase.residual))
+        residuals.append(_reads_as_each_fields_diagonal_form(integral_chain(p, chi, q)))
 
     check()
     assert set(residuals) == {False, True}
+
+
+def test_integral_phase_reads_as_each_fields_diagonal_form_where_it_stops():
+    # f2xz at a=1, b=2, z=3 to order 10 runs 677 jobs, and the elimination
+    # over Z stops on 17 of them, each leaving 2 or 3 rows of R that every
+    # field finishes and multiplies into the product of D.
+    from fibrecheck.fibring import ScanConfig, _quotient_stream
+
+    p, _ = load_fixture("f2xz")
+    chi = validate_character(p, [1, 2, 3])
+    cfg = ScanConfig(presentation=p, character=chi, max_quotient_order=10)
+    chains = [integral_chain(p, chi, q) for kind, q, rep in _quotient_stream(p, cfg)
+              if kind == "kept" and rep is None]
+    stopped = [c for c in chains if c.b2_form().residual]
+    assert (len(chains), len(stopped)) == (677, 17)
+    assert all(_reads_as_each_fields_diagonal_form(c) for c in stopped)
+
+
+def test_a_passing_scan_builds_no_diagonal_form_of_b2(monkeypatch):
+    # The order route reads the product of D over Z into each field; b2 is
+    # read over a field only for the diagnostic of a failed check.  So the
+    # default f2xz scan to order 4 over F2, F3 and Q builds no `SnfResult`
+    # and multiplies no two Laurent polynomials, and the scan at a=1, b=2,
+    # z=3 to order 10 builds one only for each residual R, of 2 or 3 rows:
+    # 17 chains over 3 fields.
+    import hashlib
+    import io
+
+    from fibrecheck import polyalg
+    from fibrecheck.cli import main
+
+    products, forms = [], []
+    mul, form = LaurentPoly.__mul__, polyalg.diagonal_form
+    monkeypatch.setattr(LaurentPoly, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    monkeypatch.setattr(polyalg, "diagonal_form", lambda m: forms.append(m.rows) or form(m))
+    monkeypatch.setattr(IntegralDiagonal, "over", lambda phase, field: pytest.fail("b2 read over a field"))
+    for char, order, digest, residuals in (
+            ("a=0,b=0,z=1", "4", "4442d173e2d1b4b3c3bb5ec94e55ceb8a59ab5f4197a49ebe3b428abea84083d", 0),
+            ("a=1,b=2,z=3", "10", "420536e59d8fc0400dfb9e8e134f06d8c61a70aba7884f39deb08d0be802f8f5", 51)):
+        products.clear()
+        forms.clear()
+        out = io.StringIO()
+        assert main(["scan", "--fixture", "f2xz", "--char", char, "--max-quotient-order", order], out) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+        assert len(forms) == residuals and set(forms) <= {2, 3}
+        assert bool(products) == bool(residuals)
 
 
 @pytest.mark.parametrize("field", [Q, F2, F3], ids=lambda f: f.name)

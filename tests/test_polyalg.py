@@ -20,6 +20,7 @@ from fibrecheck.polyalg import (
     _PRIMITIVE_LOW,
     _zech_field,
     diagonal_form,
+    int_power,
     integral_diagonal_form,
     rank_lower_bound,
     rank_over_fraction_field,
@@ -525,9 +526,11 @@ def test_integral_phase_stops_at_a_remainder_it_cannot_divide():
 def test_integral_phase_reads_as_the_diagonal_form_over_each_field():
     # Rows eliminated once over Z[t^{+-1}] and read over Q, F2, F3 and F5
     # give the rank and the canonical order of `diagonal_form` over that
-    # field.  The entries 2, 3, -4 and 6 make remainders that the phase
-    # cannot divide by, so it stops on some examples and not on others, and
-    # both must occur; the shared rows stay as they were.
+    # field, and `order`, from the product of D taken over Z, gives that
+    # order at that rank and zero at the next.  The entries 2, 3, -4 and 6
+    # make remainders that the phase cannot divide by, so it stops on some
+    # examples and not on others, and both must occur; the shared rows stay
+    # as they were.
     residuals = []
 
     @settings(max_examples=100)
@@ -543,11 +546,21 @@ def test_integral_phase_reads_as_the_diagonal_form_over_each_field():
             assert read.rank == direct.rank >= len(phase.diagonal)
             assert all(d == d.canonical() for d in read.diagonal)
             assert order_of(field, read, read.rank) == order_of(field, direct, direct.rank)
+            for rank in (direct.rank, direct.rank + 1):
+                assert phase.order(field, rank) == order_of(field, direct, rank)
         assert repr(rows) == before
         residuals.append(bool(phase.residual))
 
     check()
     assert set(residuals) == {False, True}
+
+
+@settings(max_examples=40)
+@given(coeffs=st.dictionaries(st.integers(-3, 3), st.integers(-3, 3).filter(bool), min_size=1,
+                              max_size=3),
+       k=st.integers(1, 17))
+def test_int_power_is_the_repeated_product(coeffs, k):
+    assert P(Q, int_power(dict(coeffs), k)) == reduce(mul, [P(Q, coeffs)] * k)
 
 
 @settings(max_examples=40)
