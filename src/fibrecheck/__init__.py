@@ -7,7 +7,8 @@ and there the import counts: `dataclasses` pulls in `inspect`, `ast` and
 together more than a small command's algebra.  A record defines
 ``__eq__`` and ``__hash__``, over all of its fields, only where records are
 compared or used as keys (`Word`, `Presentation`, `Character`,
-`FiniteGroup`, `FiniteQuotient`, `SnfResult`, `AlexanderReport`).
+`FiniteGroup`, `FiniteQuotient`, `ImageAction`, `SnfResult`,
+`AlexanderReport`); a quotient's image is an `ImageAction`, not a group.
 Modules that only one path needs, such as the process pool of
 ``scan --jobs``, are imported on that path.
 """
@@ -55,7 +56,7 @@ from .foxcalc import (  # noqa: F401
     build_representation,
     fox_images,
 )
-from .reidschreier import CosetAction, SubgroupPresentation, coset_action, rewrite_subgroup  # noqa: F401
+from .reidschreier import SubgroupPresentation, rewrite_subgroup  # noqa: F401
 from .alexander import (  # noqa: F401
     AlexanderReport,
     IntegralChain,

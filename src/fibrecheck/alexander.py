@@ -2,10 +2,10 @@
 
 The presentation gives a partial free resolution; acting on row vectors from
 the right, b1 stacks the images of x_i - 1 and b2 holds the images of the
-Fox derivatives, both filled straight from the group table.  Everything up
-to the choice of coefficient field is done once per quotient, over Z, by
-`integral_chain`: the quotient is restricted to its image, the relators are
-checked, each relator's Fox images are read in one walk, b2 @ b1 = 0 is
+Fox derivatives, both read off the permutations of the quotient's image
+(`quotients.image_action`).  Everything up to the choice of coefficient
+field is done once per quotient, over Z, by `integral_chain`: the relators
+are checked, each relator's Fox images are read in one walk, b2 @ b1 = 0 is
 checked as Fox's fundamental formula in the group ring of Q x Z, term by
 term over Z, the closed form of H0 is walked, and b1 and b2 are kept as
 sparse integer rows.  `IntegralChain.over(field)` is the one way to make a
@@ -41,10 +41,10 @@ F3 before Q, and every Q job reads rank b2 so, since a shortfall of b2 over
 F_p is a degree-1 vanishing, which stops the job before Q.  Where Q comes
 first or alone, it runs its own bound; between two primes nothing is
 inferred.  The order route computes the orders independently, over Q too.
-H0 is in closed form: each orbit of the image of alpha on Q contributes
-F[t^{+-1}]/(t^d - 1), where dZ = chi(ker alpha) is read off one
-breadth-first walk.  ord H1 comes from one diagonal form of b2 over the
-PID F[t^{+-1}], where the monomial entries of b2 are units.  The sequence
+H0 is in closed form: Q is the image of alpha, so H0 is F[t^{+-1}]/(t^d - 1),
+where dZ = chi(ker alpha) is read off one breadth-first walk of its action.
+ord H1 comes from one diagonal form of b2 over the PID F[t^{+-1}], where
+the monomial entries of b2 are units.  The sequence
 0 -> H1 -> C1/rowspace(b2) -> im(b1) -> 0 splits (im(b1) lies in a free
 module, so it is free), so H1 is torsion exactly when the diagonal has
 rows(b1) - rank b1 nonzero entries, with rank b1 = |Q| - rank H0 from the
@@ -71,12 +71,11 @@ from .polyalg import (
     IntegralDiagonal,
     LaurentPoly,
     SparseMatrix,
-    int_power,
     integral_diagonal_form,
     rank_lower_bound,
     rank_over_fraction_field,
 )
-from .quotients import FiniteQuotient, restrict_to_image
+from .quotients import FiniteQuotient, ImageAction
 from .words import Character, Presentation, render_character, render_presentation
 
 __all__ = [
@@ -180,7 +179,7 @@ class TwistedChain:
 
     @property
     def block_size(self) -> int:
-        return self.integral.representation.dim
+        return self.integral.representation.action.order
 
     def _certify(self, key: str, m: SparseMatrix, upper: int) -> tuple[int, str]:
         """(rank, route) of `m`, whose rank is that of b1 or b2 as `key` names, by `_certified_rank`.
@@ -238,13 +237,13 @@ class TwistedChain:
 
 
 class AlexanderReport:
-    """Vanishing verdict and normalized order for one degree."""
+    """Vanishing verdict and normalized order for one degree, labelled by the image's action."""
 
     __slots__ = ("degree", "vanishing", "rank_over_frac", "order", "field", "quotient",
                  "character", "convention")
 
     def __init__(self, degree: int, vanishing: bool, rank_over_frac: int, order: LaurentPoly,
-                 field: CoefficientField, quotient: FiniteQuotient, character: Character,
+                 field: CoefficientField, quotient: ImageAction, character: Character,
                  convention: str = CONVENTION):
         self.degree = degree
         self.vanishing = vanishing
@@ -295,13 +294,12 @@ def _fundamental_formula_holds(rep: Representation,
     exactly over Z in time linear in the terms; only the blocks of the
     generators that r contains are read.
     """
-    table = rep.quotient.group.table
-    images, values = rep.quotient.gen_images, rep.character.values
+    perms, values = rep.action.perms, rep.character.values
     total: dict[tuple[int, int], int] = {}
     for i, block in blocks.items():
-        a, s = images[i], values[i]
+        perm, s = perms[i], values[i]
         for g, shifts in block.items():
-            h = table[g][a]
+            h = perm[g]
             for k, c in shifts.items():
                 total[h, k + s] = total.get((h, k + s), 0) + c
                 total[g, k] = total.get((g, k), 0) - c
@@ -312,16 +310,13 @@ class IntegralChain:
     """The twisted chain of one quotient over Z[t^{+-1}], before any field.
 
     b1 and b2 are the rows of `SparseMatrix`, column -> {exponent: int},
-    and walk is (d, copies) of the closed form of H0.  `minor` is (k, s) of
-    the block t^s P - I of b1 that `_unit_minor` reads from its rows, or
-    None, as for a chain built by hand.  None of them, nor the
+    and d, with dZ = chi(ker alpha), gives the closed form of H0.  `minor`
+    is (k, s) of the block t^s P - I of b1 that `_unit_minor` reads from its
+    rows, or None, as for a chain built by hand.  None of them, nor the
     representation, depends on the coefficient field; `over` reads them over
     one.  `proved` maps "b2", and "b1" where b1 has no unit minor, to the
     largest rank that a chain read over some F_p proved, with that field,
     for the chains read over Q.
-    `source` is the quotient as it was given to `integral_chain`, before
-    its restriction to the image, which a reproducer names; None for a
-    chain built by hand, whose reproducer names its representation's.
     `b2_less` makes the rows of b2 less the minor's column block on first
     use, and `b2_form` eliminates b2 over Z[t^{+-1}] on first use, to
     b2 ~ D (+) R there (see `polyalg.integral_diagonal_form`); both are kept
@@ -329,19 +324,16 @@ class IntegralChain:
     each field reduces before it finishes the residual R, usually empty.
     """
 
-    __slots__ = ("representation", "b1", "b2", "walk", "minor", "source", "proved",
-                 "_b2_less", "_b2_form")
+    __slots__ = ("representation", "b1", "b2", "d", "minor", "proved", "_b2_less", "_b2_form")
 
     def __init__(self, representation: Representation,
                  b1: list[dict[int, dict[int, int]]], b2: list[dict[int, dict[int, int]]],
-                 walk: tuple[int, int], minor: tuple[int, int] | None = None,
-                 source: FiniteQuotient | None = None):
+                 d: int, minor: tuple[int, int] | None = None):
         self.representation = representation
         self.b1 = b1
         self.b2 = b2
-        self.walk = walk
+        self.d = d
         self.minor = minor
-        self.source = source
         self.proved: dict[str, tuple[int, CoefficientField]] = {}
         self._b2_less: list[dict[int, dict[int, int]]] | None = None
         self._b2_form: IntegralDiagonal | None = None
@@ -352,7 +344,7 @@ class IntegralChain:
         It keeps this chain and shares its rows: nothing is copied or reduced
         here, and the field is that of b1 and b2.
         """
-        p, n = self.representation.presentation, self.representation.dim
+        p, n = self.representation.presentation, self.representation.action.order
         g = p.generator_count
         return TwistedChain(self, SparseMatrix(field, self.b1, g * n, n),
                             SparseMatrix(field, self.b2, len(p.relators) * n, g * n))
@@ -362,7 +354,7 @@ class IntegralChain:
         columns moved down one block, made once for every field; they share
         b2's entry dicts."""
         if self._b2_less is None:
-            n, k = self.representation.dim, self.minor[0]
+            n, k = self.representation.action.order, self.minor[0]
             lo, hi = k * n, (k + 1) * n
             self._b2_less = [{j if j < lo else j - n: f for j, f in row.items() if not lo <= j < hi}
                              for row in self.b2]
@@ -371,47 +363,58 @@ class IntegralChain:
     def b2_form(self) -> IntegralDiagonal:
         """b2 ~ D (+) R over Z[t^{+-1}] by `integral_diagonal_form`, taken once for every field."""
         if self._b2_form is None:
-            p, n = self.representation.presentation, self.representation.dim
+            p, n = self.representation.presentation, self.representation.action.order
             self._b2_form = integral_diagonal_form(self.b2, len(p.relators) * n,
                                                    p.generator_count * n)
         return self._b2_form
 
 
-def _assemble(rep: Representation, source: FiniteQuotient | None = None) -> IntegralChain:
-    """Assemble both boundary matrices over Z from the group table, after checking the chain condition.
+def _assemble(rep: Representation) -> IntegralChain:
+    """Assemble both boundary matrices over Z from the image's action, after checking the chain condition.
 
     Block (j, i) of b2 is sum_g f_{i,g} P(g), with f_{i,g} from one
-    `fox_images` walk along relator j: f_{i,g} at (q, q*g) for every q, and
-    no block where relator j lacks x_i, so a row costs its relator's terms.
-    Block i of b1 is t^{chi_i} P(alpha(x_i)) - I.  Every relator's images
-    must satisfy the fundamental formula in Z[Q x Z], which is b2 @ b1 = 0
-    over every coefficient field; no matrix is multiplied.  Entries that
-    are the same polynomial share one dict, which nothing changes.  The
-    unit minor of b1 is read from the rows made here, once for every field.
+    `fox_images` walk along relator j: f_{i,g} at (q, q*g) for every q, read
+    on g's column, and no block where relator j lacks x_i, so a row costs
+    its relator's terms.  Block i of b1 is t^{chi_i} P(alpha(x_i)) - I.
+    Every relator's images must satisfy the fundamental formula in Z[Q x Z],
+    which is b2 @ b1 = 0 over every coefficient field; no matrix is
+    multiplied.  Entries that are the same polynomial share one dict, which
+    nothing changes.  The unit minor of b1 is read from the rows made here,
+    once for every field.
     """
-    n = rep.dim
-    table = rep.quotient.group.table
+    n, perms, inverses = rep.action.order, rep.action.perms, rep.action.inverses
     relator_blocks = [fox_images(rep, r) for r in rep.presentation.relators]
     if not all(_fundamental_formula_holds(rep, blocks) for blocks in relator_blocks):
         raise InternalCheckError("chain condition b2 @ b1 = 0 violated")
     b1 = []
     minus_one = {0: -1}
-    for a, s in zip(rep.quotient.gen_images, rep.character.values):
+    for perm, s in zip(perms, rep.character.values):
         shift = {s: 1}
         for q in range(n):
-            if a:
-                qa = table[q][a]
+            if perm[0]:  # alpha(x_i) is not the identity
+                qa = perm[q]
                 b1.append({q: minus_one, qa: shift} if q < qa else {qa: shift, q: minus_one})
             else:  # zero when chi_i = 0 too
                 b1.append({q: {s: 1, 0: -1}} if s else {})
+    # Column g, [q*g for each point q], for every g that a prefix of a relator
+    # reaches: the action is regular, so a column is known by its entry g at
+    # 0, and each new one is composed from the last, n reads.
+    columns = {0: list(range(n))}
+    for r in rep.presentation.relators:
+        column = columns[0]
+        for x in r.letters:
+            perm = perms[x - 1] if x > 0 else inverses[-x - 1]
+            g = perm[column[0]]
+            if g not in columns:
+                columns[g] = list(map(perm.__getitem__, column))
+            column = columns[g]
     b2 = []
     for blocks in relator_blocks:
-        terms = [(i * n, g, f) for i, block in blocks.items() for g, shifts in block.items()
-                 if (f := {k: c for k, c in shifts.items() if c})]
+        terms = [(i * n, columns[g], f) for i, block in blocks.items()
+                 for g, shifts in block.items() if (f := {k: c for k, c in shifts.items() if c})]
         for q in range(n):
-            row_q = table[q]
-            b2.append(dict(sorted([(i0 + row_q[g], f) for i0, g, f in terms])))
-    return IntegralChain(rep, b1, b2, _h0_walk(rep), _unit_minor(b1, n), source)
+            b2.append(dict(sorted([(i0 + column_g[q], f) for i0, column_g, f in terms])))
+    return IntegralChain(rep, b1, b2, _h0_walk(rep), _unit_minor(b1, n))
 
 
 def h1_vanishing(c: TwistedChain) -> tuple[bool, int]:
@@ -421,36 +424,36 @@ def h1_vanishing(c: TwistedChain) -> tuple[bool, int]:
     return rank_h1 > 0, rank_h1
 
 
-def _h0_walk(rep: Representation) -> tuple[int, int]:
-    """(d, copies), where dZ = chi(ker alpha) and copies = |Q : im alpha|.
+def _h0_walk(rep: Representation) -> int:
+    """d, where dZ = chi(ker alpha).
 
-    A breadth-first walk over the image of alpha gives each element g the
+    A breadth-first walk over the image's action gives each element g the
     character value h(g) of its tree path.  Each edge g -> g*alpha(x_i) off
     the tree closes a Schreier generator of the kernel, of character value
     h(g) + chi_i - h(g*alpha(x_i)), and d is their gcd.
     """
-    table, images, values = rep.quotient.group.table, rep.quotient.gen_images, rep.character.values
+    perms, values = rep.action.perms, rep.character.values
     height, walk, d = {0: 0}, [0], 0
     for g in walk:
-        for x, k in zip(images, values):
-            h, y = height[g] + k, table[g][x]
+        for perm, k in zip(perms, values):
+            h, y = height[g] + k, perm[g]
             if y in height:
                 d = gcd(d, h - height[y])
             else:
                 height[y] = h
                 walk.append(y)
-    return d, rep.dim // len(walk)
+    return d
 
 
 def _h0_closed_form(c: TwistedChain) -> tuple[int, int, LaurentPoly]:
-    """(d, rank H0, ord H0): each of the |Q : im alpha| orbits contributes
-    F[t^{+-1}]/(t^d - 1) to H0, with d from `_h0_walk`."""
-    d, copies = c.integral.walk
+    """(d, rank H0, ord H0): the image's action is transitive, so H0 is
+    F[t^{+-1}]/(t^d - 1), with d from `_h0_walk`."""
+    d = c.integral.d
     field = c.b1.field
     if d == 0:
-        return 0, copies, LaurentPoly.zero(field)
+        return 0, 1, LaurentPoly.zero(field)
     # monic, t^0 term: canonical over every field
-    return d, 0, LaurentPoly.from_int_coeffs(field, int_power({d: 1, 0: -1}, copies))
+    return d, 0, LaurentPoly.from_int_coeffs(field, {d: 1, 0: -1})
 
 
 def _h1_order(c: TwistedChain) -> LaurentPoly:
@@ -478,7 +481,7 @@ def h0_report(c: TwistedChain) -> AlexanderReport:
             + _diagnostic(c, rank_h0, order, f"d: {d} (closed-form rank {closed_rank})")
         )
     return AlexanderReport(0, rank_h0 > 0, rank_h0, order, c.b1.field,
-                           c.representation.quotient, c.representation.character)
+                           c.representation.action, c.representation.character)
 
 
 def _diagnostic(c: TwistedChain, rank: int, order: LaurentPoly, detail: str) -> str:
@@ -487,21 +490,21 @@ def _diagnostic(c: TwistedChain, rank: int, order: LaurentPoly, detail: str) -> 
     gave rank b1, and the matrix that rank b2 was read on, with its shape;
     no matrix entries.  It ends with an `alex` command line for the same
     presentation, character, field and quotient, the quotient as the chain
-    was given it (`alex` restricts it to its image again)."""
+    was given it (`alex` reads its image again)."""
     rep, cache = c.representation, c._cache
     p = rep.presentation
-    q = rep.quotient
+    q = rep.action
     return "\n".join([
         f"presentation: {render_presentation(p).replace(chr(10), ' | ')}",
         f"character: {render_character(p, rep.character)}",
-        f"quotient: {q.group.name} (order {q.group.order}), images {list(q.gen_images)}",
+        f"quotient: {q.name} (order {q.order}), images {list(q.gen_images)}",
         f"field: {c.b1.field.name}",
         f"b1: {c.b1.rows}x{c.b1.cols}, b2: {c.b2.rows}x{c.b2.cols}",
         *(f"rank of {key}: {cache[key][0]} {cache[key][1]}" for key in ("b1", "b2") if key in cache),
         f"rank over Frac: {rank}",
         f"order: {order.render()}",
         detail,
-        "reproduce: " + _alex_command(p, rep.character, c.integral.source or q, c.b1.field),
+        "reproduce: " + _alex_command(p, rep.character, rep.quotient, c.b1.field),
     ])
 
 
@@ -546,17 +549,16 @@ def _h1_report(c: TwistedChain) -> AlexanderReport:
                           + f"] ({from_z} entries from Z, {residual})")
         )
     return AlexanderReport(1, vanishing, rank_h1, order, c.b1.field,
-                           c.representation.quotient, c.representation.character)
+                           c.representation.action, c.representation.character)
 
 
 def integral_chain(p: Presentation, chi: Character, q: FiniteQuotient) -> IntegralChain:
     """Everything of the chain that no field changes, once per quotient.
 
-    The quotient is restricted to its image and every relator must map to
-    the identity; then `_assemble` assembles b1 and b2 over Z and
-    walks H0.  The chain keeps q as given, for reproducers.
+    Every relator must map to the identity; then `_assemble` assembles b1
+    and b2 over Z from the action of q's image and walks H0.
     """
-    return _assemble(build_representation(p, chi, restrict_to_image(p, q)), q)
+    return _assemble(build_representation(p, chi, q))
 
 
 def chain_reports(c: TwistedChain) -> list[AlexanderReport]:

@@ -200,8 +200,8 @@ def _cmd_alex(args, out) -> int:
         out.write(f"wrote {args.json}\n")
     out.write(f"presentation: {render_presentation(p).replace(chr(10), ' | ')}\n")
     out.write(f"character: {render_character(p, chi)}\n")
-    q = reports[0].quotient
-    out.write(f"quotient: {q.group.name} (order {q.group.order}), images {list(q.gen_images)}\n")
+    action = reports[0].quotient
+    out.write(f"quotient: {action.name} (order {action.order}), images {list(action.gen_images)}\n")
     out.write(f"field: {f.name}\nconvention: {CONVENTION}\n")
     _print_reports(p, reports, out)
     return EXIT_OK

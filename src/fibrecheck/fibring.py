@@ -23,7 +23,8 @@ character and the representation, not of the presentation: Wada 1994,
 Kirk-Livingston 1999).  The module depends only on the kernel, which
 `kernel_key` labels, so a kept quotient whose key lies in the orbit of a
 representative q has the reports of q, field by field, with its own label,
-and its job would stop after the same field.  The output is byte for byte
+that of its image's permutation action (`quotients.image_action`), and its
+job would stop after the same field.  The output is byte for byte
 that of computing every job; both routes check the representative.  The
 maps generate a finite group, whose orbits are the closures under any
 generating set of it, so orbits are registered with `words.generating_subset`
@@ -43,9 +44,9 @@ from .quotients import (
     FiniteGroup,
     FiniteQuotient,
     build_catalog,
+    image_action,
     kernel_key,
     keyed_homs,
-    restrict_to_image,
     trivial_quotient,
 )
 from .words import (Character, Presentation, generating_subset, generator_symmetries,
@@ -191,7 +192,7 @@ def _scan_job(args) -> list[AlexanderReport]:
 
     `scan` runs this only for the representative of each orbit of the
     chi-fixing symmetries; every other kept quotient of the orbit takes
-    these reports relabelled with its own `restrict_to_image` quotient.
+    these reports relabelled with its own `image_action`.
     That is exact, like the minus direction: its chain computes the
     homology of isomorphic modules (see the module docstring).
     """
@@ -258,7 +259,7 @@ def scan(cfg: ScanConfig, jobs: int = 1) -> FibringVerdict:
             if rep is None:
                 chunk = compute(q)
             else:
-                label = restrict_to_image(cfg.presentation, q)
+                label = image_action(q)
                 chunk = [AlexanderReport(r.degree, r.vanishing, r.rank_over_frac, r.order,
                                          r.field, label, r.character) for r in chunks[rep]]
             chunks.append(chunk)
@@ -298,8 +299,8 @@ def scan(cfg: ScanConfig, jobs: int = 1) -> FibringVerdict:
         status = "obstructed"
         interpretation = (
             "A vanishing degree-1 twisted Alexander polynomial was found.",
-            f"Witness: quotient {witness.quotient.group.name} (order "
-            f"{witness.quotient.group.order}) over {witness.field.name}, character "
+            f"Witness: quotient {witness.quotient.name} (order "
+            f"{witness.quotient.order}) over {witness.field.name}, character "
             f"{render_character(cfg.presentation, witness.character)}.",
             "Unconditionally, the character is not FP1-semi-fibred; kernel not "
             "finitely generated.",
@@ -481,7 +482,7 @@ def emit_report(v: FibringVerdict, format: str = "text") -> str:
     if v.witness is not None:
         w = v.witness
         lines.append(
-            f"witness: quotient {w.quotient.group.name} (order {w.quotient.group.order}), "
+            f"witness: quotient {w.quotient.name} (order {w.quotient.order}), "
             f"field {w.field.name}, degree 1, character {character(w.character)}"
         )
     lines.append("interpretation:")
@@ -491,7 +492,7 @@ def emit_report(v: FibringVerdict, format: str = "text") -> str:
     lines.append(f"reports: {len(v.reports)} computed, {vanish_count} vanishing")
     for r in v.reports:
         lines.append(
-            f"  [{r.quotient.group.name} ord {r.quotient.group.order} | {r.field.name} | "
+            f"  [{r.quotient.name} ord {r.quotient.order} | {r.field.name} | "
             f"{character(r.character)}] deg {r.degree}: "
             f"{'VANISHING' if r.vanishing else 'nonvanishing'}, rank {r.rank_over_frac}, "
             f"order {order(r.order)}"

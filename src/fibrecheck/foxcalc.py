@@ -1,12 +1,13 @@
-"""Images of Fox derivatives in the group ring of Q x Z, read off the group table.
+"""Images of Fox derivatives in the group ring of Q x Z, read off the image's action.
 
 Words act through g |-> t^{chi(g)} * P(alpha(g)), where P is the right
-regular permutation representation of the finite quotient.  The image of a
-word w is therefore a monomial matrix, with t^{chi(w)} at the entries
-(q, q*alpha(w)) for every element q, and the image of a Fox derivative is
-sum_g f_g * P(g), one Laurent polynomial f_g per image g.  `fox_images`
+regular permutation representation of the image Q of the quotient, read off
+its permutations (`quotients.image_action`).  The image of a word w is
+therefore a monomial matrix, with t^{chi(w)} at the entries (q, q*alpha(w))
+for every element q, and the image of a Fox derivative is sum_g f_g * P(g),
+one Laurent polynomial f_g per element g.  `fox_images`
 reads every f_g of one relator in a single walk along it, carrying the
-prefix's (alpha, chi) through the group table: no Fox derivative is formed
+prefix's (alpha, chi) along the permutations: no Fox derivative is formed
 in the free group ring, no word is formed and no matrix is multiplied.  Its
 result is sparse, {i: block} for the generators x_i that the relator
 contains, so the walk and everything that reads its blocks cost one step
@@ -20,7 +21,7 @@ that string.
 
 from __future__ import annotations
 
-from .quotients import FiniteQuotient
+from .quotients import FiniteQuotient, ImageAction, image_action
 from .words import Character, Presentation, Word
 
 __all__ = [
@@ -36,22 +37,20 @@ CONVENTION = "row-right"
 class Representation:
     """The action w |-> t^{chi(w)} P(alpha(w)) of a presentation over Z.
 
-    Its matrices are monomial with integer entries, so one representation
+    `quotient` is alpha as given, and P is read off `action`, its image's.
+    The matrices are monomial with integer entries, so one representation
     serves every coefficient field: a chain reads it over a field only
     through its boundary matrices.
     """
 
-    __slots__ = ("presentation", "character", "quotient")
+    __slots__ = ("presentation", "character", "quotient", "action")
 
     def __init__(self, presentation: Presentation, character: Character,
-                 quotient: FiniteQuotient):
+                 quotient: FiniteQuotient, action: ImageAction):
         self.presentation = presentation
         self.character = character
         self.quotient = quotient
-
-    @property
-    def dim(self) -> int:
-        return self.quotient.group.order
+        self.action = action
 
 
 def build_representation(p: Presentation, chi: Character, q: FiniteQuotient) -> Representation:
@@ -63,7 +62,7 @@ def build_representation(p: Presentation, chi: Character, q: FiniteQuotient) -> 
     for j, r in enumerate(p.relators):
         if q.group.word_image(r, q.gen_images) != 0 or chi.of_word(r) != 0:
             raise ValueError(f"relator not killed: relator {j + 1} does not map to the identity")
-    return Representation(p, chi, q)
+    return Representation(p, chi, q, image_action(q))
 
 
 def fox_images(rep: Representation, r: Word) -> dict[int, dict[int, dict[int, int]]]:
@@ -72,13 +71,13 @@ def fox_images(rep: Representation, r: Word) -> dict[int, dict[int, dict[int, in
     The result maps the 0-based index i of each generator that r contains,
     in the order of its first letter, to its block: image g -> the integer
     coefficients {k: c} of f_{i,g} = sum c*t^k.  A generator that r lacks
-    has dr/dx_i = 0 and no block, so the walk costs one table read and one
-    dict update per letter.  With u the prefix before a letter, x_i adds
+    has dr/dx_i = 0 and no block, so the walk costs one permutation read and
+    one dict update per letter.  With u the prefix before a letter, x_i adds
     t^{chi(u)} at alpha(u), and x_i^-1 adds -t^{chi(u) - chi_i} at
     alpha(u)*alpha(x_i)^-1, the image of the prefix u*x_i^-1.
     """
-    group, images, values = rep.quotient.group, rep.quotient.gen_images, rep.character.values
-    table = group.table
+    action, values = rep.action, rep.character.values
+    perms, inverses = action.perms, action.inverses
     blocks: dict[int, dict[int, dict[int, int]]] = {}
     g = k = 0  # alpha and chi of the prefix
     for x in r.letters:
@@ -86,10 +85,10 @@ def fox_images(rep: Representation, r: Word) -> dict[int, dict[int, dict[int, in
             i = x - 1
             cell = blocks.setdefault(i, {}).setdefault(g, {})
             cell[k] = cell.get(k, 0) + 1
-            g, k = table[g][images[i]], k + values[i]
+            g, k = perms[i][g], k + values[i]
         else:
             i = -x - 1
-            g, k = table[g][group.inverse(images[i])], k - values[i]
+            g, k = inverses[i][g], k - values[i]
             cell = blocks.setdefault(i, {}).setdefault(g, {})
             cell[k] = cell.get(k, 0) - 1
     return blocks

@@ -11,7 +11,8 @@ Every table is checked for associativity by Light's test, and orders above
 `MAX_GROUP_ORDER` are refused before a table is built.  Homomorphisms are
 merged by `kernel_key`, a canonical label of the kernel; `keyed_homs` gives
 each homomorphism with its key, from the one walk of its image that also
-decides surjectivity.
+decides surjectivity.  A quotient's image is read as its action on its
+elements (`image_action`), not built as a group with a table.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ __all__ = [
     "MAX_GROUP_ORDER",
     "FiniteGroup",
     "FiniteQuotient",
+    "ImageAction",
     "trivial_group",
     "cyclic_group",
     "symmetric_group",
@@ -35,7 +37,7 @@ __all__ = [
     "image_closure",
     "kernel_key",
     "build_catalog",
-    "restrict_to_image",
+    "image_action",
 ]
 
 # Largest target order: that of S5.  A table holds order^2 entries, all built
@@ -99,7 +101,7 @@ def _is_associative(table: tuple[tuple[int, ...], ...]) -> bool:
 class FiniteGroup:
     """Finite group as a multiplication table with identity id 0."""
 
-    __slots__ = ("order", "table", "name", "perms", "_inverses")
+    __slots__ = ("order", "table", "name", "perms", "columns", "_inverses")
 
     def __init__(self, order: int, table: tuple[tuple[int, ...], ...], name: str,
                  perms: tuple[tuple[int, ...], ...] | None = None):
@@ -110,7 +112,8 @@ class FiniteGroup:
         if min(map(min, table)) < 0 or max(map(max, table)) >= n:
             raise ValueError("table entry out of range")
         identity = tuple(range(n))
-        if table[0] != identity or next(zip(*table)) != identity:
+        columns = tuple(zip(*table))
+        if table[0] != identity or columns[0] != identity:
             raise ValueError("id 0 is not an identity element")
         for g, row in enumerate(table):
             if 0 not in row:
@@ -121,6 +124,7 @@ class FiniteGroup:
         self.table = table
         self.name = name
         self.perms = perms  # set when built from permutations
+        self.columns = columns  # column a: right multiplication by a, g -> g*a
         self._inverses = tuple(row.index(0) for row in table)
 
     def _fields(self) -> tuple:
@@ -174,6 +178,36 @@ class FiniteQuotient:
         }
 
 
+class ImageAction:
+    """The image of a quotient as its right regular action on its points
+    0..order-1, the labels of its elements; `perms[i]` takes g to g*alpha(x_i)
+    and `inverses[i]` to g*alpha(x_i)^-1.  Its quotient label has the label
+    of alpha(x_i), perms[i][0], as gen_images[i]."""
+
+    __slots__ = ("name", "order", "perms", "inverses", "gen_images")
+
+    def __init__(self, name: str, order: int, perms: tuple[tuple[int, ...], ...],
+                 inverses: tuple[tuple[int, ...], ...]):
+        self.name = name
+        self.order = order
+        self.perms = perms
+        self.inverses = inverses
+        self.gen_images = tuple([perm[0] for perm in perms])
+
+    def _fields(self) -> tuple:
+        return self.name, self.order, self.perms, self.inverses
+
+    def __eq__(self, other):
+        return (self._fields() == other._fields() if other.__class__ is ImageAction
+                else NotImplemented)
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def label(self) -> dict:
+        return {"name": self.name, "order": self.order, "gen_images": list(self.gen_images)}
+
+
 def trivial_group() -> FiniteGroup:
     return FiniteGroup(1, ((0,),), "trivial")
 
@@ -204,6 +238,8 @@ def load_table_group(text: str, name: str) -> FiniteGroup:
         n = int(lines[0].split(":", 1)[1])
     except ValueError:
         raise ValueError("bad order line in table group file")
+    if n < 1:
+        raise ValueError(f"table group order {n} must be at least 1")
     _check_group_order(n, "table group order")
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} table rows, found {len(lines) - 1}")
@@ -320,18 +356,22 @@ def kernel_key(q: FiniteQuotient) -> tuple[tuple[int, ...], ...]:
     return _kernel_key(q.group.table, q.gen_images)
 
 
-def restrict_to_image(p: Presentation, q: FiniteQuotient) -> FiniteQuotient:
-    """Replace a non-surjective quotient by its image subgroup's table."""
+def image_action(q: FiniteQuotient) -> ImageAction:
+    """The action of q's image on its elements in ascending ambient id, read
+    off the target's columns in O(order * generators), and named for the
+    target where q is onto it, else "trivial" or "<target>>im<order>"."""
+    group, images = q.group, q.gen_images
+    columns = group.columns
+    forward = [columns[a] for a in images]
+    backward = [columns[group.inverse(a)] for a in images]
     if q.surjective:
-        return q
-    elements = sorted(_labels(q.group.table, q.gen_images))
-    index = {e: i for i, e in enumerate(elements)}
-    table = tuple(
-        tuple(index[q.group.mul(a, b)] for b in elements) for a in elements
-    )
-    name = "trivial" if len(elements) == 1 else f"{q.group.name}>im{len(elements)}"
-    sub = FiniteGroup(len(elements), table, name)
-    return FiniteQuotient(sub, tuple(index[e] for e in q.gen_images), True)
+        return ImageAction(group.name, group.order, tuple(forward), tuple(backward))
+    elements = sorted(_labels(group.table, images))
+    n = len(elements)
+    label = dict(zip(elements, range(n)))
+    return ImageAction("trivial" if n == 1 else f"{group.name}>im{n}", n,
+                       tuple([tuple([label[column[e]] for e in elements]) for column in forward]),
+                       tuple([tuple([label[column[e]] for e in elements]) for column in backward]))
 
 
 def build_catalog(max_order: int, extra: list[FiniteGroup] | None = None) -> tuple[FiniteGroup, ...]:

@@ -8,16 +8,21 @@ multiply and stack them, and hand them to the same kernels; `to_dense` reads
 a sparse matrix into one.
 
 The chain of a quotient is filled by `fibrecheck.alexander` from one walk
-per relator (`fibrecheck.foxcalc.fox_images`), over Z, and read over each
-field by `IntegralChain.over`; `chain_over` makes such a chain from a given
-representation.  This module keeps two older routes as references.
+per relator (`fibrecheck.foxcalc.fox_images`), over Z, on the permutations
+of the image's right regular action (`fibrecheck.quotients.image_action`),
+and read over each field by `IntegralChain.over`; `chain_over` makes such a
+chain from a given representation.  This module keeps two older routes as
+references, both read off the target's multiplication table and neither off
+the action.  They work in the image of the quotient, whose elements
+`image_elements` finds by closing the generator images under the table's
+products and labels in ascending ambient id, as the program does.
 `evaluate` maps each word of a group-ring element to the monomial matrix
 t^{chi(w)} P(alpha(w)), with alpha(w) read off the group table.
 `DenseRepresentation` multiplies one dense n x n matrix per generator and
-per inverse, from `regular_representation`, letter by letter, and a
-group-ring element's image is the sum of its scaled word images.  The tests
-compare the routes entry for entry, and `DenseRepresentation` also takes
-generator matrices of another convention, such as the transposed one.
+per inverse, from the table, letter by letter, and a group-ring element's
+image is the sum of its scaled word images.  The tests compare the routes
+entry for entry, and `DenseRepresentation` also takes generator matrices of
+another convention, such as the transposed one.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import Sequence
 from fibrecheck.alexander import IntegralChain, TwistedChain, _assemble, _h0_walk, _h1_order
 from fibrecheck.foxcalc import Representation
 from fibrecheck.polyalg import CoefficientField, LaurentPoly, SparseMatrix
-from fibrecheck.quotients import FiniteGroup
+from fibrecheck.quotients import FiniteGroup, FiniteQuotient
 from fibrecheck.words import Word
 from free_group_oracle import GroupRingElement, fox_derivative
 
@@ -168,11 +173,7 @@ def to_dense(m: SparseMatrix) -> PolyMatrix:
 
 
 def chain_over(rep: Representation, field: CoefficientField) -> TwistedChain:
-    """The chain of `rep` over `field`, with the quotient taken as given.
-
-    `fibrecheck.alexander.integral_chain` restricts the quotient to its image
-    first; this takes the representation as it is, as the oracles do.
-    """
+    """The chain of `rep` over `field`, as `fibrecheck.alexander.integral_chain` builds it."""
     return _assemble(rep).over(field)
 
 
@@ -185,27 +186,42 @@ def evaluate(rep: Representation, e: GroupRingElement, field: CoefficientField) 
     """Linear extension of the word action to group-ring elements, over `field`.
 
     The terms c*w are gathered by their image g = alpha(w) into one Laurent
-    polynomial f_g = sum c*t^{chi(w)}, and the image of e is sum_g f_g P(g):
-    f_g sits at (q, q*g) for every q, and distinct g fill distinct entries.
+    polynomial f_g = sum c*t^{chi(w)}, and the image of e is sum_g f_g P(g)
+    on the image of alpha: f_g sits at (q, q*g) for every element q of the
+    image, each labelled by `image_elements`, and distinct g fill distinct
+    entries.
     """
     group, images, chi = rep.quotient.group, rep.quotient.gen_images, rep.character
+    elements = image_elements(rep.quotient)
+    label = {e: i for i, e in enumerate(elements)}
     by_image: dict[int, dict[int, int]] = {}
     for w, c in e.terms.items():
         shifts = by_image.setdefault(group.word_image(w, images), {})
         k = chi.of_word(w)
         shifts[k] = shifts.get(k, 0) + c
-    out = PolyMatrix.zeros(field, rep.dim, rep.dim)
+    out = PolyMatrix.zeros(field, len(elements), len(elements))
     for g, shifts in by_image.items():
         f = LaurentPoly.from_int_coeffs(field, shifts)
-        for q in range(rep.dim):
-            out.entries[q][group.mul(q, g)] = f
+        for q, h in enumerate(elements):
+            out.entries[q][label[group.mul(h, g)]] = f
     return out
+
+
+def image_elements(q: FiniteQuotient) -> list[int]:
+    """The elements of q's image, in ascending ambient id: the generator
+    images closed under the table's products, from the identity."""
+    group = q.group
+    elements = {0}
+    while True:
+        grown = elements | {group.mul(e, a) for e in elements for a in q.gen_images}
+        if grown == elements:
+            return sorted(elements)
+        elements = grown
 
 
 def regular_representation(g: FiniteGroup, e: int) -> list[int]:
     """Right-multiplication permutation q -> q*e as a lookup list, from
-    `FiniteGroup.mul` one element at a time (the program reads it as a
-    column of the table)."""
+    `FiniteGroup.mul` one element at a time."""
     if not 0 <= e < g.order:
         raise ValueError(f"element id {e} out of range")
     return [g.mul(q, e) for q in range(g.order)]
@@ -224,17 +240,19 @@ class DenseRepresentation:
 
     @classmethod
     def of(cls, rep: Representation, field: CoefficientField) -> "DenseRepresentation":
-        """The matrices t^{chi(x_i)} P(alpha(x_i)) of the right regular action."""
-        group, n = rep.quotient.group, rep.dim
+        """The matrices t^{chi(x_i)} P(alpha(x_i)) of the right regular
+        action of the image, read off the table on `image_elements`."""
+        group = rep.quotient.group
+        elements = image_elements(rep.quotient)
+        label = {e: i for i, e in enumerate(elements)}
+        n = len(elements)
         matrices, inverses = [], []
         for e, k in zip(rep.quotient.gen_images, rep.character.values):
-            perm = regular_representation(group, e)
-            perm_inv = regular_representation(group, group.inverse(e))
             fwd = PolyMatrix.zeros(field, n, n)
             bwd = PolyMatrix.zeros(field, n, n)
-            for row in range(n):
-                fwd.entries[row][perm[row]] = LaurentPoly.term(field, 1, k)
-                bwd.entries[row][perm_inv[row]] = LaurentPoly.term(field, 1, -k)
+            for row, h in enumerate(elements):
+                fwd.entries[row][label[group.mul(h, e)]] = LaurentPoly.term(field, 1, k)
+                bwd.entries[row][label[group.mul(h, group.inverse(e))]] = LaurentPoly.term(field, 1, -k)
             matrices.append(fwd)
             inverses.append(bwd)
         return cls(field, n, matrices, inverses)

@@ -9,10 +9,11 @@ PROPERTY_TARGETS = [cyclic_group(m) for m in range(2, 7)] + [symmetric_group(3)]
 
 
 @st.composite
-def presentations_with_quotient(draw):
+def presentations_with_quotient(draw, targets=PROPERTY_TARGETS, onto=True):
     """2-3 generators, 1-2 short relators, each balanced to character sum 0
     by a power of a generator of character value +-1, and a homomorphism into
-    Z/2..Z/6 or S3, onto it where one exists."""
+    one of `targets`, by default Z/2..Z/6 or S3: onto it where one exists, or
+    any of them where `onto` is False."""
     g = draw(st.integers(2, 3))
     values = draw(st.lists(st.integers(-2, 2), min_size=g, max_size=g))
     j = draw(st.integers(1, g))
@@ -25,8 +26,8 @@ def presentations_with_quotient(draw):
         relators.append(Word.of(w.letters + (j if k > 0 else -j,) * abs(k)))
     p = Presentation(("a", "b", "c")[:g], tuple(relators))
     chi = validate_character(p, values)
-    homs = enumerate_homs(p, draw(st.sampled_from(PROPERTY_TARGETS)))
-    return p, chi, draw(st.sampled_from([h for h in homs if h.surjective] or homs))
+    homs = enumerate_homs(p, draw(st.sampled_from(targets)))
+    return p, chi, draw(st.sampled_from([h for h in homs if h.surjective or not onto] or homs))
 
 
 @st.composite

@@ -27,7 +27,6 @@ from fibrecheck.quotients import (
     cyclic_group,
     enumerate_homs,
     make_quotient,
-    restrict_to_image,
     symmetric_group,
     trivial_quotient,
 )
@@ -40,10 +39,12 @@ from fibrecheck.words import (
     render_presentation,
     validate_character,
 )
-from dense_oracle import DenseRepresentation, PolyMatrix, chain_over, dense_chain, h1_order, to_dense
-from free_group_oracle import tietze_variant
+from dense_oracle import (DenseRepresentation, PolyMatrix, chain_over, dense_chain, evaluate, h1_order,
+                          image_elements, to_dense)
+from free_group_oracle import GroupRingElement, fox_derivative, tietze_variant
 from quotient_oracle import same_kernel
-from random_presentations import presentations_with_quotient, symmetric_presentations_with_quotient
+from random_presentations import (PROPERTY_TARGETS, presentations_with_quotient,
+                                  symmetric_presentations_with_quotient)
 from smith_oracle import order_of, smith_normal_form
 
 Q = CoefficientField.rationals()
@@ -73,7 +74,7 @@ def _transposed(rep: Representation, field) -> DenseRepresentation:
             for m, v in zip(dense.inverses, rep.character.values)]
     invs = [shift_all(m.transpose(), -2 * v)
             for m, v in zip(dense.matrices, rep.character.values)]
-    return DenseRepresentation(field, rep.dim, mats, invs)
+    return DenseRepresentation(field, rep.action.order, mats, invs)
 
 
 def _chain(p, chi, q, field=Q):
@@ -269,7 +270,7 @@ def test_rational_f2xz_chains_hold_int_coefficients():
     checked = 0
     for q in kept:
         for c in (chi, chi.negate()):
-            chain = _chain(p, c, restrict_to_image(p, q))
+            chain = _chain(p, c, q)
             polys = [e for m in (chain.b1, chain.b2) for row in to_dense(m).entries for e in row]
             polys += diagonal_form(chain.b2).diagonal
             for e in polys:
@@ -292,7 +293,7 @@ def test_rank_and_snf_routes_agree_everywhere():
         sample = quotients if len(quotients) <= 8 else rng.sample(quotients, 8)
         for q in sample:
             for field in fields:
-                c = _chain(p, chi, restrict_to_image(p, q), field)
+                c = _chain(p, chi, q, field)
                 vanish, _ = h1_vanishing(c)
                 order = h1_order(c)
                 assert vanish == order.is_zero, (name, q.gen_images, field.name)
@@ -586,7 +587,6 @@ def test_random_commutator_battery():
             vanish, _ = h1_vanishing(chain)
             assert vanish == h1_order(chain).is_zero
         for q in enumerate_homs(p, cyclic_group(2))[:3]:
-            q = restrict_to_image(p, q)
             twisted = full_report(p, chi, q, Q)[1]
             sub = rewrite_subgroup(p, q, chi)
             untwisted = full_report(sub.presentation, sub.restricted_character,
@@ -619,7 +619,7 @@ def test_minus_fold_and_b2_order_match_full_computation():
                 derived = _scan_job((p, chi, q, (field,)))[2:]
                 computed = full_report(p, chi.negate(), q, field)
                 assert derived == computed, (q.label(), field.name)
-                chain = _chain(p, chi, restrict_to_image(p, q), field)
+                chain = _chain(p, chi, q, field)
                 assert h1_order(chain) == kernel_route_h1_order(chain), (q.label(), field.name)
                 checked += 1
     assert checked == 300
@@ -654,6 +654,45 @@ def test_monomial_chain_matches_dense_oracle(field, data):
     dense = dense_chain(DenseRepresentation.of(rep, field), rep)
     assert to_dense(chain.b1) == dense.b1
     assert to_dense(chain.b2) == dense.b2
+
+
+def _assert_rows_match_the_table_oracle(p, chi, q):
+    """b1 and b2 of the chain, read off the image's action, against the Fox
+    derivatives evaluated over the target's table by `evaluate`, on the
+    image's elements in ascending ambient id."""
+    rep = build_representation(p, chi, q)
+    chain = chain_over(rep, Q)
+    one = GroupRingElement.of_word(Word())
+    b1 = PolyMatrix.vstack([evaluate(rep, GroupRingElement.of_word(Word((i,))) - one, Q)
+                            for i in range(1, p.generator_count + 1)])
+    b2 = PolyMatrix.vstack([PolyMatrix.hstack([evaluate(rep, fox_derivative(r, i), Q)
+                                               for i in range(1, p.generator_count + 1)])
+                            for r in p.relators] or [PolyMatrix.zeros(Q, 0, b1.rows)])
+    assert to_dense(chain.b1) == b1, q.label()
+    assert to_dense(chain.b2) == b2, q.label()
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_chain_rows_match_the_table_oracle_on_any_image(data):
+    # Any homomorphism into S4 or a property target, onto it or not, so
+    # images such as D4, A4 and S3 in S4 are drawn too.
+    p, chi, q = data.draw(presentations_with_quotient(PROPERTY_TARGETS + [symmetric_group(4)],
+                                                      onto=False))
+    _assert_rows_match_the_table_oracle(p, chi, q)
+
+
+def test_chain_rows_match_the_table_oracle_on_every_subgroup_of_s4_that_f2xz_reaches():
+    # One homomorphism of f2xz into S4 per image: every order from 1 to 24
+    # that a subgroup of S4 has, D4, A4 and S3 among them.
+    p, chi = load_fixture("f2xz")
+    s4 = symmetric_group(4)
+    images = {}
+    for q in enumerate_homs(p, s4):
+        images.setdefault(tuple(image_elements(q)), q)
+    assert {len(e) for e in images} == {1, 2, 3, 4, 6, 8, 12, 24}
+    for q in images.values():
+        _assert_rows_match_the_table_oracle(p, chi, q)
 
 
 @pytest.mark.parametrize("field", [Q, F2, F3], ids=lambda f: f.name)

@@ -138,15 +138,16 @@ def test_untwist_check_of_a_relator_that_does_not_close_exits_3(monkeypatch, cap
     # letters, is a transposition, not the identity.  The run exits 3 with
     # the internal-check line, not a traceback.
     from fibrecheck import reidschreier
+    from fibrecheck.quotients import ImageAction
 
-    real = reidschreier.coset_action
+    real = reidschreier.image_action
 
-    def broken(p, q):
-        action = real(p, q)
-        fixed = (tuple(range(action.degree)),) * len(action.action)
-        return reidschreier.CosetAction(action.quotient, action.action, fixed)
+    def broken(q):
+        action = real(q)
+        fixed = (tuple(range(action.order)),) * len(action.perms)
+        return ImageAction(action.name, action.order, action.perms, fixed)
 
-    monkeypatch.setattr(reidschreier, "coset_action", broken)
+    monkeypatch.setattr(reidschreier, "image_action", broken)
     code, out = run_cli(["untwist-check", "--fixture", "trefoil", "--quotient", "s3:2,1"])
     assert code == 3 and out == ""
     assert capsys.readouterr().err.startswith(
@@ -258,6 +259,14 @@ def test_group_order_cap_exit_2_before_building(tmp_path, monkeypatch, capsys):
                  ["scan", "--fixture", "trefoil", "--max-quotient-order", str(n)]):
         assert run_cli(argv)[0] == 2, argv
         assert f"{n} is too large: at most {quotients.MAX_GROUP_ORDER}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_table_group_order_below_1_exits_2_at_the_order_line(n, tmp_path, capsys):
+    table = tmp_path / "bad.txt"
+    table.write_text(f"order: {n}\n")
+    assert run_cli(["homs", "--fixture", "f:2", "--target", f"file:{table}"])[0] == 2
+    assert capsys.readouterr().err == f"error: table group order {n} must be at least 1\n"
 
 
 def test_field_prime_cap_exit_2_before_primality_test(monkeypatch, capsys):

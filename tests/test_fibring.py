@@ -50,7 +50,7 @@ def test_scan_obstructed_f2xz():
     v = scan(ScanConfig(presentation=p, character=chi, max_quotient_order=6))
     assert v.status == "obstructed"
     assert v.witness is not None
-    assert v.witness.quotient.group.name == "trivial"
+    assert v.witness.quotient.name == "trivial"
     assert v.witness.vanishing and v.witness.degree == 1
     assert any("not FP1-semi-fibred; kernel not finitely generated" in line
                for line in v.interpretation)
@@ -64,7 +64,7 @@ def test_scan_obstructed_surface_group():
     p, chi = load_fixture("surface:2")
     v = scan(ScanConfig(presentation=p, character=chi, max_quotient_order=2))
     assert v.status == "obstructed"
-    assert v.witness.quotient.group.name == "trivial"
+    assert v.witness.quotient.name == "trivial"
     assert v.witness.rank_over_frac == 2
 
 
@@ -115,15 +115,15 @@ def test_scan_obstructed_witness_reproducible():
     # the vanishing verdict through both code paths.
     from fibrecheck.alexander import h1_vanishing
     from fibrecheck.foxcalc import build_representation
-    from fibrecheck.quotients import restrict_to_image
+    from fibrecheck.quotients import image_action
     from dense_oracle import chain_over, h1_order
 
     p, _ = load_fixture("f2xz")
     chi = validate_character(p, [1, 0, 0])
     v = scan(ScanConfig(presentation=p, character=chi, max_quotient_order=4))
-    w = v.witness
-    chain = chain_over(build_representation(
-        p, w.character, restrict_to_image(p, w.quotient)), w.field)
+    w, q = v.witness, v.tested_quotients[-1]
+    assert image_action(q) == w.quotient
+    chain = chain_over(build_representation(p, w.character, q), w.field)
     vanish, _ = h1_vanishing(chain)
     assert vanish
     assert h1_order(chain).is_zero
@@ -427,6 +427,27 @@ def test_a_scan_walks_each_homomorphisms_image_once(monkeypatch):
     assert walks == homs - Counter([trivial]) + keys
 
 
+def test_a_scan_builds_a_finite_group_only_for_its_targets(monkeypatch):
+    # Every kept quotient is read as its image's action off its target's
+    # table, so the trefoil scan to order 24 builds a FiniteGroup, and runs
+    # Light's test, for the trivial group and the catalog's targets only,
+    # not for the image S4>im12 or any other.
+    from fibrecheck import quotients
+
+    catalog = quotients.build_catalog(24)
+    built, tested = [], []
+    init, light = quotients.FiniteGroup.__init__, quotients._is_associative
+    monkeypatch.setattr(quotients.FiniteGroup, "__init__",
+                        lambda self, order, table, name, perms=None:
+                        built.append(name) or init(self, order, table, name, perms))
+    monkeypatch.setattr(quotients, "_is_associative", lambda table: tested.append(len(table)) or light(table))
+    p, chi = load_fixture("trefoil")
+    v = scan(ScanConfig(presentation=p, character=chi, max_quotient_order=24, fields=(F3,)))
+    assert sorted(built) == sorted(["trivial"] + [g.name for g in catalog])
+    assert sorted(tested) == sorted([1] + [g.order for g in catalog])
+    assert "S4>im12" in {r.quotient.name for r in v.reports}
+
+
 def test_reproducer_names_the_quotient_that_was_computed(monkeypatch):
     # A failed cross-check ends with an `alex` line for the quotient as given,
     # s4:1,2,0, not its restriction S4>im6, which `alex` cannot parse; in a
@@ -442,7 +463,7 @@ def test_reproducer_names_the_quotient_that_was_computed(monkeypatch):
     from fibrecheck import fibring
     from fibrecheck.alexander import InternalCheckError, TwistedChain, full_report
     from fibrecheck.cli import _parse_quotient
-    from fibrecheck.quotients import make_quotient, restrict_to_image, symmetric_group
+    from fibrecheck.quotients import image_action, make_quotient, symmetric_group
 
     def argument(message, flag):
         line = message.splitlines()[-1]
@@ -477,7 +498,7 @@ def test_reproducer_names_the_quotient_that_was_computed(monkeypatch):
     with pytest.raises(InternalCheckError) as err:
         scan(ScanConfig(presentation=p, character=chi, max_quotient_order=4))
     assert _parse_quotient(p, argument(str(err.value), "--quotient")) == built[-1]
-    assert restrict_to_image(p, built[-1]).group.order == 4
+    assert image_action(built[-1]).order == 4
 
 
 @settings(max_examples=4)

@@ -176,7 +176,7 @@ def test_phi_is_homomorphism():
     q = make_quotient(TREFOIL, symmetric_group(3), (2, 1))
     rep = build_representation(TREFOIL, chi, q)
     rng = random.Random(13)
-    ident = PolyMatrix.identity(Q, rep.dim)
+    ident = PolyMatrix.identity(Q, rep.action.order)
     for _ in range(25):
         u, v = _random_word(rng, max_len=6), _random_word(rng, max_len=6)
         assert _image(rep, u * v) == _image(rep, u) @ _image(rep, v)
@@ -206,9 +206,9 @@ def test_fundamental_identity_after_evaluation():
 
     q = make_quotient(TREFOIL, symmetric_group(3), (2, 1))
     rep = build_representation(TREFOIL, chi, q)
-    ident = PolyMatrix.identity(Q, rep.dim)
+    ident = PolyMatrix.identity(Q, rep.action.order)
     for r in TREFOIL.relators:
-        total = PolyMatrix.zeros(Q, rep.dim, rep.dim)
+        total = PolyMatrix.zeros(Q, rep.action.order, rep.action.order)
         for i in (1, 2):
             total = total + evaluate(rep, fox_derivative(r, i), Q) @ (_image(rep, Word((i,))) - ident)
         assert total.is_zero

@@ -164,7 +164,7 @@ def test_rank_lower_bound_falls_back_at_a_root(monkeypatch):
     for field in (Q, F101):
         b1 = PolyMatrix(field, [[P(field, {1: 1, 0: -EVALUATION_POINT})]])
         assert rank_lower_bound(b1) == 0
-        chain = TwistedChain(IntegralChain(None, [], [], (0, 1)), b1, PolyMatrix.zeros(field, 0, 1))
+        chain = TwistedChain(IntegralChain(None, [], [], 0), b1, PolyMatrix.zeros(field, 0, 1))
         assert chain.rank_b1() == 1 and chain.rank_b2() == 0
     assert [m.rows for m in calls] == [1, 1]
 

@@ -10,12 +10,12 @@ from fibrecheck.quotients import (
     build_catalog,
     cyclic_group,
     enumerate_homs,
+    image_action,
     image_closure,
     kernel_key,
     keyed_homs,
     load_table_group,
     make_quotient,
-    restrict_to_image,
     symmetric_group,
     trivial_group,
     trivial_quotient,
@@ -212,15 +212,45 @@ def test_build_catalog_extras_dedup():
     assert orders == sorted(orders)
 
 
-def test_restrict_to_image():
+def test_image_action_restricts_to_the_image():
     q = make_quotient(Z, cyclic_group(4), (2,))
     assert not q.surjective
-    r = restrict_to_image(Z, q)
-    assert r.surjective and r.group.order == 2 and r.gen_images == (1,)
+    r = image_action(q)
+    assert (r.name, r.order, r.gen_images) == ("Z/4>im2", 2, (1,))
+    assert r.perms == r.inverses == ((1, 0),)
     # all-trivial images restrict to the trivial group
-    q0 = make_quotient(F2, cyclic_group(5), (0, 0))
-    r0 = restrict_to_image(F2, q0)
-    assert r0.group.name == "trivial" and r0.group.order == 1
+    r0 = image_action(make_quotient(F2, cyclic_group(5), (0, 0)))
+    assert r0.label() == {"name": "trivial", "order": 1, "gen_images": [0, 0]}
+    assert r0.perms == r0.inverses == ((0,), (0,))
+    # A surjective quotient keeps its target's ids: its permutations are the
+    # table's columns at the generator images and at their inverses.
+    s3 = symmetric_group(3)
+    r3 = image_action(make_quotient(F2, s3, (1, 3)))
+    assert (r3.name, r3.order, r3.gen_images) == ("S3", 6, (1, 3))
+    for a, perm, inverse in zip((1, 3), r3.perms, r3.inverses):
+        assert perm == tuple(row[a] for row in s3.table)
+        assert inverse == tuple(row[s3.inverse(a)] for row in s3.table)
+
+
+def test_image_action_labels_a_subgroup_of_s4_by_ascending_ambient_id():
+    # Every homomorphism of F2 into S4: the points of its action are the
+    # image's elements in ascending ambient id, and each permutation is right
+    # multiplication by a generator's image, or by its inverse, there.
+    s4 = symmetric_group(4)
+    orders = set()
+    for q in enumerate_homs(F2, s4):
+        r = image_action(q)
+        elements = sorted(image_closure(s4, q.gen_images))
+        label = {e: i for i, e in enumerate(elements)}
+        orders.add(r.order)
+        assert r.order == len(elements)
+        assert r.name == ("S4" if q.surjective else "trivial" if r.order == 1
+                          else f"S4>im{r.order}")
+        assert r.gen_images == tuple(label[a] for a in q.gen_images)
+        for a, perm, inverse in zip(q.gen_images, r.perms, r.inverses):
+            assert perm == tuple(label[s4.mul(e, a)] for e in elements)
+            assert inverse == tuple(label[s4.mul(e, s4.inverse(a))] for e in elements)
+    assert orders == {1, 2, 3, 4, 6, 8, 12, 24}
 
 
 def test_hom_counts_match_abelianization():
@@ -299,7 +329,7 @@ def test_quotients_reverified_through_representation():
     chi = validate_character(BS12, [0, 1])
     for target in (cyclic_group(4), symmetric_group(3)):
         for q in enumerate_homs(BS12, target):
-            build_representation(BS12, chi, restrict_to_image(BS12, q))
+            build_representation(BS12, chi, q)
 
 
 def test_trivial_quotient():

@@ -4,7 +4,8 @@ from fibrecheck.alexander import full_report
 from fibrecheck.polyalg import CoefficientField
 from fibrecheck.quotients import (FiniteGroup, cyclic_group, enumerate_homs, make_quotient,
                                   symmetric_group, trivial_quotient)
-from fibrecheck.reidschreier import coset_action, rewrite_subgroup
+from fibrecheck.quotients import image_action
+from fibrecheck.reidschreier import rewrite_subgroup
 from fibrecheck.words import Word, parse_presentation, validate_character
 from random_presentations import presentations_with_quotient
 
@@ -14,25 +15,23 @@ Z = parse_presentation("gens: t\nrels:")
 
 
 def test_coset_action_f2_z2():
-    chi = validate_character(F2, [0, 0])
     q = make_quotient(F2, cyclic_group(2), (1, 0))
-    act = coset_action(F2, q)
-    assert act.degree == 2
-    assert act.action[0] == (1, 0)
-    assert act.action[1] == (0, 1)
+    act = image_action(q)
+    assert act.order == 2
+    assert act.perms == act.inverses == ((1, 0), (0, 1))
 
 
 def test_coset_action_z_mod3():
     q = make_quotient(Z, cyclic_group(3), (1,))
-    act = coset_action(Z, q)
-    assert act.degree == 3
-    assert act.action[0] == (1, 2, 0)
+    act = image_action(q)
+    assert act.order == 3
+    assert act.perms == ((1, 2, 0),) and act.inverses == ((2, 0, 1),)
 
 
 def test_coset_action_trivial():
-    act = coset_action(BS12, trivial_quotient(BS12))
-    assert act.degree == 1
-    assert act.action == ((0,), (0,))
+    act = image_action(trivial_quotient(BS12))
+    assert act.order == 1
+    assert act.perms == act.inverses == ((0,), (0,))
 
 
 def test_rewrite_f2_index2():
@@ -105,7 +104,7 @@ def test_rewritten_relators_fix_cosets():
     p = BS12
     chi = validate_character(p, [0, 1])
     q = make_quotient(p, cyclic_group(3), (0, 1))
-    act = coset_action(p, q)
+    act = image_action(q)
     sub = rewrite_subgroup(p, q, chi)
     for r in sub.presentation.relators:
         ambient = Word()
@@ -114,7 +113,7 @@ def test_rewritten_relators_fix_cosets():
             ambient = ambient * (w if x > 0 else w.inverse())
         c = 0
         for x in ambient.letters:
-            c = act.act(c, x)
+            c = act.perms[x - 1][c] if x > 0 else act.inverses[-x - 1][c]
         assert c == 0
 
 
