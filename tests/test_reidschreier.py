@@ -2,9 +2,8 @@ from hypothesis import given, settings, strategies as st
 
 from fibrecheck.alexander import full_report
 from fibrecheck.polyalg import CoefficientField
-from fibrecheck.quotients import (FiniteGroup, cyclic_group, enumerate_homs, make_quotient,
-                                  symmetric_group, trivial_quotient)
-from fibrecheck.quotients import image_action
+from fibrecheck.quotients import (FiniteGroup, cyclic_group, enumerate_homs, image_action,
+                                  make_quotient, symmetric_group, trivial_quotient)
 from fibrecheck.reidschreier import rewrite_subgroup
 from fibrecheck.words import Word, parse_presentation, validate_character
 from random_presentations import presentations_with_quotient
