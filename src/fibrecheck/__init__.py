@@ -7,8 +7,8 @@ and there the import counts: `dataclasses` pulls in `inspect`, `ast` and
 together more than a small command's algebra.  A record defines
 ``__eq__`` and ``__hash__``, over all of its fields, only where records are
 compared or used as keys (`Word`, `Presentation`, `Character`,
-`FiniteGroup`, `FiniteQuotient`, `ImageAction`, `SnfResult`,
-`AlexanderReport`); a quotient's image is an `ImageAction`, not a group.
+`ImageAction`, `SnfResult`, `AlexanderReport`); a quotient's image is an
+`ImageAction`, not a group, and a target `FiniteGroup` is a key by identity.
 Modules that only one path needs, such as the process pool of
 ``scan --jobs``, are imported on that path.
 """

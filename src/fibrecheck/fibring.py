@@ -45,9 +45,9 @@ from .quotients import (
     FiniteQuotient,
     build_catalog,
     image_action,
-    kernel_key,
     keyed_homs,
-    trivial_quotient,
+    orbit_key,
+    trivial_group,
 )
 from .words import (Character, Presentation, generating_subset, generator_symmetries,
                     render_character, render_presentation)
@@ -110,45 +110,47 @@ def _quotient_stream(p: Presentation, cfg: ScanConfig):
 
     The trivial quotient always comes first; a later homomorphism whose
     `kernel_key` matches that of an earlier kept quotient is merged into it.
-    The keys come with the homomorphisms (`keyed_homs`), from the walk that
-    decides surjectivity.  r is None where the job of q runs, else the
-    position, among the kept quotients, of the orbit representative whose
-    reports q takes.  After a job has run, which is when the consumer asks
-    for the next event, the kernels of its orbit are registered
-    (`_register_orbit`); the symmetries are found then, once, and reduced to
-    a generating set, so a scan that ends at the trivial quotient never
-    looks for them.
+    The keys come with the homomorphisms (`keyed_homs`), all from one memo
+    (`quotients.orbit_key`), which walks one image per orbit of each
+    target's automorphisms: alpha o h has the kernel of h.  A walked image's
+    key is `kernel_key`'s, so merging across targets is unchanged.  r is
+    None where the job of q runs, else the position, among the kept
+    quotients, of the orbit representative whose reports q takes.  After a
+    job has run, which is when the consumer asks for the next event, the
+    kernels of its orbit are registered (`_register_orbit`); the symmetries
+    are found then, once, and reduced to a generating set, so a scan that
+    ends at the trivial quotient never looks for them.  The catalog is built
+    first, so that a clash of target names is refused before any job.
     """
-    def homs():
-        trivial = trivial_quotient(p)
-        yield trivial, kernel_key(trivial)
-        for group in build_catalog(cfg.max_quotient_order, list(cfg.extra_groups)):
-            yield from keyed_homs(p, group)
-
+    targets = (trivial_group(),) + build_catalog(cfg.max_quotient_order, list(cfg.extra_groups))
+    memo: dict = {}
     kept: dict = {}
     orbit: dict = {}
     symmetries = None
-    for hom, key in homs():
-        rep = kept.setdefault(key, hom)
-        if rep is not hom:
-            yield "skipped", hom, rep
-        elif key in orbit:
-            yield "kept", hom, orbit[key]
-        else:
-            yield "kept", hom, None
-            if symmetries is None:
-                symmetries = generating_subset(generator_symmetries(p, cfg.character))
-            _register_orbit(hom, key, symmetries, orbit, len(kept) - 1)
+    for group in targets:
+        for hom, key in keyed_homs(p, group, memo):
+            rep = kept.setdefault(key, hom)
+            if rep is not hom:
+                yield "skipped", hom, rep
+            elif key in orbit:
+                yield "kept", hom, orbit[key]
+            else:
+                yield "kept", hom, None
+                if symmetries is None:
+                    symmetries = generating_subset(generator_symmetries(p, cfg.character))
+                _register_orbit(hom, key, symmetries, orbit, len(kept) - 1, memo)
 
 
-def _register_orbit(q: FiniteQuotient, key, symmetries, orbit: dict, position: int) -> None:
+def _register_orbit(q: FiniteQuotient, key, symmetries, orbit: dict, position: int,
+                    memo: dict) -> None:
     """Map the `kernel_key` of every quotient q o sigma_1 o ... o sigma_k to `position`.
 
     Each sigma is a signed generator map from `generator_symmetries`, so q o
     sigma is the homomorphism with images q(sigma(x_i)), into the same group.
     The closure is walked breadth-first from q, whose key the stream has
-    already made, and each member costs one key per symmetry, which is why
-    the stream passes a generating set.
+    already made, and each member looks up one key per symmetry in the
+    stream's memo (`quotients.orbit_key`), which is why the stream passes a
+    generating set.
     """
     orbit[key] = position
     inverse = q.group.inverse
@@ -156,7 +158,7 @@ def _register_orbit(q: FiniteQuotient, key, symmetries, orbit: dict, position: i
     for images in members:  # grows while it is walked
         for sigma in symmetries:
             moved = tuple(images[x - 1] if x > 0 else inverse(images[-x - 1]) for x in sigma)
-            k = kernel_key(FiniteQuotient(q.group, moved, q.surjective))
+            k = orbit_key(q.group, moved, memo)
             if k not in orbit:
                 orbit[k] = position
                 members.append(moved)

@@ -10,14 +10,21 @@ groups uniformly at desk scale.  The table file format is::
 Every table is checked for associativity by Light's test, and orders above
 `MAX_GROUP_ORDER` are refused before a table is built.  Homomorphisms are
 merged by `kernel_key`, a canonical label of the kernel; `keyed_homs` gives
-each homomorphism with its key, from the one walk of its image that also
-decides surjectivity.  A quotient's image is read as its action on its
-elements (`image_action`), not built as a group with a table.
+each homomorphism with its key.  An automorphism alpha of the target gives
+alpha o h the kernel of h, so `orbit_key` walks one image per orbit of the
+target's automorphisms and serves the rest of the orbit from a memo: the
+conjugations of any target, and for Z/m the units, where a homomorphism onto
+the subgroup of index g, images a, has the key of a/g in Z/(m/g).  The key
+of a walked image is `kernel_key`'s, so merging across targets is unchanged.
+A quotient's image is read as its action on its elements (`image_action`),
+not built as a group with a table.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import gcd
+from operator import mul
 
 from .words import Presentation, Word
 
@@ -34,6 +41,7 @@ __all__ = [
     "make_quotient",
     "enumerate_homs",
     "keyed_homs",
+    "orbit_key",
     "image_closure",
     "kernel_key",
     "build_catalog",
@@ -101,7 +109,7 @@ def _is_associative(table: tuple[tuple[int, ...], ...]) -> bool:
 class FiniteGroup:
     """Finite group as a multiplication table with identity id 0."""
 
-    __slots__ = ("order", "table", "name", "perms", "columns", "_inverses")
+    __slots__ = ("order", "table", "name", "perms", "columns", "cyclic", "_inverses")
 
     def __init__(self, order: int, table: tuple[tuple[int, ...], ...], name: str,
                  perms: tuple[tuple[int, ...], ...] | None = None):
@@ -125,17 +133,9 @@ class FiniteGroup:
         self.name = name
         self.perms = perms  # set when built from permutations
         self.columns = columns  # column a: right multiplication by a, g -> g*a
+        # Z/n's own table, g*h = g+h mod n: row 1 is h -> 1+h, so that g = 1^g.
+        self.cyclic = table[1 % n] == identity[1:] + identity[:1]
         self._inverses = tuple(row.index(0) for row in table)
-
-    def _fields(self) -> tuple:
-        return self.order, self.table, self.name, self.perms
-
-    def __eq__(self, other):
-        return (self._fields() == other._fields() if other.__class__ is FiniteGroup
-                else NotImplemented)
-
-    def __hash__(self):
-        return hash(self._fields())
 
     def mul(self, g: int, h: int) -> int:
         return self.table[g][h]
@@ -159,16 +159,6 @@ class FiniteQuotient:
         self.group = group
         self.gen_images = gen_images
         self.surjective = surjective
-
-    def _fields(self) -> tuple:
-        return self.group, self.gen_images, self.surjective
-
-    def __eq__(self, other):
-        return (self._fields() == other._fields() if other.__class__ is FiniteQuotient
-                else NotImplemented)
-
-    def __hash__(self):
-        return hash(self._fields())
 
     def label(self) -> dict:
         return {
@@ -280,36 +270,57 @@ def enumerate_homs(p: Presentation, target: FiniteGroup,
     return [q for q, _ in keyed_homs(p, target) if q.surjective or not surjective_only]
 
 
-def keyed_homs(p: Presentation, target: FiniteGroup
+def keyed_homs(p: Presentation, target: FiniteGroup, memo: dict | None = None
                ) -> list[tuple[FiniteQuotient, tuple[tuple[int, ...], ...]]]:
     """Every homomorphism into the target with its `kernel_key`, lexicographic
     in image tuples.
 
-    Backtracking assigns generator images one at a time and evaluates a
-    relator as soon as all of its letters are assigned.  At each search node
-    the relators whose last generator is the new one are resolved once into
-    indices of `ids`: each run of assigned letters, inverses included,
-    becomes one element id, and each letter of the new generator points at
-    slot 0 (x) or 1 (x^-1), which hold the candidate image and its inverse.
-    A candidate then costs one table read per run and per new letter.  A
-    homomorphism found walks its image once: the walk labels the key, and
-    its length, that of every permutation in the key, decides surjectivity.
+    Backtracking assigns generator images one at a time and checks each
+    relator once the generators that decide it are assigned: into Z/m by
+    its exponent sums (`_exponent_sum_candidates`), into any other target
+    through the table (`_table_candidates`).  Each key is `orbit_key`'s,
+    with `memo`, which a scan shares across its targets; the length of its
+    permutations, the image's order, decides surjectivity.
     """
-    g = p.generator_count
-    table, inverse, order = target.table, target._inverses, target.order
-    by_last_gen: dict[int, list[Word]] = {}
-    for r in p.relators:
-        by_last_gen.setdefault(r.max_index(), []).append(r)
+    g, order = p.generator_count, target.order
+    candidates = (_exponent_sum_candidates(p, order) if target.cyclic
+                  else _table_candidates(p, target))
+    memo = {} if memo is None else memo
     out: list[tuple[FiniteQuotient, tuple[tuple[int, ...], ...]]] = []
     images: list[int] = []
 
     def descend():
-        k = len(images)
-        if k == g:
+        if len(images) == g:
             imgs = tuple(images)
-            key = _kernel_key(table, imgs)
+            key = orbit_key(target, imgs, memo)
             out.append((FiniteQuotient(target, imgs, len(key[0]) == order), key))
             return
+        for e in candidates(images):
+            images.append(e)
+            descend()
+            images.pop()
+
+    descend()
+    return out
+
+
+def _table_candidates(p: Presentation, target: FiniteGroup):
+    """The images of generator k + 1, given those of x_1..x_k, that kill
+    every relator whose last generator it is, walked through the table.
+
+    At each search node those relators are resolved once into indices of
+    `ids`: each run of assigned letters, inverses included, becomes one
+    element id, and each letter of the new generator points at slot 0 (x)
+    or 1 (x^-1), which hold the candidate image and its inverse.  A
+    candidate then costs one table read per run and per new letter.
+    """
+    table, inverse, order = target.table, target._inverses, target.order
+    by_last_gen: dict[int, list[Word]] = {}
+    for r in p.relators:
+        by_last_gen.setdefault(r.max_index(), []).append(r)
+
+    def candidates(images: list[int]) -> list[int]:
+        k = len(images)
         ids, checks = [0, 0], []
         for r in by_last_gen.get(k + 1, ()):
             steps, run = [], 0  # run: the element id of the assigned letters since the last new one
@@ -326,6 +337,7 @@ def keyed_homs(p: Presentation, target: FiniteGroup
                 steps.append(len(ids))
                 ids.append(run)
             checks.append(steps)
+        found = []
         for e in range(order):
             ids[0], ids[1] = e, inverse[e]
             for steps in checks:
@@ -335,12 +347,81 @@ def keyed_homs(p: Presentation, target: FiniteGroup
                 if v:
                     break
             else:
-                images.append(e)
-                descend()
-                images.pop()
+                found.append(e)
+        return found
 
-    descend()
-    return out
+    return candidates
+
+
+def _exponent_sum_candidates(p: Presentation, m: int):
+    """`_table_candidates` for Z/m, read off the relators' exponent sums.
+
+    A relator with exponent sums e maps to e.a in Z/m, so it holds exactly
+    when e.a = 0 mod m, which is decided at its last generator k + 1 whose
+    sum is nonzero mod m: s + c x = 0 mod m, with s the sum over the
+    assigned images and c = e_{k+1}.  The first such relator is solved, as
+    x = x0 mod m/gcd(c, m) where gcd(c, m) divides s, and each other one
+    costs one multiply-add per solution.
+    """
+    g = p.generator_count
+    deciding: list[list[list[int]]] = [[] for _ in range(g)]
+    for r in p.relators:
+        sums = [0] * g
+        for x in r.letters:
+            sums[abs(x) - 1] += 1 if x > 0 else -1
+        nonzero = [j for j, e in enumerate(sums) if e % m]
+        if nonzero:
+            deciding[nonzero[-1]].append(sums)
+
+    def candidates(images: list[int]):
+        k = len(images)
+        found = None
+        for sums in deciding[k]:
+            s, c = sum(map(mul, sums, images)), sums[k]
+            if found is None:
+                d = gcd(c, m)
+                step = m // d
+                found = range(-s // d * pow(c // d, -1, step) % step, m, step) if s % d == 0 else ()
+            else:
+                found = [e for e in found if (s + c * e) % m == 0]
+        return range(m) if found is None else found
+
+    return candidates
+
+
+def orbit_key(target: FiniteGroup, images: tuple[int, ...], memo: dict
+              ) -> tuple[tuple[int, ...], ...]:
+    """`kernel_key` of the homomorphism with these images, walked once per
+    orbit of the target's automorphisms and read from `memo` after.
+
+    An automorphism alpha of the target gives alpha o h the kernel of h;
+    the walk of alpha(a) labels alpha(x) as that of a labels x, so the key is
+    the same too.  A walk registers the conjugates s^-1 a s over every s in
+    the target, read from its table, which is exact onto any image.  Into
+    Z/m it registers the unit multiples u a instead: images a onto the
+    subgroup of index g = gcd(m, a) have the key of a/g in Z/(m/g), x -> g x
+    being an isomorphism onto that subgroup, so the entry is (m/g, a/g),
+    shared by every Z/m' with m/g dividing m'.  Other entries are keyed by
+    the target object, never by its name.
+    """
+    if target.cyclic:
+        g = gcd(target.order, *images)
+        n, reduced = target.order // g, tuple([a // g for a in images])
+        key = memo.get((n, reduced))
+        if key is None:
+            key = memo[n, reduced] = _kernel_key(target.table, images)
+            for u in range(2, n):
+                if gcd(u, n) == 1:
+                    memo[n, tuple([u * a % n for a in reduced])] = key
+        return key
+    key = memo.get((target, images))
+    if key is None:
+        key = _kernel_key(target.table, images)
+        table, inverse = target.table, target._inverses
+        for s, column in enumerate(target.columns):
+            row = table[inverse[s]]
+            memo[target, tuple([row[column[a]] for a in images])] = key
+    return key
 
 
 def kernel_key(q: FiniteQuotient) -> tuple[tuple[int, ...], ...]:
@@ -352,6 +433,8 @@ def kernel_key(q: FiniteQuotient) -> tuple[tuple[int, ...], ...]:
     group up to isomorphism, and such a set determines the stabiliser of its
     point, which is the kernel; conversely the kernel determines the set, its
     cosets.  Each permutation in the key has the image's order as its length.
+    `orbit_key` gives this key for every homomorphism, walking one image
+    per automorphism orbit of the target.
     """
     return _kernel_key(q.group.table, q.gen_images)
 
@@ -377,7 +460,8 @@ def image_action(q: FiniteQuotient) -> ImageAction:
 def build_catalog(max_order: int, extra: list[FiniteGroup] | None = None) -> tuple[FiniteGroup, ...]:
     """Cyclic targets Z/2..Z/max, symmetric targets with n! <= max, extras.
 
-    Targets come ordered by (order, name), without duplicate (name, order) pairs.
+    Targets come ordered by (order, name).  A name given twice with the same
+    table is kept once; with two different tables it is refused.
     """
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
@@ -394,10 +478,8 @@ def build_catalog(max_order: int, extra: list[FiniteGroup] | None = None) -> tup
         groups.append(symmetric_group(n))
         n += 1
     groups.extend(extra or [])
-    seen: set[tuple[str, int]] = set()
-    unique = []
+    named: dict[str, FiniteGroup] = {}
     for g in sorted(groups, key=lambda g: (g.order, g.name)):
-        if (g.name, g.order) not in seen:
-            seen.add((g.name, g.order))
-            unique.append(g)
-    return tuple(unique)
+        if named.setdefault(g.name, g).table != g.table:
+            raise ValueError(f"two different tables are named {g.name}")
+    return tuple(named.values())

@@ -32,7 +32,7 @@ from typing import Sequence
 from fibrecheck.alexander import IntegralChain, TwistedChain, _assemble, _h0_walk, _h1_order
 from fibrecheck.foxcalc import Representation
 from fibrecheck.polyalg import CoefficientField, LaurentPoly, SparseMatrix
-from fibrecheck.quotients import FiniteGroup, FiniteQuotient
+from fibrecheck.quotients import FiniteQuotient
 from fibrecheck.words import Word
 from free_group_oracle import GroupRingElement, fox_derivative
 
@@ -217,14 +217,6 @@ def image_elements(q: FiniteQuotient) -> list[int]:
         if grown == elements:
             return sorted(elements)
         elements = grown
-
-
-def regular_representation(g: FiniteGroup, e: int) -> list[int]:
-    """Right-multiplication permutation q -> q*e as a lookup list, from
-    `FiniteGroup.mul` one element at a time."""
-    if not 0 <= e < g.order:
-        raise ValueError(f"element id {e} out of range")
-    return [g.mul(q, e) for q in range(g.order)]
 
 
 class DenseRepresentation:

@@ -186,6 +186,24 @@ def test_extra_group_table(tmp_path):
     assert "c2" in out
 
 
+def test_extra_group_named_for_a_catalog_target(tmp_path, capsys):
+    # A file S3.txt holding S3's own table is the catalog's S3, and the scan
+    # prints the bytes of one without it; holding Z/6's table it exits 2
+    # rather than scan one of the two tables named S3 and drop the other.
+    from fibrecheck.quotients import cyclic_group, symmetric_group
+
+    argv = ["scan", "--fixture", "trefoil", "--max-quotient-order", "6", "--fields", "f3"]
+    table = tmp_path / "S3.txt"
+    for group in (symmetric_group(3), cyclic_group(6)):
+        table.write_text("order: 6\n" + "\n".join(" ".join(map(str, row)) for row in group.table))
+        code, out = run_cli(argv + ["--extra-group", str(table)])
+        if group.name == "S3":
+            assert (code, out) == run_cli(argv)
+        else:
+            assert code == 2 and out == ""
+            assert capsys.readouterr().err == "error: two different tables are named S3\n"
+
+
 def test_exit_code_input_errors(tmp_path, capsys):
     code, _ = run_cli(["alex", "--fixture", "nope", "--quotient", "trivial"])
     assert code == 2

@@ -362,44 +362,54 @@ def test_orbit_reuse_matches_computing_every_job(name, values, order, extra, mon
     assert reused == emit_report(scan(cfg), "json")
 
 
-@pytest.mark.parametrize("fixture, order, fields, kept, chains, symmetries, generators", [
-    ("f2xz", 4, (F2, F3, Q), 49, 23, 6, 2),
-    ("f2xz", 12, (F2, F3, Q), 1174, 293, 6, 2),
-    ("zn:4", 6, (F2, F3, Q), 932, 117, 15, 3),
-    ("trefoil", 24, (F3,), 27, 27, 1, 1),
+@pytest.mark.parametrize("fixture, order, fields, kept, chains, symmetries, generators, walks", [
+    ("f2xz", 4, (F2, F3, Q), 49, 23, 6, 2, 49),
+    ("f2xz", 12, (F2, F3, Q), 1174, 293, 6, 2, 1195),
+    ("zn:4", 6, (F2, F3, Q), 932, 117, 15, 3, 988),
+    ("trefoil", 24, (F3,), 27, 27, 1, 1, 36),
 ], ids=["f2xz-4", "f2xz-12", "zn:4-6", "trefoil-24-f3"])
-def test_one_chain_per_orbit(fixture, order, fields, kept, chains, symmetries, generators,
+def test_one_chain_per_orbit(fixture, order, fields, kept, chains, symmetries, generators, walks,
                              monkeypatch):
-    # One chain is built per orbit of kept quotients.  The stream walks each
-    # homomorphism's image once, for its kernel key and surjectivity alike.
-    # Registering an orbit costs one kernel key per member and generator of
-    # the symmetries, which reduce to a generating set: a -> a^-1 and a <-> b
-    # on f2xz, x2 -> x2^-1, (x2 x3) and (x2 x4) on zn:4.  So a kept quotient
-    # costs its own walk and |generators| keys, and a merged homomorphism its
-    # one walk; the trivial quotient's walk is the one other `kernel_key`.
-    # The trefoil's one symmetry, x <-> y, leaves each of its 27 kernels alone.
+    # One chain is built per orbit of kept quotients.  Each homomorphism
+    # looks up one kernel key, and registering an orbit one per member and
+    # generator of the symmetries, which reduce to a generating set: a ->
+    # a^-1 and a <-> b on f2xz, x2 -> x2^-1, (x2 x3) and (x2 x4) on zn:4.
+    # Each kept kernel is one member.  A lookup walks an image only for the
+    # first of its orbit under the target's automorphisms (`orbit_key`):
+    # on f2xz to order 4 once per kept kernel.  The trefoil walks one image
+    # per order 1..24 for its cyclic quotients, 4 in S3 and 8 in S4, one per
+    # conjugacy class of homomorphisms; its one symmetry, x <-> y, moves
+    # each pair to a conjugate one and so walks nothing.
     from fibrecheck import fibring, quotients
     from fibrecheck.words import generating_subset
 
-    built, walks, keys = [], [], []
-    chain, walk, key = fibring.integral_chain, quotients._kernel_key, fibring.kernel_key
+    built, walked, lookups = [], [], []
+    chain, walk, lookup = fibring.integral_chain, quotients._kernel_key, quotients.orbit_key
+
+    def counted(target, images, memo):
+        lookups.append(images)
+        return lookup(target, images, memo)
+
     monkeypatch.setattr(fibring, "integral_chain", lambda p, chi, q: built.append(q) or chain(p, chi, q))
-    monkeypatch.setattr(quotients, "_kernel_key", lambda t, images: walks.append(images) or walk(t, images))
-    monkeypatch.setattr(fibring, "kernel_key", lambda q: keys.append(q) or key(q))
+    monkeypatch.setattr(quotients, "_kernel_key", lambda t, images: walked.append(images) or walk(t, images))
+    monkeypatch.setattr(quotients, "orbit_key", counted)
+    monkeypatch.setattr(fibring, "orbit_key", counted)
     p, chi = load_fixture(fixture)
     found = fibring.generator_symmetries(p, chi)
     assert (len(found), len(generating_subset(found))) == (symmetries, generators)
     v = scan(ScanConfig(presentation=p, character=chi, max_quotient_order=order, fields=fields))
     assert v.status == "no_obstruction_up_to"
     assert (len(v.tested_quotients), len(built)) == (kept, chains)
-    assert len(walks) == len(v.tested_quotients) + len(v.skipped_quotients) + generators * kept
-    assert len(keys) == 1 + generators * kept
+    assert len(lookups) == len(v.tested_quotients) + len(v.skipped_quotients) + generators * kept
+    assert len(walked) == walks
 
 
 def test_a_scan_walks_each_homomorphisms_image_once(monkeypatch):
     # The stream takes each homomorphism's kernel key from the enumeration,
-    # whose one walk of the image also decides surjectivity; only the trivial
-    # quotient and orbit registration call `kernel_key`, and nothing calls
+    # which walks an image only for the first homomorphism of each orbit of
+    # its target's automorphisms, and no image twice; on f2xz to order 4
+    # every merged homomorphism lies in the orbit of the kept one, so the 100
+    # homomorphisms cost 49 walks, one per kept kernel.  Nothing calls
     # `image_closure`, not even for the kept quotients onto a proper image
     # that the table group Z/2 x Z/4 adds.  The catalog is built before the
     # walks are counted, as Light's test walks subgroups of each table.
@@ -410,21 +420,19 @@ def test_a_scan_walks_each_homomorphisms_image_once(monkeypatch):
     v = scan(ScanConfig(presentation=p, character=chi, max_quotient_order=4,
                         extra_groups=(_z2_times_z4(),)))
     assert not all(q.surjective for q in v.tested_quotients)
-    catalog = quotients.build_catalog(4)
-    monkeypatch.setattr(fibring, "build_catalog", lambda order, extra: catalog)
-    walks, keys = Counter(), Counter()
-    labels, key = quotients._labels, fibring.kernel_key
+    catalog = (quotients.trivial_group(),) + quotients.build_catalog(4)
+    monkeypatch.setattr(fibring, "trivial_group", lambda: catalog[0])
+    monkeypatch.setattr(fibring, "build_catalog", lambda order, extra: catalog[1:])
+    walks = Counter()
+    labels = quotients._labels
     monkeypatch.setattr(quotients, "_labels",
                         lambda t, images: walks.update([(id(t), tuple(images))]) or labels(t, images))
-    monkeypatch.setattr(fibring, "kernel_key",
-                        lambda q: keys.update([(id(q.group.table), q.gen_images)]) or key(q))
     v = scan(ScanConfig(presentation=p, character=chi, max_quotient_order=4))
     homs = Counter((id(q.group.table), q.gen_images)
                    for q in v.tested_quotients + tuple(q for q, _ in v.skipped_quotients))
-    trivial = (id(v.tested_quotients[0].group.table), (0, 0, 0))
     assert len(homs) == 100 and max(homs.values()) == 1
-    assert sum(keys.values()) == 1 + 2 * len(v.tested_quotients)
-    assert walks == homs - Counter([trivial]) + keys
+    assert max(walks.values()) == 1 and set(walks) <= set(homs)
+    assert sum(walks.values()) == len(v.tested_quotients) == 49
 
 
 def test_a_scan_builds_a_finite_group_only_for_its_targets(monkeypatch):
@@ -465,6 +473,9 @@ def test_reproducer_names_the_quotient_that_was_computed(monkeypatch):
     from fibrecheck.cli import _parse_quotient
     from fibrecheck.quotients import image_action, make_quotient, symmetric_group
 
+    def fields(q):
+        return q.group.name, q.group.order, q.gen_images, q.surjective
+
     def argument(message, flag):
         line = message.splitlines()[-1]
         assert line.startswith("reproduce: fibrecheck alex --pres <(printf ")
@@ -480,7 +491,7 @@ def test_reproducer_names_the_quotient_that_was_computed(monkeypatch):
     message = str(err.value)
     assert "S4>im6" in message and argument(message, "--quotient") == "s4:1,2,0"
     assert (argument(message, "--char"), argument(message, "--field")) == ("a=0, b=0, z=1", "f2")
-    assert _parse_quotient(p, argument(message, "--quotient")) == q
+    assert fields(_parse_quotient(p, argument(message, "--quotient"))) == fields(q)
     bash = shutil.which("bash")
     if bash:
         line = message.splitlines()[-1].removeprefix("reproduce: ")
@@ -497,7 +508,7 @@ def test_reproducer_names_the_quotient_that_was_computed(monkeypatch):
     monkeypatch.setattr(TwistedChain, "rank_b2", lambda c: 0 if c.block_size == 4 else rank_b2(c))
     with pytest.raises(InternalCheckError) as err:
         scan(ScanConfig(presentation=p, character=chi, max_quotient_order=4))
-    assert _parse_quotient(p, argument(str(err.value), "--quotient")) == built[-1]
+    assert fields(_parse_quotient(p, argument(str(err.value), "--quotient"))) == fields(built[-1])
     assert image_action(built[-1]).order == 4
 
 
@@ -536,7 +547,12 @@ def test_a_generating_set_registers_the_orbits_of_all_maps(data):
     else:
         p, chi, _ = data.draw(presentations_with_quotient())
     cfg = ScanConfig(presentation=p, character=chi, max_quotient_order=6)
-    reduced = list(fibring._quotient_stream(p, cfg))
+
+    def events():
+        return [(kind, q.label(), rep.label() if kind == "skipped" else rep)
+                for kind, q, rep in fibring._quotient_stream(p, cfg)]
+
+    reduced = events()
     with pytest.MonkeyPatch.context() as m:
         m.setattr(fibring, "generating_subset", lambda maps: maps)
-        assert reduced == list(fibring._quotient_stream(p, cfg))
+        assert reduced == events()

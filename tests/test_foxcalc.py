@@ -6,7 +6,7 @@ from fibrecheck.foxcalc import build_representation, fox_images
 from fibrecheck.polyalg import CoefficientField
 from fibrecheck.quotients import cyclic_group, make_quotient, trivial_quotient
 from fibrecheck.words import Word, parse_presentation, validate_character
-from dense_oracle import PolyMatrix, evaluate, regular_representation
+from dense_oracle import PolyMatrix, evaluate
 from free_group_oracle import GroupRingElement, fox_derivative, fundamental_identity_check
 
 Q = CoefficientField.rationals()
@@ -109,14 +109,6 @@ def test_fox_images_of_an_index_24_kernel_have_one_block_per_generator_present()
     rep = build_representation(kernel, sub.restricted_character, trivial_quotient(kernel))
     for r in kernel.relators:
         assert set(fox_images(rep, r)) == {abs(x) - 1 for x in r.letters}
-
-
-def test_regular_representation():
-    z3 = cyclic_group(3)
-    assert regular_representation(z3, 0) == [0, 1, 2]
-    assert regular_representation(z3, 1) == [1, 2, 0]
-    z2 = cyclic_group(2)
-    assert regular_representation(z2, 1) == [1, 0]
 
 
 def _image(rep, w: Word) -> PolyMatrix:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from fibrecheck.fixtures import load_fixture
 from fibrecheck.quotients import (
     FiniteGroup,
+    _kernel_key,
     build_catalog,
     cyclic_group,
     enumerate_homs,
@@ -115,16 +116,43 @@ def test_enumerate_homs_counts():
     assert len(enumerate_homs(Z, z2, surjective_only=True)) == 1
 
 
-def test_enumerate_homs_brute_force_agreement():
+def _brute_force_homs(p, target) -> list[tuple[int, ...]]:
+    """Every image tuple that kills every relator, by full relator evaluation."""
+    return [images for images in itertools.product(range(target.order), repeat=p.generator_count)
+            if all(target.word_image(r, images) == 0 for r in p.relators)]
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_enumerate_homs_brute_force_agreement(data):
     # Independent oracle: test all image tuples with full relator evaluation.
+    # A random presentation runs the targets in catalog order, the trivial
+    # group first, with one memo as a scan does: cyclic targets by exponent
+    # sums, S3 through its table, and every key is the walk's own even
+    # where the memo gave it from another homomorphism or target.
     for p, target in ((BS12, cyclic_group(4)), (BS12, symmetric_group(3)),
                       (parse_presentation("gens: x y\nrels: x y x y^-1 x^-1 y^-1"), symmetric_group(3))):
-        expected = []
-        for images in itertools.product(range(target.order), repeat=p.generator_count):
-            if all(target.word_image(r, images) == 0 for r in p.relators):
-                expected.append(images)
-        got = enumerate_homs(p, target)
-        assert [h.gen_images for h in got] == expected
+        assert [h.gen_images for h in enumerate_homs(p, target)] == _brute_force_homs(p, target)
+    p, _, _ = data.draw(presentations_with_quotient())
+    memo: dict = {}
+    for target in [trivial_group()] + sorted(PROPERTY_TARGETS, key=lambda g: (g.order, g.name)):
+        homs = keyed_homs(p, target, memo)
+        assert [q.gen_images for q, _ in homs] == _brute_force_homs(p, target)
+        for q, key in homs:
+            assert key == _kernel_key(target.table, q.gen_images)
+
+
+def test_cyclic_targets_are_recognised_by_their_table():
+    # The exponent-sum search and the unit orbits run on Z/m's own table,
+    # whatever its name; a relabelled Z/4 or any other table takes the
+    # table search and the conjugation orbits, with the same homomorphisms.
+    assert all(cyclic_group(m).cyclic for m in range(1, 13)) and trivial_group().cyclic
+    assert not symmetric_group(3).cyclic and not _KLEIN.cyclic
+    assert load_table_group("order: 3\n0 1 2\n1 2 0\n2 0 1", "C3").cyclic
+    relabelled = load_table_group("order: 4\n0 1 2 3\n1 0 3 2\n2 3 1 0\n3 2 0 1", "C4")
+    assert not relabelled.cyclic
+    for p in (BS12, Z, F2):
+        assert [q.gen_images for q in enumerate_homs(p, relabelled)] == _brute_force_homs(p, relabelled)
 
 
 def test_enumerate_homs_deterministic_order():
@@ -210,6 +238,17 @@ def test_build_catalog_extras_dedup():
     assert [g.name for g in cat] == ["C2", "Z/2", "Z/3"]
     orders = [g.order for g in cat]
     assert orders == sorted(orders)
+    # A name is deduplicated only with its own table: an extra S3 with S3's
+    # table is the catalog's S3, with Z/6's or Z/4's it is refused instead of
+    # one of the two tables being dropped.
+    for other in (symmetric_group(3), cyclic_group(6), cyclic_group(4)):
+        text = f"order: {other.order}\n" + "\n".join(" ".join(map(str, row)) for row in other.table)
+        extras = [load_table_group(text, "S3")]
+        if other.name == "S3":
+            assert [g.perms is not None for g in build_catalog(6, extras) if g.name == "S3"] == [True]
+        else:
+            with pytest.raises(ValueError, match="two different tables are named S3"):
+                build_catalog(6, extras)
 
 
 def test_image_action_restricts_to_the_image():
