@@ -110,10 +110,12 @@ def _quotient_stream(p: Presentation, cfg: ScanConfig):
 
     The trivial quotient always comes first; a later homomorphism whose
     `kernel_key` matches that of an earlier kept quotient is merged into it.
-    The keys come with the homomorphisms (`keyed_homs`), all from one memo
+    The keys come with the homomorphisms (`keyed_homs`, which finds those
+    into Z/m by the relators' exponent sums), all from one memo
     (`quotients.orbit_key`), which walks one image per orbit of each
-    target's automorphisms: alpha o h has the kernel of h.  A walked image's
-    key is `kernel_key`'s, so merging across targets is unchanged.  r is
+    target's automorphisms: alpha o h has the kernel of h.  Every key, a
+    kept representative's included, is `kernel_key`'s, so merging across
+    targets is unchanged.  r is
     None where the job of q runs, else the position, among the kept
     quotients, of the orbit representative whose reports q takes.  After a
     job has run, which is when the consumer asks for the next event, the

@@ -14,8 +14,10 @@ each homomorphism with its key.  An automorphism alpha of the target gives
 alpha o h the kernel of h, so `orbit_key` walks one image per orbit of the
 target's automorphisms and serves the rest of the orbit from a memo: the
 conjugations of any target, and for Z/m the units, where a homomorphism onto
-the subgroup of index g, images a, has the key of a/g in Z/(m/g).  The key
-of a walked image is `kernel_key`'s, so merging across targets is unchanged.
+the subgroup of index g, images a, has the key of a/g in Z/(m/g).  Every
+key is `kernel_key`'s, so merging across targets is unchanged.  And h is a
+homomorphism into Z/m exactly when E a = 0 mod m, E the relators'
+exponent-sum matrix, so cyclic targets are searched without their table.
 A quotient's image is read as its action on its elements (`image_action`),
 not built as a group with a table.
 """
@@ -278,9 +280,9 @@ def keyed_homs(p: Presentation, target: FiniteGroup, memo: dict | None = None
     Backtracking assigns generator images one at a time and checks each
     relator once the generators that decide it are assigned: into Z/m by
     its exponent sums (`_exponent_sum_candidates`), into any other target
-    through the table (`_table_candidates`).  Each key is `orbit_key`'s,
-    with `memo`, which a scan shares across its targets; the length of its
-    permutations, the image's order, decides surjectivity.
+    through the table (`_table_candidates`).  Each key is `kernel_key`'s,
+    from `orbit_key` with `memo`, which a scan shares across its targets;
+    the length of its permutations, the image's order, decides surjectivity.
     """
     g, order = p.generator_count, target.order
     candidates = (_exponent_sum_candidates(p, order) if target.cyclic
