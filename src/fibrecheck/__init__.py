@@ -6,9 +6,9 @@ and there the import counts: `dataclasses` pulls in `inspect`, `ast` and
 `dis`, and generating the methods of each decorated class costs more again,
 together more than a small command's algebra.  A record defines
 ``__eq__`` and ``__hash__``, over all of its fields, only where records are
-compared or used as keys (`Word`, `Presentation`, `Character`,
-`ImageAction`, `SnfResult`, `AlexanderReport`); a quotient's image is an
-`ImageAction`, not a group, and a target `FiniteGroup` is a key by identity.
+compared or used as keys (`Word`, `Presentation`, `Character`, `SnfResult`);
+a quotient's image is an `ImageAction`, not a group, and it and an
+`AlexanderReport` are read through `label()` and `as_dict()`, never compared.
 Modules that only one path needs, such as the process pool of
 ``scan --jobs``, are imported on that path.
 """

@@ -7,20 +7,23 @@ Fox derivatives, both read off the permutations of the quotient's image
 field is done once per quotient, over Z, by `integral_chain`: the relators
 are checked, each relator's Fox images are read in one walk, b2 @ b1 = 0 is
 checked as Fox's fundamental formula in the group ring of Q x Z, term by
-term over Z, the closed form of H0 is walked, and b1 and b2 are kept as
-sparse integer rows.  `IntegralChain.over(field)` is the one way to make a
-`TwistedChain`: it reads the same rows over each field, and the kernels of
-`polyalg` reduce every coefficient as they read it, Bareiss included.
+term over Z, d of the closed form of H0 is read off the Schreier tree of
+the image's action, and b1 and b2 are kept as sparse integer rows.
+`IntegralChain.over(field)` is the one way to make a `TwistedChain`: it
+reads the same rows over each field, and the kernels of `polyalg` reduce
+every coefficient as they read it, Bareiss included.
 Vanishing is decided on the rank route, the ranks of b1 and b2 over F(t).
 Both come from the algebra where b1 has a block t^s P - I with s != 0, P
 the permutation matrix of right multiplication by alpha(x_k): any generator
 with chi_k = s != 0 gives one.  Its determinant is +-prod over the cycles c
 of P of (t^{s|c|} - 1), whose top and bottom coefficients are +-1, so it is
-nonzero over every field and rank b1 = |Q|; the block is read from b1's own
-rows, not from chi.  b2 @ b1 = 0 then gives the Wada-matrix identity
-B_k = -B_rest b1_rest b1_k^{-1} over F(t), where B_k is column block k of
-b2 and B_rest the rest of b2: rank b2 = rank B_rest, b2 less one column
-block (Wada 1994, Kirk-Livingston 1999).  B_rest is bounded from below by
+nonzero over every field and rank b1 = |Q|; the minor is (k, chi_k) for the
+first generator with chi_k != 0, taken from chi where b1 is written, since a
+block with chi_i = 0 is P - I or zero and never such a minor.  b2 @ b1 = 0
+then gives the Wada-matrix identity B_k = -B_rest b1_rest b1_k^{-1} over
+F(t), where B_k is column block k of b2 and B_rest the rest of b2:
+rank b2 = rank B_rest, b2 less one column block (Wada 1994,
+Kirk-Livingston 1999).  B_rest is bounded from below by
 `rank_lower_bound`, the rank after mapping t to a point of a finite field:
 minors map to minors, so the bound never exceeds the true rank.  Where the
 bound meets min(rows, cols) of B_rest, which is rows(b1) - rank b1, it is
@@ -42,7 +45,9 @@ F_p is a degree-1 vanishing, which stops the job before Q.  Where Q comes
 first or alone, it runs its own bound; between two primes nothing is
 inferred.  The order route computes the orders independently, over Q too.
 H0 is in closed form: Q is the image of alpha, so H0 is F[t^{+-1}]/(t^d - 1),
-where dZ = chi(ker alpha) is read off one breadth-first walk of its action.
+where dZ = chi(ker alpha) is the gcd of the character's values on the
+Schreier generators of the kernel, read off the walk that Reidemeister-
+Schreier rewrites along (`quotients.schreier_tree`).
 ord H1 comes from one diagonal form of b2 over the PID F[t^{+-1}], where
 the monomial entries of b2 are units.  The sequence
 0 -> H1 -> C1/rowspace(b2) -> im(b1) -> 0 splits (im(b1) lies in a free
@@ -75,7 +80,7 @@ from .polyalg import (
     rank_lower_bound,
     rank_over_fraction_field,
 )
-from .quotients import FiniteQuotient, ImageAction
+from .quotients import FiniteQuotient, ImageAction, schreier_tree
 from .words import Character, Presentation, render_character, render_presentation
 
 __all__ = [
@@ -116,48 +121,12 @@ def _certified_rank(m: SparseMatrix, upper: int,
     return rank_over_fraction_field(m), "by Bareiss"
 
 
-def _unit_minor(b1: list[dict[int, dict[int, int]]], n: int) -> tuple[int, int] | None:
-    """(k, s) for the first block k of the rows of b1, n x n each, that reads
-    t^s P - I with s != 0, else None.
-
-    P must be a permutation matrix: each row q of the block is
-    {q: -1, pi(q): t^s}, or {q: t^s - 1} where pi(q) = q, with one shift s
-    and pi a bijection.  The determinant is then +-prod over the cycles c of
-    pi of (t^{s|c|} - 1), nonzero over every field, so rank b1 = n.  Only a
-    zero character has no such block.
-    """
-    for k in range(len(b1) // n):
-        shift, image = None, set()
-        for q, row in enumerate(b1[k * n:(k + 1) * n]):
-            if len(row) == 2:
-                (i, f), (j, g) = row.items()
-                if j == q:
-                    i, f, j, g = j, g, i, f
-                if i != q or len(f) != 1 or f.get(0) != -1 or len(g) != 1:
-                    break
-                ((s, c),) = g.items()
-            elif len(row) == 1 and len(f := row.get(q, ())) == 2 and f.get(0) == -1:
-                j = q
-                (s, c), other = f.items()
-                if not s:
-                    s, c = other
-            else:
-                break
-            if c != 1 or not s or shift not in (None, s) or j in image:
-                break
-            shift = s
-            image.add(j)
-        else:
-            return k, shift
-    return None
-
-
 class TwistedChain:
     """Boundary data over one field: b1 is (g*|Q|) x |Q|, b2 is (s*|Q|) x (g*|Q|).
 
     Made by `IntegralChain.over`, from the `integral` chain that it keeps:
-    the representation, the walk of the closed form of H0, the unit minor
-    of b1, the record of the ranks that chains over prime fields proved (see
+    the representation, d of the closed form of H0, the unit minor of b1,
+    the record of the ranks that chains over prime fields proved (see
     `_certify`), the rows of b2 less one column block and the diagonal form
     of b2 over Z[t^{+-1}] are all read from there, once for every field.
     Rank b1 is |Q| where b1 has a unit minor t^s P - I in block k, and rank
@@ -228,13 +197,6 @@ class TwistedChain:
             cache["b2"] = rank, f"{route}, read on {read} ({m.rows}x{m.cols})"
         return cache["b2"][0]
 
-    def h0_closed_form(self) -> tuple[int, int, LaurentPoly]:
-        """(d, rank H0, ord H0) by `_h0_closed_form`, walked once per chain."""
-        cache = self._cache
-        if "h0" not in cache:
-            cache["h0"] = _h0_closed_form(self)
-        return cache["h0"]
-
 
 class AlexanderReport:
     """Vanishing verdict and normalized order for one degree, labelled by the image's action."""
@@ -253,17 +215,6 @@ class AlexanderReport:
         self.quotient = quotient
         self.character = character
         self.convention = convention
-
-    def _fields(self) -> tuple:
-        return (self.degree, self.vanishing, self.rank_over_frac, self.order, self.field,
-                self.quotient, self.character, self.convention)
-
-    def __eq__(self, other):
-        return (self._fields() == other._fields() if other.__class__ is AlexanderReport
-                else NotImplemented)
-
-    def __hash__(self):
-        return hash(self._fields())
 
     order_skipped = property(lambda self: False)  # schema-1 key; every report has its order
 
@@ -311,12 +262,13 @@ class IntegralChain:
 
     b1 and b2 are the rows of `SparseMatrix`, column -> {exponent: int},
     and d, with dZ = chi(ker alpha), gives the closed form of H0.  `minor`
-    is (k, s) of the block t^s P - I of b1 that `_unit_minor` reads from its
-    rows, or None, as for a chain built by hand.  None of them, nor the
-    representation, depends on the coefficient field; `over` reads them over
-    one.  `proved` maps "b2", and "b1" where b1 has no unit minor, to the
-    largest rank that a chain read over some F_p proved, with that field,
-    for the chains read over Q.
+    is (k, s) of the block t^s P - I of b1, s = chi_k != 0 for the first
+    such generator, which `_assemble` sets as it writes that block; it is
+    None for the zero character, and for a chain built by hand.  None of
+    them, nor the representation, depends on the coefficient field; `over`
+    reads them over one.  `proved` maps "b2", and "b1" where b1 has no unit
+    minor, to the largest rank that a chain read over some F_p proved, with
+    that field, for the chains read over Q.
     `b2_less` makes the rows of b2 less the minor's column block on first
     use, and `b2_form` eliminates b2 over Z[t^{+-1}] on first use, to
     b2 ~ D (+) R there (see `polyalg.integral_diagonal_form`); both are kept
@@ -379,8 +331,9 @@ def _assemble(rep: Representation) -> IntegralChain:
     Every relator's images must satisfy the fundamental formula in Z[Q x Z],
     which is b2 @ b1 = 0 over every coefficient field; no matrix is
     multiplied.  Entries that are the same polynomial share one dict, which
-    nothing changes.  The unit minor of b1 is read from the rows made here,
-    once for every field.
+    nothing changes.  The unit minor of b1 is block k, t^s P - I, of the
+    first generator with chi_k = s != 0; a block with chi_i = 0 is P - I or
+    zero, never one.
     """
     n, perms, inverses = rep.action.order, rep.action.perms, rep.action.inverses
     relator_blocks = [fox_images(rep, r) for r in rep.presentation.relators]
@@ -388,7 +341,9 @@ def _assemble(rep: Representation) -> IntegralChain:
         raise InternalCheckError("chain condition b2 @ b1 = 0 violated")
     b1 = []
     minus_one = {0: -1}
-    for perm, s in zip(perms, rep.character.values):
+    values = rep.character.values
+    minor = next(((k, s) for k, s in enumerate(values) if s), None)
+    for perm, s in zip(perms, values):
         shift = {s: 1}
         for q in range(n):
             if perm[0]:  # alpha(x_i) is not the identity
@@ -414,7 +369,7 @@ def _assemble(rep: Representation) -> IntegralChain:
                  for g, shifts in block.items() if (f := {k: c for k, c in shifts.items() if c})]
         for q in range(n):
             b2.append(dict(sorted([(i0 + column_g[q], f) for i0, column_g, f in terms])))
-    return IntegralChain(rep, b1, b2, _h0_walk(rep), _unit_minor(b1, n))
+    return IntegralChain(rep, b1, b2, _h0_walk(rep), minor)
 
 
 def h1_vanishing(c: TwistedChain) -> tuple[bool, int]:
@@ -427,22 +382,15 @@ def h1_vanishing(c: TwistedChain) -> tuple[bool, int]:
 def _h0_walk(rep: Representation) -> int:
     """d, where dZ = chi(ker alpha).
 
-    A breadth-first walk over the image's action gives each element g the
-    character value h(g) of its tree path.  Each edge g -> g*alpha(x_i) off
-    the tree closes a Schreier generator of the kernel, of character value
-    h(g) + chi_i - h(g*alpha(x_i)), and d is their gcd.
+    `schreier_tree` gives each element g the character value h(g) of its
+    tree path.  Each edge g -> g*alpha(x_i) closes a Schreier generator of
+    the kernel, of character value h(g) + chi_i - h(g*alpha(x_i)), and d is
+    their gcd; a tree edge's value is 0, so every edge is read alike.
     """
-    perms, values = rep.action.perms, rep.character.values
-    height, walk, d = {0: 0}, [0], 0
-    for g in walk:
-        for perm, k in zip(perms, values):
-            h, y = height[g] + k, perm[g]
-            if y in height:
-                d = gcd(d, h - height[y])
-            else:
-                height[y] = h
-                walk.append(y)
-    return d
+    values = rep.character.values
+    _, height = schreier_tree(rep.action, values)
+    return gcd(*[h + k - height[y] for perm, k in zip(rep.action.perms, values)
+                 for h, y in zip(height, perm)])
 
 
 def _h0_closed_form(c: TwistedChain) -> tuple[int, int, LaurentPoly]:
@@ -462,19 +410,20 @@ def _h1_order(c: TwistedChain) -> LaurentPoly:
     C1/rowspace(b2) is H1 plus the free module im(b1), so the order is the
     product of the nonzero diagonal entries of b2 when there are
     rows(b1) - rank b1 of them, and zero (H1 has free rank) otherwise; here
-    rank b1 = |Q| - rank H0 comes from the closed form, not the rank route.
+    rank b1 = |Q| - rank H0 comes from the closed form, rank H0 = [d = 0],
+    not the rank route.
     The integral chain took b2 ~ D (+) R over Z[t^{+-1}] and the product of
     D's entries once; `IntegralDiagonal.order` reduces that product into
     this field and multiplies in R's entries, finished here.
     """
-    rank_b1 = c.block_size - c.h0_closed_form()[1]
+    rank_b1 = c.block_size - (c.integral.d == 0)
     return c.integral.b2_form().order(c.b1.field, c.b1.rows - rank_b1)
 
 
 def h0_report(c: TwistedChain) -> AlexanderReport:
     """Cokernel of b1: vanishing by the rank route, order by the closed form."""
     rank_h0 = c.block_size - c.rank_b1()
-    d, closed_rank, order = c.h0_closed_form()
+    d, closed_rank, order = _h0_closed_form(c)
     if rank_h0 != closed_rank:
         raise InternalCheckError(
             "degree-0 cross-check failed: rank route and closed form disagree\n"
@@ -556,7 +505,7 @@ def integral_chain(p: Presentation, chi: Character, q: FiniteQuotient) -> Integr
     """Everything of the chain that no field changes, once per quotient.
 
     Every relator must map to the identity; then `_assemble` assembles b1
-    and b2 over Z from the action of q's image and walks H0.
+    and b2 over Z from the action of q's image and reads d of H0.
     """
     return _assemble(build_representation(p, chi, q))
 

@@ -111,25 +111,28 @@ def _quotient_stream(p: Presentation, cfg: ScanConfig):
     The trivial quotient always comes first; a later homomorphism whose
     `kernel_key` matches that of an earlier kept quotient is merged into it.
     The keys come with the homomorphisms (`keyed_homs`, which finds those
-    into Z/m by the relators' exponent sums), all from one memo
-    (`quotients.orbit_key`), which walks one image per orbit of each
-    target's automorphisms: alpha o h has the kernel of h.  Every key, a
-    kept representative's included, is `kernel_key`'s, so merging across
-    targets is unchanged.  r is
-    None where the job of q runs, else the position, among the kept
-    quotients, of the orbit representative whose reports q takes.  After a
-    job has run, which is when the consumer asks for the next event, the
-    kernels of its orbit are registered (`_register_orbit`); the symmetries
-    are found then, once, and reduced to a generating set, so a scan that
-    ends at the trivial quotient never looks for them.  The catalog is built
-    first, so that a clash of target names is refused before any job.
+    into Z/m by the relators' exponent sums), from a memo
+    (`quotients.orbit_key`) that walks one image per orbit of each
+    target's automorphisms: alpha o h has the kernel of h.  The cyclic
+    targets share one memo; each other target has its own, dropped when
+    the stream moves on, since its entries are keyed by image tuples.
+    Every key, a kept representative's included, is `kernel_key`'s, so
+    merging across targets is unchanged.  r is None where the job of q
+    runs, else the position, among the kept quotients, of the orbit
+    representative whose reports q takes.  After a job has run, which is
+    when the consumer asks for the next event, the kernels of its orbit
+    are registered (`_register_orbit`); the symmetries are found then,
+    once, and reduced to a generating set, so a scan that ends at the
+    trivial quotient never looks for them.  The catalog is built first, so
+    that a clash of target names is refused before any job.
     """
     targets = (trivial_group(),) + build_catalog(cfg.max_quotient_order, list(cfg.extra_groups))
-    memo: dict = {}
+    cyclic_memo: dict = {}
     kept: dict = {}
     orbit: dict = {}
     symmetries = None
     for group in targets:
+        memo = cyclic_memo if group.cyclic else {}
         for hom, key in keyed_homs(p, group, memo):
             rep = kept.setdefault(key, hom)
             if rep is not hom:
@@ -151,8 +154,8 @@ def _register_orbit(q: FiniteQuotient, key, symmetries, orbit: dict, position: i
     sigma is the homomorphism with images q(sigma(x_i)), into the same group.
     The closure is walked breadth-first from q, whose key the stream has
     already made, and each member looks up one key per symmetry in the
-    stream's memo (`quotients.orbit_key`), which is why the stream passes a
-    generating set.
+    memo of q's target (`quotients.orbit_key`), which is why the stream
+    passes a generating set.
     """
     orbit[key] = position
     inverse = q.group.inverse

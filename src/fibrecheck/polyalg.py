@@ -400,8 +400,8 @@ class SparseMatrix:
     """A matrix over F[t^{+-1}] kept as sparse rows of integer coefficients.
 
     `data[i]` maps the column of each nonzero entry of row i, in ascending
-    order, to its {exponent: coefficient} dict.  The coefficients are ints
-    (or values of `field`), read into `field` only by the kernels that take
+    order, to its {exponent: coefficient} dict.  The coefficients are ints,
+    over every field, read into `field` only by the kernels that take
     them: each reduces a coefficient as it reads it and drops an entry that
     vanishes there, so several fields can share one `data`, which nothing
     changes.  The kernels read only `field`, `rows`, `cols` and
@@ -475,12 +475,12 @@ def rank_lower_bound(m: SparseMatrix) -> int:
 
     A nonzero minor of the image is the image of the same minor of m, so
     the result never exceeds the rank over F(t); it falls short only when
-    the point is a root of every nonzero maximal minor.  Over Q, t maps to
-    EVALUATION_POINT modulo the prime 2^61 - 1, and the bound is 0 when that
-    prime divides a denominator.  Over F_p, t maps to a generator of
-    GF(p^k), the largest such field of order at most 2^13, while k >= 2,
-    whose Zech tables `_zech_field` reads from the package data on first
-    use; once p^2 > 2^13, t maps to EVALUATION_POINT modulo p.
+    the point is a root of every nonzero maximal minor.  The coefficients
+    are ints, as in every `SparseMatrix`.  Over Q, t maps to
+    EVALUATION_POINT modulo the prime 2^61 - 1.  Over F_p, t maps to a
+    generator of GF(p^k), the largest such field of order at most 2^13,
+    while k >= 2, whose Zech tables `_zech_field` reads from the package
+    data on first use; once p^2 > 2^13, t maps to EVALUATION_POINT modulo p.
 
     The image is eliminated as sparse rows, column -> nonzero value, read
     from `m.sparse_rows()`: each coefficient is reduced as it is read, and an
@@ -501,14 +501,10 @@ def rank_lower_bound(m: SparseMatrix) -> int:
         for j, coeffs in entries.items():
             value = 0
             for e, c in coeffs.items():
-                if c.denominator != 1:  # a Fraction over Q
-                    if c.denominator % modulus == 0:
-                        return 0
-                    c = c.numerator * pow(c.denominator, -1, modulus)
                 x = powers.get(e)
                 if x is None:
                     x = powers[e] = pow(point, e, modulus)
-                value += c.numerator * x
+                value += c * x
             value %= modulus
             if value:
                 row[j] = value

@@ -19,7 +19,9 @@ key is `kernel_key`'s, so merging across targets is unchanged.  And h is a
 homomorphism into Z/m exactly when E a = 0 mod m, E the relators'
 exponent-sum matrix, so cyclic targets are searched without their table.
 A quotient's image is read as its action on its elements (`image_action`),
-not built as a group with a table.
+not built as a group with a table, and `schreier_tree` walks that action
+once for both readers of its Schreier tree: the closed form of H0 and the
+Reidemeister-Schreier rewrite of the kernel.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ __all__ = [
     "kernel_key",
     "build_catalog",
     "image_action",
+    "schreier_tree",
 ]
 
 # Largest target order: that of S5.  A table holds order^2 entries, all built
@@ -186,18 +189,33 @@ class ImageAction:
         self.inverses = inverses
         self.gen_images = tuple([perm[0] for perm in perms])
 
-    def _fields(self) -> tuple:
-        return self.name, self.order, self.perms, self.inverses
-
-    def __eq__(self, other):
-        return (self._fields() == other._fields() if other.__class__ is ImageAction
-                else NotImplemented)
-
-    def __hash__(self):
-        return hash(self._fields())
-
     def label(self) -> dict:
         return {"name": self.name, "order": self.order, "gen_images": list(self.gen_images)}
+
+
+def schreier_tree(action: ImageAction, values: tuple[int, ...]
+                  ) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The breadth-first Schreier tree of the action from point 0, in
+    generator order: each point c's transversal word T(c), a positive word
+    of generator numbers, and its height, the sum of `values` along T(c).
+
+    An edge c -> c*alpha(x_i) is a tree edge where T(c*alpha(x_i)) is
+    T(c) x_i; every other edge closes the Schreier generator
+    T(c) x_i T(c*alpha(x_i))^-1 of the kernel, whose value is
+    height(c) + values[i] - height(c*alpha(x_i)), and a tree edge's is 0.
+    """
+    transversal: list = [None] * action.order
+    transversal[0] = ()
+    height = [0] * action.order
+    reached = [0]
+    for c in reached:  # grows while it is walked
+        for i, (perm, k) in enumerate(zip(action.perms, values), 1):
+            c2 = perm[c]
+            if transversal[c2] is None:
+                transversal[c2] = transversal[c] + (i,)
+                height[c2] = height[c] + k
+                reached.append(c2)
+    return transversal, height
 
 
 def trivial_group() -> FiniteGroup:
@@ -281,8 +299,11 @@ def keyed_homs(p: Presentation, target: FiniteGroup, memo: dict | None = None
     relator once the generators that decide it are assigned: into Z/m by
     its exponent sums (`_exponent_sum_candidates`), into any other target
     through the table (`_table_candidates`).  Each key is `kernel_key`'s,
-    from `orbit_key` with `memo`, which a scan shares across its targets;
-    the length of its permutations, the image's order, decides surjectivity.
+    from `orbit_key` with `memo`: for a cyclic target, one dict that a scan
+    shares across all its cyclic targets; for any other, a dict of this
+    target's own, which the caller keeps only while it reads this target,
+    as its entries are keyed by the image tuple alone.  The length of the
+    key's permutations, the image's order, decides surjectivity.
     """
     g, order = p.generator_count, target.order
     candidates = (_exponent_sum_candidates(p, order) if target.cyclic
@@ -404,7 +425,8 @@ def orbit_key(target: FiniteGroup, images: tuple[int, ...], memo: dict
     subgroup of index g = gcd(m, a) have the key of a/g in Z/(m/g), x -> g x
     being an isomorphism onto that subgroup, so the entry is (m/g, a/g),
     shared by every Z/m' with m/g dividing m'.  Other entries are keyed by
-    the target object, never by its name.
+    the image tuple alone, so `memo` then holds one target's entries only:
+    another table's ids name other elements.
     """
     if target.cyclic:
         g = gcd(target.order, *images)
@@ -416,13 +438,13 @@ def orbit_key(target: FiniteGroup, images: tuple[int, ...], memo: dict
                 if gcd(u, n) == 1:
                     memo[n, tuple([u * a % n for a in reduced])] = key
         return key
-    key = memo.get((target, images))
+    key = memo.get(images)
     if key is None:
         key = _kernel_key(target.table, images)
         table, inverse = target.table, target._inverses
         for s, column in enumerate(target.columns):
             row = table[inverse[s]]
-            memo[target, tuple([row[column[a]] for a in images])] = key
+            memo[tuple([row[column[a]] for a in images])] = key
     return key
 
 

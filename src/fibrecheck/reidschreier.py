@@ -7,15 +7,18 @@ deterministic; Schreier generators whose defining word reduces to nothing
 (the spanning-tree edges) are eliminated on the spot.  The cosets are the
 elements of the image, and the rewrite reads the permutations of the
 image's action that the twisted chain reads (`quotients.image_action`), so
-rewriting a relator from one coset costs one permutation read per letter,
-and each coset's character value is kept from the breadth-first search that
-reaches it instead of being summed again along its transversal word.
+rewriting a relator from one coset costs one permutation read per letter.
+The tree is `quotients.schreier_tree`, the one walk that the chain's closed
+form of H0 reads too: each coset's character value is kept from the walk
+that reaches it instead of being summed again along its transversal word,
+and d, with dZ = chi(ker alpha), is the gcd of the restricted character's
+values.
 """
 
 from __future__ import annotations
 
 from .alexander import InternalCheckError
-from .quotients import FiniteQuotient, image_action
+from .quotients import FiniteQuotient, image_action, schreier_tree
 from .words import Character, Presentation, Word, validate_character
 
 __all__ = ["SubgroupPresentation", "rewrite_subgroup"]
@@ -45,20 +48,7 @@ def rewrite_subgroup(p: Presentation, q: FiniteQuotient, chi: Character) -> Subg
     n = action.order
     g = p.generator_count
     values = chi.values
-
-    # Breadth-first Schreier transversal in generator order: each coset gets
-    # its transversal word T(c), a positive word, and its height chi(T(c)).
-    transversal: list[tuple[int, ...] | None] = [None] * n
-    transversal[0] = ()
-    height = [0] * n
-    reached = [0]
-    for c in reached:  # grows while it is walked
-        for i in range(g):
-            c2 = forward[i][c]
-            if transversal[c2] is None:
-                transversal[c2] = transversal[c] + (i + 1,)
-                height[c2] = height[c] + values[i]
-                reached.append(c2)
+    transversal, height = schreier_tree(action, values)
 
     # Kept Schreier generators s_{c,i} = T(c) x_i T(c.x_i)^-1, tree edges,
     # where T(c.x_i) = T(c) x_i, dropped.  A kept word is reduced: T(c.x_i)

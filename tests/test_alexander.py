@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -242,8 +243,9 @@ def test_full_report_on_an_s5_quotient_of_f2xz(field):
 
 
 def test_h0_closed_form_walks_once_per_report(monkeypatch):
-    # h0_report and the order route both read the closed form; the chain
-    # keeps it, so the walk over the image runs once per full_report.
+    # h0_report reads the closed form once; the order route reads only d,
+    # rank H0 = [d = 0], from the integral chain, so the closed form is
+    # taken once per full_report.
     from fibrecheck import alexander
 
     walk, calls = alexander._h0_closed_form, []
@@ -618,7 +620,8 @@ def test_minus_fold_and_b2_order_match_full_computation():
             for field in (Q, F2, F3):
                 derived = _scan_job((p, chi, q, (field,)))[2:]
                 computed = full_report(p, chi.negate(), q, field)
-                assert derived == computed, (q.label(), field.name)
+                assert [r.as_dict(p) for r in derived] == [r.as_dict(p) for r in computed], \
+                    (q.label(), field.name)
                 chain = _chain(p, chi, q, field)
                 assert h1_order(chain) == kernel_route_h1_order(chain), (q.label(), field.name)
                 checked += 1
@@ -812,7 +815,8 @@ def test_minus_reports_match_the_negated_character_on_random_presentations(field
     from fibrecheck.fibring import _scan_job
 
     p, chi, q = data.draw(presentations_with_quotient())
-    assert _scan_job((p, chi, q, (field,)))[2:] == full_report(p, chi.negate(), q, field)
+    derived, computed = _scan_job((p, chi, q, (field,)))[2:], full_report(p, chi.negate(), q, field)
+    assert [r.as_dict(p) for r in derived] == [r.as_dict(p) for r in computed]
 
 
 @pytest.mark.parametrize("field", [Q, F2, F3], ids=lambda f: f.name)
@@ -846,15 +850,19 @@ def test_tietze_moves_keep_verdicts_and_orders_on_random_presentations(field, da
 @settings(max_examples=30)
 @given(data=st.data())
 def test_certified_ranks_are_those_of_the_full_matrices(zero, data):
-    # With chi != 0, rank b1 comes from a unit minor and rank b2 is read on b2
-    # less one column block; with chi = 0 there is no such minor, and both are
-    # read on the full matrices.  Either way, over F2, F3, F5 and then Q, which
-    # may inherit a prime's certificate, they are Bareiss's ranks of the full
-    # b1 and b2.
+    # With chi != 0, rank b1 comes from the unit minor that chi gives and rank
+    # b2 is read on b2 less one column block; with chi = 0 there is no such
+    # minor, and both are read on the full matrices.  Either way, over F2, F3,
+    # F5 and then Q, which may inherit a prime's certificate, they are
+    # Bareiss's ranks of the full b1 and b2.  And d of the closed form of H0,
+    # with dZ = chi(ker alpha), is the gcd of the character that
+    # Reidemeister-Schreier restricts to the kernel.
     p, chi, q = data.draw(presentations_with_quotient())
     if zero:
         chi = validate_character(p, [0] * p.generator_count)
     chain = integral_chain(p, chi, q)
+    assert chain.minor is None if zero else chi.values[chain.minor[0]] == chain.minor[1] != 0
+    assert chain.d == gcd(*rewrite_subgroup(p, q, chi).restricted_character.values)
     for field in (F2, F3, F5, Q):
         c = chain.over(field)
         assert (c.rank_b1(), c.rank_b2()) == (rank_over_fraction_field(c.b1), rank_over_fraction_field(c.b2))

@@ -122,7 +122,7 @@ def test_scan_obstructed_witness_reproducible():
     chi = validate_character(p, [1, 0, 0])
     v = scan(ScanConfig(presentation=p, character=chi, max_quotient_order=4))
     w, q = v.witness, v.tested_quotients[-1]
-    assert image_action(q) == w.quotient
+    assert image_action(q).label() == w.quotient.label()
     chain = chain_over(build_representation(p, w.character, q), w.field)
     vanish, _ = h1_vanishing(chain)
     assert vanish
@@ -531,6 +531,32 @@ def test_serial_and_pool_scans_agree_on_random_presentations(data):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(fibring, "generator_symmetries", lambda p, chi: ())
         assert serial == emit_report(scan(cfg), "json")
+
+
+@pytest.mark.parametrize("name, order", [("f2xz", 6), ("trefoil", 8)])
+def test_the_stream_merges_exactly_the_quotients_of_one_kernel(name, order):
+    # A skipped quotient has its representative's `_kernel_key` and the kept
+    # ones have distinct keys, with the Klein four-group V4 (g*h = g XOR h)
+    # as a table target before S3.  The two tables' element ids name other
+    # elements, so each table target has a memo of its own: one memo shared
+    # by both would give S3 homomorphisms the keys of V4's.
+    from fibrecheck import fibring
+    from fibrecheck.quotients import FiniteGroup, _kernel_key
+
+    def key(q):
+        return _kernel_key(q.group.table, q.gen_images)
+
+    klein = FiniteGroup(4, tuple(tuple(g ^ h for h in range(4)) for g in range(4)), "V4")
+    p, chi = load_fixture(name)
+    cfg = ScanConfig(presentation=p, character=chi, max_quotient_order=order, extra_groups=(klein,))
+    kept = set()
+    for kind, q, rep in fibring._quotient_stream(p, cfg):
+        if kind == "kept":
+            assert key(q) not in kept, q.label()
+            kept.add(key(q))
+        else:
+            assert key(q) == key(rep), (q.label(), rep.label())
+    assert len(kept) > order
 
 
 @settings(max_examples=20)

@@ -127,16 +127,18 @@ def _brute_force_homs(p, target) -> list[tuple[int, ...]]:
 def test_enumerate_homs_brute_force_agreement(data):
     # Independent oracle: test all image tuples with full relator evaluation.
     # A random presentation runs the targets in catalog order, the trivial
-    # group first, with one memo as a scan does: cyclic targets by exponent
-    # sums, S3 through its table, and every key is the walk's own even
-    # where the memo gave it from another homomorphism or target.
+    # group first, with the memos a scan uses: one shared by the cyclic
+    # targets, searched by exponent sums, and one of its own for each table
+    # target, V4 and S3, searched through its table.  Every key is the
+    # walk's own even where the memo gave it from another homomorphism or
+    # target.
     for p, target in ((BS12, cyclic_group(4)), (BS12, symmetric_group(3)),
                       (parse_presentation("gens: x y\nrels: x y x y^-1 x^-1 y^-1"), symmetric_group(3))):
         assert [h.gen_images for h in enumerate_homs(p, target)] == _brute_force_homs(p, target)
     p, _, _ = data.draw(presentations_with_quotient())
     memo: dict = {}
-    for target in [trivial_group()] + sorted(PROPERTY_TARGETS, key=lambda g: (g.order, g.name)):
-        homs = keyed_homs(p, target, memo)
+    for target in [trivial_group()] + sorted(PROPERTY_TARGETS + [_KLEIN], key=lambda g: (g.order, g.name)):
+        homs = keyed_homs(p, target, memo if target.cyclic else {})
         assert [q.gen_images for q, _ in homs] == _brute_force_homs(p, target)
         for q, key in homs:
             assert key == _kernel_key(target.table, q.gen_images)
