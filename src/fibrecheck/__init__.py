@@ -6,7 +6,7 @@ and there the import counts: `dataclasses` pulls in `inspect`, `ast` and
 `dis`, and generating the methods of each decorated class costs more again,
 together more than a small command's algebra.  A record defines
 ``__eq__`` and ``__hash__``, over all of its fields, only where records are
-compared or used as keys (`Word`, `Presentation`, `Character`, `SnfResult`);
+compared or used as keys (`Word`, `Presentation`, `Character`);
 a quotient's image is an `ImageAction`, not a group, and it and an
 `AlexanderReport` are read through `label()` and `as_dict()`, never compared.
 Modules that only one path needs, such as the process pool of
@@ -30,7 +30,6 @@ from .polyalg import (  # noqa: F401
     CoefficientField,
     LaurentPoly,
     NotInSpan,
-    SnfResult,
     SparseMatrix,
     diagonal_form,
     rank_lower_bound,

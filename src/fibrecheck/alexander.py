@@ -13,37 +13,39 @@ the image's action, and b1 and b2 are kept as sparse integer rows.
 reads the same rows over each field, and the kernels of `polyalg` reduce
 every coefficient as they read it, Bareiss included.
 Vanishing is decided on the rank route, the ranks of b1 and b2 over F(t).
-Both come from the algebra where b1 has a block t^s P - I with s != 0, P
-the permutation matrix of right multiplication by alpha(x_k): any generator
-with chi_k = s != 0 gives one.  Its determinant is +-prod over the cycles c
-of P of (t^{s|c|} - 1), whose top and bottom coefficients are +-1, so it is
-nonzero over every field and rank b1 = |Q|; the minor is (k, chi_k) for the
-first generator with chi_k != 0, taken from chi where b1 is written, since a
-block with chi_i = 0 is P - I or zero and never such a minor.  b2 @ b1 = 0
-then gives the Wada-matrix identity B_k = -B_rest b1_rest b1_k^{-1} over
-F(t), where B_k is column block k of b2 and B_rest the rest of b2:
-rank b2 = rank B_rest, b2 less one column block (Wada 1994,
-Kirk-Livingston 1999).  B_rest is bounded from below by
-`rank_lower_bound`, the rank after mapping t to a point of a finite field:
-minors map to minors, so the bound never exceeds the true rank.  Where the
-bound meets min(rows, cols) of B_rest, which is rows(b1) - rank b1, it is
-the rank.  Otherwise exact Bareiss elimination decides, so Bareiss runs for
-every rank deficit, where vanishing must be certified exactly, and when the
-point is a root of every maximal minor.  Only an explicit zero character
-leaves b1 without such a block; then b1 is bounded the same way against
-min(rows, cols), and the whole of b2 against rows(b1) - rank b1 (its rows
-lie in the left kernel of b1).
-Over Q the ranks may come from a prime field instead: an r x r minor of the
-integral rows that is nonzero mod p is nonzero over Z, so rank over Q(t) >=
-rank over F_p(t), while the upper bounds are the same for every field once
-rank b1 is.  An `IntegralChain` keeps the largest rank of b2, and of b1
-where it was eliminated, that a chain it built over some F_p proved, by the
-bound or by Bareiss, and its chain over Q takes such a rank without
-elimination where it reaches Q's upper bound.  A default scan runs F2 and
-F3 before Q, and every Q job reads rank b2 so, since a shortfall of b2 over
-F_p is a degree-1 vanishing, which stops the job before Q.  Where Q comes
-first or alone, it runs its own bound; between two primes nothing is
-inferred.  The order route computes the orders independently, over Q too.
+Rank b1 is an identity for every character, read off chi where b1 is
+written.  A generator with chi_k = s != 0 gives b1 the block t^s P - I, P
+the permutation matrix of right multiplication by alpha(x_k).  Its
+determinant is +-prod over the cycles c of P of (t^{s|c|} - 1), whose top
+and bottom coefficients are +-1, so it is nonzero over every field and
+rank b1 = |Q|; the minor is (k, chi_k) for the first generator with
+chi_k != 0.  For the zero character every block is P - I or zero, so every
+row of b1 sums to 0 and rank b1 <= |Q| - 1; the |Q| - 1 edges of the
+image's Schreier tree give rows e_{c*alpha(x_i)} - e_c, independent over
+every field, so rank b1 = |Q| - 1.  Only b2 is eliminated.  With the
+minor, b2 @ b1 = 0 gives the Wada-matrix identity
+B_k = -B_rest b1_rest b1_k^{-1} over F(t), where B_k is column block k of
+b2 and B_rest the rest of b2: rank b2 = rank B_rest, b2 less one column
+block (Wada 1994, Kirk-Livingston 1999), against min(rows, cols), which is
+rows(b1) - rank b1.  Without it, the whole of b2 is read against
+rows(b1) - rank b1, since its rows lie in the left kernel of b1.  That
+matrix is bounded from below by `rank_lower_bound`, the rank after mapping
+t to a point of a finite field: minors map to minors, so the bound never
+exceeds the true rank, and where it meets the upper bound it is the rank.
+Otherwise exact Bareiss elimination decides, so Bareiss runs for every rank
+deficit, where vanishing must be certified exactly, and when the point is a
+root of every maximal minor.
+Over Q the rank of b2 may come from a prime field instead: an r x r minor
+of the integral rows that is nonzero mod p is nonzero over Z, so rank over
+Q(t) >= rank over F_p(t), while the upper bound is the same for every
+field.  An `IntegralChain` keeps the largest rank of b2 that a chain it
+built over some F_p proved, by the bound or by Bareiss, and its chain over
+Q takes that rank without elimination where it reaches Q's upper bound.  A
+default scan runs F2 and F3 before Q, and every Q job reads rank b2 so,
+since a shortfall of b2 over F_p is a degree-1 vanishing, which stops the
+job before Q.  Where Q comes first or alone, it runs its own bound; between
+two primes nothing is inferred.  The order route computes the orders
+independently, over Q too.
 H0 is in closed form: Q is the image of alpha, so H0 is F[t^{+-1}]/(t^d - 1),
 where dZ = chi(ker alpha) is the gcd of the character's values on the
 Schreier generators of the kernel, read off the walk that Reidemeister-
@@ -105,8 +107,8 @@ def _certified_rank(m: SparseMatrix, upper: int,
 
     `m` is B_rest, b2 less the column block of b1's unit minor, whose rank
     is that of b2 by the Wada-matrix identity and whose upper bound
-    min(rows, cols) is rows(b1) - rank b1; without that minor it is b1 or
-    the whole of b2.  `proved` is (rank, F_p) for a rank that F_p(t) proved
+    min(rows, cols) is rows(b1) - rank b1; without that minor it is the
+    whole of b2.  `proved` is (rank, F_p) for a rank that F_p(t) proved
     for the same integral rows, which the caller passes only over Q: there
     it is a lower bound, since a minor that is nonzero mod p is nonzero over
     Z, so where it reaches `upper` it is the rank and nothing is eliminated.
@@ -126,12 +128,13 @@ class TwistedChain:
 
     Made by `IntegralChain.over`, from the `integral` chain that it keeps:
     the representation, d of the closed form of H0, the unit minor of b1,
-    the record of the ranks that chains over prime fields proved (see
-    `_certify`), the rows of b2 less one column block and the diagonal form
-    of b2 over Z[t^{+-1}] are all read from there, once for every field.
-    Rank b1 is |Q| where b1 has a unit minor t^s P - I in block k, and rank
-    b2 is then the rank of B_rest, b2 less column block k: b2 @ b1 = 0
-    writes B_k = -B_rest b1_rest b1_k^{-1} over F(t) (the Wada matrix).
+    the rank of b2 that a chain over a prime field proved (see `_certify`),
+    the rows of b2 less one column block and the diagonal form of b2 over
+    Z[t^{+-1}] are all read from there, once for every field.  Rank b1 is
+    an identity: |Q| where b1 has a unit minor t^s P - I in block k, and
+    |Q| - 1 for the zero character.  Rank b2 is then the rank of B_rest, b2
+    less column block k: b2 @ b1 = 0 writes B_k = -B_rest b1_rest b1_k^{-1}
+    over F(t) (the Wada matrix); without the minor it is read on b2.
     """
 
     __slots__ = ("integral", "b1", "b2", "_cache")
@@ -150,35 +153,33 @@ class TwistedChain:
     def block_size(self) -> int:
         return self.integral.representation.action.order
 
-    def _certify(self, key: str, m: SparseMatrix, upper: int) -> tuple[int, str]:
-        """(rank, route) of `m`, whose rank is that of b1 or b2 as `key` names, by `_certified_rank`.
+    def _certify(self, m: SparseMatrix, upper: int) -> tuple[int, str]:
+        """(rank, route) of `m`, whose rank is that of b2, by `_certified_rank`.
 
         Over Q it reads the rank that a prime field proved, if any; over F_p
-        it records its own rank there for the fields that follow.
+        it records its own rank for the fields that follow.
         """
-        proved = self.integral.proved
+        integral = self.integral
         if m.field.p is None:
-            return _certified_rank(m, upper, proved.get(key))
+            return _certified_rank(m, upper, integral.proved)
         rank, route = _certified_rank(m, upper)
-        if rank > proved.get(key, (-1,))[0]:
-            proved[key] = rank, m.field
+        if integral.proved is None or rank > integral.proved[0]:
+            integral.proved = rank, m.field
         return rank, route
 
     def rank_b1(self) -> int:
-        """Rank of b1 over F(t): |Q| by a unit minor, else the finite-field
-        bound if it reaches min(rows, cols), else Bareiss."""
+        """Rank of b1 over F(t), by an identity: |Q| by the unit minor, and
+        |Q| - 1 for the zero character, by the image's Schreier tree."""
         cache = self._cache
         if "b1" not in cache:
-            minor = self.integral.minor
-            if minor is None:
-                cache["b1"] = self._certify("b1", self.b1, min(self.b1.rows, self.b1.cols))
-            else:
-                cache["b1"] = self.b1.cols, "by the minor of block {}, t^{} P - I".format(*minor)
+            minor, n = self.integral.minor, self.b1.cols
+            cache["b1"] = ((n - 1, "by the Schreier tree of the image, |Q| - 1") if minor is None
+                           else (n, "by the minor of block {}, t^{} P - I".format(*minor)))
         return cache["b1"][0]
 
     def rank_b2(self) -> int:
         """Rank of b2 over F(t), read on B_rest, b2 less the unit minor's
-        column block, against min(rows, cols); without a unit minor, on b2
+        column block, against min(rows, cols); for the zero character, on b2
         against rows(b1) - rank b1 (b2 @ b1 = 0).  The finite-field bound
         decides where it reaches that bound, else Bareiss.  Over Q, a rank
         that a prime field proved is the rank where it reaches the same
@@ -193,7 +194,7 @@ class TwistedChain:
                 m = SparseMatrix(self.b2.field, self.integral.b2_less(),
                                  self.b2.rows, self.b2.cols - self.b1.cols)
                 upper, read = min(m.rows, m.cols), f"b2 less column block {k}"
-            rank, route = self._certify("b2", m, upper)
+            rank, route = self._certify(m, upper)
             cache["b2"] = rank, f"{route}, read on {read} ({m.rows}x{m.cols})"
         return cache["b2"][0]
 
@@ -202,11 +203,10 @@ class AlexanderReport:
     """Vanishing verdict and normalized order for one degree, labelled by the image's action."""
 
     __slots__ = ("degree", "vanishing", "rank_over_frac", "order", "field", "quotient",
-                 "character", "convention")
+                 "character")
 
     def __init__(self, degree: int, vanishing: bool, rank_over_frac: int, order: LaurentPoly,
-                 field: CoefficientField, quotient: ImageAction, character: Character,
-                 convention: str = CONVENTION):
+                 field: CoefficientField, quotient: ImageAction, character: Character):
         self.degree = degree
         self.vanishing = vanishing
         self.rank_over_frac = rank_over_frac
@@ -214,7 +214,6 @@ class AlexanderReport:
         self.field = field
         self.quotient = quotient
         self.character = character
-        self.convention = convention
 
     order_skipped = property(lambda self: False)  # schema-1 key; every report has its order
 
@@ -231,7 +230,7 @@ class AlexanderReport:
             "field": self.field.name,
             "quotient": self.quotient.label(),
             "character": render_character(p, self.character) if character is None else character,
-            "convention": self.convention,
+            "convention": CONVENTION,
         }
 
 
@@ -264,11 +263,10 @@ class IntegralChain:
     and d, with dZ = chi(ker alpha), gives the closed form of H0.  `minor`
     is (k, s) of the block t^s P - I of b1, s = chi_k != 0 for the first
     such generator, which `_assemble` sets as it writes that block; it is
-    None for the zero character, and for a chain built by hand.  None of
-    them, nor the representation, depends on the coefficient field; `over`
-    reads them over one.  `proved` maps "b2", and "b1" where b1 has no unit
-    minor, to the largest rank that a chain read over some F_p proved, with
-    that field, for the chains read over Q.
+    None exactly for the zero character.  None of them, nor the
+    representation, depends on the coefficient field; `over` reads them
+    over one.  `proved` is (rank, F_p) for the largest rank of b2 that a
+    chain read over some F_p proved, for the chains read over Q, or None.
     `b2_less` makes the rows of b2 less the minor's column block on first
     use, and `b2_form` eliminates b2 over Z[t^{+-1}] on first use, to
     b2 ~ D (+) R there (see `polyalg.integral_diagonal_form`); both are kept
@@ -280,13 +278,13 @@ class IntegralChain:
 
     def __init__(self, representation: Representation,
                  b1: list[dict[int, dict[int, int]]], b2: list[dict[int, dict[int, int]]],
-                 d: int, minor: tuple[int, int] | None = None):
+                 d: int, minor: tuple[int, int] | None):
         self.representation = representation
         self.b1 = b1
         self.b2 = b2
         self.d = d
         self.minor = minor
-        self.proved: dict[str, tuple[int, CoefficientField]] = {}
+        self.proved: tuple[int, CoefficientField] | None = None
         self._b2_less: list[dict[int, dict[int, int]]] | None = None
         self._b2_form: IntegralDiagonal | None = None
 
@@ -316,8 +314,7 @@ class IntegralChain:
         """b2 ~ D (+) R over Z[t^{+-1}] by `integral_diagonal_form`, taken once for every field."""
         if self._b2_form is None:
             p, n = self.representation.presentation, self.representation.action.order
-            self._b2_form = integral_diagonal_form(self.b2, len(p.relators) * n,
-                                                   p.generator_count * n)
+            self._b2_form = integral_diagonal_form(self.b2, p.generator_count * n)
         return self._b2_form
 
 
@@ -435,7 +432,7 @@ def h0_report(c: TwistedChain) -> AlexanderReport:
 
 def _diagnostic(c: TwistedChain, rank: int, order: LaurentPoly, detail: str) -> str:
     """What reproduces a failed cross-check, with the sizes involved, and the
-    route of each rank of b1 and b2 that was computed: the unit minor that
+    route of each rank of b1 and b2 that was computed: the identity that
     gave rank b1, and the matrix that rank b2 was read on, with its shape;
     no matrix entries.  It ends with an `alex` command line for the same
     presentation, character, field and quotient, the quotient as the chain
@@ -487,14 +484,13 @@ def _h1_report(c: TwistedChain) -> AlexanderReport:
     order = _h1_order(c)
     if vanishing != order.is_zero:
         phase = c.integral.b2_form()
-        form = phase.over(c.b1.field)
         from_z = len(phase.diagonal)
         residual = (f"residual {len(phase.residual)}x{phase.cols - from_z} finished over {c.b1.field.name}"
                     if phase.residual else "no residual")
         raise InternalCheckError(
             "degree-1 cross-check failed: rank route and order route disagree\n"
             + _diagnostic(c, rank_h1, order, "diagonal of b2: ["
-                          + ", ".join(d.render() for d in form.diagonal)
+                          + ", ".join(d.render() for d in phase.entries(c.b1.field))
                           + f"] ({from_z} entries from Z, {residual})")
         )
     return AlexanderReport(1, vanishing, rank_h1, order, c.b1.field,

@@ -7,7 +7,8 @@ F[t^{+-1}] itself, a Euclidean domain whose units are the
 monomials c*t^k and whose norm is the span (highest minus lowest exponent),
 so monomial entries are unit pivots.  The diagonal need not be a
 divisibility chain: an order needs only the product of its nonzero entries,
-the gcd of the r x r minors for r the rank.  Rank over the rational-function
+the gcd of the r x r minors for r the rank, so `diagonal_form` gives just
+those entries, and their number is the rank.  Rank over the rational-function
 field F(t) has two routes.  `rank_lower_bound` maps t to a fixed point of a
 finite field and eliminates there; every minor maps to the image of that
 minor, so the result never exceeds the rank over F(t), and it proves the rank
@@ -42,7 +43,6 @@ __all__ = [
     "CoefficientField",
     "LaurentPoly",
     "SparseMatrix",
-    "SnfResult",
     "NotInSpan",
     "EVALUATION_POINT",
     "MAX_FIELD_PRIME",
@@ -661,53 +661,31 @@ def _rank_in_extension(m: SparseMatrix, p: int) -> int:
     return rank
 
 
-class SnfResult:
-    """The diagonal of a diagonal form over F[t^{+-1}]: canonical entries, or zero.
+def diagonal_form(m: SparseMatrix) -> tuple[LaurentPoly, ...]:
+    """The nonzero entries of a diagonal form of m over the Euclidean domain
+    F[t^{+-1}], normed by span, each canonical; the rank is their number.
 
-    The entries need not divide one another, but the product of the nonzero
-    ones is the gcd of the r x r minors up to a unit, r the rank: unimodular
-    operations keep that gcd, and a diagonal matrix has one such minor.
-    """
-
-    __slots__ = ("diagonal",)
-
-    def __init__(self, diagonal: tuple[LaurentPoly, ...]):
-        self.diagonal = diagonal
-
-    def __eq__(self, other):
-        return self.diagonal == other.diagonal if other.__class__ is SnfResult else NotImplemented
-
-    def __hash__(self):
-        return hash((self.diagonal,))
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal if not d.is_zero)
-
-
-def diagonal_form(m: SparseMatrix) -> SnfResult:
-    """A diagonal form of m over the Euclidean domain F[t^{+-1}], normed by span.
-
-    The rows of `m.sparse_rows()` are copied with every coefficient reduced
-    into the field, and an entry that vanishes there left out, and then
-    eliminated by `_eliminate`, which consumes them all.  A unit pivot's
-    entry is the shared 1, with no normalising; any other pivot's entry is
-    its canonical form.  A twisted chain's b2 reaches this only as the
-    residual R of `integral_diagonal_form`, which runs the same loop once
-    over Z[t^{+-1}] for every field and stops where a remainder's top
+    The entries need not divide one another, but their product is the gcd of
+    the r x r minors up to a unit, r the rank: unimodular operations keep
+    that gcd, and a diagonal matrix has one such minor.  The rows of
+    `m.sparse_rows()` are copied with every coefficient reduced into the
+    field, and an entry that vanishes there left out, and then eliminated by
+    `_eliminate`, which consumes them all.  A unit pivot's entry is the
+    shared 1, with no normalising; any other pivot's entry is its canonical
+    form.  A twisted chain's b2 reaches this only as the residual R of
+    `integral_diagonal_form`, which runs the same loop once over
+    Z[t^{+-1}] for every field and stops where a remainder's top
     coefficient is not +-1: b2 ~ D (+) R, so a diagonal form of b2 over a
     field is D's entries mod p followed by this form of R.
     """
     field = m.field
     pivots, _ = _eliminate(*_read_rows(m.sparse_rows(), m.cols, field.p), field)
     one = LaurentPoly.one(field)
-    diagonal = [one if len(d) == 1 else LaurentPoly._raw(field, d).canonical() for d in pivots]
-    diagonal.extend(LaurentPoly.zero(field) for _ in range(min(m.rows, m.cols) - len(diagonal)))
-    return SnfResult(tuple(diagonal))
+    return tuple([one if len(d) == 1 else LaurentPoly._raw(field, d).canonical() for d in pivots])
 
 
 class IntegralDiagonal:
-    """b ~ D (+) R over Z[t^{+-1}], from `integral_diagonal_form` of a rows x cols b.
+    """b ~ D (+) R over Z[t^{+-1}], from `integral_diagonal_form` of b with `cols` columns.
 
     That is, invertible row and column operations over Z[t^{+-1}] take b to
     the block sum of a diagonal D, a matrix R and zeros.  `diagonal` holds
@@ -715,17 +693,16 @@ class IntegralDiagonal:
     with lowest exponent 0 and top coefficient 1, so none vanishes modulo any
     p and each is monic there; `residual` holds the rows of R, each in
     ascending column order, usually none.  `order` reads the product of D's
-    entries, taken once over Z, over one field and finishes R there; `over`,
-    for diagnostics, reads the whole diagonal.
+    entries, taken once over Z, over one field and finishes R there;
+    `entries`, for diagnostics, reads every nonzero entry.
     """
 
-    __slots__ = ("diagonal", "residual", "rows", "cols", "_product")
+    __slots__ = ("diagonal", "residual", "cols", "_product")
 
     def __init__(self, diagonal: tuple[dict[int, int], ...],
-                 residual: list[dict[int, dict[int, int]]], rows: int, cols: int):
+                 residual: list[dict[int, dict[int, int]]], cols: int):
         self.diagonal = diagonal
         self.residual = residual
-        self.rows = rows
         self.cols = cols
         self._product: dict[int, int] | None = None
 
@@ -759,25 +736,23 @@ class IntegralDiagonal:
                 order = order * d
         return order
 
-    def over(self, field: CoefficientField) -> SnfResult:
-        """A diagonal form of b over `field`, as `diagonal_form` would give.
+    def entries(self, field: CoefficientField) -> tuple[LaurentPoly, ...]:
+        """The nonzero entries of a diagonal form of b over `field`, as
+        `diagonal_form` would give them.
 
         The map Z[t^{+-1}] -> F[t^{+-1}] takes the elementary operations that
         gave D (+) R to elementary operations over F, so b is equivalent over F
-        to D mod p (+) R mod p: the canonical form of each entry of D, then the
-        nonzero entries of `diagonal_form` of R over `field`, then zeros.
+        to D mod p (+) R mod p: the canonical form of each entry of D, then
+        `diagonal_form` of R over `field`.
         """
-        entries = [LaurentPoly._raw(field, _canonical_over(d, field.p)) for d in self.diagonal]
-        entries += self._finish(field)
-        entries.extend(LaurentPoly.zero(field) for _ in range(min(self.rows, self.cols) - len(entries)))
-        return SnfResult(tuple(entries))
+        return tuple([LaurentPoly._raw(field, _canonical_over(d, field.p))
+                      for d in self.diagonal]) + self._finish(field)
 
-    def _finish(self, field: CoefficientField) -> list[LaurentPoly]:
-        """The nonzero entries of `diagonal_form` of R over `field`."""
+    def _finish(self, field: CoefficientField) -> tuple[LaurentPoly, ...]:
+        """`diagonal_form` of R over `field`."""
         if not self.residual:
-            return []
-        rest = diagonal_form(SparseMatrix(field, self.residual, len(self.residual), self.cols))
-        return [d for d in rest.diagonal if not d.is_zero]
+            return ()
+        return diagonal_form(SparseMatrix(field, self.residual, len(self.residual), self.cols))
 
 
 def _canonical_over(d: dict[int, int], p: int | None) -> dict[int, int]:
@@ -812,7 +787,7 @@ def int_power(a: dict[int, int], k: int) -> dict[int, int]:
     return out
 
 
-def integral_diagonal_form(data: list[dict[int, dict[int, int]]], rows: int, cols: int) -> IntegralDiagonal:
+def integral_diagonal_form(data: list[dict[int, dict[int, int]]], cols: int) -> IntegralDiagonal:
     """Eliminate integer rows over Z[t^{+-1}] once, for every field at once.
 
     `data` is read as in `SparseMatrix`, with each coefficient kept as the
@@ -833,7 +808,7 @@ def integral_diagonal_form(data: list[dict[int, dict[int, int]]], rows: int, col
     for d in pivots:  # times t^-low and the top coefficient, a unit of Z[t^{+-1}]
         low, sign = min(d), d[max(d)]
         diagonal.append({e - low: c * sign for e, c in d.items()})
-    return IntegralDiagonal(tuple(diagonal), [dict(sorted(row.items())) for row in rest], rows, cols)
+    return IntegralDiagonal(tuple(diagonal), [dict(sorted(row.items())) for row in rest], cols)
 
 
 def _read_rows(data: list[dict[int, dict[int, int]]], cols: int,

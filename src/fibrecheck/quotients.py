@@ -7,17 +7,19 @@ groups uniformly at desk scale.  The table file format is::
     order: n
     <n rows of n whitespace-separated element ids>   # row g, column h -> g*h
 
-Every table is checked for associativity by Light's test, and orders above
-`MAX_GROUP_ORDER` are refused before a table is built.  Homomorphisms are
-merged by `kernel_key`, a canonical label of the kernel; `keyed_homs` gives
-each homomorphism with its key.  An automorphism alpha of the target gives
-alpha o h the kernel of h, so `orbit_key` walks one image per orbit of the
-target's automorphisms and serves the rest of the orbit from a memo: the
-conjugations of any target, and for Z/m the units, where a homomorphism onto
-the subgroup of index g, images a, has the key of a/g in Z/(m/g).  Every
-key is `kernel_key`'s, so merging across targets is unchanged.  And h is a
-homomorphism into Z/m exactly when E a = 0 mod m, E the relators'
-exponent-sum matrix, so cyclic targets are searched without their table.
+Every table loaded from a file is checked to be a group's, associativity by
+Light's test; the catalog's cyclic and symmetric tables are groups by
+construction.  Orders above `MAX_GROUP_ORDER` are refused before a table is
+built.  Homomorphisms are merged by `kernel_key`, a canonical label of the
+kernel; `keyed_homs` gives each homomorphism with its key.  An automorphism
+alpha of the target gives alpha o h the kernel of h, so `orbit_key` walks
+one image per orbit of the target's automorphisms and serves the rest of
+the orbit from a memo: the conjugations of any target, and for Z/m the
+units, where a homomorphism onto the subgroup of index g, images a, has the
+key of a/g in Z/(m/g).  Every key is `kernel_key`'s, so merging across
+targets is unchanged.  And h is a homomorphism into Z/m exactly when
+E a = 0 mod m, E the relators' exponent-sum matrix, so cyclic targets are
+searched without their table.
 A quotient's image is read as its action on its elements (`image_action`),
 not built as a group with a table, and `schreier_tree` walks that action
 once for both readers of its Schreier tree: the closed form of H0 and the
@@ -111,35 +113,41 @@ def _is_associative(table: tuple[tuple[int, ...], ...]) -> bool:
     return True
 
 
+def _check_table(n: int, table: tuple[tuple[int, ...], ...]) -> None:
+    """Refuse a table of order n that is not a group's with identity id 0:
+    its shape, its range, the identity, inverses and Light's test.  Tables
+    enter from outside only through `load_table_group`."""
+    # Each check walks whole rows and columns in C: min, max, zip, `in`.
+    if n < 1 or len(table) != n or any(len(row) != n for row in table):
+        raise ValueError("malformed multiplication table")
+    if min(map(min, table)) < 0 or max(map(max, table)) >= n:
+        raise ValueError("table entry out of range")
+    identity = tuple(range(n))
+    if table[0] != identity or next(zip(*table)) != identity:
+        raise ValueError("id 0 is not an identity element")
+    for g, row in enumerate(table):
+        if 0 not in row:
+            raise ValueError(f"element {g} has no inverse")
+    if not _is_associative(table):
+        raise ValueError("table is not associative")
+
+
 class FiniteGroup:
-    """Finite group as a multiplication table with identity id 0."""
+    """Finite group as a multiplication table with identity id 0, taken as
+    given: a table from outside passes `_check_table` first."""
 
     __slots__ = ("order", "table", "name", "perms", "columns", "cyclic", "_inverses")
 
     def __init__(self, order: int, table: tuple[tuple[int, ...], ...], name: str,
                  perms: tuple[tuple[int, ...], ...] | None = None):
-        # Each check walks whole rows and columns in C: min, max, zip, `in`.
-        n = order
-        if n < 1 or len(table) != n or any(len(row) != n for row in table):
-            raise ValueError("malformed multiplication table")
-        if min(map(min, table)) < 0 or max(map(max, table)) >= n:
-            raise ValueError("table entry out of range")
-        identity = tuple(range(n))
-        columns = tuple(zip(*table))
-        if table[0] != identity or columns[0] != identity:
-            raise ValueError("id 0 is not an identity element")
-        for g, row in enumerate(table):
-            if 0 not in row:
-                raise ValueError(f"element {g} has no inverse")
-        if not _is_associative(table):
-            raise ValueError("table is not associative")
         self.order = order
         self.table = table
         self.name = name
         self.perms = perms  # set when built from permutations
-        self.columns = columns  # column a: right multiplication by a, g -> g*a
+        self.columns = tuple(zip(*table))  # column a: right multiplication by a, g -> g*a
         # Z/n's own table, g*h = g+h mod n: row 1 is h -> 1+h, so that g = 1^g.
-        self.cyclic = table[1 % n] == identity[1:] + identity[:1]
+        identity = table[0]  # 0, 1, ..., order - 1
+        self.cyclic = table[1 % order] == identity[1:] + identity[:1]
         self._inverses = tuple(row.index(0) for row in table)
 
     def mul(self, g: int, h: int) -> int:
@@ -232,7 +240,17 @@ def cyclic_group(m: int) -> FiniteGroup:
 
 
 def symmetric_group(n: int) -> FiniteGroup:
-    """S_n with elements the permutations of 0..n-1 in lexicographic order."""
+    """S_n with elements the permutations of 0..n-1 in lexicographic order.
+
+    Its order is checked against MAX_GROUP_ORDER before any permutation is
+    listed, on the product 2*3*...*k, which stops once it passes the cap, so
+    n! is never formed for a large n."""
+    order = 1
+    for k in range(2, n + 1):
+        order *= k
+        if order > MAX_GROUP_ORDER:
+            break
+    _check_group_order(order, f"symmetric group S{n} of order at least")
     perms = list(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     # Composition left-to-right: (g*h)(x) = h(g(x)).
@@ -253,11 +271,9 @@ def load_table_group(text: str, name: str) -> FiniteGroup:
     _check_group_order(n, "table group order")
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} table rows, found {len(lines) - 1}")
-    table = []
-    for ln in lines[1:]:
-        row = tuple(int(x) for x in ln.split())
-        table.append(row)
-    return FiniteGroup(n, tuple(table), name)
+    table = tuple([tuple(int(x) for x in ln.split()) for ln in lines[1:]])
+    _check_table(n, table)
+    return FiniteGroup(n, table, name)
 
 
 def trivial_quotient(p: Presentation) -> FiniteQuotient:

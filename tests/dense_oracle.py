@@ -280,8 +280,9 @@ def dense_chain(dense: DenseRepresentation, rep: Representation) -> TwistedChain
 
     b1 stacks the blocks phi(x_i) - I and b2 the evaluated Fox derivatives;
     `chain_over` fills the same matrices from the group table.  The closed
-    form of H0 is walked on `rep`, no rank is inherited, and the order
-    route eliminates the integer rows of this b2 over Z[t^{+-1}].
+    form of H0 is walked on `rep`, the unit minor of b1 is taken from chi as
+    `_assemble` takes it, no rank is inherited, and the order route
+    eliminates the integer rows of this b2 over Z[t^{+-1}].
     """
     p = rep.presentation
     ident = PolyMatrix.identity(dense.field, dense.dim)
@@ -295,5 +296,6 @@ def dense_chain(dense: DenseRepresentation, rep: Representation) -> TwistedChain
         ])
     else:
         b2 = PolyMatrix.zeros(dense.field, 0, p.generator_count * dense.dim)
-    integral = IntegralChain(rep, b1.sparse_rows(), b2.sparse_rows(), _h0_walk(rep))
+    minor = next(((k, s) for k, s in enumerate(rep.character.values) if s), None)
+    integral = IntegralChain(rep, b1.sparse_rows(), b2.sparse_rows(), _h0_walk(rep), minor)
     return TwistedChain(integral, b1, b2)

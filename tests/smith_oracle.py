@@ -1,21 +1,23 @@
 """Test-only oracle: the Smith normal form over F[t^{+-1}].
 
-`fibrecheck` takes orders from `polyalg.diagonal_form`, a diagonal form whose
-entries need not divide one another.  This module keeps the full Smith form,
-with the divisibility pass that makes its factors a chain d1 | d2 | ..., as a
-reference: its factors are the invariant factors, and the product of the
-first k is the gcd of the k x k minors for every k.  The tests compare the
+`fibrecheck` takes orders from `polyalg.diagonal_form`, the nonzero entries
+of a diagonal form, which need not divide one another.  This module keeps
+the full Smith form, with the divisibility pass that makes its factors a
+chain d1 | d2 | ..., as a reference: its factors are the invariant factors,
+padded with zeros to min(rows, cols) entries, and the product of the first
+k is the gcd of the k x k minors for every k.  The tests compare the
 production form against it.
 """
 
 from __future__ import annotations
 
-from fibrecheck.polyalg import LaurentPoly, SnfResult
+from fibrecheck.polyalg import LaurentPoly
 from dense_oracle import PolyMatrix
 
 
-def smith_normal_form(m: PolyMatrix) -> SnfResult:
-    """Smith normal form over the Euclidean domain F[t^{+-1}], normed by span.
+def smith_normal_form(m: PolyMatrix) -> tuple[LaurentPoly, ...]:
+    """Smith normal form over the Euclidean domain F[t^{+-1}], normed by span:
+    the invariant factors, then zeros to min(rows, cols) entries.
 
     The pivot is an entry of least span, the first in row-major order on
     ties.  A monomial pivot c*t^k is a unit: multiples of its inverse clear
@@ -110,14 +112,20 @@ def smith_normal_form(m: PolyMatrix) -> SnfResult:
         factors.append(pivot.canonical())
 
     factors.extend(LaurentPoly.zero(field) for _ in range(n - len(factors)))
-    return SnfResult(tuple(factors))
+    return tuple(factors)
 
 
-def order_of(field, snf: SnfResult, full_rank: int) -> LaurentPoly:
+def rank_of(factors: tuple[LaurentPoly, ...]) -> int:
+    """The number of nonzero factors, with or without zero padding."""
+    return sum(1 for d in factors if not d.is_zero)
+
+
+def order_of(field, factors: tuple[LaurentPoly, ...], full_rank: int) -> LaurentPoly:
     """Product of the nonzero factors, canonical, or zero unless there are full_rank of them."""
-    if snf.rank != full_rank:
+    if rank_of(factors) != full_rank:
         return LaurentPoly.zero(field)
     order = LaurentPoly.one(field)
-    for d in snf.diagonal[:snf.rank]:
-        order = order * d
+    for d in factors:
+        if not d.is_zero:
+            order = order * d
     return order.canonical()

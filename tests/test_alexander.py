@@ -46,7 +46,7 @@ from free_group_oracle import GroupRingElement, fox_derivative, tietze_variant
 from quotient_oracle import same_kernel
 from random_presentations import (PROPERTY_TARGETS, presentations_with_quotient,
                                   symmetric_presentations_with_quotient)
-from smith_oracle import order_of, smith_normal_form
+from smith_oracle import order_of, rank_of, smith_normal_form
 
 Q = CoefficientField.rationals()
 F2 = CoefficientField.prime(2)
@@ -274,7 +274,7 @@ def test_rational_f2xz_chains_hold_int_coefficients():
         for c in (chi, chi.negate()):
             chain = _chain(p, c, q)
             polys = [e for m in (chain.b1, chain.b2) for row in to_dense(m).entries for e in row]
-            polys += diagonal_form(chain.b2).diagonal
+            polys += diagonal_form(chain.b2)
             for e in polys:
                 assert all(type(x) is int for x in e.coeffs.values()), (q.label(), e)
             checked += 1
@@ -493,12 +493,12 @@ def test_q_decides_for_itself_where_a_prime_falls_short(monkeypatch):
     # and rank b2 is read on b2 less column block 1, the 1 x 1 matrix (2): of
     # rank 0 over F2, short of its upper bound 1.  That certificate proves
     # nothing over Q, which runs its own bound for b2, once, and finds rank 1;
-    # b1 is never bounded, so neither field records a rank of it.
+    # b1 is never bounded, and only the rank of b2 is recorded.
     p = parse_presentation("gens: a t\nrels: a^2\n")
     chain = integral_chain(p, validate_character(p, [0, 1]), trivial_quotient(p))
     over_f2 = chain.over(F2)
     assert (over_f2.rank_b1(), over_f2.rank_b2()) == (1, 0)
-    assert chain.proved == {"b2": (0, F2)}
+    assert chain.proved == (0, F2)
     bound, calls = alexander.rank_lower_bound, []
     monkeypatch.setattr(alexander, "rank_lower_bound",
                         lambda m: calls.append((m.field, m.rows, m.cols)) or bound(m))
@@ -507,7 +507,7 @@ def test_q_decides_for_itself_where_a_prime_falls_short(monkeypatch):
     assert calls == [(Q, 1, 1)]
     assert over_q._cache["b1"][1] == "by the minor of block 1, t^1 P - I"
     assert [r.vanishing for r in chain_reports(over_q)] == [False, False]
-    assert chain.proved == {"b2": (0, F2)}  # Q records nothing
+    assert chain.proved == (0, F2)  # Q records nothing
 
 
 @pytest.mark.parametrize("values, minor", [((0, 0, -2), (2, -2)), ((1, 0, 1), (0, 1))],
@@ -713,11 +713,11 @@ def test_closed_form_h0_and_diagonal_h1_match_smith_oracle(field, data):
             m.setattr(TwistedChain, method, lambda c: pytest.fail("the order route read a rank"))
         d, rank_h0, order_h0 = _h0_closed_form(chain)
         order_h1 = h1_order(chain)
-    assert rank_h0 == n - snf_b1.rank
+    assert rank_h0 == n - rank_of(snf_b1)
     assert order_h0 == order_of(field, snf_b1, n)
     assert (rank_h0 == 0) == (d != 0)
     assert chain.rank_b1() == n - rank_h0
-    assert order_h1 == order_of(field, smith_normal_form(to_dense(chain.b2)), chain.b1.rows - snf_b1.rank)
+    assert order_h1 == order_of(field, smith_normal_form(to_dense(chain.b2)), chain.b1.rows - rank_of(snf_b1))
     assert order_h1 == order_h1.canonical()
 
 
@@ -734,11 +734,11 @@ def _reads_as_each_fields_diagonal_form(chain) -> bool:
     before = repr(chain.b2)
     phase = chain.b2_form()
     for field in (Q, F2, F3, F5):
-        read, direct = phase.over(field), diagonal_form(chain.over(field).b2)
-        assert read.rank == direct.rank
-        assert all(d == d.canonical() for d in read.diagonal)
-        assert order_of(field, read, read.rank) == order_of(field, direct, direct.rank)
-        for rank in (direct.rank, direct.rank + 1):
+        read, direct = phase.entries(field), diagonal_form(chain.over(field).b2)
+        assert len(read) == len(direct)
+        assert all(d == d.canonical() for d in read)
+        assert order_of(field, read, len(read)) == order_of(field, direct, len(direct))
+        for rank in (len(direct), len(direct) + 1):
             assert phase.order(field, rank) == order_of(field, direct, rank)
     assert repr(chain.b2) == before
     return bool(phase.residual)
@@ -779,10 +779,10 @@ def test_integral_phase_reads_as_each_fields_diagonal_form_where_it_stops():
 def test_a_passing_scan_builds_no_diagonal_form_of_b2(monkeypatch):
     # The order route reads the product of D over Z into each field; b2 is
     # read over a field only for the diagnostic of a failed check.  So the
-    # default f2xz scan to order 4 over F2, F3 and Q builds no `SnfResult`
-    # and multiplies no two Laurent polynomials, and the scan at a=1, b=2,
-    # z=3 to order 10 builds one only for each residual R, of 2 or 3 rows:
-    # 17 chains over 3 fields.
+    # default f2xz scan to order 4 over F2, F3 and Q builds no diagonal form
+    # over a field and multiplies no two Laurent polynomials, and the scan at
+    # a=1, b=2, z=3 to order 10 builds one only for each residual R, of 2 or
+    # 3 rows: 17 chains over 3 fields.
     import hashlib
     import io
 
@@ -793,7 +793,7 @@ def test_a_passing_scan_builds_no_diagonal_form_of_b2(monkeypatch):
     mul, form = LaurentPoly.__mul__, polyalg.diagonal_form
     monkeypatch.setattr(LaurentPoly, "__mul__", lambda a, b: products.append(1) or mul(a, b))
     monkeypatch.setattr(polyalg, "diagonal_form", lambda m: forms.append(m.rows) or form(m))
-    monkeypatch.setattr(IntegralDiagonal, "over", lambda phase, field: pytest.fail("b2 read over a field"))
+    monkeypatch.setattr(IntegralDiagonal, "entries", lambda phase, field: pytest.fail("b2 read over a field"))
     for char, order, digest, residuals in (
             ("a=0,b=0,z=1", "4", "4442d173e2d1b4b3c3bb5ec94e55ceb8a59ab5f4197a49ebe3b428abea84083d", 0),
             ("a=1,b=2,z=3", "10", "420536e59d8fc0400dfb9e8e134f06d8c61a70aba7884f39deb08d0be802f8f5", 51)):

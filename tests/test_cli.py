@@ -224,18 +224,22 @@ def test_exit_code_input_errors(tmp_path, capsys):
     assert code == 2
 
 
-def test_input_caps_exit_2_before_building(tmp_path, monkeypatch):
-    from fibrecheck import cli
+def test_input_caps_exit_2_before_building(tmp_path, monkeypatch, capsys):
+    from fibrecheck import quotients
     from fibrecheck.words import MAX_WORD_LENGTH
 
-    def no_build(n):
-        raise AssertionError(f"S{n} was built")
+    def no_build(*args):
+        raise AssertionError("a permutation was listed or a group was built")
 
-    monkeypatch.setattr(cli, "symmetric_group", no_build)
-    n = cli.MAX_SYMMETRIC_DEGREE + 1
-    assert run_cli(["homs", "--fixture", "f:2", "--target", f"s{n}"])[0] == 2
-    assert run_cli(["alex", "--fixture", "f:2", "--char", "a=1",
-                    "--quotient", f"s{n}:0,0"])[0] == 2
+    # S6 is the first past the order cap; n! of a large n is never formed.
+    monkeypatch.setattr(quotients.itertools, "permutations", no_build)
+    monkeypatch.setattr(quotients, "FiniteGroup", no_build)
+    for n in (6, 999999999):
+        assert run_cli(["homs", "--fixture", "f:2", "--target", f"s{n}"])[0] == 2
+        assert run_cli(["alex", "--fixture", "f:2", "--char", "a=1",
+                        "--quotient", f"s{n}:0,0"])[0] == 2
+        err = capsys.readouterr().err
+        assert err.count(f"S{n} of order at least 720 is too large: at most 120") == 2
     pres = tmp_path / "long.pres"
     pres.write_text(f"gens: a\nrels: a^{MAX_WORD_LENGTH + 1}\n")
     code, _ = run_cli(["alex", "--pres", str(pres), "--char", "a=1", "--quotient", "trivial"])
@@ -353,8 +357,9 @@ def test_integral_phase_stops_and_each_field_finishes_the_residual():
         assert proc.returncode == 0 and proc.stderr == b"", field
         assert hashlib.sha256(proc.stdout).hexdigest() == digest, field
     p, chi = load_fixture("f2xz")
-    phase = integral_chain(p, chi, make_quotient(p, cyclic_group(10), (2, 5, 7))).b2_form()
-    assert phase.residual and (phase.rows, phase.cols) == (20, 30)
+    chain = integral_chain(p, chi, make_quotient(p, cyclic_group(10), (2, 5, 7)))
+    phase = chain.b2_form()
+    assert phase.residual and (len(chain.b2), phase.cols) == (20, 30)
 
 
 def test_zech_tables_are_read_only_when_a_small_prime_field_runs():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from fibrecheck.fixtures import load_fixture
 from fibrecheck.quotients import (
     FiniteGroup,
+    _check_table,
     _kernel_key,
     build_catalog,
     cyclic_group,
@@ -81,7 +82,7 @@ def test_malformed_tables_are_refused(table, message):
     # Each check of a table, in the order they run; a table can come from a
     # --extra-group file.
     with pytest.raises(ValueError, match=message):
-        FiniteGroup(len(table), table, "t")
+        _check_table(len(table), table)
 
 
 @settings(max_examples=300)
@@ -94,10 +95,17 @@ def test_associativity_check_matches_triple_loop(table):
     elif not is_associative_brute(table):
         expected = "not associative"
     else:
-        assert FiniteGroup(n, table, "t").order == n
+        _check_table(n, table)
         return
     with pytest.raises(ValueError, match=expected):
-        FiniteGroup(n, table, "t")
+        _check_table(n, table)
+
+
+def test_the_catalog_groups_pass_the_table_check():
+    # The catalog's Z/m and S_n are built without the check, as groups by
+    # construction; each of their tables, and the trivial group's, passes it.
+    for g in (trivial_group(),) + build_catalog(120):
+        _check_table(g.order, g.table)
 
 
 def test_enumerate_homs_counts():
