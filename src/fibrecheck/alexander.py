@@ -7,8 +7,9 @@ Fox derivatives, both read off the permutations of the quotient's image
 field is done once per quotient, over Z, by `integral_chain`: the relators
 are checked, each relator's Fox images are read in one walk, b2 @ b1 = 0 is
 checked as Fox's fundamental formula in the group ring of Q x Z, term by
-term over Z, d of the closed form of H0 is read off the Schreier tree of
-the image's action, and b1 and b2 are kept as sparse integer rows.
+term over Z, d of the closed form of H0 and the edges that the order route
+collapses are read off the one Schreier tree of the image's action, and b1
+and b2 are kept as sparse integer rows.
 `IntegralChain.over(field)` is the one way to make a `TwistedChain`: it
 reads the same rows over each field, and the kernels of `polyalg` reduce
 every coefficient as they read it, Bareiss included.
@@ -56,16 +57,31 @@ the monomial entries of b2 are units.  The sequence
 module, so it is free), so H1 is torsion exactly when the diagonal has
 rows(b1) - rank b1 nonzero entries, with rank b1 = |Q| - rank H0 from the
 closed form, and its order is then their product, the classical Fox-matrix
-order (Wada 1994, Kirk-Livingston 1999).  That diagonal form is taken once
+order (Wada 1994, Kirk-Livingston 1999).  The route first collapses the
+image's Schreier tree, the step behind Reidemeister-Schreier: the rows
+t^{chi_i} e_{c*alpha(x_i)} - e_c of b1 at the tree's n - 1 edges, with e_0,
+are a unitriangular basis of C0, so a unimodular change of basis of C1
+takes every other edge f to f' with b1(f') a multiple of e_0, and
+b2 @ b1 = 0 then leaves each row of b2 its entry at f' and 0 at every tree
+edge: b2 ~ [b2 less the tree's columns | 0] over Z[t^{+-1}], every
+invariant factor kept, for every character and every field.  That matrix
+is the Fox matrix of the kernel's Reidemeister-Schreier presentation, up
+to monomial units on its rows and columns, so `untwist-check` compares two
+constructions of the same collapsed matrix: `_assemble`'s and the one
+`reidschreier.rewrite_subgroup` presents.  Its diagonal form is taken once
 per quotient, over Z[t^{+-1}]: the elimination pivots only on entries with
 top coefficient +-1, so every step is an elementary operation over Z and
-b2 ~ D (+) R there, with D diagonal.  The product of D's entries is taken
-once over Z too: reduction mod p is a ring map, so each field reduces that
-one product, which no reduction makes zero, and finishes the residual R, the
-rows left where a remainder with another top coefficient stopped the
-elimination; it is usually empty.
+the matrix is D (+) R there, with D diagonal.  The product of D's entries
+is taken once over Z too: reduction mod p is a ring map, so each field
+reduces that one product, which no reduction makes zero, and finishes the
+residual R, the rows left where a remainder with another top coefficient
+stopped the elimination; it is usually empty.
 Neither route reads the other's result; if they disagree, the run is aborted
-as internally inconsistent.
+as internally inconsistent.  The two read different reductions of b2: the
+rank route drops one column block, by the Wada identity over F(t), and the
+order route the tree's columns, by the identity above over Z[t^{+-1}]; the
+two share b2's rows and nothing derived from them, so each still checks
+the other.
 """
 
 from __future__ import annotations
@@ -129,12 +145,13 @@ class TwistedChain:
     Made by `IntegralChain.over`, from the `integral` chain that it keeps:
     the representation, d of the closed form of H0, the unit minor of b1,
     the rank of b2 that a chain over a prime field proved (see `_certify`),
-    the rows of b2 less one column block and the diagonal form of b2 over
-    Z[t^{+-1}] are all read from there, once for every field.  Rank b1 is
-    an identity: |Q| where b1 has a unit minor t^s P - I in block k, and
-    |Q| - 1 for the zero character.  Rank b2 is then the rank of B_rest, b2
-    less column block k: b2 @ b1 = 0 writes B_k = -B_rest b1_rest b1_k^{-1}
-    over F(t) (the Wada matrix); without the minor it is read on b2.
+    the rows of b2 less one column block and the diagonal form of b2 less
+    the Schreier tree's columns over Z[t^{+-1}] are all read from there,
+    once for every field.  Rank b1 is an identity: |Q| where b1 has a unit
+    minor t^s P - I in block k, and |Q| - 1 for the zero character.  Rank
+    b2 is then the rank of B_rest, b2 less column block k: b2 @ b1 = 0
+    writes B_k = -B_rest b1_rest b1_k^{-1} over F(t) (the Wada matrix);
+    without the minor it is read on b2.
     """
 
     __slots__ = ("integral", "b1", "b2", "_cache")
@@ -260,29 +277,34 @@ class IntegralChain:
     """The twisted chain of one quotient over Z[t^{+-1}], before any field.
 
     b1 and b2 are the rows of `SparseMatrix`, column -> {exponent: int},
-    and d, with dZ = chi(ker alpha), gives the closed form of H0.  `minor`
-    is (k, s) of the block t^s P - I of b1, s = chi_k != 0 for the first
-    such generator, which `_assemble` sets as it writes that block; it is
-    None exactly for the zero character.  None of them, nor the
+    and d, with dZ = chi(ker alpha), gives the closed form of H0.  `tree`
+    lists the n - 1 edges of the image's Schreier tree, each numbered as
+    its row of b1 and its column of b2 (`quotients.schreier_tree`).
+    `minor` is (k, s) of the block t^s P - I of b1, s = chi_k != 0 for the
+    first such generator, which `_assemble` sets as it writes that block;
+    it is None exactly for the zero character.  None of them, nor the
     representation, depends on the coefficient field; `over` reads them
     over one.  `proved` is (rank, F_p) for the largest rank of b2 that a
     chain read over some F_p proved, for the chains read over Q, or None.
     `b2_less` makes the rows of b2 less the minor's column block on first
-    use, and `b2_form` eliminates b2 over Z[t^{+-1}] on first use, to
-    b2 ~ D (+) R there (see `polyalg.integral_diagonal_form`); both are kept
+    use, for the rank route, and `b2_form` eliminates b2 less the tree's
+    columns over Z[t^{+-1}] on first use, to D (+) R there (see
+    `polyalg.integral_diagonal_form`), for the order route; both are kept
     for every field, and so is the product of D's entries over Z, which
     each field reduces before it finishes the residual R, usually empty.
     """
 
-    __slots__ = ("representation", "b1", "b2", "d", "minor", "proved", "_b2_less", "_b2_form")
+    __slots__ = ("representation", "b1", "b2", "d", "tree", "minor", "proved", "_b2_less",
+                 "_b2_form")
 
     def __init__(self, representation: Representation,
                  b1: list[dict[int, dict[int, int]]], b2: list[dict[int, dict[int, int]]],
-                 d: int, minor: tuple[int, int] | None):
+                 d: int, tree: list[int], minor: tuple[int, int] | None):
         self.representation = representation
         self.b1 = b1
         self.b2 = b2
         self.d = d
+        self.tree = tree
         self.minor = minor
         self.proved: tuple[int, CoefficientField] | None = None
         self._b2_less: list[dict[int, dict[int, int]]] | None = None
@@ -301,21 +323,48 @@ class IntegralChain:
 
     def b2_less(self) -> list[dict[int, dict[int, int]]]:
         """The rows of b2 without column block k of the unit minor, the later
-        columns moved down one block, made once for every field; they share
-        b2's entry dicts."""
+        columns moved down one block, made once for every field."""
         if self._b2_less is None:
             n, k = self.representation.action.order, self.minor[0]
-            lo, hi = k * n, (k + 1) * n
-            self._b2_less = [{j if j < lo else j - n: f for j, f in row.items() if not lo <= j < hi}
-                             for row in self.b2]
+            self._b2_less = _rows_less(self.b2, self._columns(), range(k * n, (k + 1) * n))
         return self._b2_less
 
     def b2_form(self) -> IntegralDiagonal:
-        """b2 ~ D (+) R over Z[t^{+-1}] by `integral_diagonal_form`, taken once for every field."""
+        """b2 ~ [b2 less the tree's columns | 0] ~ D (+) R over Z[t^{+-1}],
+        the second by `integral_diagonal_form`, taken once for every field.
+
+        The rows b1(T) = t^{chi_i} e_{c*alpha(x_i)} - e_c of the tree edges T,
+        with e_0, are a unitriangular basis of C0, in the walk's order.  So
+        each other edge f is changed, by a unimodular column operation, to
+        f' = f - sum lambda_T T with b1(f') = mu_f e_0, and b2 @ b1 = 0 then
+        gives every row of b2 the coordinate 0 at each T and its old entry
+        at each f'.  That is b2 less the tree's columns and n - 1 zero
+        columns, over Z[t^{+-1}] and so over every field, with every
+        invariant factor of b2.
+        """
         if self._b2_form is None:
-            p, n = self.representation.presentation, self.representation.action.order
-            self._b2_form = integral_diagonal_form(self.b2, p.generator_count * n)
+            cols = self._columns()
+            self._b2_form = integral_diagonal_form(_rows_less(self.b2, cols, self.tree),
+                                                   cols - len(self.tree))
         return self._b2_form
+
+    def _columns(self) -> int:
+        """The columns of b2, g*n."""
+        return self.representation.presentation.generator_count * self.representation.action.order
+
+
+def _rows_less(rows: list[dict[int, dict[int, int]]], cols: int,
+               dropped) -> list[dict[int, dict[int, int]]]:
+    """`rows`, of `cols` columns, without the columns in `dropped`, each
+    column left numbered by its place among those kept; the new rows keep
+    the order of their entries and share the old rows' entry dicts."""
+    dropped = set(dropped)
+    place, i = [None] * cols, 0
+    for j in range(cols):
+        if j not in dropped:
+            place[j] = i
+            i += 1
+    return [{k: f for j, f in row.items() if (k := place[j]) is not None} for row in rows]
 
 
 def _assemble(rep: Representation) -> IntegralChain:
@@ -366,7 +415,7 @@ def _assemble(rep: Representation) -> IntegralChain:
                  for g, shifts in block.items() if (f := {k: c for k, c in shifts.items() if c})]
         for q in range(n):
             b2.append(dict(sorted([(i0 + column_g[q], f) for i0, column_g, f in terms])))
-    return IntegralChain(rep, b1, b2, _h0_walk(rep), minor)
+    return IntegralChain(rep, b1, b2, *_schreier_walk(rep), minor)
 
 
 def h1_vanishing(c: TwistedChain) -> tuple[bool, int]:
@@ -376,8 +425,9 @@ def h1_vanishing(c: TwistedChain) -> tuple[bool, int]:
     return rank_h1 > 0, rank_h1
 
 
-def _h0_walk(rep: Representation) -> int:
-    """d, where dZ = chi(ker alpha).
+def _schreier_walk(rep: Representation) -> tuple[int, list[int]]:
+    """(d, tree) from the one walk of the image's Schreier tree: dZ =
+    chi(ker alpha), and the tree's edges, numbered as columns of b2.
 
     `schreier_tree` gives each element g the character value h(g) of its
     tree path.  Each edge g -> g*alpha(x_i) closes a Schreier generator of
@@ -385,14 +435,14 @@ def _h0_walk(rep: Representation) -> int:
     their gcd; a tree edge's value is 0, so every edge is read alike.
     """
     values = rep.character.values
-    _, height = schreier_tree(rep.action, values)
+    _, height, tree = schreier_tree(rep.action, values)
     return gcd(*[h + k - height[y] for perm, k in zip(rep.action.perms, values)
-                 for h, y in zip(height, perm)])
+                 for h, y in zip(height, perm)]), tree
 
 
 def _h0_closed_form(c: TwistedChain) -> tuple[int, int, LaurentPoly]:
     """(d, rank H0, ord H0): the image's action is transitive, so H0 is
-    F[t^{+-1}]/(t^d - 1), with d from `_h0_walk`."""
+    F[t^{+-1}]/(t^d - 1), with d from `_schreier_walk`."""
     d = c.integral.d
     field = c.b1.field
     if d == 0:
@@ -409,8 +459,10 @@ def _h1_order(c: TwistedChain) -> LaurentPoly:
     rows(b1) - rank b1 of them, and zero (H1 has free rank) otherwise; here
     rank b1 = |Q| - rank H0 comes from the closed form, rank H0 = [d = 0],
     not the rank route.
-    The integral chain took b2 ~ D (+) R over Z[t^{+-1}] and the product of
-    D's entries once; `IntegralDiagonal.order` reduces that product into
+    The integral chain collapsed the image's Schreier tree,
+    b2 ~ [b2 less the tree's columns | 0], which keeps every invariant
+    factor, and took that matrix to D (+) R over Z[t^{+-1}] and the product
+    of D's entries once; `IntegralDiagonal.order` reduces that product into
     this field and multiplies in R's entries, finished here.
     """
     rank_b1 = c.block_size - (c.integral.d == 0)

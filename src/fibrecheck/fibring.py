@@ -190,12 +190,14 @@ def _scan_job(args) -> list[AlexanderReport]:
     field proved wherever it reaches Q's upper bound, and eliminates nothing
     for it: a rank of b2 below its bound over F_p is a vanishing that ends
     the job before Q.  Q first in `fields` runs its own bound.  The order
-    route of the first field eliminates the whole of b2 over Z[t^{+-1}] to
-    b2 ~ D (+) R, pivoting only on entries with top coefficient +-1, and
+    route of the first field eliminates b2 less the n - 1 columns of the
+    image's Schreier tree, which has b2's invariant factors (b2 @ b1 = 0
+    makes b2 equivalent to it and zero columns over Z[t^{+-1}]), to
+    D (+) R, pivoting only on entries with top coefficient +-1, and
     multiplies D's entries once over Z; every field reduces that product mod
     p and multiplies in R, usually empty, finished by the field's own
-    diagonal form.  The order route reads no rank, so both routes still
-    check every verdict.
+    diagonal form.  The order route reads no rank, and the two routes drop
+    different columns of b2, so both still check every verdict.
 
     `scan` runs this only for the representative of each orbit of the
     chi-fixing symmetries; every other kept quotient of the orbit takes

@@ -22,8 +22,9 @@ E a = 0 mod m, E the relators' exponent-sum matrix, so cyclic targets are
 searched without their table.
 A quotient's image is read as its action on its elements (`image_action`),
 not built as a group with a table, and `schreier_tree` walks that action
-once for both readers of its Schreier tree: the closed form of H0 and the
-Reidemeister-Schreier rewrite of the kernel.
+once for every reader of its Schreier tree: the closed form of H0, the
+columns of b2 that the order route collapses, and the Reidemeister-Schreier
+rewrite of the kernel.
 """
 
 from __future__ import annotations
@@ -202,19 +203,24 @@ class ImageAction:
 
 
 def schreier_tree(action: ImageAction, values: tuple[int, ...]
-                  ) -> tuple[list[tuple[int, ...]], list[int]]:
+                  ) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
     """The breadth-first Schreier tree of the action from point 0, in
     generator order: each point c's transversal word T(c), a positive word
-    of generator numbers, and its height, the sum of `values` along T(c).
+    of generator numbers, its height, the sum of `values` along T(c), and
+    the tree's n - 1 edges, in the order the walk takes them.
 
-    An edge c -> c*alpha(x_i) is a tree edge where T(c*alpha(x_i)) is
-    T(c) x_i; every other edge closes the Schreier generator
-    T(c) x_i T(c*alpha(x_i))^-1 of the kernel, whose value is
-    height(c) + values[i] - height(c*alpha(x_i)), and a tree edge's is 0.
+    The edge c -> c*alpha(x_i) is numbered (i - 1)*n + c, n the order: the
+    row of b1 and the column of b2 that it indexes in the twisted chain.
+    It is a tree edge where T(c*alpha(x_i)) is T(c) x_i; every other edge
+    closes the Schreier generator T(c) x_i T(c*alpha(x_i))^-1 of the
+    kernel, whose value is height(c) + values[i] - height(c*alpha(x_i)),
+    and a tree edge's is 0.
     """
-    transversal: list = [None] * action.order
+    n = action.order
+    transversal: list = [None] * n
     transversal[0] = ()
-    height = [0] * action.order
+    height = [0] * n
+    tree: list[int] = []
     reached = [0]
     for c in reached:  # grows while it is walked
         for i, (perm, k) in enumerate(zip(action.perms, values), 1):
@@ -222,8 +228,9 @@ def schreier_tree(action: ImageAction, values: tuple[int, ...]
             if transversal[c2] is None:
                 transversal[c2] = transversal[c] + (i,)
                 height[c2] = height[c] + k
+                tree.append((i - 1) * n + c)
                 reached.append(c2)
-    return transversal, height
+    return transversal, height, tree
 
 
 def trivial_group() -> FiniteGroup:

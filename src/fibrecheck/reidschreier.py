@@ -12,7 +12,11 @@ The tree is `quotients.schreier_tree`, the one walk that the chain's closed
 form of H0 reads too: each coset's character value is kept from the walk
 that reaches it instead of being summed again along its transversal word,
 and d, with dZ = chi(ker alpha), is the gcd of the restricted character's
-values.
+values.  With the restricted character, the Fox matrix of the rewritten
+relators is the twisted chain's b2 less the tree's columns, the matrix that
+the twisted order route eliminates, up to monomial units on its rows and
+columns and the zero rows of relators that reduce to nothing: relator r
+read from coset c is row (r, c) of b2, and s_{c,i} is column (i, c).
 """
 
 from __future__ import annotations
@@ -48,7 +52,8 @@ def rewrite_subgroup(p: Presentation, q: FiniteQuotient, chi: Character) -> Subg
     n = action.order
     g = p.generator_count
     values = chi.values
-    transversal, height = schreier_tree(action, values)
+    transversal, height, tree = schreier_tree(action, values)
+    tree = set(tree)
 
     # Kept Schreier generators s_{c,i} = T(c) x_i T(c.x_i)^-1, tree edges,
     # where T(c.x_i) = T(c) x_i, dropped.  A kept word is reduced: T(c.x_i)
@@ -61,9 +66,9 @@ def rewrite_subgroup(p: Presentation, q: FiniteQuotient, chi: Character) -> Subg
     sub_values: list[int] = []
     for c in range(n):
         for i in range(1, g + 1):
-            c2 = forward[i - 1][c]
-            if transversal[c2] == transversal[c] + (i,):
+            if (i - 1) * n + c in tree:
                 continue
+            c2 = forward[i - 1][c]
             kept[i - 1][c] = len(words) + 1
             names.append(f"{p.generator_names[i - 1]}_{c}")
             words.append(Word(transversal[c] + (i,) + tuple([-x for x in reversed(transversal[c2])])))

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from fibrecheck.alexander import IntegralChain, TwistedChain, _assemble, _h0_walk, _h1_order
+from fibrecheck.alexander import IntegralChain, TwistedChain, _assemble, _h1_order, _schreier_walk
 from fibrecheck.foxcalc import Representation
 from fibrecheck.polyalg import CoefficientField, LaurentPoly, SparseMatrix
 from fibrecheck.quotients import FiniteQuotient
@@ -280,9 +280,10 @@ def dense_chain(dense: DenseRepresentation, rep: Representation) -> TwistedChain
 
     b1 stacks the blocks phi(x_i) - I and b2 the evaluated Fox derivatives;
     `chain_over` fills the same matrices from the group table.  The closed
-    form of H0 is walked on `rep`, the unit minor of b1 is taken from chi as
-    `_assemble` takes it, no rank is inherited, and the order route
-    eliminates the integer rows of this b2 over Z[t^{+-1}].
+    form of H0 and the Schreier tree are walked on `rep`, the unit minor of
+    b1 is taken from chi as `_assemble` takes it, no rank is inherited, and
+    the order route eliminates the integer rows of this b2, less the tree's
+    columns, over Z[t^{+-1}].
     """
     p = rep.presentation
     ident = PolyMatrix.identity(dense.field, dense.dim)
@@ -297,5 +298,5 @@ def dense_chain(dense: DenseRepresentation, rep: Representation) -> TwistedChain
     else:
         b2 = PolyMatrix.zeros(dense.field, 0, p.generator_count * dense.dim)
     minor = next(((k, s) for k, s in enumerate(rep.character.values) if s), None)
-    integral = IntegralChain(rep, b1.sparse_rows(), b2.sparse_rows(), _h0_walk(rep), minor)
+    integral = IntegralChain(rep, b1.sparse_rows(), b2.sparse_rows(), *_schreier_walk(rep), minor)
     return TwistedChain(integral, b1, b2)

@@ -478,13 +478,14 @@ def test_cross_check_failure_names_its_inputs(monkeypatch):
             f"rank of b1: {n} {minor}",
             f"rank of b2: {(p.generator_count - 1) * n} inherited from the F2 certificate, read on {rest}"]
 
-    # At Z/10 with images (2, 5, 7) the elimination over Z stops and leaves
-    # two rows of b2 (20 x 30) in 12 columns for each field to finish.
+    # At Z/10 with images (2, 5, 7) the elimination over Z of b2 (20 x 30)
+    # less its 9 tree columns stops and leaves two rows in 3 columns for
+    # each field to finish.
     with monkeypatch.context() as m:
         m.setattr(TwistedChain, "rank_b2", lambda chain: 0)
         with pytest.raises(InternalCheckError) as err:
             full_report(f2xz, f2xz_chi, make_quotient(f2xz, cyclic_group(10), (2, 5, 7)), Q)
-    assert "(18 entries from Z, residual 2x12 finished over Q)" in str(err.value)
+    assert "(18 entries from Z, residual 2x3 finished over Q)" in str(err.value)
 
 
 def test_q_decides_for_itself_where_a_prime_falls_short(monkeypatch):
@@ -744,6 +745,36 @@ def _reads_as_each_fields_diagonal_form(chain) -> bool:
     return bool(phase.residual)
 
 
+@pytest.mark.parametrize("zero", [False, True], ids=["chi", "zero-chi"])
+@settings(max_examples=40, deadline=2000)
+@given(data=st.data())
+def test_b2_less_the_schreier_tree_has_the_invariant_factors_of_b2(zero, data):
+    # The order route eliminates b2 less the columns of the image's Schreier
+    # tree.  With e_0, the rows of b1 at the tree's edges are a unitriangular
+    # basis of C0, so b2 @ b1 = 0 makes b2 equivalent over Z[t^{+-1}] to that
+    # matrix and n - 1 zero columns, for any character and any image, onto
+    # its target or not.  Over Q, F2 and F3 both have diagonal forms of the
+    # same rank and the same canonical order, and the order that the route
+    # reads off its form is the Smith oracle's order of the full b2.
+    p, chi, q = data.draw(presentations_with_quotient(onto=False))
+    if zero:
+        chi = validate_character(p, [0] * p.generator_count)
+    chain = integral_chain(p, chi, q)
+    n = chain.representation.action.order
+    assert len(set(chain.tree)) == n - 1
+    phase = chain.b2_form()
+    for field in (Q, F2, F3):
+        b2 = to_dense(chain.over(field).b2)
+        less = PolyMatrix(field, [[e for j, e in enumerate(row) if j not in chain.tree]
+                                  for row in b2.entries], b2.rows, b2.cols - (n - 1))
+        full, collapsed = diagonal_form(b2), diagonal_form(less)
+        assert len(full) == len(collapsed)
+        assert order_of(field, full, len(full)) == order_of(field, collapsed, len(collapsed))
+        snf = smith_normal_form(b2)
+        for rank in (rank_of(snf), rank_of(snf) + 1):
+            assert phase.order(field, rank) == order_of(field, snf, rank)
+
+
 def test_integral_phase_reads_as_each_fields_diagonal_form_on_random_chains():
     # The phase stops on some chains and not on others, and both must occur.
     # The per-example deadline (ms) is a time budget: a chain on which the
@@ -762,8 +793,9 @@ def test_integral_phase_reads_as_each_fields_diagonal_form_on_random_chains():
 
 def test_integral_phase_reads_as_each_fields_diagonal_form_where_it_stops():
     # f2xz at a=1, b=2, z=3 to order 10 runs 677 jobs, and the elimination
-    # over Z stops on 17 of them, each leaving 2 or 3 rows of R that every
-    # field finishes and multiplies into the product of D.
+    # over Z of b2 less the tree's columns stops on 31 of them, each leaving
+    # 2 or 3 rows of R that every field finishes and multiplies into the
+    # product of D.
     from fibrecheck.fibring import ScanConfig, _quotient_stream
 
     p, _ = load_fixture("f2xz")
@@ -772,7 +804,7 @@ def test_integral_phase_reads_as_each_fields_diagonal_form_where_it_stops():
     chains = [integral_chain(p, chi, q) for kind, q, rep in _quotient_stream(p, cfg)
               if kind == "kept" and rep is None]
     stopped = [c for c in chains if c.b2_form().residual]
-    assert (len(chains), len(stopped)) == (677, 17)
+    assert (len(chains), len(stopped)) == (677, 31)
     assert all(_reads_as_each_fields_diagonal_form(c) for c in stopped)
 
 
@@ -782,7 +814,7 @@ def test_a_passing_scan_builds_no_diagonal_form_of_b2(monkeypatch):
     # default f2xz scan to order 4 over F2, F3 and Q builds no diagonal form
     # over a field and multiplies no two Laurent polynomials, and the scan at
     # a=1, b=2, z=3 to order 10 builds one only for each residual R, of 2 or
-    # 3 rows: 17 chains over 3 fields.
+    # 3 rows: 31 chains over 3 fields.
     import hashlib
     import io
 
@@ -796,7 +828,7 @@ def test_a_passing_scan_builds_no_diagonal_form_of_b2(monkeypatch):
     monkeypatch.setattr(IntegralDiagonal, "entries", lambda phase, field: pytest.fail("b2 read over a field"))
     for char, order, digest, residuals in (
             ("a=0,b=0,z=1", "4", "4442d173e2d1b4b3c3bb5ec94e55ceb8a59ab5f4197a49ebe3b428abea84083d", 0),
-            ("a=1,b=2,z=3", "10", "420536e59d8fc0400dfb9e8e134f06d8c61a70aba7884f39deb08d0be802f8f5", 51)):
+            ("a=1,b=2,z=3", "10", "420536e59d8fc0400dfb9e8e134f06d8c61a70aba7884f39deb08d0be802f8f5", 93)):
         products.clear()
         forms.clear()
         out = io.StringIO()

@@ -165,7 +165,7 @@ def test_rank_lower_bound_falls_back_at_a_root(monkeypatch):
     for field in (Q, F101):
         b2 = PolyMatrix(field, [[P(field, {1: 1, 0: -EVALUATION_POINT})]])
         assert rank_lower_bound(b2) == 0
-        chain = TwistedChain(IntegralChain(None, [], [], 0, None), PolyMatrix.zeros(field, 1, 1), b2)
+        chain = TwistedChain(IntegralChain(None, [], [], 0, [], None), PolyMatrix.zeros(field, 1, 1), b2)
         assert chain.rank_b1() == 0 and chain.rank_b2() == 1
     assert [m.rows for m in calls] == [1, 1]
 
