@@ -12,23 +12,29 @@ stops after the first field with a vanishing degree-1 report.  The serial
 loop and the process pool run the same jobs, in the same order.
 
 Only one kept quotient per orbit of the presentation's chi-fixing
-symmetries runs a job; the others take its reports.  A symmetry sigma
-(`words.generator_symmetries`) induces an automorphism of the group G with
-chi o sigma = chi.  The coefficient module F[t^{+-1}][Q] of q o sigma,
-twisted by chi, is that of q pulled back along sigma, so sigma induces
-isomorphisms H_k(G; M(q o sigma)) ~ H_k(G; M(q)) of F[t^{+-1}]-modules:
-ranks, vanishing and canonical orders agree in degrees 0 and 1, for chi
-and for -chi (the twisted polynomial is an invariant of the group, the
-character and the representation, not of the presentation: Wada 1994,
-Kirk-Livingston 1999).  The module depends only on the kernel, which
-`kernel_key` labels, so a kept quotient whose key lies in the orbit of a
-representative q has the reports of q, field by field, with its own label,
-that of its image's permutation action (`quotients.image_action`), and its
-job would stop after the same field.  The output is byte for byte
-that of computing every job; both routes check the representative.  The
-maps generate a finite group, whose orbits are the closures under any
-generating set of it, so orbits are registered with `words.generating_subset`
-of the maps, found once per scan.
+automorphisms runs a job; the others take its reports.  Two kinds are
+used, each a map of the generators to words that induces an automorphism
+sigma of the group G with chi o sigma = chi: the signed generator maps of
+`words.generator_symmetries` and the Nielsen moves x_i -> x_i x_j,
+x_j x_i of `words.nielsen_moves`, each proved either by looking the images
+of the relators up among their rotations or by recognising G as a direct
+product of groups on blocks of generators.  The coefficient module
+F[t^{+-1}][Q] of q o sigma, twisted by chi, is that of q pulled back along
+sigma, so sigma induces isomorphisms H_k(G; M(q o sigma)) ~ H_k(G; M(q))
+of F[t^{+-1}]-modules: ranks, vanishing and canonical orders agree in
+degrees 0 and 1, for chi and for -chi (the twisted polynomial is an
+invariant of the group, the character and the representation, not of the
+presentation: Wada 1994, Kirk-Livingston 1999).  The module depends only
+on the kernel, which `kernel_key` labels, so a kept quotient whose key lies
+in the orbit of a representative q has the reports of q, field by field,
+with its own label, that of its image's permutation action
+(`quotients.image_action`), and its job would stop after the same field.
+The output is byte for byte that of computing every job; both routes check
+the representative.  An orbit is a closure over the homomorphisms into one
+target, a finite set that q -> q o sigma permutes, so the closure under
+the maps found is the orbit of the group they generate, which may be
+infinite and is never listed; the signed maps are first reduced to a
+generating set of theirs (`words.generating_subset`).
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ from .quotients import (
     trivial_group,
 )
 from .words import (Character, Presentation, generating_subset, generator_symmetries,
-                    render_character, render_presentation)
+                    nielsen_moves, render_character, render_presentation)
 
 __all__ = ["ScanConfig", "FibringVerdict", "scan", "emit_report", "json_text"]
 
@@ -121,10 +127,10 @@ def _quotient_stream(p: Presentation, cfg: ScanConfig):
     runs, else the position, among the kept quotients, of the orbit
     representative whose reports q takes.  After a job has run, which is
     when the consumer asks for the next event, the kernels of its orbit
-    are registered (`_register_orbit`); the symmetries are found then,
-    once, and reduced to a generating set, so a scan that ends at the
-    trivial quotient never looks for them.  The catalog is built first, so
-    that a clash of target names is refused before any job.
+    are registered (`_register_orbit`); the automorphisms are found then,
+    once, so a scan that ends at the trivial quotient never looks for
+    them.  The catalog is built first, so that a clash of target names is
+    refused before any job.
     """
     targets = (trivial_group(),) + build_catalog(cfg.max_quotient_order, list(cfg.extra_groups))
     cyclic_memo: dict = {}
@@ -142,7 +148,9 @@ def _quotient_stream(p: Presentation, cfg: ScanConfig):
             else:
                 yield "kept", hom, None
                 if symmetries is None:
-                    symmetries = generating_subset(generator_symmetries(p, cfg.character))
+                    signed = generating_subset(generator_symmetries(p, cfg.character))
+                    symmetries = [tuple((x,) for x in sigma) for sigma in signed]
+                    symmetries += nielsen_moves(p, cfg.character)
                 _register_orbit(hom, key, symmetries, orbit, len(kept) - 1, memo)
 
 
@@ -150,19 +158,29 @@ def _register_orbit(q: FiniteQuotient, key, symmetries, orbit: dict, position: i
                     memo: dict) -> None:
     """Map the `kernel_key` of every quotient q o sigma_1 o ... o sigma_k to `position`.
 
-    Each sigma is a signed generator map from `generator_symmetries`, so q o
-    sigma is the homomorphism with images q(sigma(x_i)), into the same group.
-    The closure is walked breadth-first from q, whose key the stream has
-    already made, and each member looks up one key per symmetry in the
-    memo of q's target (`quotients.orbit_key`), which is why the stream
-    passes a generating set.
+    Each sigma is a tuple of generator-image words, so q o sigma is the
+    homomorphism with images q(sigma(x_i)), into the same group, read
+    through its table.  The closure is walked breadth-first from q, whose
+    key the stream has already made, and each member looks up one key per
+    sigma in the memo of q's target (`quotients.orbit_key`).  It is taken
+    over the homomorphisms into that target, a finite set that q -> q o
+    sigma permutes, so it is the orbit under the group the maps generate,
+    without listing that group.
     """
     orbit[key] = position
-    inverse = q.group.inverse
+    table, inverse = q.group.table, q.group.inverse
     members = [q.gen_images]
     for images in members:  # grows while it is walked
+        # Letter x reads its image at index x, x_i^-1 from the end.
+        signed = (0, *images, *map(inverse, reversed(images)))
         for sigma in symmetries:
-            moved = tuple(images[x - 1] if x > 0 else inverse(images[-x - 1]) for x in sigma)
+            moved = []
+            for word in sigma:
+                e = signed[word[0]]
+                for x in word[1:]:
+                    e = table[e][signed[x]]
+                moved.append(e)
+            moved = tuple(moved)
             k = orbit_key(q.group, moved, memo)
             if k not in orbit:
                 orbit[k] = position
@@ -200,7 +218,7 @@ def _scan_job(args) -> list[AlexanderReport]:
     different columns of b2, so both still check every verdict.
 
     `scan` runs this only for the representative of each orbit of the
-    chi-fixing symmetries; every other kept quotient of the orbit takes
+    chi-fixing automorphisms; every other kept quotient of the orbit takes
     these reports relabelled with its own `image_action`.
     That is exact, like the minus direction: its chain computes the
     homology of isomorphic modules (see the module docstring).

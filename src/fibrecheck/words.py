@@ -29,6 +29,7 @@ __all__ = [
     "render_character",
     "validate_character",
     "generator_symmetries",
+    "nielsen_moves",
     "MAX_LISTED_SYMMETRIES",
     "generating_subset",
 ]
@@ -291,6 +292,18 @@ def _cyclic_reduction(letters: tuple[int, ...]) -> tuple[int, ...]:
     return letters[i:j]
 
 
+def _rotation_classes(reduced: Sequence[tuple[int, ...]]) -> dict[tuple[int, ...], int]:
+    """Every rotation of each cyclically reduced relator and of its inverse,
+    mapped to the relator's position: two cyclically reduced words are
+    conjugate exactly when one is a rotation of the other."""
+    class_of: dict[tuple[int, ...], int] = {}
+    for idx, w in enumerate(reduced):
+        for v in (w, tuple(-x for x in reversed(w))):
+            for k in range(len(v)):
+                class_of.setdefault(v[k:] + v[:k], idx)
+    return class_of
+
+
 def generator_symmetries(p: Presentation, chi: Character) -> tuple[tuple[int, ...], ...]:
     """Signed generator maps that induce automorphisms of the group and fix chi.
 
@@ -315,11 +328,7 @@ def generator_symmetries(p: Presentation, chi: Character) -> tuple[tuple[int, ..
     g = p.generator_count
     values = chi.values
     reduced = [_cyclic_reduction(r.letters) for r in p.relators]
-    class_of: dict[tuple[int, ...], int] = {}
-    for idx, w in enumerate(reduced):
-        for v in (w, tuple(-x for x in reversed(w))):
-            for k in range(len(v)):
-                class_of.setdefault(v[k:] + v[:k], idx)
+    class_of = _rotation_classes(reduced)
     containing: list[set[int]] = [set() for _ in range(g + 1)]
     for idx, w in enumerate(reduced):
         for x in w:
@@ -338,6 +347,103 @@ def generator_symmetries(p: Presentation, chi: Character) -> tuple[tuple[int, ..
                        for idx in touched)
         if before == after:
             found.append(tuple(moved.get(k, k) for k in range(1, g + 1)))
+    return tuple(found)
+
+
+def _is_commutator(w: tuple[int, ...]) -> bool:
+    """Whether a cyclically reduced word is [x, y] for letters x, y of two
+    different generators, up to rotation: x y x^-1 y^-1."""
+    return len(w) == 4 and w[2] == -w[0] and w[3] == -w[1] and abs(w[0]) != abs(w[1])
+
+
+def _product_blocks(g: int, reduced: Sequence[tuple[int, ...]]) -> list[int]:
+    """The finest partition of the generators, as a block id per generator
+    (entry 0 unused), under which the presentation is that of the direct
+    product of its blocks' groups.
+
+    Two generators share a block where a relator other than a generator
+    commutator contains both, or where no relator is their commutator.
+    Then every other relator lies within one block, and every pair of
+    generators from different blocks has its commutator among the
+    relators, so G is the product of the groups that each block presents
+    with the relators lying within it.  The partition is the components
+    of those two relations, each of which any such partition must join.
+    """
+    parent = list(range(g + 1))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    commuting = set()
+    for w in reduced:
+        if _is_commutator(w):
+            commuting.add((min(abs(w[0]), abs(w[1])), max(abs(w[0]), abs(w[1]))))
+        else:
+            for x in w:
+                parent[find(abs(x))] = find(abs(w[0]))
+    for i in range(1, g + 1):
+        for j in range(i + 1, g + 1):
+            if (i, j) not in commuting:
+                parent[find(j)] = find(i)
+    return [find(x) for x in range(g + 1)]
+
+
+def nielsen_moves(p: Presentation, chi: Character
+                  ) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Nielsen moves that induce automorphisms of the group and fix chi.
+
+    A move is a tuple of g words, word k (a tuple of letters) the image of
+    x_{k+1}.  The candidates are x_i -> x_i x_j and x_i -> x_j x_i, others
+    fixed, for i != j with chi(x_j) = 0, so chi o sigma = chi.  Each is an
+    automorphism of the free group, with inverse x_i -> x_i x_j^-1 (or
+    x_j^-1 x_i), and induces one of the group when sigma and its inverse
+    both map every relator into the normal closure N: then sigma(N) = N.
+    Two proofs are accepted, and nothing else:
+
+    - lookup: after free and cyclic reduction, the image of each relator
+      that contains x_i is a rotation of a relator or of its inverse, as in
+      `generator_symmetries`;
+    - product recognition: x_i and x_j lie in one block of
+      `_product_blocks`, so G is the direct product of that block's group
+      and the others', and sigma is the identity off the block; the lookup
+      is then needed only on the relators within the block, as sigma
+      induces an automorphism of the product where it induces one of the
+      factor.  A commutator [x_i, y] with y in another block is mapped to
+      [sigma(x_i), y], which lies in the normal closure of the commutators
+      of the block's generators with y.
+
+    On f2xz, blocks {a, b} and {z}, these are a -> ab, a -> ba, b -> ab
+    and b -> ba; z -> za maps [b, z] to no conjugate of a relator, and
+    z -> zb maps [a, z] to none.
+    """
+    g = p.generator_count
+    values = chi.values
+    reduced = [_cyclic_reduction(r.letters) for r in p.relators]
+    class_of = _rotation_classes(reduced)
+    block = _product_blocks(g, reduced)
+    within = [all(block[abs(x)] == block[abs(w[0])] for x in w) for w in reduced]
+
+    def passes(i: int, image: tuple[int, ...], relators) -> bool:
+        inverse = tuple(-x for x in reversed(image))
+        for w in relators:
+            moved = _reduce(y for x in w for y in (image if x == i else inverse if x == -i else (x,)))
+            if _cyclic_reduction(moved) not in class_of:
+                return False
+        return True
+
+    found = []
+    for i in range(1, g + 1):
+        containing = [idx for idx, w in enumerate(reduced) if i in w or -i in w]
+        for j in range(1, g + 1):
+            if j == i or values[j - 1] != 0:
+                continue
+            checked = [reduced[idx] for idx in containing
+                       if block[i] != block[j] or within[idx]]
+            for image, back in (((i, j), (i, -j)), ((j, i), (-j, i))):
+                if passes(i, image, checked) and passes(i, back, checked):
+                    found.append(tuple(image if k == i else (k,) for k in range(1, g + 1)))
     return tuple(found)
 
 

@@ -2,8 +2,10 @@
 
 from hypothesis import strategies as st
 
+from fibrecheck.fixtures import load_fixture
 from fibrecheck.quotients import cyclic_group, enumerate_homs, symmetric_group
 from fibrecheck.words import Character, Presentation, Word, validate_character
+from product_oracle import direct_product
 
 PROPERTY_TARGETS = [cyclic_group(m) for m in range(2, 7)] + [symmetric_group(3)]
 
@@ -60,3 +62,29 @@ def symmetric_presentations_with_quotient(draw):
     homs = enumerate_homs(p, draw(st.sampled_from(PROPERTY_TARGETS)))
     q = draw(st.sampled_from([h for h in homs if h.surjective] or homs))
     return p, chi, q, tuple(moved.get(k, k) for k in (1, 2, 3))
+
+
+@st.composite
+def product_presentations_with_quotient(draw):
+    """The direct product (`product_oracle.direct_product`) of f:2 or
+    surface:2 with none, one or two of f:1 (Z), f:2 and surface:1 (Z^2), at
+    most 5 generators; a character that is 0 on the second generator of the
+    first factor, which is then a move's x_j for the first, within their
+    block, and nonzero somewhere; and a homomorphism into S3 or Z/6..Z/2,
+    onto it where one exists.  (The generators of surface:1 commute, so
+    each is a block of its own.)"""
+    p, _ = load_fixture(draw(st.sampled_from(["f:2", "surface:2"])))
+    for _ in range(draw(st.integers(0, 2))):
+        factor, _ = load_fixture(draw(st.sampled_from(["f:1", "f:2", "surface:1"])))
+        if p.generator_count + factor.generator_count <= 5:
+            p = direct_product(p, factor)
+    values = draw(st.lists(st.integers(-2, 2), min_size=p.generator_count,
+                           max_size=p.generator_count))
+    values[1] = 0
+    if not any(values):
+        values[draw(st.sampled_from([0] + list(range(2, p.generator_count))))] = 1
+    chi = validate_character(p, values)
+    # S3 first, which hypothesis draws most: a move that is no automorphism
+    # mostly shows only in a quotient that is not abelian.
+    homs = enumerate_homs(p, draw(st.sampled_from(PROPERTY_TARGETS[::-1])))
+    return p, chi, draw(st.sampled_from([h for h in homs if h.surjective] or homs))

@@ -36,6 +36,7 @@ from fibrecheck.words import (
     Presentation,
     Word,
     generator_symmetries,
+    nielsen_moves,
     parse_presentation,
     render_presentation,
     validate_character,
@@ -45,6 +46,7 @@ from dense_oracle import (DenseRepresentation, PolyMatrix, chain_over, dense_cha
 from free_group_oracle import GroupRingElement, fox_derivative, tietze_variant
 from quotient_oracle import same_kernel
 from random_presentations import (PROPERTY_TARGETS, presentations_with_quotient,
+                                  product_presentations_with_quotient,
                                   symmetric_presentations_with_quotient)
 from smith_oracle import order_of, rank_of, smith_normal_form
 
@@ -644,6 +646,33 @@ def test_reports_agree_across_an_orbit_of_a_symmetry(field, data):
     for c in (chi, chi.negate()):
         assert ([(r.degree, r.vanishing, r.rank_over_frac, r.order) for r in full_report(p, c, moved, field)]
                 == [(r.degree, r.vanishing, r.rank_over_frac, r.order) for r in full_report(p, c, q, field)])
+
+
+@settings(max_examples=30)
+@given(data=st.data())
+def test_reports_agree_across_an_orbit_of_a_nielsen_move(data):
+    # Every accepted move sigma fixes chi, q o sigma kills every relator, and
+    # the reports of q, which a scan reuses for q o sigma, are those that
+    # computing q o sigma directly gives, over F2, F3 and Q, for chi and for
+    # -chi.  Half the presentations are random, where a move is accepted
+    # mostly on a generator that no relator contains; half are products of
+    # free, surface and cyclic groups, where every one of them has a move.
+    product = data.draw(st.booleans())
+    p, chi, q = data.draw(product_presentations_with_quotient() if product
+                          else presentations_with_quotient())
+    moves = nielsen_moves(p, chi)
+    assert moves or not product
+    for sigma in moves:
+        assert [chi.of_word(Word(w)) for w in sigma] == list(chi.values)
+        images = tuple(q.group.word_image(Word(w), q.gen_images) for w in sigma)
+        moved = make_quotient(p, q.group, images)  # checks that q o sigma kills every relator
+        assert moved.surjective == q.surjective
+        for field in (F2, F3, Q):
+            for c in (chi, chi.negate()):
+                assert ([(r.degree, r.vanishing, r.rank_over_frac, r.order)
+                         for r in full_report(p, c, moved, field)]
+                        == [(r.degree, r.vanishing, r.rank_over_frac, r.order)
+                            for r in full_report(p, c, q, field)]), (sigma, q.label(), field.name)
 
 
 @pytest.mark.parametrize("field", [Q, F2, F3], ids=lambda f: f.name)

@@ -11,7 +11,7 @@ from fibrecheck.fixtures import load_fixture
 from fibrecheck.polyalg import CoefficientField
 from fibrecheck.quotients import trivial_quotient
 from fibrecheck.words import validate_character
-from product_oracle import product_vanishing_test
+from product_oracle import direct_product, product_vanishing_test
 from random_presentations import presentations_with_quotient, symmetric_presentations_with_quotient
 
 Q = CoefficientField.rationals()
@@ -259,7 +259,7 @@ def test_emit_report_renders_each_order_and_character_once(format, monkeypatch):
     p, chi = load_fixture("f2xz")
     v = scan(ScanConfig(presentation=p, character=chi, max_quotient_order=4))
     orders = Counter(id(r.order) for r in v.reports)
-    assert len(v.reports) == 588 and len(orders) == 207  # 12 reports and 9 orders per job
+    assert len(v.reports) == 588 and len(orders) == 108  # 12 reports and 9 orders per job
     renders, characters = Counter(), Counter()
     render, render_character = LaurentPoly.render, fibring.render_character
     monkeypatch.setattr(LaurentPoly, "render", lambda f: renders.update([id(f)]) or render(f))
@@ -275,8 +275,9 @@ def test_emit_report_renders_each_order_and_character_once(format, monkeypatch):
 
 def test_fox_images_run_once_per_relator_per_orbit_representative(monkeypatch):
     # The chain over Z is built once per orbit of kept quotients under the
-    # symmetries of f2xz (a <-> b and the inversions of a and b, all fixing
-    # chi = z) and read by every field: 23 orbits among 49 kept quotients.
+    # chi-fixing automorphisms of f2xz (a <-> b, the inversions of a and b,
+    # and the Nielsen moves a -> ab, a -> ba, b -> ab, b -> ba, all fixing
+    # chi = z) and read by every field: 12 orbits among 49 kept quotients.
     from fibrecheck import alexander
 
     walk, calls = alexander.fox_images, []
@@ -285,7 +286,7 @@ def test_fox_images_run_once_per_relator_per_orbit_representative(monkeypatch):
     v = scan(ScanConfig(presentation=p, character=chi, max_quotient_order=4))
     assert v.status == "no_obstruction_up_to" and len(v.config.fields) == 3
     assert len(v.tested_quotients) == 49
-    assert len(calls) == len(p.relators) * 23
+    assert len(calls) == len(p.relators) * 12
 
 
 # SHA-256 of the stdout of `scan --fixture f2xz --max-quotient-order 4`, with
@@ -296,13 +297,13 @@ _F2XZ_ORDER_4 = {
 }
 
 
-@pytest.mark.parametrize("fields, q_bounds", [((), 0), (("--fields", "q,f2,f3"), 23)])
+@pytest.mark.parametrize("fields, q_bounds", [((), 0), (("--fields", "q,f2,f3"), 12)])
 def test_q_reads_the_rank_certificate_of_an_earlier_prime(fields, q_bounds, monkeypatch):
     # Each job's b1 has the unit minor of z's block, t P - I, so its rank is
     # |Q| over every field and no field bounds it; rank b2 is read on b2 less
     # that column block, 2|Q| x 2|Q|, by one bound per job and field.  Rank
     # over Q(t) >= rank over F_p(t) for the same integral rows, so once F2 has
-    # proved that rank at its upper bound, Q eliminates nothing for it: 23
+    # proved that rank at its upper bound, Q eliminates nothing for it: 12
     # jobs, one per orbit of the 49 kept quotients.  Where Q comes first it
     # runs its own bound on every job.  No rank falls short, so Bareiss never
     # runs.
@@ -320,7 +321,7 @@ def test_q_reads_the_rank_certificate_of_an_earlier_prime(fields, q_bounds, monk
     monkeypatch.setattr(alexander, "rank_over_fraction_field", lambda m: pytest.fail("Bareiss ran"))
     out = io.StringIO()
     assert main(["scan", "--fixture", "f2xz", "--max-quotient-order", "4", *fields], out) == 0
-    assert calls == Counter({"F2": 23, "F3": 23, "Q": q_bounds})
+    assert calls == Counter({"F2": 12, "F3": 12, "Q": q_bounds})
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == _F2XZ_ORDER_4[fields]
 
 
@@ -336,21 +337,31 @@ def _z2_times_z4():
 # the scan ends at its witness, the trivial quotient.  The table group
 # Z/2 x Z/4 adds kept quotients onto a Klein four-group, which the catalog
 # lacks, so their reports carry restricted labels, in orbits of a <-> b.
+# Two direct products (f * g is `direct_product` of the fixtures f and g)
+# have Nielsen moves within a block: a -> ab, a -> ba, b -> ab and b -> ba
+# on F2 x Z^2 at chi = a1, and the Dehn twists a1 -> a1 b1, a2 -> a2 b2 and
+# b2 -> b2 a2 on Sigma_2 x Z at chi = a1 + a.
 _FIXTURE_SCANS = [("bs:1:2", None, 8, False), ("trefoil", None, 8, False),
                   ("klein", None, 8, False), ("zn:3", None, 5, False), ("zn:4", None, 4, False),
                   ("f:2", None, 4, False), ("f2xz", None, 6, False), ("f2xz", [1, 0, 0], 4, False),
-                  ("f2xz", None, 4, True), ("surface:1", None, 6, False), ("surface:2", None, 2, False)]
+                  ("f2xz", None, 4, True), ("surface:1", None, 6, False), ("surface:2", None, 2, False),
+                  ("f:2*surface:1", [0, 0, 1, 0], 4, False),
+                  ("surface:2*f:1", [1, 0, 0, 0, 1], 3, False)]
 
 
 @pytest.mark.parametrize("name, values, order, extra", _FIXTURE_SCANS,
                          ids=[f"{n}-{o}" + ("-a" if v else "") + ("+Z2xZ4" if e else "")
                               for n, v, o, e in _FIXTURE_SCANS])
 def test_orbit_reuse_matches_computing_every_job(name, values, order, extra, monkeypatch):
-    # Reports reused across an orbit of the chi-fixing symmetries are those
-    # that computing every kept quotient's job gives, byte for byte.
+    # Reports reused across an orbit of the chi-fixing automorphisms are
+    # those that computing every kept quotient's job gives, byte for byte.
     from fibrecheck import fibring
 
-    p, chi = load_fixture(name)
+    if "*" in name:
+        p = direct_product(*(load_fixture(factor)[0] for factor in name.split("*")))
+        assert fibring.nielsen_moves(p, validate_character(p, values))
+    else:
+        p, chi = load_fixture(name)
     if values is not None:
         chi = validate_character(p, values)
     cfg = ScanConfig(presentation=p, character=chi, max_quotient_order=order,
@@ -359,27 +370,31 @@ def test_orbit_reuse_matches_computing_every_job(name, values, order, extra, mon
     if extra:
         assert "Z2xZ4>im4" in reused
     monkeypatch.setattr(fibring, "generator_symmetries", lambda p, chi: ())
+    monkeypatch.setattr(fibring, "nielsen_moves", lambda p, chi: ())
     assert reused == emit_report(scan(cfg), "json")
 
 
-@pytest.mark.parametrize("fixture, order, fields, kept, chains, symmetries, generators, walks", [
-    ("f2xz", 4, (F2, F3, Q), 49, 23, 6, 2, 49),
-    ("f2xz", 12, (F2, F3, Q), 1174, 293, 6, 2, 1195),
-    ("zn:4", 6, (F2, F3, Q), 932, 117, 15, 3, 988),
-    ("trefoil", 24, (F3,), 27, 27, 1, 1, 36),
+@pytest.mark.parametrize("fixture, order, fields, kept, chains, symmetries, generators, moves, walks", [
+    ("f2xz", 4, (F2, F3, Q), 49, 12, 6, 2, 4, 49),
+    ("f2xz", 12, (F2, F3, Q), 1174, 67, 6, 2, 4, 1195),
+    ("zn:4", 6, (F2, F3, Q), 932, 117, 15, 3, 0, 988),
+    ("trefoil", 24, (F3,), 27, 27, 1, 1, 0, 36),
 ], ids=["f2xz-4", "f2xz-12", "zn:4-6", "trefoil-24-f3"])
-def test_one_chain_per_orbit(fixture, order, fields, kept, chains, symmetries, generators, walks,
-                             monkeypatch):
+def test_one_chain_per_orbit(fixture, order, fields, kept, chains, symmetries, generators, moves,
+                             walks, monkeypatch):
     # One chain is built per orbit of kept quotients.  Each homomorphism
     # looks up one kernel key, and registering an orbit one per member and
-    # generator of the symmetries, which reduce to a generating set: a ->
-    # a^-1 and a <-> b on f2xz, x2 -> x2^-1, (x2 x3) and (x2 x4) on zn:4.
-    # Each kept kernel is one member.  A lookup walks an image only for the
-    # first of its orbit under the target's automorphisms (`orbit_key`):
-    # on f2xz to order 4 once per kept kernel.  The trefoil walks one image
-    # per order 1..24 for its cyclic quotients, 4 in S3 and 8 in S4, one per
-    # conjugacy class of homomorphisms; its one symmetry, x <-> y, moves
-    # each pair to a conjugate one and so walks nothing.
+    # map: the signed maps, reduced to a generating set (a -> a^-1 and
+    # a <-> b on f2xz, x2 -> x2^-1, (x2 x3) and (x2 x4) on zn:4), and the
+    # Nielsen moves (a -> ab, a -> ba, b -> ab and b -> ba on f2xz, which
+    # is F2 x Z; none on zn:4, whose blocks are single generators, or on
+    # the trefoil, whose chi is nonzero on both).  Each kept kernel is one
+    # member.  A lookup walks an image only for the first of its orbit
+    # under the target's automorphisms (`orbit_key`): on f2xz to order 4
+    # once per kept kernel.  The trefoil walks one image per order 1..24
+    # for its cyclic quotients, 4 in S3 and 8 in S4, one per conjugacy
+    # class of homomorphisms; its one symmetry, x <-> y, moves each pair to
+    # a conjugate one and so walks nothing.
     from fibrecheck import fibring, quotients
     from fibrecheck.words import generating_subset
 
@@ -397,10 +412,12 @@ def test_one_chain_per_orbit(fixture, order, fields, kept, chains, symmetries, g
     p, chi = load_fixture(fixture)
     found = fibring.generator_symmetries(p, chi)
     assert (len(found), len(generating_subset(found))) == (symmetries, generators)
+    assert len(fibring.nielsen_moves(p, chi)) == moves
     v = scan(ScanConfig(presentation=p, character=chi, max_quotient_order=order, fields=fields))
     assert v.status == "no_obstruction_up_to"
     assert (len(v.tested_quotients), len(built)) == (kept, chains)
-    assert len(lookups) == len(v.tested_quotients) + len(v.skipped_quotients) + generators * kept
+    assert len(lookups) == (len(v.tested_quotients) + len(v.skipped_quotients)
+                            + (generators + moves) * kept)
     assert len(walked) == walks
 
 
@@ -519,7 +536,8 @@ def test_serial_and_pool_scans_agree_on_random_presentations(data):
     # The pool runs only the orbit representatives' jobs and the scan reuses
     # their reports in stream order, as a serial run does: the same bytes,
     # which are also those of computing every job.  Half the presentations
-    # are closed under a symmetry, so orbits occur.
+    # are closed under a symmetry, so orbits occur; on the others, a
+    # generator that no relator contains has Nielsen moves.
     from fibrecheck import fibring
 
     if data.draw(st.booleans()):
@@ -531,6 +549,7 @@ def test_serial_and_pool_scans_agree_on_random_presentations(data):
     assert serial == emit_report(scan(cfg, jobs=2), "json")
     with pytest.MonkeyPatch.context() as m:
         m.setattr(fibring, "generator_symmetries", lambda p, chi: ())
+        m.setattr(fibring, "nielsen_moves", lambda p, chi: ())
         assert serial == emit_report(scan(cfg), "json")
 
 
@@ -563,10 +582,11 @@ def test_the_stream_merges_exactly_the_quotients_of_one_kernel(name, order):
 @settings(max_examples=20)
 @given(data=st.data())
 def test_a_generating_set_registers_the_orbits_of_all_maps(data):
-    # The group that the chi-fixing maps generate is finite, so its orbits
-    # are the closures under any generating set of it: registering with the
-    # reduced maps gives every kept quotient the representative position
-    # that registering with all of them gives.
+    # An orbit is the closure under the maps, and the closure under a
+    # generating set of the signed maps, with the Nielsen moves beside it,
+    # is the same: registering with the reduced signed maps gives every
+    # kept quotient the representative position that registering with all
+    # of them gives.
     from fibrecheck import fibring
 
     if data.draw(st.booleans()):

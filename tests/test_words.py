@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from fibrecheck import words
 from fibrecheck.fixtures import load_fixture
-from fibrecheck.quotients import make_quotient
+from fibrecheck.quotients import enumerate_homs, make_quotient, symmetric_group
 from fibrecheck.words import (
     MAX_WORD_LENGTH,
     ParseError,
@@ -13,6 +13,7 @@ from fibrecheck.words import (
     Word,
     generating_subset,
     generator_symmetries,
+    nielsen_moves,
     parse_character,
     parse_presentation,
     render_presentation,
@@ -252,6 +253,47 @@ def test_symmetries_of_large_fixtures_take_well_under_a_second(fixture, found, m
     symmetries = generator_symmetries(p, chi)
     assert perf_counter() - start < 0.5
     assert len(symmetries) == found
+
+
+@pytest.mark.parametrize("fixture, found", [
+    ("f2xz", (((1, 2), (2,), (3,)), ((2, 1), (2,), (3,)), ((1,), (2, 1), (3,)), ((1,), (1, 2), (3,)))),
+    ("zn:4", ()),
+    ("trefoil", ()),
+    ("surface:1", (((1, 2), (2,)), ((2, 1), (2,)))),
+])
+def test_nielsen_moves_of_fixtures(fixture, found):
+    # f2xz is F2 x Z, blocks {a, b} and {z}: F2 has no relators, so every
+    # move within the block is proved by product recognition; a move of z
+    # by a or b fails the lookup on [b, z] or [a, z].  zn:4's blocks are
+    # single generators, and x_i -> x_i x_j fails the lookup on [x_i, x_k].
+    # The trefoil's chi is nonzero on both generators.  surface:1 is Z^2,
+    # blocks {a1} and {b1}: a1 -> a1 b1 and a1 -> b1 a1 map [a1, b1] to a
+    # conjugate of itself, so the lookup proves them.
+    assert nielsen_moves(*load_fixture(fixture)) == found
+
+
+def test_a_move_that_does_not_preserve_the_relators_is_refused():
+    # In <a, b, z | [a, z]> = Z^2 * Z no relator is [a, b] or [b, z], so the
+    # three generators form one block, and a -> ab maps [a, z] to [ab, z],
+    # which is no rotation of a relator or its inverse: refused.  It is no
+    # endomorphism of the group: some q into S3 kills [a, z] but not
+    # [ab, z].  b, which no relator contains, and z, whose commutator with a
+    # survives z -> za and z -> az, have their moves.
+    p = parse_presentation("gens: a b z\nrels: a z a^-1 z^-1")
+    chi = validate_character(p, [0, 0, 1])
+    moves = nielsen_moves(p, chi)
+    assert moves == (((1,), (2, 1), (3,)), ((1,), (1, 2), (3,)),
+                     ((1,), (2,), (3, 1)), ((1,), (2,), (1, 3)))
+    bad = ((1, 2), (2,), (3,))
+    assert bad not in moves
+    broken = 0
+    for q in enumerate_homs(p, symmetric_group(3)):
+        images = tuple(q.group.word_image(Word(w), q.gen_images) for w in bad)
+        try:
+            make_quotient(p, q.group, images)
+        except ValueError:
+            broken += 1
+    assert broken > 0
 
 
 def _generated(maps, limit):
