@@ -12,29 +12,27 @@ stops after the first field with a vanishing degree-1 report.  The serial
 loop and the process pool run the same jobs, in the same order.
 
 Only one kept quotient per orbit of the presentation's chi-fixing
-automorphisms runs a job; the others take its reports.  Two kinds are
-used, each a map of the generators to words that induces an automorphism
-sigma of the group G with chi o sigma = chi: the signed generator maps of
-`words.generator_symmetries` and the Nielsen moves x_i -> x_i x_j,
-x_j x_i of `words.nielsen_moves`, each proved either by looking the images
-of the relators up among their rotations or by recognising G as a direct
-product of groups on blocks of generators.  The coefficient module
-F[t^{+-1}][Q] of q o sigma, twisted by chi, is that of q pulled back along
-sigma, so sigma induces isomorphisms H_k(G; M(q o sigma)) ~ H_k(G; M(q))
-of F[t^{+-1}]-modules: ranks, vanishing and canonical orders agree in
-degrees 0 and 1, for chi and for -chi (the twisted polynomial is an
-invariant of the group, the character and the representation, not of the
-presentation: Wada 1994, Kirk-Livingston 1999).  The module depends only
-on the kernel, which `kernel_key` labels, so a kept quotient whose key lies
-in the orbit of a representative q has the reports of q, field by field,
-with its own label, that of its image's permutation action
-(`quotients.image_action`), and its job would stop after the same field.
-The output is byte for byte that of computing every job; both routes check
-the representative.  An orbit is a closure over the homomorphisms into one
-target, a finite set that q -> q o sigma permutes, so the closure under
-the maps found is the orbit of the group they generate, which may be
-infinite and is never listed; the signed maps are first reduced to a
-generating set of theirs (`words.generating_subset`).
+automorphisms runs a job; the others take its reports.  One finder,
+`words.automorphisms`, gives maps of the generators to words (signed
+generator maps and Nielsen moves), each kept by one rule: it fixes chi, and
+it and its inverse provably map every relator into the relators' normal
+closure, so it induces an automorphism sigma of the group G with chi o
+sigma = chi.  The coefficient module F[t^{+-1}][Q] of q o sigma, twisted by
+chi, is that of q pulled back along sigma, so sigma induces isomorphisms
+H_k(G; M(q o sigma)) ~ H_k(G; M(q)) of F[t^{+-1}]-modules: ranks, vanishing
+and canonical orders agree in degrees 0 and 1, for chi and for -chi (the
+twisted polynomial is an invariant of the group, the character and the
+representation, not of the presentation: Wada 1994, Kirk-Livingston 1999).
+The module depends only on the kernel, which `kernel_key` labels, so a kept
+quotient whose key lies in the orbit of a representative q has the reports
+of q, field by field, with its own label, that of its image's permutation
+action (`quotients.image_action`), and its job would stop after the same
+field.  The output is byte for byte that of computing every job; both
+routes check the representative.  An orbit is a closure over the
+homomorphisms into one target, a finite set that q -> q o sigma permutes,
+so the closure under the maps found is the orbit of the group they
+generate, which may be infinite and is never listed; the signed maps are
+first reduced to a generating set of theirs (`words.generating_subset`).
 """
 
 from __future__ import annotations
@@ -55,8 +53,8 @@ from .quotients import (
     orbit_key,
     trivial_group,
 )
-from .words import (Character, Presentation, generating_subset, generator_symmetries,
-                    nielsen_moves, render_character, render_presentation)
+from .words import (Character, Presentation, automorphisms, generating_subset, render_character,
+                    render_presentation)
 
 __all__ = ["ScanConfig", "FibringVerdict", "scan", "emit_report", "json_text"]
 
@@ -128,9 +126,9 @@ def _quotient_stream(p: Presentation, cfg: ScanConfig):
     representative whose reports q takes.  After a job has run, which is
     when the consumer asks for the next event, the kernels of its orbit
     are registered (`_register_orbit`); the automorphisms are found then,
-    once, so a scan that ends at the trivial quotient never looks for
-    them.  The catalog is built first, so that a clash of target names is
-    refused before any job.
+    once, by one call of `words.automorphisms`, so a scan that ends at the
+    trivial quotient never looks for them.  The catalog is built first, so
+    that a clash of target names is refused before any job.
     """
     targets = (trivial_group(),) + build_catalog(cfg.max_quotient_order, list(cfg.extra_groups))
     cyclic_memo: dict = {}
@@ -148,9 +146,7 @@ def _quotient_stream(p: Presentation, cfg: ScanConfig):
             else:
                 yield "kept", hom, None
                 if symmetries is None:
-                    signed = generating_subset(generator_symmetries(p, cfg.character))
-                    symmetries = [tuple((x,) for x in sigma) for sigma in signed]
-                    symmetries += nielsen_moves(p, cfg.character)
+                    symmetries = generating_subset(automorphisms(p, cfg.character))
                 _register_orbit(hom, key, symmetries, orbit, len(kept) - 1, memo)
 
 

@@ -28,8 +28,7 @@ __all__ = [
     "parse_character",
     "render_character",
     "validate_character",
-    "generator_symmetries",
-    "nielsen_moves",
+    "automorphisms",
     "MAX_LISTED_SYMMETRIES",
     "generating_subset",
 ]
@@ -292,62 +291,12 @@ def _cyclic_reduction(letters: tuple[int, ...]) -> tuple[int, ...]:
     return letters[i:j]
 
 
-def _rotation_classes(reduced: Sequence[tuple[int, ...]]) -> dict[tuple[int, ...], int]:
-    """Every rotation of each cyclically reduced relator and of its inverse,
-    mapped to the relator's position: two cyclically reduced words are
-    conjugate exactly when one is a rotation of the other."""
-    class_of: dict[tuple[int, ...], int] = {}
-    for idx, w in enumerate(reduced):
-        for v in (w, tuple(-x for x in reversed(w))):
-            for k in range(len(v)):
-                class_of.setdefault(v[k:] + v[:k], idx)
-    return class_of
-
-
-def generator_symmetries(p: Presentation, chi: Character) -> tuple[tuple[int, ...], ...]:
-    """Signed generator maps that induce automorphisms of the group and fix chi.
-
-    A map is a tuple of letters, entry k the image x_j^{+-1} of x_{k+1}.
-    The candidates are the single inversions x_i -> x_i^-1 and the signed
-    transpositions x_i -> x_j^{+-1}, x_j -> x_i^{+-1}, others fixed: about
-    2g^2 of them, never the g! 2^g signed permutations.  One is kept where
-    chi(sigma(x_k)) = chi(x_k) for every k and sigma maps the multiset of
-    relators onto itself up to cyclic conjugation and inversion.  Then
-    sigma is an automorphism of the free group that permutes the relators'
-    conjugacy classes up to inversion, so it maps their normal closure onto
-    itself and induces an automorphism of the presented group (a cellular
-    automorphism of the presentation complex) with chi o sigma = chi.
-
-    Cyclically reduced words are conjugate exactly when one is a rotation
-    of the other, and sigma, a bijection on letters, keeps a word
-    cyclically reduced, so the image of a relator is looked up among the
-    rotations of every relator and its inverse.  A relator that contains
-    none of the moved generators is fixed, so only those that contain one
-    are compared.
-    """
-    g = p.generator_count
-    values = chi.values
-    reduced = [_cyclic_reduction(r.letters) for r in p.relators]
-    class_of = _rotation_classes(reduced)
-    containing: list[set[int]] = [set() for _ in range(g + 1)]
-    for idx, w in enumerate(reduced):
-        for x in w:
-            containing[abs(x)].add(idx)
-    candidates = [{i: -i} for i in range(1, g + 1)]
-    candidates += [{i: si * j, j: sj * i} for i in range(1, g + 1) for j in range(i + 1, g + 1)
-                   for si in (1, -1) for sj in (1, -1)]
-    found = []
-    for moved in candidates:
-        if any(values[abs(y) - 1] * (1 if y > 0 else -1) != values[x - 1] for x, y in moved.items()):
-            continue
-        touched = set().union(*(containing[x] for x in moved))
-        image = {**moved, **{-x: -y for x, y in moved.items()}}
-        before = sorted(class_of[reduced[idx]] for idx in touched)
-        after = sorted(class_of.get(tuple(image.get(x, x) for x in reduced[idx]), -1)
-                       for idx in touched)
-        if before == after:
-            found.append(tuple(moved.get(k, k) for k in range(1, g + 1)))
-    return tuple(found)
+def _rotations(reduced: Sequence[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    """Every rotation of each cyclically reduced relator and of its inverse:
+    two cyclically reduced words are conjugate exactly when one is a
+    rotation of the other."""
+    return {v[k:] + v[:k] for w in reduced for v in (w, tuple(-x for x in reversed(w)))
+            for k in range(len(v))}
 
 
 def _is_commutator(w: tuple[int, ...]) -> bool:
@@ -390,61 +339,79 @@ def _product_blocks(g: int, reduced: Sequence[tuple[int, ...]]) -> list[int]:
     return [find(x) for x in range(g + 1)]
 
 
-def nielsen_moves(p: Presentation, chi: Character
+def automorphisms(p: Presentation, chi: Character
                   ) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Nielsen moves that induce automorphisms of the group and fix chi.
+    """Generator maps that induce automorphisms of the group and fix chi.
 
-    A move is a tuple of g words, word k (a tuple of letters) the image of
-    x_{k+1}.  The candidates are x_i -> x_i x_j and x_i -> x_j x_i, others
-    fixed, for i != j with chi(x_j) = 0, so chi o sigma = chi.  Each is an
-    automorphism of the free group, with inverse x_i -> x_i x_j^-1 (or
-    x_j^-1 x_i), and induces one of the group when sigma and its inverse
-    both map every relator into the normal closure N: then sigma(N) = N.
-    Two proofs are accepted, and nothing else:
+    A map is a tuple of g words, word k (a tuple of letters) the image of
+    x_{k+1}.  The candidates are about 4g^2 automorphisms of the free group,
+    never the g! 2^g signed permutations, each with an explicit inverse:
 
-    - lookup: after free and cyclic reduction, the image of each relator
-      that contains x_i is a rotation of a relator or of its inverse, as in
-      `generator_symmetries`;
-    - product recognition: x_i and x_j lie in one block of
-      `_product_blocks`, so G is the direct product of that block's group
-      and the others', and sigma is the identity off the block; the lookup
-      is then needed only on the relators within the block, as sigma
-      induces an automorphism of the product where it induces one of the
-      factor.  A commutator [x_i, y] with y in another block is mapped to
-      [sigma(x_i), y], which lies in the normal closure of the commutators
-      of the block's generators with y.
+    - the inversions x_i -> x_i^-1, each its own inverse;
+    - the signed transpositions x_i -> x_j^s, x_j -> x_i^r, with inverse
+      x_i -> x_j^r, x_j -> x_i^s;
+    - the Nielsen moves x_i -> x_i x_j and x_i -> x_j x_i with chi(x_j) = 0,
+      with inverse x_i -> x_i x_j^-1 (or x_j^-1 x_i).
 
-    On f2xz, blocks {a, b} and {z}, these are a -> ab, a -> ba, b -> ab
-    and b -> ba; z -> za maps [b, z] to no conjugate of a relator, and
-    z -> zb maps [a, z] to none.
+    One rule keeps a candidate sigma: chi o sigma = chi, and sigma and its
+    inverse both map every relator into the normal closure N, so sigma(N) = N
+    and sigma induces an automorphism of the group.  The proof is a lookup:
+    the image of each relator that contains a moved generator, freely and
+    cyclically reduced, is a rotation of a relator or of its inverse.  Where
+    sigma stays within one block of `_product_blocks`, only the relators
+    within the block are looked up: G is the direct product of the block's
+    group and the others', and sigma maps a commutator [x_i, y] with y in
+    another block to [sigma(x_i), y], which lies in the normal closure of
+    the commutators of the block's generators with y.
+
+    On f2xz, blocks {a, b} and {z}, the moves are a -> ab, a -> ba, b -> ab
+    and b -> ba; z -> za maps [b, z] to no conjugate of a relator.  The
+    signed maps (every image one letter) come first, then the moves.
     """
     g = p.generator_count
-    values = chi.values
     reduced = [_cyclic_reduction(r.letters) for r in p.relators]
-    class_of = _rotation_classes(reduced)
+    rotations = _rotations(reduced)
     block = _product_blocks(g, reduced)
-    within = [all(block[abs(x)] == block[abs(w[0])] for x in w) for w in reduced]
+    within = [len({block[abs(x)] for x in w}) == 1 for w in reduced]
+    containing: list[list[int]] = [[] for _ in range(g + 1)]
+    for idx, w in enumerate(reduced):
+        for x in {abs(y) for y in w}:
+            containing[x].append(idx)
+    # chi of letter x at index x, of x^-1 at -x (read from the end).
+    weight = (0, *chi.values, *[-v for v in chi.values[::-1]])
+    chi_of = weight.__getitem__
 
-    def passes(i: int, image: tuple[int, ...], relators) -> bool:
-        inverse = tuple(-x for x in reversed(image))
+    def proved(sigma: dict[int, tuple[int, ...]], relators: list[tuple[int, ...]]) -> bool:
+        """Whether sigma maps each relator to a conjugate of a relator or its inverse."""
+        letters = {**sigma, **{-x: tuple([-y for y in w[::-1]]) for x, w in sigma.items()}}
         for w in relators:
-            moved = _reduce(y for x in w for y in (image if x == i else inverse if x == -i else (x,)))
-            if _cyclic_reduction(moved) not in class_of:
+            moved = tuple([y for x in w for y in letters.get(x, (x,))])
+            # A signed map's image is already cyclically reduced.
+            if moved not in rotations and _cyclic_reduction(_reduce(moved)) not in rotations:
                 return False
         return True
 
+    candidates = [({i: (-i,)}, {i: (-i,)}) for i in range(1, g + 1)]
+    candidates += [({i: (si * j,), j: (sj * i,)}, {i: (sj * j,), j: (si * i,)})
+                   for i in range(1, g + 1) for j in range(i + 1, g + 1)
+                   for si in (1, -1) for sj in (1, -1)]
+    candidates += [({i: image}, {i: back}) for i in range(1, g + 1) for j in range(1, g + 1)
+                   if j != i and weight[j] == 0
+                   for image, back in (((i, j), (i, -j)), ((j, i), (-j, i)))]
     found = []
-    for i in range(1, g + 1):
-        containing = [idx for idx, w in enumerate(reduced) if i in w or -i in w]
-        for j in range(1, g + 1):
-            if j == i or values[j - 1] != 0:
-                continue
-            checked = [reduced[idx] for idx in containing
-                       if block[i] != block[j] or within[idx]]
-            for image, back in (((i, j), (i, -j)), ((j, i), (-j, i))):
-                if passes(i, image, checked) and passes(i, back, checked):
-                    found.append(tuple(image if k == i else (k,) for k in range(1, g + 1)))
-    return tuple(found)
+    for sigma, inverse in candidates:
+        for x, w in sigma.items():
+            if sum(map(chi_of, w)) != chi_of(x):
+                break  # chi o sigma != chi
+        else:
+            # Every candidate's images name the generators it moves.
+            one_block = len({block[abs(y)] for w in sigma.values() for y in w}) == 1
+            relators = [reduced[idx] for idx in {idx for x in sigma for idx in containing[x]}
+                        if within[idx] or not one_block]
+            if not relators or (proved(sigma, relators)
+                                and (inverse == sigma or proved(inverse, relators))):
+                found.append(sigma)
+    return tuple(tuple(sigma.get(k, (k,)) for k in range(1, g + 1)) for sigma in found)
 
 
 # Most elements of a group of signed generator maps that `generating_subset`
@@ -453,11 +420,14 @@ def nielsen_moves(p: Presentation, chi: Character
 MAX_LISTED_SYMMETRIES = 5000
 
 
-def generating_subset(maps: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-    """A subsequence of signed generator maps that generates the group they generate.
+def generating_subset(maps: Sequence[tuple[tuple[int, ...], ...]]
+                      ) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The maps, with the signed generator maps among them (every image one
+    letter) cut down to a subsequence that generates the group they generate.
 
-    A greedy pass keeps a map only where the group generated by the maps
-    kept before it lacks it.  A reverse pass then drops each kept map that
+    The other maps follow whole, after the signed maps kept.  A greedy pass
+    keeps a signed map only where the group generated by the maps kept
+    before it lacks it.  A reverse pass then drops each kept map that
     the other kept maps generate: those generate a subgroup of the whole
     group G, so they generate G exactly when they reach more than |G|/2
     elements.  Each pass lists the group it builds one right coset Hx at a
@@ -466,14 +436,16 @@ def generating_subset(maps: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...],
     are kept unread and the reverse pass is skipped, so every dropped map is
     generated by the maps kept.
 
-    A map is held as its images of 0, x_1..x_g, x_g^-1..x_1^-1, so that a
-    letter indexes its own image (a negative index reads the inverses from
-    the end) and a composite is one `map` over a tuple.
+    A map is held as its images of 0, x_1..x_g, x_g^-1..x_1^-1, 2g + 1
+    letters for a signed map, so that a letter indexes its own image (a
+    negative index reads the inverses from the end) and a composite is one
+    `map` over a tuple.
     """
     if not maps:
         return ()
     g = len(maps[0])
-    full = [(0, *m, *(-x for x in reversed(m))) for m in maps]
+    full = [(0, *s, *[-x for x in s[::-1]]) for s in (sum(m, ()) for m in maps)]
+    signed = [i for i, m in enumerate(full) if len(m) == 2 * g + 1]
     identity = (0, *range(1, g + 1), *range(-g, 0))
 
     def extend(h: list, generators: list, limit: int) -> list | None:
@@ -507,10 +479,12 @@ def generating_subset(maps: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...],
                 members = set(listed)
         return used, listed
 
-    kept, listed = greedy(range(len(maps)), MAX_LISTED_SYMMETRIES)
+    kept, listed = greedy(signed, MAX_LISTED_SYMMETRIES)
     if listed is None:
-        return tuple(maps[j] for j in kept) + tuple(maps[kept[-1] + 1:])
-    for i in reversed(kept[:]):
-        if greedy([j for j in kept if j != i], len(listed) // 2)[1] is None:
-            kept.remove(i)
-    return tuple(maps[j] for j in kept)
+        kept += [j for j in signed if j > kept[-1]]
+    else:
+        for i in reversed(kept[:]):
+            if greedy([j for j in kept if j != i], len(listed) // 2)[1] is None:
+                kept.remove(i)
+    others = [i for i, m in enumerate(full) if len(m) > 2 * g + 1]
+    return tuple(maps[j] for j in kept + others)

@@ -35,8 +35,7 @@ from fibrecheck.reidschreier import rewrite_subgroup
 from fibrecheck.words import (
     Presentation,
     Word,
-    generator_symmetries,
-    nielsen_moves,
+    automorphisms,
     parse_presentation,
     render_presentation,
     validate_character,
@@ -635,44 +634,35 @@ def test_minus_fold_and_b2_order_match_full_computation():
 @settings(max_examples=30)
 @given(data=st.data())
 def test_reports_agree_across_an_orbit_of_a_symmetry(field, data):
-    # sigma induces an automorphism of the group that fixes chi, so q o sigma
-    # has the same ranks and canonical orders as q, for chi and for -chi:
-    # what a scan reuses for every quotient of an orbit, computed directly.
-    p, chi, q, sigma = data.draw(symmetric_presentations_with_quotient())
-    assert sigma in generator_symmetries(p, chi)
-    images = tuple(q.group.word_image(Word((x,)), q.gen_images) for x in sigma)
-    moved = make_quotient(p, q.group, images)  # checks that q o sigma kills every relator
-    assert moved.surjective == q.surjective
-    for c in (chi, chi.negate()):
-        assert ([(r.degree, r.vanishing, r.rank_over_frac, r.order) for r in full_report(p, c, moved, field)]
-                == [(r.degree, r.vanishing, r.rank_over_frac, r.order) for r in full_report(p, c, q, field)])
-
-
-@settings(max_examples=30)
-@given(data=st.data())
-def test_reports_agree_across_an_orbit_of_a_nielsen_move(data):
-    # Every accepted move sigma fixes chi, q o sigma kills every relator, and
-    # the reports of q, which a scan reuses for q o sigma, are those that
-    # computing q o sigma directly gives, over F2, F3 and Q, for chi and for
-    # -chi.  Half the presentations are random, where a move is accepted
-    # mostly on a generator that no relator contains; half are products of
-    # free, surface and cyclic groups, where every one of them has a move.
-    product = data.draw(st.booleans())
-    p, chi, q = data.draw(product_presentations_with_quotient() if product
-                          else presentations_with_quotient())
-    moves = nielsen_moves(p, chi)
-    assert moves or not product
-    for sigma in moves:
+    # Every map sigma that `automorphisms` keeps induces an automorphism of
+    # the group that fixes chi, so q o sigma kills every relator and has the
+    # same ranks and canonical orders as q, for chi and for -chi: what a
+    # scan reuses for every quotient of an orbit, computed directly.  A
+    # symmetric presentation is closed under a drawn signed transposition,
+    # which must be among the maps found, and only it is checked.  On a
+    # random presentation a move is kept mostly on a generator that no
+    # relator contains; a product of free, surface and cyclic groups always
+    # has one.  Every map found on these is checked.
+    kind = data.draw(st.sampled_from(["symmetric", "random", "product"]))
+    if kind == "symmetric":
+        p, chi, q, sigma = data.draw(symmetric_presentations_with_quotient())
+        assert tuple((x,) for x in sigma) in automorphisms(p, chi)
+        maps = [tuple((x,) for x in sigma)]
+    else:
+        p, chi, q = data.draw(product_presentations_with_quotient() if kind == "product"
+                              else presentations_with_quotient())
+        maps = automorphisms(p, chi)
+        assert kind == "random" or any(max(map(len, sigma)) > 1 for sigma in maps)
+    for sigma in maps:
         assert [chi.of_word(Word(w)) for w in sigma] == list(chi.values)
         images = tuple(q.group.word_image(Word(w), q.gen_images) for w in sigma)
         moved = make_quotient(p, q.group, images)  # checks that q o sigma kills every relator
         assert moved.surjective == q.surjective
-        for field in (F2, F3, Q):
-            for c in (chi, chi.negate()):
-                assert ([(r.degree, r.vanishing, r.rank_over_frac, r.order)
-                         for r in full_report(p, c, moved, field)]
-                        == [(r.degree, r.vanishing, r.rank_over_frac, r.order)
-                            for r in full_report(p, c, q, field)]), (sigma, q.label(), field.name)
+        for c in (chi, chi.negate()):
+            assert ([(r.degree, r.vanishing, r.rank_over_frac, r.order)
+                     for r in full_report(p, c, moved, field)]
+                    == [(r.degree, r.vanishing, r.rank_over_frac, r.order)
+                        for r in full_report(p, c, q, field)]), (sigma, q.label(), field.name)
 
 
 @pytest.mark.parametrize("field", [Q, F2, F3], ids=lambda f: f.name)

@@ -11,9 +11,8 @@ from fibrecheck.words import (
     ParseError,
     Presentation,
     Word,
+    automorphisms,
     generating_subset,
-    generator_symmetries,
-    nielsen_moves,
     parse_character,
     parse_presentation,
     render_presentation,
@@ -207,20 +206,40 @@ def test_render_word_powers():
     assert render_word(p, Word(())) == "1"
 
 
+def _words(*signed):
+    """Signed generator maps, each given as a tuple of letters, as maps of
+    one-letter words."""
+    return tuple(tuple((x,) for x in sigma) for sigma in signed)
+
+
 @pytest.mark.parametrize("fixture, found", [
-    ("f2xz", ((-1, 2, 3), (1, -2, 3), (2, 1, 3), (2, -1, 3), (-2, 1, 3), (-2, -1, 3))),
-    ("trefoil", ((2, 1),)),
-    ("bs:1:2", ((-1, 2),)),
-    ("surface:1", ((1, -2),)),
-    ("surface:2", ()),
+    ("f2xz", _words((-1, 2, 3), (1, -2, 3), (2, 1, 3), (2, -1, 3), (-2, 1, 3), (-2, -1, 3))
+     + (((1, 2), (2,), (3,)), ((2, 1), (2,), (3,)), ((1,), (2, 1), (3,)), ((1,), (1, 2), (3,)))),
+    ("trefoil", _words((2, 1))),
+    ("bs:1:2", _words((-1, 2)) + (((1,), (2, 1)), ((1,), (1, 2)))),
+    ("surface:1", _words((1, -2)) + (((1, 2), (2,)), ((2, 1), (2,)))),
+    ("surface:2", (((1, 2), (2,), (3,), (4,)), ((1,), (2,), (3, 4), (4,)),
+                   ((1,), (2,), (3,), (4, 3)))),
+    ("zn:4", _words((1, -2, 3, 4), (1, 2, -3, 4), (1, 2, 3, -4), (1, 3, 2, 4), (1, 3, -2, 4),
+                    (1, -3, 2, 4), (1, -3, -2, 4), (1, 4, 3, 2), (1, 4, 3, -2), (1, -4, 3, 2),
+                    (1, -4, 3, -2), (1, 2, 4, 3), (1, 2, 4, -3), (1, 2, -4, 3), (1, 2, -4, -3))),
+    ("klein", _words((-1, 2)) + (((1,), (2, 1)), ((1,), (1, 2)))),
 ])
-def test_generator_symmetries_of_fixtures(fixture, found):
-    # f2xz: a <-> b and both inversions, with every sign, never z, which chi
-    # = z moves; trefoil: x <-> y, which maps the relator to its inverse;
-    # bs:1:2: a -> a^-1, since t a^-1 t^-1 = a^-2; surface:2: chi = a1 fixes
+def test_automorphisms_of_fixtures(fixture, found):
+    # The signed maps, then the Nielsen moves.  f2xz is F2 x Z, blocks
+    # {a, b} and {z}: a <-> b and both inversions, with every sign, never z,
+    # which chi = z moves; F2 has no relators, so every move within the
+    # block is proved by the block's (empty) lookup, and a move of z by a or
+    # b fails the lookup on [b, z] or [a, z].  trefoil: x <-> y maps the
+    # relator to its inverse, and chi is nonzero on both generators, so no
+    # move fixes it.  bs:1:2: a -> a^-1, since t a^-1 t^-1 = a^-2.
+    # surface:1 is Z^2, blocks {a1} and {b1}: a1 -> a1 b1 and a1 -> b1 a1
+    # map [a1, b1] to a conjugate of itself.  surface:2: chi = a1 fixes
     # candidates such as b1 -> b1^-1 and a2 <-> b2, but none maps
-    # [a1, b1][a2, b2] to a conjugate of itself or its inverse.
-    assert generator_symmetries(*load_fixture(fixture)) == found
+    # [a1, b1][a2, b2] to a conjugate of itself or its inverse.  zn:4's
+    # blocks are single generators, and x_i -> x_i x_j fails the lookup on
+    # [x_i, x_k].  klein: a -> a^-1, t -> ta and t -> at.
+    assert automorphisms(*load_fixture(fixture)) == found
 
 
 @settings(max_examples=60)
@@ -231,16 +250,18 @@ def test_found_symmetries_fix_chi_and_map_homomorphisms_to_homomorphisms(data):
     # found fixes chi and carries each relator into the normal closure: q o
     # sigma kills every relator.
     p, chi, q = data.draw(presentations_with_quotient())
-    for sigma in generator_symmetries(p, chi):
-        assert [chi.of_word(Word((x,))) for x in sigma] == list(chi.values)
-        make_quotient(p, q.group, tuple(q.group.word_image(Word((x,)), q.gen_images) for x in sigma))
+    for sigma in automorphisms(p, chi):
+        assert [chi.of_word(Word(w)) for w in sigma] == list(chi.values)
+        make_quotient(p, q.group, tuple(q.group.word_image(Word(w), q.gen_images) for w in sigma))
 
 
-@pytest.mark.parametrize("fixture, found", [("f:26", 25 + 4 * 300), ("zn:22", 21 + 4 * 210)])
-def test_symmetries_of_large_fixtures_take_well_under_a_second(fixture, found, monkeypatch):
-    # About 2g^2 candidates, never the g! 2^g signed permutations: f:26 has no
-    # relators, and every candidate that fixes chi = a is kept; zn:22 has 231
-    # commutators, and each candidate compares the 41 that its two
+@pytest.mark.parametrize("fixture, signed, moves", [("f:26", 25 + 4 * 300, 2 * 25 * 25),
+                                                    ("zn:22", 21 + 4 * 210, 0)],
+                         ids=["f:26-1225", "zn:22-861"])
+def test_symmetries_of_large_fixtures_take_well_under_a_second(fixture, signed, moves, monkeypatch):
+    # About 4g^2 candidates, never the g! 2^g signed permutations: f:26 has
+    # no relators, and every candidate that fixes chi = a is kept; zn:22 has
+    # 231 commutators, and each candidate compares the 41 that its two
     # generators touch.  Finding them enumerates nothing.
     from time import perf_counter
 
@@ -250,26 +271,22 @@ def test_symmetries_of_large_fixtures_take_well_under_a_second(fixture, found, m
         monkeypatch.setattr(module, "keyed_homs", lambda *a, **k: pytest.fail("a scan started"))
     p, chi = load_fixture(fixture)
     start = perf_counter()
-    symmetries = generator_symmetries(p, chi)
+    found = automorphisms(p, chi)
     assert perf_counter() - start < 0.5
-    assert len(symmetries) == found
+    assert (len(found), sum(max(map(len, sigma)) > 1 for sigma in found)) == (signed + moves, moves)
 
 
-@pytest.mark.parametrize("fixture, found", [
-    ("f2xz", (((1, 2), (2,), (3,)), ((2, 1), (2,), (3,)), ((1,), (2, 1), (3,)), ((1,), (1, 2), (3,)))),
-    ("zn:4", ()),
-    ("trefoil", ()),
-    ("surface:1", (((1, 2), (2,)), ((2, 1), (2,)))),
-])
-def test_nielsen_moves_of_fixtures(fixture, found):
-    # f2xz is F2 x Z, blocks {a, b} and {z}: F2 has no relators, so every
-    # move within the block is proved by product recognition; a move of z
-    # by a or b fails the lookup on [b, z] or [a, z].  zn:4's blocks are
-    # single generators, and x_i -> x_i x_j fails the lookup on [x_i, x_k].
-    # The trefoil's chi is nonzero on both generators.  surface:1 is Z^2,
-    # blocks {a1} and {b1}: a1 -> a1 b1 and a1 -> b1 a1 map [a1, b1] to a
-    # conjugate of itself, so the lookup proves them.
-    assert nielsen_moves(*load_fixture(fixture)) == found
+def _refused_and_broken_by_some_s3_quotient(p, chi, sigma):
+    """Whether sigma is not found, and some q into S3 kills every relator
+    while q o sigma does not: sigma is no endomorphism of the group."""
+    broken = 0
+    for q in enumerate_homs(p, symmetric_group(3)):
+        images = tuple(q.group.word_image(Word(w), q.gen_images) for w in sigma)
+        try:
+            make_quotient(p, q.group, images)
+        except ValueError:
+            broken += 1
+    return sigma not in automorphisms(p, chi) and broken > 0
 
 
 def test_a_move_that_does_not_preserve_the_relators_is_refused():
@@ -278,38 +295,38 @@ def test_a_move_that_does_not_preserve_the_relators_is_refused():
     # which is no rotation of a relator or its inverse: refused.  It is no
     # endomorphism of the group: some q into S3 kills [a, z] but not
     # [ab, z].  b, which no relator contains, and z, whose commutator with a
-    # survives z -> za and z -> az, have their moves.
+    # survives z -> za and z -> az, have their moves; a and b keep their
+    # inversions.
     p = parse_presentation("gens: a b z\nrels: a z a^-1 z^-1")
     chi = validate_character(p, [0, 0, 1])
-    moves = nielsen_moves(p, chi)
-    assert moves == (((1,), (2, 1), (3,)), ((1,), (1, 2), (3,)),
-                     ((1,), (2,), (3, 1)), ((1,), (2,), (1, 3)))
-    bad = ((1, 2), (2,), (3,))
-    assert bad not in moves
-    broken = 0
-    for q in enumerate_homs(p, symmetric_group(3)):
-        images = tuple(q.group.word_image(Word(w), q.gen_images) for w in bad)
-        try:
-            make_quotient(p, q.group, images)
-        except ValueError:
-            broken += 1
-    assert broken > 0
+    assert automorphisms(p, chi) == _words((-1, 2, 3), (1, -2, 3)) + (
+        ((1,), (2, 1), (3,)), ((1,), (1, 2), (3,)), ((1,), (2,), (3, 1)), ((1,), (2,), (1, 3)))
+    assert _refused_and_broken_by_some_s3_quotient(p, chi, ((1, 2), (2,), (3,)))
+
+
+def test_a_signed_map_that_does_not_preserve_the_relators_is_refused():
+    # In the same group, a <-> b fixes chi = z but maps [a, z] to [b, z],
+    # which is no rotation of a relator or its inverse: refused.  a, b and z
+    # share one block, so the block rule looks [a, z] up as well.
+    p = parse_presentation("gens: a b z\nrels: a z a^-1 z^-1")
+    chi = validate_character(p, [0, 0, 1])
+    assert _refused_and_broken_by_some_s3_quotient(p, chi, _words((2, 1, 3))[0])
 
 
 def _generated(maps, limit):
-    """The signed generator maps that the maps generate, by a breadth-first
-    walk of composites; None past `limit` of them."""
+    """The signed generator maps that the signed maps generate, by a
+    breadth-first walk of composites; None past `limit` of them."""
     identity = tuple(range(1, len(maps[0]) + 1))
     elements, seen = [identity], {identity}
     for e in elements:
-        for s in maps:
+        for s in (sum(m, ()) for m in maps):
             x = tuple(e[y - 1] if y > 0 else -e[-y - 1] for y in s)
             if x not in seen:
                 if len(elements) == limit:
                     return None
                 seen.add(x)
                 elements.append(x)
-    return seen
+    return set(_words(*seen))
 
 
 @pytest.mark.parametrize("fixture, found, kept", [
@@ -323,17 +340,19 @@ def test_generating_subset_of_fixtures(fixture, found, kept):
     # The greedy pass keeps the first inversion and transpositions that
     # enlarge the group; the reverse pass drops the inversions that those
     # generate by conjugation.  f2xz: 8 signed permutations of a, b; zn:4
-    # and f:4: 48 of x2, x3, x4 (b, c, d).
-    maps = generator_symmetries(*load_fixture(fixture))
-    assert len(maps) == found
-    assert generating_subset(maps) == kept
-    if maps:
-        assert _generated(kept, 100) == _generated(maps, 100)
+    # and f:4: 48 of x2, x3, x4 (b, c, d).  The moves, which follow the
+    # signed maps, pass through whole.
+    maps = automorphisms(*load_fixture(fixture))
+    assert all(max(map(len, sigma)) == 1 for sigma in maps[:found])
+    assert all(max(map(len, sigma)) > 1 for sigma in maps[found:])
+    assert generating_subset(maps) == _words(*kept) + maps[found:]
+    if found:
+        assert _generated(_words(*kept), 100) == _generated(maps[:found], 100)
 
 
 def test_generating_subset_of_zn6_keeps_five_of_45_maps():
     # The 3840 signed permutations of x2..x6 are listed whole, below the cap.
-    maps = generator_symmetries(*load_fixture("zn:6"))
+    maps = automorphisms(*load_fixture("zn:6"))
     kept = generating_subset(maps)
     assert (len(maps), len(kept)) == (45, 5)
     assert len(_generated(kept, words.MAX_LISTED_SYMMETRIES)) == 3840
@@ -353,7 +372,7 @@ def test_generating_subset_stops_listing_at_the_cap(monkeypatch):
 
     for module in (fibring, quotients):
         monkeypatch.setattr(module, "keyed_homs", lambda *a, **k: pytest.fail("a scan started"))
-    maps = generator_symmetries(*load_fixture("zn:22"))
+    maps = automorphisms(*load_fixture("zn:22"))
     assert len(maps) == 861
     for order in (maps, maps[21:] + maps[:21]):
         start = perf_counter()
