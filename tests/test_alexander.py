@@ -630,39 +630,49 @@ def test_minus_fold_and_b2_order_match_full_computation():
     assert checked == 300
 
 
-@pytest.mark.parametrize("field", [Q, F2, F3], ids=lambda f: f.name)
-@settings(max_examples=30)
-@given(data=st.data())
-def test_reports_agree_across_an_orbit_of_a_symmetry(field, data):
-    # Every map sigma that `automorphisms` keeps induces an automorphism of
-    # the group that fixes chi, so q o sigma kills every relator and has the
-    # same ranks and canonical orders as q, for chi and for -chi: what a
-    # scan reuses for every quotient of an orbit, computed directly.  A
-    # symmetric presentation is closed under a drawn signed transposition,
-    # which must be among the maps found, and only it is checked.  On a
-    # random presentation a move is kept mostly on a generator that no
-    # relator contains; a product of free, surface and cyclic groups always
-    # has one.  Every map found on these is checked.
-    kind = data.draw(st.sampled_from(["symmetric", "random", "product"]))
-    if kind == "symmetric":
-        p, chi, q, sigma = data.draw(symmetric_presentations_with_quotient())
-        assert tuple((x,) for x in sigma) in automorphisms(p, chi)
-        maps = [tuple((x,) for x in sigma)]
-    else:
-        p, chi, q = data.draw(product_presentations_with_quotient() if kind == "product"
-                              else presentations_with_quotient())
-        maps = automorphisms(p, chi)
-        assert kind == "random" or any(max(map(len, sigma)) > 1 for sigma in maps)
-    for sigma in maps:
-        assert [chi.of_word(Word(w)) for w in sigma] == list(chi.values)
-        images = tuple(q.group.word_image(Word(w), q.gen_images) for w in sigma)
-        moved = make_quotient(p, q.group, images)  # checks that q o sigma kills every relator
-        assert moved.surjective == q.surjective
+def _assert_reports_agree_across_an_orbit(p, chi, q, sigma, fields):
+    """sigma, a map that `automorphisms` keeps, fixes chi and induces an
+    automorphism of the group, so q o sigma kills every relator and has the
+    same ranks and canonical orders as q, for chi and for -chi: what a scan
+    reuses for every quotient of an orbit, computed directly."""
+    assert [chi.of_word(Word(w)) for w in sigma] == list(chi.values)
+    images = tuple(q.group.word_image(Word(w), q.gen_images) for w in sigma)
+    moved = make_quotient(p, q.group, images)  # checks that q o sigma kills every relator
+    assert moved.surjective == q.surjective
+    for field in fields:
         for c in (chi, chi.negate()):
             assert ([(r.degree, r.vanishing, r.rank_over_frac, r.order)
                      for r in full_report(p, c, moved, field)]
                     == [(r.degree, r.vanishing, r.rank_over_frac, r.order)
                         for r in full_report(p, c, q, field)]), (sigma, q.label(), field.name)
+
+
+@pytest.mark.parametrize("field", [Q, F2, F3], ids=lambda f: f.name)
+@settings(max_examples=30)
+@given(data=st.data())
+def test_reports_agree_across_an_orbit_of_a_symmetry(field, data):
+    # A symmetric presentation is closed under a drawn signed transposition,
+    # which must be among the maps found.
+    p, chi, q, sigma = data.draw(symmetric_presentations_with_quotient())
+    sigma = tuple((x,) for x in sigma)
+    assert sigma in automorphisms(p, chi)
+    _assert_reports_agree_across_an_orbit(p, chi, q, sigma, (field,))
+
+
+@settings(max_examples=30)
+@given(data=st.data())
+def test_reports_agree_across_an_orbit_of_a_nielsen_move(data):
+    # Every map found, signed or a move, over F2, F3 and Q.  Half the
+    # presentations are random, where a move is kept mostly on a generator
+    # that no relator contains; half are products of free, surface and
+    # cyclic groups, where every one of them has a move.
+    product = data.draw(st.booleans())
+    p, chi, q = data.draw(product_presentations_with_quotient() if product
+                          else presentations_with_quotient())
+    maps = automorphisms(p, chi)
+    assert any(max(map(len, sigma)) > 1 for sigma in maps) or not product
+    for sigma in maps:
+        _assert_reports_agree_across_an_orbit(p, chi, q, sigma, (F2, F3, Q))
 
 
 @pytest.mark.parametrize("field", [Q, F2, F3], ids=lambda f: f.name)
