@@ -15,10 +15,11 @@ Only one kept quotient per orbit of the presentation's chi-fixing
 automorphisms runs a job; the others take its reports.  One finder,
 `words.automorphisms`, gives maps of the generators to words (signed
 generator maps and Nielsen moves), each kept by one rule: it fixes chi, and
-it and its inverse provably map every relator into the relators' normal
-closure, so it induces an automorphism sigma of the group G with chi o
-sigma = chi.  The coefficient module F[t^{+-1}][Q] of q o sigma, twisted by
-chi, is that of q pulled back along sigma, so sigma induces isomorphisms
+it provably maps every relator into the relators' normal closure, which its
+inverse then does too (see `words.automorphisms`), so it induces an
+automorphism sigma of the group G with chi o sigma = chi.  The coefficient
+module F[t^{+-1}][Q] of q o sigma, twisted by chi, is that of q pulled back
+along sigma, so sigma induces isomorphisms
 H_k(G; M(q o sigma)) ~ H_k(G; M(q)) of F[t^{+-1}]-modules: ranks, vanishing
 and canonical orders agree in degrees 0 and 1, for chi and for -chi (the
 twisted polynomial is an invariant of the group, the character and the
@@ -33,6 +34,12 @@ homomorphisms into one target, a finite set that q -> q o sigma permutes,
 so the closure under the maps found is the orbit of the group they
 generate, which may be infinite and is never listed; the signed maps are
 first reduced to a generating set of theirs (`words.generating_subset`).
+
+The bookkeeping around the jobs is kept to what each new fact costs: the
+orbit walk looks a kernel key up once per image tuple it has not met, not
+once per member and map (`_register_orbit`), and the report renders each
+distinct report text after its label once, however many orbit members
+reuse it (`emit_report`).
 """
 
 from __future__ import annotations
@@ -125,8 +132,10 @@ def _quotient_stream(p: Presentation, cfg: ScanConfig):
     runs, else the position, among the kept quotients, of the orbit
     representative whose reports q takes.  After a job has run, which is
     when the consumer asks for the next event, the kernels of its orbit
-    are registered (`_register_orbit`); the automorphisms are found then,
-    once, by one call of `words.automorphisms`, so a scan that ends at the
+    are registered (`_register_orbit`), one lookup per distinct image
+    tuple the walk meets; the automorphisms are found then, once, by one
+    call of `words.automorphisms`, and each image word is split into its
+    first letter and the rest for the walks, so a scan that ends at the
     trivial quotient never looks for them.  The catalog is built first, so
     that a clash of target names is refused before any job.
     """
@@ -141,12 +150,13 @@ def _quotient_stream(p: Presentation, cfg: ScanConfig):
             rep = kept.setdefault(key, hom)
             if rep is not hom:
                 yield "skipped", hom, rep
-            elif key in orbit:
-                yield "kept", hom, orbit[key]
-            else:
-                yield "kept", hom, None
+                continue
+            position = orbit.get(key)
+            yield "kept", hom, position
+            if position is None:
                 if symmetries is None:
-                    symmetries = generating_subset(automorphisms(p, cfg.character))
+                    symmetries = [tuple([(w[0], w[1:]) for w in sigma])
+                                  for sigma in generating_subset(automorphisms(p, cfg.character))]
                 _register_orbit(hom, key, symmetries, orbit, len(kept) - 1, memo)
 
 
@@ -154,33 +164,41 @@ def _register_orbit(q: FiniteQuotient, key, symmetries, orbit: dict, position: i
                     memo: dict) -> None:
     """Map the `kernel_key` of every quotient q o sigma_1 o ... o sigma_k to `position`.
 
-    Each sigma is a tuple of generator-image words, so q o sigma is the
-    homomorphism with images q(sigma(x_i)), into the same group, read
-    through its table.  The closure is walked breadth-first from q, whose
-    key the stream has already made, and each member looks up one key per
-    sigma in the memo of q's target (`quotients.orbit_key`).  It is taken
-    over the homomorphisms into that target, a finite set that q -> q o
-    sigma permutes, so it is the orbit under the group the maps generate,
+    Each sigma is a tuple of generator-image words, each word split into
+    its first letter and the rest, so q o sigma is the homomorphism with
+    images q(sigma(x_i)), into the same group, read through its table.  The
+    closure is walked breadth-first from q, whose key the stream has
+    already made.  An image tuple that the walk has met already, as a
+    member or as the image of one, has its key in `orbit`, so only the
+    others look a key up, in the memo of q's target (`quotients.orbit_key`):
+    into an abelian target a -> ab and a -> ba give one tuple, and a map
+    may fix a member or take it back to an earlier one.  The closure is
+    taken over the homomorphisms into that target, a finite set that q -> q
+    o sigma permutes, so it is the orbit under the group the maps generate,
     without listing that group.
     """
     orbit[key] = position
-    table, inverse = q.group.table, q.group.inverse
+    group = q.group
+    table, inverse = group.table, group.inverse
     members = [q.gen_images]
+    met = {q.gen_images}
     for images in members:  # grows while it is walked
         # Letter x reads its image at index x, x_i^-1 from the end.
         signed = (0, *images, *map(inverse, reversed(images)))
         for sigma in symmetries:
             moved = []
-            for word in sigma:
-                e = signed[word[0]]
-                for x in word[1:]:
+            for e, rest in sigma:
+                e = signed[e]
+                for x in rest:
                     e = table[e][signed[x]]
                 moved.append(e)
             moved = tuple(moved)
-            k = orbit_key(q.group, moved, memo)
-            if k not in orbit:
-                orbit[k] = position
-                members.append(moved)
+            if moved not in met:
+                met.add(moved)
+                k = orbit_key(group, moved, memo)
+                if k not in orbit:
+                    orbit[k] = position
+                    members.append(moved)
 
 
 def _scan_job(args) -> list[AlexanderReport]:
@@ -281,15 +299,17 @@ def scan(cfg: ScanConfig, jobs: int = 1) -> FibringVerdict:
             quotients.append(q)
             if rep is None:
                 chunk = compute(q)
+                idx = _witness_index(chunk)
+                if idx is not None:
+                    flat.extend(chunk[: idx + 1])
+                    return chunk[idx]
             else:
+                # The representative's chunk came first and had no witness,
+                # so this one, of the same reports, has none either.
                 label = image_action(q)
                 chunk = [AlexanderReport(r.degree, r.vanishing, r.rank_over_frac, r.order,
                                          r.field, label, r.character) for r in chunks[rep]]
             chunks.append(chunk)
-            idx = _witness_index(chunk)
-            if idx is not None:
-                flat.extend(chunk[: idx + 1])
-                return chunk[idx]
             flat.extend(chunk)
         return None
 
@@ -483,7 +503,16 @@ def json_text(doc) -> str:
 
 
 def emit_report(v: FibringVerdict, format: str = "text") -> str:
-    """Schema-stable JSON, or a human-readable text block."""
+    """Schema-stable JSON, or a human-readable text block.
+
+    A kept quotient that reuses its orbit representative's reports shares
+    their order, field and character objects, so a report's text after its
+    quotient's label is keyed by those objects' ids, unique while the
+    verdict holds them, and by its degree, vanishing and rank: each distinct
+    text is rendered once, and each reuse only puts its own label before
+    it.  Each label, and each representative that skipped quotients merge
+    into, is rendered once too.
+    """
     if format == "json":
         return json_text(verdict_to_dict(v)) + "\n"
     if format != "text":
@@ -513,17 +542,26 @@ def emit_report(v: FibringVerdict, format: str = "text") -> str:
         lines.append(f"  - {text}")
     vanish_count = sum(1 for r in v.reports if r.vanishing)
     lines.append(f"reports: {len(v.reports)} computed, {vanish_count} vanishing")
+    texts: dict[tuple, str] = {}
+    quotient = None
     for r in v.reports:
-        lines.append(
-            f"  [{r.quotient.name} ord {r.quotient.order} | {r.field.name} | "
-            f"{character(r.character)}] deg {r.degree}: "
-            f"{'VANISHING' if r.vanishing else 'nonvanishing'}, rank {r.rank_over_frac}, "
-            f"order {order(r.order)}"
-        )
+        if r.quotient is not quotient:  # a quotient's reports come together
+            quotient = r.quotient
+            label = f"  [{quotient.name} ord {quotient.order} | "
+        key = (id(r.order), id(r.field), id(r.character), r.degree, r.vanishing, r.rank_over_frac)
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = (
+                f"{r.field.name} | {character(r.character)}] deg {r.degree}: "
+                f"{'VANISHING' if r.vanishing else 'nonvanishing'}, rank {r.rank_over_frac}, "
+                f"order {order(r.order)}"
+            )
+        lines.append(label + text)
     lines.append(f"tested quotients: {len(v.tested_quotients)}; skipped (same kernel): {len(v.skipped_quotients)}")
+    merged: dict[int, str] = {}
     for q, rep in v.skipped_quotients:
-        lines.append(
-            f"  skipped {q.group.name} images {list(q.gen_images)} -> merged into "
-            f"{rep.group.name} images {list(rep.gen_images)}"
-        )
+        into = merged.get(id(rep))
+        if into is None:
+            into = merged[id(rep)] = f" -> merged into {rep.group.name} images {list(rep.gen_images)}"
+        lines.append(f"  skipped {q.group.name} images {list(q.gen_images)}{into}")
     return "\n".join(lines) + "\n"

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 from math import gcd
-from operator import mul
+from operator import itemgetter, mul
 
 from .words import Presentation, Word
 
@@ -258,11 +258,13 @@ def symmetric_group(n: int) -> FiniteGroup:
         if order > MAX_GROUP_ORDER:
             break
     _check_group_order(order, f"symmetric group S{n} of order at least")
-    perms = list(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    # Composition left-to-right: (g*h)(x) = h(g(x)).
-    table = tuple(tuple(index[tuple(map(h.__getitem__, g))] for h in perms) for g in perms)
-    return FiniteGroup(len(perms), table, f"S{n}", perms=tuple(perms))
+    perms = tuple(itertools.permutations(range(n)))
+    if n < 2:  # itemgetter of one index gives a scalar, of none raises
+        return FiniteGroup(1, ((0,),), f"S{n}", perms=perms)
+    index = {p: i for i, p in enumerate(perms)}.__getitem__
+    # Composition left-to-right: (g*h)(x) = h(g(x)), that is itemgetter(*g)(h).
+    table = tuple([tuple(map(index, map(itemgetter(*g), perms))) for g in perms])
+    return FiniteGroup(len(perms), table, f"S{n}", perms=perms)
 
 
 def load_table_group(text: str, name: str) -> FiniteGroup:
@@ -326,7 +328,9 @@ def keyed_homs(p: Presentation, target: FiniteGroup, memo: dict | None = None
     shares across all its cyclic targets; for any other, a dict of this
     target's own, which the caller keeps only while it reads this target,
     as its entries are keyed by the image tuple alone.  The length of the
-    key's permutations, the image's order, decides surjectivity.
+    key's permutations, the image's order, decides surjectivity.  The
+    search recurses over the first g - 1 generators only; each candidate
+    of the last completes a homomorphism in the loop over them.
     """
     g, order = p.generator_count, target.order
     candidates = (_exponent_sum_candidates(p, order) if target.cyclic
@@ -336,10 +340,12 @@ def keyed_homs(p: Presentation, target: FiniteGroup, memo: dict | None = None
     images: list[int] = []
 
     def descend():
-        if len(images) == g:
-            imgs = tuple(images)
-            key = orbit_key(target, imgs, memo)
-            out.append((FiniteQuotient(target, imgs, len(key[0]) == order), key))
+        if len(images) == g - 1:  # the leaves: each candidate completes a homomorphism
+            prefix = tuple(images)
+            for e in candidates(images):
+                imgs = prefix + (e,)
+                key = orbit_key(target, imgs, memo)
+                out.append((FiniteQuotient(target, imgs, len(key[0]) == order), key))
             return
         for e in candidates(images):
             images.append(e)
@@ -447,19 +453,25 @@ def orbit_key(target: FiniteGroup, images: tuple[int, ...], memo: dict
     Z/m it registers the unit multiples u a instead: images a onto the
     subgroup of index g = gcd(m, a) have the key of a/g in Z/(m/g), x -> g x
     being an isomorphism onto that subgroup, so the entry is (m/g, a/g),
-    shared by every Z/m' with m/g dividing m'.  Other entries are keyed by
-    the image tuple alone, so `memo` then holds one target's entries only:
-    another table's ids name other elements.
+    shared by every Z/m' with m/g dividing m'; the units of Z/n are found
+    once per n, under the entry n.  Other entries are keyed by the image
+    tuple alone, so `memo` then holds one target's entries only: another
+    table's ids name other elements.
     """
     if target.cyclic:
         g = gcd(target.order, *images)
-        n, reduced = target.order // g, tuple([a // g for a in images])
+        if g == 1:
+            n, reduced = target.order, images
+        else:
+            n, reduced = target.order // g, tuple([a // g for a in images])
         key = memo.get((n, reduced))
         if key is None:
             key = memo[n, reduced] = _kernel_key(target.table, images)
-            for u in range(2, n):
-                if gcd(u, n) == 1:
-                    memo[n, tuple([u * a % n for a in reduced])] = key
+            units = memo.get(n)  # the units of Z/n other than 1, found once per n
+            if units is None:
+                units = memo[n] = [u for u in range(2, n) if gcd(u, n) == 1]
+            for u in units:
+                memo[n, tuple([u * a % n for a in reduced])] = key
         return key
     key = memo.get(images)
     if key is None:

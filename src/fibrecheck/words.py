@@ -345,21 +345,26 @@ def automorphisms(p: Presentation, chi: Character
 
     A map is a tuple of g words, word k (a tuple of letters) the image of
     x_{k+1}.  The candidates are about 4g^2 automorphisms of the free group,
-    never the g! 2^g signed permutations, each with an explicit inverse:
+    never the g! 2^g signed permutations:
 
-    - the inversions x_i -> x_i^-1, each its own inverse;
-    - the signed transpositions x_i -> x_j^s, x_j -> x_i^r, with inverse
-      x_i -> x_j^r, x_j -> x_i^s;
-    - the Nielsen moves x_i -> x_i x_j and x_i -> x_j x_i with chi(x_j) = 0,
-      with inverse x_i -> x_i x_j^-1 (or x_j^-1 x_i).
+    - the inversions x_i -> x_i^-1;
+    - the signed transpositions x_i -> x_j^s, x_j -> x_i^r;
+    - the Nielsen moves x_i -> x_i x_j and x_i -> x_j x_i with chi(x_j) = 0.
 
-    One rule keeps a candidate sigma: chi o sigma = chi, and sigma and its
-    inverse both map every relator into the normal closure N, so sigma(N) = N
-    and sigma induces an automorphism of the group.  The proof is a lookup:
-    the image of each relator that contains a moved generator, freely and
-    cyclically reduced, is a rotation of a relator or of its inverse.  Where
-    sigma stays within one block of `_product_blocks`, only the relators
-    within the block are looked up: G is the direct product of the block's
+    One rule keeps a candidate sigma: chi o sigma = chi, and sigma maps
+    every relator into the normal closure N.  The proof is a lookup: the
+    image of each relator that contains a moved generator, freely and
+    cyclically reduced, is a rotation of a relator or of its inverse.  That
+    one-sided proof suffices.  sigma is an automorphism of the free group,
+    so it permutes the conjugacy classes up to inversion, and it fixes the
+    relators that contain no moved generator; the lookup puts the image of
+    every other one in the finite set C of the relators' classes.  So sigma
+    maps C into itself, injectively, hence onto C: sigma^-1 maps C onto C
+    too, every relator into N, so sigma(N) = N and sigma induces an
+    automorphism of the group.  Where sigma stays within one block of
+    `_product_blocks`, only the relators within the block are looked up,
+    and the same count runs on their classes, since sigma maps a word in
+    the block's letters to one: G is the direct product of the block's
     group and the others', and sigma maps a commutator [x_i, y] with y in
     another block to [sigma(x_i), y], which lies in the normal closure of
     the commutators of the block's generators with y.
@@ -391,15 +396,14 @@ def automorphisms(p: Presentation, chi: Character
                 return False
         return True
 
-    candidates = [({i: (-i,)}, {i: (-i,)}) for i in range(1, g + 1)]
-    candidates += [({i: (si * j,), j: (sj * i,)}, {i: (sj * j,), j: (si * i,)})
+    candidates = [{i: (-i,)} for i in range(1, g + 1)]
+    candidates += [{i: (si * j,), j: (sj * i,)}
                    for i in range(1, g + 1) for j in range(i + 1, g + 1)
                    for si in (1, -1) for sj in (1, -1)]
-    candidates += [({i: image}, {i: back}) for i in range(1, g + 1) for j in range(1, g + 1)
-                   if j != i and weight[j] == 0
-                   for image, back in (((i, j), (i, -j)), ((j, i), (-j, i)))]
+    candidates += [{i: image} for i in range(1, g + 1) for j in range(1, g + 1)
+                   if j != i and weight[j] == 0 for image in ((i, j), (j, i))]
     found = []
-    for sigma, inverse in candidates:
+    for sigma in candidates:
         for x, w in sigma.items():
             if sum(map(chi_of, w)) != chi_of(x):
                 break  # chi o sigma != chi
@@ -408,8 +412,7 @@ def automorphisms(p: Presentation, chi: Character
             one_block = len({block[abs(y)] for w in sigma.values() for y in w}) == 1
             relators = [reduced[idx] for idx in {idx for x in sigma for idx in containing[x]}
                         if within[idx] or not one_block]
-            if not relators or (proved(sigma, relators)
-                                and (inverse == sigma or proved(inverse, relators))):
+            if not relators or proved(sigma, relators):
                 found.append(sigma)
     return tuple(tuple(sigma.get(k, (k,)) for k in range(1, g + 1)) for sigma in found)
 

@@ -374,41 +374,109 @@ def test_orbit_reuse_matches_computing_every_job(name, values, order, extra, mon
     assert reused == emit_report(scan(cfg), "json")
 
 
-@pytest.mark.parametrize("fixture, order, fields, kept, chains, symmetries, generators, moves, walks", [
-    ("f2xz", 4, (F2, F3, Q), 49, 12, 6, 2, 4, 49),
-    ("f2xz", 12, (F2, F3, Q), 1174, 67, 6, 2, 4, 1195),
-    ("zn:4", 6, (F2, F3, Q), 932, 117, 15, 3, 0, 988),
-    ("trefoil", 24, (F3,), 27, 27, 1, 1, 0, 36),
+def _assert_emitted_as_plainly_rendered(v):
+    """Text and JSON `emit_report` of v against a renderer with no memo,
+    which formats every report and every merged pair in full: the text's
+    report and merged lines, and the JSON's witness, reports and merged
+    pairs, written by `json.dumps`."""
+    from fibrecheck.words import render_character
+
+    p = v.config.presentation
+    reports = [f"  [{r.quotient.name} ord {r.quotient.order} | {r.field.name} | "
+               f"{render_character(p, r.character)}] deg {r.degree}: "
+               f"{'VANISHING' if r.vanishing else 'nonvanishing'}, rank {r.rank_over_frac}, "
+               f"order {r.order.render()}" for r in v.reports]
+    merged = [f"  skipped {q.group.name} images {list(q.gen_images)} -> merged into "
+              f"{rep.group.name} images {list(rep.gen_images)}" for q, rep in v.skipped_quotients]
+    lines = emit_report(v, "text").splitlines()
+    start = lines.index(f"reports: {len(reports)} computed, "
+                        f"{sum(r.vanishing for r in v.reports)} vanishing") + 1
+    assert lines[start:start + len(reports)] == reports
+    assert lines[start + len(reports)].startswith("tested quotients: ")
+    assert lines[start + len(reports) + 1:] == merged
+    text = emit_report(v, "json")
+    doc = json.loads(text)
+    doc["witness"] = None if v.witness is None else v.witness.as_dict(p)
+    doc["reports"] = [r.as_dict(p) for r in v.reports]
+    doc["skipped_quotients"] = [{"quotient": q.label(), "merged_into": rep.label()}
+                                for q, rep in v.skipped_quotients]
+    assert text == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("name, values, order, extra", _FIXTURE_SCANS,
+                         ids=[f"{n}-{o}" + ("-a" if v else "") + ("+Z2xZ4" if e else "")
+                              for n, v, o, e in _FIXTURE_SCANS])
+def test_the_report_renders_every_report_as_a_plain_renderer_does(name, values, order, extra, jobs):
+    # Each distinct report text is rendered once and reused under the
+    # labels of the orbit's other members, and each merged-into label once:
+    # the bytes are those of formatting every report and merged pair anew,
+    # serially and from the pool, whose reports are unpickled objects.
+    if "*" in name:
+        p = direct_product(*(load_fixture(factor)[0] for factor in name.split("*")))
+    else:
+        p, chi = load_fixture(name)
+    if values is not None:
+        chi = validate_character(p, values)
+    cfg = ScanConfig(presentation=p, character=chi, max_quotient_order=order,
+                     extra_groups=(_z2_times_z4(),) if extra else ())
+    _assert_emitted_as_plainly_rendered(scan(cfg, jobs=jobs))
+
+
+@settings(max_examples=6)
+@given(data=st.data())
+def test_the_report_renders_random_scans_as_a_plain_renderer_does(data):
+    # The same on random presentations, half of them closed under a
+    # symmetry, so that orbits and merged quotients occur.
+    if data.draw(st.booleans()):
+        p, chi, _, _ = data.draw(symmetric_presentations_with_quotient())
+    else:
+        p, chi, _ = data.draw(presentations_with_quotient())
+    cfg = ScanConfig(presentation=p, character=chi, max_quotient_order=4)
+    for jobs in (1, 2):
+        _assert_emitted_as_plainly_rendered(scan(cfg, jobs=jobs))
+
+
+@pytest.mark.parametrize("fixture, order, fields, kept, chains, symmetries, generators, moves, "
+                         "registered, walks", [
+    ("f2xz", 4, (F2, F3, Q), 49, 12, 6, 2, 4, 47, 49),
+    ("f2xz", 12, (F2, F3, Q), 1174, 67, 6, 2, 4, 1491, 1195),
+    ("zn:4", 6, (F2, F3, Q), 932, 117, 15, 3, 0, 951, 988),
+    ("trefoil", 24, (F3,), 27, 27, 1, 1, 0, 3, 36),
 ], ids=["f2xz-4", "f2xz-12", "zn:4-6", "trefoil-24-f3"])
 def test_one_chain_per_orbit(fixture, order, fields, kept, chains, symmetries, generators, moves,
-                             walks, monkeypatch):
+                             registered, walks, monkeypatch):
     # One chain is built per orbit of kept quotients.  Each homomorphism
-    # looks up one kernel key, and registering an orbit one per member and
-    # map: the signed maps, reduced to a generating set (a -> a^-1 and
-    # a <-> b on f2xz, x2 -> x2^-1, (x2 x3) and (x2 x4) on zn:4), and the
-    # Nielsen moves (a -> ab, a -> ba, b -> ab and b -> ba on f2xz, which
-    # is F2 x Z; none on zn:4, whose blocks are single generators, or on
-    # the trefoil, whose chi is nonzero on both).  Each kept kernel is one
-    # member.  A lookup walks an image only for the first of its orbit
-    # under the target's automorphisms (`orbit_key`): on f2xz to order 4
-    # once per kept kernel.  The trefoil walks one image per order 1..24
-    # for its cyclic quotients, 4 in S3 and 8 in S4, one per conjugacy
-    # class of homomorphisms; its one symmetry, x <-> y, moves each pair to
-    # a conjugate one and so walks nothing.
+    # looks up one kernel key.  Registering an orbit walks its members
+    # under the maps: the signed maps, reduced to a generating set (a ->
+    # a^-1 and a <-> b on f2xz, x2 -> x2^-1, (x2 x3) and (x2 x4) on zn:4),
+    # and the Nielsen moves (a -> ab, a -> ba, b -> ab and b -> ba on f2xz,
+    # which is F2 x Z; none on zn:4, whose blocks are single generators, or
+    # on the trefoil, whose chi is nonzero on both).  It looks a key up only
+    # for an image tuple that the walk has not met yet, and no tuple of a
+    # target twice, since orbits are disjoint: far fewer than one per member
+    # and map ((generators + moves) * kept: 294, 7044, 2796 and
+    # 27): into an abelian target a -> ab and a -> ba give one tuple, the
+    # involutions take each member back to the one it came from, and the
+    # trefoil's x <-> y fixes every cyclic image.  A lookup walks an image
+    # only for the first of its orbit under the target's automorphisms
+    # (`orbit_key`): on f2xz to order 4 once per kept kernel.  The trefoil
+    # walks one image per order 1..24 for its cyclic quotients, 4 in S3 and
+    # 8 in S4, one per conjugacy class of homomorphisms; its one symmetry,
+    # x <-> y, moves each pair to a conjugate one and so walks nothing.
     from fibrecheck import fibring, quotients
     from fibrecheck.words import generating_subset
 
-    built, walked, lookups = [], [], []
+    built, walked, homs, lookups = [], [], [], []
     chain, walk, lookup = fibring.integral_chain, quotients._kernel_key, quotients.orbit_key
-
-    def counted(target, images, memo):
-        lookups.append(images)
-        return lookup(target, images, memo)
 
     monkeypatch.setattr(fibring, "integral_chain", lambda p, chi, q: built.append(q) or chain(p, chi, q))
     monkeypatch.setattr(quotients, "_kernel_key", lambda t, images: walked.append(images) or walk(t, images))
-    monkeypatch.setattr(quotients, "orbit_key", counted)
-    monkeypatch.setattr(fibring, "orbit_key", counted)
+    monkeypatch.setattr(quotients, "orbit_key",
+                        lambda target, images, memo: homs.append(images) or lookup(target, images, memo))
+    monkeypatch.setattr(fibring, "orbit_key",
+                        lambda target, images, memo:
+                        lookups.append((id(target), images)) or lookup(target, images, memo))
     p, chi = load_fixture(fixture)
     found = fibring.automorphisms(p, chi)
     assert len(found) == symmetries + moves
@@ -417,8 +485,8 @@ def test_one_chain_per_orbit(fixture, order, fields, kept, chains, symmetries, g
     v = scan(ScanConfig(presentation=p, character=chi, max_quotient_order=order, fields=fields))
     assert v.status == "no_obstruction_up_to"
     assert (len(v.tested_quotients), len(built)) == (kept, chains)
-    assert len(lookups) == (len(v.tested_quotients) + len(v.skipped_quotients)
-                            + (generators + moves) * kept)
+    assert len(homs) == len(v.tested_quotients) + len(v.skipped_quotients)
+    assert len(lookups) == len(set(lookups)) == registered
     assert len(walked) == walks
 
 

@@ -108,6 +108,20 @@ def test_the_catalog_groups_pass_the_table_check():
         _check_table(g.order, g.table)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_symmetric_group_composes_left_to_right(n):
+    # S_n lists the permutations of 0..n-1 in lexicographic order, the
+    # identity first, and its table composes left to right: (g*h)(x) =
+    # h(g(x)).  S1 and S2 are built around itemgetter, which gives a
+    # scalar for one index.
+    g = symmetric_group(n)
+    perms = list(itertools.permutations(range(n)))
+    assert (g.order, g.name, g.perms) == (len(perms), f"S{n}", tuple(perms))
+    for a, pa in enumerate(perms):
+        for b, pb in enumerate(perms):
+            assert perms[g.table[a][b]] == tuple(pb[pa[x]] for x in range(n))
+
+
 def test_enumerate_homs_counts():
     s3 = symmetric_group(3)
     homs = enumerate_homs(F2, s3)

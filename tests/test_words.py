@@ -21,7 +21,8 @@ from fibrecheck.words import (
 )
 from free_group_oracle import conjugate, tietze_variant
 from product_oracle import direct_product
-from random_presentations import presentations_with_quotient
+from random_presentations import (presentations_with_quotient, product_presentations_with_quotient,
+                                  symmetric_presentations_with_quotient)
 
 
 def test_parse_bs12():
@@ -276,6 +277,73 @@ def test_found_symmetries_fix_chi_and_map_homomorphisms_to_homomorphisms(data):
     for sigma in automorphisms(p, chi):
         assert [chi.of_word(Word(w)) for w in sigma] == list(chi.values)
         make_quotient(p, q.group, tuple(q.group.word_image(Word(w), q.gen_images) for w in sigma))
+
+
+def _substitute(sigma, letters):
+    """sigma applied to a word of letters, freely reduced."""
+    return Word.of(y for x in letters
+                   for y in (sigma[x - 1] if x > 0 else tuple(-z for z in reversed(sigma[-x - 1]))))
+
+
+def _inverse_map(sigma):
+    """The inverse in the free group of a map that `automorphisms` finds: a
+    signed map's is the inverse signed permutation, and x_i -> x_i x_j
+    (x_j x_i) is undone by x_i -> x_i x_j^-1 (x_j^-1 x_i)."""
+    inverse = [(k,) for k in range(1, len(sigma) + 1)]
+    for k, w in enumerate(sigma, 1):
+        if len(w) == 1:
+            inverse[abs(w[0]) - 1] = (k if w[0] > 0 else -k,)
+        else:
+            inverse[k - 1] = tuple(x if x == k else -x for x in w)
+    assert all(_substitute(sigma, w).letters == (k,) for k, w in enumerate(inverse, 1))
+    return tuple(inverse)
+
+
+def _conjugate_to_a_relator(p, w: Word) -> bool:
+    """Whether the freely reduced w is conjugate to a relator or its inverse:
+    its cyclic reduction is a rotation of one of theirs."""
+    def cyclic(letters):
+        while len(letters) > 1 and letters[0] == -letters[-1]:
+            letters = letters[1:-1]
+        return letters
+
+    target = cyclic(w.letters)
+    for r in p.relators:
+        for v in (r, r.inverse()):
+            v = cyclic(v.letters)
+            if any(v[k:] + v[:k] == target for k in range(len(v))):
+                return True
+    return False
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_the_inverse_of_every_found_map_passes_the_lookup_too(data):
+    # `automorphisms` proves sigma alone: sigma permutes conjugacy classes,
+    # so mapping the finite set of the relators' classes into itself maps it
+    # onto itself, and sigma^-1 maps it onto itself too.  Checked here on the
+    # relators that the finder looks up for sigma (those containing a moved
+    # generator, only those within the block where sigma stays in one block
+    # of `_product_blocks`), and through q o sigma^-1, which kills every
+    # relator.
+    kind = data.draw(st.sampled_from(["random", "symmetric", "product"]))
+    if kind == "random":
+        p, chi, q = data.draw(presentations_with_quotient())
+    elif kind == "symmetric":
+        p, chi, q, _ = data.draw(symmetric_presentations_with_quotient())
+    else:
+        p, chi, q = data.draw(product_presentations_with_quotient())
+    reduced = [words._cyclic_reduction(r.letters) for r in p.relators]
+    block = words._product_blocks(p.generator_count, reduced)
+    for sigma in automorphisms(p, chi):
+        inverse = _inverse_map(sigma)
+        moved = {k for k, w in enumerate(sigma, 1) if w != (k,)}
+        blocks = {block[abs(y)] for k in moved for y in sigma[k - 1]}
+        for r in p.relators:
+            generators = {abs(x) for x in r.letters}
+            if generators & moved and (len(blocks) > 1 or {block[x] for x in generators} <= blocks):
+                assert _conjugate_to_a_relator(p, _substitute(inverse, r.letters)), (sigma, r)
+        make_quotient(p, q.group, tuple(q.group.word_image(Word(w), q.gen_images) for w in inverse))
 
 
 @pytest.mark.parametrize("fixture, signed, moves", [("f:26", 25 + 4 * 300, 2 * 25 * 25),
