@@ -134,10 +134,9 @@ def _quotient_stream(p: Presentation, cfg: ScanConfig):
     when the consumer asks for the next event, the kernels of its orbit
     are registered (`_register_orbit`), one lookup per distinct image
     tuple the walk meets; the automorphisms are found then, once, by one
-    call of `words.automorphisms`, and each image word is split into its
-    first letter and the rest for the walks, so a scan that ends at the
-    trivial quotient never looks for them.  The catalog is built first, so
-    that a clash of target names is refused before any job.
+    call of `words.automorphisms`, so a scan that ends at the trivial
+    quotient never looks for them.  The catalog is built first, so that a
+    clash of target names is refused before any job.
     """
     targets = (trivial_group(),) + build_catalog(cfg.max_quotient_order, list(cfg.extra_groups))
     cyclic_memo: dict = {}
@@ -155,8 +154,7 @@ def _quotient_stream(p: Presentation, cfg: ScanConfig):
             yield "kept", hom, position
             if position is None:
                 if symmetries is None:
-                    symmetries = [tuple([(w[0], w[1:]) for w in sigma])
-                                  for sigma in generating_subset(automorphisms(p, cfg.character))]
+                    symmetries = generating_subset(automorphisms(p, cfg.character))
                 _register_orbit(hom, key, symmetries, orbit, len(kept) - 1, memo)
 
 
@@ -164,18 +162,18 @@ def _register_orbit(q: FiniteQuotient, key, symmetries, orbit: dict, position: i
                     memo: dict) -> None:
     """Map the `kernel_key` of every quotient q o sigma_1 o ... o sigma_k to `position`.
 
-    Each sigma is a tuple of generator-image words, each word split into
-    its first letter and the rest, so q o sigma is the homomorphism with
-    images q(sigma(x_i)), into the same group, read through its table.  The
-    closure is walked breadth-first from q, whose key the stream has
-    already made.  An image tuple that the walk has met already, as a
-    member or as the image of one, has its key in `orbit`, so only the
-    others look a key up, in the memo of q's target (`quotients.orbit_key`):
-    into an abelian target a -> ab and a -> ba give one tuple, and a map
-    may fix a member or take it back to an earlier one.  The closure is
-    taken over the homomorphisms into that target, a finite set that q -> q
-    o sigma permutes, so it is the orbit under the group the maps generate,
-    without listing that group.
+    Each sigma is a tuple of generator-image words, so q o sigma is the
+    homomorphism with images q(sigma(x_i)), into the same group, each read
+    through its table from the identity.  The closure is walked
+    breadth-first from q, whose key the stream has already made.  An image
+    tuple that the walk has met already, as a member or as the image of
+    one, has its key in `orbit`, so only the others look a key up, in the
+    memo of q's target (`quotients.orbit_key`): into an abelian target
+    a -> ab and a -> ba give one tuple, and a map may fix a member or take
+    it back to an earlier one.  The closure is taken over the homomorphisms
+    into that target, a finite set that q -> q o sigma permutes, so it is
+    the orbit under the group the maps generate, without listing that
+    group.
     """
     orbit[key] = position
     group = q.group
@@ -187,9 +185,9 @@ def _register_orbit(q: FiniteQuotient, key, symmetries, orbit: dict, position: i
         signed = (0, *images, *map(inverse, reversed(images)))
         for sigma in symmetries:
             moved = []
-            for e, rest in sigma:
-                e = signed[e]
-                for x in rest:
+            for word in sigma:
+                e = 0  # the identity, element 0 of every table
+                for x in word:
                     e = table[e][signed[x]]
                 moved.append(e)
             moved = tuple(moved)

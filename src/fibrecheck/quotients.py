@@ -453,25 +453,25 @@ def orbit_key(target: FiniteGroup, images: tuple[int, ...], memo: dict
     Z/m it registers the unit multiples u a instead: images a onto the
     subgroup of index g = gcd(m, a) have the key of a/g in Z/(m/g), x -> g x
     being an isomorphism onto that subgroup, so the entry is (m/g, a/g),
-    shared by every Z/m' with m/g dividing m'; the units of Z/n are found
-    once per n, under the entry n.  Other entries are keyed by the image
-    tuple alone, so `memo` then holds one target's entries only: another
-    table's ids name other elements.
+    shared by every Z/m' with m/g dividing m'.  Such a memo maps each n to
+    the units of Z/n other than 1, found once, and the keys of the images
+    a/g into Z/n.  Other entries are keyed by the image tuple alone, so
+    `memo` then holds one target's entries only: another table's ids name
+    other elements.
     """
     if target.cyclic:
         g = gcd(target.order, *images)
-        if g == 1:
-            n, reduced = target.order, images
-        else:
-            n, reduced = target.order // g, tuple([a // g for a in images])
-        key = memo.get((n, reduced))
+        n = target.order // g
+        entry = memo.get(n)
+        if entry is None:
+            entry = memo[n] = ([u for u in range(2, n) if gcd(u, n) == 1], {})
+        units, keys = entry
+        reduced = tuple([a // g for a in images])
+        key = keys.get(reduced)
         if key is None:
-            key = memo[n, reduced] = _kernel_key(target.table, images)
-            units = memo.get(n)  # the units of Z/n other than 1, found once per n
-            if units is None:
-                units = memo[n] = [u for u in range(2, n) if gcd(u, n) == 1]
+            key = keys[reduced] = _kernel_key(target.table, images)
             for u in units:
-                memo[n, tuple([u * a % n for a in reduced])] = key
+                keys[tuple([u * a % n for a in reduced])] = key
         return key
     key = memo.get(images)
     if key is None:

@@ -112,8 +112,8 @@ def test_the_catalog_groups_pass_the_table_check():
 def test_symmetric_group_composes_left_to_right(n):
     # S_n lists the permutations of 0..n-1 in lexicographic order, the
     # identity first, and its table composes left to right: (g*h)(x) =
-    # h(g(x)).  S1 and S2 are built around itemgetter, which gives a
-    # scalar for one index.
+    # h(g(x)).  S0 and S1 skip itemgetter, which gives a scalar for one
+    # index; S2 and up are built through it.
     g = symmetric_group(n)
     perms = list(itertools.permutations(range(n)))
     assert (g.order, g.name, g.perms) == (len(perms), f"S{n}", tuple(perms))
