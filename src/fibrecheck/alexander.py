@@ -8,26 +8,27 @@ field is done once per quotient, over Z, by `integral_chain`: the relators
 are checked, each relator's Fox images are read in one walk, b2 @ b1 = 0 is
 checked as Fox's fundamental formula in the group ring of Q x Z, term by
 term over Z, d of the closed form of H0 and the edges that the order route
-collapses are read off the one Schreier tree of the image's action, and b1
-and b2 are kept as sparse integer rows.
+collapses are read off the one Schreier tree of the image's action, and b2
+is kept as sparse integer rows; of b1, whose entries no route reads, only
+its shape (`MatrixShape`).
 `IntegralChain.over(field)` is the one way to make a `TwistedChain`: it
 reads the same rows over each field, and the kernels of `polyalg` reduce
 every coefficient as they read it, Bareiss included.
 Vanishing is decided on the rank route, the ranks of b1 and b2 over F(t).
-Rank b1 is an identity for every character, read off chi where b1 is
-written.  A generator with chi_k = s != 0 gives b1 the block t^s P - I, P
-the permutation matrix of right multiplication by alpha(x_k).  Its
-determinant is +-prod over the cycles c of P of (t^{s|c|} - 1), whose top
-and bottom coefficients are +-1, so it is nonzero over every field and
-rank b1 = |Q|; the minor is (k, chi_k) for the first generator with
-chi_k != 0.  For the zero character every block is P - I or zero, so every
-row of b1 sums to 0 and rank b1 <= |Q| - 1; the |Q| - 1 edges of the
-image's Schreier tree give rows e_{c*alpha(x_i)} - e_c, independent over
-every field, so rank b1 = |Q| - 1.  Only b2 is eliminated.  With the
-minor, b2 @ b1 = 0 gives the Wada-matrix identity
-B_k = -B_rest b1_rest b1_k^{-1} over F(t), where B_k is column block k of
-b2 and B_rest the rest of b2: rank b2 = rank B_rest, b2 less one column
-block (Wada 1994, Kirk-Livingston 1999), against min(rows, cols), which is
+Rank b1 is the identity |Q| - [chi = 0], read off chi.  A generator with
+chi_k = s != 0 gives b1 the block t^s P - I, P the permutation matrix of
+right multiplication by alpha(x_k).  Its determinant is +-prod over the
+cycles c of P of (t^{s|c|} - 1), whose top and bottom coefficients are
++-1, so it is nonzero over every field and rank b1 = |Q|; the minor is
+(k, chi_k) for the first generator with chi_k != 0.  For the zero
+character every block is P - I or zero, so every row of b1 sums to 0 and
+rank b1 <= |Q| - 1; the |Q| - 1 edges of the image's Schreier tree give
+rows e_{c*alpha(x_i)} - e_c, independent over every field, so
+rank b1 = |Q| - 1.  Only b2 is eliminated.  With the minor, b2 @ b1 = 0
+gives the Wada-matrix identity B_k = -B_rest b1_rest b1_k^{-1} over
+F(t), where B_k is column block k of b2 and B_rest the rest of b2:
+rank b2 = rank B_rest, b2 less one column block (Wada 1994,
+Kirk-Livingston 1999), against min(rows, cols), which is
 rows(b1) - rank b1.  Without it, the whole of b2 is read against
 rows(b1) - rank b1, since its rows lie in the left kernel of b1.  That
 matrix is bounded from below by `rank_lower_bound`, the rank after mapping
@@ -50,23 +51,25 @@ independently, over Q too.
 H0 is in closed form: Q is the image of alpha, so H0 is F[t^{+-1}]/(t^d - 1),
 where dZ = chi(ker alpha) is the gcd of the character's values on the
 Schreier generators of the kernel, read off the walk that Reidemeister-
-Schreier rewrites along (`quotients.schreier_tree`).
+Schreier rewrites along (`quotients.schreier_tree`).  Its rank is
+|Q| - rank b1 = [chi = 0], checked against the walk: d = 0 exactly when
+chi = 0, as chi(ker alpha) has finite index in chi(G).
 ord H1 comes from one diagonal form of b2 over the PID F[t^{+-1}], where
 the monomial entries of b2 are units.  The sequence
 0 -> H1 -> C1/rowspace(b2) -> im(b1) -> 0 splits (im(b1) lies in a free
 module, so it is free), so H1 is torsion exactly when the diagonal has
-rows(b1) - rank b1 nonzero entries, with rank b1 = |Q| - rank H0 from the
-closed form, and its order is then their product, the classical Fox-matrix
-order (Wada 1994, Kirk-Livingston 1999).  The route first collapses the
-image's Schreier tree, the step behind Reidemeister-Schreier: the rows
-t^{chi_i} e_{c*alpha(x_i)} - e_c of b1 at the tree's n - 1 edges, with e_0,
-are a unitriangular basis of C0, so a unimodular change of basis of C1
-takes every other edge f to f' with b1(f') a multiple of e_0, and
-b2 @ b1 = 0 then leaves each row of b2 its entry at f' and 0 at every tree
-edge: b2 ~ [b2 less the tree's columns | 0] over Z[t^{+-1}], every
-invariant factor kept, for every character and every field.  That matrix
-is the Fox matrix of the kernel's Reidemeister-Schreier presentation, up
-to monomial units on its rows and columns, so `untwist-check` compares two
+rows(b1) - rank b1 nonzero entries, and its order is then their product,
+the classical Fox-matrix order (Wada 1994, Kirk-Livingston 1999).  The
+route first collapses the image's Schreier tree, the step behind
+Reidemeister-Schreier: the rows t^{chi_i} e_{c*alpha(x_i)} - e_c of b1 at
+the tree's n - 1 edges, with e_0, are a unitriangular basis of C0, so a
+unimodular change of basis of C1 takes every other edge f to f' with b1(f')
+a multiple of e_0, and b2 @ b1 = 0 then leaves each row of b2 its entry at
+f' and 0 at every tree edge: b2 ~ [b2 less the tree's columns | 0] over
+Z[t^{+-1}], every invariant factor kept, for every character and every
+field.  That matrix is the Fox matrix of the kernel's Reidemeister-
+Schreier presentation, up to monomial units on its rows and columns, so
+`untwist-check` compares two
 constructions of the same collapsed matrix: `_assemble`'s and the one
 `reidschreier.rewrite_subgroup` presents.  Its diagonal form is taken once
 per quotient, over Z[t^{+-1}]: the elimination pivots only on entries with
@@ -76,12 +79,12 @@ is taken once over Z too: reduction mod p is a ring map, so each field
 reduces that one product, which no reduction makes zero, and finishes the
 residual R, the rows left where a remainder with another top coefficient
 stopped the elimination; it is usually empty.
-Neither route reads the other's result; if they disagree, the run is aborted
-as internally inconsistent.  The two read different reductions of b2: the
-rank route drops one column block, by the Wada identity over F(t), and the
-order route the tree's columns, by the identity above over Z[t^{+-1}]; the
-two share b2's rows and nothing derived from them, so each still checks
-the other.
+Neither route reads the other's result, and both read rank b1 from the
+identity; if they disagree, the run is aborted as internally inconsistent.
+The two read different reductions of b2: the rank route drops one column
+block, by the Wada identity over F(t), and the order route the tree's
+columns, by the identity above over Z[t^{+-1}]; the two share b2's rows
+and nothing derived from them, so each still checks the other.
 """
 
 from __future__ import annotations
@@ -104,6 +107,7 @@ from .words import Character, Presentation, render_character, render_presentatio
 __all__ = [
     "InternalCheckError",
     "IntegralChain",
+    "MatrixShape",
     "TwistedChain",
     "AlexanderReport",
     "integral_chain",
@@ -139,6 +143,18 @@ def _certified_rank(m: SparseMatrix, upper: int,
     return rank_over_fraction_field(m), "by Bareiss"
 
 
+class MatrixShape:
+    """b1's field and shape, (g*n) x n for g generators and n = |Q|, without
+    entries, which no route reads: a `SparseMatrix` without rows is zero."""
+
+    __slots__ = ("field", "rows", "cols")
+
+    def __init__(self, field: CoefficientField | None, rows: int, cols: int):
+        self.field = field
+        self.rows = rows
+        self.cols = cols
+
+
 class TwistedChain:
     """Boundary data over one field: b1 is (g*|Q|) x |Q|, b2 is (s*|Q|) x (g*|Q|).
 
@@ -147,20 +163,20 @@ class TwistedChain:
     the rank of b2 that a chain over a prime field proved (see `_certify`),
     the rows of b2 less one column block and the diagonal form of b2 less
     the Schreier tree's columns over Z[t^{+-1}] are all read from there,
-    once for every field.  Rank b1 is an identity: |Q| where b1 has a unit
-    minor t^s P - I in block k, and |Q| - 1 for the zero character.  Rank
-    b2 is then the rank of B_rest, b2 less column block k: b2 @ b1 = 0
-    writes B_k = -B_rest b1_rest b1_k^{-1} over F(t) (the Wada matrix);
-    without the minor it is read on b2.
+    once for every field; b1 is only a `MatrixShape`.  Rank b1 is an
+    identity: |Q| where b1 has a unit minor t^s P - I in block k, and
+    |Q| - 1 for the zero character.  Rank b2 is then the rank of B_rest, b2
+    less column block k: b2 @ b1 = 0 writes B_k = -B_rest b1_rest b1_k^{-1}
+    over F(t) (the Wada matrix); without the minor it is read on b2.
     """
 
-    __slots__ = ("integral", "b1", "b2", "_cache")
+    __slots__ = ("integral", "b1", "b2", "_rank_b2")
 
-    def __init__(self, integral: IntegralChain, b1: SparseMatrix, b2: SparseMatrix):
+    def __init__(self, integral: IntegralChain, b1: MatrixShape, b2: SparseMatrix):
         self.integral = integral
         self.b1 = b1
         self.b2 = b2
-        self._cache: dict = {}
+        self._rank_b2: tuple[int, str] | None = None
 
     @property
     def representation(self) -> Representation:
@@ -168,7 +184,7 @@ class TwistedChain:
 
     @property
     def block_size(self) -> int:
-        return self.integral.representation.action.order
+        return self.b1.cols
 
     def _certify(self, m: SparseMatrix, upper: int) -> tuple[int, str]:
         """(rank, route) of `m`, whose rank is that of b2, by `_certified_rank`.
@@ -185,14 +201,10 @@ class TwistedChain:
         return rank, route
 
     def rank_b1(self) -> int:
-        """Rank of b1 over F(t), by an identity: |Q| by the unit minor, and
-        |Q| - 1 for the zero character, by the image's Schreier tree."""
-        cache = self._cache
-        if "b1" not in cache:
-            minor, n = self.integral.minor, self.b1.cols
-            cache["b1"] = ((n - 1, "by the Schreier tree of the image, |Q| - 1") if minor is None
-                           else (n, "by the minor of block {}, t^{} P - I".format(*minor)))
-        return cache["b1"][0]
+        """Rank of b1 over F(t), by the identity |Q| - [chi = 0]: |Q| by the
+        unit minor, and |Q| - 1 for the zero character, by the image's
+        Schreier tree.  The rank route, the order route and H0 read it."""
+        return self.b1.cols - (self.integral.minor is None)
 
     def rank_b2(self) -> int:
         """Rank of b2 over F(t), read on B_rest, b2 less the unit minor's
@@ -201,8 +213,7 @@ class TwistedChain:
         decides where it reaches that bound, else Bareiss.  Over Q, a rank
         that a prime field proved is the rank where it reaches the same
         bound, and nothing is eliminated."""
-        cache = self._cache
-        if "b2" not in cache:
+        if self._rank_b2 is None:
             minor = self.integral.minor
             if minor is None:
                 m, upper, read = self.b2, min(self.b2.rows, self.b1.rows - self.rank_b1()), "b2"
@@ -212,8 +223,8 @@ class TwistedChain:
                                  self.b2.rows, self.b2.cols - self.b1.cols)
                 upper, read = min(m.rows, m.cols), f"b2 less column block {k}"
             rank, route = self._certify(m, upper)
-            cache["b2"] = rank, f"{route}, read on {read} ({m.rows}x{m.cols})"
-        return cache["b2"][0]
+            self._rank_b2 = rank, f"{route}, read on {read} ({m.rows}x{m.cols})"
+        return self._rank_b2[0]
 
 
 class AlexanderReport:
@@ -276,13 +287,13 @@ def _fundamental_formula_holds(rep: Representation,
 class IntegralChain:
     """The twisted chain of one quotient over Z[t^{+-1}], before any field.
 
-    b1 and b2 are the rows of `SparseMatrix`, column -> {exponent: int},
-    and d, with dZ = chi(ker alpha), gives the closed form of H0.  `tree`
-    lists the n - 1 edges of the image's Schreier tree, each numbered as
-    its row of b1 and its column of b2 (`quotients.schreier_tree`).
-    `minor` is (k, s) of the block t^s P - I of b1, s = chi_k != 0 for the
-    first such generator, which `_assemble` sets as it writes that block;
-    it is None exactly for the zero character.  None of them, nor the
+    b2 is the rows of a `SparseMatrix`, column -> {exponent: int}, and d,
+    with dZ = chi(ker alpha), gives the closed form of H0; b1 has no rows.
+    `tree` lists the n - 1 edges of the image's Schreier tree, each
+    numbered as its row of b1 and its column of b2
+    (`quotients.schreier_tree`).  `minor` is (k, s) of the block t^s P - I
+    of b1, s = chi_k != 0 for the first such generator, read off chi; it is
+    None exactly for the zero character.  None of them, nor the
     representation, depends on the coefficient field; `over` reads them
     over one.  `proved` is (rank, F_p) for the largest rank of b2 that a
     chain read over some F_p proved, for the chains read over Q, or None.
@@ -294,14 +305,11 @@ class IntegralChain:
     each field reduces before it finishes the residual R, usually empty.
     """
 
-    __slots__ = ("representation", "b1", "b2", "d", "tree", "minor", "proved", "_b2_less",
-                 "_b2_form")
+    __slots__ = ("representation", "b2", "d", "tree", "minor", "proved", "_b2_less", "_b2_form")
 
-    def __init__(self, representation: Representation,
-                 b1: list[dict[int, dict[int, int]]], b2: list[dict[int, dict[int, int]]],
+    def __init__(self, representation: Representation, b2: list[dict[int, dict[int, int]]],
                  d: int, tree: list[int], minor: tuple[int, int] | None):
         self.representation = representation
-        self.b1 = b1
         self.b2 = b2
         self.d = d
         self.tree = tree
@@ -314,19 +322,22 @@ class IntegralChain:
         """The chain over `field`, the one way to make a `TwistedChain`.
 
         It keeps this chain and shares its rows: nothing is copied or reduced
-        here, and the field is that of b1 and b2.
+        here, and the field is that of b1's shape and b2.
         """
-        p, n = self.representation.presentation, self.representation.action.order
-        g = p.generator_count
-        return TwistedChain(self, SparseMatrix(field, self.b1, g * n, n),
-                            SparseMatrix(field, self.b2, len(p.relators) * n, g * n))
+        b1 = self.b1_shape(field)
+        return TwistedChain(self, b1, SparseMatrix(field, self.b2, len(self.b2), b1.rows))
+
+    def b1_shape(self, field: CoefficientField | None = None) -> MatrixShape:
+        """b1's shape, (g*n) x n, over `field`: n = |Q| and g generators."""
+        n = self.representation.action.order
+        return MatrixShape(field, self.representation.presentation.generator_count * n, n)
 
     def b2_less(self) -> list[dict[int, dict[int, int]]]:
         """The rows of b2 without column block k of the unit minor, the later
         columns moved down one block, made once for every field."""
         if self._b2_less is None:
-            n, k = self.representation.action.order, self.minor[0]
-            self._b2_less = _rows_less(self.b2, self._columns(), range(k * n, (k + 1) * n))
+            b1, k = self.b1_shape(), self.minor[0]
+            self._b2_less = _rows_less(self.b2, b1.rows, range(k * b1.cols, (k + 1) * b1.cols))
         return self._b2_less
 
     def b2_form(self) -> IntegralDiagonal:
@@ -343,14 +354,10 @@ class IntegralChain:
         invariant factor of b2.
         """
         if self._b2_form is None:
-            cols = self._columns()
+            cols = self.b1_shape().rows
             self._b2_form = integral_diagonal_form(_rows_less(self.b2, cols, self.tree),
                                                    cols - len(self.tree))
         return self._b2_form
-
-    def _columns(self) -> int:
-        """The columns of b2, g*n."""
-        return self.representation.presentation.generator_count * self.representation.action.order
 
 
 def _rows_less(rows: list[dict[int, dict[int, int]]], cols: int,
@@ -368,35 +375,24 @@ def _rows_less(rows: list[dict[int, dict[int, int]]], cols: int,
 
 
 def _assemble(rep: Representation) -> IntegralChain:
-    """Assemble both boundary matrices over Z from the image's action, after checking the chain condition.
+    """Assemble b2 over Z from the image's action, after checking the chain condition.
 
     Block (j, i) of b2 is sum_g f_{i,g} P(g), with f_{i,g} from one
     `fox_images` walk along relator j: f_{i,g} at (q, q*g) for every q, read
     on g's column, and no block where relator j lacks x_i, so a row costs
-    its relator's terms.  Block i of b1 is t^{chi_i} P(alpha(x_i)) - I.
-    Every relator's images must satisfy the fundamental formula in Z[Q x Z],
-    which is b2 @ b1 = 0 over every coefficient field; no matrix is
-    multiplied.  Entries that are the same polynomial share one dict, which
-    nothing changes.  The unit minor of b1 is block k, t^s P - I, of the
-    first generator with chi_k = s != 0; a block with chi_i = 0 is P - I or
-    zero, never one.
+    its relator's terms.  Block i of b1, never written, is
+    t^{chi_i} P(alpha(x_i)) - I.  Every relator's images must satisfy the
+    fundamental formula in Z[Q x Z], which is b2 @ b1 = 0 over every
+    coefficient field; no matrix is multiplied.  Entries that are the same
+    polynomial share one dict, which nothing changes.  The unit minor of b1
+    is block k, t^s P - I, of the first generator with chi_k = s != 0, read
+    off chi; a block with chi_i = 0 is P - I or zero, never one.
     """
     n, perms, inverses = rep.action.order, rep.action.perms, rep.action.inverses
     relator_blocks = [fox_images(rep, r) for r in rep.presentation.relators]
     if not all(_fundamental_formula_holds(rep, blocks) for blocks in relator_blocks):
         raise InternalCheckError("chain condition b2 @ b1 = 0 violated")
-    b1 = []
-    minus_one = {0: -1}
-    values = rep.character.values
-    minor = next(((k, s) for k, s in enumerate(values) if s), None)
-    for perm, s in zip(perms, values):
-        shift = {s: 1}
-        for q in range(n):
-            if perm[0]:  # alpha(x_i) is not the identity
-                qa = perm[q]
-                b1.append({q: minus_one, qa: shift} if q < qa else {qa: shift, q: minus_one})
-            else:  # zero when chi_i = 0 too
-                b1.append({q: {s: 1, 0: -1}} if s else {})
+    minor = next(((k, s) for k, s in enumerate(rep.character.values) if s), None)
     # Column g, [q*g for each point q], for every g that a prefix of a relator
     # reaches: the action is regular, so a column is known by its entry g at
     # 0, and each new one is composed from the last, n reads.
@@ -415,7 +411,7 @@ def _assemble(rep: Representation) -> IntegralChain:
                  for g, shifts in block.items() if (f := {k: c for k, c in shifts.items() if c})]
         for q in range(n):
             b2.append(dict(sorted([(i0 + column_g[q], f) for i0, column_g, f in terms])))
-    return IntegralChain(rep, b1, b2, *_schreier_walk(rep), minor)
+    return IntegralChain(rep, b2, *_schreier_walk(rep), minor)
 
 
 def h1_vanishing(c: TwistedChain) -> tuple[bool, int]:
@@ -440,56 +436,49 @@ def _schreier_walk(rep: Representation) -> tuple[int, list[int]]:
                  for h, y in zip(height, perm)]), tree
 
 
-def _h0_closed_form(c: TwistedChain) -> tuple[int, int, LaurentPoly]:
-    """(d, rank H0, ord H0): the image's action is transitive, so H0 is
-    F[t^{+-1}]/(t^d - 1), with d from `_schreier_walk`."""
-    d = c.integral.d
-    field = c.b1.field
-    if d == 0:
-        return 0, 1, LaurentPoly.zero(field)
-    # monic, t^0 term: canonical over every field
-    return d, 0, LaurentPoly.from_int_coeffs(field, {d: 1, 0: -1})
-
-
 def _h1_order(c: TwistedChain) -> LaurentPoly:
     """Normalized order of H1 through the order route.
 
     C1/rowspace(b2) is H1 plus the free module im(b1), so the order is the
     product of the nonzero diagonal entries of b2 when there are
-    rows(b1) - rank b1 of them, and zero (H1 has free rank) otherwise; here
-    rank b1 = |Q| - rank H0 comes from the closed form, rank H0 = [d = 0],
-    not the rank route.
+    rows(b1) - rank b1 of them, and zero (H1 has free rank) otherwise; rank
+    b1 is an identity, and no rank of b2 is read.
     The integral chain collapsed the image's Schreier tree,
     b2 ~ [b2 less the tree's columns | 0], which keeps every invariant
     factor, and took that matrix to D (+) R over Z[t^{+-1}] and the product
     of D's entries once; `IntegralDiagonal.order` reduces that product into
     this field and multiplies in R's entries, finished here.
     """
-    rank_b1 = c.block_size - (c.integral.d == 0)
-    return c.integral.b2_form().order(c.b1.field, c.b1.rows - rank_b1)
+    return c.integral.b2_form().order(c.b1.field, c.b1.rows - c.rank_b1())
 
 
 def h0_report(c: TwistedChain) -> AlexanderReport:
-    """Cokernel of b1: vanishing by the rank route, order by the closed form."""
+    """Cokernel of b1: the image's action is transitive, so H0 is
+    F[t^{+-1}]/(t^d - 1), d from `_schreier_walk`, of rank |Q| - rank b1 =
+    [chi = 0].  chi(ker alpha) = dZ has finite index in chi(G), so a walk
+    with d = 0 for chi != 0, or d != 0 for chi = 0, aborts the run."""
+    d, field = c.integral.d, c.b1.field
     rank_h0 = c.block_size - c.rank_b1()
-    d, closed_rank, order = _h0_closed_form(c)
-    if rank_h0 != closed_rank:
+    # monic, t^0 term: canonical over every field
+    order = LaurentPoly.from_int_coeffs(field, {d: 1, 0: -1}) if d else LaurentPoly.zero(field)
+    if (d == 0) != bool(rank_h0):
         raise InternalCheckError(
-            "degree-0 cross-check failed: rank route and closed form disagree\n"
-            + _diagnostic(c, rank_h0, order, f"d: {d} (closed-form rank {closed_rank})")
+            f"degree-0 check failed: the Schreier walk gives d = {d}, but chi is "
+            + ("zero" if rank_h0 else "nonzero") + "\n"
+            + _diagnostic(c, rank_h0, order, f"d: {d}")
         )
-    return AlexanderReport(0, rank_h0 > 0, rank_h0, order, c.b1.field,
+    return AlexanderReport(0, rank_h0 > 0, rank_h0, order, field,
                            c.representation.action, c.representation.character)
 
 
 def _diagnostic(c: TwistedChain, rank: int, order: LaurentPoly, detail: str) -> str:
-    """What reproduces a failed cross-check, with the sizes involved, and the
-    route of each rank of b1 and b2 that was computed: the identity that
-    gave rank b1, and the matrix that rank b2 was read on, with its shape;
-    no matrix entries.  It ends with an `alex` command line for the same
-    presentation, character, field and quotient, the quotient as the chain
-    was given it (`alex` reads its image again)."""
-    rep, cache = c.representation, c._cache
+    """What reproduces a failed check, with the sizes involved, the unit
+    minor of b1 that gives its rank, or that there is none, and the matrix
+    that rank b2 was read on, with its shape, if computed; no entries.  It
+    ends with an `alex` command line for the same presentation, character,
+    field and quotient, the quotient as the chain was given it (`alex`
+    reads its image again)."""
+    rep, minor = c.representation, c.integral.minor
     p = rep.presentation
     q = rep.action
     return "\n".join([
@@ -498,7 +487,10 @@ def _diagnostic(c: TwistedChain, rank: int, order: LaurentPoly, detail: str) -> 
         f"quotient: {q.name} (order {q.order}), images {list(q.gen_images)}",
         f"field: {c.b1.field.name}",
         f"b1: {c.b1.rows}x{c.b1.cols}, b2: {c.b2.rows}x{c.b2.cols}",
-        *(f"rank of {key}: {cache[key][0]} {cache[key][1]}" for key in ("b1", "b2") if key in cache),
+        f"rank of b1: {c.rank_b1()} by "
+        + ("the minor of block {}, t^{} P - I".format(*minor) if minor
+           else "the Schreier tree of the image, |Q| - 1"),
+        *(["rank of b2: {} {}".format(*c._rank_b2)] if c._rank_b2 else []),
         f"rank over Frac: {rank}",
         f"order: {order.render()}",
         detail,
@@ -552,8 +544,9 @@ def _h1_report(c: TwistedChain) -> AlexanderReport:
 def integral_chain(p: Presentation, chi: Character, q: FiniteQuotient) -> IntegralChain:
     """Everything of the chain that no field changes, once per quotient.
 
-    Every relator must map to the identity; then `_assemble` assembles b1
-    and b2 over Z from the action of q's image and reads d of H0.
+    Every relator must map to the identity; then `_assemble` assembles b2
+    over Z from the action of q's image, checks b2 @ b1 = 0, and reads d of
+    H0 and the unit minor of b1.
     """
     return _assemble(build_representation(p, chi, q))
 

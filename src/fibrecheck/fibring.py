@@ -211,9 +211,10 @@ def _scan_job(args) -> list[AlexanderReport]:
     the canonical reciprocal of the plus order.  ord H0 = (t^d - 1)^c is its
     own canonical reciprocal, so degree 0 keeps it.
 
-    The fields read one `integral_chain`.  chi != 0 gives b1 a block
-    t^s P - I, a minor that is nonzero over every field, so rank b1 is |Q|
-    without elimination, and b2 @ b1 = 0 makes that column block of b2 a
+    The fields read one `integral_chain`, which writes b2 and only b1's
+    shape, and gives H0 in one closed form, checked against chi.  chi != 0
+    gives b1 a block t^s P - I, a minor that is nonzero over every field, so
+    rank b1 is |Q|, an identity, and b2 @ b1 = 0 makes that block of b2 a
     combination of the others over F(t) (the Wada matrix), so rank b2 is
     read on b2 less it, one bound per field.  That rank over Q(t) is at
     least its rank over F_p(t), so Q after a prime field takes the rank that
@@ -226,8 +227,8 @@ def _scan_job(args) -> list[AlexanderReport]:
     D (+) R, pivoting only on entries with top coefficient +-1, and
     multiplies D's entries once over Z; every field reduces that product mod
     p and multiplies in R, usually empty, finished by the field's own
-    diagonal form.  The order route reads no rank, and the two routes drop
-    different columns of b2, so both still check every verdict.
+    diagonal form.  The order route reads no rank of b2, and the two routes
+    drop different columns of b2, so both still check every verdict.
 
     `scan` runs this only for the representative of each orbit of the
     chi-fixing automorphisms; every other kept quotient of the orbit takes

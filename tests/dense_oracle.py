@@ -11,7 +11,9 @@ The chain of a quotient is filled by `fibrecheck.alexander` from one walk
 per relator (`fibrecheck.foxcalc.fox_images`), over Z, on the permutations
 of the image's right regular action (`fibrecheck.quotients.image_action`),
 and read over each field by `IntegralChain.over`; `chain_over` makes such a
-chain from a given representation.  This module keeps two older routes as
+chain from a given representation.  That chain writes b2 only: of b1 it
+keeps the field and shape, since no route reads b1's entries, so b1 is
+written out only here, by `dense_chain`.  This module keeps two older routes as
 references, both read off the target's multiplication table and neither off
 the action.  They work in the image of the quotient, whose elements
 `image_elements` finds by closing the generator images under the table's
@@ -275,15 +277,19 @@ class DenseRepresentation:
         return out
 
 
-def dense_chain(dense: DenseRepresentation, rep: Representation) -> TwistedChain:
-    """b1 and b2 assembled from the dense images, labelled with `rep`.
+def dense_chain(dense: DenseRepresentation, rep: Representation) -> tuple[TwistedChain, PolyMatrix]:
+    """The chain of b2 assembled from the dense images, labelled with `rep`,
+    and b1 beside it.
 
     b1 stacks the blocks phi(x_i) - I and b2 the evaluated Fox derivatives;
-    `chain_over` fills the same matrices from the group table.  The closed
-    form of H0 and the Schreier tree are walked on `rep`, the unit minor of
-    b1 is taken from chi as `_assemble` takes it, no rank is inherited, and
-    the order route eliminates the integer rows of this b2, less the tree's
-    columns, over Z[t^{+-1}].
+    `chain_over` fills the same b2 from the group table and writes no entry
+    of b1, and so does the chain returned here, which keeps b1's shape
+    only.  The b1 returned beside it is what the tests check rank b1,
+    b2 @ b1 = 0 and the kernel route against.  The closed form of H0 and
+    the Schreier tree are walked on `rep`, the unit minor of b1 is taken
+    from chi as `_assemble` takes it, no rank is inherited, and the order
+    route eliminates the integer rows of this b2, less the tree's columns,
+    over Z[t^{+-1}].
     """
     p = rep.presentation
     ident = PolyMatrix.identity(dense.field, dense.dim)
@@ -298,5 +304,5 @@ def dense_chain(dense: DenseRepresentation, rep: Representation) -> TwistedChain
     else:
         b2 = PolyMatrix.zeros(dense.field, 0, p.generator_count * dense.dim)
     minor = next(((k, s) for k, s in enumerate(rep.character.values) if s), None)
-    integral = IntegralChain(rep, b1.sparse_rows(), b2.sparse_rows(), *_schreier_walk(rep), minor)
-    return TwistedChain(integral, b1, b2)
+    integral = IntegralChain(rep, b2.sparse_rows(), *_schreier_walk(rep), minor)
+    return TwistedChain(integral, integral.b1_shape(dense.field), b2), b1

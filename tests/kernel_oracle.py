@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fibrecheck.alexander import TwistedChain
 from fibrecheck.polyalg import LaurentPoly, NotInSpan
-from dense_oracle import PolyMatrix, to_dense
+from dense_oracle import DenseRepresentation, PolyMatrix, dense_chain, to_dense
 from smith_oracle import order_of, smith_normal_form
 
 
@@ -174,8 +174,11 @@ def kernel_route_h1_order(c: TwistedChain) -> LaurentPoly:
     The left kernel of b1 is freely spanned by the columns of K; the rows of
     b2 rewritten in K-coordinates present H1, and the order is the product
     of the invariant factors (zero when the presentation has free rank).
+    The chain keeps only b1's shape, so b1 is the one `dense_chain` writes
+    out for the same representation.
     """
     field = c.b1.field
-    kernel = kernel_basis(clear_denominators(to_dense(c.b1).transpose()))
+    _, b1 = dense_chain(DenseRepresentation.of(c.representation, field), c.representation)
+    kernel = kernel_basis(clear_denominators(b1.transpose()))
     coords = solve_in_span(kernel, clear_denominators(to_dense(c.b2)).transpose())
     return order_of(field, smith_normal_form(coords), kernel.cols)

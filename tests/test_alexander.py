@@ -1,3 +1,4 @@
+import io
 import random
 from math import gcd
 
@@ -8,7 +9,6 @@ from fibrecheck import alexander
 from fibrecheck.alexander import (
     InternalCheckError,
     TwistedChain,
-    _h0_closed_form,
     chain_reports,
     full_report,
     h0_report,
@@ -83,18 +83,31 @@ def _chain(p, chi, q, field=Q):
     return chain_over(build_representation(p, chi, q), field)
 
 
+def _oracle_b1(rep: Representation, field) -> PolyMatrix:
+    """b1 as the dense oracle writes it out; the chain keeps only its shape."""
+    return dense_chain(DenseRepresentation.of(rep, field), rep)[1]
+
+
+def _chain_and_oracle_b1(p, chi, q, field=Q):
+    rep = build_representation(p, chi, q)
+    c = chain_over(rep, field)
+    b1 = _oracle_b1(rep, field)
+    assert (c.b1.field, c.b1.rows, c.b1.cols) == (field, b1.rows, b1.cols)
+    return c, b1
+
+
 def test_build_chain_z():
     z, chi = load_fixture("zn:1")
-    c = _chain(z, chi, trivial_quotient(z))
-    assert to_dense(c.b1) == PolyMatrix.from_int_rows(Q, [[{1: 1, 0: -1}]])
+    c, b1 = _chain_and_oracle_b1(z, chi, trivial_quotient(z))
+    assert b1 == PolyMatrix.from_int_rows(Q, [[{1: 1, 0: -1}]])
     assert c.b2.rows == 0 and c.b2.cols == 1
 
 
 def test_build_chain_bs12():
     p, chi = load_fixture("bs:1:2")
-    c = _chain(p, chi, trivial_quotient(p))
+    c, b1 = _chain_and_oracle_b1(p, chi, trivial_quotient(p))
     # phi(a) - 1 = 0, phi(t) - 1 = t - 1; Fox rows (t - 2, 0)
-    b1, b2 = to_dense(c.b1), to_dense(c.b2)
+    b2 = to_dense(c.b2)
     assert b1 == PolyMatrix.from_int_rows(Q, [[0], [{1: 1, 0: -1}]])
     assert b2 == PolyMatrix.from_int_rows(Q, [[{1: 1, 0: -2}, 0]])
     assert (b2 @ b1).is_zero
@@ -102,8 +115,7 @@ def test_build_chain_bs12():
 
 def test_build_chain_f2xz():
     p, chi = load_fixture("f2xz")
-    c = _chain(p, chi, trivial_quotient(p))
-    b1 = to_dense(c.b1)
+    c, b1 = _chain_and_oracle_b1(p, chi, trivial_quotient(p))
     assert b1 == PolyMatrix.from_int_rows(Q, [[0], [0], [{1: 1, 0: -1}]])
     assert (to_dense(c.b2) @ b1).is_zero
 
@@ -243,28 +255,31 @@ def test_full_report_on_an_s5_quotient_of_f2xz(field):
     assert digests == _S5_ORDER_DIGESTS[field.name]
 
 
-def test_h0_closed_form_walks_once_per_report(monkeypatch):
-    # h0_report reads the closed form once; the order route reads only d,
-    # rank H0 = [d = 0], from the integral chain, so the closed form is
-    # taken once per full_report.
-    from fibrecheck import alexander
+def test_schreier_tree_walks_once_per_integral_chain(monkeypatch):
+    # d of H0's closed form and the tree that the order route collapses come
+    # from one walk of the image's Schreier tree when the integral chain is
+    # built; the chains over F2, F3 and Q read both from there and walk
+    # nothing, in either order of the fields.
+    from fibrecheck import quotients
 
-    walk, calls = alexander._h0_closed_form, []
-    monkeypatch.setattr(alexander, "_h0_closed_form", lambda c: calls.append(c) or walk(c))
+    calls = []
+    monkeypatch.setattr(alexander, "schreier_tree",
+                        lambda *args: calls.append(args) or quotients.schreier_tree(*args))
     p, chi = load_fixture("f2xz")
-    quotients = [trivial_quotient(p)] + [h for h in enumerate_homs(p, symmetric_group(3))
-                                         if h.surjective][:2]
-    for q in quotients:
-        for field in (Q, F2, F3):
+    for q in [trivial_quotient(p)] + [h for h in enumerate_homs(p, symmetric_group(3))
+                                      if h.surjective][:2]:
+        for fields in ((F2, F3, Q), (Q, F3, F2)):
             calls.clear()
-            full_report(p, chi, q, field)
-            assert len(calls) == 1, (q.label(), field.name)
+            chain = integral_chain(p, chi, q)
+            for field in fields:
+                chain_reports(chain.over(field))
+            assert len(calls) == 1, (q.label(), fields)
 
 
 def test_rational_f2xz_chains_hold_int_coefficients():
     # Over Q the Fox data is integral and every pivot of these chains is a
-    # unit or monic, so b1, b2 and the diagonal of b2 hold ints only; a
-    # Fraction(n) coefficient, equal to n but built at a cost, fails here.
+    # unit or monic, so b2 and its diagonal hold ints only; a Fraction(n)
+    # coefficient, equal to n but built at a cost, fails here.
     from fibrecheck.fibring import ScanConfig, _quotient_stream
 
     p, chi = load_fixture("f2xz")
@@ -274,7 +289,7 @@ def test_rational_f2xz_chains_hold_int_coefficients():
     for q in kept:
         for c in (chi, chi.negate()):
             chain = _chain(p, c, q)
-            polys = [e for m in (chain.b1, chain.b2) for row in to_dense(m).entries for e in row]
+            polys = [e for row in to_dense(chain.b2).entries for e in row]
             polys += diagonal_form(chain.b2)
             for e in polys:
                 assert all(type(x) is int for x in e.coeffs.values()), (q.label(), e)
@@ -420,50 +435,47 @@ def test_transpose_convention_cross_check():
         p, chi = load_fixture(name)
         rep = build_representation(p, chi, q)
         c1 = chain_over(rep, Q)
-        c2 = dense_chain(_transposed(rep, Q), rep)
-        assert (c2.b2 @ c2.b1).is_zero
+        c2, b1 = dense_chain(_transposed(rep, Q), rep)
+        assert (c2.b2 @ b1).is_zero
         assert h1_vanishing(c1) == h1_vanishing(c2)
         assert h1_order(c1) == h1_order(c2)
 
 
 def test_cross_check_failure_names_its_inputs(monkeypatch):
-    # A wrong rank on either route makes the two routes disagree, also on the
-    # 99 x 33 b1 of f2xz at Z/33, where both checks must still run.  The
-    # message names the route of each rank that was computed, with the unit
-    # minor of b1 and the shape of b2 less that minor's column block, which
-    # is what the rank of b2 reads, and how many diagonal entries of b2 came
-    # from Z; over Q after F2, the rank of b2 is inherited from F2's
-    # certificate, so a wrong order route is what makes them disagree there:
-    # F2 has taken the integral diagonal form of b2 and its product, and Q's
-    # order from them is made zero.  The message still names the diagonal
-    # of b2, which only the failure builds over the field.
+    # A wrong rank of b2 makes the two degree-1 routes disagree, also on the
+    # 99 x 33 b1 of f2xz at Z/33, where the check must still run.  The
+    # message names the unit minor of b1 that gives its rank, the route of
+    # the rank of b2 where it was computed, with the shape of b2 less that
+    # minor's column block, which is what the rank of b2 reads, and how many
+    # diagonal entries of b2 came from Z; over Q after F2, the rank of b2 is
+    # inherited from F2's certificate, so a wrong order route is what makes
+    # them disagree there: F2 has taken the integral diagonal form of b2 and
+    # its product, and Q's order from them is made zero.  The message still
+    # names the diagonal of b2, which only the failure builds over the field.
     trefoil, trefoil_chi = load_fixture("trefoil")
     f2xz, f2xz_chi = load_fixture("f2xz")
     cases = [
         (trefoil, trefoil_chi, make_quotient(trefoil, symmetric_group(3), (2, 1)),
-         "quotient: S3 (order 6), images [2, 1]", "b1: 12x6, b2: 6x12", "d: 2 (closed-form rank 0)",
+         "quotient: S3 (order 6), images [2, 1]", "b1: 12x6, b2: 6x12",
          "by the minor of block 0, t^1 P - I", "b2 less column block 0 (6x6)"),
         (f2xz, f2xz_chi, make_quotient(f2xz, cyclic_group(33), (1, 0, 0)),
-         "quotient: Z/33 (order 33), images [1, 0, 0]", "b1: 99x33, b2: 66x99", "d: 1 (closed-form rank 0)",
+         "quotient: Z/33 (order 33), images [1, 0, 0]", "b1: 99x33, b2: 66x99",
          "by the minor of block 2, t^1 P - I", "b2 less column block 2 (66x66)"),
     ]
-    for p, chi, q, quotient_line, shapes, d_line, minor, rest in cases:
-        for method, degree, detail in (("rank_b1", 0, d_line),
-                                       ("rank_b2", 1, "diagonal of b2: [1, ")):
-            with monkeypatch.context() as m:
-                m.setattr(TwistedChain, method, lambda chain: 0)
-                with pytest.raises(InternalCheckError) as err:
-                    full_report(p, chi, q, Q)
-            msg = str(err.value)
-            assert f"degree-{degree} cross-check failed" in msg
-            assert render_presentation(p).replace("\n", " | ") in msg
-            assert quotient_line in msg and shapes in msg and detail in msg
-            assert "PolyMatrix(" not in msg
-            n = q.group.order
-            if degree == 1:
-                assert f"({(p.generator_count - 1) * n} entries from Z, no residual)" in msg
-            routes = [] if method == "rank_b1" else [f"rank of b1: {n} {minor}"]
-            assert [line for line in msg.splitlines() if line.startswith("rank of")] == routes
+    for p, chi, q, quotient_line, shapes, minor, rest in cases:
+        with monkeypatch.context() as m:
+            m.setattr(TwistedChain, "rank_b2", lambda chain: 0)
+            with pytest.raises(InternalCheckError) as err:
+                full_report(p, chi, q, Q)
+        msg = str(err.value)
+        assert "degree-1 cross-check failed" in msg
+        assert render_presentation(p).replace("\n", " | ") in msg
+        assert quotient_line in msg and shapes in msg and "diagonal of b2: [1, " in msg
+        assert "PolyMatrix(" not in msg
+        n = q.group.order
+        assert f"({(p.generator_count - 1) * n} entries from Z, no residual)" in msg
+        assert [line for line in msg.splitlines() if line.startswith("rank of")] == [
+            f"rank of b1: {n} {minor}"]
 
         chain = integral_chain(p, chi, q)
         chain_reports(chain.over(F2))
@@ -489,6 +501,38 @@ def test_cross_check_failure_names_its_inputs(monkeypatch):
     assert "(18 entries from Z, residual 2x3 finished over Q)" in str(err.value)
 
 
+@pytest.mark.parametrize("values, d, chi_is", [((1, 0, 0), 0, "nonzero"), ((0, 0, 0), 1, "zero")],
+                         ids=["d-zero-at-nonzero-chi", "d-nonzero-at-zero-chi"])
+def test_a_schreier_walk_that_disagrees_with_chi_fails_the_degree_0_check(monkeypatch, values,
+                                                                          d, chi_is):
+    # chi(ker alpha) = dZ has finite index in chi(G) for a finite image, so
+    # d = 0 exactly when chi = 0.  A walk that gives d = 0 for a nonzero chi,
+    # or d != 0 at chi = 0, aborts the run: the message names the walk's d
+    # and the minor of b1, or that there is none, and ends in an `alex`
+    # line that reproduces the report; `alex` exits 3.
+    p, _ = load_fixture("f2xz")
+    chi = validate_character(p, list(values))
+    q = make_quotient(p, cyclic_group(4), (1, 0, 0))
+    walk = alexander._schreier_walk
+    monkeypatch.setattr(alexander, "_schreier_walk", lambda rep: (d, walk(rep)[1]))
+    with pytest.raises(InternalCheckError) as err:
+        full_report(p, chi, q, Q)
+    lines = str(err.value).splitlines()
+    assert lines[0] == f"degree-0 check failed: the Schreier walk gives d = {d}, but chi is {chi_is}"
+    assert f"d: {d}" in lines
+    assert [line for line in lines if line.startswith("rank of")] == [
+        "rank of b1: 4 by the minor of block 0, t^1 P - I" if any(values)
+        else "rank of b1: 3 by the Schreier tree of the image, |Q| - 1"]
+    assert lines[-1] == "reproduce: " + alexander._alex_command(p, chi, q, Q)
+    assert lines[-1].endswith("--quotient 'z4:1,0,0' --field q")
+
+    from fibrecheck import cli
+
+    char = ",".join(f"{x}={v}" for x, v in zip(p.generator_names, values))
+    assert cli.main(["alex", "--fixture", "f2xz", "--char", char, "--quotient", "z4:1,0,0",
+                     "--field", "q"], out=io.StringIO()) == 3
+
+
 def test_q_decides_for_itself_where_a_prime_falls_short(monkeypatch):
     # <a, t | a^2> at the trivial quotient: b2 is the 1 x 2 row (2, 0), and
     # b1's block of t is t - 1, a unit minor, so rank b1 is 1 over every field
@@ -498,6 +542,7 @@ def test_q_decides_for_itself_where_a_prime_falls_short(monkeypatch):
     # b1 is never bounded, and only the rank of b2 is recorded.
     p = parse_presentation("gens: a t\nrels: a^2\n")
     chain = integral_chain(p, validate_character(p, [0, 1]), trivial_quotient(p))
+    assert chain.minor == (1, 1)
     over_f2 = chain.over(F2)
     assert (over_f2.rank_b1(), over_f2.rank_b2()) == (1, 0)
     assert chain.proved == (0, F2)
@@ -507,7 +552,6 @@ def test_q_decides_for_itself_where_a_prime_falls_short(monkeypatch):
     over_q = chain.over(Q)
     assert (over_q.rank_b1(), over_q.rank_b2()) == (1, 1)
     assert calls == [(Q, 1, 1)]
-    assert over_q._cache["b1"][1] == "by the minor of block 1, t^1 P - I"
     assert [r.vanishing for r in chain_reports(over_q)] == [False, False]
     assert chain.proved == (0, F2)  # Q records nothing
 
@@ -520,7 +564,8 @@ def test_unit_minor_of_b1_and_rank_of_b2_less_its_column_block(values, minor):
     # (t^-2 - 1) I; with chi = (1, 0, 1) the blocks of a and z both qualify,
     # and the first is taken.  The rows of b2 less that column block are made
     # once and share b2's entry dicts; both ranks are Bareiss's ranks of the
-    # full b1 and b2 over every field.
+    # full b1, as the dense oracle writes it out, and b2 over every field,
+    # and b2 @ b1 = 0 there.
     p, _ = load_fixture("f2xz")
     chain = integral_chain(p, validate_character(p, list(values)),
                            make_quotient(p, cyclic_group(4), (1, 0, 0)))
@@ -532,9 +577,11 @@ def test_unit_minor_of_b1_and_rank_of_b2_less_its_column_block(values, minor):
     assert all(j < 8 and id(f) in entries for row in rest for j, f in row.items())
     for field in (F2, F3, F5, Q):
         c = chain.over(field)
-        assert (c.rank_b1(), c.rank_b2()) == (rank_over_fraction_field(c.b1), rank_over_fraction_field(c.b2))
-        assert c._cache["b1"][1] == f"by the minor of block {k}, t^{s} P - I"
-        assert c._cache["b2"][1].endswith(f", read on b2 less column block {k} (8x8)")
+        b1 = _oracle_b1(chain.representation, field)
+        assert c.rank_b1() == rank_over_fraction_field(b1) == 4
+        assert c.rank_b2() == rank_over_fraction_field(c.b2)
+        assert (to_dense(c.b2) @ b1).is_zero
+        assert c._rank_b2[1].endswith(f", read on b2 less column block {k} (8x8)")
 
 
 def test_bs13_order_is_t_minus_3_and_a_unit_mod_3():
@@ -679,20 +726,22 @@ def test_reports_agree_across_an_orbit_of_a_nielsen_move(data):
 @settings(max_examples=30)
 @given(data=st.data())
 def test_monomial_chain_matches_dense_oracle(field, data):
-    # The chain fills b2 from one walk per relator; the oracle multiplies
-    # dense generator matrices letter by letter for every Fox term.
+    # The chain fills b2 from one walk per relator and keeps only b1's shape;
+    # the oracle multiplies dense generator matrices letter by letter for
+    # every Fox term, and writes b1 out, against which b2 @ b1 = 0.
     p, chi, q = data.draw(presentations_with_quotient())
     rep = build_representation(p, chi, q)
     chain = chain_over(rep, field)
-    dense = dense_chain(DenseRepresentation.of(rep, field), rep)
-    assert to_dense(chain.b1) == dense.b1
+    dense, b1 = dense_chain(DenseRepresentation.of(rep, field), rep)
+    assert (chain.b1.field, chain.b1.rows, chain.b1.cols) == (field, b1.rows, b1.cols)
     assert to_dense(chain.b2) == dense.b2
+    assert (dense.b2 @ b1).is_zero
 
 
 def _assert_rows_match_the_table_oracle(p, chi, q):
-    """b1 and b2 of the chain, read off the image's action, against the Fox
-    derivatives evaluated over the target's table by `evaluate`, on the
-    image's elements in ascending ambient id."""
+    """b2 of the chain, read off the image's action, and b1 of the dense
+    oracle, against the Fox derivatives evaluated over the target's table by
+    `evaluate`, on the image's elements in ascending ambient id."""
     rep = build_representation(p, chi, q)
     chain = chain_over(rep, Q)
     one = GroupRingElement.of_word(Word())
@@ -701,7 +750,8 @@ def _assert_rows_match_the_table_oracle(p, chi, q):
     b2 = PolyMatrix.vstack([PolyMatrix.hstack([evaluate(rep, fox_derivative(r, i), Q)
                                                for i in range(1, p.generator_count + 1)])
                             for r in p.relators] or [PolyMatrix.zeros(Q, 0, b1.rows)])
-    assert to_dense(chain.b1) == b1, q.label()
+    assert _oracle_b1(rep, Q) == b1, q.label()
+    assert (chain.b1.rows, chain.b1.cols) == (b1.rows, b1.cols)
     assert to_dense(chain.b2) == b2, q.label()
 
 
@@ -732,21 +782,21 @@ def test_chain_rows_match_the_table_oracle_on_every_subgroup_of_s4_that_f2xz_rea
 @settings(max_examples=30)
 @given(data=st.data())
 def test_closed_form_h0_and_diagonal_h1_match_smith_oracle(field, data):
-    # H0 from the walk over the image and H1 from the diagonal form of b2 agree
-    # with the Smith forms of b1 and b2; the order route reads no rank.
+    # H0 in closed form from the walk over the image and H1 from the diagonal
+    # form of b2 agree with the Smith forms of the oracle's b1 and of b2;
+    # neither reads rank b2, only the identity for rank b1.
     p, chi, q = data.draw(presentations_with_quotient())
-    chain = chain_over(build_representation(p, chi, q), field)
+    rep = build_representation(p, chi, q)
+    chain = chain_over(rep, field)
     n = chain.block_size
-    snf_b1 = smith_normal_form(to_dense(chain.b1))
+    snf_b1 = smith_normal_form(_oracle_b1(rep, field))
     with pytest.MonkeyPatch.context() as m:
-        for method in ("rank_b1", "rank_b2"):
-            m.setattr(TwistedChain, method, lambda c: pytest.fail("the order route read a rank"))
-        d, rank_h0, order_h0 = _h0_closed_form(chain)
+        m.setattr(TwistedChain, "rank_b2", lambda c: pytest.fail("H0 or the order route read rank b2"))
+        h0 = h0_report(chain)
         order_h1 = h1_order(chain)
-    assert rank_h0 == n - rank_of(snf_b1)
-    assert order_h0 == order_of(field, snf_b1, n)
-    assert (rank_h0 == 0) == (d != 0)
-    assert chain.rank_b1() == n - rank_h0
+    assert h0.rank_over_frac == n - rank_of(snf_b1) == (chain.integral.d == 0)
+    assert h0.order == order_of(field, snf_b1, n)
+    assert chain.rank_b1() == rank_of(snf_b1)
     assert order_h1 == order_of(field, smith_normal_form(to_dense(chain.b2)), chain.b1.rows - rank_of(snf_b1))
     assert order_h1 == order_h1.canonical()
 
@@ -911,11 +961,12 @@ def test_tietze_moves_keep_verdicts_and_orders_on_random_presentations(field, da
 @settings(max_examples=30)
 @given(data=st.data())
 def test_certified_ranks_are_those_of_the_full_matrices(zero, data):
-    # With chi != 0, rank b1 comes from the unit minor that chi gives and rank
+    # With chi != 0, rank b1 is |Q| by the unit minor that chi gives and rank
     # b2 is read on b2 less one column block; with chi = 0 there is no such
-    # minor, and both are read on the full matrices.  Either way, over F2, F3,
-    # F5 and then Q, which may inherit a prime's certificate, they are
-    # Bareiss's ranks of the full b1 and b2.  And d of the closed form of H0,
+    # minor, rank b1 is |Q| - 1 and rank b2 is read on the full b2.  Either
+    # way, over F2, F3, F5 and then Q, which may inherit a prime's
+    # certificate, they are Bareiss's ranks of the full b1, which the dense
+    # oracle writes out, and b2, and b2 @ b1 = 0.  And d of the closed form of H0,
     # with dZ = chi(ker alpha), is the gcd of the character that
     # Reidemeister-Schreier restricts to the kernel.
     p, chi, q = data.draw(presentations_with_quotient())
@@ -926,5 +977,7 @@ def test_certified_ranks_are_those_of_the_full_matrices(zero, data):
     assert chain.d == gcd(*rewrite_subgroup(p, q, chi).restricted_character.values)
     for field in (F2, F3, F5, Q):
         c = chain.over(field)
-        assert (c.rank_b1(), c.rank_b2()) == (rank_over_fraction_field(c.b1), rank_over_fraction_field(c.b2))
-        assert c._cache["b1"][1].startswith("by the minor of block ") != zero
+        b1 = _oracle_b1(chain.representation, field)
+        assert c.rank_b1() == rank_over_fraction_field(b1) == c.block_size - zero
+        assert c.rank_b2() == rank_over_fraction_field(c.b2)
+        assert (to_dense(c.b2) @ b1).is_zero

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fibrecheck import alexander, polyalg
-from fibrecheck.alexander import IntegralChain, TwistedChain
+from fibrecheck.alexander import IntegralChain, MatrixShape, TwistedChain
 from fibrecheck.polyalg import (
     EVALUATION_POINT,
     CoefficientField,
@@ -154,7 +154,7 @@ def test_certified_rank_equals_bareiss(field, data):
 def test_rank_lower_bound_falls_back_at_a_root(monkeypatch):
     # t - a vanishes at the point t -> a, so the bound is 0 and only Bareiss
     # finds the rank 1 of the 1 x 1 matrix, here b2 of a chain at the zero
-    # character whose b1 is the 1 x 1 zero matrix, of rank |Q| - 1 = 0.
+    # character whose b1 is 1 x 1, of rank |Q| - 1 = 0 by the identity.
     calls = []
 
     def counted(m):
@@ -165,7 +165,7 @@ def test_rank_lower_bound_falls_back_at_a_root(monkeypatch):
     for field in (Q, F101):
         b2 = PolyMatrix(field, [[P(field, {1: 1, 0: -EVALUATION_POINT})]])
         assert rank_lower_bound(b2) == 0
-        chain = TwistedChain(IntegralChain(None, [], [], 0, [], None), PolyMatrix.zeros(field, 1, 1), b2)
+        chain = TwistedChain(IntegralChain(None, [], 0, [], None), MatrixShape(field, 1, 1), b2)
         assert chain.rank_b1() == 0 and chain.rank_b2() == 1
     assert [m.rows for m in calls] == [1, 1]
 
