@@ -40,13 +40,13 @@ root of every maximal minor.
 Over Q the rank of b2 may come from a prime field instead: an r x r minor
 of the integral rows that is nonzero mod p is nonzero over Z, so rank over
 Q(t) >= rank over F_p(t), while the upper bound is the same for every
-field.  An `IntegralChain` keeps the largest rank of b2 that a chain it
-built over some F_p proved, by the bound or by Bareiss, and its chain over
-Q takes that rank without elimination where it reaches Q's upper bound.  A
-default scan runs F2 and F3 before Q, and every Q job reads rank b2 so,
-since a shortfall of b2 over F_p is a degree-1 vanishing, which stops the
-job before Q.  Where Q comes first or alone, it runs its own bound; between
-two primes nothing is inferred.  The order route computes the orders
+field.  An `IntegralChain` keeps the first prime field over which a chain
+it built proved b2's full rank, by the bound or by Bareiss, and its chain
+over Q takes that rank without elimination.  That is the one fact Q reads:
+a shortfall of b2 over F_p is a degree-1 vanishing, which stops a scan's
+job before Q.  A default scan runs F2 and F3 before Q, and every Q job
+reads rank b2 so.  Where Q comes first or alone, it runs its own bound;
+between two primes nothing is inferred.  The order route computes the orders
 independently, over Q too.
 H0 is in closed form: Q is the image of alpha, so H0 is F[t^{+-1}]/(t^d - 1),
 where dZ = chi(ker alpha) is the gcd of the character's values on the
@@ -122,21 +122,21 @@ class InternalCheckError(RuntimeError):
 
 
 def _certified_rank(m: SparseMatrix, upper: int,
-                    proved: tuple[int, CoefficientField] | None = None) -> tuple[int, str]:
+                    proved: CoefficientField | None = None) -> tuple[int, str]:
     """Rank over F(t), given an upper bound on it, and the route that fixed it.
 
     `m` is B_rest, b2 less the column block of b1's unit minor, whose rank
     is that of b2 by the Wada-matrix identity and whose upper bound
     min(rows, cols) is rows(b1) - rank b1; without that minor it is the
-    whole of b2.  `proved` is (rank, F_p) for a rank that F_p(t) proved
-    for the same integral rows, which the caller passes only over Q: there
-    it is a lower bound, since a minor that is nonzero mod p is nonzero over
-    Z, so where it reaches `upper` it is the rank and nothing is eliminated.
-    Otherwise the finite-field rank is a lower bound, so where it reaches
-    `upper` it is the rank; only a shortfall runs exact Bareiss elimination.
+    whole of b2.  `proved` is a prime field F_p over which the same
+    integral rows reached `upper`, which the caller passes only over Q:
+    a minor that is nonzero mod p is nonzero over Z, so `upper` is the rank
+    and nothing is eliminated.  Otherwise the finite-field rank is a lower
+    bound, so where it reaches `upper` it is the rank; only a shortfall runs
+    exact Bareiss elimination.
     """
-    if proved is not None and proved[0] == upper:
-        return upper, f"inherited from the {proved[1].name} certificate"
+    if proved is not None:
+        return upper, f"inherited from the {proved.name} certificate"
     lower = rank_lower_bound(m)
     if lower == upper:
         return lower, "by this field's bound"
@@ -160,7 +160,7 @@ class TwistedChain:
 
     Made by `IntegralChain.over`, from the `integral` chain that it keeps:
     the representation, d of the closed form of H0, the unit minor of b1,
-    the rank of b2 that a chain over a prime field proved (see `_certify`),
+    the prime field that proved b2's full rank (see `rank_b2`),
     the rows of b2 less one column block and the diagonal form of b2 less
     the Schreier tree's columns over Z[t^{+-1}] are all read from there,
     once for every field; b1 is only a `MatrixShape`.  Rank b1 is an
@@ -186,20 +186,6 @@ class TwistedChain:
     def block_size(self) -> int:
         return self.b1.cols
 
-    def _certify(self, m: SparseMatrix, upper: int) -> tuple[int, str]:
-        """(rank, route) of `m`, whose rank is that of b2, by `_certified_rank`.
-
-        Over Q it reads the rank that a prime field proved, if any; over F_p
-        it records its own rank for the fields that follow.
-        """
-        integral = self.integral
-        if m.field.p is None:
-            return _certified_rank(m, upper, integral.proved)
-        rank, route = _certified_rank(m, upper)
-        if integral.proved is None or rank > integral.proved[0]:
-            integral.proved = rank, m.field
-        return rank, route
-
     def rank_b1(self) -> int:
         """Rank of b1 over F(t), by the identity |Q| - [chi = 0]: |Q| by the
         unit minor, and |Q| - 1 for the zero character, by the image's
@@ -209,20 +195,24 @@ class TwistedChain:
     def rank_b2(self) -> int:
         """Rank of b2 over F(t), read on B_rest, b2 less the unit minor's
         column block, against min(rows, cols); for the zero character, on b2
-        against rows(b1) - rank b1 (b2 @ b1 = 0).  The finite-field bound
-        decides where it reaches that bound, else Bareiss.  Over Q, a rank
-        that a prime field proved is the rank where it reaches the same
-        bound, and nothing is eliminated."""
+        against rows(b1) - rank b1 (b2 @ b1 = 0), by `_certified_rank`.  The
+        finite-field bound decides where it reaches that bound, else Bareiss.
+        The first prime field to reach it is recorded in `integral.proved`,
+        and Q reads the full rank from there without eliminating."""
         if self._rank_b2 is None:
-            minor = self.integral.minor
+            integral = self.integral
+            minor = integral.minor
             if minor is None:
                 m, upper, read = self.b2, min(self.b2.rows, self.b1.rows - self.rank_b1()), "b2"
             else:
                 k = minor[0]
-                m = SparseMatrix(self.b2.field, self.integral.b2_less(),
+                m = SparseMatrix(self.b2.field, integral.b2_less(),
                                  self.b2.rows, self.b2.cols - self.b1.cols)
                 upper, read = min(m.rows, m.cols), f"b2 less column block {k}"
-            rank, route = self._certify(m, upper)
+            field = m.field
+            rank, route = _certified_rank(m, upper, integral.proved if field.p is None else None)
+            if rank == upper and field.p is not None and integral.proved is None:
+                integral.proved = field
             self._rank_b2 = rank, f"{route}, read on {read} ({m.rows}x{m.cols})"
         return self._rank_b2[0]
 
@@ -295,8 +285,9 @@ class IntegralChain:
     of b1, s = chi_k != 0 for the first such generator, read off chi; it is
     None exactly for the zero character.  None of them, nor the
     representation, depends on the coefficient field; `over` reads them
-    over one.  `proved` is (rank, F_p) for the largest rank of b2 that a
-    chain read over some F_p proved, for the chains read over Q, or None.
+    over one.  `proved` is the first prime field over which b2 reached its
+    full rank, read by the chains over Q, or None: a shortfall over F_p is a
+    vanishing, which ends a scan's job before Q.
     `b2_less` makes the rows of b2 less the minor's column block on first
     use, for the rank route, and `b2_form` eliminates b2 less the tree's
     columns over Z[t^{+-1}] on first use, to D (+) R there (see
@@ -314,7 +305,7 @@ class IntegralChain:
         self.d = d
         self.tree = tree
         self.minor = minor
-        self.proved: tuple[int, CoefficientField] | None = None
+        self.proved: CoefficientField | None = None
         self._b2_less: list[dict[int, dict[int, int]]] | None = None
         self._b2_form: IntegralDiagonal | None = None
 

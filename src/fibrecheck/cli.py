@@ -33,7 +33,7 @@ from types import SimpleNamespace
 
 from . import __version__
 from .alexander import InternalCheckError, full_report
-from .fibring import ScanConfig, emit_report, json_text, scan
+from .fibring import ScanConfig, default_fields, emit_report, json_text, scan, schema_header
 from .fixtures import load_fixture
 from .foxcalc import CONVENTION
 from .polyalg import CoefficientField, NotInSpan
@@ -181,13 +181,7 @@ def _cmd_alex(args, out) -> int:
     f = _parse_field(args.field)
     reports = full_report(p, chi, q, f)
     if args.json:
-        doc = {
-            "schema": 1,
-            "tool": "fibrecheck",
-            "version": __version__,
-            "convention": CONVENTION,
-            "reports": [r.as_dict(p) for r in reports],
-        }
+        doc = {**schema_header(), "reports": [r.as_dict(p) for r in reports]}
         _write(args.json, json_text(doc) + "\n")
         out.write(f"wrote {args.json}\n")
     out.write(f"presentation: {render_presentation(p).replace(chr(10), ' | ')}\n")
@@ -209,10 +203,7 @@ def _cmd_untwist_check(args, out) -> int:
                             trivial_quotient(sub.presentation), f)
     t_ord, u_ord = twisted[1].order, untwisted[1].order
     doc = {
-        "schema": 1,
-        "tool": "fibrecheck",
-        "version": __version__,
-        "convention": CONVENTION,
+        **schema_header(),
         "field": f.name,
         "ambient": {
             "presentation": render_presentation(p),
@@ -283,7 +274,8 @@ COMMANDS = {
     "scan": (_cmd_scan, "sweep finite quotients for vanishing polynomials", {
         **_COMMON,
         "--max-quotient-order": ("int", 12, "largest order of a target group in the catalog"),
-        "--fields": ("str", "f2,f3,q", "coefficient fields in the order they run, each once"),
+        "--fields": ("str", ",".join(f.name.lower() for f in default_fields()),
+                     "coefficient fields in the order they run, each once"),
         "--extra-group": ("repeat", None, "table group file (repeatable)"),
         "--assert-lerf": ("flag", False, "assert the group is LERF (unverified user metadata)"),
         "--assert-detection": ("flag", False,

@@ -44,6 +44,7 @@ reuse it (`emit_report`).
 
 from __future__ import annotations
 
+from collections import deque
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
@@ -63,7 +64,7 @@ from .quotients import (
 from .words import (Character, Presentation, automorphisms, generating_subset, render_character,
                     render_presentation)
 
-__all__ = ["ScanConfig", "FibringVerdict", "scan", "emit_report", "json_text"]
+__all__ = ["ScanConfig", "FibringVerdict", "scan", "emit_report", "schema_header", "json_text"]
 
 # Most worker processes `scan` starts.  A pool starts all of its workers at
 # the first submit, so the count is checked before any pool is built.
@@ -217,10 +218,10 @@ def _scan_job(args) -> list[AlexanderReport]:
     rank b1 is |Q|, an identity, and b2 @ b1 = 0 makes that block of b2 a
     combination of the others over F(t) (the Wada matrix), so rank b2 is
     read on b2 less it, one bound per field.  That rank over Q(t) is at
-    least its rank over F_p(t), so Q after a prime field takes the rank that
-    field proved wherever it reaches Q's upper bound, and eliminates nothing
-    for it: a rank of b2 below its bound over F_p is a vanishing that ends
-    the job before Q.  Q first in `fields` runs its own bound.  The order
+    least its rank over F_p(t), so Q after a prime field takes the full rank
+    that the first such field proved, and eliminates nothing for it: a rank
+    of b2 below its bound over F_p is a vanishing that ends the job
+    before Q.  Q first in `fields` runs its own bound.  The order
     route of the first field eliminates b2 less the n - 1 columns of the
     image's Schreier tree, which has b2's invariant factors (b2 @ b1 = 0
     makes b2 equivalent to it and zero columns over Z[t^{+-1}]), to
@@ -264,9 +265,9 @@ def scan(cfg: ScanConfig, jobs: int = 1) -> FibringVerdict:
     only orbit representatives run one; the others reuse their
     representative's reports.
     With jobs > 1 the representatives' jobs fan out to a process pool of
-    that many workers, at most MAX_JOBS; the witness is the first vanishing
-    degree-1 report in enumeration order, so the verdict is identical to a
-    serial run.
+    that many workers, at most MAX_JOBS, fed from the same lazy stream a
+    few jobs ahead; the witness is the first vanishing degree-1 report in
+    enumeration order, so the verdict is identical to a serial run.
     """
     if not 1 <= jobs <= MAX_JOBS:
         raise ValueError(f"--jobs {jobs} is out of range: use 1 to {MAX_JOBS}")
@@ -317,18 +318,29 @@ def scan(cfg: ScanConfig, jobs: int = 1) -> FibringVerdict:
     flat: list[AlexanderReport] = []
 
     if jobs > 1:
-        # The pool runs every representative's job; the scan stops reading
-        # them at the witness, as a serial run does.
-        events = list(_quotient_stream(cfg.presentation, cfg))
-        reps = [job_for(q) for kind, q, rep in events if kind == "kept" and rep is None]
+        # The stream is read lazily here too, only as far as it takes to keep
+        # 4 * jobs representatives' jobs submitted ahead of the one the scan
+        # waits for; at a witness the jobs not yet started are cancelled and
+        # the rest of the stream is never read, as in a serial run.
         # Imported here: the pool's modules would add about 15-20 ms to every
         # serial run's start-up.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = pool.map(_scan_job, reps, chunksize=2)
-            witness = run(events, lambda q: next(results))
-            results.close()  # cancels the jobs not yet started, as at a witness
+            running = deque()  # the jobs of representatives read and not yet consumed
+
+            def events():
+                ahead = deque()
+                for event in _quotient_stream(cfg.presentation, cfg):
+                    ahead.append(event)
+                    if event[0] == "kept" and event[2] is None:
+                        running.append(pool.submit(_scan_job, job_for(event[1])))
+                    while len(running) >= 4 * jobs:  # run() consumes one job per representative
+                        yield ahead.popleft()
+                yield from ahead
+
+            witness = run(events(), lambda q: running.popleft().result())
+            pool.shutdown(cancel_futures=True)
     else:
         # Lazy enumeration: an early witness stops the sweep immediately.
         witness = run(_quotient_stream(cfg.presentation, cfg), lambda q: _scan_job(job_for(q)))
@@ -411,6 +423,11 @@ def _renderers(p: Presentation):
     return order, character
 
 
+def schema_header() -> dict:
+    """The keys that open every schema-1 JSON document, in their order."""
+    return {"schema": 1, "tool": "fibrecheck", "version": __version__, "convention": CONVENTION}
+
+
 def verdict_to_dict(v: FibringVerdict) -> dict:
     p = v.config.presentation
     order, character = _renderers(p)
@@ -419,10 +436,7 @@ def verdict_to_dict(v: FibringVerdict) -> dict:
         return r.as_dict(p, order(r.order), character(r.character))
 
     return {
-        "schema": 1,
-        "tool": "fibrecheck",
-        "version": __version__,
-        "convention": CONVENTION,
+        **schema_header(),
         "status": v.status,
         "bound": v.bound,
         "fields": [f.name for f in v.config.fields],

@@ -51,7 +51,6 @@ __all__ = [
     "diagonal_form",
     "IntegralDiagonal",
     "integral_diagonal_form",
-    "int_power",
 ]
 
 
@@ -707,18 +706,13 @@ class IntegralDiagonal:
         self._product: dict[int, int] | None = None
 
     def product(self) -> dict[int, int]:
-        """The product of D's entries over Z, canonical like them, taken on
-        first use; equal entries are grouped and raised to their count by
-        `int_power`, so k copies of t - 1 cost O(log k) products."""
+        """The product of D's entries over Z, canonical like them, folded
+        with `_int_mul` on first use and kept for every field."""
         if self._product is None:
-            counts: dict[tuple, int] = {}
+            out = {0: 1}
             for d in self.diagonal:
                 if len(d) > 1:
-                    key = tuple(sorted(d.items()))
-                    counts[key] = counts.get(key, 0) + 1
-            out = {0: 1}
-            for key, k in counts.items():
-                out = _int_mul(out, int_power(dict(key), k))
+                    out = _int_mul(out, d)
             self._product = out
         return self._product
 
@@ -775,18 +769,6 @@ def _int_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return {e: c for e, c in out.items() if c}
 
 
-def int_power(a: dict[int, int], k: int) -> dict[int, int]:
-    """a^k for a raw {exponent: int} dict over Z and k >= 1, by repeated squaring."""
-    out = None
-    while k:
-        if k & 1:
-            out = a if out is None else _int_mul(out, a)
-        k >>= 1
-        if k:
-            a = _int_mul(a, a)
-    return out
-
-
 def integral_diagonal_form(data: list[dict[int, dict[int, int]]], cols: int) -> IntegralDiagonal:
     """Eliminate integer rows over Z[t^{+-1}] once, for every field at once.
 
@@ -838,16 +820,18 @@ def _eliminate(rows: list[dict], holders: list[list[dict]], field: CoefficientFi
     Each row maps a column to the raw {exponent: coefficient} dict of a
     nonzero entry, and holders[j] lists the rows that may hold column j, so
     neither the pivot search nor a row operation visits a zero entry; a row
-    that falls to zero is dropped.  The pivot is a monomial in the shortest
-    row that holds one, and failing that an entry of least span, in the
-    shortest row on ties; further ties go to the first met, rows in order.
-    A short pivot row makes little fill-in, which keeps the spans and, over
-    Q, the coefficients of later entries small.  A monomial pivot c*t^k is
-    a unit: multiples of its inverse clear its column exactly, which leaves
-    nothing in its row to clear.  Any other pivot clears its row and column
-    by division with remainder (`_divide`), whose remainders have smaller
-    span and restart the pivot search until the cross is clear.  Each
-    pivot whose cross is clear is a diagonal entry, as its raw dict.
+    that falls to zero is dropped.  One pass over the rows picks the pivot:
+    an entry of least span, in the shortest row on ties; further ties go to
+    the first met, rows in order.  A monomial c*t^k is an entry of span 0,
+    so the pivot is a monomial in the shortest row that holds one wherever
+    there is one.  A short pivot row makes little fill-in, which keeps the
+    spans and, over Q, the coefficients of later entries small.  A monomial
+    pivot is a unit: multiples of its inverse clear its column exactly,
+    which leaves nothing in its row to clear.  Any other pivot clears its
+    row and column by division with remainder (`_divide`), whose remainders
+    have smaller span and restart the pivot search until the cross is
+    clear.  Each pivot whose cross is clear is a diagonal entry, as its raw
+    dict.
 
     Over a field every row is consumed and no row is left.  With `integral`
     (see `integral_diagonal_form`) only an entry with top coefficient +-1
@@ -859,30 +843,20 @@ def _eliminate(rows: list[dict], holders: list[list[dict]], field: CoefficientFi
     pivots: list[dict] = []
 
     def find_pivot():
-        unit, unit_len = None, 0
+        best, best_span, best_n = None, sys.maxsize, 0
         for row in rows:
             n = len(row)
-            if unit is not None and n >= unit_len:
+            if best_span == 0 and n >= best_n:  # no entry here can beat it
                 continue
             for j, v in row.items():
-                if len(v) == 1 and (not integral or v[max(v)] in (1, -1)):
-                    unit, unit_len = (row, j), n
-                    break
-            if unit_len == 1:
-                break
-        if unit is not None:
-            return unit
-        best, best_span, best_n = None, 0, 0
-        for row in rows:
-            n = len(row)
-            if best_span == 1 and n >= best_n:  # no entry here can beat it
-                continue
-            for j, v in row.items():
+                low = len(v) - 1  # v has len(v) exponents, so its span is at least this
+                if low > best_span or (low == best_span and n >= best_n):
+                    continue
                 high = max(v)
                 if integral and v[high] not in (1, -1):
                     continue
                 span = high - min(v)
-                if best is None or span < best_span or (span == best_span and n < best_n):
+                if span < best_span or (span == best_span and n < best_n):
                     best, best_span, best_n = (row, j), span, n
         return best
 

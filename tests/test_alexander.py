@@ -539,13 +539,14 @@ def test_q_decides_for_itself_where_a_prime_falls_short(monkeypatch):
     # and rank b2 is read on b2 less column block 1, the 1 x 1 matrix (2): of
     # rank 0 over F2, short of its upper bound 1.  That certificate proves
     # nothing over Q, which runs its own bound for b2, once, and finds rank 1;
-    # b1 is never bounded, and only the rank of b2 is recorded.
+    # b1 is never bounded, and only a field that proves b2's full rank is
+    # recorded, so neither F2 nor Q records one.
     p = parse_presentation("gens: a t\nrels: a^2\n")
     chain = integral_chain(p, validate_character(p, [0, 1]), trivial_quotient(p))
     assert chain.minor == (1, 1)
     over_f2 = chain.over(F2)
     assert (over_f2.rank_b1(), over_f2.rank_b2()) == (1, 0)
-    assert chain.proved == (0, F2)
+    assert chain.proved is None
     bound, calls = alexander.rank_lower_bound, []
     monkeypatch.setattr(alexander, "rank_lower_bound",
                         lambda m: calls.append((m.field, m.rows, m.cols)) or bound(m))
@@ -553,7 +554,7 @@ def test_q_decides_for_itself_where_a_prime_falls_short(monkeypatch):
     assert (over_q.rank_b1(), over_q.rank_b2()) == (1, 1)
     assert calls == [(Q, 1, 1)]
     assert [r.vanishing for r in chain_reports(over_q)] == [False, False]
-    assert chain.proved == (0, F2)  # Q records nothing
+    assert chain.proved is None  # Q records nothing
 
 
 @pytest.mark.parametrize("values, minor", [((0, 0, -2), (2, -2)), ((1, 0, 1), (0, 1))],

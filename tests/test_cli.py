@@ -487,6 +487,28 @@ def test_witness_at_a_later_field_stops_the_job(jobs, tmp_path):
     assert out == _LATER_FIELD_WITNESS
 
 
+def test_pooled_scan_stops_reading_targets_at_an_early_witness(monkeypatch):
+    # f:2 at a=1, b=0 is obstructed at the trivial quotient, the first of
+    # 123 targets to order 120.  A serial scan reads that one target; the
+    # pool reads the stream lazily too, only as far as it takes to keep its
+    # jobs submitted ahead, and prints the same bytes.
+    from fibrecheck import fibring
+    from fibrecheck.quotients import build_catalog
+
+    assert len(build_catalog(120, [])) + 1 == 123
+    read, keyed = [], fibring.keyed_homs
+    monkeypatch.setattr(fibring, "keyed_homs",
+                        lambda p, group, memo: read.append(group.name) or keyed(p, group, memo))
+    argv = ["scan", "--fixture", "f:2", "--char", "a=1,b=0", "--max-quotient-order", "120"]
+    code, serial = run_cli(argv)
+    assert code == 0 and "verdict: OBSTRUCTED" in serial
+    assert read == ["trivial"]
+    read.clear()
+    code, pooled = run_cli(argv + ["--jobs", "2"])
+    assert code == 0 and pooled == serial
+    assert read[0] == "trivial" and len(read) <= 8
+
+
 def test_nonvanishing_scan_builds_no_dense_chain(monkeypatch):
     # The fields read the chain's integer rows; no rank here falls short of its
     # bound, so Bareiss, the one kernel that reads them into dense rows, never runs.

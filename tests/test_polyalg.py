@@ -20,7 +20,6 @@ from fibrecheck.polyalg import (
     _PRIMITIVE_LOW,
     _zech_field,
     diagonal_form,
-    int_power,
     integral_diagonal_form,
     rank_lower_bound,
     rank_over_fraction_field,
@@ -505,6 +504,33 @@ def test_sparse_rows_read_as_their_dense_matrix(field, data):
     assert repr(rows) == before
 
 
+@pytest.mark.parametrize("data, integral, pivots, left", [
+    # The monomial 5t^3 in a row of two entries pivots before 1 + t, alone
+    # in its row: a unit has span 0, the least there is.
+    ([{0: {0: 1, 1: 1}}, {1: {3: 5}, 2: {0: 1, 1: 1, 2: 1}}], False,
+     [{3: 5}, {0: 1, 1: 1}], []),
+    # Of two units, the one in the shorter row goes first.
+    ([{0: {0: 2}, 1: {0: 1, 1: 1}}, {2: {1: -1}}], False, [{1: -1}, {0: 2}], []),
+    # 1 + t and 3 + t both have span 1, and the tie goes to the shorter
+    # row, the later one; t^2 - 1 of span 2 waits behind both though it is
+    # alone in its row.  Then 2 + 2t is 2(1 + t), and its row is clear.
+    ([{0: {0: 1, 1: 1}, 1: {0: 2, 1: 2}}, {3: {0: -1, 2: 1}}, {2: {0: 3, 1: 1}}], False,
+     [{0: 3, 1: 1}, {0: 1, 1: 1}, {0: -1, 2: 1}], []),
+    # Over Z[t^{+-1}] the monomial 2t is no pivot, its top coefficient
+    # being 2, and 3 + t goes first; nothing else can pivot, so 2t's row is
+    # left.  Over Q the same rows take 2t first.
+    ([{0: {1: 2}}, {1: {0: 3, 1: 1}}], True, [{0: 3, 1: 1}], [{0: {1: 2}}]),
+    ([{0: {1: 2}}, {1: {0: 3, 1: 1}}], False, [{1: 2}, {0: 3, 1: 1}], []),
+], ids=["unit-in-a-longer-row", "units-by-row-length", "span-tie-to-the-shorter-row",
+        "integral-skips-2t", "rational-takes-2t"])
+def test_one_pass_picks_least_span_then_shortest_row(data, integral, pivots, left):
+    # The pivot is an entry of least span, in the shortest row on ties, the
+    # first met on further ties; with `integral`, only an entry whose top
+    # coefficient is +-1.  The pivots come out in the order they are taken.
+    rows, holders = polyalg._read_rows(data, 4, None)
+    assert polyalg._eliminate(rows, holders, Q, integral=integral) == (pivots, left)
+
+
 def test_integral_phase_stops_at_a_remainder_it_cannot_divide():
     # The row [t - 1, 2]: over Z the pivot t - 1 leaves the remainder 2,
     # whose top coefficient is not +-1, so the phase stops with the whole row
@@ -549,14 +575,6 @@ def test_integral_phase_reads_as_the_diagonal_form_over_each_field():
 
     check()
     assert set(residuals) == {False, True}
-
-
-@settings(max_examples=40)
-@given(coeffs=st.dictionaries(st.integers(-3, 3), st.integers(-3, 3).filter(bool), min_size=1,
-                              max_size=3),
-       k=st.integers(1, 17))
-def test_int_power_is_the_repeated_product(coeffs, k):
-    assert P(Q, int_power(dict(coeffs), k)) == reduce(mul, [P(Q, coeffs)] * k)
 
 
 @settings(max_examples=40)
