@@ -101,7 +101,7 @@ from .polyalg import (
     rank_lower_bound,
     rank_over_fraction_field,
 )
-from .quotients import FiniteQuotient, ImageAction, schreier_tree
+from .quotients import FiniteQuotient, ImageAction, ImageLabel, schreier_tree
 from .words import Character, Presentation, render_character, render_presentation
 
 __all__ = [
@@ -235,10 +235,10 @@ class AlexanderReport:
 
     order_skipped = property(lambda self: False)  # schema-1 key; every report has its order
 
-    def as_dict(self, p: Presentation, order: str | None = None,
-                character: str | None = None) -> dict:
-        """The schema-1 record; a caller that has rendered the order or the
-        character already passes the text."""
+    def as_dict(self, p: Presentation, order: str | None = None, character: str | None = None,
+                quotient: ImageLabel | None = None) -> dict:
+        """The schema-1 record; a caller may pass the order's and the
+        character's texts, and the label of a quotient that reuses it."""
         return {
             "degree": self.degree,
             "vanishing": self.vanishing,
@@ -246,7 +246,7 @@ class AlexanderReport:
             "order": self.order.render() if order is None else order,
             "order_skipped": self.order_skipped,
             "field": self.field.name,
-            "quotient": self.quotient.label(),
+            "quotient": (quotient or self.quotient).label(),
             "character": render_character(p, self.character) if character is None else character,
             "convention": CONVENTION,
         }

@@ -169,9 +169,10 @@ def _cmd_scan(args, out) -> int:
     )
     verdict = scan(cfg, jobs=args.jobs)
     if args.json:
-        _write(args.json, emit_report(verdict, "json"))
+        with open(args.json, "w") as fh:
+            emit_report(verdict, "json", fh)
         out.write(f"wrote {args.json}\n")
-    out.write(emit_report(verdict, "text"))
+    emit_report(verdict, "text", out)
     return EXIT_OK
 
 

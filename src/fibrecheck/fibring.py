@@ -26,26 +26,25 @@ twisted polynomial is an invariant of the group, the character and the
 representation, not of the presentation: Wada 1994, Kirk-Livingston 1999).
 The module depends only on the kernel, which `kernel_key` labels, so a kept
 quotient whose key lies in the orbit of a representative q has the reports
-of q, field by field, with its own label, that of its image's permutation
-action (`quotients.image_action`), and its job would stop after the same
-field.  The output is byte for byte that of computing every job; both
-routes check the representative.  An orbit is a closure over the
-homomorphisms into one target, a finite set that q -> q o sigma permutes,
-so the closure under the maps found is the orbit of the group they
-generate, which may be infinite and is never listed; the signed maps are
-first reduced to a generating set of theirs (`words.generating_subset`).
+of q, field by field, and its job would stop after the same field; the
+output is byte for byte that of computing every job, and both routes check
+the representative.  An orbit is walked as a closure under a generating set
+of the maps (`words.generating_subset`, `_register_orbit`).
 
-The bookkeeping around the jobs is kept to what each new fact costs: the
-orbit walk looks a kernel key up once per image tuple it has not met, not
-once per member and map (`_register_orbit`), and the report renders each
-distinct report text after its label once, however many orbit members
-reuse it (`emit_report`).
+The bookkeeping follows the jobs.  A verdict keeps each job's chunk of
+reports once, and each other kept quotient of its orbit only the chunk's
+position (`FibringVerdict`) and, when the reports are read, a label read
+off its image's elements with no permutation built (`quotients.image_label`).
+The report goes to its stream one kept quotient at a time, each chunk's
+texts rendered once (`emit_report`).
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
+from io import StringIO
 from json.encoder import encode_basestring_ascii
+from types import GeneratorType
 
 from . import __version__
 from .alexander import AlexanderReport, chain_reports, integral_chain
@@ -55,8 +54,9 @@ from .quotients import (
     MAX_GROUP_ORDER,
     FiniteGroup,
     FiniteQuotient,
+    ImageLabel,
     build_catalog,
-    image_action,
+    image_label,
     keyed_homs,
     orbit_key,
     trivial_group,
@@ -96,48 +96,68 @@ class ScanConfig:
 
 
 class FibringVerdict:
-    """The outcome of one `scan`."""
+    """The outcome of one `scan`, with one chunk of reports per job.
 
-    __slots__ = ("status", "bound", "witness", "interpretation", "reports", "tested_quotients",
-                 "skipped_quotients", "config", "warnings")
+    The kept quotient `tested_quotients[i]` has the reports
+    `chunks[chunk_of[i]]`, under its own label where another quotient ran
+    the job, and a witness ends the last chunk.  `skipped` holds one
+    (target, images, representative) entry per merged homomorphism;
+    `reports` and `skipped_quotients` are derived on each read."""
+
+    __slots__ = ("status", "bound", "witness", "interpretation", "chunks", "chunk_of",
+                 "tested_quotients", "skipped", "config", "warnings")
 
     def __init__(self, status: str, bound: int, witness: AlexanderReport | None,
-                 interpretation: tuple[str, ...], reports: tuple[AlexanderReport, ...],
-                 tested_quotients: tuple[FiniteQuotient, ...],
-                 skipped_quotients: tuple[tuple[FiniteQuotient, FiniteQuotient], ...],
+                 interpretation: tuple[str, ...], chunks: list[list[AlexanderReport]],
+                 chunk_of: list[int], tested_quotients: tuple[FiniteQuotient, ...],
+                 skipped: list[tuple[FiniteGroup, tuple[int, ...], FiniteQuotient]],
                  config: ScanConfig, warnings: tuple[str, ...] = ()):
         self.status = status  # "obstructed" | "no_obstruction_up_to"
         self.bound = bound
         self.witness = witness
         self.interpretation = interpretation
-        self.reports = reports
+        self.chunks = chunks
+        self.chunk_of = chunk_of
         self.tested_quotients = tested_quotients
-        self.skipped_quotients = skipped_quotients
+        self.skipped = skipped
         self.config = config
         self.warnings = warnings
 
+    def labelled_chunks(self):
+        """(chunk position, label) of each kept quotient in scan order: the
+        first of a chunk ran its job, and any other has its `image_label`."""
+        fresh = 0  # the chunks come in the order their jobs ran
+        for q, c in zip(self.tested_quotients, self.chunk_of):
+            yield c, self.chunks[c][0].quotient if c == fresh else image_label(q)
+            fresh = max(fresh, c + 1)
+
+    @property
+    def reports(self) -> tuple[AlexanderReport, ...]:
+        return tuple(r if r.quotient is label else AlexanderReport(
+            r.degree, r.vanishing, r.rank_over_frac, r.order, r.field, label, r.character)
+            for c, label in self.labelled_chunks() for r in self.chunks[c])
+
+    @property
+    def skipped_quotients(self) -> tuple[tuple[FiniteQuotient, FiniteQuotient], ...]:
+        # A merged quotient has its representative's kernel, hence image.
+        return tuple((FiniteQuotient(target, images, image_label(rep).order == target.order), rep)
+                     for target, images, rep in self.skipped)
+
 
 def _quotient_stream(p: Presentation, cfg: ScanConfig):
-    """Yield ("kept", q, r) / ("skipped", q, representative) events in scan order.
+    """Yield ("kept", q, r) / ("skipped", (target, images), rep) events in scan order.
 
     The trivial quotient always comes first; a later homomorphism whose
-    `kernel_key` matches that of an earlier kept quotient is merged into it.
-    The keys come with the homomorphisms (`keyed_homs`, which finds those
-    into Z/m by the relators' exponent sums), from a memo
-    (`quotients.orbit_key`) that walks one image per orbit of each
-    target's automorphisms: alpha o h has the kernel of h.  The cyclic
-    targets share one memo; each other target has its own, dropped when
-    the stream moves on, since its entries are keyed by image tuples.
-    Every key, a kept representative's included, is `kernel_key`'s, so
-    merging across targets is unchanged.  r is None where the job of q
-    runs, else the position, among the kept quotients, of the orbit
-    representative whose reports q takes.  After a job has run, which is
-    when the consumer asks for the next event, the kernels of its orbit
-    are registered (`_register_orbit`), one lookup per distinct image
-    tuple the walk meets; the automorphisms are found then, once, by one
-    call of `words.automorphisms`, so a scan that ends at the trivial
-    quotient never looks for them.  The catalog is built first, so that a
-    clash of target names is refused before any job.
+    `kernel_key` (from `keyed_homs`) matches that of an earlier kept quotient
+    is merged into it, and only a kept one becomes a `FiniteQuotient`.  r is
+    None where the job of q runs, else the position, among the kept
+    quotients, of the orbit representative whose reports q takes.  After a
+    job has run, which is when the consumer asks for the next event, the
+    kernels of its orbit are registered (`_register_orbit`); the
+    automorphisms are found then, once, by one call of
+    `words.automorphisms`, so a scan that ends at the trivial quotient never
+    looks for them.  The catalog is built first, so that a clash of target
+    names is refused before any job.
     """
     targets = (trivial_group(),) + build_catalog(cfg.max_quotient_order, list(cfg.extra_groups))
     cyclic_memo: dict = {}
@@ -146,17 +166,18 @@ def _quotient_stream(p: Presentation, cfg: ScanConfig):
     symmetries = None
     for group in targets:
         memo = cyclic_memo if group.cyclic else {}
-        for hom, key in keyed_homs(p, group, memo):
-            rep = kept.setdefault(key, hom)
-            if rep is not hom:
-                yield "skipped", hom, rep
+        for images, key in keyed_homs(p, group, memo):
+            rep = kept.get(key)
+            if rep is not None:
+                yield "skipped", (group, images), rep
                 continue
+            q = kept[key] = FiniteQuotient(group, images, len(key[0]) == group.order)
             position = orbit.get(key)
-            yield "kept", hom, position
+            yield "kept", q, position
             if position is None:
                 if symmetries is None:
                     symmetries = generating_subset(automorphisms(p, cfg.character))
-                _register_orbit(hom, key, symmetries, orbit, len(kept) - 1, memo)
+                _register_orbit(q, key, symmetries, orbit, len(kept) - 1, memo)
 
 
 def _register_orbit(q: FiniteQuotient, key, symmetries, orbit: dict, position: int,
@@ -212,28 +233,12 @@ def _scan_job(args) -> list[AlexanderReport]:
     the canonical reciprocal of the plus order.  ord H0 = (t^d - 1)^c is its
     own canonical reciprocal, so degree 0 keeps it.
 
-    The fields read one `integral_chain`, which writes b2 and only b1's
-    shape, and gives H0 in one closed form, checked against chi.  chi != 0
-    gives b1 a block t^s P - I, a minor that is nonzero over every field, so
-    rank b1 is |Q|, an identity, and b2 @ b1 = 0 makes that block of b2 a
-    combination of the others over F(t) (the Wada matrix), so rank b2 is
-    read on b2 less it, one bound per field.  That rank over Q(t) is at
-    least its rank over F_p(t), so Q after a prime field takes the full rank
-    that the first such field proved, and eliminates nothing for it: a rank
-    of b2 below its bound over F_p is a vanishing that ends the job
-    before Q.  Q first in `fields` runs its own bound.  The order
-    route of the first field eliminates b2 less the n - 1 columns of the
-    image's Schreier tree, which has b2's invariant factors (b2 @ b1 = 0
-    makes b2 equivalent to it and zero columns over Z[t^{+-1}]), to
-    D (+) R, pivoting only on entries with top coefficient +-1, and
-    multiplies D's entries once over Z; every field reduces that product mod
-    p and multiplies in R, usually empty, finished by the field's own
-    diagonal form.  The order route reads no rank of b2, and the two routes
-    drop different columns of b2, so both still check every verdict.
+    The fields read one `integral_chain`, built once over Z; the `alexander`
+    module docstring tells how each field reads its two routes off it.
 
     `scan` runs this only for the representative of each orbit of the
     chi-fixing automorphisms; every other kept quotient of the orbit takes
-    these reports relabelled with its own `image_action`.
+    these reports relabelled with its own `image_label`.
     That is exact, like the minus direction: its chain computes the
     homology of isomorphic modules (see the module docstring).
     """
@@ -253,17 +258,12 @@ def _scan_job(args) -> list[AlexanderReport]:
     return out
 
 
-def _witness_index(chunk: list[AlexanderReport]) -> int | None:
-    """Position of the first vanishing degree-1 report of a job, if any."""
-    return next((i for i, r in enumerate(chunk) if r.degree == 1 and r.vanishing), None)
-
-
 def scan(cfg: ScanConfig, jobs: int = 1) -> FibringVerdict:
     """Run the quotient sweep in both character directions.
 
     Each job is one kept quotient over every field (see `_scan_job`), and
-    only orbit representatives run one; the others reuse their
-    representative's reports.
+    only orbit representatives run one; the others keep a reference to
+    their representative's chunk of reports (see `FibringVerdict`).
     With jobs > 1 the representatives' jobs fan out to a process pool of
     that many workers, at most MAX_JOBS, fed from the same lazy stream a
     few jobs ahead; the witness is the first vanishing degree-1 report in
@@ -291,31 +291,29 @@ def scan(cfg: ScanConfig, jobs: int = 1) -> FibringVerdict:
     def run(events, compute) -> AlexanderReport | None:
         """Consume the events up to the witness, which it returns; `compute`
         gives the chunk of each orbit representative, in the order they come."""
-        chunks: list[list[AlexanderReport]] = []
         for kind, q, rep in events:
             if kind == "skipped":
-                skipped.append((q, rep))
+                skipped.append((*q, rep))
                 continue
             quotients.append(q)
-            if rep is None:
-                chunk = compute(q)
-                idx = _witness_index(chunk)
-                if idx is not None:
-                    flat.extend(chunk[: idx + 1])
-                    return chunk[idx]
-            else:
+            if rep is not None:
                 # The representative's chunk came first and had no witness,
-                # so this one, of the same reports, has none either.
-                label = image_action(q)
-                chunk = [AlexanderReport(r.degree, r.vanishing, r.rank_over_frac, r.order,
-                                         r.field, label, r.character) for r in chunks[rep]]
+                # so this quotient, of the same reports, has none either.
+                chunk_of.append(chunk_of[rep])
+                continue
+            chunk = compute(q)
+            chunk_of.append(len(chunks))
             chunks.append(chunk)
-            flat.extend(chunk)
+            for i, r in enumerate(chunk):
+                if r.degree == 1 and r.vanishing:  # the witness ends the chunk
+                    del chunk[i + 1:]
+                    return r
         return None
 
     quotients: list[FiniteQuotient] = []
-    skipped: list[tuple[FiniteQuotient, FiniteQuotient]] = []
-    flat: list[AlexanderReport] = []
+    skipped: list[tuple[FiniteGroup, tuple[int, ...], FiniteQuotient]] = []
+    chunks: list[list[AlexanderReport]] = []
+    chunk_of: list[int] = []
 
     if jobs > 1:
         # The stream is read lazily here too, only as far as it takes to keep
@@ -388,25 +386,25 @@ def scan(cfg: ScanConfig, jobs: int = 1) -> FibringVerdict:
         bound=cfg.max_quotient_order,
         witness=witness,
         interpretation=interpretation,
-        reports=tuple(flat),
+        chunks=chunks,
+        chunk_of=chunk_of,
         tested_quotients=tuple(quotients),
-        skipped_quotients=tuple(skipped),
+        skipped=skipped,
         config=cfg,
         warnings=tuple(warnings),
     )
 
 
-def _renderers(p: Presentation):
-    """`LaurentPoly.render` and `render_character` on p, memoised for one report.
+def _renderers(v: FibringVerdict):
+    """`LaurentPoly.render` and `render_character`, memoised for one report.
 
-    A kept quotient that reuses its orbit representative's reports shares
-    the representative's order objects, so an order is keyed by its object,
-    whose id stays unique while the verdict holds it.  The scan's reports
-    carry two characters, chi and -chi, in many equal objects, so a
-    character is keyed by value.
+    An order is keyed by its object, whose id stays unique while the verdict
+    holds it: a job's degree-0 reports for chi and -chi share one.  The
+    reports carry two characters, chi and -chi, in many equal objects, so
+    each is rendered once up front and looked up by value.
     """
+    chi, p = v.config.character, v.config.presentation
     orders: dict[int, str] = {}
-    characters: dict[Character, str] = {}
 
     def order(poly) -> str:
         text = orders.get(id(poly))
@@ -414,13 +412,7 @@ def _renderers(p: Presentation):
             text = orders[id(poly)] = poly.render()
         return text
 
-    def character(chi: Character) -> str:
-        text = characters.get(chi)
-        if text is None:
-            text = characters[chi] = render_character(p, chi)
-        return text
-
-    return order, character
+    return order, {c: render_character(p, c) for c in (chi, chi.negate())}.__getitem__
 
 
 def schema_header() -> dict:
@@ -428,12 +420,13 @@ def schema_header() -> dict:
     return {"schema": 1, "tool": "fibrecheck", "version": __version__, "convention": CONVENTION}
 
 
-def verdict_to_dict(v: FibringVerdict) -> dict:
+def _verdict_doc(v: FibringVerdict) -> dict:
+    """The schema-1 document of v, with its long lists as generators."""
     p = v.config.presentation
-    order, character = _renderers(p)
+    order, character = _renderers(v)
 
-    def report(r: AlexanderReport) -> dict:
-        return r.as_dict(p, order(r.order), character(r.character))
+    def report(r: AlexanderReport, label=None) -> dict:
+        return r.as_dict(p, order(r.order), character(r.character), label)
 
     return {
         **schema_header(),
@@ -451,19 +444,20 @@ def verdict_to_dict(v: FibringVerdict) -> dict:
         "character": character(v.config.character),
         "witness": None if v.witness is None else report(v.witness),
         "interpretation": list(v.interpretation),
-        "reports": [report(r) for r in v.reports],
-        "tested_quotients": [q.label() for q in v.tested_quotients],
-        "skipped_quotients": [
-            {"quotient": q.label(), "merged_into": rep.label()}
-            for q, rep in v.skipped_quotients
-        ],
+        "reports": (report(r, label) for c, label in v.labelled_chunks() for r in v.chunks[c]),
+        "tested_quotients": (q.label() for q in v.tested_quotients),
+        "skipped_quotients": (
+            {"quotient": ImageLabel(target.name, target.order, images).label(),
+             "merged_into": rep.label()} for target, images, rep in v.skipped),
         "warnings": list(v.warnings),
     }
 
 
-def json_text(doc) -> str:
+def json_text(doc, write=None) -> str | None:
     """`json.dumps(doc, indent=2)`, byte for byte, for a document of dicts
-    with str keys, lists, tuples, str, int, bool and None.
+    with str keys, lists, tuples, str, int, bool and None; or, given
+    `write`, the same text written through it.  A generator stands for a
+    list, and each of its items is written as soon as it is made.
 
     With an indent, `json.dumps` runs CPython's pure-Python encoder; this
     walk writes the same layout and escapes strings with the C escaper that
@@ -473,7 +467,7 @@ def json_text(doc) -> str:
     out: list[str] = []
     append = out.append
 
-    def write(o, pad: str) -> None:
+    def put(o, pad: str) -> None:
         if o.__class__ is str:
             append(encode_basestring_ascii(o))
         elif o is None:
@@ -494,44 +488,46 @@ def json_text(doc) -> str:
                 if k.__class__ is not str:
                     raise TypeError(f"key {k!r} is not a str")
                 append(f"{sep}{encode_basestring_ascii(k)}: ")
-                write(v, inner)
+                put(v, inner)
                 sep = ",\n" + inner
             append("\n" + pad + "}")
-        elif isinstance(o, (list, tuple)):
-            if not o:
-                append("[]")
-                return
+        elif isinstance(o, (list, tuple, GeneratorType)):
             inner = pad + "  "
             sep = "[\n" + inner
             for v in o:
                 append(sep)
-                write(v, inner)
+                put(v, inner)
                 sep = ",\n" + inner
-            append("\n" + pad + "]")
+                if write and o.__class__ is GeneratorType:
+                    write("".join(out))
+                    out.clear()
+            append("[]" if sep[0] == "[" else "\n" + pad + "]")
         else:
             raise TypeError(f"{o.__class__.__name__} is not written as JSON here")
 
-    write(doc, "")
-    return "".join(out)
+    put(doc, "")
+    if write is None:
+        return "".join(out)
+    write("".join(out))
 
 
-def emit_report(v: FibringVerdict, format: str = "text") -> str:
-    """Schema-stable JSON, or a human-readable text block.
+def emit_report(v: FibringVerdict, format: str = "text", out=None) -> str | None:
+    """Write schema-stable JSON, or a human-readable text block, to the text
+    stream `out` one kept quotient at a time; with no stream, return it.
 
-    A kept quotient that reuses its orbit representative's reports shares
-    their order, field and character objects, so a report's text after its
-    quotient's label is keyed by those objects' ids, unique while the
-    verdict holds them, and by its degree, vanishing and rank: each distinct
-    text is rendered once, and each reuse only puts its own label before
-    it.  Each label, and each representative that skipped quotients merge
-    into, is rendered once too.
-    """
+    Each chunk's report texts are rendered once, and a kept quotient that
+    reuses the chunk only puts its own label before them; each
+    representative that skipped quotients merge into is rendered once too."""
+    stream = StringIO() if out is None else out
+    write = stream.write
     if format == "json":
-        return json_text(verdict_to_dict(v)) + "\n"
+        json_text(_verdict_doc(v), write)
+        write("\n")
+        return stream.getvalue() if out is None else None
     if format != "text":
         raise ValueError(f"unknown report format {format!r}")
     p = v.config.presentation
-    order, character = _renderers(p)
+    order, character = _renderers(v)
     lines = [
         f"fibrecheck scan (schema 1, version {__version__}, convention {CONVENTION})",
         f"presentation: {render_presentation(p).replace(chr(10), ' | ')}",
@@ -553,28 +549,21 @@ def emit_report(v: FibringVerdict, format: str = "text") -> str:
     lines.append("interpretation:")
     for text in v.interpretation:
         lines.append(f"  - {text}")
-    vanish_count = sum(1 for r in v.reports if r.vanishing)
-    lines.append(f"reports: {len(v.reports)} computed, {vanish_count} vanishing")
-    texts: dict[tuple, str] = {}
-    quotient = None
-    for r in v.reports:
-        if r.quotient is not quotient:  # a quotient's reports come together
-            quotient = r.quotient
-            label = f"  [{quotient.name} ord {quotient.order} | "
-        key = (id(r.order), id(r.field), id(r.character), r.degree, r.vanishing, r.rank_over_frac)
-        text = texts.get(key)
-        if text is None:
-            text = texts[key] = (
-                f"{r.field.name} | {character(r.character)}] deg {r.degree}: "
-                f"{'VANISHING' if r.vanishing else 'nonvanishing'}, rank {r.rank_over_frac}, "
-                f"order {order(r.order)}"
-            )
-        lines.append(label + text)
-    lines.append(f"tested quotients: {len(v.tested_quotients)}; skipped (same kernel): {len(v.skipped_quotients)}")
-    merged: dict[int, str] = {}
-    for q, rep in v.skipped_quotients:
-        into = merged.get(id(rep))
-        if into is None:
-            into = merged[id(rep)] = f" -> merged into {rep.group.name} images {list(rep.gen_images)}"
-        lines.append(f"  skipped {q.group.name} images {list(q.gen_images)}{into}")
-    return "\n".join(lines) + "\n"
+    uses = Counter(v.chunk_of).items()
+    lines.append(f"reports: {sum(n * len(v.chunks[c]) for c, n in uses)} computed, "
+                 f"{sum(n * sum(r.vanishing for r in v.chunks[c]) for c, n in uses)} vanishing")
+    write("\n".join(lines) + "\n")
+    texts: list[list[str]] = []  # per chunk, its reports' texts after the quotient's label
+    for c, label in v.labelled_chunks():
+        if c == len(texts):
+            texts.append([f"{r.field.name} | {character(r.character)}] deg {r.degree}: "
+                          f"{'VANISHING' if r.vanishing else 'nonvanishing'}, "
+                          f"rank {r.rank_over_frac}, order {order(r.order)}" for r in v.chunks[c]])
+        prefix = f"  [{label.name} ord {label.order} | "
+        write(prefix + ("\n" + prefix).join(texts[c]) + "\n")
+    write(f"tested quotients: {len(v.tested_quotients)}; skipped (same kernel): {len(v.skipped)}\n")
+    into = {rep: f" -> merged into {rep.group.name} images {list(rep.gen_images)}\n"
+            for rep in dict.fromkeys(rep for _, _, rep in v.skipped)}
+    for target, images, rep in v.skipped:
+        write(f"  skipped {target.name} images {list(images)}{into[rep]}")
+    return stream.getvalue() if out is None else None

@@ -170,11 +170,6 @@ class LaurentPoly:
         return cls(field, {0: field.one})
 
     @classmethod
-    def term(cls, field: CoefficientField, c: int, k: int = 0) -> "LaurentPoly":
-        """c * t^k with an integer coefficient."""
-        return cls(field, {k: field.of_int(c)})
-
-    @classmethod
     def from_int_coeffs(cls, field: CoefficientField, coeffs: dict[int, int]) -> "LaurentPoly":
         return cls(field, {e: field.of_int(c) for e, c in coeffs.items()})
 

@@ -39,6 +39,7 @@ __all__ = [
     "MAX_GROUP_ORDER",
     "FiniteGroup",
     "FiniteQuotient",
+    "ImageLabel",
     "ImageAction",
     "trivial_group",
     "cyclic_group",
@@ -52,6 +53,7 @@ __all__ = [
     "image_closure",
     "kernel_key",
     "build_catalog",
+    "image_label",
     "image_action",
     "schreier_tree",
 ]
@@ -175,31 +177,36 @@ class FiniteQuotient:
         self.surjective = surjective
 
     def label(self) -> dict:
-        return {
-            "name": self.group.name,
-            "order": self.group.order,
-            "gen_images": list(self.gen_images),
-        }
+        return ImageLabel(self.group.name, self.group.order, self.gen_images).label()
 
 
-class ImageAction:
-    """The image of a quotient as its right regular action on its points
-    0..order-1, the labels of its elements; `perms[i]` takes g to g*alpha(x_i)
-    and `inverses[i]` to g*alpha(x_i)^-1.  Its quotient label has the label
-    of alpha(x_i), perms[i][0], as gen_images[i]."""
+class ImageLabel:
+    """A quotient's image as a report names it (`image_label`)."""
 
-    __slots__ = ("name", "order", "perms", "inverses", "gen_images")
+    __slots__ = ("name", "order", "gen_images")
 
-    def __init__(self, name: str, order: int, perms: tuple[tuple[int, ...], ...],
-                 inverses: tuple[tuple[int, ...], ...]):
+    def __init__(self, name: str, order: int, gen_images: tuple[int, ...]):
         self.name = name
         self.order = order
-        self.perms = perms
-        self.inverses = inverses
-        self.gen_images = tuple([perm[0] for perm in perms])
+        self.gen_images = gen_images
 
     def label(self) -> dict:
         return {"name": self.name, "order": self.order, "gen_images": list(self.gen_images)}
+
+
+class ImageAction(ImageLabel):
+    """The image of a quotient as its right regular action on its points
+    0..order-1, the labels of its elements; `perms[i]` takes g to g*alpha(x_i)
+    and `inverses[i]` to g*alpha(x_i)^-1.  Its label has the label of
+    alpha(x_i), perms[i][0], as gen_images[i]."""
+
+    __slots__ = ("perms", "inverses")
+
+    def __init__(self, name: str, order: int, perms: tuple[tuple[int, ...], ...],
+                 inverses: tuple[tuple[int, ...], ...]):
+        super().__init__(name, order, tuple([perm[0] for perm in perms]))
+        self.perms = perms
+        self.inverses = inverses
 
 
 def schreier_tree(action: ImageAction, values: tuple[int, ...]
@@ -312,13 +319,14 @@ def enumerate_homs(p: Presentation, target: FiniteGroup,
                    surjective_only: bool = False) -> list[FiniteQuotient]:
     """All homomorphisms into the target, lexicographic in image tuples
     (`keyed_homs` without the keys)."""
-    return [q for q, _ in keyed_homs(p, target) if q.surjective or not surjective_only]
+    return [FiniteQuotient(target, images, onto) for images, key in keyed_homs(p, target)
+            if (onto := len(key[0]) == target.order) or not surjective_only]
 
 
 def keyed_homs(p: Presentation, target: FiniteGroup, memo: dict | None = None
-               ) -> list[tuple[FiniteQuotient, tuple[tuple[int, ...], ...]]]:
-    """Every homomorphism into the target with its `kernel_key`, lexicographic
-    in image tuples.
+               ) -> list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
+    """The generator images of every homomorphism into the target with its
+    `kernel_key`, lexicographic in image tuples.
 
     Backtracking assigns generator images one at a time and checks each
     relator once the generators that decide it are assigned: into Z/m by
@@ -328,15 +336,15 @@ def keyed_homs(p: Presentation, target: FiniteGroup, memo: dict | None = None
     shares across all its cyclic targets; for any other, a dict of this
     target's own, which the caller keeps only while it reads this target,
     as its entries are keyed by the image tuple alone.  The length of the
-    key's permutations, the image's order, decides surjectivity.  The
-    search recurses over the first g - 1 generators only; each candidate
-    of the last completes a homomorphism in the loop over them.
+    key's permutations is the image's order.  The search recurses over the
+    first g - 1 generators only; each candidate of the last completes a
+    homomorphism in the loop over them.
     """
     g, order = p.generator_count, target.order
     candidates = (_exponent_sum_candidates(p, order) if target.cyclic
                   else _table_candidates(p, target))
     memo = {} if memo is None else memo
-    out: list[tuple[FiniteQuotient, tuple[tuple[int, ...], ...]]] = []
+    out: list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = []
     images: list[int] = []
 
     def descend():
@@ -344,8 +352,7 @@ def keyed_homs(p: Presentation, target: FiniteGroup, memo: dict | None = None
             prefix = tuple(images)
             for e in candidates(images):
                 imgs = prefix + (e,)
-                key = orbit_key(target, imgs, memo)
-                out.append((FiniteQuotient(target, imgs, len(key[0]) == order), key))
+                out.append((imgs, orbit_key(target, imgs, memo)))
             return
         for e in candidates(images):
             images.append(e)
@@ -496,6 +503,19 @@ def kernel_key(q: FiniteQuotient) -> tuple[tuple[int, ...], ...]:
     per automorphism orbit of the target.
     """
     return _kernel_key(q.group.table, q.gen_images)
+
+
+def image_label(q: FiniteQuotient) -> ImageLabel:
+    """`image_action(q)`'s label, read off the image's elements with no
+    permutation built: alpha(x_i) is labelled by its place among them in
+    ascending ambient id, the point that perms[i] takes 0 to."""
+    group, images = q.group, q.gen_images
+    if q.surjective:
+        return ImageLabel(group.name, group.order, images)
+    elements = sorted(_labels(group.table, images))
+    n = len(elements)
+    return ImageLabel("trivial" if n == 1 else f"{group.name}>im{n}", n,
+                      tuple(map(elements.index, images)))
 
 
 def image_action(q: FiniteQuotient) -> ImageAction:

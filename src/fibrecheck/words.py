@@ -130,12 +130,6 @@ class Presentation:
     def generator_count(self) -> int:
         return len(self.generator_names)
 
-    def generator(self, i: int) -> Word:
-        """The one-letter word for generator i (1-based)."""
-        if not 1 <= i <= self.generator_count:
-            raise IndexError(f"generator index {i} out of range")
-        return Word((i,))
-
 
 class Character:
     """Values of a homomorphism to the integers on each generator."""

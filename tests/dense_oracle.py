@@ -39,6 +39,11 @@ from fibrecheck.words import Word
 from free_group_oracle import GroupRingElement, fox_derivative
 
 
+def term(field: CoefficientField, c: int, k: int = 0) -> LaurentPoly:
+    """c * t^k with an integer coefficient."""
+    return LaurentPoly(field, {k: field.of_int(c)})
+
+
 class PolyMatrix:
     """Dense matrix of LaurentPoly entries; zero-dimensional shapes allowed."""
 
@@ -69,7 +74,7 @@ class PolyMatrix:
     @classmethod
     def from_int_rows(cls, field: CoefficientField, rows: Sequence[Sequence[dict[int, int] | int]]) -> "PolyMatrix":
         """Entries are ints (constants) or {exp: int} maps."""
-        return cls(field, [[LaurentPoly.term(field, e) if isinstance(e, int)
+        return cls(field, [[term(field, e) if isinstance(e, int)
                             else LaurentPoly.from_int_coeffs(field, e) for e in row]
                            for row in rows])
 
@@ -245,8 +250,8 @@ class DenseRepresentation:
             fwd = PolyMatrix.zeros(field, n, n)
             bwd = PolyMatrix.zeros(field, n, n)
             for row, h in enumerate(elements):
-                fwd.entries[row][label[group.mul(h, e)]] = LaurentPoly.term(field, 1, k)
-                bwd.entries[row][label[group.mul(h, group.inverse(e))]] = LaurentPoly.term(field, 1, -k)
+                fwd.entries[row][label[group.mul(h, e)]] = term(field, 1, k)
+                bwd.entries[row][label[group.mul(h, group.inverse(e))]] = term(field, 1, -k)
             matrices.append(fwd)
             inverses.append(bwd)
         return cls(field, n, matrices, inverses)

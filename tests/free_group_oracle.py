@@ -98,7 +98,7 @@ def fundamental_identity_check(p: Presentation, r: int) -> bool:
     one = GroupRingElement.of_word(Word())
     total = GroupRingElement.zero()
     for i in range(1, p.generator_count + 1):
-        xi = GroupRingElement.of_word(p.generator(i))
+        xi = GroupRingElement.of_word(Word((i,)))
         total = total + fox_derivative(rel, i) * (xi - one)
     return total == GroupRingElement.of_word(rel) - one
 

@@ -543,6 +543,71 @@ def test_a_scan_builds_a_finite_group_only_for_its_targets(monkeypatch):
     assert "S4>im12" in {r.quotient.name for r in v.reports}
 
 
+def test_only_a_job_builds_its_image_action(monkeypatch):
+    # f2xz to order 8 runs 35 jobs for 343 kept quotients, and only the jobs
+    # build an image action, with its permutations, in the scan or when its
+    # reports are read; every other kept quotient is labelled from its
+    # image's elements (`image_label`), with the label that `image_action`
+    # gives.  The table group Z/2 x Z/4 adds reused quotients onto a Klein
+    # four-group (Z2xZ4>im4), not onto their target, beside the reused ones
+    # onto theirs.  Every homomorphism of F2 into S4 checks `image_label`
+    # against `image_action` directly, on images such as S4>im12 too, whose
+    # elements are not met in ascending order.
+    from fibrecheck.quotients import (ImageAction, enumerate_homs, image_action, image_label,
+                                      symmetric_group)
+
+    homs = enumerate_homs(load_fixture("f:2")[0], symmetric_group(4))
+    assert "S4>im12" in {image_label(q).name for q in homs}
+    for q in homs:
+        assert image_label(q).label() == image_action(q).label()
+
+    built, init = [], ImageAction.__init__
+    monkeypatch.setattr(ImageAction, "__init__",
+                        lambda self, *args: built.append(args[0]) or init(self, *args))
+    p, chi = load_fixture("f2xz")
+    reused = []
+    for order, extra in ((8, ()), (4, (_z2_times_z4(),))):
+        built.clear()
+        v = scan(ScanConfig(presentation=p, character=chi, max_quotient_order=order,
+                            extra_groups=extra))
+        labels = [label for _, label in v.labelled_chunks()]
+        assert len(v.reports) == sum(len(v.chunks[c]) for c in v.chunk_of)
+        assert len(built) == len(v.chunks) < len(v.tested_quotients)
+        if order == 8:
+            assert (len(v.chunks), len(v.tested_quotients)) == (35, 343)
+        for q, label in zip(v.tested_quotients, labels, strict=True):
+            assert label.label() == image_action(q).label()
+            if label.__class__ is not ImageAction:
+                reused.append((q.surjective, label.name))
+    assert ((False, "Z2xZ4>im4") in reused) and any(onto for onto, _ in reused)
+
+
+def test_the_text_report_is_streamed_a_block_at_a_time():
+    # The text report of f2xz to order 16 (2607 kept quotients, 31284 report
+    # lines) goes to its stream in pieces, none as large as an eighth of it,
+    # and the pieces join to the pinned bytes and to the string form.
+    class Sink:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+
+    p, chi = load_fixture("f2xz")
+    v = scan(ScanConfig(presentation=p, character=chi, max_quotient_order=16))
+    sink = Sink()
+    assert emit_report(v, "text", sink) is None
+    text = "".join(sink.writes)
+    assert hashlib.sha256(text.encode()).hexdigest() == _F2XZ_ORDER_16
+    assert max(map(len, sink.writes)) < len(text) / 8
+    assert emit_report(v, "text") == text
+
+
+# SHA-256 of the stdout of `scan --fixture f2xz --max-quotient-order 16`; the
+# CI smoke pins it too, serially and with --jobs 2.
+_F2XZ_ORDER_16 = "48d070bd3436c643c6ba59b5c1ae17a4c90c4aa18ab61064adbe35f37a021fa2"
+
+
 def test_reproducer_names_the_quotient_that_was_computed(monkeypatch):
     # A failed cross-check ends with an `alex` line for the quotient as given,
     # s4:1,2,0, not its restriction S4>im6, which `alex` cannot parse; in a
@@ -643,7 +708,8 @@ def test_the_stream_merges_exactly_the_quotients_of_one_kernel(name, order):
             assert key(q) not in kept, q.label()
             kept.add(key(q))
         else:
-            assert key(q) == key(rep), (q.label(), rep.label())
+            target, images = q
+            assert _kernel_key(target.table, images) == key(rep), (target.name, images, rep.label())
     assert len(kept) > order
 
 
@@ -664,7 +730,7 @@ def test_a_generating_set_registers_the_orbits_of_all_maps(data):
     cfg = ScanConfig(presentation=p, character=chi, max_quotient_order=6)
 
     def events():
-        return [(kind, q.label(), rep.label() if kind == "skipped" else rep)
+        return [(kind, q.label(), rep) if kind == "kept" else (kind, q[0].name, q[1], rep.label())
                 for kind, q, rep in fibring._quotient_stream(p, cfg)]
 
     reduced = events()

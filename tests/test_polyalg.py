@@ -24,7 +24,7 @@ from fibrecheck.polyalg import (
     rank_lower_bound,
     rank_over_fraction_field,
 )
-from dense_oracle import PolyMatrix, to_dense
+from dense_oracle import PolyMatrix, term, to_dense
 from kernel_oracle import divmod_poly
 from smith_oracle import order_of
 from zech_oracle import build_field, first_primitive_low
@@ -228,10 +228,10 @@ def _minor_det(m: PolyMatrix, rows, cols):
             for j in range(i + 1, len(perm)):
                 if perm[i] > perm[j]:
                     sign = -sign
-        term = LaurentPoly.term(field, sign)
+        product = term(field, sign)
         for i, jp in enumerate(perm):
-            term = term * m.entries[rows[i]][cols[jp]]
-        total = total + term
+            product = product * m.entries[rows[i]][cols[jp]]
+        total = total + product
     return total
 
 

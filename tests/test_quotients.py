@@ -161,9 +161,9 @@ def test_enumerate_homs_brute_force_agreement(data):
     memo: dict = {}
     for target in [trivial_group()] + sorted(PROPERTY_TARGETS + [_KLEIN], key=lambda g: (g.order, g.name)):
         homs = keyed_homs(p, target, memo if target.cyclic else {})
-        assert [q.gen_images for q, _ in homs] == _brute_force_homs(p, target)
-        for q, key in homs:
-            assert key == _kernel_key(target.table, q.gen_images)
+        assert [images for images, _ in homs] == _brute_force_homs(p, target)
+        for images, key in homs:
+            assert key == _kernel_key(target.table, images)
 
 
 def test_cyclic_targets_are_recognised_by_their_table():
@@ -225,10 +225,11 @@ def test_keyed_homs_match_kernel_key_and_image_closure(data):
     p, _, _ = data.draw(presentations_with_quotient())
     for target in PROPERTY_TARGETS:
         homs = keyed_homs(p, target)
-        assert [q.gen_images for q, _ in homs] == sorted({q.gen_images for q, _ in homs})
-        for q, key in homs:
-            assert key == kernel_key(q)
-            assert q.surjective == (len(image_closure(target, q.gen_images)) == target.order)
+        assert [images for images, _ in homs] == sorted({images for images, _ in homs})
+        for (images, key), q in zip(homs, enumerate_homs(p, target), strict=True):
+            assert q.gen_images == images and key == kernel_key(q)
+            assert q.surjective == (len(key[0]) == target.order)
+            assert q.surjective == (len(image_closure(target, images)) == target.order)
 
 
 def test_kernel_key_matches_same_kernel():
