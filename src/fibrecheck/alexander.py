@@ -333,7 +333,8 @@ class IntegralChain:
 
     def b2_form(self) -> IntegralDiagonal:
         """b2 ~ [b2 less the tree's columns | 0] ~ D (+) R over Z[t^{+-1}],
-        the second by `integral_diagonal_form`, taken once for every field.
+        the second by `integral_diagonal_form` on one read of b2 that leaves
+        the tree's columns out, taken once for every field.
 
         The rows b1(T) = t^{chi_i} e_{c*alpha(x_i)} - e_c of the tree edges T,
         with e_0, are a unitriangular basis of C0, in the walk's order.  So
@@ -345,9 +346,7 @@ class IntegralChain:
         invariant factor of b2.
         """
         if self._b2_form is None:
-            cols = self.b1_shape().rows
-            self._b2_form = integral_diagonal_form(_rows_less(self.b2, cols, self.tree),
-                                                   cols - len(self.tree))
+            self._b2_form = integral_diagonal_form(self.b2, self.b1_shape().rows, self.tree)
         return self._b2_form
 
 
@@ -357,12 +356,8 @@ def _rows_less(rows: list[dict[int, dict[int, int]]], cols: int,
     column left numbered by its place among those kept; the new rows keep
     the order of their entries and share the old rows' entry dicts."""
     dropped = set(dropped)
-    place, i = [None] * cols, 0
-    for j in range(cols):
-        if j not in dropped:
-            place[j] = i
-            i += 1
-    return [{k: f for j, f in row.items() if (k := place[j]) is not None} for row in rows]
+    place = {j: k for k, j in enumerate(j for j in range(cols) if j not in dropped)}
+    return [{place[j]: f for j, f in row.items() if j in place} for row in rows]
 
 
 def _assemble(rep: Representation) -> IntegralChain:

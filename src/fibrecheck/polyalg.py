@@ -22,9 +22,9 @@ diagonal form and the finite-field rank eliminate sparse rows, with a list
 per column of the rows that hold it: the matrices of a twisted chain are
 mostly zero, and neither a pivot search nor a row operation visits a zero
 entry.  `integral_diagonal_form` runs the same elimination once over
-Z[t^{+-1}], pivoting only on entries with top coefficient +-1, so that each
-field reduces the product of its diagonal D mod p and finishes only the
-rows R it left.
+Z[t^{+-1}], pivoting only on entries with top coefficient +-1, units +-t^k
+first, so that each field reduces the product of its diagonal D mod p and
+finishes only the rows R it left.
 Bareiss reads the same rows into its own rows of Laurent
 polynomials.  Units of F[t^{+-1}] are c*t^k, so the canonical
 representative of a nonzero polynomial class is monic with nonzero constant
@@ -118,9 +118,6 @@ class CoefficientField:
 
     def mul(self, a, b):
         return a * b if self.p is None else (a * b) % self.p
-
-    def neg(self, a):
-        return -a if self.p is None else (-a) % self.p
 
     def inv(self, a):
         if a == 0:
@@ -230,10 +227,6 @@ class LaurentPoly:
             else:
                 out[e] = s
         return LaurentPoly._raw(f, out)
-
-    def __neg__(self) -> "LaurentPoly":
-        f = self.field
-        return LaurentPoly._raw(f, {e: f.neg(c) for e, c in self.coeffs.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
@@ -764,45 +757,52 @@ def _int_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return {e: c for e, c in out.items() if c}
 
 
-def integral_diagonal_form(data: list[dict[int, dict[int, int]]], cols: int) -> IntegralDiagonal:
+def integral_diagonal_form(data: list[dict[int, dict[int, int]]], cols: int, dropped=()) -> IntegralDiagonal:
     """Eliminate integer rows over Z[t^{+-1}] once, for every field at once.
 
-    `data` is read as in `SparseMatrix`, with each coefficient kept as the
-    integer it is, and `_eliminate` runs on a copy of it with one more rule:
-    a pivot has top coefficient +-1.  A monomial pivot is then +-t^k, a unit
-    of Z[t^{+-1}], and any other pivot divides with integral quotients, so
-    every step is an elementary operation over Z[t^{+-1}] and the result is
-    b ~ D (+) R there.  Remainders whose top coefficient is not +-1 cannot be
-    divided by over Z, so the phase stops after a round that leaves one in
-    the pivot's row or column, and when no entry can pivot; the rows left
-    are R, on which each field's `diagonal_form` finishes.  Until it stops,
-    each round without such a remainder picks a pivot of strictly smaller
-    span than the last or takes out a row, so the phase ends.
+    `data` is read as in `SparseMatrix`, less the columns in `dropped`, with
+    each coefficient kept as the integer it is, and `_eliminate` runs on
+    that copy with one more rule: a pivot has top coefficient +-1.  A
+    monomial pivot is then +-t^k, a unit of Z[t^{+-1}], and any other pivot
+    divides with integral quotients, so every step is an elementary
+    operation over Z[t^{+-1}] and the result is b ~ D (+) R there.
+    Remainders whose top coefficient is not +-1 cannot be divided by over Z,
+    so the phase stops after a round that leaves one in the pivot's row or
+    column, and when no entry can pivot; the rows left are R, on which each
+    field's `diagonal_form` finishes.  Until it stops, each round without
+    such a remainder picks a pivot of strictly smaller span than the last or
+    takes out a row, so the phase ends.
     """
-    pivots, rest = _eliminate(*_read_rows(data, cols, None), CoefficientField.rationals(),
-                              integral=True)
+    rows, holders = _read_rows(data, cols, None, dropped)
+    pivots, rest = _eliminate(rows, holders, CoefficientField.rationals(), integral=True)
     diagonal = []
     for d in pivots:  # times t^-low and the top coefficient, a unit of Z[t^{+-1}]
         low, sign = min(d), d[max(d)]
         diagonal.append({e - low: c * sign for e, c in d.items()})
-    return IntegralDiagonal(tuple(diagonal), [dict(sorted(row.items())) for row in rest], cols)
+    return IntegralDiagonal(tuple(diagonal), [dict(sorted(row.items())) for row in rest], len(holders))
 
 
-def _read_rows(data: list[dict[int, dict[int, int]]], cols: int,
-               p: int | None) -> tuple[list[dict], list[list[dict]]]:
+def _read_rows(data: list[dict[int, dict[int, int]]], cols: int, p: int | None,
+               dropped=()) -> tuple[list[dict], list[list[dict]]]:
     """Copies of the nonzero rows of `data` to eliminate, and the rows holding each column.
 
     Each coefficient is reduced mod p as it is read, or kept when p is None,
-    and an entry that vanishes is left out; `data` is not changed.
+    and an entry that vanishes is left out, as is every column in `dropped`,
+    the others renumbered in order; `data` is not changed.
     """
-    rows, holders = [], [[] for _ in range(cols)]  # holders[j]: rows that had an entry at j
+    dropped = set(dropped)
+    place = {j: k for k, j in enumerate(j for j in range(cols) if j not in dropped)}
+    rows, holders = [], [[] for _ in place]  # holders[k]: rows that had an entry at k
     for entries in data:
         row = {}
         for j, coeffs in entries.items():
+            k = place.get(j)
+            if k is None:
+                continue
             v = dict(coeffs) if p is None else {e: r for e, c in coeffs.items() if (r := c % p)}
             if v:
-                row[j] = v
-                holders[j].append(row)
+                row[k] = v
+                holders[k].append(row)
         if row:
             rows.append(row)
     return rows, holders
@@ -832,7 +832,10 @@ def _eliminate(rows: list[dict], holders: list[list[dict]], field: CoefficientFi
     (see `integral_diagonal_form`) only an entry with top coefficient +-1
     may pivot, and the loop stops when none is left or after a round that
     leaves a remainder whose top coefficient is not +-1; the rows left are
-    returned.
+    returned.  Most pivots there are units +-t^k, which one sweep takes
+    before any search: over the rows by their length as it starts (given
+    order grows the fill-in), each row still holding a unit pivots on its
+    first.
     """
     p = field.p
     pivots: list[dict] = []
@@ -864,6 +867,44 @@ def _eliminate(rows: list[dict], holders: list[list[dict]], field: CoefficientFi
         if not r:
             del row[j]
 
+    def unit(top, j0, pivot):  # row -= (x * pivot^-1) * top, x each row's entry at j0
+        ((e, c),) = pivot.items()
+        c = field.inv(c)
+        for row in holders[j0]:
+            x = row.pop(j0, None)
+            if x is None:
+                continue
+            q = [(ex - e, cx * c) for ex, cx in x.items()]
+            for j, y in top.items():
+                r = row.get(j)
+                if r is None:
+                    r = row[j] = {}
+                    holders[j].append(row)
+                for eq, cq in q:
+                    for ey, cy in y.items():
+                        k = eq + ey
+                        v = r.get(k, 0) - cq * cy
+                        if p is not None:
+                            v %= p
+                        if v:
+                            r[k] = v
+                        else:
+                            del r[k]
+                if not r:
+                    del row[j]
+        top.clear()  # the pivot row leaves with its entry
+        pivots.append(pivot)
+
+    if integral:  # the unit sweep
+        for top in sorted(rows, key=len):
+            for j0, pivot in top.items():
+                if len(pivot) == 1 and abs(*pivot.values()) == 1:
+                    break
+            else:
+                continue
+            unit(top, j0, top.pop(j0))
+        rows = [row for row in rows if row]
+
     while rows:
         found = find_pivot()
         if found is None:  # only with `integral`: no entry can pivot
@@ -872,18 +913,7 @@ def _eliminate(rows: list[dict], holders: list[list[dict]], field: CoefficientFi
         pivot = top.pop(j0)
         stop = False
         if len(pivot) == 1:
-            # A unit: clear column j0 of the other rows; the pivot row leaves with its entry.
-            ((e, c),) = pivot.items()
-            factor = field.inv(c)
-            scaled = [(j, {ey - e: field.mul(cy, factor) for ey, cy in y.items()}) for j, y in top.items()]
-            top.clear()
-            for row in holders[j0]:
-                x = row.pop(j0, None)
-                if x is None:
-                    continue
-                for j, y in scaled:
-                    sub_mul(row, j, x, y)
-            pivots.append(pivot)
+            unit(top, j0, pivot)
         else:
             left = list({id(row): row for row in holders[j0] if row is not top and j0 in row}.values())
             dirty = False

@@ -79,15 +79,6 @@ class Word:
     def of(cls, letters: Iterable[int]) -> "Word":
         return cls(_reduce(letters))
 
-    def __mul__(self, other: "Word") -> "Word":
-        return Word.of(self.letters + other.letters)
-
-    def inverse(self) -> "Word":
-        return Word(tuple(-x for x in reversed(self.letters)))
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
     @property
     def is_identity(self) -> bool:
         return not self.letters

@@ -6,7 +6,8 @@ relator.  This module keeps the reference it is checked against: the Fox
 derivatives themselves, as integer combinations of free-group words, and
 the fundamental formula sum_i (dr/dx_i)(x_i - 1) = r - 1 in ZF.  It also
 keeps the two Tietze moves, which change a presentation but not its group,
-for the invariance tests.
+for the invariance tests, and the free group's product and inverse, which
+only the tests take.
 """
 
 from __future__ import annotations
@@ -14,6 +15,16 @@ from __future__ import annotations
 from functools import lru_cache
 
 from fibrecheck.words import Presentation, Word
+
+
+def inverse(w: Word) -> Word:
+    """w^-1 in the free group."""
+    return Word(tuple(-x for x in reversed(w.letters)))
+
+
+def product(*words: Word) -> Word:
+    """The freely reduced product of `words`, left to right."""
+    return Word.of(tuple(x for w in words for x in w.letters))
 
 
 class GroupRingElement:
@@ -52,7 +63,7 @@ class GroupRingElement:
         out: dict[Word, int] = {}
         for u, cu in self.terms.items():
             for v, cv in other.terms.items():
-                w = u * v
+                w = product(u, v)
                 out[w] = out.get(w, 0) + cu * cv
         return GroupRingElement(out)
 
@@ -105,12 +116,12 @@ def fundamental_identity_check(p: Presentation, r: int) -> bool:
 
 def power(w: Word, n: int) -> Word:
     """w^n in the free group; a negative n takes the inverse."""
-    return Word.of((w if n >= 0 else w.inverse()).letters * abs(n))
+    return Word.of((w if n >= 0 else inverse(w)).letters * abs(n))
 
 
 def conjugate(w: Word, by: Word) -> Word:
     """by * w * by^-1."""
-    return by * w * by.inverse()
+    return product(by, w, inverse(by))
 
 
 def tietze_variant(p: Presentation, move: str, **kwargs) -> Presentation:
@@ -136,7 +147,7 @@ def tietze_variant(p: Presentation, move: str, **kwargs) -> Presentation:
                 raise ValueError(f"malformed recipe entry {item!r}")
             if not isinstance(conj, Word) or not 0 <= idx < len(p.relators):
                 raise ValueError(f"malformed recipe entry {item!r}")
-            w = w * conjugate(power(p.relators[idx], exp), conj)
+            w = product(w, conjugate(power(p.relators[idx], exp), conj))
         if w.is_identity:
             raise ValueError("recipe reduces to the empty relator")
         return Presentation(p.generator_names, p.relators + (w,))
@@ -145,6 +156,6 @@ def tietze_variant(p: Presentation, move: str, **kwargs) -> Presentation:
         if not name or not isinstance(defining, Word):
             raise ValueError("new-generator needs a name and a defining Word")
         new_index = p.generator_count + 1
-        rel = Word((new_index,)) * defining.inverse()
+        rel = product(Word((new_index,)), inverse(defining))
         return Presentation(p.generator_names + (name,), p.relators + (rel,))
     raise ValueError(f"unknown Tietze move {move!r}")

@@ -252,7 +252,7 @@ def test_fixture_length_cap_exit_2_before_building(monkeypatch, capsys):
 
     for name, letters in (("zn:22", 924), ("surface:250", 1000)):  # largest under the cap
         p, _ = fixtures.load_fixture(name)
-        assert sum(len(r) for r in p.relators) == letters <= MAX_WORD_LENGTH
+        assert sum(len(r.letters) for r in p.relators) == letters <= MAX_WORD_LENGTH
 
     def no_build(*args, **kwargs):
         raise AssertionError("a relator was built")

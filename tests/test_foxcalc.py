@@ -7,7 +7,7 @@ from fibrecheck.polyalg import CoefficientField
 from fibrecheck.quotients import cyclic_group, make_quotient, trivial_quotient
 from fibrecheck.words import Word, parse_presentation, validate_character
 from dense_oracle import PolyMatrix, evaluate
-from free_group_oracle import GroupRingElement, fox_derivative, fundamental_identity_check
+from free_group_oracle import GroupRingElement, fox_derivative, fundamental_identity_check, inverse, product
 
 Q = CoefficientField.rationals()
 
@@ -42,7 +42,7 @@ def test_fox_product_rule():
     for _ in range(100):
         u, v = _random_word(rng), _random_word(rng)
         for i in (1, 2):
-            lhs = fox_derivative(u * v, i)
+            lhs = fox_derivative(product(u, v), i)
             rhs = fox_derivative(u, i) + GroupRingElement.of_word(u) * fox_derivative(v, i)
             assert lhs == rhs
 
@@ -171,8 +171,8 @@ def test_phi_is_homomorphism():
     ident = PolyMatrix.identity(Q, rep.action.order)
     for _ in range(25):
         u, v = _random_word(rng, max_len=6), _random_word(rng, max_len=6)
-        assert _image(rep, u * v) == _image(rep, u) @ _image(rep, v)
-        assert _image(rep, u) @ _image(rep, u.inverse()) == ident
+        assert _image(rep, product(u, v)) == _image(rep, u) @ _image(rep, v)
+        assert _image(rep, u) @ _image(rep, inverse(u)) == ident
 
 
 def test_phi_monomial_shape():
@@ -214,6 +214,6 @@ def test_evaluation_product_rule():
     for _ in range(30):
         u, v = _random_word(rng, max_len=5), _random_word(rng, max_len=5)
         for i in (1, 2):
-            lhs = evaluate(rep, fox_derivative(u * v, i), Q)
+            lhs = evaluate(rep, fox_derivative(product(u, v), i), Q)
             rhs = evaluate(rep, fox_derivative(u, i), Q) + _image(rep, u) @ evaluate(rep, fox_derivative(v, i), Q)
             assert lhs == rhs

@@ -531,6 +531,34 @@ def test_one_pass_picks_least_span_then_shortest_row(data, integral, pivots, lef
     assert polyalg._eliminate(rows, holders, Q, integral=integral) == (pivots, left)
 
 
+@pytest.mark.parametrize("data, integral, pivots, left", [
+    # Rows of 3, 2, 1 and 1 entries.  Over Z[t^{+-1}] the sweep takes the
+    # two 1s of the single rows, which leave t alone in the first row, and
+    # then the units in the order of the rows' lengths as it started: -1 of
+    # the row of 2 before t.  The search over Q takes t first, its row
+    # being the shorter by then.
+    ([{0: {0: 1, 1: 1}, 1: {0: 1, 1: 1}, 2: {1: 1}}, {3: {0: 1, 1: 1}, 4: {0: -1}},
+      {0: {0: 1}}, {1: {0: 1}}], True,
+     [{0: 1}, {0: 1}, {0: -1}, {1: 1}], []),
+    ([{0: {0: 1, 1: 1}, 1: {0: 1, 1: 1}, 2: {1: 1}}, {3: {0: 1, 1: 1}, 4: {0: -1}},
+      {0: {0: 1}}, {1: {0: 1}}], False,
+     [{0: 1}, {0: 1}, {1: 1}, {0: -1}], []),
+    # The sweep passes over the monomial 2t, of top coefficient 2, and
+    # takes -t^2 of the longer row; nothing is left that can pivot, so 2t's
+    # row is left.  Over Q, 2t is a unit and goes first.
+    ([{0: {1: 2}}, {0: {0: 1, 1: 1}, 1: {2: -1}}], True, [{2: -1}], [{0: {1: 2}}]),
+    ([{0: {1: 2}}, {0: {0: 1, 1: 1}, 1: {2: -1}}], False, [{1: 2}, {2: -1}], []),
+], ids=["sweep-by-initial-length", "rational-by-current-length", "sweep-skips-2t",
+        "rational-takes-2t"])
+def test_integral_sweep_takes_units_by_initial_row_length(data, integral, pivots, left):
+    # With `integral`, one pass over the rows in ascending order of their
+    # length as it starts pivots each row that still holds an entry +-t^k
+    # on the first such entry, before any search; over a field the search
+    # alone picks, as above.
+    rows, holders = polyalg._read_rows(data, 5, None)
+    assert polyalg._eliminate(rows, holders, Q, integral=integral) == (pivots, left)
+
+
 def test_integral_phase_stops_at_a_remainder_it_cannot_divide():
     # The row [t - 1, 2]: over Z the pivot t - 1 leaves the remainder 2,
     # whose top coefficient is not +-1, so the phase stops with the whole row

@@ -6,6 +6,7 @@ from fibrecheck.quotients import (FiniteGroup, cyclic_group, enumerate_homs, ima
                                   make_quotient, symmetric_group, trivial_quotient)
 from fibrecheck.reidschreier import rewrite_subgroup
 from fibrecheck.words import Word, parse_presentation, validate_character
+from free_group_oracle import inverse, product
 from random_presentations import presentations_with_quotient
 
 F2 = parse_presentation("gens: a b\nrels:")
@@ -109,7 +110,7 @@ def test_rewritten_relators_fix_cosets():
         ambient = Word()
         for x in r.letters:
             w = sub.schreier_words[abs(x) - 1]
-            ambient = ambient * (w if x > 0 else w.inverse())
+            ambient = product(ambient, w if x > 0 else inverse(w))
         c = 0
         for x in ambient.letters:
             c = act.perms[x - 1][c] if x > 0 else act.inverses[-x - 1][c]
