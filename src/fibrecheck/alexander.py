@@ -97,6 +97,7 @@ from .polyalg import (
     IntegralDiagonal,
     LaurentPoly,
     SparseMatrix,
+    column_places,
     integral_diagonal_form,
     rank_lower_bound,
     rank_over_fraction_field,
@@ -355,9 +356,8 @@ def _rows_less(rows: list[dict[int, dict[int, int]]], cols: int,
     """`rows`, of `cols` columns, without the columns in `dropped`, each
     column left numbered by its place among those kept; the new rows keep
     the order of their entries and share the old rows' entry dicts."""
-    dropped = set(dropped)
-    place = {j: k for k, j in enumerate(j for j in range(cols) if j not in dropped)}
-    return [{place[j]: f for j, f in row.items() if j in place} for row in rows]
+    place = column_places(cols, dropped)
+    return [{k: f for j, f in row.items() if (k := place[j]) is not None} for row in rows]
 
 
 def _assemble(rep: Representation) -> IntegralChain:

@@ -24,7 +24,8 @@ mostly zero, and neither a pivot search nor a row operation visits a zero
 entry.  `integral_diagonal_form` runs the same elimination once over
 Z[t^{+-1}], pivoting only on entries with top coefficient +-1, units +-t^k
 first, so that each field reduces the product of its diagonal D mod p and
-finishes only the rows R it left.
+finishes only the rows R it left, F_p by the same elimination and Q with
+integers alone (`_integer_pivots`).
 Bareiss reads the same rows into its own rows of Laurent
 polynomials.  Units of F[t^{+-1}] are c*t^k, so the canonical
 representative of a nonzero polynomial class is monic with nonzero constant
@@ -38,6 +39,7 @@ import sys
 from array import array
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 __all__ = [
     "CoefficientField",
@@ -731,10 +733,104 @@ class IntegralDiagonal:
                       for d in self.diagonal]) + self._finish(field)
 
     def _finish(self, field: CoefficientField) -> tuple[LaurentPoly, ...]:
-        """`diagonal_form` of R over `field`."""
+        """The nonzero entries of a diagonal form of R over `field`, each
+        canonical: `diagonal_form` over F_p, `_integer_pivots` over Q."""
         if not self.residual:
             return ()
-        return diagonal_form(SparseMatrix(field, self.residual, len(self.residual), self.cols))
+        if field.p is not None:
+            return diagonal_form(SparseMatrix(field, self.residual, len(self.residual), self.cols))
+        one = LaurentPoly.one(field)
+        return tuple([one if len(d) == 1 else LaurentPoly._raw(field, d).canonical()
+                      for d in _integer_pivots(self.residual)])
+
+
+def _integer_pivots(data: list[dict[int, dict[int, int]]]) -> list[dict[int, int]]:
+    """The pivots of a diagonal form over Q[t^{+-1}] of integer rows, made
+    with integer arithmetic alone; `data` is not changed.
+
+    Over Q a nonzero integer is a unit, so a row may be scaled by one, and
+    divided by the gcd of its coefficients (its content), at no cost to the
+    gcd of the minors.  To clear x below a pivot b of top coefficient a, the
+    row takes (a/g) * row - (c/g) * t^s * top, c being x's top coefficient
+    and g = gcd(a, c), until x's span is below b's: a pseudo-division, as in
+    a primitive remainder sequence, after which the row's content is divided
+    out.  `diagonal_form` over Q would make Fractions whose sizes can grow
+    without bound.  Once b is alone in its column, the pivot row's other
+    entries are reduced in the same way, each step scaling that row and
+    subtracting a multiple of b's column, which touches that row alone.  The
+    pivot is an entry of least span, then in the shortest row, then of least
+    top coefficient, so a top +-1 divides without scaling.  As in
+    `_eliminate`, a round that leaves a remainder is followed by a pivot of
+    smaller span, so the loop ends, and the pivots' number is the rank.
+    """
+    rows = [{j: dict(v) for j, v in row.items()} for row in data if row]
+    pivots: list[dict[int, int]] = []
+    while rows:
+        _, i, j0 = min(((max(v) - min(v), len(row), abs(v[max(v)])), i, j)
+                       for i, row in enumerate(rows) for j, v in row.items())
+        top = rows[i]
+        pivot = top.pop(j0)
+        high = max(pivot)
+        span, a = high - min(pivot), pivot[high]
+        left = False
+        for row in rows:
+            x = row.get(j0)
+            if x is None or row is top:
+                continue
+            while x is not None and max(x) - min(x) >= span:
+                c = x[max(x)]
+                g = gcd(a, c)
+                q = {max(x) - high: c // g}
+                _scale(row, a // g)
+                for j, y in [(j0, pivot), *top.items()]:
+                    r = row.setdefault(j, {})
+                    _sub_mul(r, q, y, None)
+                    if not r:
+                        del row[j]
+                x = row.get(j0)
+            left = left or x is not None
+            _primitive(row)
+        if not left:  # b is alone in column j0: reduce its row by column operations
+            m = 1  # the row's scale, b's entry being m * b
+            for j in list(top):
+                y = top[j]
+                while y and max(y) - min(y) >= span:
+                    c = y[max(y)]
+                    g = gcd(a, c)
+                    m *= a // g
+                    _scale(top, a // g)
+                    _sub_mul(y, {max(y) - high: c // g}, pivot, None)
+                if not y:
+                    del top[j]
+            if not top:
+                pivots.append(pivot)
+                rows = [row for row in rows if row]
+                continue
+            _scale({j0: pivot}, m)
+        top[j0] = pivot
+        _primitive(top)
+        rows = [row for row in rows if row]
+    return pivots
+
+
+def _scale(row: dict[int, dict[int, int]], m: int) -> None:
+    """Multiply a row of integer entries by m in place."""
+    if m != 1:
+        for v in row.values():
+            for e in v:
+                v[e] *= m
+
+
+def _primitive(row: dict[int, dict[int, int]]) -> None:
+    """Divide a row of integer entries in place by the gcd of its coefficients."""
+    g = 0
+    for v in row.values():
+        for c in v.values():
+            g = gcd(g, c)
+    if g > 1:
+        for v in row.values():
+            for e in v:
+                v[e] //= g
 
 
 def _canonical_over(d: dict[int, int], p: int | None) -> dict[int, int]:
@@ -768,8 +864,8 @@ def integral_diagonal_form(data: list[dict[int, dict[int, int]]], cols: int, dro
     operation over Z[t^{+-1}] and the result is b ~ D (+) R there.
     Remainders whose top coefficient is not +-1 cannot be divided by over Z,
     so the phase stops after a round that leaves one in the pivot's row or
-    column, and when no entry can pivot; the rows left are R, on which each
-    field's `diagonal_form` finishes.  Until it stops, each round without
+    column, and when no entry can pivot; the rows left are R, which each
+    field finishes (see `IntegralDiagonal`).  Until it stops, each round without
     such a remainder picks a pivot of strictly smaller span than the last or
     takes out a row, so the phase ends.
     """
@@ -790,14 +886,13 @@ def _read_rows(data: list[dict[int, dict[int, int]]], cols: int, p: int | None,
     and an entry that vanishes is left out, as is every column in `dropped`,
     the others renumbered in order; `data` is not changed.
     """
-    dropped = set(dropped)
-    place = {j: k for k, j in enumerate(j for j in range(cols) if j not in dropped)}
-    rows, holders = [], [[] for _ in place]  # holders[k]: rows that had an entry at k
+    place = column_places(cols, dropped)
+    kept = cols - place.count(None)
+    rows, holders = [], [[] for _ in range(kept)]  # holders[k]: rows that had an entry at k
     for entries in data:
         row = {}
         for j, coeffs in entries.items():
-            k = place.get(j)
-            if k is None:
+            if (k := place[j]) is None:
                 continue
             v = dict(coeffs) if p is None else {e: r for e, c in coeffs.items() if (r := c % p)}
             if v:
@@ -806,6 +901,18 @@ def _read_rows(data: list[dict[int, dict[int, int]]], cols: int, p: int | None,
         if row:
             rows.append(row)
     return rows, holders
+
+
+def column_places(cols: int, dropped) -> list[int | None]:
+    """For each of `cols` columns, its place among those not in `dropped`,
+    in order, or None for a dropped one."""
+    dropped = set(dropped)
+    place, i = [None] * cols, 0
+    for j in range(cols):
+        if j not in dropped:
+            place[j] = i
+            i += 1
+    return place
 
 
 def _eliminate(rows: list[dict], holders: list[list[dict]], field: CoefficientField,
@@ -858,40 +965,32 @@ def _eliminate(rows: list[dict], holders: list[list[dict]], field: CoefficientFi
                     best, best_span, best_n = (row, j), span, n
         return best
 
-    def sub_mul(row, j, q, y):  # row[j] -= q * y
-        r = row.get(j)
-        if r is None:
-            r = row[j] = {}
-            holders[j].append(row)
-        _sub_mul(r, q, y, p)
-        if not r:
-            del row[j]
+    def sub_mul(row, q, top):  # row -= q * top, for a raw dict q
+        for j, y in top.items():
+            r = row.get(j)
+            if r is None:
+                r = row[j] = {}
+                holders[j].append(row)
+            for eq, cq in q.items():
+                for ey, cy in y.items():
+                    k = eq + ey
+                    v = r.get(k, 0) - cq * cy
+                    if p is not None:
+                        v %= p
+                    if v:
+                        r[k] = v
+                    else:
+                        del r[k]
+            if not r:
+                del row[j]
 
     def unit(top, j0, pivot):  # row -= (x * pivot^-1) * top, x each row's entry at j0
         ((e, c),) = pivot.items()
         c = field.inv(c)
         for row in holders[j0]:
             x = row.pop(j0, None)
-            if x is None:
-                continue
-            q = [(ex - e, cx * c) for ex, cx in x.items()]
-            for j, y in top.items():
-                r = row.get(j)
-                if r is None:
-                    r = row[j] = {}
-                    holders[j].append(row)
-                for eq, cq in q:
-                    for ey, cy in y.items():
-                        k = eq + ey
-                        v = r.get(k, 0) - cq * cy
-                        if p is not None:
-                            v %= p
-                        if v:
-                            r[k] = v
-                        else:
-                            del r[k]
-                if not r:
-                    del row[j]
+            if x is not None:
+                sub_mul(row, {ex - e: cx * c for ex, cx in x.items()}, top)
         top.clear()  # the pivot row leaves with its entry
         pivots.append(pivot)
 
@@ -927,8 +1026,7 @@ def _eliminate(rows: list[dict], holders: list[list[dict]], field: CoefficientFi
                 else:
                     del row[j0]
                 if q:
-                    for j, y in top.items():
-                        sub_mul(row, j, q, y)
+                    sub_mul(row, q, top)
             left = [row for row in left if j0 in row]
             for j, y in list(top.items()):
                 q = _divide(y, pivot, field)
@@ -940,7 +1038,7 @@ def _eliminate(rows: list[dict], holders: list[list[dict]], field: CoefficientFi
                     del top[j]
                 if q:
                     for row in left:
-                        sub_mul(row, j, q, row[j0])
+                        sub_mul(row, q, {j: row[j0]})
             top[j0] = pivot
             holders[j0] = left + [top]
             if not dirty:

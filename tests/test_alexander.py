@@ -895,8 +895,9 @@ def test_a_passing_scan_builds_no_diagonal_form_of_b2(monkeypatch):
     # read over a field only for the diagnostic of a failed check.  So the
     # default f2xz scan to order 4 over F2, F3 and Q builds no diagonal form
     # over a field and multiplies no two Laurent polynomials, and the scan at
-    # a=1, b=2, z=3 to order 10 builds one only for each residual R, of 2 or
-    # 3 rows: 27 chains over 3 fields.
+    # a=1, b=2, z=3 to order 10 finishes only each residual R, of 2 or 3
+    # rows: 27 chains over 3 fields, by `diagonal_form` over F2 and F3 and
+    # by `_integer_pivots` over Q.
     import hashlib
     import io
 
@@ -904,9 +905,10 @@ def test_a_passing_scan_builds_no_diagonal_form_of_b2(monkeypatch):
     from fibrecheck.cli import main
 
     products, forms = [], []
-    mul, form = LaurentPoly.__mul__, polyalg.diagonal_form
+    mul, form, pivots = LaurentPoly.__mul__, polyalg.diagonal_form, polyalg._integer_pivots
     monkeypatch.setattr(LaurentPoly, "__mul__", lambda a, b: products.append(1) or mul(a, b))
     monkeypatch.setattr(polyalg, "diagonal_form", lambda m: forms.append(m.rows) or form(m))
+    monkeypatch.setattr(polyalg, "_integer_pivots", lambda rows: forms.append(len(rows)) or pivots(rows))
     monkeypatch.setattr(IntegralDiagonal, "entries", lambda phase, field: pytest.fail("b2 read over a field"))
     for char, order, digest, residuals in (
             ("a=0,b=0,z=1", "4", "4442d173e2d1b4b3c3bb5ec94e55ceb8a59ab5f4197a49ebe3b428abea84083d", 0),

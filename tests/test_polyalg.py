@@ -521,42 +521,47 @@ def test_sparse_rows_read_as_their_dense_matrix(field, data):
     # left.  Over Q the same rows take 2t first.
     ([{0: {1: 2}}, {1: {0: 3, 1: 1}}], True, [{0: 3, 1: 1}], [{0: {1: 2}}]),
     ([{0: {1: 2}}, {1: {0: 3, 1: 1}}], False, [{1: 2}, {0: 3, 1: 1}], []),
-], ids=["unit-in-a-longer-row", "units-by-row-length", "span-tie-to-the-shorter-row",
-        "integral-skips-2t", "rational-takes-2t"])
-def test_one_pass_picks_least_span_then_shortest_row(data, integral, pivots, left):
-    # The pivot is an entry of least span, in the shortest row on ties, the
-    # first met on further ties; with `integral`, only an entry whose top
-    # coefficient is +-1.  The pivots come out in the order they are taken.
-    rows, holders = polyalg._read_rows(data, 4, None)
-    assert polyalg._eliminate(rows, holders, Q, integral=integral) == (pivots, left)
-
-
-@pytest.mark.parametrize("data, integral, pivots, left", [
-    # Rows of 3, 2, 1 and 1 entries.  Over Z[t^{+-1}] the sweep takes the
-    # two 1s of the single rows, which leave t alone in the first row, and
-    # then the units in the order of the rows' lengths as it started: -1 of
-    # the row of 2 before t.  The search over Q takes t first, its row
-    # being the shorter by then.
+    # With `integral`, a sweep takes units +-t^k before any search, over
+    # the rows in ascending order of their length as it starts.  Rows of 3,
+    # 2, 1 and 1 entries: the sweep takes the 1s of the single rows, which
+    # leave t alone in the first row, and then -1 of the row of 2 before t.
+    # The search over Q takes t first, its row being the shorter by then.
     ([{0: {0: 1, 1: 1}, 1: {0: 1, 1: 1}, 2: {1: 1}}, {3: {0: 1, 1: 1}, 4: {0: -1}},
       {0: {0: 1}}, {1: {0: 1}}], True,
      [{0: 1}, {0: 1}, {0: -1}, {1: 1}], []),
     ([{0: {0: 1, 1: 1}, 1: {0: 1, 1: 1}, 2: {1: 1}}, {3: {0: 1, 1: 1}, 4: {0: -1}},
       {0: {0: 1}}, {1: {0: 1}}], False,
      [{0: 1}, {0: 1}, {1: 1}, {0: -1}], []),
-    # The sweep passes over the monomial 2t, of top coefficient 2, and
-    # takes -t^2 of the longer row; nothing is left that can pivot, so 2t's
-    # row is left.  Over Q, 2t is a unit and goes first.
+    # The sweep passes over 2t, of top coefficient 2, and takes -t^2 of the
+    # longer row; nothing is left that can pivot, so 2t's row is left.
+    # Over Q, 2t is a unit and goes first.
     ([{0: {1: 2}}, {0: {0: 1, 1: 1}, 1: {2: -1}}], True, [{2: -1}], [{0: {1: 2}}]),
     ([{0: {1: 2}}, {0: {0: 1, 1: 1}, 1: {2: -1}}], False, [{1: 2}, {2: -1}], []),
-], ids=["sweep-by-initial-length", "rational-by-current-length", "sweep-skips-2t",
-        "rational-takes-2t"])
-def test_integral_sweep_takes_units_by_initial_row_length(data, integral, pivots, left):
-    # With `integral`, one pass over the rows in ascending order of their
-    # length as it starts pivots each row that still holds an entry +-t^k
-    # on the first such entry, before any search; over a field the search
-    # alone picks, as above.
+], ids=["unit-in-a-longer-row", "units-by-row-length", "span-tie-to-the-shorter-row",
+        "integral-skips-2t", "rational-takes-2t", "sweep-by-initial-length",
+        "rational-by-current-length", "sweep-skips-2t", "rational-takes-2t-first"])
+def test_one_pass_picks_least_span_then_shortest_row(data, integral, pivots, left):
+    # The pivot is an entry of least span, in the shortest row on ties, the
+    # first met on further ties; with `integral`, only an entry whose top
+    # coefficient is +-1, and units go in the sweep first.  The pivots come
+    # out in the order they are taken.
     rows, holders = polyalg._read_rows(data, 5, None)
     assert polyalg._eliminate(rows, holders, Q, integral=integral) == (pivots, left)
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_integer_pivots_give_the_rank_and_order_over_q(data):
+    # The Q finish of a residual, with integer arithmetic alone, has the
+    # rank and the canonical order of `diagonal_form` over Q, and leaves
+    # its rows as they were.
+    rows, n, m = data.draw(_integer_sparse_rows())
+    before = repr(rows)
+    read = [LaurentPoly._raw(Q, d).canonical() for d in polyalg._integer_pivots(rows)]
+    direct = diagonal_form(SparseMatrix(Q, rows, n, m))
+    assert len(read) == len(direct)
+    assert order_of(Q, tuple(read), len(read)) == order_of(Q, direct, len(direct))
+    assert repr(rows) == before
 
 
 def test_integral_phase_stops_at_a_remainder_it_cannot_divide():
