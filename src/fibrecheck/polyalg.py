@@ -806,7 +806,7 @@ def _integer_pivots(data: list[dict[int, dict[int, int]]]) -> list[dict[int, int
                 pivots.append(pivot)
                 rows = [row for row in rows if row]
                 continue
-            _scale({j0: pivot}, m)
+            pivot = {e: c * m for e, c in pivot.items()}
         top[j0] = pivot
         _primitive(top)
         rows = [row for row in rows if row]
