@@ -1,15 +1,16 @@
 """Exact Laurent-polynomial linear algebra over Q or a prime field F_p.
 
-Coefficients over Q are Python ints, and Fractions only where a non-unit
-has been inverted; over F_p they are ints reduced mod p.  All arithmetic is
-exact.  Matrices are brought to a diagonal form over the Laurent ring
-F[t^{+-1}] itself, a Euclidean domain whose units are the
-monomials c*t^k and whose norm is the span (highest minus lowest exponent),
-so monomial entries are unit pivots.  The diagonal need not be a
-divisibility chain: an order needs only the product of its nonzero entries,
-the gcd of the r x r minors for r the rank, so `diagonal_form` gives just
-those entries, and their number is the rank.  Rank over the rational-function
-field F(t) has two routes.  `rank_lower_bound` maps t to a fixed point of a
+Coefficients over Q are Python ints: elimination scales a row by a nonzero
+integer, a unit of Q, where it would invert one, so a Fraction appears only
+where a result is made monic or a caller's input holds one; over F_p they
+are ints reduced mod p.  All arithmetic is exact.  Matrices are brought to a
+diagonal form over the Laurent ring F[t^{+-1}] itself, a Euclidean domain
+whose units are the monomials c*t^k and whose norm is the span (highest
+minus lowest exponent), so monomial entries are unit pivots.  The diagonal
+need not be a divisibility chain: an order needs only the product of its
+nonzero entries, the gcd of the r x r minors for r the rank, so
+`diagonal_form` gives just those entries, and their number is the rank.
+Rank over the rational-function field F(t) has two routes.  `rank_lower_bound` maps t to a fixed point of a
 finite field and eliminates there; every minor maps to the image of that
 minor, so the result never exceeds the rank over F(t), and it proves the rank
 whenever it meets a known upper bound.  `rank_over_fraction_field` is exact
@@ -24,12 +25,10 @@ mostly zero, and neither a pivot search nor a row operation visits a zero
 entry.  `integral_diagonal_form` runs the same elimination once over
 Z[t^{+-1}], pivoting only on entries with top coefficient +-1, units +-t^k
 first, so that each field reduces the product of its diagonal D mod p and
-finishes only the rows R it left, F_p by the same elimination and Q with
-integers alone (`_integer_pivots`).
-Bareiss reads the same rows into its own rows of Laurent
-polynomials.  Units of F[t^{+-1}] are c*t^k, so the canonical
-representative of a nonzero polynomial class is monic with nonzero constant
-term.
+finishes only the rows R it left, by the same elimination.  Bareiss reads
+the same rows into its own rows of Laurent polynomials.  Units of
+F[t^{+-1}] are c*t^k, so the canonical representative of a nonzero
+polynomial class is monic with nonzero constant term.
 """
 
 from __future__ import annotations
@@ -301,9 +300,13 @@ class LaurentPoly:
         self._check(b)
         if b.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
+        f = self.field
         r = dict(self.coeffs)
-        q = _divide(r, b.coeffs, self.field)
-        return LaurentPoly._raw(self.field, q), LaurentPoly._raw(self.field, r)
+        q, m = _divide(r, b.coeffs, f)
+        q, r = LaurentPoly._raw(f, q), LaurentPoly._raw(f, r)
+        if m != 1:  # m * self = q * b + r
+            q, r = q.scale(f.inv(m)), r.scale(f.inv(m))
+        return q, r
 
     def exact_div(self, b: "LaurentPoly") -> "LaurentPoly":
         """Exact quotient in F[t^{+-1}]; raises NotInSpan if inexact."""
@@ -334,30 +337,49 @@ class LaurentPoly:
         return " + ".join(parts)
 
 
-def _divide(r: dict[int, object], b: dict[int, object], f: CoefficientField) -> dict[int, object]:
-    """Reduce r modulo b in F[t^{+-1}] in place and return the quotient.
+def _divide(r: dict[int, object], b: dict[int, object], f: CoefficientField) -> tuple[dict[int, object], object]:
+    """Reduce r modulo b in F[t^{+-1}] in place; (quotient q, scale m) with
+    m * r_before = q * b + r_after and span r_after < span b.
 
-    Each step cancels the top term of r by a shifted multiple of b, which
+    Each step cancels the top term c of r by a shifted multiple of b, which
     adds no term outside the current span of r, until span r < span b.  A
     nonzero multiple of b has span at least span b, so a b that divides r
     leaves r empty.  Both are raw {exponent: coefficient} dicts over f, and
-    b is nonzero.  The top term cancels exactly, so the next top is found by
-    walking down from it; the bottom exponent never decreases, so it is
-    walked up only when its term cancels.  A division thus walks the span
-    of r at most twice, however many steps it takes.
+    b is nonzero.  The quotient term c/a, a being b's top coefficient, is
+    taken directly where it is exact in the coefficients held: always over
+    F_p, and over Q where a divides c or either is a Fraction.  Otherwise r
+    and q are first scaled by a/gcd(a, c), a unit of Q that m records: a
+    pseudo-division (Knuth, TAOCP vol. 2, 4.6.1), which keeps integers
+    integers.  So m is 1 over F_p and wherever b divides r over Z.  The top
+    term cancels exactly, so the next top is found by walking down from it;
+    the bottom exponent never decreases, so it is walked up only when its
+    term cancels.  A division thus walks the span of r at most twice,
+    however many steps it takes.
     """
     p = f.p
     hb = max(b)
     sb = hb - min(b)
-    lead_inv = f.inv(b[hb])
+    a = b[hb] if p is None else f.inv(b[hb])
     quotient: dict[int, object] = {}
+    m = 1
     if not r:
-        return quotient
+        return quotient, m
     top, low = max(r), min(r)
     while top - low >= sb:
-        c = r[top] * lead_inv
+        c = r[top]
         if p is not None:
-            c %= p
+            c = c * a % p
+        elif not c % a:
+            c //= a
+        elif type(c) is type(a) is int:
+            g = gcd(a, c)
+            m *= a // g
+            for d in (r, quotient):
+                for e in d:
+                    d[e] *= a // g
+            c //= g
+        else:
+            c /= a
         s = top - hb
         quotient[s] = c
         _sub_mul(r, {s: c}, b, p)
@@ -367,7 +389,7 @@ def _divide(r: dict[int, object], b: dict[int, object], f: CoefficientField) -> 
             top -= 1
         while low not in r:
             low += 1
-    return quotient
+    return quotient, m
 
 
 def _sub_mul(r: dict[int, object], q: dict[int, object], y: dict[int, object], p: int | None) -> None:
@@ -417,7 +439,8 @@ def rank_over_fraction_field(m: SparseMatrix) -> int:
     `m.field`, zero entries included.  Pivots are chosen with minimal degree
     spread to curb coefficient growth; the two-step division is exact by the
     Sylvester determinant identity, so entries stay Laurent polynomials
-    throughout.
+    throughout.  Each entry is a minor of m, so over Q the division is exact
+    over Z too, and `_divide` takes integer quotients: no Fraction is made.
     """
     field = m.field
     rows, cols = m.rows, m.cols
@@ -659,9 +682,11 @@ def diagonal_form(m: SparseMatrix) -> tuple[LaurentPoly, ...]:
     that gcd, and a diagonal matrix has one such minor.  The rows of
     `m.sparse_rows()` are copied with every coefficient reduced into the
     field, and an entry that vanishes there left out, and then eliminated by
-    `_eliminate`, which consumes them all.  A unit pivot's entry is the
-    shared 1, with no normalising; any other pivot's entry is its canonical
-    form.  A twisted chain's b2 reaches this only as the residual R of
+    `_eliminate`, which consumes them all; over Q they stay integers, rows
+    being scaled by nonzero integers, units there.  A unit pivot's entry is
+    the shared 1, with no normalising; any other pivot's entry is its
+    canonical form, the one place a Fraction may be made.  A twisted
+    chain's b2 reaches this only as the residual R of
     `integral_diagonal_form`, which runs the same loop once over
     Z[t^{+-1}] for every field and stops where a remainder's top
     coefficient is not +-1: b2 ~ D (+) R, so a diagonal form of b2 over a
@@ -734,89 +759,16 @@ class IntegralDiagonal:
 
     def _finish(self, field: CoefficientField) -> tuple[LaurentPoly, ...]:
         """The nonzero entries of a diagonal form of R over `field`, each
-        canonical: `diagonal_form` over F_p, `_integer_pivots` over Q."""
+        canonical, by `diagonal_form`."""
         if not self.residual:
             return ()
-        if field.p is not None:
-            return diagonal_form(SparseMatrix(field, self.residual, len(self.residual), self.cols))
-        one = LaurentPoly.one(field)
-        return tuple([one if len(d) == 1 else LaurentPoly._raw(field, d).canonical()
-                      for d in _integer_pivots(self.residual)])
+        return diagonal_form(SparseMatrix(field, self.residual, len(self.residual), self.cols))
 
 
-def _integer_pivots(data: list[dict[int, dict[int, int]]]) -> list[dict[int, int]]:
-    """The pivots of a diagonal form over Q[t^{+-1}] of integer rows, made
-    with integer arithmetic alone; `data` is not changed.
-
-    Over Q a nonzero integer is a unit, so a row may be scaled by one, and
-    divided by the gcd of its coefficients (its content), at no cost to the
-    gcd of the minors.  To clear x below a pivot b of top coefficient a, the
-    row takes (a/g) * row - (c/g) * t^s * top, c being x's top coefficient
-    and g = gcd(a, c), until x's span is below b's: a pseudo-division, as in
-    a primitive remainder sequence, after which the row's content is divided
-    out.  `diagonal_form` over Q would make Fractions whose sizes can grow
-    without bound.  Once b is alone in its column, the pivot row's other
-    entries are reduced in the same way, each step scaling that row and
-    subtracting a multiple of b's column, which touches that row alone.  The
-    pivot is an entry of least span, then in the shortest row, then of least
-    top coefficient, so a top +-1 divides without scaling.  As in
-    `_eliminate`, a round that leaves a remainder is followed by a pivot of
-    smaller span, so the loop ends, and the pivots' number is the rank.
-    """
-    rows = [{j: dict(v) for j, v in row.items()} for row in data if row]
-    pivots: list[dict[int, int]] = []
-    while rows:
-        _, i, j0 = min(((max(v) - min(v), len(row), abs(v[max(v)])), i, j)
-                       for i, row in enumerate(rows) for j, v in row.items())
-        top = rows[i]
-        pivot = top.pop(j0)
-        high = max(pivot)
-        span, a = high - min(pivot), pivot[high]
-        left = False
-        for row in rows:
-            x = row.get(j0)
-            if x is None or row is top:
-                continue
-            while x is not None and max(x) - min(x) >= span:
-                c = x[max(x)]
-                g = gcd(a, c)
-                q = {max(x) - high: c // g}
-                _scale(row, a // g)
-                for j, y in [(j0, pivot), *top.items()]:
-                    r = row.setdefault(j, {})
-                    _sub_mul(r, q, y, None)
-                    if not r:
-                        del row[j]
-                x = row.get(j0)
-            left = left or x is not None
-            _primitive(row)
-        if not left:  # b is alone in column j0: reduce its row by column operations
-            m = 1  # the row's scale, b's entry being m * b
-            for j in list(top):
-                y = top[j]
-                while y and max(y) - min(y) >= span:
-                    c = y[max(y)]
-                    g = gcd(a, c)
-                    m *= a // g
-                    _scale(top, a // g)
-                    _sub_mul(y, {max(y) - high: c // g}, pivot, None)
-                if not y:
-                    del top[j]
-            if not top:
-                pivots.append(pivot)
-                rows = [row for row in rows if row]
-                continue
-            pivot = {e: c * m for e, c in pivot.items()}
-        top[j0] = pivot
-        _primitive(top)
-        rows = [row for row in rows if row]
-    return pivots
-
-
-def _scale(row: dict[int, dict[int, int]], m: int) -> None:
-    """Multiply a row of integer entries by m in place."""
-    if m != 1:
-        for v in row.values():
+def _scale(row: dict[int, dict[int, int]], m: int, skip: int) -> None:
+    """Multiply a row of integer entries by m in place, but for its entry at column `skip`."""
+    for j, v in row.items():
+        if j != skip:
             for e in v:
                 v[e] *= m
 
@@ -935,6 +887,17 @@ def _eliminate(rows: list[dict], holders: list[list[dict]], field: CoefficientFi
     clear.  Each pivot whose cross is clear is a diagonal entry, as its raw
     dict.
 
+    Over Q the rows hold integers and keep them: a nonzero integer is a unit
+    there, so a row may be scaled by one and divided by the gcd of its
+    coefficients.  A row that `_divide` cleared with scale m is scaled by m
+    outside the pivot's column and then made primitive; so is a row cleared
+    below a monomial c*t^k with c not +-1, which is not inverted.  Under a
+    pivot whose top coefficient is not +-1, the pivot row's other entries
+    are reduced only once the pivot is alone in its column, so that scaling
+    that row, the pivot with it, is the only column operation's cost.
+    Elsewhere every scale is 1, so F_p and the integral phase take the
+    pivots of division over the field.
+
     Over a field every row is consumed and no row is left.  With `integral`
     (see `integral_diagonal_form`) only an entry with top coefficient +-1
     may pivot, and the loop stops when none is left or after a round that
@@ -1011,39 +974,51 @@ def _eliminate(rows: list[dict], holders: list[list[dict]], field: CoefficientFi
         top, j0 = found
         pivot = top.pop(j0)
         stop = False
-        if len(pivot) == 1:
+        if len(pivot) == 1 and (p is not None or abs(*pivot.values()) == 1):
             unit(top, j0, pivot)
         else:
             left = list({id(row): row for row in holders[j0] if row is not top and j0 in row}.values())
             dirty = False
             for row in left:
                 x = row[j0]
-                q = _divide(x, pivot, field)
+                q, m = _divide(x, pivot, field)
                 if x:
                     dirty = True
                     if integral and x[max(x)] not in (1, -1):
                         stop = True
                 else:
                     del row[j0]
+                if m != 1:
+                    _scale(row, m, j0)
                 if q:
                     sub_mul(row, q, top)
+                if m != 1:
+                    _primitive(row)
             left = [row for row in left if j0 in row]
-            for j, y in list(top.items()):
-                q = _divide(y, pivot, field)
-                if y:
-                    dirty = True
-                    if integral and y[max(y)] not in (1, -1):
-                        stop = True
-                else:
-                    del top[j]
-                if q:
-                    for row in left:
-                        sub_mul(row, q, {j: row[j0]})
-            top[j0] = pivot
+            s = 1  # the scale of the pivot row, whose entry at j0 is s * pivot
+            # A monomial divides its whole row, which leaves with it.
+            if len(pivot) > 1 and (not left or p is not None or pivot[max(pivot)] in (1, -1)):
+                for j, y in list(top.items()):
+                    q, m = _divide(y, pivot, field)
+                    if y:
+                        dirty = True
+                        if integral and y[max(y)] not in (1, -1):
+                            stop = True
+                    else:
+                        del top[j]
+                    if m != 1:  # the pivot is alone in its column
+                        _scale(top, m, j)
+                        s *= m
+                    if q:
+                        for row in left:
+                            sub_mul(row, q, {j: row[j0]})
+            top[j0] = pivot if s == 1 else {e: c * s for e, c in pivot.items()}
             holders[j0] = left + [top]
             if not dirty:
                 top.clear()
                 pivots.append(pivot)
+            elif s != 1:
+                _primitive(top)
         rows = [row for row in rows if row]
         if stop:
             break

@@ -7,10 +7,9 @@ nothing behind; each test sets only its own `max_examples`.
 Hypothesis measures an example only after it returns, so an elimination
 that never ends would stall the suite instead of failing it.  On POSIX each
 test therefore runs under a real-time alarm of `TEST_TIME_LIMIT_S` seconds,
-and fails when it rings.  The slowest test,
-`test_polyalg.py::test_integral_phase_reads_as_the_diagonal_form_over_each_field`,
-takes about 16 s on a 2-vCPU host with Python 3.11, nearly all of it in
-`polyalg.diagonal_form` over Q.
+and fails when it rings.  No test takes more than about 2 s on a 2-vCPU
+host with Python 3.11; an elimination over Q whose coefficients grow runs
+far longer.
 """
 
 import signal

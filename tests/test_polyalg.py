@@ -408,8 +408,8 @@ def test_int_and_fraction_coefficients_are_interchangeable():
 
 def test_non_unit_leading_pivot_over_q_matches_smith_oracle():
     # No entry is a monomial and the least-span pivot 2t - 1 has leading
-    # coefficient 2, so the int entries meet Fraction quotients during
-    # elimination and the order is monic only with a Fraction constant term.
+    # coefficient 2, so the elimination scales the int rows by integers, and
+    # the order is monic only with a Fraction constant term.
     from smith_oracle import order_of, smith_normal_form
 
     m = PolyMatrix.from_int_rows(Q, [[{0: -1, 1: 2}, {0: 3, 1: 1}],
@@ -551,17 +551,85 @@ def test_one_pass_picks_least_span_then_shortest_row(data, integral, pivots, lef
 
 @settings(max_examples=200)
 @given(data=st.data())
-def test_integer_pivots_give_the_rank_and_order_over_q(data):
-    # The Q finish of a residual, with integer arithmetic alone, has the
-    # rank and the canonical order of `diagonal_form` over Q, and leaves
-    # its rows as they were.
+def test_diagonal_form_over_q_has_the_smith_oracles_rank_and_order(data):
+    # Over Q the elimination scales integer rows instead of inverting a top
+    # coefficient other than +-1; its rank and canonical order are those of
+    # the Smith oracle, which divides over the field, and the rows it read
+    # are left as they were.
+    from smith_oracle import rank_of, smith_normal_form
+
     rows, n, m = data.draw(_integer_sparse_rows())
     before = repr(rows)
-    read = [LaurentPoly._raw(Q, d).canonical() for d in polyalg._integer_pivots(rows)]
-    direct = diagonal_form(SparseMatrix(Q, rows, n, m))
-    assert len(read) == len(direct)
-    assert order_of(Q, tuple(read), len(read)) == order_of(Q, direct, len(direct))
+    form = diagonal_form(SparseMatrix(Q, rows, n, m))
+    snf = smith_normal_form(to_dense(SparseMatrix(Q, rows, n, m)))
+    assert len(form) == rank_of(snf)
+    assert order_of(Q, form, len(form)) == order_of(Q, snf, len(form))
     assert repr(rows) == before
+
+
+# A 10 x 10 integer matrix whose Euclidean remainders, taken with Fraction
+# coefficients, grow for tens of seconds of CPU; `diagonal_form` over Q
+# finishes it in milliseconds.  Its order renders in 744 characters.
+_TEN_BY_TEN = [
+    {3: {1: -3}, 4: {-1: -2, -2: 2}, 5: {1: 2}, 9: {3: 1, 2: -3}},
+    {2: {0: 2, 3: -3}, 5: {0: -3}, 9: {-2: 1}},
+    {0: {2: -3}, 1: {1: 1}, 3: {-1: 2}, 4: {-2: 3}, 6: {-2: -3}, 8: {3: -3, -3: 1}},
+    {1: {-1: 2}, 4: {2: 1}, 5: {-2: -1}, 6: {1: -1}, 7: {-1: -1, 1: -1}, 8: {2: 3, -2: -1},
+     9: {0: -3, 1: -3}},
+    {1: {0: 3, 3: -2}, 3: {-1: -2, -3: -1}, 4: {-2: -2}, 5: {-1: 1, 3: -1}},
+    {0: {-3: 1}, 5: {3: -3}, 8: {0: 3, 3: 1}, 9: {2: -1, 1: 1}},
+    {0: {-2: 3, 3: 3}, 4: {1: 3}, 5: {3: -3, -1: -2}, 6: {2: 1}, 7: {1: -2}, 9: {1: 2}},
+    {0: {-3: 3}, 2: {2: -3, 1: 1}, 4: {2: -3}, 5: {-3: 1}, 6: {3: 1}, 7: {2: -3, -1: -1},
+     8: {2: 3, 1: -2}, 9: {0: 2}},
+    {0: {-1: -2, 1: -1}, 1: {0: 3, -3: -3}, 3: {3: 2, -2: 2}, 4: {-2: 3}, 6: {-1: 1},
+     9: {-2: -3, -1: -2}},
+    {4: {2: 2, -1: 1}, 7: {-3: 3, 1: -3}, 8: {1: 3, -1: -1}, 9: {1: -3}},
+]
+
+
+def test_diagonal_form_over_q_of_a_matrix_where_fractions_grew():
+    form = diagonal_form(SparseMatrix(Q, _TEN_BY_TEN, 10, 10))
+    order = order_of(Q, form, 10).render()
+    assert len(form) == 10 and len(order) == 744
+    assert hashlib.sha256(order.encode()).hexdigest() == (
+        "4d3f7c367ec30ebb6ff90bacba61fd85eb7270cc8bf99f374d199cdbd15dba78")
+
+
+def _no_fraction(*args):
+    raise AssertionError("a Fraction was made")
+
+
+def _eliminate_without_fractions(rows, n, m):
+    """Rank by Bareiss and the pivots of the diagonal-form elimination over
+    Q, with `polyalg.Fraction` made to fail when called."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polyalg, "Fraction", _no_fraction)
+        rank = rank_over_fraction_field(SparseMatrix(Q, rows, n, m))
+        pivots, _ = polyalg._eliminate(*polyalg._read_rows(rows, m, None), Q)
+    assert all(type(c) is int for d in pivots for c in d.values())
+    return rank, len(pivots)
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_eliminations_over_q_make_no_fraction_on_integer_rows(data):
+    # Bareiss divides exactly over Z, and the diagonal-form elimination
+    # scales rows by integers where a top coefficient other than +-1 does
+    # not divide, so neither builds a Fraction on integer rows.
+    rank, pivots = _eliminate_without_fractions(*data.draw(_integer_sparse_rows()))
+    assert rank == pivots
+
+
+@pytest.mark.parametrize("rows, n, m, rank", [
+    # 2t - 1, of top coefficient 2, is the least-span pivot (see
+    # `test_non_unit_leading_pivot_over_q_matches_smith_oracle`).
+    ([{0: {0: -1, 1: 2}, 1: {0: 3, 1: 1}}, {0: {0: 1, 1: 1}, 1: {0: 2, 2: 1}}], 2, 2, 2),
+    # The monomial 2t pivots, and is not inverted.
+    ([{0: {1: 2}, 1: {0: 1}}, {0: {0: 3, 1: 1}, 1: {0: 1, 1: 1}}], 2, 2, 2),
+    (_TEN_BY_TEN, 10, 10, 10),
+], ids=["non-unit-top", "non-unit-monomial", "ten-by-ten"])
+def test_non_unit_pivots_over_q_make_no_fraction(rows, n, m, rank):
+    assert _eliminate_without_fractions(rows, n, m) == (rank, rank)
 
 
 def test_integral_phase_stops_at_a_remainder_it_cannot_divide():
