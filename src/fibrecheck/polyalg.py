@@ -2,8 +2,9 @@
 
 Coefficients over Q are Python ints: elimination scales a row by a nonzero
 integer, a unit of Q, where it would invert one, so a Fraction appears only
-where a result is made monic or a caller's input holds one; over F_p they
-are ints reduced mod p.  All arithmetic is exact.  Matrices are brought to a
+where a result is made monic, where `divmod_laurent` returns a quotient that
+is not integral, or where a caller's input holds one; over F_p they are ints
+reduced mod p.  All arithmetic is exact.  Matrices are brought to a
 diagonal form over the Laurent ring F[t^{+-1}] itself, a Euclidean domain
 whose units are the monomials c*t^k and whose norm is the span (highest
 minus lowest exponent), so monomial entries are unit pivots.  The diagonal
